@@ -64,7 +64,7 @@ fn main() {
                     .ok()
                     .and_then(|v| v.trim().parse().ok())
                     .unwrap_or(1);
-                let cells = shape::run_shape_matrix_reps(bench::REDUCED_SCALE, reps);
+                let cells = shape::run_shape_matrix_reps(bench::SHAPE_SCALE, reps);
                 let evals = shape::evaluate(&cells, &constraints);
                 rows.extend(shape::csv_rows(&model, &evals));
                 let satisfied = evals.iter().filter(|e| e.ok).count();

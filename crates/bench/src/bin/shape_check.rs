@@ -15,7 +15,7 @@ fn main() {
              at PM-like costs"
         );
     }
-    let cells = shape::run_shape_matrix(bench::REDUCED_SCALE);
+    let cells = shape::run_shape_matrix(bench::SHAPE_SCALE);
     let constraints = shape::constraints();
     let evals = shape::evaluate(&cells, &constraints);
 

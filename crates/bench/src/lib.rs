@@ -101,11 +101,18 @@ pub struct MatrixScale {
 pub const FULL_SCALE: MatrixScale =
     MatrixScale { load_n: 2_000_000, ops_n: 2_000_000, threads: 16 };
 
-/// The reduced scale used by `calibrate`, `shape_check` and `perf_gate`: big enough
-/// for the qualitative orderings to be stable (in particular, large enough that the
-/// hash tables' deterministic resize points land in the load phase, not mid-run),
-/// small enough to gate CI.
+/// The reduced scale used by `perf_gate` (whose checked-in baseline records it):
+/// big enough that the hash tables' deterministic resize points land in the load
+/// phase, not mid-run, small enough to gate CI.
 pub const REDUCED_SCALE: MatrixScale = MatrixScale { load_n: 60_000, ops_n: 60_000, threads: 4 };
+
+/// The scale `shape_check` and `calibrate` compare orderings at: the
+/// [`REDUCED_SCALE`] index, run four times as long. Four threads finish a read-only
+/// cell of 60 000 operations in 8–17 ms, too short to order two such cells: on a
+/// 2-vCPU host P-CLHT against Level-Hashing on B changed sign in 3 of 6 single
+/// passes. At 240 000 operations the cells last 35–70 ms and that ordering held,
+/// by +17% or more, in 40 runs out of 40.
+pub const SHAPE_SCALE: MatrixScale = MatrixScale { load_n: 60_000, ops_n: 240_000, threads: 4 };
 
 /// Install the simulated PM latency model from the environment (calibrated defaults,
 /// `RECIPE_*_NS` / `RECIPE_EADR` overrides) and return it. Every benchmark binary
@@ -186,8 +193,8 @@ pub fn run_matrix(indexes: &[IndexEntry], workloads: &[Workload], key_type: KeyT
     run_matrix_scaled(indexes, workloads, key_type, FULL_SCALE)
 }
 
-/// [`run_matrix`] with explicit default sizes (used at [`REDUCED_SCALE`] by the
-/// calibration, shape-check and perf-gate binaries).
+/// [`run_matrix`] with explicit default sizes (used at [`SHAPE_SCALE`] by the
+/// calibration and shape-check binaries and at [`REDUCED_SCALE`] by the perf gate).
 #[must_use]
 pub fn run_matrix_scaled(
     indexes: &[IndexEntry],

@@ -19,14 +19,11 @@
 //!   readers). Indexes that own their whole structure may free it in `Drop` via
 //!   [`pm_drop`].
 //!
-//! Allocation counters are exposed so tests can assert that structure-modification
-//! operations allocate the expected number of nodes.
+//! Allocation counters (two fields of the allocating thread's [`crate::stats`] slab,
+//! summed over all threads by the readers here) are exposed so tests can assert that
+//! structure-modification operations allocate the expected number of nodes.
 
-use crate::tracker;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCATED_OBJECTS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+use crate::{stats, tracker};
 
 /// Allocate `val` on the simulated PM pool and return a raw pointer to it.
 ///
@@ -40,8 +37,8 @@ static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 pub fn pm_box<T>(val: T) -> *mut T {
     let p = Box::into_raw(Box::new(val));
     let size = std::mem::size_of::<T>();
-    ALLOCATED_OBJECTS.fetch_add(1, Ordering::Relaxed);
-    ALLOCATED_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    stats::bump(stats::ALLOC_OBJECTS, 1);
+    stats::bump(stats::ALLOC_BYTES, size as u64);
     if tracker::enabled() {
         tracker::on_alloc(p as usize, size);
         tracker::on_store(p as usize, size);
@@ -64,14 +61,14 @@ pub unsafe fn pm_drop<T>(p: *mut T) {
     drop(unsafe { Box::from_raw(p) });
 }
 
-/// Number of objects allocated through [`pm_box`] since process start.
+/// Number of objects allocated through [`pm_box`] since process start, by any thread.
 pub fn allocated_objects() -> u64 {
-    ALLOCATED_OBJECTS.load(Ordering::Relaxed)
+    stats::totals()[stats::ALLOC_OBJECTS]
 }
 
-/// Number of bytes allocated through [`pm_box`] since process start.
+/// Number of bytes allocated through [`pm_box`] since process start, by any thread.
 pub fn allocated_bytes() -> u64 {
-    ALLOCATED_BYTES.load(Ordering::Relaxed)
+    stats::totals()[stats::ALLOC_BYTES]
 }
 
 #[cfg(test)]
@@ -80,6 +77,9 @@ mod tests {
 
     #[test]
     fn pm_box_allocates_and_counts() {
+        // The count is process-wide, and `pm_box` dirties lines in a tracker
+        // another test may have enabled.
+        let _g = tracker::tests::TEST_LOCK.lock();
         let before = allocated_objects();
         let p = pm_box(42u64);
         assert!(!p.is_null());
@@ -93,6 +93,7 @@ mod tests {
 
     #[test]
     fn pm_box_marks_lines_dirty_when_tracking() {
+        let _g = tracker::tests::TEST_LOCK.lock();
         tracker::enable();
         let p = pm_box([0u8; 256]);
         let report = tracker::check(false);

@@ -4,7 +4,8 @@
 //! `sfence`/`mfence` instructions after stores to persistent memory. In this
 //! reproduction every flush and fence goes through this module so that:
 //!
-//! 1. the paper's per-operation instruction counters can be collected ([`crate::stats`]),
+//! 1. the paper's per-operation instruction counters can be collected (the calling
+//!    thread's [`crate::stats`] slab; elided fences are a field of the same slab),
 //! 2. a configurable synthetic latency can be charged per flush/fence, letting the
 //!    benchmark harness reproduce the paper's throughput *shape* (flush-heavy indexes
 //!    lose) without Optane hardware, and
@@ -16,7 +17,6 @@
 
 use crate::{latency, line_of, stats, tracker, CACHE_LINE};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     /// Nesting depth of active [`FenceCoalesce`] guards on this thread.
@@ -25,16 +25,14 @@ thread_local! {
     static FENCE_PENDING: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Process-wide count of fences elided by coalescing regions.
-static ELIDED_FENCES: AtomicU64 = AtomicU64::new(0);
-
-/// Total fences elided by [`coalesce_fences`] regions since process start.
+/// Total fences elided by [`coalesce_fences`] regions since process start, summed
+/// over all threads (exited ones included).
 ///
 /// The batching evidence for the service layer: at the same op count, a batched
 /// shard worker shows this counter climbing while `stats` fence counts stay flat.
 #[must_use]
 pub fn elided_fences() -> u64 {
-    ELIDED_FENCES.load(Ordering::Relaxed)
+    stats::totals()[stats::ELIDED_FENCES]
 }
 
 /// RAII guard for a fence-coalescing region; see [`coalesce_fences`].
@@ -85,7 +83,7 @@ impl Drop for FenceCoalesce {
 #[inline]
 pub fn clwb(addr: *const u8) {
     let line = line_of(addr as usize);
-    stats::count_clwb();
+    stats::bump(stats::CLWB, 1);
     tracker::on_flush(line);
     latency::on_clwb(line);
 }
@@ -98,10 +96,10 @@ pub fn clwb(addr: *const u8) {
 pub fn sfence() {
     if COALESCE_DEPTH.with(Cell::get) > 0 {
         FENCE_PENDING.with(|p| p.set(true));
-        ELIDED_FENCES.fetch_add(1, Ordering::Relaxed);
+        stats::bump(stats::ELIDED_FENCES, 1);
         return;
     }
-    stats::count_fence();
+    stats::bump(stats::FENCE, 1);
     tracker::on_fence();
     latency::on_fence();
 }

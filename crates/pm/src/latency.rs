@@ -21,12 +21,16 @@
 //!   persistence domain: flushes cost nothing (they are charged 0 and never open an
 //!   epoch) but fences keep their ordering cost.
 //!
-//! Charges are recorded in deterministic **charged-ns counters** (global and
-//! thread-local, mirroring [`crate::stats`]) so tests assert exact accounting
-//! without wall clocks; the wall-clock side pays the same nanoseconds with a
-//! batched busy-wait (debt is accumulated per thread and paid once it exceeds
-//! [`PAY_GRANULARITY_NS`], amortising the `Instant` overhead that would otherwise
-//! dwarf a ~100 ns charge).
+//! Charges are recorded in deterministic **charged-ns counters** (three fields of
+//! the per-thread [`crate::stats`] slab, read process-wide by [`charged`] and per
+//! thread by [`charged_local`]) so tests assert exact accounting without wall
+//! clocks; the wall-clock side pays the same nanoseconds with a batched busy-wait
+//! (debt is accumulated per thread and paid once it exceeds [`PAY_GRANULARITY_NS`],
+//! amortising the `Instant` overhead that would otherwise dwarf a ~100 ns charge).
+//!
+//! The model's own cost per event is a thread-local borrow, one shared load (the
+//! install epoch, against which each thread caches the [`Model`]) and, for a flush,
+//! one probe of the thread's line set; a fence closes the epoch in O(1).
 //!
 //! The process starts with the **zero model** installed (no charges, no waits), so
 //! unit tests and the crash harness run at full speed. Benchmark binaries install
@@ -37,9 +41,10 @@
 //! `RECIPE_FENCE_NS`, `RECIPE_READ_NS` and `RECIPE_EADR` environment variables
 //! override them.
 
+use crate::stats;
+use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Calibrated default: nanoseconds charged for the first `clwb` of a cache line in a
@@ -65,38 +70,102 @@ pub const PAY_GRANULARITY_NS: u64 = 4_096;
 /// fencing is not modelling RECIPE-style conversions anyway). Bounds memory.
 const MAX_EPOCH_LINES: usize = 1 << 15;
 
-/// The installed (process-global) model, as four atomics so the fast path is a few
-/// relaxed loads. `MODEL_EPOCH` bumps on every install; threads drop their dedup
-/// state when they observe a new model.
-static CLWB_NS: AtomicU64 = AtomicU64::new(0);
-static FENCE_NS: AtomicU64 = AtomicU64::new(0);
-static READ_NS: AtomicU64 = AtomicU64::new(0);
-static EADR: AtomicBool = AtomicBool::new(false);
+/// The installed (process-global) model. `MODEL_EPOCH` bumps on every install; each
+/// thread caches the model beside the epoch it read it under, so an event costs one
+/// load of `MODEL_EPOCH`, and drops its dedup state when it observes a new epoch.
+static MODEL: Mutex<Model> = Mutex::new(Model::ZERO);
 static MODEL_EPOCH: AtomicU64 = AtomicU64::new(0);
 
-/// Globally accumulated charged nanoseconds, by charge kind.
-static CHARGED_CLWB: AtomicU64 = AtomicU64::new(0);
-static CHARGED_FENCE: AtomicU64 = AtomicU64::new(0);
-static CHARGED_READ: AtomicU64 = AtomicU64::new(0);
+/// An exact set of cache-line addresses whose `clear` is O(1): open addressing with
+/// linear probing, where a slot is live iff its stamp equals the current generation,
+/// so bumping the generation empties the table whatever its capacity. Every fence
+/// clears, so a clear that cost the capacity one table-sized flush (a rehash) left
+/// behind would make each later 180 ns fence take microseconds. Grows by rehash at
+/// half load; the caller bounds `len` with [`MAX_EPOCH_LINES`], so the table tops
+/// out at 1 MiB.
+struct LineSet {
+    slots: Vec<Slot>,
+    generation: u32,
+    len: usize,
+}
+
+#[derive(Clone, Copy)]
+struct Slot {
+    line: usize,
+    /// The generation that wrote `line`; 0 is never a generation.
+    stamp: u32,
+}
+
+impl LineSet {
+    const fn new() -> LineSet {
+        LineSet { slots: Vec::new(), generation: 1, len: 0 }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: a stamp from 2^32 clears ago would read as live again.
+            self.slots.fill(Slot { line: 0, stamp: 0 });
+            self.generation = 1;
+        }
+    }
+
+    /// Add `line`; `true` if it was not yet in the set (as `HashSet::insert`).
+    #[inline]
+    fn insert(&mut self, line: usize) -> bool {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        // Fibonacci hashing on the line number; the top bits pick the home slot.
+        let h = ((line / crate::CACHE_LINE) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut i = (h >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.generation {
+                *slot = Slot { line, stamp: self.generation };
+                self.len += 1;
+                return true;
+            }
+            if slot.line == line {
+                return false;
+            }
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+    }
+
+    /// Double the table (64 slots to start) and re-insert the live lines.
+    #[cold]
+    fn grow(&mut self) {
+        let empty = vec![Slot { line: 0, stamp: 0 }; (self.slots.len() * 2).max(64)];
+        self.len = 0;
+        for slot in std::mem::replace(&mut self.slots, empty) {
+            if slot.stamp == self.generation {
+                self.insert(slot.line);
+            }
+        }
+    }
+}
 
 struct ThreadLat {
     /// Lines already charged a flush in the current fence epoch (write combining).
-    epoch_lines: HashSet<usize>,
-    /// The model epoch `epoch_lines` belongs to.
+    epoch_lines: LineSet,
+    /// The installed model as of `model_epoch`.
+    model: Model,
     model_epoch: u64,
     /// Charged-but-not-yet-waited nanoseconds.
     debt_ns: u64,
-    /// Thread-local charged mirrors (exact-accounting tests, like `stats`).
-    charged: [u64; 3],
 }
 
 thread_local! {
-    static TL: RefCell<ThreadLat> = RefCell::new(ThreadLat {
-        epoch_lines: HashSet::new(),
-        model_epoch: 0,
-        debt_ns: 0,
-        charged: [0; 3],
-    });
+    static TL: RefCell<ThreadLat> = const {
+        RefCell::new(ThreadLat {
+            epoch_lines: LineSet::new(),
+            model: Model::ZERO,
+            model_epoch: 0,
+            debt_ns: 0,
+        })
+    };
 }
 
 /// The simulated PM cost model. Install one with [`Model::install`]; the flush/fence
@@ -133,22 +202,16 @@ impl Model {
     /// Install this model process-wide. Threads start a fresh dedup epoch the next
     /// time they flush under the new model.
     pub fn install(self) {
-        CLWB_NS.store(self.clwb_ns, Ordering::Relaxed);
-        FENCE_NS.store(self.fence_ns, Ordering::Relaxed);
-        READ_NS.store(self.read_ns, Ordering::Relaxed);
-        EADR.store(self.eadr, Ordering::Relaxed);
-        MODEL_EPOCH.fetch_add(1, Ordering::Relaxed);
+        *MODEL.lock() = self;
+        // A thread that sees the new epoch then reads `MODEL` under its lock,
+        // so it cannot pair the epoch with an older model.
+        MODEL_EPOCH.fetch_add(1, Ordering::Release);
     }
 
     /// The currently installed model.
     #[must_use]
     pub fn current() -> Model {
-        Model {
-            clwb_ns: CLWB_NS.load(Ordering::Relaxed),
-            fence_ns: FENCE_NS.load(Ordering::Relaxed),
-            read_ns: READ_NS.load(Ordering::Relaxed),
-            eadr: EADR.load(Ordering::Relaxed),
-        }
+        *MODEL.lock()
     }
 
     /// Effective per-first-flush charge: zero under eADR.
@@ -255,16 +318,20 @@ impl ChargedNs {
             read_ns: self.read_ns.saturating_sub(earlier.read_ns),
         }
     }
+
+    fn of(c: &stats::Counts) -> ChargedNs {
+        ChargedNs {
+            clwb_ns: c[stats::CHARGED_CLWB_NS],
+            fence_ns: c[stats::CHARGED_FENCE_NS],
+            read_ns: c[stats::CHARGED_READ_NS],
+        }
+    }
 }
 
-/// Snapshot the globally accumulated charges (all threads).
+/// Snapshot the accumulated charges of all threads, exited ones included.
 #[must_use]
 pub fn charged() -> ChargedNs {
-    ChargedNs {
-        clwb_ns: CHARGED_CLWB.load(Ordering::Relaxed),
-        fence_ns: CHARGED_FENCE.load(Ordering::Relaxed),
-        read_ns: CHARGED_READ.load(Ordering::Relaxed),
-    }
+    ChargedNs::of(&stats::totals())
 }
 
 /// Snapshot the calling thread's charges only. Use for exact-accounting tests:
@@ -272,10 +339,7 @@ pub fn charged() -> ChargedNs {
 /// threads.
 #[must_use]
 pub fn charged_local() -> ChargedNs {
-    TL.with(|t| {
-        let t = t.borrow();
-        ChargedNs { clwb_ns: t.charged[0], fence_ns: t.charged[1], read_ns: t.charged[2] }
-    })
+    ChargedNs::of(&stats::local())
 }
 
 #[inline]
@@ -289,15 +353,14 @@ fn busy_wait(ns: u64) {
     }
 }
 
-/// Charge `ns` of the given kind (0 = clwb, 1 = fence, 2 = read) on this thread:
+/// Charge `ns` to the slab field `kind` (a `stats::CHARGED_*_NS`) on this thread:
 /// record it, then pay accumulated debt once it crosses the granularity.
 #[inline]
 fn charge(t: &mut ThreadLat, kind: usize, ns: u64) {
     if ns == 0 {
         return;
     }
-    [&CHARGED_CLWB, &CHARGED_FENCE, &CHARGED_READ][kind].fetch_add(ns, Ordering::Relaxed);
-    t.charged[kind] += ns;
+    stats::bump(kind, ns);
     t.debt_ns += ns;
     if t.debt_ns >= PAY_GRANULARITY_NS {
         let pay = t.debt_ns;
@@ -307,33 +370,35 @@ fn charge(t: &mut ThreadLat, kind: usize, ns: u64) {
 }
 
 impl ThreadLat {
-    /// Drop dedup state from a previous model installation.
+    /// The installed model; on the first event after an install, re-reads it and
+    /// drops the dedup state and debt of the previous one.
     #[inline]
-    fn sync_model_epoch(&mut self) {
-        let now = MODEL_EPOCH.load(Ordering::Relaxed);
+    fn model(&mut self) -> Model {
+        let now = MODEL_EPOCH.load(Ordering::Acquire);
         if self.model_epoch != now {
             self.model_epoch = now;
+            self.model = Model::current();
             self.epoch_lines.clear();
             self.debt_ns = 0;
         }
+        self.model
     }
 }
 
 /// Price one cache-line flush of `line` (called by [`crate::flush::clwb`]).
 #[inline]
 pub(crate) fn on_clwb(line: usize) {
-    let m = Model::current();
-    if m.effective_clwb_ns() == 0 {
-        return;
-    }
     TL.with(|t| {
         let t = &mut *t.borrow_mut();
-        t.sync_model_epoch();
-        if t.epoch_lines.len() >= MAX_EPOCH_LINES {
+        let m = t.model();
+        if m.effective_clwb_ns() == 0 {
+            return;
+        }
+        if t.epoch_lines.len >= MAX_EPOCH_LINES {
             t.epoch_lines.clear();
         }
         if t.epoch_lines.insert(line) {
-            charge(t, 0, m.clwb_ns);
+            charge(t, stats::CHARGED_CLWB_NS, m.clwb_ns);
         }
     });
 }
@@ -342,36 +407,27 @@ pub(crate) fn on_clwb(line: usize) {
 /// thread's flush-dedup epoch and charges the fence cost.
 #[inline]
 pub(crate) fn on_fence() {
-    let m = Model::current();
-    if m.effective_clwb_ns() == 0 && m.fence_ns == 0 {
-        return;
-    }
     TL.with(|t| {
         let t = &mut *t.borrow_mut();
-        t.sync_model_epoch();
+        let m = t.model();
         t.epoch_lines.clear();
-        charge(t, 1, m.fence_ns);
+        charge(t, stats::CHARGED_FENCE_NS, m.fence_ns);
     });
 }
 
 /// Price `n` node visits (called by [`crate::stats::record_node_visit`]).
 #[inline]
 pub(crate) fn on_node_visits(n: u64) {
-    let m = Model::current();
-    if m.read_ns == 0 || n == 0 {
-        return;
-    }
     TL.with(|t| {
         let t = &mut *t.borrow_mut();
-        t.sync_model_epoch();
-        charge(t, 2, m.read_ns.saturating_mul(n));
+        let ns = t.model().read_ns.saturating_mul(n);
+        charge(t, stats::CHARGED_READ_NS, ns);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
 
     /// The installed model is process-global; tests that install one serialize and
     /// restore [`Model::ZERO`] before releasing the lock.
@@ -510,6 +566,52 @@ mod tests {
             .unwrap();
             assert_eq!(charged_local().since(&before), ChargedNs::default());
         });
+    }
+
+    /// The line set must answer every insert exactly as the `HashSet` it
+    /// replaced did, across growth, the `on_clwb` cap rule, and a stamp wrap.
+    #[test]
+    fn line_set_matches_a_hash_set_reference() {
+        let mut set = LineSet::new();
+        let mut reference = std::collections::HashSet::new();
+        // Start close to the wrap so the stream's clears cross generation 0.
+        set.generation = u32::MAX - 40;
+        let mut rng = 0x5EED_u64;
+        let mut next = move || {
+            rng = crate::mix64(rng.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            rng
+        };
+        let (mut peak_slots, mut cap_clears, mut wrapped) = (0, 0, false);
+        for round in 0..120 {
+            // Most epochs are a few lines; some pass the initial capacity and
+            // several rehashes; two run past `MAX_EPOCH_LINES`.
+            let inserts = match round % 40 {
+                7 => 3 * MAX_EPOCH_LINES,
+                3 | 19 => 3_000,
+                _ => 1 + (next() % 48) as usize,
+            };
+            // A small universe, so repeats (dedup hits) are common.
+            let universe = (inserts as u64 * 3 / 2).max(8);
+            for _ in 0..inserts {
+                if set.len >= MAX_EPOCH_LINES {
+                    assert_eq!(reference.len(), MAX_EPOCH_LINES);
+                    set.clear();
+                    reference.clear();
+                    cap_clears += 1;
+                }
+                let line = 0x7F00_0000_0000 + (next() % universe) as usize * crate::CACHE_LINE;
+                assert_eq!(set.insert(line), reference.insert(line), "line {line:#x}");
+                assert_eq!(set.len, reference.len());
+            }
+            peak_slots = peak_slots.max(set.slots.len());
+            let before = set.generation;
+            set.clear();
+            reference.clear();
+            wrapped |= set.generation < before;
+        }
+        assert!(peak_slots >= 2 * MAX_EPOCH_LINES, "grew to the cap: {peak_slots} slots");
+        assert!(cap_clears >= 2 && wrapped, "cap clears {cap_clears}, wrapped {wrapped}");
+        assert!(set.insert(0x40) && !set.insert(0x40), "usable after the wrap");
     }
 
     #[test]

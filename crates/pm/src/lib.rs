@@ -12,8 +12,9 @@
 //! * [`latency`] — the calibrated, asymmetric Optane-like cost model: per-visit read
 //!   charges, per-cacheline flush coalescing within a fence epoch, an eADR mode, and
 //!   deterministic charged-ns accounting.
-//! * [`stats`] — global counters: cache-line flushes, fences, and node visits (a proxy
-//!   for last-level-cache misses: every pointer chase into an index node is counted).
+//! * [`stats`] — the counters: cache-line flushes, fences, and node visits (a proxy
+//!   for last-level-cache misses: every pointer chase into an index node is counted),
+//!   kept in one padded slab per thread and summed by the process-wide readers.
 //! * [`alloc`] — allocation helpers that register new PM objects with the durability
 //!   tracker, mirroring the paper's PIN-based tracing of `malloc`/`new`.
 //! * [`tracker`] — shadow cache-line state machine (dirty → flush-pending → durable)

@@ -1,11 +1,10 @@
-//! Bridge from the substrate's global telemetry into the `obs` metric
-//! registry.
+//! Bridge from the substrate's telemetry into the `obs` metric registry.
 //!
-//! The `pm` counters predate the registry and stay where they are (relaxed
-//! atomics on the hot paths); this module registers an `obs` *collector*
-//! that reads them at `obs::snapshot()` time, so one export contains the
-//! flush/fence/visit counters, per-mapping probe counters, and the
-//! charged-ns breakdown without adding a second write path.
+//! The `pm` counters predate the registry and stay where they are (the
+//! per-thread slabs of [`crate::stats`]); this module registers an `obs`
+//! *collector* that sums them over all threads at `obs::snapshot()` time, so
+//! one export contains the flush/fence/visit counters, per-mapping probe
+//! counters, and the charged-ns breakdown without adding a second write path.
 
 use std::sync::Once;
 

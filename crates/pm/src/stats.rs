@@ -1,4 +1,4 @@
-//! Global performance counters for the simulated PM substrate.
+//! Performance counters for the simulated PM substrate.
 //!
 //! The paper explains its throughput results with three low-level counters collected
 //! per operation (Fig. 4c, Fig. 4d, Table 4): the number of `clwb` instructions, the
@@ -6,36 +6,102 @@
 //! provides the first two directly and a *node visit* counter as the LLC-miss proxy
 //! (each pointer dereference into an index node is one likely-cold cache line touch).
 //!
-//! Counters are process-global relaxed atomics. Benchmarks snapshot them before and
-//! after a measurement phase and divide the delta by the number of operations; the
-//! per-increment cost (a relaxed `fetch_add`) is negligible relative to index work.
-//!
-//! Every event is additionally recorded in a **thread-local** mirror, snapshotted
-//! with [`snapshot_local`]. Tests that assert exact counter deltas for work done on
-//! their own thread must use the local snapshot: the global counters are shared by
-//! every test in the binary and libtest runs tests concurrently.
+//! Every counter of the substrate — these three, the per-mapping probes, and the
+//! charged nanoseconds, elided fences and allocation totals of [`crate::latency`],
+//! [`crate::flush`] and [`crate::alloc`] — is a field of one cache-line-padded **slab
+//! per thread**, written only by its owner with a plain load + store, so counting
+//! shares no line between the workers it is there to explain. The process-wide
+//! readers ([`snapshot`], [`probes`], …) sum the live slabs plus the total of every
+//! exited thread; the `*_local` readers return the calling thread's slab alone, which
+//! is what a test asserting exact deltas must use (libtest runs tests concurrently).
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::array::from_fn;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
-static CLWB: AtomicU64 = AtomicU64::new(0);
-static FENCE: AtomicU64 = AtomicU64::new(0);
-static NODE_VISITS: AtomicU64 = AtomicU64::new(0);
-static PROBES: [AtomicU64; Mapping::COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+/// Slab field indices; [`PROBES`] starts a run of [`Mapping::COUNT`] fields.
+pub(crate) const CLWB: usize = 0;
+pub(crate) const FENCE: usize = 1;
+pub(crate) const NODE_VISITS: usize = 2;
+pub(crate) const PROBES: usize = 3;
+pub(crate) const CHARGED_CLWB_NS: usize = PROBES + Mapping::COUNT;
+pub(crate) const CHARGED_FENCE_NS: usize = CHARGED_CLWB_NS + 1;
+pub(crate) const CHARGED_READ_NS: usize = CHARGED_CLWB_NS + 2;
+pub(crate) const ELIDED_FENCES: usize = CHARGED_CLWB_NS + 3;
+pub(crate) const ALLOC_OBJECTS: usize = CHARGED_CLWB_NS + 4;
+pub(crate) const ALLOC_BYTES: usize = CHARGED_CLWB_NS + 5;
+const FIELDS: usize = ALLOC_BYTES + 1;
+
+/// The value of every field: one slab's, or a sum over slabs.
+pub(crate) type Counts = [u64; FIELDS];
+
+/// One thread's counters, aligned to a pair of cache lines so neither a
+/// neighbouring slab nor the adjacent-line prefetcher shares them.
+#[derive(Default)]
+#[repr(align(128))]
+struct Slab([AtomicU64; FIELDS]);
+
+impl Slab {
+    fn read(&self) -> Counts {
+        from_fn(|f| self.0[f].load(Relaxed))
+    }
+}
+
+/// Every live thread's slab, plus the summed counts of the threads that exited.
+struct Registry {
+    live: Vec<Arc<Slab>>,
+    retired: Counts,
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry { live: Vec::new(), retired: [0; FIELDS] });
+
+/// The calling thread's registration; its drop at thread exit retires the slab.
+struct Local {
+    slab: Arc<Slab>,
+}
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        // Fold and unlist under one lock hold, so a concurrent sum sees this
+        // thread's counts exactly once.
+        let mut reg = REGISTRY.lock();
+        let mine = self.slab.read();
+        reg.retired = from_fn(|f| reg.retired[f] + mine[f]);
+        reg.live.retain(|s| !Arc::ptr_eq(s, &self.slab));
+    }
+}
 
 thread_local! {
-    static TL_CLWB: Cell<u64> = const { Cell::new(0) };
-    static TL_FENCE: Cell<u64> = const { Cell::new(0) };
-    static TL_NODE_VISITS: Cell<u64> = const { Cell::new(0) };
-    static TL_PROBES: Cell<[u64; Mapping::COUNT]> = const { Cell::new([0; Mapping::COUNT]) };
+    static LOCAL: Local = {
+        let slab = Arc::<Slab>::default();
+        REGISTRY.lock().live.push(Arc::clone(&slab));
+        Local { slab }
+    };
+}
+
+/// Add `n` to one field of the calling thread's slab. Single writer, so a relaxed
+/// load + store loses nothing and needs no locked instruction.
+#[inline]
+pub(crate) fn bump(field: usize, n: u64) {
+    LOCAL.with(|l| {
+        let c = &l.slab.0[field];
+        c.store(c.load(Relaxed).wrapping_add(n), Relaxed);
+    });
+}
+
+/// Every field summed over all threads, exited ones included.
+pub(crate) fn totals() -> Counts {
+    let reg = REGISTRY.lock();
+    reg.live.iter().fold(reg.retired, |sum, slab| {
+        let s = slab.read();
+        from_fn(|f| sum[f] + s[f])
+    })
+}
+
+/// Every field of the calling thread's own slab.
+pub(crate) fn local() -> Counts {
+    LOCAL.with(|l| l.slab.read())
 }
 
 /// The intra-node key-search *mappings* the tries use, for per-mapping probe
@@ -129,30 +195,25 @@ impl ProbeStats {
 /// Record `n` key-slot probes for mapping `m`.
 #[inline]
 pub fn record_probes(m: Mapping, n: u64) {
-    PROBES[m as usize].fetch_add(n, Ordering::Relaxed);
-    TL_PROBES.with(|c| {
-        let mut a = c.get();
-        a[m as usize] += n;
-        c.set(a);
-    });
+    bump(PROBES + m as usize, n);
 }
 
-/// Take a snapshot of the global per-mapping probe counters.
+fn probe_stats(c: &Counts) -> ProbeStats {
+    ProbeStats { per_mapping: from_fn(|i| c[PROBES + i]) }
+}
+
+/// Take a snapshot of the per-mapping probe counters, summed over all threads.
 pub fn probes() -> ProbeStats {
-    let mut out = ProbeStats::default();
-    for (i, o) in out.per_mapping.iter_mut().enumerate() {
-        *o = PROBES[i].load(Ordering::Relaxed);
-    }
-    out
+    probe_stats(&totals())
 }
 
 /// Take a snapshot of the calling thread's probe counters only (see
 /// [`snapshot_local`] for why tests should prefer this).
 pub fn probes_local() -> ProbeStats {
-    ProbeStats { per_mapping: TL_PROBES.with(Cell::get) }
+    probe_stats(&local())
 }
 
-/// A snapshot of the global counters.
+/// A snapshot of the flush / fence / node-visit counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Number of cache-line flush (`clwb`) operations issued.
@@ -197,13 +258,13 @@ pub struct PerOp {
     pub node_visits: f64,
 }
 
-/// Take a snapshot of the global counters.
+fn stats(c: &Counts) -> Stats {
+    Stats { clwb: c[CLWB], fence: c[FENCE], node_visits: c[NODE_VISITS] }
+}
+
+/// Take a snapshot of the counters summed over all threads, exited ones included.
 pub fn snapshot() -> Stats {
-    Stats {
-        clwb: CLWB.load(Ordering::Relaxed),
-        fence: FENCE.load(Ordering::Relaxed),
-        node_visits: NODE_VISITS.load(Ordering::Relaxed),
-    }
+    stats(&totals())
 }
 
 /// Take a snapshot of the calling thread's counters only.
@@ -212,34 +273,7 @@ pub fn snapshot() -> Stats {
 /// it cannot be perturbed by concurrent threads — including other tests in the
 /// same binary, which libtest runs in parallel.
 pub fn snapshot_local() -> Stats {
-    Stats {
-        clwb: TL_CLWB.with(Cell::get),
-        fence: TL_FENCE.with(Cell::get),
-        node_visits: TL_NODE_VISITS.with(Cell::get),
-    }
-}
-
-/// Reset all counters to zero. Intended for test isolation; benchmarks should prefer
-/// snapshot deltas because other threads may still be running.
-pub fn reset() {
-    CLWB.store(0, Ordering::Relaxed);
-    FENCE.store(0, Ordering::Relaxed);
-    NODE_VISITS.store(0, Ordering::Relaxed);
-    for p in &PROBES {
-        p.store(0, Ordering::Relaxed);
-    }
-}
-
-#[inline]
-pub(crate) fn count_clwb() {
-    CLWB.fetch_add(1, Ordering::Relaxed);
-    TL_CLWB.with(|c| c.set(c.get() + 1));
-}
-
-#[inline]
-pub(crate) fn count_fence() {
-    FENCE.fetch_add(1, Ordering::Relaxed);
-    TL_FENCE.with(|c| c.set(c.get() + 1));
+    stats(&local())
 }
 
 /// Record one index-node visit (pointer dereference into a node).
@@ -250,16 +284,13 @@ pub(crate) fn count_fence() {
 /// (`read_ns`) per visit.
 #[inline]
 pub fn record_node_visit() {
-    NODE_VISITS.fetch_add(1, Ordering::Relaxed);
-    TL_NODE_VISITS.with(|c| c.set(c.get() + 1));
-    crate::latency::on_node_visits(1);
+    record_node_visits(1);
 }
 
 /// Record `n` node visits at once.
 #[inline]
 pub fn record_node_visits(n: u64) {
-    NODE_VISITS.fetch_add(n, Ordering::Relaxed);
-    TL_NODE_VISITS.with(|c| c.set(c.get() + n));
+    bump(NODE_VISITS, n);
     crate::latency::on_node_visits(n);
 }
 
@@ -271,16 +302,16 @@ mod tests {
     fn snapshot_delta_and_per_op() {
         let global_before = snapshot();
         let before = snapshot_local();
-        count_clwb();
-        count_clwb();
-        count_fence();
+        bump(CLWB, 1);
+        bump(CLWB, 1);
+        bump(FENCE, 1);
         record_node_visit();
         record_node_visits(3);
         let d = snapshot_local().since(&before);
         assert_eq!(d.clwb, 2);
         assert_eq!(d.fence, 1);
         assert_eq!(d.node_visits, 4);
-        // The global counters move too (at least by this thread's contribution).
+        // The process-wide sums move too (at least by this thread's contribution).
         let g = snapshot().since(&global_before);
         assert!(g.clwb >= 2 && g.fence >= 1 && g.node_visits >= 4);
         let p = d.per_op(2);
@@ -335,14 +366,14 @@ mod tests {
     fn local_snapshot_ignores_other_threads() {
         let before = snapshot_local();
         std::thread::spawn(|| {
-            count_clwb();
-            count_fence();
+            bump(CLWB, 1);
+            bump(FENCE, 1);
             record_node_visit();
         })
         .join()
         .unwrap();
         assert_eq!(snapshot_local().since(&before), Stats::default());
-        count_clwb();
+        bump(CLWB, 1);
         assert_eq!(snapshot_local().since(&before).clwb, 1);
     }
 }

@@ -152,11 +152,12 @@ pub fn clear_lines() {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    // The tracker is global; serialize the tests that use it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    // The tracker is global; serialize the tests that use it — and, while it is
+    // enabled, every test of this crate that allocates with `pm_box`.
+    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn store_flush_fence_cycle_is_durable() {

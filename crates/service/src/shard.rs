@@ -27,7 +27,11 @@
 //!    not-yet-reached keys execute locally as usual.
 //!
 //! The queue uses `std::sync::{Mutex, Condvar}` (the vendored `parking_lot`
-//! stand-in has no condvar). Admission control happens at enqueue time under
+//! stand-in has no condvar). std's `notify_all` is a futex syscall whether or
+//! not anyone waits, so the queue tracks its waiters under the lock — the
+//! worker `parked` for jobs, callers inside `drain` — and notifies only when
+//! there is one: an enqueue onto a busy worker's queue and a batch nobody is
+//! draining behind cost no syscall. Admission control happens at enqueue time under
 //! the queue lock: a full queue sheds immediately with
 //! [`ShedReason::QueueFull`], keeping worst-case memory per shard bounded at
 //! `queue_cap` caller jobs (migration traffic — forwards, copy batches,
@@ -38,7 +42,7 @@ use crate::{Op, Reply, ReplyBody, ShedReason};
 use recipe::session::{Handle, Index, IndexExt, OpError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Default bound on queued jobs per shard.
@@ -102,6 +106,12 @@ struct QueueInner {
     /// The worker is between draining a batch and completing it; `drain`
     /// must not report idle while this is set.
     busy: bool,
+    /// The worker is waiting on `cv` for jobs and no enqueue has notified it
+    /// yet. Set by the worker before each wait, taken by the enqueue that
+    /// notifies.
+    parked: bool,
+    /// Callers waiting on `cv` inside `drain` for the queue to go idle.
+    drainers: usize,
 }
 
 pub(crate) struct Queue {
@@ -115,8 +125,18 @@ impl Queue {
     /// (forwards, copies, syncs) that must never shed, and whose volume the
     /// migration driver itself bounds.
     pub(crate) fn push_exempt(&self, job: Job) {
-        self.inner.lock().unwrap().jobs.push_back(job);
-        self.cv.notify_all();
+        self.push(self.inner.lock().unwrap(), job);
+    }
+
+    /// Append `job` under the held lock, release it, and wake the worker if
+    /// it is parked. (`notify_all`, not `_one`: drainers share the condvar.)
+    fn push(&self, mut g: MutexGuard<'_, QueueInner>, job: Job) {
+        g.jobs.push_back(job);
+        let wake = std::mem::take(&mut g.parked);
+        drop(g);
+        if wake {
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -241,7 +261,13 @@ impl Shard {
         max_batch: usize,
     ) -> Shard {
         let queue = Arc::new(Queue {
-            inner: Mutex::new(QueueInner { jobs: VecDeque::new(), closed: false, busy: false }),
+            inner: Mutex::new(QueueInner {
+                jobs: VecDeque::new(),
+                closed: false,
+                busy: false,
+                parked: false,
+                drainers: 0,
+            }),
             cv: Condvar::new(),
             cap: queue_cap.max(1),
         });
@@ -274,21 +300,15 @@ impl Shard {
         budget_ns: Option<u64>,
         ticket: Option<Arc<Ticket>>,
     ) -> Result<(), ShedReason> {
-        let mut g = self.queue.inner.lock().unwrap();
+        let g = self.queue.inner.lock().unwrap();
         if g.jobs.len() >= self.queue.cap {
             drop(g);
             self.stats.shed_queue_full.fetch_add(1, Ordering::Relaxed);
             self.m_shed_queue_full.inc();
             return Err(ShedReason::QueueFull);
         }
-        g.jobs.push_back(Job {
-            payload: Payload::Op(op),
-            enqueued: Instant::now(),
-            budget_ns,
-            ticket,
-        });
-        drop(g);
-        self.queue.cv.notify_all();
+        let job = Job { payload: Payload::Op(op), enqueued: Instant::now(), budget_ns, ticket };
+        self.queue.push(g, job);
         Ok(())
     }
 
@@ -338,9 +358,11 @@ impl Shard {
     /// Block until the queue is empty and the worker is idle.
     pub(crate) fn drain(&self) {
         let mut g = self.queue.inner.lock().unwrap();
+        g.drainers += 1;
         while !g.jobs.is_empty() || g.busy {
             g = self.queue.cv.wait(g).unwrap();
         }
+        g.drainers -= 1;
     }
 
     /// Momentary emptiness check (no waiting) — `Service::drain` uses it to
@@ -409,8 +431,10 @@ fn worker_loop(
         {
             let mut g = queue.inner.lock().unwrap();
             while g.jobs.is_empty() && !g.closed {
+                g.parked = true;
                 g = queue.cv.wait(g).unwrap();
             }
+            g.parked = false;
             if g.jobs.is_empty() && g.closed {
                 return;
             }
@@ -564,6 +588,44 @@ fn worker_loop(
         let mut g = queue.inner.lock().unwrap();
         g.jobs.extend(bounce_buf.drain(..));
         g.busy = false;
-        queue.cv.notify_all();
+        // Idle is only ever reached here, so this is the one place drainers
+        // need waking.
+        let wake = g.drainers > 0 && g.jobs.is_empty();
+        drop(g);
+        if wake {
+            queue.cv.notify_all();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A worker parked on an empty queue is the one waiter no enqueue will
+    /// ever notify; `shutdown` must wake it regardless of the `parked` flag's
+    /// bookkeeping.
+    #[test]
+    fn shutdown_wakes_a_parked_worker() {
+        let shard = Shard::spawn(0, Arc::new(bwtree::DramBwTree::new()), 8, 4);
+        shard.submit(Op::Insert(vec![7], 7), None, None).unwrap();
+        shard.drain();
+        let parked_by = Instant::now() + Duration::from_secs(30);
+        while !shard.queue.inner.lock().unwrap().parked {
+            assert!(Instant::now() < parked_by, "idle worker never parked");
+            std::thread::yield_now();
+        }
+        let (tx, rx) = mpsc::channel();
+        let closer = std::thread::spawn(move || {
+            shard.shutdown();
+            tx.send(shard.stats()).unwrap();
+        });
+        let stats = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("shutdown hung: the parked worker was not woken");
+        closer.join().unwrap();
+        assert_eq!(stats.completed, 1);
     }
 }

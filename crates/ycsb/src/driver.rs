@@ -109,6 +109,9 @@ pub(crate) struct Worker<'a> {
     /// next one: recording every operation (no sampling) costs one clock
     /// read per op instead of two.
     last_now: Instant,
+    /// This thread's charged-ns total at the end of the previous operation,
+    /// chained the same way (one `charged_local` read per op instead of two).
+    last_charged: u64,
 }
 
 impl<'a> Worker<'a> {
@@ -122,20 +125,22 @@ impl<'a> Worker<'a> {
             charged: obs::Hist::new(),
             failed_reads: 0,
             last_now: Instant::now(),
+            last_charged: pm::latency::charged_local().total(),
         }
     }
 
-    /// Re-anchor the chained timestamp. Call after any off-measurement work
-    /// between `run_op` calls (e.g. the sharded driver generating its next
-    /// op chunk) so that time is not attributed to the following operation.
+    /// Re-anchor the chained timestamp and charge total. Call after any
+    /// off-measurement work between `run_op` calls (e.g. the sharded driver
+    /// generating its next op chunk) so that neither is attributed to the
+    /// following operation.
     pub(crate) fn resync(&mut self) {
         self.last_now = Instant::now();
+        self.last_charged = pm::latency::charged_local().total();
     }
 
     /// Execute one operation through the session handle, recording its
     /// end-to-end wall latency and simulated-PM charge.
     pub(crate) fn run_op(&mut self, op: &Op) {
-        let c0 = pm::latency::charged_local().total();
         match op {
             Op::Insert(k, v) => {
                 let _ = self.handle.insert(k, *v);
@@ -166,7 +171,9 @@ impl<'a> Worker<'a> {
         let now = Instant::now();
         self.wall.record((now - self.last_now).as_nanos() as u64);
         self.last_now = now;
-        self.charged.record(pm::latency::charged_local().total().saturating_sub(c0));
+        let charged = pm::latency::charged_local().total();
+        self.charged.record(charged - self.last_charged);
+        self.last_charged = charged;
     }
 
     pub(crate) fn stats(&self) -> HandleStats {
