@@ -23,6 +23,7 @@
 use crate::model::LinearModel;
 use pm::stats::{self, Mapping};
 use recipe::persist::PersistMode;
+use recipe::session::ScanBuf;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -349,7 +350,7 @@ impl NodeInner {
 
     /// Append up to `max` live entries with keys `>= start`, ascending, to
     /// `out` (a two-way merge of the sorted gapped array and the buffer).
-    pub fn collect_into(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    pub fn collect_into(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
         if max == 0 {
             return;
         }
@@ -377,21 +378,21 @@ impl NodeInner {
                 continue;
             }
             while bi < buffered.len() && buffered[bi].key.as_ref() < s.key.as_ref() {
-                out.push((buffered[bi].key.to_vec(), buffered[bi].value));
+                out.push(&buffered[bi].key, buffered[bi].value);
                 bi += 1;
                 if out.len() >= target {
                     stats::record_probes(Mapping::ApexNode, probes);
                     return;
                 }
             }
-            out.push((s.key.to_vec(), s.value));
+            out.push(&s.key, s.value);
             if out.len() >= target {
                 stats::record_probes(Mapping::ApexNode, probes);
                 return;
             }
         }
         while bi < buffered.len() && out.len() < target {
-            out.push((buffered[bi].key.to_vec(), buffered[bi].value));
+            out.push(&buffered[bi].key, buffered[bi].value);
             bi += 1;
         }
         stats::record_probes(Mapping::ApexNode, probes);
@@ -538,13 +539,13 @@ mod tests {
         let mut n = built(&keys.iter().map(Vec::as_slice).collect::<Vec<_>>());
         n.buf_insert::<Dram>(&4u64.to_be_bytes(), 104);
         n.buf_insert::<Dram>(&100u64.to_be_bytes(), 200);
-        let mut out = Vec::new();
+        let mut out = ScanBuf::new();
         n.collect_into(&3u64.to_be_bytes(), 5, &mut out);
         let got: Vec<u64> =
             out.iter().map(|(k, _)| u64::from_be_bytes(k[..8].try_into().unwrap())).collect();
         assert_eq!(got, vec![3, 4, 6, 9, 12]);
         // Exhausting the node returns fewer than max.
-        let mut out = Vec::new();
+        let mut out = ScanBuf::new();
         n.collect_into(&85u64.to_be_bytes(), 100, &mut out);
         let got: Vec<u64> =
             out.iter().map(|(k, _)| u64::from_be_bytes(k[..8].try_into().unwrap())).collect();

@@ -36,6 +36,7 @@ use crate::node::{NodeInner, NODE_MAX};
 use parking_lot::RwLock;
 use pm::stats;
 use recipe::persist::PersistMode;
+use recipe::session::ScanBuf;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -224,7 +225,7 @@ impl<P: PersistMode> Apex<P> {
     }
 
     /// Append up to `max` entries with keys `>= start`, ascending, to `out`.
-    pub fn scan_into(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    pub fn scan_into(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
         if max == 0 {
             return;
         }
@@ -242,9 +243,9 @@ impl<P: PersistMode> Apex<P> {
     /// Range scan convenience wrapper over [`Apex::scan_into`].
     #[must_use]
     pub fn scan(&self, start: &[u8], max: usize) -> Vec<(Vec<u8>, u64)> {
-        let mut out = Vec::new();
+        let mut out = ScanBuf::new();
         self.scan_into(start, max, &mut out);
-        out
+        out.to_vec()
     }
 
     /// Merge the node bounded by `lo`: drain its buffer into a freshly trained

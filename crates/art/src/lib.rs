@@ -48,7 +48,7 @@ pub const CRASH_SITES: &[&str] = &[
 
 use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
-use recipe::session::{Capabilities, Index, OpError, OpResult};
+use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
 /// The unconverted DRAM Adaptive Radix Tree.
 pub type DramArt = Art<Dram>;
@@ -84,7 +84,7 @@ impl<P: PersistMode> Index for Art<P> {
         }
     }
 
-    fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
         Art::scan_into(self, start, max, out);
     }
 

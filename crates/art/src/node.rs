@@ -17,6 +17,7 @@
 //!   node is marked obsolete so writers that still hold its lock restart.
 
 use recipe::lock::VersionLock;
+use recipe::simd::SetBits;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
 
 /// Maximum number of prefix bytes stored inline in the header word.
@@ -168,7 +169,7 @@ pub struct Node16 {
 /// 48-way node: a 256-entry index maps key bytes to one of 48 child slots
 /// (stored as slot + 1; 0 = empty). The index is packed into 32 `AtomicU64`
 /// byte-lane words (key byte `b` = lane `b % 8` of word `b / 8`) so a lookup is
-/// one word load + a lane extract and the `children()` scan runs 16 entries per
+/// one word load + a lane extract and a child walk runs 16 entries per
 /// vectorized nonzero-lane step ([`crate::search::occupied_slots`]) instead of
 /// 256 single-byte atomic loads. The 64-byte alignment puts the header and the
 /// first stretch of the index on one line.
@@ -386,70 +387,81 @@ impl NodeRef {
         (w0, w1)
     }
 
-    /// All live `(key byte, child word)` pairs, **in key order**. Lock-free snapshot.
+    /// Hand the live `(key byte, child word)` pairs with key byte `>= lo` to `f`,
+    /// **in key order**, until it returns `true`; returns whether it did.
     ///
-    /// Every node type reports sorted children (Node4/Node16 sort their ≤16 live
-    /// entries here; Node48/Node256 iterate in byte order), so `scan` needs no sort.
-    #[must_use]
-    pub fn children(&self) -> Vec<(u8, usize)> {
-        let mut out = Vec::new();
+    /// Lock-free and allocation-free, and lazy: a child slot is loaded when the
+    /// walk reaches it, so a range scan that starts at byte `lo` and stops after
+    /// a few children touches only those (Node48/Node256 iterate in byte order
+    /// from `lo`; Node4/Node16 sort their ≤16 live entries in a stack array).
+    pub fn walk_children_from(&self, lo: u8, mut f: impl FnMut(u8, usize) -> bool) -> bool {
         match self.hdr().tag {
             NodeTag::N4 => {
                 let n = self.as_n4();
-                Self::collect_packed(std::slice::from_ref(&n.keys), &n.children, &n.hdr, &mut out);
+                Self::walk_packed(std::slice::from_ref(&n.keys), &n.children, &n.hdr, lo, f)
             }
             NodeTag::N16 => {
                 let n = self.as_n16();
-                Self::collect_packed(&n.keys, &n.children, &n.hdr, &mut out);
+                Self::walk_packed(&n.keys, &n.children, &n.hdr, lo, f)
             }
             NodeTag::N48 => {
                 // Vectorized occupancy scan: 16 index entries per step instead of
                 // 256 single-byte loads; empty word pairs short-circuit entirely.
                 let n = self.as_n48();
-                for pair in 0..16usize {
+                let (first, skip) = (lo as usize / 16, lo as usize % 16);
+                for pair in first..16 {
                     let w0 = n.index[2 * pair].load(Ordering::Acquire);
                     let w1 = n.index[2 * pair + 1].load(Ordering::Acquire);
                     if w0 == 0 && w1 == 0 {
                         continue;
                     }
-                    for lane in crate::search::occupied_slots(w0, w1) {
+                    let mut lanes = crate::search::occupied_mask(w0, w1);
+                    if pair == first {
+                        lanes &= !0 << skip;
+                    }
+                    for lane in SetBits(lanes) {
                         let idx = crate::search::key_at(w0, w1, lane);
                         let c = n.children[(idx - 1) as usize].load(Ordering::Acquire);
-                        if c != 0 {
-                            out.push(((pair * 16 + lane) as u8, c));
+                        if c != 0 && f((pair * 16 + lane) as u8, c) {
+                            return true;
                         }
                     }
                 }
+                false
             }
             NodeTag::N256 => {
                 let n = self.as_n256();
-                for b in 0..256usize {
-                    let c = n.children[b].load(Ordering::Acquire);
-                    if c != 0 {
-                        out.push((b as u8, c));
+                for b in lo..=u8::MAX {
+                    let c = n.children[b as usize].load(Ordering::Acquire);
+                    if c != 0 && f(b, c) {
+                        return true;
                     }
                 }
+                false
             }
         }
-        out
     }
 
-    fn collect_packed(
+    fn walk_packed(
         words: &[AtomicU64],
         children: &[AtomicUsize],
         hdr: &NodeHeader,
-        out: &mut Vec<(u8, usize)>,
-    ) {
+        lo: u8,
+        mut f: impl FnMut(u8, usize) -> bool,
+    ) -> bool {
         let count = (hdr.count.load(Ordering::Acquire) as usize).min(children.len());
         let (w0, w1) = Self::load_key_words(words);
-        let start = out.len();
+        let mut live = [(0u8, 0usize); 16];
+        let mut n = 0;
         for (i, child) in children.iter().enumerate().take(count) {
-            let c = child.load(Ordering::Acquire);
-            if c != 0 {
-                out.push((crate::search::key_at(w0, w1, i), c));
+            let (b, c) = (crate::search::key_at(w0, w1, i), child.load(Ordering::Acquire));
+            if c != 0 && b >= lo {
+                live[n] = (b, c);
+                n += 1;
             }
         }
-        out[start..].sort_unstable_by_key(|&(b, _)| b);
+        live[..n].sort_unstable_by_key(|&(b, _)| b);
+        live[..n].iter().any(|&(b, c)| f(b, c))
     }
 
     /// Whether the node has no room for a new child (caller should grow). Writers call
@@ -681,10 +693,11 @@ impl NodeRef {
         // SAFETY: freshly allocated inner node word.
         let new_ref = unsafe { NodeRef::from_word(new_word) };
         let noop = |_: *const u8, _: usize, _: bool| {};
-        for (kb, c) in self.children() {
+        self.walk_children_from(0, |kb, c| {
             let ok = new_ref.add_child(kb, c, &noop);
             debug_assert!(ok);
-        }
+            false
+        });
         let ok = new_ref.add_child(b, child, &noop);
         debug_assert!(ok);
         new_word
@@ -708,6 +721,16 @@ mod tests {
 
     fn noop() -> impl Fn(*const u8, usize, bool) {
         |_, _, _| {}
+    }
+
+    /// Every live `(key byte, child)` of `n` from byte `lo` on, as the walk reports them.
+    fn children_from(n: &NodeRef, lo: u8) -> Vec<(u8, usize)> {
+        let mut out = Vec::new();
+        n.walk_children_from(lo, |b, c| {
+            out.push((b, c));
+            false
+        });
+        out
     }
 
     #[test]
@@ -741,7 +764,7 @@ mod tests {
         assert!(n.add_child(9, c2, &noop()));
         assert_eq!(n.find_child(5), c1);
         assert_eq!(n.find_child(9), c2);
-        assert_eq!(n.children().len(), 2);
+        assert_eq!(children_from(&n, 0).len(), 2);
         assert!(n.remove_child(5, &noop()));
         assert_eq!(n.find_child(5), 0);
         assert!(!n.remove_child(5, &noop()));
@@ -796,7 +819,7 @@ mod tests {
         assert_eq!(n.hdr().level, 3);
         let (p, l) = n.hdr().prefix();
         assert_eq!(&p[..l], b"pre");
-        assert_eq!(n.children().len(), 200);
+        assert_eq!(children_from(&n, 0).len(), 200);
     }
 
     #[test]
@@ -840,7 +863,7 @@ mod tests {
 
     #[test]
     fn children_are_reported_in_key_order() {
-        // Insert out of order into N4 and N16; `children()` must come back sorted.
+        // Insert out of order into N4 and N16; the walk must come back sorted.
         for (make, n_keys) in
             [(Node4::alloc as fn(u32, &[u8]) -> usize, 4usize), (Node16::alloc, 16)]
         {
@@ -851,10 +874,57 @@ mod tests {
             for &b in &bytes {
                 assert!(n.add_child(b, Leaf::alloc(&[b], u64::from(b)), &noop()));
             }
-            let got: Vec<u8> = n.children().iter().map(|&(b, _)| b).collect();
+            let got: Vec<u8> = children_from(&n, 0).iter().map(|&(b, _)| b).collect();
             let mut want = bytes.clone();
             want.sort_unstable();
             assert_eq!(got, want, "{:?} children not in key order", n.hdr().tag);
         }
+    }
+
+    /// Every node type, from every start byte: the walk reports exactly the
+    /// children at or above it, ascending, and stops when told to.
+    #[test]
+    fn walk_starts_at_the_bound_and_stops_on_request() {
+        let bytes: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(13).wrapping_add(5)).collect();
+        let mut word = Node4::alloc(0, b"");
+        for (i, &b) in bytes.iter().enumerate() {
+            // SAFETY: `word` always refers to the current live copy.
+            let n = unsafe { NodeRef::from_word(word) };
+            let leaf = Leaf::alloc(&[b], u64::from(b));
+            if n.is_full() {
+                word = n.grow_with(b, leaf);
+            } else {
+                assert!(n.add_child(b, leaf, &noop()));
+            }
+            if ![3, 15, 39].contains(&i) {
+                continue; // check a Node4, a Node16 and a Node48
+            }
+            // SAFETY: current copy.
+            let n = unsafe { NodeRef::from_word(word) };
+            let mut sorted = bytes[..=i].to_vec();
+            sorted.sort_unstable();
+            for lo in 0..=u8::MAX {
+                let got: Vec<u8> = children_from(&n, lo).iter().map(|&(b, _)| b).collect();
+                let want: Vec<u8> = sorted.iter().copied().filter(|&b| b >= lo).collect();
+                assert_eq!(got, want, "{:?} from byte {lo}", n.hdr().tag);
+            }
+            let mut seen = 0;
+            assert!(n.walk_children_from(0, |_, _| {
+                seen += 1;
+                seen == 2
+            }));
+            assert_eq!(seen, 2, "{:?}: the walk must stop when asked", n.hdr().tag);
+        }
+        // Node256, with its last slot occupied.
+        let w = Node256::alloc(0, b"");
+        // SAFETY: freshly allocated.
+        let n = unsafe { NodeRef::from_word(w) };
+        for b in [0u8, 7, 200, 255] {
+            assert!(n.add_child(b, Leaf::alloc(&[b], 0), &noop()));
+        }
+        let from = |lo| children_from(&n, lo).iter().map(|&(b, _)| b).collect::<Vec<u8>>();
+        assert_eq!(from(0), vec![0, 7, 200, 255]);
+        assert_eq!(from(8), vec![200, 255]);
+        assert_eq!(from(255), vec![255]);
     }
 }

@@ -18,6 +18,7 @@
 
 use crate::node::{is_leaf, leaf_ref, pack_prefix, Leaf, Node256, Node4, NodeRef, MAX_PREFIX};
 use recipe::persist::PersistMode;
+use recipe::session::ScanBuf;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -445,15 +446,15 @@ impl<P: PersistMode> Art<P> {
 
     /// Range scan: up to `count` pairs with key `>= start`, ascending.
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let mut out = Vec::with_capacity(count.min(1024));
+        let mut out = ScanBuf::new();
         self.scan_into(start, count, &mut out);
-        out
+        out.to_vec()
     }
 
     /// [`Art::scan`] into a caller-provided buffer: appends up to `count` pairs
     /// with key `>= start` (ascending) to `out` without clearing it, so cursor
     /// callers can stream batches through one reused allocation.
-    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut ScanBuf) {
         if count == 0 {
             return;
         }
@@ -467,13 +468,13 @@ impl<P: PersistMode> Art<P> {
         start: &[u8],
         bounded: bool,
         count: usize,
-        out: &mut Vec<(Vec<u8>, u64)>,
+        out: &mut ScanBuf,
     ) -> bool {
         if is_leaf(word) {
             // SAFETY: leaves are never freed while the tree is alive.
             let leaf = unsafe { leaf_ref(word) };
             if !bounded || &*leaf.key >= start {
-                out.push((leaf.key.to_vec(), leaf.value.load(Ordering::Acquire)));
+                out.push(&leaf.key, leaf.value.load(Ordering::Acquire));
             }
             return out.len() >= count;
         }
@@ -508,27 +509,13 @@ impl<P: PersistMode> Art<P> {
                 }
             }
         }
-        // `NodeRef::children` reports every node type's children in key order, so
-        // the scan needs no sort here.
-        for (b, child) in node.children() {
-            let child_bounded = if !bounded {
-                false
-            } else {
-                match start.get(level).copied() {
-                    None => false,
-                    Some(sb) => {
-                        if b < sb {
-                            continue;
-                        }
-                        b == sb
-                    }
-                }
-            };
-            if self.scan_rec(child, start, child_bounded, count, out) {
-                return true;
-            }
-        }
-        out.len() >= count
+        // Only the child under the start key's own byte is still bounded by it;
+        // children below that byte are never loaded, and the walk stops with the
+        // scan, so a short scan touches a few slots of even a `Node256`.
+        let bound = if bounded { start.get(level).copied() } else { None };
+        node.walk_children_from(bound.unwrap_or(0), |b, child| {
+            self.scan_rec(child, start, bound == Some(b), count, out)
+        })
     }
 
     /// Walk every reachable node and re-initialise its lock: RECIPE's post-crash lock
@@ -541,9 +528,10 @@ impl<P: PersistMode> Art<P> {
             // SAFETY: reachable inner nodes are never freed while the tree is alive.
             let node = unsafe { NodeRef::from_word(word) };
             node.hdr().lock.force_unlock();
-            for (_, c) in node.children() {
+            node.walk_children_from(0, |_, c| {
                 walk(c);
-            }
+                false
+            });
         }
         walk(self.root.load(Ordering::Acquire));
     }
@@ -560,7 +548,12 @@ impl<P: PersistMode> Art<P> {
             }
             // SAFETY: reachable inner nodes are never freed while the tree is alive.
             let node = unsafe { NodeRef::from_word(word) };
-            node.children().iter().map(|&(_, c)| walk(c)).sum()
+            let mut keys = 0;
+            node.walk_children_from(0, |_, c| {
+                keys += walk(c);
+                false
+            });
+            keys
         }
         walk(self.root.load(Ordering::Acquire))
     }

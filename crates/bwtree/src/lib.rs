@@ -31,7 +31,7 @@ pub use tree::BwTree;
 
 use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
-use recipe::session::{Capabilities, Index, OpError, OpResult};
+use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
 /// The persistent Bw-tree (the paper's P-BwTree).
 pub type PBwTree = BwTree<Pmem>;
@@ -97,7 +97,7 @@ impl<P: PersistMode> Index for BwTree<P> {
         }
     }
 
-    fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
         BwTree::scan_into(self, start, max, out);
     }
 

@@ -12,10 +12,11 @@
 //!
 //! This module holds the passive data structures — [`Delta`], [`BasePage`], the
 //! [`MappingTable`] and the chain-walking queries ([`leaf_lookup`], [`inner_route`],
-//! [`build_view`]) — while `tree` drives the CAS protocol, the persistence ordering
-//! and the SMOs.
+//! [`scan_leaf`], [`build_view`]) — while `tree` drives the CAS protocol, the
+//! persistence ordering and the SMOs.
 
 use recipe::persist::PersistMode;
+use recipe::session::ScanBuf;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 
@@ -459,7 +460,8 @@ pub fn chain_len(head: *mut Delta) -> usize {
 }
 
 /// A consolidated, owned snapshot of one page: the logical content the delta chain
-/// at `head` denotes. Used by consolidation, splits, scans and recovery.
+/// at `head` denotes. Used by consolidation, splits and recovery; a range scan
+/// streams the chain through [`scan_leaf`] instead and owns nothing.
 pub struct PageView {
     /// Whether the page is a leaf.
     pub leaf: bool,
@@ -580,6 +582,108 @@ pub fn build_view(head: *mut Delta) -> PageView {
         removed,
         low: base.low.clone(),
     }
+}
+
+/// Delta records of one chain a scan overlays from the stack; a longer chain
+/// (consolidation lost its CAS many times over) spills to the heap.
+const OVERLAY_INLINE: usize = 32;
+
+/// Stream the live records with key `>= start` of the leaf chain snapshot at
+/// `head` into `out`, ascending, until `out` holds `target` entries or the page
+/// ends; returns the page's effective right sibling. The same content
+/// [`build_view`] denotes, read in place: keys are borrowed from the chain (the
+/// caller's epoch guard keeps it alive) and copied once, into `out`.
+///
+/// `first` is where this scan's entries start in `out`: a record that does not
+/// sort after the last one appended since is dropped — cross-page duplicate
+/// suppression (defence in depth; split truncation already keeps page snapshots
+/// disjoint).
+pub fn scan_leaf(
+    head: *mut Delta,
+    start: &[u8],
+    first: usize,
+    target: usize,
+    out: &mut ScanBuf,
+) -> Pid {
+    // The chain's records at or after `start`, newest first; `None` = deleted.
+    let mut inline: [(&[u8], Option<u64>); OVERLAY_INLINE] = [(&[], None); OVERLAY_INLINE];
+    let mut spilled: Vec<(&[u8], Option<u64>)> = Vec::new();
+    let mut n = 0usize;
+    // Effective (high, right): the newest split *or* merge delta owns it.
+    let mut boundary: Option<(Option<&[u8]>, Pid)> = None;
+    let mut cur = head;
+    let base = loop {
+        let d = delta_ref(cur);
+        let record = match &d.kind {
+            DeltaKind::Insert { key, value } => Some((key.as_ref(), Some(*value))),
+            DeltaKind::Delete { key } => Some((key.as_ref(), None)),
+            DeltaKind::Split { sep, right, .. } => {
+                boundary.get_or_insert((Some(sep.as_ref()), *right));
+                None
+            }
+            DeltaKind::Merge { high, right, .. } => {
+                boundary.get_or_insert((high.as_deref(), *right));
+                None
+            }
+            DeltaKind::Base(b) => break b,
+            _ => None,
+        };
+        if let Some(record) = record.filter(|(k, _)| *k >= start) {
+            if n < OVERLAY_INLINE {
+                inline[n] = record;
+            } else {
+                if spilled.is_empty() {
+                    spilled.extend_from_slice(&inline);
+                }
+                spilled.push(record);
+            }
+            n += 1;
+        }
+        cur = d.next.load(Ordering::Acquire);
+    };
+    let overlay = if n <= OVERLAY_INLINE { &mut inline[..n] } else { &mut spilled[..] };
+    // Stable, so of several records for one key the newest stays first — and wins.
+    overlay.sort_by(|a, b| a.0.cmp(b.0));
+    let (high, right) = boundary.unwrap_or((base.high.as_deref(), base.right));
+
+    // Merge-join the sorted base with the sorted overlay (overlay shadows base).
+    let mut bi = base.keys.partition_point(|k| k.as_ref() < start);
+    let mut oi = 0usize;
+    while out.len() < target {
+        let take_overlay = match (base.keys.get(bi), overlay.get(oi)) {
+            (Some(bk), Some((ok, _))) => {
+                if bk.as_ref() == *ok {
+                    bi += 1; // shadowed by the overlay record
+                    true
+                } else {
+                    *ok < bk.as_ref()
+                }
+            }
+            (None, Some(_)) => true,
+            (Some(_), None) => false,
+            (None, None) => break,
+        };
+        let (key, value) = if take_overlay {
+            let (key, value) = overlay[oi];
+            oi += 1;
+            while overlay.get(oi).is_some_and(|older| older.0 == key) {
+                oi += 1;
+            }
+            (key, value)
+        } else {
+            bi += 1;
+            (base.keys[bi - 1].as_ref(), Some(base.vals[bi - 1]))
+        };
+        if high.is_some_and(|h| key >= h) {
+            break; // both sides ascend: everything left is the right sibling's
+        }
+        let Some(value) = value else { continue };
+        if out.len() > first && out.last_key().is_some_and(|last| last >= key) {
+            continue;
+        }
+        out.push(key, value);
+    }
+    right
 }
 
 const SEG_BITS: usize = 12;
@@ -776,6 +880,87 @@ mod tests {
         // `c` deleted, `a` overwritten, `p`/`t` truncated away by the split.
         assert_eq!(got, vec![(&b"a"[..], 11), (&b"b"[..], 2)]);
         free_chain(d4);
+    }
+
+    /// `scan_leaf` must denote exactly what `build_view` consolidates, from any
+    /// start key and for any room left in the buffer — on chains with shadowed
+    /// and re-inserted keys, a split, a merge over a narrower base, and one long
+    /// enough to spill the stack overlay.
+    #[test]
+    fn scan_leaf_streams_what_build_view_consolidates() {
+        let key = |i: u64| bx(&i.to_be_bytes());
+        let pairs: Vec<(Box<[u8]>, u64)> = (0..20u64).map(|i| (key(i * 10), i)).collect();
+        let pair_refs: Vec<(&[u8], u64)> = pairs.iter().map(|(k, v)| (k.as_ref(), *v)).collect();
+        let mut chains = Vec::new();
+
+        // Overlay only: updates, deletes, a delete then re-insert, new keys.
+        let mut head = leaf_base(&pair_refs, None, NO_PID);
+        for (k, v) in
+            [(30, Some(300)), (40, None), (45, Some(450)), (50, None), (50, Some(51)), (5, Some(1))]
+        {
+            let kind = match v {
+                Some(value) => DeltaKind::Insert { key: key(k), value },
+                None => DeltaKind::Delete { key: key(k) },
+            };
+            head = Delta::alloc(head, true, kind);
+        }
+        chains.push(head);
+
+        // A split below newer records, then a long tail that spills the overlay.
+        let mut head = leaf_base(&pair_refs, Some(&key(500)), 7);
+        head = Delta::alloc(head, true, DeltaKind::Insert { key: key(125), value: 9 });
+        head = Delta::alloc(
+            head,
+            true,
+            DeltaKind::Split { sep: key(120), right: 9, done: AtomicBool::new(false) },
+        );
+        for i in 0..(OVERLAY_INLINE as u64 + 8) {
+            head = Delta::alloc(head, true, DeltaKind::Insert { key: key(i * 3 + 1), value: i });
+        }
+        chains.push(head);
+
+        // A merge delta widens the base's bound; records past the old bound count.
+        let mut head = leaf_base(&pair_refs[..10], Some(&key(100)), 3);
+        head = Delta::alloc(
+            head,
+            true,
+            DeltaKind::Merge { high: Some(key(150)), right: 4, victim: 3 },
+        );
+        head = Delta::alloc(head, true, DeltaKind::Insert { key: key(120), value: 12 });
+        head = Delta::alloc(head, true, DeltaKind::Insert { key: key(170), value: 17 });
+        chains.push(head);
+
+        for head in chains {
+            let view = build_view(head);
+            for start in (0..210u64).step_by(5).map(key).chain([bx(b"")]) {
+                let want: Vec<(Vec<u8>, u64)> = view
+                    .entries
+                    .iter()
+                    .filter(|(k, _)| k.as_ref() >= start.as_ref())
+                    .map(|(k, v)| (k.to_vec(), *v))
+                    .collect();
+                for room in [1, 3, usize::MAX] {
+                    let mut out = ScanBuf::new();
+                    let right = scan_leaf(head, &start, 0, room, &mut out);
+                    assert_eq!(right, view.right);
+                    let got = out.to_vec();
+                    assert_eq!(got, want[..want.len().min(room)], "start {start:?} room {room}");
+                }
+            }
+            free_chain(head);
+        }
+    }
+
+    #[test]
+    fn scan_leaf_drops_what_does_not_sort_after_this_scans_last_entry() {
+        let head = leaf_base(&[(b"b", 2), (b"d", 4)], None, NO_PID);
+        let mut out = ScanBuf::new();
+        out.push(b"zz", 0); // an earlier scan's entry: below `first`, not compared
+        out.push(b"b", 1); // this scan's: a torn split already yielded `b`
+        scan_leaf(head, b"", 1, 10, &mut out);
+        let got = out.to_vec();
+        assert_eq!(got, vec![(b"zz".to_vec(), 0), (b"b".to_vec(), 1), (b"d".to_vec(), 4)]);
+        free_chain(head);
     }
 
     #[test]

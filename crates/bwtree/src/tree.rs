@@ -31,9 +31,11 @@
 use crate::page::{
     build_view, chain_len, chain_removed, delta_ref, effective_bounds, first_smo, first_split,
     inner_contains_sep, inner_route, inner_route_before, leaf_lookup, page_live, page_low,
-    BasePage, Delta, DeltaKind, Find, MappingTable, PageView, Pid, Route, SmoMarker, NO_PID,
+    scan_leaf, BasePage, Delta, DeltaKind, Find, MappingTable, PageView, Pid, Route, SmoMarker,
+    NO_PID,
 };
 use recipe::persist::PersistMode;
+use recipe::session::ScanBuf;
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -885,18 +887,19 @@ impl<P: PersistMode> BwTree<P> {
     /// Range scan: up to `count` pairs with keys `>= start`, ascending, following
     /// the leaf B-link chain. Each page contributes one immutable snapshot.
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let mut out: Vec<(Vec<u8>, u64)> = Vec::with_capacity(count.min(1024));
+        let mut out = ScanBuf::new();
         self.scan_into(start, count, &mut out);
-        out
+        out.to_vec()
     }
 
     /// [`BwTree::scan`] into a caller-provided buffer: appends up to `count`
     /// pairs with key `>= start` (ascending) to `out` without clearing it, so
     /// cursor callers can stream batches through one reused allocation.
-    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut ScanBuf) {
         if count == 0 {
             return;
         }
+        // Held to the end: `scan_leaf` reads keys borrowed from the chains.
         let _epoch = self.epoch.enter();
         let count = out.len().saturating_add(count);
         let base = out.len();
@@ -914,20 +917,7 @@ impl<P: PersistMode> BwTree<P> {
             if head.is_null() {
                 break; // stale right link into a retired husk's slot
             }
-            let view = build_view(head);
-            let from = view.entries.partition_point(|(k, _)| k.as_ref() < start);
-            for (k, v) in &view.entries[from..] {
-                if out.len() >= count {
-                    return;
-                }
-                // Cross-page duplicate suppression (defence in depth; the split
-                // truncation already keeps page snapshots disjoint).
-                if out[base..].last().is_some_and(|(last, _)| last.as_slice() >= k.as_ref()) {
-                    continue;
-                }
-                out.push((k.to_vec(), *v));
-            }
-            pid = view.right;
+            pid = scan_leaf(head, start, base, count, out);
         }
     }
 

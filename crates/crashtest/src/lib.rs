@@ -274,8 +274,8 @@ mod tests {
     use std::collections::HashMap;
     use std::sync::atomic::AtomicBool;
 
-    /// Crash arming and site counters are process-global; tests that arm them
-    /// must not overlap.
+    /// Crash arming, site counters and the durability tracker are
+    /// process-global; tests that arm or enable them must not overlap.
     static CRASH_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     /// A small lock-protected hash map with RECIPE-style crash sites, used to validate
@@ -364,6 +364,9 @@ mod tests {
 
     #[test]
     fn durability_harness_detects_missing_flushes() {
+        // The tracker is process-global: without the lock, the dirty lines of a
+        // neighbouring crash test's workers land in this test's report.
+        let _g = CRASH_LOCK.lock();
         let bad = run_durability_test(|| ToyIndex::new(false), 50, 50);
         assert!(!bad.passed());
         assert_eq!(bad.ops, 50);

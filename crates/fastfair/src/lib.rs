@@ -39,7 +39,7 @@ pub const CRASH_SITES: &[&str] = &[
 
 use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
-use recipe::session::{Capabilities, Index, OpError, OpResult};
+use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
 /// The persistent FAST & FAIR B+ tree (the configuration evaluated in the paper).
 pub type PFastFair = FastFair<Pmem>;
@@ -75,7 +75,7 @@ impl<P: PersistMode> Index for FastFair<P> {
         }
     }
 
-    fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
         FastFair::scan_into(self, start, max, out);
     }
 

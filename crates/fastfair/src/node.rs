@@ -86,16 +86,25 @@ pub fn cmp_words(mode: KeyMode, a: u64, b: u64) -> CmpOrdering {
     }
 }
 
-/// Materialise the byte representation of a stored key word.
-pub fn word_to_bytes(mode: KeyMode, word: u64) -> Vec<u8> {
+/// The byte representation of a stored key word, borrowed: an inline key is
+/// decoded into `inline`, an indirect one is read where its [`KeyBuf`] holds it.
+pub fn word_bytes(mode: KeyMode, word: u64, inline: &mut [u8; 8]) -> &[u8] {
     match mode {
-        KeyMode::Inline => recipe::key::u64_key(word.wrapping_sub(1)).to_vec(),
+        KeyMode::Inline => {
+            *inline = recipe::key::u64_key(word.wrapping_sub(1));
+            inline
+        }
         KeyMode::Indirect => {
             // SAFETY: see `cmp_word_key`.
             let buf = unsafe { &*(word as *const KeyBuf) };
-            buf.bytes.to_vec()
+            &buf.bytes
         }
     }
+}
+
+/// Materialise the byte representation of a stored key word.
+pub fn word_to_bytes(mode: KeyMode, word: u64) -> Vec<u8> {
+    word_bytes(mode, word, &mut [0; 8]).to_vec()
 }
 
 /// One sorted slot: a key word and a value (record location, or child pointer in

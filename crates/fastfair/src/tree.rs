@@ -8,9 +8,11 @@
 //! right" across in-flight splits, B-link style.
 
 use crate::node::{
-    cmp_word_key, cmp_words, encode_key, word_to_bytes, KeyMode, Node, CARDINALITY, EMPTY,
+    cmp_word_key, cmp_words, encode_key, word_bytes, word_to_bytes, KeyMode, Node, CARDINALITY,
+    EMPTY,
 };
 use recipe::persist::PersistMode;
+use recipe::session::ScanBuf;
 use std::cmp::Ordering as CmpOrdering;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU8, Ordering};
@@ -385,21 +387,22 @@ impl<P: PersistMode> FastFair<P> {
     /// Range scan: up to `count` pairs with key `>= start`, ascending, following leaf
     /// sibling pointers.
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let mut out: Vec<(Vec<u8>, u64)> = Vec::with_capacity(count.min(1024));
+        let mut out = ScanBuf::new();
         self.scan_into(start, count, &mut out);
-        out
+        out.to_vec()
     }
 
     /// [`FastFair::scan`] into a caller-provided buffer: appends up to `count`
     /// pairs with key `>= start` (ascending) to `out` without clearing it, so
     /// cursor callers can stream batches through one reused allocation.
-    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut ScanBuf) {
         if count == 0 {
             return;
         }
         let count = out.len().saturating_add(count);
         let mode = self.key_mode(start);
         let mut leaf_ptr = self.find_leaf(mode, start, None);
+        let mut inline = [0u8; 8];
         while !leaf_ptr.is_null() && out.len() < count {
             let leaf = self.node_ref(leaf_ptr);
             pm::stats::record_node_visit();
@@ -426,13 +429,13 @@ impl<P: PersistMode> FastFair<P> {
                     {
                         continue;
                     }
-                    let bytes = word_to_bytes(mode, kw);
+                    let bytes = word_bytes(mode, kw, &mut inline);
                     let val = leaf.entries[i].val.load(Ordering::Acquire);
                     // Skip transient duplicates across a split boundary.
-                    if out.last().map(|(k, _)| k == &bytes).unwrap_or(false) {
+                    if out.last_key() == Some(bytes) {
                         continue;
                     }
-                    out.push((bytes, val));
+                    out.push(bytes, val);
                     if out.len() >= count {
                         break;
                     }

@@ -18,14 +18,12 @@ fn main() {
     }
     assert_eq!(h.get(&u64_key(42)), Some(420));
 
-    // Ordered indexes support range queries through a resumable cursor that
-    // streams into a reusable buffer (no per-scan allocation).
-    let mut range: Vec<(Vec<u8>, u64)> = Vec::with_capacity(5);
-    h.scan(&u64_key(100)).next_into(&mut range);
-    println!(
-        "5 keys starting at 100: {:?}",
-        range.iter().map(|(k, _)| recipe::key::key_to_u64(k)).collect::<Vec<_>>()
-    );
+    // Ordered indexes support range queries through a resumable cursor. The
+    // visitor borrows each entry from the handle's reused scan buffer, so a
+    // scan allocates nothing; only what the caller keeps is copied.
+    let mut range = Vec::with_capacity(5);
+    h.scan(&u64_key(100)).limit(5).visit(|key, _value| range.push(recipe::key::key_to_u64(key)));
+    println!("5 keys starting at 100: {range:?}");
 
     let stats = pm::stats::snapshot().since(&before);
     println!(

@@ -1,12 +1,14 @@
 //! Charge-parity regression for the `pm` substrate's accounting.
 //!
 //! Fixed single-threaded op streams — one on P-CLHT built to stress the
-//! flush-dedup line set, then one on every index of the registry — must
-//! produce exactly the counters and charged nanoseconds recorded below. The
-//! values were recorded at the commit *before* the per-thread counter slab and
-//! the generation-stamped line set replaced the global atomics and the
-//! `HashSet`; any drift means the substrate's accounting changed, not just its
-//! speed.
+//! flush-dedup line set, one on every index of the registry, then a YCSB-E
+//! scan stream on every ordered index — must produce exactly the counters and
+//! charged nanoseconds recorded below. The point-op values were recorded at
+//! the commit *before* the per-thread counter slab and the generation-stamped
+//! line set replaced the global atomics and the `HashSet`, the scan values at
+//! the commit *before* the scan path was rebuilt around `ScanBuf`; any drift
+//! means the accounting (or the set of nodes a scan visits) changed, not just
+//! its speed.
 //!
 //! This file holds a single test so it owns its process: the installed latency
 //! model is process-global, and so is the allocator below.
@@ -118,6 +120,59 @@ const PARENT: &[(&str, [u64; 6])] = &[
     ("Level-Hashing", [73_723, 29_531, 185_677, 7_656_000, 5_315_580, 7_427_080]),
 ];
 
+/// YCSB E as the driver issues it, on 20 000 loaded keys: 95% scans of 1–100
+/// entries from a loaded key, fetched as one chunk, and 5% inserts of new keys.
+/// Returns the counters of the scan phase alone and the entries it yielded.
+fn scan_stream(index: &dyn Index) -> ((Stats, ChargedNs), u64) {
+    const N: u64 = 20_000;
+    const OPS: u64 = 4_000;
+    let key = |i: u64| u64_key(pm::mix64(i));
+    let mut h = index.handle();
+    for i in 0..N {
+        h.insert(&key(i), i).expect("8-byte keys are supported");
+    }
+    index.exec_settle();
+    let mut entries = 0u64;
+    let counters = measured(|| {
+        for j in 0..OPS {
+            let r = pm::mix64(0x5CA9_E000 ^ j);
+            if r % 20 == 0 {
+                h.insert(&key(N + j), j).expect("8-byte keys are supported");
+                continue;
+            }
+            let len = 1 + (r >> 40) as usize % 100;
+            h.set_scan_batch(len);
+            let got = h.scan(&key((r >> 8) % N)).limit(len).count();
+            assert!(got >= 1, "{}: a scan from a loaded key is never empty", index.index_name());
+            entries += got as u64;
+        }
+    });
+    (counters, entries)
+}
+
+/// `(index, clwb, fence, node_visits, clwb_ns, fence_ns, read_ns, entries)` of
+/// [`scan_stream`] at the parent commit.
+const PARENT_SCAN: &[(&str, [u64; 7])] = &[
+    ("P-ART", [814, 516, 34_837, 97_680, 92_880, 1_393_480, 191_186]),
+    ("P-HOT", [1_333, 665, 14_891, 159_960, 119_700, 595_640, 191_186]),
+    ("P-BwTree", [936, 607, 13_388, 112_320, 109_260, 535_520, 191_186]),
+    ("P-Masstree", [1_176, 588, 37_705, 141_120, 105_840, 1_508_200, 191_186]),
+    ("P-BwTree(dc16)", [765, 504, 12_356, 91_800, 90_720, 494_240, 191_186]),
+    ("FAST&FAIR", [3_288, 3_200, 28_724, 394_560, 576_000, 1_148_960, 191_186]),
+    ("P-APEX", [1_199, 450, 9_159, 143_640, 81_000, 366_360, 191_186]),
+    ("WOART(global-lock)", [2_961, 266, 457, 355_320, 47_880, 18_280, 191_186]),
+];
+
+/// Node visits of [`scan_stream`] on WOART since its scan prunes and charges:
+/// the same radix tree over the same keys as P-ART, and the same count.
+const WOART_SCAN_VISITS: u64 = 34_837;
+
+/// The two baselines that persist a node while it is still a stack temporary
+/// (`built` in `apex::tree`'s SMO, `inner` in `woart`'s leaf split): how many
+/// lines that flush spans follows the frame's alignment, which differs from
+/// build to build. Their fences and visits are exact.
+const CLWB_FOLLOWS_FRAME: [&str; 2] = ["P-APEX", "WOART(global-lock)"];
+
 #[test]
 fn fixed_streams_charge_exactly_what_the_parent_commit_charged() {
     Model::CALIBRATED.install();
@@ -136,12 +191,34 @@ fn fixed_streams_charge_exactly_what_the_parent_commit_charged() {
         let index = entry.build(PolicyMode::Pmem);
         let (s, c) = measured(|| registry_stream(index.as_ref()));
         let mut got = [s.clwb, s.fence, s.node_visits, c.clwb_ns, c.fence_ns, c.read_ns];
-        if ["P-APEX", "WOART(global-lock)"].contains(name) {
-            // Both persist a node while it is still a stack temporary (`built` in
-            // `apex::tree`'s SMO, `inner` in `woart`'s leaf split), so how many
-            // lines that flush spans follows the frame's alignment, which differs
-            // from build to build. Their fences and visits are exact.
+        if CLWB_FOLLOWS_FRAME.contains(name) {
             (got[0], got[3]) = (want[0], want[3]);
+        }
+        assert_eq!(got, *want, "{name}");
+    }
+
+    let ordered: Vec<_> = entries.iter().filter(|e| e.caps.scan).collect();
+    assert_eq!(ordered.len(), PARENT_SCAN.len(), "one recorded row per ordered index");
+    for (entry, (name, want)) in ordered.iter().zip(PARENT_SCAN) {
+        assert_eq!(entry.name, *name);
+        let index = entry.build(PolicyMode::Pmem);
+        let ((s, c), n) = scan_stream(index.as_ref());
+        let mut got = [s.clwb, s.fence, s.node_visits, c.clwb_ns, c.fence_ns, c.read_ns, n];
+        if CLWB_FOLLOWS_FRAME.contains(name) {
+            (got[0], got[3]) = (want[0], want[3]);
+        }
+        if *name == "WOART(global-lock)" {
+            // Changed on purpose: at the parent commit WOART's scan charged no
+            // node visit at all (the 457 above are its inserts') while walking
+            // the whole tree left of the start key. It now prunes by the start
+            // key and records one visit per inner node it enters, so its visits
+            // and read charge are pinned to the new values instead.
+            assert_eq!(
+                (got[2], got[5]),
+                (WOART_SCAN_VISITS, WOART_SCAN_VISITS * Model::CALIBRATED.read_ns),
+                "{name}"
+            );
+            (got[2], got[5]) = (want[2], want[5]);
         }
         assert_eq!(got, *want, "{name}");
     }

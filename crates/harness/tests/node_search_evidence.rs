@@ -112,10 +112,10 @@ fn widen_all_settling_is_idempotent_and_preserves_scans() {
     // Scans across compound nodes still come out in key order.
     let mut sorted = keys.clone();
     sorted.sort_unstable();
-    let mut out = Vec::new();
+    let mut out = recipe::session::ScanBuf::new();
     trie.scan_into(&u64_key(sorted[40]), 300, &mut out);
     let expect: Vec<u64> = sorted[40..340].to_vec();
-    let got: Vec<u64> = out.iter().map(|(_, v)| *v).collect();
+    let got: Vec<u64> = out.iter().map(|(_, v)| v).collect();
     assert_eq!(got, expect);
 }
 

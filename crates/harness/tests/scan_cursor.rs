@@ -1,11 +1,14 @@
 //! Cursor-semantics conformance suite: every ordered registry entry, in both
 //! policy modes, must give [`recipe::session::Scanner`] the same observable
 //! behavior — empty-start scans, mid-key resumption across batch boundaries,
-//! zero limits, past-the-end starts, buffer-bounded `next_into`, and scans
-//! racing concurrent removals.
+//! zero limits, past-the-end starts, buffer-bounded `next_into`, scans racing
+//! concurrent removals, and one sequence from every way of reading a cursor
+//! (`visit`, `next`, `next_into`, the bare `exec_scan_chunk`, chained
+//! `scan_after`).
 use harness::registry::{self, IndexKind, PolicyMode};
 use recipe::key::{key_to_u64, u64_key};
 use recipe::session::{Index, IndexExt};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Every ordered index in both policy modes, loaded with `count` keys
@@ -160,5 +163,87 @@ fn insert_during_scan_is_seen_only_ahead_of_the_cursor() {
         want.push(505);
         want.sort_unstable();
         assert_eq!(got, want, "{name}: inserts behind/ahead of the cursor");
+    }
+}
+
+/// The borrowing visitor, the owned-pair shims over it, the bare chunk call and
+/// cursor chaining through `scan_after` are five ways to read the same scan:
+/// each must yield exactly the model's sequence, from start keys of every
+/// length up to the stored keys' (empty included; the fixed-width indexes
+/// zero-pad a shorter start key, which orders the same way) and whatever the
+/// batch size cuts the stream into.
+#[test]
+fn every_way_of_reading_a_cursor_yields_the_model_sequence() {
+    // Keys spread over the whole 64-bit space, so short start keys cut into it.
+    let keys: Vec<[u8; 8]> = (1..=300u64).map(|i| u64_key(i << 54)).collect();
+    let model: BTreeMap<Vec<u8>, u64> =
+        keys.iter().enumerate().map(|(i, k)| (k.to_vec(), i as u64 + 1)).collect();
+    let starts: Vec<Vec<u8>> = vec![
+        vec![],
+        vec![0x00],
+        vec![0x40],
+        vec![0x12, 0x34, 0x56],
+        vec![0x4A, 0xC0, 0, 0, 0],
+        u64_key(77 << 54).to_vec(),                           // present
+        u64_key((77 << 54) + 1).to_vec(),                     // absent, between two keys
+        vec![0x4A, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF], // past the last key
+    ];
+    let indexes = registry::all_indexes()
+        .iter()
+        .filter(|e| e.kind == IndexKind::Ordered)
+        .flat_map(|e| PolicyMode::ALL.map(|mode| (e.name(mode), e.build(mode))))
+        .collect::<Vec<_>>();
+    for (name, index) in indexes {
+        let mut h = index.handle();
+        for (k, v) in &model {
+            h.insert(k, *v).unwrap();
+        }
+        for start in &starts {
+            let want: Vec<(Vec<u8>, u64)> =
+                model.range(start.clone()..).map(|(k, v)| (k.clone(), *v)).collect();
+            let what =
+                |how: &str, batch: usize| format!("{name}: {how} from {start:?}, batch {batch}");
+
+            let mut bare = Vec::new();
+            index.exec_scan_chunk(start, want.len() + 5, &mut bare);
+            assert_eq!(bare, want, "{}", what("exec_scan_chunk", 0));
+
+            for batch in [1, 7, 64] {
+                h.set_scan_batch(batch);
+
+                let mut lent = Vec::new();
+                let n = h.scan(start).visit(|k, v| lent.push((k.to_vec(), v)));
+                assert_eq!((n, &lent), (want.len(), &want), "{}", what("visit", batch));
+
+                let owned: Vec<(Vec<u8>, u64)> = h.scan(start).collect();
+                assert_eq!(owned, want, "{}", what("next", batch));
+
+                let mut filled = Vec::new();
+                let mut buf: Vec<(Vec<u8>, u64)> = Vec::with_capacity(25);
+                let mut sc = h.scan(start);
+                while sc.next_into(&mut buf) > 0 {
+                    filled.append(&mut buf);
+                }
+                drop(sc);
+                assert_eq!(filled, want, "{}", what("next_into", batch));
+
+                // Cursors of 10 entries, each resumed after the last key of the
+                // one before it.
+                let mut chained: Vec<(Vec<u8>, u64)> = Vec::new();
+                loop {
+                    let mut sc = match chained.last() {
+                        None => h.scan(start),
+                        Some((last, _)) => h.scan_after(last),
+                    }
+                    .limit(10);
+                    let mut step = Vec::new();
+                    if sc.visit(|k, v| step.push((k.to_vec(), v))) == 0 {
+                        break;
+                    }
+                    chained.append(&mut step);
+                }
+                assert_eq!(chained, want, "{}", what("scan_after chain", batch));
+            }
+        }
     }
 }

@@ -278,27 +278,75 @@ impl Compound {
         out
     }
 
-    /// Child of the live entry with the smallest partial key, if any.
-    pub fn min_child(&self) -> Option<usize> {
-        self.min_child_after(None).map(|(_, c)| c)
-    }
-
-    /// Live entry with the smallest partial key strictly greater than `after`
-    /// (`None` = no lower bound), without allocating. Callers that must skip
-    /// empty subtrees walk the entries in key order by advancing the bound.
-    pub fn min_child_after(&self, after: Option<u16>) -> Option<(u16, usize)> {
+    /// Hand the live entries whose window interval `[pkey, pkey | !mask]` ends at
+    /// or after `from` to `f` as `(pkey, child)`, in ascending partial-key (= key)
+    /// order, until it returns `true`; returns whether it did. What a range scan
+    /// walks (and, from 0, how the leftmost live subtree is found):
+    /// allocation-free, and a child slot is loaded when the walk reaches it.
+    ///
+    /// The build-time region `[0, sorted)` is entered by binary search — its
+    /// entries were prefix-free when built, so their intervals are disjoint and
+    /// ascend with the slot, and published lanes never change (a dead slot keeps
+    /// its lanes) — and merged with the appended tail, which is in arrival order
+    /// and short, by selecting its next-larger partial key on demand.
+    pub fn walk_from(&self, from: u16, mut f: impl FnMut(u16, usize) -> bool) -> bool {
         let count = (self.count.load(Ordering::Acquire) as usize).min(self.cap());
-        let mut best: Option<(u16, usize)> = None;
-        for slot in 0..count {
-            let child = self.children[slot].load(Ordering::Acquire);
-            if child != 0 {
+        let sorted = (self.sorted as usize).min(count);
+        let reaches = |slot: usize| self.pkey_at(slot) | (!self.mask_at(slot) & FULL_MASK) >= from;
+        let (mut si, mut hi) = (0usize, sorted);
+        while si < hi {
+            let mid = si.midpoint(hi);
+            if reaches(mid) {
+                hi = mid;
+            } else {
+                si = mid + 1;
+            }
+        }
+        let next_appended = |after: Option<u16>| {
+            let mut best: Option<(u16, usize)> = None;
+            for slot in sorted..count {
+                let child = self.children[slot].load(Ordering::Acquire);
+                if child == 0 || !reaches(slot) {
+                    continue;
+                }
                 let pkey = self.pkey_at(slot);
                 if after.is_none_or(|a| pkey > a) && best.is_none_or(|(b, _)| pkey < b) {
                     best = Some((pkey, child));
                 }
             }
+            best
+        };
+        let mut appended = next_appended(None);
+        loop {
+            let built = loop {
+                if si >= sorted {
+                    break None;
+                }
+                let child = self.children[si].load(Ordering::Acquire);
+                if child != 0 {
+                    break Some((self.pkey_at(si), child));
+                }
+                si += 1;
+            };
+            let (pkey, child) = match (built, appended) {
+                (None, None) => return false,
+                (Some(b), None) => {
+                    si += 1;
+                    b
+                }
+                (Some(b), Some(a)) if b.0 <= a.0 => {
+                    si += 1;
+                    b
+                }
+                (_, Some(a)) => {
+                    appended = next_appended(Some(a.0));
+                    a
+                }
+            };
+            if f(pkey, child) {
+                return true;
+            }
         }
-        best
     }
 }
 
@@ -337,11 +385,65 @@ mod tests {
             vec![(10, FULL_MASK, 0x11), (20, FULL_MASK, 0x21), (30, FULL_MASK, 0x31)];
         // SAFETY: never freed, test-local.
         let c = unsafe { &*Compound::alloc(7, &entries) };
-        assert_eq!(c.min_child(), Some(0x11));
+        let min_child = || {
+            let mut first = None;
+            c.walk_from(0, |_, child| {
+                first = Some(child);
+                true
+            });
+            first
+        };
+        assert_eq!(min_child(), Some(0x11));
         c.children[0].store(0, Ordering::Release); // remove the smallest entry
         assert_eq!(c.find_child(10), None);
-        assert_eq!(c.min_child(), Some(0x21));
+        assert_eq!(min_child(), Some(0x21));
         assert_eq!(c.live_entries(), vec![(20, FULL_MASK, 0x21), (30, FULL_MASK, 0x31)]);
+    }
+
+    /// The scan walk against the snapshot-and-sort it replaced, on a compound
+    /// with pointer entries, dead slots in both regions and an unordered tail.
+    #[test]
+    fn walk_from_matches_live_entries_from_every_start() {
+        let mut entries: Vec<Entry> =
+            (0..40u16).map(|i| (i * 700 + 3, FULL_MASK, usize::from(i) * 8 + 1)).collect();
+        // Two pointer entries covering 5-bit prefixes no leaf above falls under.
+        entries.push((0b11110 << 10, prefix_mask(5), 0x7001));
+        entries.push((0b11111 << 10, prefix_mask(5), 0x7009));
+        entries.sort_unstable_by_key(|e| e.0);
+        // SAFETY: never freed, test-local.
+        let c = unsafe { &*Compound::alloc(0, &entries) };
+        // Appends after the build, in arrival order (what `insert` does under the lock).
+        let built = entries.len();
+        for (i, pkey) in [20_011u16, 5, 9_000, 801, 30_500].into_iter().enumerate() {
+            c.set_lanes(built + i, pkey, FULL_MASK);
+            c.children[built + i].store(0x9001 + i * 8, Ordering::Release);
+        }
+        c.count.store((built + 5) as u32, Ordering::Release);
+        // Removals leave dead slots that keep their lanes.
+        for slot in [0, 7, 8, built + 2] {
+            c.children[slot].store(0, Ordering::Release);
+        }
+        let live = c.live_entries();
+        assert_eq!(live.len(), built + 5 - 4);
+        for from in (0..=FULL_MASK).step_by(7).chain([FULL_MASK]) {
+            let mut got = Vec::new();
+            assert!(!c.walk_from(from, |pkey, child| {
+                got.push((pkey, child));
+                false
+            }));
+            let want: Vec<(u16, usize)> = live
+                .iter()
+                .filter(|&&(pkey, mask, _)| pkey | (!mask & FULL_MASK) >= from)
+                .map(|&(pkey, _, child)| (pkey, child))
+                .collect();
+            assert_eq!(got, want, "walk from {from}");
+        }
+        let mut seen = 0;
+        assert!(c.walk_from(0, |_, _| {
+            seen += 1;
+            seen == 3
+        }));
+        assert_eq!(seen, 3, "the walk must stop when asked");
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub const CRASH_SITES: &[&str] = &[
 
 use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
-use recipe::session::{Capabilities, Index, OpError, OpResult};
+use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
 /// The unconverted DRAM height-optimized trie.
 pub type DramHot = Hot<Dram>;
@@ -86,7 +86,7 @@ impl<P: PersistMode> Index for Hot<P> {
         }
     }
 
-    fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
         Hot::scan_into(self, start, max, out);
     }
 

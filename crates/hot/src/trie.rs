@@ -30,6 +30,7 @@ use crate::compound::{prefix_mask, Compound, Entry, COMPOUND_CAP, FULL_MASK};
 use pm::stats::{record_probes, Mapping};
 use recipe::lock::{VersionGuard, VersionLock};
 use recipe::persist::PersistMode;
+use recipe::session::ScanBuf;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -313,9 +314,9 @@ impl<P: PersistMode> Hot<P> {
                             // As in the plain-node empty-slot case below: the key may
                             // diverge before this node's window.
                             if let Some(rep) = self.min_key(word) {
-                                if let Some(diff) = first_diff_bit(key, &rep) {
+                                if let Some(diff) = first_diff_bit(key, rep) {
                                     if diff < c.bit_pos {
-                                        if self.insert_branch_above(&path, &rep, diff, key, value) {
+                                        if self.insert_branch_above(&path, rep, diff, key, value) {
                                             return true;
                                         }
                                         continue 'restart;
@@ -349,9 +350,9 @@ impl<P: PersistMode> Hot<P> {
                     // branch node must be inserted above instead of filling the slot,
                     // or sorted order would be violated.
                     if let Some(rep) = self.min_key(word) {
-                        if let Some(diff) = first_diff_bit(key, &rep) {
+                        if let Some(diff) = first_diff_bit(key, rep) {
                             if diff < node.bit_pos {
-                                if self.insert_branch_above(&path, &rep, diff, key, value) {
+                                if self.insert_branch_above(&path, rep, diff, key, value) {
                                     return true;
                                 }
                                 continue 'restart;
@@ -657,9 +658,9 @@ impl<P: PersistMode> Hot<P> {
                 Step::Cpd(c, _, _) => (c as usize) | 0b10,
             };
             if let Some(rep) = self.min_key(parent_word) {
-                if let Some(diff) = first_diff_bit(key, &rep) {
+                if let Some(diff) = first_diff_bit(key, rep) {
                     if diff < path[boundary - 1].window_start() {
-                        return self.insert_branch_above(path, &rep, diff, key, value);
+                        return self.insert_branch_above(path, rep, diff, key, value);
                     }
                 }
             } else {
@@ -1091,7 +1092,7 @@ impl<P: PersistMode> Hot<P> {
             }
         };
         let mask = prefix_mask(depth);
-        ctx.entries.push((extract_wide(&rep, base, COMPOUND_BITS) & mask, mask, child));
+        ctx.entries.push((extract_wide(rep, base, COMPOUND_BITS) & mask, mask, child));
         if ctx.entries.len() <= COMPOUND_CAP {
             Ok(())
         } else {
@@ -1388,15 +1389,15 @@ impl<P: PersistMode> Hot<P> {
 
     /// Range scan: up to `count` pairs with key `>= start`, in ascending key order.
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let mut out = Vec::with_capacity(count.min(1024));
+        let mut out = ScanBuf::new();
         self.scan_into(start, count, &mut out);
-        out
+        out.to_vec()
     }
 
     /// [`Hot::scan`] into a caller-provided buffer: appends up to `count` pairs
     /// with key `>= start` (ascending) to `out` without clearing it, so cursor
     /// callers can stream batches through one reused allocation.
-    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut ScanBuf) {
         if count == 0 {
             return;
         }
@@ -1405,14 +1406,15 @@ impl<P: PersistMode> Hot<P> {
     }
 
     /// Minimum (leftmost) key under `word`, used to learn the bit prefix every key in
-    /// a subtree shares.
-    fn min_key(&self, word: usize) -> Option<Vec<u8>> {
+    /// a subtree shares. Borrowed from its leaf: leaves are never freed while the
+    /// trie is alive.
+    fn min_key(&self, word: usize) -> Option<&[u8]> {
         if word == 0 {
             return None;
         }
         if is_leaf(word) {
             // SAFETY: never freed.
-            return Some(unsafe { &*leaf_of(word) }.key.to_vec());
+            return Some(&unsafe { &*leaf_of(word) }.key);
         }
         // Skip empty branches (a compound or node whose entries were all removed)
         // instead of terminating on them: a first-child-only descent would report
@@ -1422,14 +1424,12 @@ impl<P: PersistMode> Hot<P> {
         if is_compound(word) {
             // SAFETY: never freed.
             let c = unsafe { &*compound_of(word) };
-            let mut after = None;
-            while let Some((pkey, child)) = c.min_child_after(after) {
-                if let Some(k) = self.min_key(child) {
-                    return Some(k);
-                }
-                after = Some(pkey);
-            }
-            return None;
+            let mut found = None;
+            c.walk_from(0, |_, child| {
+                found = self.min_key(child);
+                found.is_some()
+            });
+            return found;
         }
         // SAFETY: never freed.
         let node = unsafe { &*(word as *const Node) };
@@ -1446,7 +1446,7 @@ impl<P: PersistMode> Hot<P> {
         start: &[u8],
         bounded: bool,
         count: usize,
-        out: &mut Vec<(Vec<u8>, u64)>,
+        out: &mut ScanBuf,
     ) -> bool {
         if word == 0 {
             return out.len() >= count;
@@ -1455,7 +1455,7 @@ impl<P: PersistMode> Hot<P> {
             // SAFETY: never freed.
             let leaf = unsafe { &*leaf_of(word) };
             if !bounded || &*leaf.key >= start {
-                out.push((leaf.key.to_vec(), leaf.value.load(Ordering::Acquire)));
+                out.push(&leaf.key, leaf.value.load(Ordering::Acquire));
             }
             return out.len() >= count;
         }
@@ -1466,25 +1466,19 @@ impl<P: PersistMode> Hot<P> {
             let mut bounded = bounded;
             if bounded {
                 if let Some(rep) = self.min_key(word) {
-                    match cmp_bit_prefix(&rep, start, c.bit_pos) {
+                    match cmp_bit_prefix(rep, start, c.bit_pos) {
                         std::cmp::Ordering::Less => return false,
                         std::cmp::Ordering::Greater => bounded = false,
                         std::cmp::Ordering::Equal => {}
                     }
                 }
             }
+            // Entries whose whole window range precedes the start are skipped;
+            // the ones at or below its window value are still bounded by it.
             let ext_start = if bounded { extract_wide(start, c.bit_pos, COMPOUND_BITS) } else { 0 };
-            // Live entries come back in partial-key order = ascending key order.
-            for (pkey, mask, child) in c.live_entries() {
-                if bounded && pkey | (!mask & FULL_MASK) < ext_start {
-                    continue; // the entry's whole window range precedes the start
-                }
-                let child_bounded = bounded && pkey <= ext_start;
-                if self.scan_rec(child, start, child_bounded, count, out) {
-                    return true;
-                }
-            }
-            return out.len() >= count;
+            return c.walk_from(ext_start, |pkey, child| {
+                self.scan_rec(child, start, bounded && pkey <= ext_start, count, out)
+            });
         }
         // SAFETY: never freed.
         let node = unsafe { &*(word as *const Node) };
@@ -1493,7 +1487,7 @@ impl<P: PersistMode> Hot<P> {
             // Every key below shares its first `bit_pos` bits; compare them (via any
             // representative leaf) with the scan start to decide pruning.
             if let Some(rep) = self.min_key(word) {
-                match cmp_bit_prefix(&rep, start, node.bit_pos) {
+                match cmp_bit_prefix(rep, start, node.bit_pos) {
                     std::cmp::Ordering::Less => return false,
                     std::cmp::Ordering::Greater => bounded = false,
                     std::cmp::Ordering::Equal => {}

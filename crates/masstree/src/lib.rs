@@ -46,7 +46,7 @@ pub const CRASH_SITES: &[&str] = &[
 
 use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
-use recipe::session::{Capabilities, Index, OpError, OpResult};
+use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
 /// The persistent Masstree (the paper's P-Masstree).
 pub type PMasstree = Masstree<Pmem>;
@@ -88,7 +88,7 @@ impl<P: PersistMode> Index for Masstree<P> {
         }
     }
 
-    fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
         Masstree::scan_into(self, start, max, out);
     }
 

@@ -23,6 +23,7 @@ use crate::node::{Node, Perm, LAYER, WIDTH};
 use recipe::key::keyslice;
 use recipe::lock::VersionGuard;
 use recipe::persist::PersistMode;
+use recipe::session::ScanBuf;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
@@ -710,19 +711,20 @@ impl<P: PersistMode> Masstree<P> {
     /// Range scan: up to `count` pairs with keys `>= start`, in ascending byte order,
     /// descending into sublayers and following leaf sibling chains.
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let mut out = Vec::with_capacity(count.min(1024));
+        let mut out = ScanBuf::new();
         self.scan_into(start, count, &mut out);
-        out
+        out.to_vec()
     }
 
     /// [`Masstree::scan`] into a caller-provided buffer: appends up to `count`
     /// pairs with key `>= start` (ascending) to `out` without clearing it, so
     /// cursor callers can stream batches through one reused allocation.
-    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    pub fn scan_into(&self, start: &[u8], count: usize, out: &mut ScanBuf) {
         if count == 0 {
             return;
         }
         let target = out.len().saturating_add(count);
+        // Grows only once a key continues into a sublayer (keys over 8 bytes).
         let mut prefix = Vec::new();
         self.scan_layer(&self.layer0, &mut prefix, Some(start), target, out);
     }
@@ -740,14 +742,14 @@ impl<P: PersistMode> Masstree<P> {
         prefix: &mut Vec<u8>,
         start: Option<&[u8]>,
         count: usize,
-        out: &mut Vec<(Vec<u8>, u64)>,
+        out: &mut ScanBuf,
     ) {
         let (s_slice, s_lc) = match start {
             Some(rem) => (keyslice(rem, 0), len_class(rem, 0)),
             None => (0, 0),
         };
         let mut cur = self.find_leaf(layer, s_slice);
-        let mut entries: Vec<(u64, u8, u64)> = Vec::with_capacity(WIDTH);
+        let mut entries = [(0u64, 0u8, 0u64); WIDTH];
         while !cur.is_null() && out.len() < count {
             let node = node_ref(cur);
             pm::stats::record_node_visit();
@@ -756,25 +758,25 @@ impl<P: PersistMode> Masstree<P> {
             // check would be ABA-prone under slot recycling), then process the
             // consistent snapshot outside the read section — sublayer recursion can
             // be slow and must not keep the validation window open.
-            let mut high;
+            let (mut high, mut live);
             loop {
-                entries.clear();
                 let v0 = node.lock.read_begin();
                 let perm = node.perm_snapshot();
                 high = node.high.load(Ordering::Acquire);
-                for rank in 0..perm.count() {
+                live = perm.count();
+                for (rank, entry) in entries.iter_mut().enumerate().take(live) {
                     let slot = perm.slot(rank);
-                    entries.push((
+                    *entry = (
                         node.keys[slot].load(Ordering::Acquire),
                         node.lens[slot].load(Ordering::Acquire),
                         node.vals[slot].load(Ordering::Acquire),
-                    ));
+                    );
                 }
                 if !node.lock.read_retry(v0) {
                     break;
                 }
             }
-            for &(k, l, v) in &entries {
+            for &(k, l, v) in &entries[..live] {
                 if out.len() >= count {
                     return;
                 }
@@ -802,14 +804,15 @@ impl<P: PersistMode> Masstree<P> {
                     self.scan_layer(sub, prefix, substart, count, out);
                     prefix.truncate(prefix.len() - 8);
                 } else {
-                    let mut built = Vec::with_capacity(prefix.len() + l as usize);
-                    built.extend_from_slice(prefix);
-                    built.extend_from_slice(&k.to_be_bytes()[..l as usize]);
-                    // Duplicate suppression across torn/in-flight splits.
-                    if out.last().is_some_and(|(last, _)| *last >= built) {
-                        continue;
+                    // The key is the layer prefix followed by this slice's bytes,
+                    // written straight into the buffer. Duplicate suppression
+                    // across torn/in-flight splits: take it back unless it sorts
+                    // after the entry before it.
+                    let at = out.len();
+                    out.push_parts(prefix, &k.to_be_bytes()[..l as usize], v);
+                    if at > 0 && out.key(at - 1) >= out.key(at) {
+                        out.truncate(at);
                     }
-                    out.push((built, v));
                 }
             }
             cur = node.next.load(Ordering::Acquire);
@@ -1002,7 +1005,7 @@ impl<P: PersistMode> Masstree<P> {
     /// Whether the tree holds no keys.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        let mut out = Vec::new();
+        let mut out = ScanBuf::new();
         self.scan_layer(&self.layer0, &mut Vec::new(), None, 1, &mut out);
         out.is_empty()
     }

@@ -21,7 +21,8 @@
 //!   typed [`session::Index`] trait once, callers open per-thread
 //!   [`session::Handle`]s that return typed results ([`session::OpResult`] /
 //!   [`session::OpError`]), stream range queries through resumable
-//!   [`session::Scanner`] cursors, report structure capabilities
+//!   [`session::Scanner`] cursors over one flat reused [`session::ScanBuf`]
+//!   (no allocation per scan), report structure capabilities
 //!   ([`session::Capabilities`]) and pin an epoch guard around every
 //!   operation.
 //! * [`epoch`] — epoch-based memory reclamation for the lock-free indexes:
@@ -59,4 +60,6 @@ pub mod simd;
 pub use condition::{catalog, CatalogEntry, Condition};
 pub use index::{ConcurrentIndex, Recoverable, RecoverableIndex};
 pub use persist::{Dram, PersistMode, Pmem};
-pub use session::{Capabilities, Handle, HandleStats, Index, IndexExt, OpError, OpResult, Scanner};
+pub use session::{
+    Capabilities, Handle, HandleStats, Index, IndexExt, OpError, OpResult, ScanBuf, Scanner,
+};

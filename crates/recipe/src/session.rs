@@ -12,8 +12,10 @@
 //!   channel, and hash indexes report [`OpError::UnsupportedKey`] for keys
 //!   they cannot store instead of silently answering `false`);
 //! * exposes range queries as a **resumable cursor** ([`Handle::scan`] →
-//!   [`Scanner`]) that streams entries in batches into reusable buffers
-//!   instead of allocating a fresh `Vec` per call;
+//!   [`Scanner`]) over one flat, reused [`ScanBuf`] the handle owns: an index
+//!   scans straight into it ([`Index::exec_scan`]) and a caller reads the
+//!   entries in place ([`Scanner::visit`]), so a scan allocates nothing once
+//!   the buffer has grown to the workload's scan length;
 //! * **pins an epoch guard** ([`crate::epoch`]) around every operation when the
 //!   index reclaims memory ([`Index::reclaimer`]), so lock-free indexes can
 //!   free unlinked nodes at epoch quiescence while any session might still be
@@ -23,12 +25,24 @@
 //! Capability discovery moves from the old lone `supports_scan` flag to the
 //! [`Capabilities`] struct ([`Index::capabilities`]).
 //!
+//! # The scan path and its compatibility shims
+//!
+//! [`Index::exec_scan`] into a [`ScanBuf`] is the **only** scan an index
+//! implements, and [`Scanner::visit`] is the only way to read a cursor without
+//! a heap allocation per key. The owned-pair forms — [`Iterator::next`] on a
+//! [`Scanner`], [`Scanner::next_into`], [`Scanner::collect_vec`] and
+//! [`IndexExt::exec_scan_chunk`] — are shims written once in this module over
+//! those two: each copies an entry out of the `ScanBuf` into a fresh `Vec<u8>`.
+//! They stay because the frozen `benchmark/` package, the legacy
+//! [`ConcurrentIndex::scan`] adapter and most tests want owned pairs and are
+//! not hot paths; nothing on a measured path should call them.
+//!
 //! The legacy [`ConcurrentIndex`] trait stays alive as a *blanket adapter*
 //! over [`Index`] (every `Index` is automatically a `ConcurrentIndex`), so old
 //! call sites keep compiling while new code talks to handles.
 //!
 //! ```
-//! use recipe::session::{Capabilities, Index, IndexExt, OpError, OpResult};
+//! use recipe::session::{Capabilities, Index, IndexExt, OpError, OpResult, ScanBuf};
 //! # use std::collections::BTreeMap;
 //! # use std::sync::Mutex;
 //! # struct Toy(Mutex<BTreeMap<Vec<u8>, u64>>);
@@ -48,10 +62,10 @@
 //! #             None => Err(OpError::NotFound),
 //! #         }
 //! #     }
-//! #     fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
-//! #         out.extend(
-//! #             self.0.lock().unwrap().range(start.to_vec()..).take(max).map(|(k, v)| (k.clone(), *v)),
-//! #         );
+//! #     fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
+//! #         for (k, v) in self.0.lock().unwrap().range(start.to_vec()..).take(max) {
+//! #             out.push(k, *v);
+//! #         }
 //! #     }
 //! #     fn capabilities(&self) -> Capabilities {
 //! #         Capabilities { ordered: true, scan: true, linearizable_update: true }
@@ -67,11 +81,11 @@
 //! assert_eq!(handle.update(b"missing", 9), Err(OpError::NotFound));
 //! assert_eq!(handle.get(b"k1"), Some(2));
 //!
-//! // Cursor scan: stream into a reusable buffer, no per-call Vec.
+//! // Cursor scan: read the entries where the index wrote them, no copies.
 //! handle.insert(b"k2", 4).unwrap();
-//! let mut buf = Vec::with_capacity(16);
-//! let n = handle.scan(b"k1").next_into(&mut buf);
-//! assert_eq!(n, 2);
+//! let mut sum = 0;
+//! let n = handle.scan(b"k1").visit(|_key, value| sum += value);
+//! assert_eq!((n, sum), (2, 6));
 //! assert_eq!(handle.stats().inserts, 3);
 //! ```
 
@@ -206,7 +220,12 @@ pub trait Index: Send + Sync {
     /// entries means no further keys existed at the time of the call. The
     /// default (for unordered indexes, [`Capabilities::scan`] `= false`)
     /// appends nothing.
-    fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    ///
+    /// This is the one scan an index implements: keys are copied once, from
+    /// the index's nodes into the [`ScanBuf`] arena, and nothing is allocated
+    /// per entry. The owned-pair form is the [`IndexExt::exec_scan_chunk`]
+    /// shim over it.
+    fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
         let _ = (start, max, out);
     }
 
@@ -240,9 +259,121 @@ pub trait IndexExt: Index {
     fn handle(&self) -> Handle<'_, Self> {
         Handle::new(self)
     }
+
+    /// [`Index::exec_scan`] into owned pairs, appended to `out`.
+    ///
+    /// A compatibility shim (the frozen `benchmark/` package calls it): it
+    /// scans into a temporary [`ScanBuf`] and copies every key into a `Vec` of
+    /// its own, so it allocates per entry and costs a little more than the
+    /// scan alone (about 1 µs per 50 entries). Blanket-implemented here so
+    /// that no index can carry a second scan implementation.
+    fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+        let mut buf = ScanBuf::new();
+        self.exec_scan(start, max, &mut buf);
+        out.extend(buf.iter().map(|(k, v)| (k.to_vec(), v)));
+    }
 }
 
 impl<T: Index + ?Sized> IndexExt for T {}
+
+/// The flat buffer every scan fills: keys packed back to back in one byte
+/// arena, plus one end offset and one value per entry.
+///
+/// An index appends to it ([`Index::exec_scan`]); a [`Handle`] owns one and
+/// lends it to every [`Scanner`] it opens. [`ScanBuf::clear`] keeps the three
+/// allocations, so once they have grown to a workload's longest scan a scan
+/// allocates nothing — where a `Vec<(Vec<u8>, u64)>` paid one `malloc` and one
+/// `free` per returned key.
+#[derive(Debug, Default)]
+pub struct ScanBuf {
+    /// Key bytes of every entry, in entry order.
+    bytes: Vec<u8>,
+    /// `ends[i]` is the offset in `bytes` one past entry `i`'s key.
+    ends: Vec<usize>,
+    values: Vec<u64>,
+}
+
+impl ScanBuf {
+    /// An empty buffer; allocates on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the buffer holds no entry.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Drop every entry, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Drop the entries at and after index `len` (no-op if there are fewer),
+    /// keeping the allocations. An index that reads a node optimistically rolls
+    /// back what it appended from a snapshot that failed validation.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.bytes.truncate(if len == 0 { 0 } else { self.ends[len - 1] });
+            self.ends.truncate(len);
+            self.values.truncate(len);
+        }
+    }
+
+    /// Append one entry.
+    pub fn push(&mut self, key: &[u8], value: u64) {
+        self.push_parts(key, &[], value);
+    }
+
+    /// Append one entry whose key is `head` followed by `tail` — for indexes
+    /// that hold a key in two pieces (a layer prefix and a key slice) and would
+    /// otherwise concatenate them into a temporary first.
+    pub fn push_parts(&mut self, head: &[u8], tail: &[u8], value: u64) {
+        self.bytes.extend_from_slice(head);
+        self.bytes.extend_from_slice(tail);
+        self.ends.push(self.bytes.len());
+        self.values.push(value);
+    }
+
+    /// Key of entry `i`. Panics if `i >= len()`.
+    #[must_use]
+    pub fn key(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    /// Value of entry `i`. Panics if `i >= len()`.
+    #[must_use]
+    pub fn value(&self, i: usize) -> u64 {
+        self.values[i]
+    }
+
+    /// Key of the last entry, if any (what duplicate suppression and cursor
+    /// resumption compare against).
+    #[must_use]
+    pub fn last_key(&self) -> Option<&[u8]> {
+        self.len().checked_sub(1).map(|i| self.key(i))
+    }
+
+    /// The entries in order, borrowed.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], u64)> + '_ {
+        (0..self.len()).map(|i| (self.key(i), self.values[i]))
+    }
+
+    /// The entries as owned pairs (tests and the convenience `scan` wrappers).
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<(Vec<u8>, u64)> {
+        self.iter().map(|(k, v)| (k.to_vec(), v)).collect()
+    }
+}
 
 /// Per-thread operation statistics accumulated by a [`Handle`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -304,6 +435,10 @@ pub struct Handle<'a, I: Index + ?Sized = dyn Index + 'a> {
     session: Option<epoch::Session>,
     stats: HandleStats,
     scan_batch: usize,
+    /// The buffer and resume key every [`Scanner`] of this handle borrows, so
+    /// their capacity carries over from one scan to the next.
+    scan_buf: ScanBuf,
+    scan_resume: Vec<u8>,
     /// `Cell` is `!Sync`: a handle belongs to one thread of control.
     _not_sync: PhantomData<std::cell::Cell<()>>,
 }
@@ -318,6 +453,8 @@ impl<'a, I: Index + ?Sized> Handle<'a, I> {
             session,
             stats: HandleStats::default(),
             scan_batch: DEFAULT_SCAN_BATCH,
+            scan_buf: ScanBuf::new(),
+            scan_resume: Vec::new(),
             _not_sync: PhantomData,
         }
     }
@@ -371,20 +508,25 @@ impl<'a, I: Index + ?Sized> Handle<'a, I> {
 
     /// Open a resumable cursor over keys `>= start`; see [`Scanner`].
     ///
-    /// The cursor borrows the handle (and keeps its epoch pin alive for the
-    /// whole traversal, so reclaiming indexes cannot free pages under it).
-    /// On an index without scan support the cursor is immediately exhausted.
+    /// The cursor borrows the handle — its [`ScanBuf`] and resume-key buffer
+    /// included, so opening a cursor allocates nothing — and keeps its epoch
+    /// pin alive for the whole traversal, so reclaiming indexes cannot free
+    /// pages under it. On an index without scan support the cursor is
+    /// immediately exhausted.
     pub fn scan<'h>(&'h mut self, start: &[u8]) -> Scanner<'h, 'a, I> {
         let scan_batch = self.scan_batch;
-        let Handle { index, session, stats, .. } = self;
+        let Handle { index, session, stats, scan_buf, scan_resume, .. } = self;
         stats.scans += 1;
+        scan_buf.clear();
+        scan_resume.clear();
+        scan_resume.extend_from_slice(start);
         Scanner {
             index: *index,
             stats,
             _pin: session.as_mut().map(epoch::Session::pin),
-            next_start: start.to_vec(),
+            next_start: scan_resume,
             primed: false,
-            batch: Vec::new(),
+            batch: scan_buf,
             pos: 0,
             done: false,
             remaining: None,
@@ -502,16 +644,21 @@ impl<I: Index + ?Sized> Drop for Batch<'_, '_, I> {
 /// A resumable range-scan cursor, from [`Handle::scan`].
 ///
 /// Streams entries in ascending key order, fetching them from the index in
-/// batches of the handle's scan-batch size into one internal buffer that is
-/// reused across batches — no per-call `Vec` allocation. Resumption between
-/// batches is by key (the cursor continues after the last yielded key), so a
-/// cursor stays valid while the index is concurrently mutated: entries removed
-/// after they were fetched are still yielded (each batch is a point-in-time
-/// snapshot); entries inserted behind the cursor are not revisited; order is
-/// always strictly ascending with no duplicates.
+/// batches of the handle's scan-batch size ([`Index::exec_scan`]) into the
+/// handle's [`ScanBuf`], which every cursor and every batch reuses: opening a
+/// cursor, refilling it and reading it through [`Scanner::visit`] allocate
+/// nothing once that buffer has grown to the workload's batch. Resumption
+/// between batches is by key (the cursor continues after the last yielded key,
+/// re-descending from the root), so a cursor stays valid while the index is
+/// concurrently mutated: entries removed after they were fetched are still
+/// yielded (each batch is a point-in-time snapshot); entries inserted behind
+/// the cursor are not revisited; order is always strictly ascending with no
+/// duplicates.
 ///
-/// Iteration is via the [`Iterator`] impl ([`Scanner::next`]) or in bulk via
-/// [`Scanner::next_into`].
+/// [`Scanner::visit`] lends each entry to a closure. The [`Iterator`] impl
+/// ([`Scanner::next`]), [`Scanner::next_into`] and [`Scanner::collect_vec`]
+/// yield owned `(Vec<u8>, u64)` pairs instead — compatibility shims over the
+/// same cursor that pay one allocation per key (see the module docs).
 pub struct Scanner<'h, 'a, I: Index + ?Sized = dyn Index + 'a> {
     index: &'a I,
     stats: &'h mut HandleStats,
@@ -519,9 +666,9 @@ pub struct Scanner<'h, 'a, I: Index + ?Sized = dyn Index + 'a> {
     /// Lower fetch bound: the caller's start before the first batch (inclusive),
     /// then the last fetched key (re-fetched and skipped — some indexes encode
     /// fixed-width keys, so a synthesized successor key is not representable).
-    next_start: Vec<u8>,
+    next_start: &'h mut Vec<u8>,
     primed: bool,
-    batch: Vec<(Vec<u8>, u64)>,
+    batch: &'h mut ScanBuf,
     pos: usize,
     done: bool,
     remaining: Option<usize>,
@@ -552,25 +699,63 @@ impl<I: Index + ?Sized> Scanner<'_, '_, I> {
         // extra entry) and drop it below: uniform across indexes, including
         // those whose fixed-width key encoding cannot represent a successor key.
         let req = want.saturating_add(usize::from(self.primed));
-        self.index.exec_scan_chunk(&self.next_start, req, &mut self.batch);
+        self.index.exec_scan(self.next_start, req, self.batch);
         if self.batch.len() < req {
             self.done = true;
         }
-        if self.primed && self.batch.first().is_some_and(|(k, _)| *k == self.next_start) {
+        if self.primed && !self.batch.is_empty() && self.batch.key(0) == self.next_start.as_slice()
+        {
             self.pos = 1;
         }
-        if let Some((k, _)) = self.batch.last() {
+        if let Some(k) = self.batch.last_key() {
             self.next_start.clear();
             self.next_start.extend_from_slice(k);
         }
         self.primed = true;
     }
 
-    /// Append entries to `buf` until the buffer's **spare capacity** is used
-    /// up or the cursor is exhausted; returns how many were appended. Never
-    /// grows the buffer — `clear()` + `reserve(n)` it once and reuse it across
-    /// scans for allocation-free streaming. A buffer with no spare capacity
-    /// appends nothing.
+    /// Step to the next entry and return its position in the current batch.
+    /// Every way of reading the cursor goes through here, so limits, refills
+    /// and [`HandleStats::entries_scanned`] cannot differ between them.
+    fn advance(&mut self) -> Option<usize> {
+        if self.remaining == Some(0) {
+            return None;
+        }
+        if self.pos >= self.batch.len() {
+            if self.done {
+                return None;
+            }
+            self.refill();
+            if self.pos >= self.batch.len() {
+                return None;
+            }
+        }
+        let at = self.pos;
+        self.pos += 1;
+        if let Some(r) = &mut self.remaining {
+            *r -= 1;
+        }
+        self.stats.entries_scanned += 1;
+        Some(at)
+    }
+
+    /// Hand every remaining entry (up to the cursor's [`Scanner::limit`]) to
+    /// `f` as a borrowed `(key, value)`, in order; returns how many there
+    /// were. The keys are read where the index wrote them, in the handle's
+    /// [`ScanBuf`] — nothing is copied or allocated.
+    pub fn visit(&mut self, mut f: impl FnMut(&[u8], u64)) -> usize {
+        let mut n = 0;
+        while let Some(at) = self.advance() {
+            f(self.batch.key(at), self.batch.value(at));
+            n += 1;
+        }
+        n
+    }
+
+    /// Append owned entries to `buf` until the buffer's **spare capacity** is
+    /// used up or the cursor is exhausted; returns how many were appended.
+    /// Never grows the buffer; a buffer with no spare capacity appends
+    /// nothing. A compatibility shim: every appended key is a fresh `Vec`.
     pub fn next_into(&mut self, buf: &mut Vec<(Vec<u8>, u64)>) -> usize {
         let want = buf.capacity() - buf.len();
         let mut n = 0;
@@ -594,29 +779,15 @@ impl<I: Index + ?Sized> Scanner<'_, '_, I> {
     }
 }
 
+/// Owned-pair iteration: a compatibility shim over the cursor that copies each
+/// key out of the [`ScanBuf`] (one allocation per entry). Use
+/// [`Scanner::visit`] where that matters.
 impl<I: Index + ?Sized> Iterator for Scanner<'_, '_, I> {
     type Item = (Vec<u8>, u64);
 
     fn next(&mut self) -> Option<(Vec<u8>, u64)> {
-        if self.remaining == Some(0) {
-            return None;
-        }
-        if self.pos >= self.batch.len() {
-            if self.done {
-                return None;
-            }
-            self.refill();
-            if self.pos >= self.batch.len() {
-                return None;
-            }
-        }
-        let entry = std::mem::take(&mut self.batch[self.pos]);
-        self.pos += 1;
-        if let Some(r) = &mut self.remaining {
-            *r -= 1;
-        }
-        self.stats.entries_scanned += 1;
-        Some(entry)
+        let at = self.advance()?;
+        Some((self.batch.key(at).to_vec(), self.batch.value(at)))
     }
 }
 
@@ -639,8 +810,11 @@ macro_rules! delegate_session_traits {
             fn exec_remove(&self, key: &[u8]) -> Result<OpResult, OpError> {
                 (**self).exec_remove(key)
             }
-            fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
-                (**self).exec_scan_chunk(start, max, out);
+            fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
+                (**self).exec_scan(start, max, out);
+            }
+            fn exec_settle(&self) {
+                (**self).exec_settle();
             }
             fn capabilities(&self) -> Capabilities {
                 (**self).capabilities()
@@ -718,11 +892,17 @@ mod tests {
     struct Model {
         map: RwLock<BTreeMap<Vec<u8>, u64>>,
         epoch: epoch::Collector,
+        /// Calls that reached [`Index::exec_settle`].
+        settles: std::sync::atomic::AtomicUsize,
     }
 
     impl Model {
         fn new() -> Self {
-            Model { map: RwLock::new(BTreeMap::new()), epoch: epoch::Collector::new() }
+            Model {
+                map: RwLock::new(BTreeMap::new()),
+                epoch: epoch::Collector::new(),
+                settles: std::sync::atomic::AtomicUsize::new(0),
+            }
         }
     }
 
@@ -758,10 +938,14 @@ mod tests {
             }
         }
 
-        fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
-            out.extend(
-                self.map.read().range(start.to_vec()..).take(max).map(|(k, v)| (k.clone(), *v)),
-            );
+        fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
+            for (k, v) in self.map.read().range(start.to_vec()..).take(max) {
+                out.push(k, *v);
+            }
+        }
+
+        fn exec_settle(&self) {
+            self.settles.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
 
         fn capabilities(&self) -> Capabilities {
@@ -885,6 +1069,95 @@ mod tests {
     }
 
     #[test]
+    fn visit_lends_the_same_entries_next_yields() {
+        let m = Model::new();
+        let mut h = m.handle();
+        for i in 0..300u64 {
+            h.insert(&k(i), i * 3).unwrap();
+        }
+        h.set_scan_batch(7); // refills mid-visit
+        let owned: Vec<(Vec<u8>, u64)> = h.scan(&k(40)).limit(100).collect();
+        let scanned = h.stats().entries_scanned;
+        let mut lent = Vec::new();
+        let n = h.scan(&k(40)).limit(100).visit(|key, v| lent.push((key.to_vec(), v)));
+        assert_eq!((n, &lent), (100, &owned));
+        assert_eq!(h.stats().entries_scanned, scanned + 100, "visit counts entries like next");
+        // A visit picks up where `next` stopped, and an unlimited one drains.
+        let mut sc = h.scan_after(&k(289));
+        assert_eq!(sc.next().map(|(_, v)| v), Some(290 * 3));
+        let mut rest = Vec::new();
+        assert_eq!(sc.visit(|_, v| rest.push(v / 3)), 9);
+        assert_eq!(rest, (291..300).collect::<Vec<u64>>());
+        assert_eq!(sc.visit(|_, _| unreachable!("cursor is exhausted")), 0);
+        drop(sc);
+        assert_eq!(h.scan(&[]).limit(0).visit(|_, _| unreachable!("limit 0")), 0);
+    }
+
+    #[test]
+    fn scan_buf_packs_keys_of_every_length() {
+        let keys: Vec<Vec<u8>> = [0usize, 1, 8, 24, 300]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect())
+            .collect();
+        let mut buf = ScanBuf::new();
+        assert!(buf.is_empty());
+        assert_eq!(buf.last_key(), None);
+        for (i, key) in keys.iter().enumerate() {
+            buf.push(key, i as u64 * 11);
+            assert_eq!(buf.last_key(), Some(key.as_slice()));
+        }
+        // A key in two parts lands as their concatenation; an empty part is fine.
+        buf.push_parts(b"layer-prefix", b"slice", 99);
+        buf.push_parts(b"", b"", 100);
+        assert_eq!(buf.len(), keys.len() + 2);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!((buf.key(i), buf.value(i)), (key.as_slice(), i as u64 * 11));
+        }
+        assert_eq!(buf.key(5), b"layer-prefixslice");
+        assert_eq!((buf.key(6), buf.value(6)), (&b""[..], 100));
+        let want: Vec<(Vec<u8>, u64)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| (key.clone(), i as u64 * 11))
+            .chain([(b"layer-prefixslice".to_vec(), 99), (Vec::new(), 100)])
+            .collect();
+        assert_eq!(buf.to_vec(), want);
+        // Rolling back to a mark drops exactly the entries past it.
+        buf.truncate(4);
+        assert_eq!(buf.len(), 4);
+        assert_eq!(buf.last_key(), Some(keys[3].as_slice()));
+        buf.truncate(9); // past the end: nothing to drop
+        assert_eq!(buf.len(), 4);
+        buf.push(b"after", 5);
+        assert_eq!(buf.key(4), b"after");
+    }
+
+    #[test]
+    fn scan_buf_clear_keeps_capacity_and_offsets_pass_64k() {
+        let mut buf = ScanBuf::new();
+        let key = [0xABu8; 300];
+        for i in 0..400u64 {
+            buf.push(&key, i); // 120 000 bytes: end offsets no longer fit 16 bits
+        }
+        assert_eq!(buf.len(), 400);
+        assert!(buf.iter().enumerate().all(|(i, (k, v))| k == key && v == i as u64));
+        assert_eq!(buf.key(399).len(), 300);
+        let caps = (buf.bytes.capacity(), buf.ends.capacity(), buf.values.capacity());
+        assert!(caps.0 >= 120_000);
+        buf.clear();
+        assert!(buf.is_empty());
+        assert_eq!(buf.last_key(), None);
+        assert_eq!((buf.bytes.capacity(), buf.ends.capacity(), buf.values.capacity()), caps);
+        // Refilling to the same size reuses the same three allocations.
+        let arena = buf.bytes.as_ptr();
+        for i in 0..400u64 {
+            buf.push(&key, i);
+        }
+        assert_eq!(buf.bytes.as_ptr(), arena);
+        assert_eq!((buf.bytes.capacity(), buf.ends.capacity(), buf.values.capacity()), caps);
+    }
+
+    #[test]
     fn compat_adapter_preserves_legacy_semantics() {
         let m = Model::new();
         let legacy: &dyn ConcurrentIndex = &m;
@@ -915,6 +1188,45 @@ mod tests {
         assert_eq!(h.scan(&[]).count(), 1);
         assert_eq!(h.capabilities(), Capabilities::ordered_index(true));
         assert_eq!(h.index_name(), "model");
+    }
+
+    /// The pointer impls must forward the methods that have a default too:
+    /// a dropped `exec_settle` skips an index's maintenance pass without any
+    /// sign of it, and a dropped `exec_scan` scans nothing.
+    #[test]
+    fn delegation_forwards_settle_and_scan() {
+        // Generic over the pointer type, so the call resolves to *its* impl
+        // (method syntax on `&m` would auto-deref straight to `Model`'s).
+        fn settle<I: Index>(index: I) {
+            index.exec_settle();
+        }
+        fn scan<I: Index>(index: I, start: &[u8]) -> Vec<(Vec<u8>, u64)> {
+            let mut buf = ScanBuf::new();
+            index.exec_scan(start, 10, &mut buf);
+            buf.to_vec()
+        }
+        let settles = |m: &Model| m.settles.load(std::sync::atomic::Ordering::Relaxed);
+        let m = Model::new();
+        m.exec_insert(&k(3), 30).unwrap();
+        m.exec_insert(&k(4), 40).unwrap();
+        let both = vec![(k(3).to_vec(), 30), (k(4).to_vec(), 40)];
+        settle(&m);
+        assert_eq!(settles(&m), 1, "&T reaches the inner exec_settle");
+        assert_eq!(scan(&m, &k(0)), both);
+        let arc = Arc::new(m);
+        settle(Arc::clone(&arc));
+        assert_eq!(settles(&arc), 2, "Arc<T> reaches the inner exec_settle");
+        assert_eq!(scan(Arc::clone(&arc), &k(4)), both[1..]);
+        let obj: Arc<dyn Index> = arc.clone();
+        settle(Arc::clone(&obj));
+        settle(&obj);
+        assert_eq!(settles(&arc), 4, "and so do Arc<dyn Index> and a reference to one");
+        // A scan through the trait object fills the caller's buffer, and the
+        // owned-pair shim sits on the same scan.
+        assert_eq!(scan(Arc::clone(&obj), &k(0)), both);
+        let mut owned = Vec::new();
+        obj.exec_scan_chunk(&k(4), 10, &mut owned);
+        assert_eq!(owned, both[1..]);
     }
 
     #[test]

@@ -233,7 +233,7 @@ mod tests {
     use super::*;
     use crate::{Deadline, Op};
     use recipe::key::u64_key;
-    use recipe::session::{Capabilities, OpError, OpResult};
+    use recipe::session::{Capabilities, OpError, OpResult, ScanBuf};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
@@ -270,9 +270,10 @@ mod tests {
                 None => Err(OpError::NotFound),
             }
         }
-        fn exec_scan_chunk(&self, start: &[u8], n: usize, out: &mut Vec<(Vec<u8>, u64)>) {
-            let m = self.map.lock().unwrap();
-            out.extend(m.range(start.to_vec()..).take(n).map(|(k, v)| (k.clone(), *v)));
+        fn exec_scan(&self, start: &[u8], n: usize, out: &mut ScanBuf) {
+            for (k, v) in self.map.lock().unwrap().range(start.to_vec()..).take(n) {
+                out.push(k, *v);
+            }
         }
         fn capabilities(&self) -> Capabilities {
             Capabilities { scan: true, ..Capabilities::hash_index(false) }

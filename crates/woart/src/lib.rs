@@ -16,7 +16,7 @@
 use parking_lot::RwLock;
 use recipe::index::Recoverable;
 use recipe::persist::{PersistMode, Pmem};
-use recipe::session::{Capabilities, Index, OpError, OpResult};
+use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 use std::marker::PhantomData;
 
 /// A node of the single-threaded radix tree: a compressed prefix and a sparse,
@@ -223,34 +223,58 @@ impl<P: PersistMode> Woart<P> {
         }
     }
 
+    /// Append the keys `>= start` under `node` to `out`, ascending, until it
+    /// holds `count` entries. `prefix` is the path down to `node`; `bounded` says
+    /// it equals `start` byte for byte so far — only then can the subtree hold
+    /// keys below `start`, so only then is anything compared or skipped: the
+    /// compressed prefix once per node, children below the start byte never
+    /// entered. One node visit is recorded per inner node entered.
     fn scan_rec(
         node: &Node,
         prefix: &mut Vec<u8>,
         start: &[u8],
+        bounded: bool,
         count: usize,
-        out: &mut Vec<(Vec<u8>, u64)>,
+        out: &mut ScanBuf,
     ) {
         if out.len() >= count {
             return;
         }
-        prefix.extend_from_slice(&node.prefix);
-        if let Some(v) = node.value {
-            if prefix.as_slice() >= start {
-                out.push((prefix.clone(), v));
+        pm::stats::record_node_visit();
+        let mut bounded = bounded;
+        if bounded {
+            let rest = &start[prefix.len()..];
+            let shared = rest.len().min(node.prefix.len());
+            match node.prefix[..shared].cmp(&rest[..shared]) {
+                std::cmp::Ordering::Less => return, // the whole subtree precedes `start`
+                std::cmp::Ordering::Greater => bounded = false,
+                // `start` ending inside this prefix leaves nothing below it either.
+                std::cmp::Ordering::Equal => bounded = rest.len() > node.prefix.len(),
             }
         }
-        for (b, child) in &node.children {
+        prefix.extend_from_slice(&node.prefix);
+        // Still bounded: the path is a strict prefix of `start`, so the key ending
+        // here precedes it, and so does every child below the next start byte.
+        let start_byte = bounded.then(|| start[prefix.len()]);
+        if let Some(v) = node.value {
+            if !bounded {
+                out.push(prefix, v);
+            }
+        }
+        let from = start_byte.map_or(0, |sb| node.children.partition_point(|(b, _)| *b < sb));
+        for (b, child) in &node.children[from..] {
             if out.len() >= count {
                 break;
             }
+            let child_bounded = start_byte == Some(*b);
             prefix.push(*b);
             match child {
                 Child::Leaf(k, v) => {
-                    if k.as_slice() >= start {
-                        out.push((k.clone(), *v));
+                    if !child_bounded || k.as_slice() >= start {
+                        out.push(k, *v);
                     }
                 }
-                Child::Node(n) => Self::scan_rec(n, prefix, start, count, out),
+                Child::Node(n) => Self::scan_rec(n, prefix, start, child_bounded, count, out),
             }
             prefix.pop();
         }
@@ -309,14 +333,14 @@ impl<P: PersistMode> Index for Woart<P> {
         }
     }
 
-    fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
+    fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
         if max == 0 {
             return;
         }
         let target = out.len().saturating_add(max);
         let root = self.root.read();
         let mut prefix = Vec::new();
-        Self::scan_rec(&root, &mut prefix, start, target, out);
+        Self::scan_rec(&root, &mut prefix, start, true, target, out);
     }
 
     fn capabilities(&self) -> Capabilities {
@@ -377,6 +401,59 @@ mod tests {
         let want: Vec<(Vec<u8>, u64)> =
             model.range(start..).take(20).map(|(k, v)| (k.clone(), *v)).collect();
         assert_eq!(got, want);
+    }
+
+    /// A scan descends to its start key and walks right from there: it used to
+    /// walk the whole tree left of the start key too (276 µs per scan at 50k keys,
+    /// 40–80× every other ordered index) and recorded no node visit at all.
+    #[test]
+    fn scan_prunes_by_start_key_and_charges_its_visits() {
+        const N: u64 = 50_000;
+        let t: PWoart = Woart::new();
+        let mut model = BTreeMap::new();
+        for i in 0..N {
+            let key = u64_key(pm::mix64(i)).to_vec();
+            assert!(t.insert(&key, i));
+            model.insert(key, i);
+        }
+        for j in 0..200u64 {
+            let start = u64_key(pm::mix64(pm::mix64(j ^ 0xE5CA) % N)).to_vec();
+            let before = pm::stats::snapshot_local();
+            let got = t.scan(&start, 20);
+            let visits = pm::stats::snapshot_local().since(&before).node_visits;
+            assert!((1..=64).contains(&visits), "a 20-entry scan visited {visits} nodes");
+            let want: Vec<(Vec<u8>, u64)> =
+                model.range(start..).take(20).map(|(k, v)| (k.clone(), *v)).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    /// Start keys that end inside a compressed prefix, fall between children,
+    /// extend a stored key, or are absent altogether, against a model.
+    #[test]
+    fn bounded_scan_matches_model_on_awkward_start_keys() {
+        let t: PWoart = Woart::new();
+        let mut model = BTreeMap::new();
+        let keys: [&[u8]; 9] =
+            [b"a", b"abc", b"abcdef", b"abcdeg", b"abd", b"b", b"bcdefgh", b"bcdefgi", b"c"];
+        for (i, key) in keys.into_iter().enumerate() {
+            assert!(t.insert(key, i as u64));
+            model.insert(key.to_vec(), i as u64);
+        }
+        let starts: [&[u8]; 14] = [
+            b"", b"a", b"ab", b"abc", b"abcd", b"abcdef", b"abcdefz", b"abcdz", b"abz", b"b",
+            b"bc", b"bcdefgh", b"bz", b"d",
+        ];
+        for start in starts {
+            for count in [1, 3, 100] {
+                let want: Vec<(Vec<u8>, u64)> = model
+                    .range(start.to_vec()..)
+                    .take(count)
+                    .map(|(k, v)| (k.clone(), *v))
+                    .collect();
+                assert_eq!(t.scan(start, count), want, "from {start:?}, {count} entries");
+            }
+        }
     }
 
     #[test]

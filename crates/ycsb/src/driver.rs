@@ -11,8 +11,9 @@
 //!
 //! Each worker thread drives the index through its own session
 //! [`recipe::session::Handle`]: operations run epoch-pinned with typed
-//! results, range queries stream through a cursor into one reusable per-thread
-//! buffer, and the per-thread [`HandleStats`] are merged into the phase result.
+//! results, range queries are read in place through a cursor over the handle's
+//! reused [`recipe::session::ScanBuf`] (no allocation per scan), and the
+//! per-thread [`HandleStats`] are merged into the phase result.
 
 use crate::workload::{GeneratedWorkload, Op, Spec};
 use recipe::session::{Handle, HandleStats, Index, IndexExt};
@@ -94,13 +95,11 @@ pub(crate) fn phase_result(
     }
 }
 
-/// Per-thread execution state: the session handle plus the reusable scan
-/// buffer the cursor streams into (no per-scan allocation), and the two
-/// private latency histograms every operation is recorded into (lock-free by
-/// ownership; merged once at phase end).
+/// Per-thread execution state: the session handle (which owns the buffer its
+/// cursors scan into) and the two private latency histograms every operation
+/// is recorded into (lock-free by ownership; merged once at phase end).
 pub(crate) struct Worker<'a> {
     handle: Handle<'a>,
-    scan_buf: Vec<(Vec<u8>, u64)>,
     supports_scan: bool,
     pub(crate) wall: obs::Hist,
     pub(crate) charged: obs::Hist,
@@ -120,7 +119,6 @@ impl<'a> Worker<'a> {
         Worker {
             supports_scan: handle.capabilities().scan,
             handle,
-            scan_buf: Vec::new(),
             wall: obs::Hist::new(),
             charged: obs::Hist::new(),
             failed_reads: 0,
@@ -152,17 +150,18 @@ impl<'a> Worker<'a> {
             }
             Op::Scan(k, len) => {
                 if self.supports_scan {
-                    self.scan_buf.clear();
-                    // The buffer is empty, so this guarantees spare capacity for
-                    // the whole scan (and is a no-op once warmed to the
-                    // workload's max scan length).
-                    self.scan_buf.reserve(*len);
                     // One chunk per scan op: the measured cost stays one index
                     // descent per scan, like the flat interface this driver
                     // replaced, instead of one per cursor batch.
                     self.handle.set_scan_batch((*len).clamp(1, 4_096));
-                    let mut cursor = self.handle.scan(k).limit(*len);
-                    let _ = cursor.next_into(&mut self.scan_buf);
+                    // Read every entry where the index wrote it. The checksum
+                    // consumes each value and key, so the copy into the scan
+                    // buffer is work the optimiser must keep.
+                    let mut checksum = 0u64;
+                    self.handle.scan(k).limit(*len).visit(|key, value| {
+                        checksum = checksum.wrapping_add(value).wrapping_add(key.len() as u64);
+                    });
+                    std::hint::black_box(checksum);
                 } else if self.handle.get(k).is_none() {
                     self.failed_reads += 1;
                 }
@@ -260,7 +259,7 @@ mod tests {
     use super::*;
     use crate::workload::{generate, KeyType, Spec, Workload};
     use parking_lot::RwLock;
-    use recipe::session::{Capabilities, OpError, OpResult};
+    use recipe::session::{Capabilities, OpError, OpResult, ScanBuf};
     use std::collections::BTreeMap;
 
     struct Model {
@@ -283,10 +282,10 @@ mod tests {
                 None => Err(OpError::NotFound),
             }
         }
-        fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
-            out.extend(
-                self.map.read().range(start.to_vec()..).take(max).map(|(k, v)| (k.clone(), *v)),
-            );
+        fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
+            for (k, v) in self.map.read().range(start.to_vec()..).take(max) {
+                out.push(k, *v);
+            }
         }
         fn capabilities(&self) -> Capabilities {
             Capabilities::ordered_index(true)

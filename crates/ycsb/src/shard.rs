@@ -193,7 +193,7 @@ mod tests {
     use super::*;
     use crate::workload::{KeyType, Workload};
     use parking_lot::RwLock;
-    use recipe::session::{Capabilities, OpError, OpResult};
+    use recipe::session::{Capabilities, OpError, OpResult, ScanBuf};
     use std::collections::BTreeMap;
 
     /// The resident-ops gauge is process-global, so tests that execute sharded
@@ -227,10 +227,10 @@ mod tests {
                 None => Err(OpError::NotFound),
             }
         }
-        fn exec_scan_chunk(&self, start: &[u8], max: usize, out: &mut Vec<(Vec<u8>, u64)>) {
-            out.extend(
-                self.map.read().range(start.to_vec()..).take(max).map(|(k, v)| (k.clone(), *v)),
-            );
+        fn exec_scan(&self, start: &[u8], max: usize, out: &mut ScanBuf) {
+            for (k, v) in self.map.read().range(start.to_vec()..).take(max) {
+                out.push(k, *v);
+            }
         }
         fn capabilities(&self) -> Capabilities {
             Capabilities::ordered_index(true)
