@@ -143,6 +143,7 @@ fn main() {
             "enqueued",
             "completed",
             "batches",
+            "caller_batches",
             "shed.queue_full",
             "shed.index_capacity",
             "shed.deadline",

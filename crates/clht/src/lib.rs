@@ -42,7 +42,10 @@ const EXPANSION_RATIO: u64 = 4;
 /// RECIPE-converted persistent index.
 pub struct Clht<P: PersistMode = Dram> {
     table: AtomicPtr<Table>,
-    resize_lock: parking_lot::Mutex<()>,
+    /// Serializes rehashes, and owns the tables they replaced: a non-blocking
+    /// reader may still be walking an old table, so it stays allocated until
+    /// the index itself is dropped.
+    resize_lock: parking_lot::Mutex<Vec<*mut Table>>,
     _policy: PhantomData<P>,
 }
 
@@ -63,9 +66,11 @@ pub const CRASH_SITES: &[&str] = &[
 
 // SAFETY: the raw table pointer is only mutated through atomic operations and the
 // pointed-to tables are never freed while the index is alive (copy-on-write rehash
-// with leaked old tables), so sharing across threads is sound.
+// keeps every replaced table on the retired list, which only `rehash` — under its
+// mutex — and `Drop` touch), so sharing across threads is sound.
 unsafe impl<P: PersistMode> Send for Clht<P> {}
-// SAFETY: as above — the table pointer is only mutated atomically and never freed.
+// SAFETY: as above — the table pointer is only mutated atomically, and neither it
+// nor a retired table is freed before `Drop`.
 unsafe impl<P: PersistMode> Sync for Clht<P> {}
 
 impl<P: PersistMode> Clht<P> {
@@ -83,7 +88,7 @@ impl<P: PersistMode> Clht<P> {
         P::persist_obj(t, true);
         let this = Clht {
             table: AtomicPtr::new(t),
-            resize_lock: parking_lot::Mutex::new(()),
+            resize_lock: parking_lot::Mutex::new(Vec::new()),
             _policy: PhantomData,
         };
         P::persist_obj(&this.table, true);
@@ -303,7 +308,7 @@ impl<P: PersistMode> Clht<P> {
     /// Rehash into a table twice the size of `old`, committing with an atomic table
     /// pointer swap (the SMO's Condition #1 commit point).
     fn rehash(&self, old: *mut Table) {
-        let _g = self.resize_lock.lock();
+        let mut retired = self.resize_lock.lock();
         if self.table.load(Ordering::Acquire) != old {
             return; // someone else already rehashed
         }
@@ -348,9 +353,9 @@ impl<P: PersistMode> Clht<P> {
         );
 
         drop(guards);
-        // The old table is intentionally leaked: non-blocking readers may still hold
-        // references to it (RECIPE's PM-allocator GC assumption).
-        let _ = old;
+        // Non-blocking readers may still hold references to the old table (RECIPE's
+        // PM-allocator GC assumption), so it is retired, not freed: `Drop` frees it.
+        retired.push(old);
     }
 }
 
@@ -362,11 +367,13 @@ impl<P: PersistMode> Default for Clht<P> {
 
 impl<P: PersistMode> Drop for Clht<P> {
     fn drop(&mut self) {
-        let t = self.table.load(Ordering::Relaxed);
-        if !t.is_null() {
-            // SAFETY: dropping the index; no other thread can access it anymore. Only
-            // the currently installed table is freed (older tables from rehashes are
-            // leaked by design).
+        let installed = *self.table.get_mut();
+        for t in self.resize_lock.get_mut().drain(..).chain([installed]) {
+            // SAFETY: dropping the index, so no other thread can reach any of its
+            // tables. Each was allocated with `pm_box`, and a table is either the
+            // installed one or on the retired list exactly once (`rehash` retires the
+            // table it replaces), so none is freed twice. `Table::drop` frees the
+            // overflow chain, which a rehash never shares between tables.
             unsafe { pm::alloc::pm_drop(t) };
         }
     }

@@ -4,7 +4,8 @@
 //! old one and then installed with a single atomic pointer swap (the Condition #1
 //! commit point for the SMO). Old tables are never freed while the index lives — the
 //! RECIPE garbage-collection assumption — so non-blocking readers that still hold the
-//! old pointer stay correct.
+//! old pointer stay correct; the index keeps them on a retired list and frees them,
+//! overflow chains included, when it is dropped.
 
 use crate::bucket::{Bucket, EMPTY_KEY, ENTRIES_PER_BUCKET};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,7 +90,7 @@ impl Table {
         for b in self.buckets.iter() {
             let mut cur: *const Bucket = b;
             while !cur.is_null() {
-                // SAFETY: chain pointers reference leaked (never freed) buckets.
+                // SAFETY: chain buckets are freed only when their table is dropped.
                 let r = unsafe { &*cur };
                 count += r.entries().len();
                 cur = r.next_ptr();

@@ -1,9 +1,11 @@
 //! A sharded session-store service over the RECIPE indexes — now *elastic*.
 //!
 //! This crate turns the per-thread [`recipe::session::Handle`] API into a
-//! small *service*: a pool of shard worker threads (thread-per-core style),
-//! each owning one index shard plus a pinned session handle, fed through
-//! bounded queues by a consistent-hash [`router`].
+//! small *service*: a set of shards, each owning one index shard, a bounded
+//! queue and a worker thread, fed by a consistent-hash [`router`]. A shard is
+//! a *combiner*, not a thread: at any moment at most one thread — the worker,
+//! or a caller that found the shard idle — executes its requests, under one
+//! group commit per batch.
 //!
 //! The design points, in the order they matter:
 //!
@@ -13,14 +15,21 @@
 //!   site compiling unchanged — [`Service::call`]/[`Service::cast`] accept
 //!   both. The [`Reply`] carries the request's disposition back: which shard
 //!   executed it and how long it queued.
-//! * **Batched group commit** ([`shard`]): a worker drains up to
-//!   `max_batch` queued requests and executes them under one
-//!   [`recipe::session::Batch`] — a single epoch pin and a single closing
-//!   fence for the whole batch. Per-line `clwb`s dedup across the batch's one
-//!   fence epoch ([`pm::latency`]), so the *charged* PM cost per operation
-//!   drops as batches grow. Requests are acknowledged only after the batch's
-//!   closing fence: durability is per-batch (group commit), visibility is
-//!   immediate.
+//! * **Batched group commit** ([`shard`]): the shard's combiner takes up to
+//!   `max_batch` requests — what is queued, plus what arrives while the batch
+//!   is open — and executes them under one [`recipe::session::Batch`] — a
+//!   single epoch pin and a single closing fence for the whole batch.
+//!   Per-line `clwb`s dedup across the batch's one fence epoch
+//!   ([`pm::latency`]), so the *charged* PM cost per operation drops as
+//!   batches grow. Requests are acknowledged only after the batch's closing
+//!   fence: durability is per-batch (group commit), visibility is immediate.
+//! * **Caller-runs** ([`Service::call`]): a closed-loop request onto an idle
+//!   shard is executed by the calling thread itself, through that same batch
+//!   path — no enqueue, no ticket, no thread woken in either direction, so an
+//!   uncontended call costs about a microsecond instead of two context
+//!   switches. A request onto a busy shard is enqueued; its caller spins
+//!   briefly, then parks. Open-loop [`Service::cast`]s always go to the
+//!   worker.
 //! * **Admission control** ([`Service::call`] / [`Service::cast`]): each
 //!   shard queue is bounded. A full queue sheds the request with a typed
 //!   [`ShedReason::QueueFull`] — never a panic, never an unbounded queue. An
@@ -41,7 +50,8 @@
 //!   load keeps running. Acknowledged writes are never lost; crash sites
 //!   (`service.migrate.*`) make the handoff sweepable.
 //! * **Observability**: every shard registers `service.shard{i}.*` counters
-//!   and an exact latency histogram (`service.shard{i}.latency_ns`,
+//!   (`caller_batches` says how many of its `batches` callers ran) and an
+//!   exact latency histogram (`service.shard{i}.latency_ns`,
 //!   enqueue-to-commit) in the [`obs`] registry, so one
 //!   `recipe-obs-metrics/v1` snapshot carries the full service state. The
 //!   [`loadgen`] module reads p50/p90/p99/p999 back from those histograms and
@@ -92,8 +102,8 @@ impl Op {
     }
 }
 
-/// A latency budget for one request, measured from enqueue. A worker that
-/// dequeues a request whose queue age already exceeds its budget drops it
+/// A latency budget for one request, measured from enqueue. A combiner that
+/// picks up a request whose queue age already exceeds its budget drops it
 /// *before* executing ([`ShedReason::DeadlineExceeded`]) — under overload
 /// this converts unbounded tail latency into typed, accounted sheds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,7 +238,7 @@ impl ReplyBody {
 
 /// A serviced request's outcome plus its disposition: which shard executed
 /// it (meaningful during live migration, where a forwarded request lands on
-/// the destination) and how long it sat queued before executing.
+/// the destination) and how long it took from submission to commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reply {
     /// The typed outcome.
@@ -236,7 +246,11 @@ pub struct Reply {
     /// Shard that executed (or shed) the request. For a request refused at
     /// admission this is the shard it routed to.
     pub shard: usize,
-    /// Nanoseconds between enqueue and execution (0 for admission sheds).
+    /// Nanoseconds from enqueue to the request's group commit — or, for a
+    /// deadline shed, to the moment it was found stale. A request its caller
+    /// ran itself was never enqueued: the clock starts when the caller claims
+    /// the shard, so this is the cost of its own batch. Never 0 for a request
+    /// a combiner saw; 0 marks an admission shed.
     pub queue_age_ns: u64,
 }
 

@@ -22,12 +22,13 @@
 //!    `K` and publishes `frozen_hi = K` (monotone: it never retreats, so a
 //!    crash-resume cannot expose a half-moved key as writable);
 //! 2. **sync** — pushes a barrier job through the source queue; once it
-//!    completes, every request classified under the *old* window has fully
-//!    executed, so the source index is quiescent for moved keys `≤ K`;
+//!    completes, every request classified under the *old* window — enqueued,
+//!    or claimed by a caller running it itself — has fully executed, so the
+//!    source index is quiescent for moved keys `≤ K`;
 //! 3. **copy** — re-scans `(done_hi, K]` authoritatively, and ships the
 //!    moved entries to the destination queue as one cap-exempt copy batch —
-//!    committed by the destination worker under the same batched group
-//!    commit as any other write — waiting for its ticket;
+//!    committed by the destination shard's combiner under the same batched
+//!    group commit as any other write — waiting for its ticket;
 //! 4. **prune** — removes the copied keys from the source index (driver
 //!    session, batched); frozen classification keeps them unreachable at the
 //!    source meanwhile;
@@ -148,8 +149,8 @@ pub(crate) enum KeyState {
 }
 
 /// The per-source forwarding window, published by the driver and read by the
-/// source worker every batch. Both cursors are inclusive and move only
-/// forward; the `*_all` flags are the terminal states of each cursor.
+/// source shard's combiner every pickup pass. Both cursors are inclusive and
+/// move only forward; the `*_all` flags are the terminal states of each cursor.
 #[derive(Default)]
 pub(crate) struct Window {
     frozen_hi: Option<Vec<u8>>,
@@ -399,7 +400,7 @@ fn drive_source(svc: &Service, plan: &Arc<MigrationPlan>, sm: &SourceMigration) 
         if !entries.is_empty() {
             let keys: Vec<Vec<u8>> = entries.iter().map(|(k, _)| k.clone()).collect();
             plan.moved_entries.fetch_add(entries.len() as u64, Ordering::Relaxed);
-            // Committed by the destination worker's batched group commit.
+            // Committed by the destination shard's batched group commit.
             plan.dest_shard.push_copy(entries).wait();
             site("service.migrate.copied");
             {

@@ -3,8 +3,8 @@
 
 use crate::migrate::{MigrateError, MigrationPlan, MigrationReport};
 use crate::router::Router;
-use crate::shard::{Shard, ShardStats, Ticket};
-use crate::{Reply, ReplyBody, Request, ShedReason};
+use crate::shard::{Called, Shard, ShardStats};
+use crate::{Reply, Request, ShedReason};
 use recipe::session::Index;
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// | `default_deadline_ns` | `RECIPE_SERVICE_DEADLINE_NS` | 0 (off) |
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Shard worker threads (each owns one index shard).
+    /// Shards (each owns one index shard and one worker thread).
     pub shards: usize,
     /// Bounded queue depth per shard; beyond it requests shed.
     pub queue_cap: usize,
@@ -134,25 +134,41 @@ impl Service {
             .or((self.cfg.default_deadline_ns > 0).then_some(self.cfg.default_deadline_ns))
     }
 
-    /// Closed-loop request: route, enqueue, wait for the group commit, return
-    /// the typed reply. Accepts a bare [`crate::Op`] or a full [`Request`]
-    /// envelope. A full queue returns a [`ReplyBody::Shed`] reply immediately
-    /// — admission control never blocks the caller behind an overloaded
-    /// shard. The routing read lock is held only across route+enqueue, never
-    /// across the wait, so a migration cutover can always make progress.
+    /// Closed-loop request: route, execute under a group commit, return the
+    /// typed reply. Accepts a bare [`crate::Op`] or a full [`Request`]
+    /// envelope.
+    ///
+    /// If the target shard is idle the calling thread runs the request itself
+    /// — it becomes the shard's combiner for a bounded turn (at most
+    /// `max_batch` jobs, see [`crate::shard`]) and returns with no thread
+    /// wake on either side. Otherwise the request is enqueued and the caller
+    /// waits for whoever is combining; a full queue returns a
+    /// [`crate::ReplyBody::Shed`] reply immediately — admission control never
+    /// blocks the caller behind an overloaded shard.
+    ///
+    /// The routing read lock is held across route + enqueue, or route + the
+    /// caller's own turn — which never blocks on another request and never
+    /// takes a routing lock — and never across a wait: a request the turn
+    /// could not finish (forwarded or bounced by a live migration) comes back
+    /// as a ticket that is waited on after the lock is gone. So a migration
+    /// cutover waits for at most one bounded turn per caller, and a claim is
+    /// ordered against it exactly as an enqueue is.
+    ///
+    /// # Panics
+    ///
+    /// If the request's own index operation panics (see "When an operation
+    /// panics" in [`crate::shard`]).
     #[must_use]
     pub fn call(&self, req: impl Into<Request>) -> Reply {
         let req: Request = req.into();
         let budget = self.budget_ns(&req);
-        let ticket = Ticket::new();
-        let (submitted, shard) = {
+        let called = {
             let topo = self.topo.read();
-            let shard = topo.router.route(req.key());
-            (topo.shards[shard].submit(req.op, budget, Some(Arc::clone(&ticket))), shard)
+            topo.shards[topo.router.route(req.key())].call(req.op, budget)
         };
-        match submitted {
-            Ok(()) => ticket.wait(),
-            Err(reason) => Reply { body: ReplyBody::Shed(reason), shard, queue_age_ns: 0 },
+        match called {
+            Called::Replied(reply) => reply,
+            Called::Pending(ticket) => ticket.wait(),
         }
     }
 
@@ -164,7 +180,7 @@ impl Service {
         let req: Request = req.into();
         let budget = self.budget_ns(&req);
         let topo = self.topo.read();
-        topo.shards[topo.router.route(req.key())].submit(req.op, budget, None)
+        topo.shards[topo.router.route(req.key())].cast(req.op, budget)
     }
 
     /// Split shard `src`'s keyspace onto a freshly spawned shard, live: load
@@ -192,7 +208,7 @@ impl Service {
         crate::migrate::resume(self)
     }
 
-    /// Block until every shard queue is empty and every worker idle. With
+    /// Block until every shard queue is empty and nobody is combining. With
     /// concurrent submitters this is a momentary truth, not a fence; use it
     /// after open-loop runs to bound "all casts executed". Multi-pass: a
     /// drained source that forwarded work to a migration destination sends
@@ -231,7 +247,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Deadline, Op};
+    use crate::{Deadline, Op, ReplyBody};
     use recipe::key::u64_key;
     use recipe::session::{Capabilities, OpError, OpResult, ScanBuf};
     use std::sync::atomic::{AtomicU64, Ordering};

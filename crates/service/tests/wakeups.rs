@@ -1,7 +1,9 @@
-//! The shard queue notifies its condvar only when someone waits on it: the
-//! worker parked for jobs, or a caller inside `drain`. A wrong condition
-//! shows up as a lost wake-up — a hang — so the scenario runs under a
-//! watchdog that fails the test instead of stalling the suite.
+//! The shard queue notifies its condvar only when someone waits on it and
+//! must run: the worker parked for jobs while no caller is combining, or a
+//! caller inside `drain`; a ticket notifies only a waiter that gave up
+//! spinning. A wrong condition shows up as a lost wake-up — a hang — so the
+//! scenario runs under a watchdog that fails the test instead of stalling the
+//! suite.
 
 use recipe::key::u64_key;
 use service::{Op, ReplyBody, Service, ServiceConfig};
@@ -34,13 +36,17 @@ fn start(shards: usize) -> Service {
     })
 }
 
-/// Rounds of "cast a handful, drain" keep crossing both edges the condition
-/// guards (worker parks between rounds; the drainer sleeps until the batch
-/// ends), while four closed-loop callers enqueue onto the same two queues.
+/// Rounds of "cast a handful, drain" keep crossing the edges the conditions
+/// guard (worker parks between rounds; the drainer sleeps until the shard goes
+/// idle, whoever's turn ends last), while eight closed-loop callers — more
+/// than the host has CPUs, so tickets do time out of their spin and park, and
+/// combiners do get descheduled mid-turn — claim or enqueue onto the same two
+/// queues, and a live split of shard 0 adds its barriers, forwards and
+/// bounces half-way through.
 #[test]
 fn cast_drain_rounds_and_concurrent_calls_never_lose_a_wakeup() {
     const ROUNDS: u64 = 10_000;
-    const CALLERS: u64 = 4;
+    const CALLERS: u64 = 8;
     within(Duration::from_secs(300), || {
         let svc = start(2);
         let stop = AtomicBool::new(false);
@@ -61,6 +67,10 @@ fn cast_drain_rounds_and_concurrent_calls_never_lose_a_wakeup() {
                 })
                 .collect();
             for round in 0..ROUNDS {
+                if round == ROUNDS / 2 {
+                    let report = svc.split(0).expect("a Bw-tree shard scans, so it splits");
+                    assert!(report.moved_entries > 0, "the callers' keys were there to move");
+                }
                 for i in 0..(1 + round % 5) {
                     svc.cast(Op::Insert(u64_key(round * 8 + i).to_vec(), round))
                         .expect("a handful of casts never fills a 1024-deep queue");
