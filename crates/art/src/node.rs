@@ -11,12 +11,15 @@
 //! Mutation protocol (writers hold the node's lock; readers are non-blocking):
 //!
 //! * adding a child writes the key byte / slot first and *commits* with the child
-//!   pointer (or slot-index) store;
+//!   pointer (or slot-index, or `count`) store; the fence ahead of the commit is
+//!   also the fence a freshly flushed, still unreachable child rides on
+//!   ([`NodeRef::add_child`]);
 //! * removing a child clears the pointer/slot atomically;
 //! * growing a node copies it and the parent's slot is swapped by the caller — the old
 //!   node is marked obsolete so writers that still hold its lock restart.
 
 use recipe::lock::VersionLock;
+use recipe::persist::{Dram, PersistMode};
 use recipe::simd::SetBits;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
 
@@ -98,6 +101,28 @@ pub unsafe fn leaf_ref<'a>(word: usize) -> &'a Leaf {
     debug_assert!(is_leaf(word));
     // SAFETY: caller contract; leaves are never freed while the tree is alive.
     unsafe { &*((word & !1) as *const Leaf) }
+}
+
+/// The conversion action on one in-place store: report it to the durability tracker,
+/// flush its line and optionally fence.
+#[inline]
+fn persist_store<P: PersistMode, T>(field: &T, fence: bool) {
+    P::mark_dirty_obj(field);
+    P::persist_obj(field, fence);
+}
+
+/// Assert that the leaf a store is about to make reachable — the leaf and its boxed
+/// key bytes — is durable (the check of the stage–fence–publish discipline; free
+/// unless the durability tracker is on). Inner-node children are asserted by the
+/// tree, which built them.
+#[inline]
+fn assert_leaf_staged<P: PersistMode>(child: usize) {
+    if is_leaf(child) {
+        // SAFETY: `child` is a leaf word the calling insert allocated.
+        let l = unsafe { leaf_ref(child) };
+        P::assert_durable(l.key.as_ptr(), l.key.len());
+        P::assert_durable_obj(l as *const Leaf);
+    }
 }
 
 /// Common header shared (as the first field) by all inner node types.
@@ -241,13 +266,13 @@ impl Node48 {
     /// Store slot reference `v` for key byte `b` with one atomic word store (a
     /// lane splice; the word is only written under the node lock, so the
     /// read-modify-write cannot race another writer, and readers see the other
-    /// lanes unchanged). Persists the containing 8-byte word.
+    /// lanes unchanged). Persists the containing 8-byte word and fences.
     #[inline]
-    fn set_slot_ref(&self, b: u8, v: u8, persist: &dyn Fn(*const u8, usize, bool)) {
+    fn set_slot_ref<P: PersistMode>(&self, b: u8, v: u8) {
         let wi = b as usize / 8;
         let cur = self.index[wi].load(Ordering::Acquire);
         self.index[wi].store(recipe::simd::set_lane8(cur, b as usize % 8, v), Ordering::Release);
-        persist(self.index[wi].as_ptr() as *const u8, 8, true);
+        persist_store::<P, _>(&self.index[wi], true);
     }
 }
 
@@ -490,48 +515,58 @@ impl NodeRef {
     /// Add a child for key byte `b`. Must be called with the node lock held and only
     /// when [`NodeRef::is_full`] is false and `b` is not already present.
     ///
-    /// The `persist` callback is invoked as `persist(addr, len, fence)` after the
-    /// preparatory store(s) and after the committing store, letting the caller (the
-    /// generic tree) drive the RECIPE conversion.
-    pub fn add_child(&self, b: u8, child: usize, persist: &dyn Fn(*const u8, usize, bool)) -> bool {
+    /// `P` drives the RECIPE conversion: each store is flushed, one fence precedes
+    /// the commit and one follows it. A new leaf therefore arrives *staged* — flushed
+    /// with `fence = false` — and rides on the fence ahead of the commit: the one
+    /// behind the preparatory store (key byte, child slot) of a Node4/16/48, and a
+    /// bare fence in a Node256, whose first store already publishes. Private, not
+    /// yet reachable nodes are filled with `P = Dram` and flushed whole by their
+    /// builder.
+    pub fn add_child<P: PersistMode>(&self, b: u8, child: usize) -> bool {
         match self.hdr().tag {
             NodeTag::N4 => {
                 let n = self.as_n4();
-                self.add_packed(std::slice::from_ref(&n.keys), &n.children, 4, b, child, persist)
+                self.add_packed::<P>(std::slice::from_ref(&n.keys), &n.children, 4, b, child)
             }
             NodeTag::N16 => {
                 let n = self.as_n16();
-                self.add_packed(&n.keys, &n.children, 16, b, child, persist)
+                self.add_packed::<P>(&n.keys, &n.children, 16, b, child)
             }
             NodeTag::N48 => {
                 let n = self.as_n48();
                 let slot = (0..48).find(|&i| n.children[i].load(Ordering::Acquire) == 0);
                 let Some(slot) = slot else { return false };
+                // The slot is unreachable until the index byte names it: its fence is
+                // the one a staged child rides on.
                 n.children[slot].store(child, Ordering::Release);
-                persist(n.children[slot].as_ptr() as *const u8, 8, true);
+                persist_store::<P, _>(&n.children[slot], true);
+                assert_leaf_staged::<P>(child);
                 // Commit: publish the slot in the packed byte index.
-                n.set_slot_ref(b, slot as u8 + 1, persist);
+                n.set_slot_ref::<P>(b, slot as u8 + 1);
                 self.hdr().count.fetch_add(1, Ordering::Release);
                 true
             }
             NodeTag::N256 => {
                 let n = self.as_n256();
+                // No preparatory store: the child-pointer store publishes, so the
+                // staged child gets a fence of its own here.
+                P::fence();
+                assert_leaf_staged::<P>(child);
                 n.children[b as usize].store(child, Ordering::Release);
-                persist(n.children[b as usize].as_ptr() as *const u8, 8, true);
+                persist_store::<P, _>(&n.children[b as usize], true);
                 self.hdr().count.fetch_add(1, Ordering::Release);
                 true
             }
         }
     }
 
-    fn add_packed(
+    fn add_packed<P: PersistMode>(
         &self,
         words: &[AtomicU64],
         children: &[AtomicUsize],
         cap: usize,
         b: u8,
         child: usize,
-        persist: &dyn Fn(*const u8, usize, bool),
     ) -> bool {
         let hdr = self.hdr();
         let count = hdr.count.load(Ordering::Acquire) as usize;
@@ -545,42 +580,40 @@ impl NodeRef {
         // Key byte first (persisted), then the committing child-pointer store. The
         // byte is spliced into its packed word with one atomic store; the word is
         // only written under the node lock, so the read-modify-write cannot race
-        // with another writer, and readers see the other lanes unchanged.
+        // with another writer, and readers see the other lanes unchanged. The fence
+        // behind the key byte is also the one a staged child rides on.
         let (wi, lane) = (slot / 8, slot % 8);
         let cur = words[wi].load(Ordering::Acquire);
         words[wi].store(recipe::simd::set_lane8(cur, lane, b), Ordering::Release);
-        persist(words[wi].as_ptr() as *const u8, 8, true);
+        persist_store::<P, _>(&words[wi], true);
+        assert_leaf_staged::<P>(child);
+        // A slot past `count` is published by the `count` store, a reused hole by
+        // the child pointer. Recovery tolerates either of pointer and count durable
+        // without the other (a pointer past `count` is invisible and overwritten by
+        // the next add; a counted slot with a null pointer is a hole), so the two
+        // share the fence that precedes the acknowledgement.
         children[slot].store(child, Ordering::Release);
-        persist(children[slot].as_ptr() as *const u8, 8, true);
+        persist_store::<P, _>(&children[slot], !bump_count);
         if bump_count {
             hdr.count.fetch_add(1, Ordering::Release);
-            persist(&hdr.count as *const AtomicU16 as *const u8, 2, true);
+            persist_store::<P, _>(&hdr.count, true);
         }
         true
     }
 
-    /// Replace the existing child for byte `b` with `new_child` (single atomic store).
-    /// Must be called with the node lock held; returns false if `b` has no child.
-    pub fn replace_child(
-        &self,
-        b: u8,
-        new_child: usize,
-        persist: &dyn Fn(*const u8, usize, bool),
-    ) -> bool {
+    /// Replace the existing child for byte `b` with `new_child` (single atomic store,
+    /// flushed and fenced). Must be called with the node lock held; returns false if
+    /// `b` has no child. The store publishes `new_child`: the caller has made it
+    /// durable.
+    pub fn replace_child<P: PersistMode>(&self, b: u8, new_child: usize) -> bool {
         match self.hdr().tag {
             NodeTag::N4 => {
                 let n = self.as_n4();
-                self.replace_packed(
-                    std::slice::from_ref(&n.keys),
-                    &n.children,
-                    b,
-                    new_child,
-                    persist,
-                )
+                self.replace_packed::<P>(std::slice::from_ref(&n.keys), &n.children, b, new_child)
             }
             NodeTag::N16 => {
                 let n = self.as_n16();
-                self.replace_packed(&n.keys, &n.children, b, new_child, persist)
+                self.replace_packed::<P>(&n.keys, &n.children, b, new_child)
             }
             NodeTag::N48 => {
                 let n = self.as_n48();
@@ -590,7 +623,7 @@ impl NodeRef {
                 }
                 let slot = (idx - 1) as usize;
                 n.children[slot].store(new_child, Ordering::Release);
-                persist(n.children[slot].as_ptr() as *const u8, 8, true);
+                persist_store::<P, _>(&n.children[slot], true);
                 true
             }
             NodeTag::N256 => {
@@ -599,26 +632,25 @@ impl NodeRef {
                     return false;
                 }
                 n.children[b as usize].store(new_child, Ordering::Release);
-                persist(n.children[b as usize].as_ptr() as *const u8, 8, true);
+                persist_store::<P, _>(&n.children[b as usize], true);
                 true
             }
         }
     }
 
-    fn replace_packed(
+    fn replace_packed<P: PersistMode>(
         &self,
         words: &[AtomicU64],
         children: &[AtomicUsize],
         b: u8,
         new_child: usize,
-        persist: &dyn Fn(*const u8, usize, bool),
     ) -> bool {
         let count = (self.hdr().count.load(Ordering::Acquire) as usize).min(children.len());
         let (w0, w1) = Self::load_key_words(words);
         for i in crate::search::match_slots(w0, w1, count, b) {
             if children[i].load(Ordering::Acquire) != 0 {
                 children[i].store(new_child, Ordering::Release);
-                persist(children[i].as_ptr() as *const u8, 8, true);
+                persist_store::<P, _>(&children[i], true);
                 return true;
             }
         }
@@ -626,15 +658,15 @@ impl NodeRef {
     }
 
     /// Remove the child for byte `b` (single atomic store). Lock must be held.
-    pub fn remove_child(&self, b: u8, persist: &dyn Fn(*const u8, usize, bool)) -> bool {
+    pub fn remove_child<P: PersistMode>(&self, b: u8) -> bool {
         match self.hdr().tag {
             NodeTag::N4 => {
                 let n = self.as_n4();
-                self.remove_packed(std::slice::from_ref(&n.keys), &n.children, b, persist)
+                self.remove_packed::<P>(std::slice::from_ref(&n.keys), &n.children, b)
             }
             NodeTag::N16 => {
                 let n = self.as_n16();
-                self.remove_packed(&n.keys, &n.children, b, persist)
+                self.remove_packed::<P>(&n.keys, &n.children, b)
             }
             NodeTag::N48 => {
                 let n = self.as_n48();
@@ -642,7 +674,7 @@ impl NodeRef {
                 if idx == 0 {
                     return false;
                 }
-                n.set_slot_ref(b, 0, persist);
+                n.set_slot_ref::<P>(b, 0);
                 n.children[(idx - 1) as usize].store(0, Ordering::Release);
                 true
             }
@@ -652,25 +684,24 @@ impl NodeRef {
                     return false;
                 }
                 n.children[b as usize].store(0, Ordering::Release);
-                persist(n.children[b as usize].as_ptr() as *const u8, 8, true);
+                persist_store::<P, _>(&n.children[b as usize], true);
                 true
             }
         }
     }
 
-    fn remove_packed(
+    fn remove_packed<P: PersistMode>(
         &self,
         words: &[AtomicU64],
         children: &[AtomicUsize],
         b: u8,
-        persist: &dyn Fn(*const u8, usize, bool),
     ) -> bool {
         let count = (self.hdr().count.load(Ordering::Acquire) as usize).min(children.len());
         let (w0, w1) = Self::load_key_words(words);
         for i in crate::search::match_slots(w0, w1, count, b) {
             if children[i].load(Ordering::Acquire) != 0 {
                 children[i].store(0, Ordering::Release);
-                persist(children[i].as_ptr() as *const u8, 8, true);
+                persist_store::<P, _>(&children[i], true);
                 return true;
             }
         }
@@ -678,8 +709,8 @@ impl NodeRef {
     }
 
     /// Copy this node into the next larger node type, adding child `b -> child`.
-    /// Returns the new node's untagged word. Lock must be held; the caller installs the
-    /// new node in the parent and marks this node obsolete.
+    /// Returns the new node's untagged word. Lock must be held; the caller flushes
+    /// the new node, installs it in the parent and marks this node obsolete.
     #[must_use]
     pub fn grow_with(&self, b: u8, child: usize) -> usize {
         let hdr = self.hdr();
@@ -692,13 +723,13 @@ impl NodeRef {
         };
         // SAFETY: freshly allocated inner node word.
         let new_ref = unsafe { NodeRef::from_word(new_word) };
-        let noop = |_: *const u8, _: usize, _: bool| {};
+        // Private copy: plain stores; the caller flushes the whole node.
         self.walk_children_from(0, |kb, c| {
-            let ok = new_ref.add_child(kb, c, &noop);
+            let ok = new_ref.add_child::<Dram>(kb, c);
             debug_assert!(ok);
             false
         });
-        let ok = new_ref.add_child(b, child, &noop);
+        let ok = new_ref.add_child::<Dram>(b, child);
         debug_assert!(ok);
         new_word
     }
@@ -718,10 +749,6 @@ impl NodeRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn noop() -> impl Fn(*const u8, usize, bool) {
-        |_, _, _| {}
-    }
 
     /// Every live `(key byte, child)` of `n` from byte `lo` on, as the walk reports them.
     fn children_from(n: &NodeRef, lo: u8) -> Vec<(u8, usize)> {
@@ -760,17 +787,17 @@ mod tests {
         assert_eq!(n.find_child(5), 0);
         let c1 = Leaf::alloc(b"a", 1);
         let c2 = Leaf::alloc(b"b", 2);
-        assert!(n.add_child(5, c1, &noop()));
-        assert!(n.add_child(9, c2, &noop()));
+        assert!(n.add_child::<Dram>(5, c1));
+        assert!(n.add_child::<Dram>(9, c2));
         assert_eq!(n.find_child(5), c1);
         assert_eq!(n.find_child(9), c2);
         assert_eq!(children_from(&n, 0).len(), 2);
-        assert!(n.remove_child(5, &noop()));
+        assert!(n.remove_child::<Dram>(5));
         assert_eq!(n.find_child(5), 0);
-        assert!(!n.remove_child(5, &noop()));
+        assert!(!n.remove_child::<Dram>(5));
         // Hole is reused.
         let c3 = Leaf::alloc(b"c", 3);
-        assert!(n.add_child(7, c3, &noop()));
+        assert!(n.add_child::<Dram>(7, c3));
         assert_eq!(n.find_child(7), c3);
         assert_eq!(n.hdr().count.load(Ordering::Relaxed), 2);
     }
@@ -782,10 +809,10 @@ mod tests {
         let n = unsafe { NodeRef::from_word(w) };
         for b in 0..4u8 {
             assert!(!n.is_full());
-            assert!(n.add_child(b, Leaf::alloc(&[b], b as u64), &noop()));
+            assert!(n.add_child::<Dram>(b, Leaf::alloc(&[b], b as u64)));
         }
         assert!(n.is_full());
-        assert!(!n.add_child(99, Leaf::alloc(b"x", 0), &noop()));
+        assert!(!n.add_child::<Dram>(99, Leaf::alloc(b"x", 0)));
     }
 
     #[test]
@@ -799,7 +826,7 @@ mod tests {
             if n.is_full() {
                 word = n.grow_with(b, leaf);
             } else {
-                assert!(n.add_child(b, leaf, &noop()));
+                assert!(n.add_child::<Dram>(b, leaf));
             }
             inserted.push((b, leaf));
             // SAFETY: `word` was produced by this test's own allocations above.
@@ -830,9 +857,9 @@ mod tests {
             let n = unsafe { NodeRef::from_word(w) };
             let c1 = Leaf::alloc(b"1", 1);
             let c2 = Leaf::alloc(b"2", 2);
-            assert!(!n.replace_child(10, c2, &noop()), "replace on absent byte fails");
-            assert!(n.add_child(10, c1, &noop()));
-            assert!(n.replace_child(10, c2, &noop()));
+            assert!(!n.replace_child::<Dram>(10, c2), "replace on absent byte fails");
+            assert!(n.add_child::<Dram>(10, c1));
+            assert!(n.replace_child::<Dram>(10, c2));
             assert_eq!(n.find_child(10), c2);
         }
     }
@@ -872,7 +899,7 @@ mod tests {
             let n = unsafe { NodeRef::from_word(w) };
             let bytes: Vec<u8> = (0..n_keys as u8).map(|i| 251u8.wrapping_mul(i + 1)).collect();
             for &b in &bytes {
-                assert!(n.add_child(b, Leaf::alloc(&[b], u64::from(b)), &noop()));
+                assert!(n.add_child::<Dram>(b, Leaf::alloc(&[b], u64::from(b))));
             }
             let got: Vec<u8> = children_from(&n, 0).iter().map(|&(b, _)| b).collect();
             let mut want = bytes.clone();
@@ -894,7 +921,7 @@ mod tests {
             if n.is_full() {
                 word = n.grow_with(b, leaf);
             } else {
-                assert!(n.add_child(b, leaf, &noop()));
+                assert!(n.add_child::<Dram>(b, leaf));
             }
             if ![3, 15, 39].contains(&i) {
                 continue; // check a Node4, a Node16 and a Node48
@@ -920,7 +947,7 @@ mod tests {
         // SAFETY: freshly allocated.
         let n = unsafe { NodeRef::from_word(w) };
         for b in [0u8, 7, 200, 255] {
-            assert!(n.add_child(b, Leaf::alloc(&[b], 0), &noop()));
+            assert!(n.add_child::<Dram>(b, Leaf::alloc(&[b], 0)));
         }
         let from = |lo| children_from(&n, lo).iter().map(|&(b, _)| b).collect::<Vec<u8>>();
         assert_eq!(from(0), vec![0, 7, 200, 255]);

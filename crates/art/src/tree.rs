@@ -15,9 +15,16 @@
 //! P-ART write path repairs it with the Condition-#3 helper: if `try_lock` on the node
 //! succeeds, no writer is active, so the inconsistency is permanent and the prefix is
 //! recomputed from the `level` field and persisted.
+//!
+//! Persistence follows one discipline — **stage, fence once, publish**: an object
+//! nothing can reach yet (a new leaf, a grown / branch / split node) is flushed with
+//! `fence = false` and becomes durable under the single fence that precedes the store
+//! publishing it; that store is flushed and fenced before the operation is
+//! acknowledged. Every publishing site asserts (`PersistMode::assert_durable`, live
+//! under the durability tracker) that what it publishes is durable.
 
 use crate::node::{is_leaf, leaf_ref, pack_prefix, Leaf, Node256, Node4, NodeRef, MAX_PREFIX};
-use recipe::persist::PersistMode;
+use recipe::persist::{Dram, PersistMode};
 use recipe::session::ScanBuf;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,24 +52,34 @@ impl<P: PersistMode> Default for Art<P> {
     }
 }
 
-fn persist_cb<P: PersistMode>() -> impl Fn(*const u8, usize, bool) {
-    |ptr, len, fence| {
-        P::mark_dirty(ptr, len);
-        P::persist_range(ptr, len, fence);
-    }
-}
-
-fn persist_new_node<P: PersistMode>(word: usize) {
+/// Flush a freshly built inner node. With `fence = false` the node is *staged*: it
+/// must stay unreachable until a later fence, before the store that publishes it.
+fn persist_new_node<P: PersistMode>(word: usize, fence: bool) {
     // SAFETY: caller passes a freshly allocated inner-node word.
     let n = unsafe { NodeRef::from_word(word) };
-    P::persist_range(word as *const u8, n.size_bytes(), true);
+    P::persist_range(word as *const u8, n.size_bytes(), fence);
 }
 
-fn persist_new_leaf<P: PersistMode>(leaf_word: usize) {
+/// Stage a freshly allocated leaf: flush its boxed key bytes and the leaf itself
+/// without a fence. Every insert path publishes the leaf behind a later fence — the
+/// one `add_child` issues ahead of its commit, or the new node's.
+fn stage_new_leaf<P: PersistMode>(leaf_word: usize) {
     // SAFETY: caller passes a freshly allocated tagged leaf word.
     let l = unsafe { leaf_ref(leaf_word) };
+    // The key box comes from the plain heap, so the tracker learns of it here.
+    P::mark_dirty(l.key.as_ptr(), l.key.len());
     P::persist_range(l.key.as_ptr(), l.key.len(), false);
-    P::persist_range((leaf_word & !1) as *const u8, std::mem::size_of::<Leaf>(), true);
+    P::persist_obj(l as *const Leaf, false);
+}
+
+/// The check of the discipline at a publishing store: the new leaf (with its key
+/// bytes) and the new node about to become reachable through `node_word` are durable.
+fn assert_staged_durable<P: PersistMode>(leaf_word: usize, node_word: usize) {
+    // SAFETY: both words were allocated by the operation that is publishing them.
+    let (l, n) = unsafe { (leaf_ref(leaf_word), NodeRef::from_word(node_word)) };
+    P::assert_durable(l.key.as_ptr(), l.key.len());
+    P::assert_durable_obj(l as *const Leaf);
+    P::assert_durable(node_word as *const u8, n.size_bytes());
 }
 
 impl<P: PersistMode> Art<P> {
@@ -70,7 +87,7 @@ impl<P: PersistMode> Art<P> {
     #[must_use]
     pub fn new() -> Self {
         let root = Node256::alloc(0, b"");
-        persist_new_node::<P>(root);
+        persist_new_node::<P>(root, true);
         let t = Art { root: AtomicUsize::new(root), _policy: PhantomData };
         P::persist_obj(&t.root, true);
         t
@@ -246,10 +263,11 @@ impl<P: PersistMode> Art<P> {
             }
             if !node.is_full() {
                 let leaf = Leaf::alloc(key, value);
-                persist_new_leaf::<P>(leaf);
+                // Staged: it rides on the fence `add_child` issues ahead of its commit.
+                stage_new_leaf::<P>(leaf);
                 P::crash_site("art.insert.leaf_persisted");
-                // Commit: single atomic child-pointer (or index) store.
-                let ok = node.add_child(b, leaf, &persist_cb::<P>());
+                // Commit: single atomic child-pointer (or index, or count) store.
+                let ok = node.add_child::<P>(b, leaf);
                 debug_assert!(ok);
                 P::crash_site("art.insert.committed");
                 return AddLeafOutcome::Inserted;
@@ -272,12 +290,14 @@ impl<P: PersistMode> Art<P> {
             return AddLeafOutcome::Retry;
         }
         let leaf = Leaf::alloc(key, value);
-        persist_new_leaf::<P>(leaf);
+        stage_new_leaf::<P>(leaf);
         let grown = node.grow_with(b, leaf);
-        persist_new_node::<P>(grown);
+        // One fence for the staged leaf and the grown copy.
+        persist_new_node::<P>(grown, true);
         P::crash_site("art.grow.new_node_persisted");
         // Commit: swap the parent's child pointer to the grown copy.
-        let ok = par.replace_child(pbyte, grown, &persist_cb::<P>());
+        assert_staged_durable::<P>(leaf, grown);
+        let ok = par.replace_child::<P>(pbyte, grown);
         debug_assert!(ok);
         hdr.obsolete.store(true, Ordering::Release);
         P::crash_site("art.grow.committed");
@@ -320,18 +340,19 @@ impl<P: PersistMode> Art<P> {
             return false;
         }
         let new_leaf = Leaf::alloc(key, value);
-        persist_new_leaf::<P>(new_leaf);
+        stage_new_leaf::<P>(new_leaf);
         // Build the new branch node covering the matched part of the prefix.
         let branch = Node4::alloc((depth + p) as u32, &pbytes[..p]);
         // SAFETY: freshly allocated.
         let branch_ref = unsafe { NodeRef::from_word(branch) };
-        let noop = |_: *const u8, _: usize, _: bool| {};
-        branch_ref.add_child(pbytes[p], node.word(), &noop);
-        branch_ref.add_child(key[depth + p], new_leaf, &noop);
-        persist_new_node::<P>(branch);
+        branch_ref.add_child::<Dram>(pbytes[p], node.word());
+        branch_ref.add_child::<Dram>(key[depth + p], new_leaf);
+        // One fence for the staged leaf and the branch.
+        persist_new_node::<P>(branch, true);
         P::crash_site("art.path_split.branch_persisted");
         // Step 1: install the branch node in the parent (atomic store).
-        let ok = par.replace_child(pbyte, branch, &persist_cb::<P>());
+        assert_staged_durable::<P>(new_leaf, branch);
+        let ok = par.replace_child::<P>(pbyte, branch);
         debug_assert!(ok);
         P::crash_site("art.path_split.installed");
         // Step 2: truncate this node's prefix (single atomic store). A crash between
@@ -378,11 +399,12 @@ impl<P: PersistMode> Art<P> {
             return Some(false);
         }
         let new_leaf = Leaf::alloc(key, value);
-        persist_new_leaf::<P>(new_leaf);
+        stage_new_leaf::<P>(new_leaf);
         let subtree = build_split_subtree::<P>(base, cp, key, old_key, existing, new_leaf);
         P::crash_site("art.leaf_split.subtree_persisted");
         // Commit: single atomic store replacing the leaf with the subtree.
-        let ok = node.replace_child(b, subtree, &persist_cb::<P>());
+        assert_staged_durable::<P>(new_leaf, subtree);
+        let ok = node.replace_child::<P>(b, subtree);
         debug_assert!(ok);
         P::crash_site("art.leaf_split.committed");
         Some(true)
@@ -432,7 +454,7 @@ impl<P: PersistMode> Art<P> {
                         continue 'restart;
                     }
                     // Commit: single atomic store clearing the slot.
-                    let ok = node.remove_child(b, &persist_cb::<P>());
+                    let ok = node.remove_child::<P>(b);
                     debug_assert!(ok);
                     P::crash_site("art.remove.committed");
                     return true;
@@ -571,8 +593,9 @@ enum AddLeafOutcome {
 }
 
 /// Build a chain of `Node4`s covering `cp` shared key bytes starting at `base`, ending
-/// in a `Node4` that branches between the existing leaf and the new leaf. Every node is
-/// persisted; the caller commits by installing the returned word.
+/// in a `Node4` that branches between the existing leaf and the new leaf. Every node
+/// is staged and one fence at the end makes the chain — and the caller's staged new
+/// leaf — durable; the caller commits by installing the returned word.
 fn build_split_subtree<P: PersistMode>(
     base: usize,
     cp: usize,
@@ -581,7 +604,6 @@ fn build_split_subtree<P: PersistMode>(
     existing: usize,
     new_leaf: usize,
 ) -> usize {
-    let noop = |_: *const u8, _: usize, _: bool| {};
     // Segment the shared bytes into chunks of (up to 7 prefix bytes + 1 branch byte)
     // for intermediate single-child nodes, leaving <= MAX_PREFIX bytes for the final
     // branching node.
@@ -599,11 +621,12 @@ fn build_split_subtree<P: PersistMode>(
         Node4::alloc(branch_pos as u32, &new_key[final_start..final_start + final_plen]);
     // SAFETY: freshly allocated.
     let final_ref = unsafe { NodeRef::from_word(final_node) };
-    final_ref.add_child(old_key[branch_pos], existing, &noop);
-    final_ref.add_child(new_key[branch_pos], new_leaf, &noop);
-    persist_new_node::<P>(final_node);
+    final_ref.add_child::<Dram>(old_key[branch_pos], existing);
+    final_ref.add_child::<Dram>(new_key[branch_pos], new_leaf);
+    persist_new_node::<P>(final_node, false);
 
     let mut child = final_node;
+    let mut linked: Vec<usize> = Vec::new(); // nodes below the top of the chain
     for &seg_start in segments.iter().rev() {
         let node = Node4::alloc(
             (seg_start + MAX_PREFIX) as u32,
@@ -611,9 +634,15 @@ fn build_split_subtree<P: PersistMode>(
         );
         // SAFETY: freshly allocated.
         let r = unsafe { NodeRef::from_word(node) };
-        r.add_child(new_key[seg_start + MAX_PREFIX], child, &noop);
-        persist_new_node::<P>(node);
+        r.add_child::<Dram>(new_key[seg_start + MAX_PREFIX], child);
+        persist_new_node::<P>(node, false);
+        linked.push(child);
         child = node;
+    }
+    P::fence();
+    // The caller asserts the top of the chain; installing it publishes these too.
+    for &node in &linked {
+        P::assert_durable(node as *const u8, std::mem::size_of::<Node4>());
     }
     child
 }

@@ -8,7 +8,8 @@
 //! line set replaced the global atomics and the `HashSet`, the scan values at
 //! the commit *before* the scan path was rebuilt around `ScanBuf`; any drift
 //! means the accounting (or the set of nodes a scan visits) changed, not just
-//! its speed.
+//! its speed. P-ART and P-HOT were re-pinned once since, on purpose — see
+//! [`STAGED`].
 //!
 //! This file holds a single test so it owns its process: the installed latency
 //! model is process-global, and so is the allocator below.
@@ -120,6 +121,46 @@ const PARENT: &[(&str, [u64; 6])] = &[
     ("Level-Hashing", [73_723, 29_531, 185_677, 7_656_000, 5_315_580, 7_427_080]),
 ];
 
+/// The two rows the stage–fence–publish discipline moved, on purpose, as
+/// `(index, registry_stream row, scan_stream row)` in the column order of
+/// [`PARENT`] and [`PARENT_SCAN`]. What moved against the parent's rows:
+///
+/// * **fence** and **fence_ns** fall: an unpublished leaf (and, in P-HOT, an
+///   unpublished compound slot's lanes) no longer has a fence of its own but
+///   rides on the one ahead of the publishing store, and a Node4/16 child
+///   pointer shares its `count`'s fence.
+/// * **clwb** is unchanged: the same lines are flushed, only later fenced.
+/// * **clwb_ns** falls a little in P-ART through the wider dedup epochs: with
+///   fewer fences, a second flush of one line (a Node4's key word and its
+///   child slot) more often falls into the epoch that already paid for it.
+/// * **node_visits**, **read_ns** and the entries scanned are untouched.
+///
+/// The test also holds both rows to "nothing rose", and the other nine
+/// indexes to the parent's pins, bit for bit.
+const STAGED: &[(&str, [u64; 6], [u64; 7])] = &[
+    (
+        "P-ART",
+        [102_143, 49_528, 121_702, 12_198_240, 8_915_040, 4_868_080],
+        [814, 444, 34_837, 96_240, 79_920, 1_393_480, 191_186],
+    ),
+    (
+        "P-HOT",
+        [126_556, 49_717, 202_368, 15_186_720, 8_949_060, 8_094_720],
+        [1_333, 444, 14_891, 159_960, 79_920, 595_640, 191_186],
+    ),
+];
+
+/// The row `got` must equal: the re-pinned one for an index in [`STAGED`]
+/// (which must not exceed the parent's in any column), else the parent's.
+fn pinned<const N: usize>(name: &str, parent: [u64; N], staged: Option<[u64; N]>) -> [u64; N] {
+    let Some(now) = staged else { return parent };
+    for (col, (n, p)) in now.iter().zip(parent).enumerate() {
+        assert!(*n <= p, "{name}: column {col} rose from {p} to {n}");
+    }
+    assert!(now[1] < parent[1] && now[4] < parent[4], "{name}: fences and their charge must fall");
+    now
+}
+
 /// YCSB E as the driver issues it, on 20 000 loaded keys: 95% scans of 1–100
 /// entries from a loaded key, fetched as one chunk, and 5% inserts of new keys.
 /// Returns the counters of the scan phase alone and the entries it yielded.
@@ -194,7 +235,8 @@ fn fixed_streams_charge_exactly_what_the_parent_commit_charged() {
         if CLWB_FOLLOWS_FRAME.contains(name) {
             (got[0], got[3]) = (want[0], want[3]);
         }
-        assert_eq!(got, *want, "{name}");
+        let staged = STAGED.iter().find(|row| row.0 == *name).map(|row| row.1);
+        assert_eq!(got, pinned(name, *want, staged), "{name}");
     }
 
     let ordered: Vec<_> = entries.iter().filter(|e| e.caps.scan).collect();
@@ -220,6 +262,7 @@ fn fixed_streams_charge_exactly_what_the_parent_commit_charged() {
             );
             (got[2], got[5]) = (want[2], want[5]);
         }
-        assert_eq!(got, *want, "{name}");
+        let staged = STAGED.iter().find(|row| row.0 == *name).map(|row| row.2);
+        assert_eq!(got, pinned(name, *want, staged), "{name} scan stream");
     }
 }

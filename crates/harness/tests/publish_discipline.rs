@@ -1,0 +1,142 @@
+//! The stage–fence–publish discipline of P-ART and P-HOT, checked where a crash
+//! sweep cannot see it.
+//!
+//! The sweeps keep every store a crashed operation executed, so they prove the
+//! *order of steps* but pass a conversion that publishes an object before the
+//! fence that makes it durable. Here the durability tracker is on, and every
+//! publishing store of the two conversions asserts
+//! (`PersistMode::assert_durable`) that what it makes reachable is already
+//! flushed *and* fenced — an `assert!`, so this file means the same in debug
+//! and release. Moving or dropping the one fence a staged object rides on
+//! makes the stream below panic at the site that lost it.
+//!
+//! The tracker and the crash-site counters are process-global, so this file
+//! holds a single test.
+
+use art_index::PArt;
+use hot_trie::PHot;
+use pm::stats::Mapping;
+use recipe::key::u64_key;
+use recipe::session::{Index, ScanBuf};
+use std::collections::BTreeMap;
+
+const OPS: u64 = 20_000;
+
+/// Uniform 8-byte keys: shallow, wide nodes near the root (Node256 / Node48
+/// adds), Node4 leaf splits below them, HOT branch inserts and slot fills.
+fn random_key(id: u64) -> Vec<u8> {
+    u64_key(pm::mix64(id)).to_vec()
+}
+
+/// 24-byte keys under a handful of long shared prefixes, dense in the bytes behind them: chained leaf splits, path splits
+/// where a new tenant diverges inside a compressed prefix, and one node per
+/// tenant that grows Node4 → 16 → 48 → 256; in HOT, deep branch chains that
+/// widen into compounds and then take appends until they regrow.
+fn shared_prefix_key(id: u64) -> Vec<u8> {
+    const TENANTS: [&[u8; 18]; 5] = [
+        b"tenant-00/objects/",
+        b"tenant-01/objects/",
+        b"tenant-01/objectz/",
+        b"tenant-02/objects/",
+        b"tenant-02/obj/cts/",
+    ];
+    let r = pm::mix64(id ^ 0xD15C);
+    let mut key = TENANTS[(r % 5) as usize].to_vec();
+    // 3 000 dense object numbers per tenant: 12 values of the high byte, all
+    // 256 of the low one.
+    key.extend_from_slice(&((r >> 8) % 3_000).to_be_bytes()[6..]);
+    key.extend_from_slice(&(id as u32).to_be_bytes());
+    key.resize(24, b'.');
+    key
+}
+
+/// Inserts (60%), updates (20%) and removes (20%) of `key(id)` against `index`
+/// and a `BTreeMap`, with the tracker recording from before the index exists;
+/// then the whole contents are compared and every line must be durable.
+fn run_stream(index: &dyn Index, key: fn(u64) -> Vec<u8>) {
+    let name = index.index_name();
+    let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    let mut next_id = 0u64;
+    for i in 0..OPS {
+        let r = pm::mix64(0x9B15_C1F1 ^ i);
+        // A live key for updates and removes: an earlier id, if it still exists.
+        let old = key((r >> 16) % next_id.max(1));
+        match r % 10 {
+            0..=5 => {
+                let k = key(next_id);
+                next_id += 1;
+                index.exec_insert(&k, i).expect("insert is supported");
+                model.insert(k, i);
+            }
+            6..=7 => {
+                let updated = index.exec_update(&old, i).is_ok();
+                assert_eq!(updated, model.contains_key(&old), "{name}: update at op {i}");
+                if updated {
+                    model.insert(old, i);
+                }
+            }
+            _ => {
+                let removed = index.exec_remove(&old).is_ok();
+                assert_eq!(removed, model.remove(&old).is_some(), "{name}: remove at op {i}");
+            }
+        }
+        if i == OPS / 2 {
+            // P-HOT: widen what the first half built, so the second half
+            // appends into compounds (and regrows the ones it fills).
+            index.exec_settle();
+        }
+    }
+
+    let report = pm::tracker::check(true);
+    assert!(report.is_durable(), "{name}: lines left unflushed or unfenced: {report:?}");
+    for (k, v) in &model {
+        assert_eq!(index.exec_get(k), Some(*v), "{name}: key {k:?}");
+    }
+    let mut all = ScanBuf::new();
+    index.exec_scan(&[], model.len() + 1, &mut all);
+    let want: Vec<(Vec<u8>, u64)> = model.into_iter().collect();
+    assert_eq!(all.to_vec(), want, "{name}: full scan");
+}
+
+#[test]
+fn every_publishing_store_finds_its_object_durable() {
+    pm::crash::arm_count_only();
+    pm::crash::start_named_counts();
+    let probes0 = pm::stats::probes_local();
+    for key in [random_key as fn(u64) -> Vec<u8>, shared_prefix_key] {
+        // Enabled before construction: the root allocation is tracked too.
+        pm::tracker::enable();
+        run_stream(&PArt::new(), key);
+        pm::tracker::enable();
+        let hot = PHot::new();
+        run_stream(&hot, key);
+        assert!(hot.compound_nodes() > 0, "the stream must build compound nodes");
+    }
+    pm::tracker::disable();
+
+    // The two mixes together went through every converted publish site.
+    for site in [
+        "art.insert.committed",
+        "art.grow.committed",
+        "art.leaf_split.committed",
+        "art.path_split.prefix_truncated",
+        "art.remove.committed",
+        "hot.insert.root_committed",
+        "hot.insert.slot_committed",
+        "hot.branch.committed",
+        "hot.widen.committed",
+        "hot.remove.committed",
+    ] {
+        assert!(pm::crash::named_count(site) > 0, "{site} never ran");
+    }
+    // ... and through every ART node type (a probe is recorded per searched node;
+    // a Node48 only exists by growing a Node16, a dense byte position of 256
+    // values only fits a Node256).
+    let probes = pm::stats::probes_local().since(&probes0);
+    for m in [Mapping::ArtN4, Mapping::ArtN16, Mapping::ArtN48, Mapping::ArtN256] {
+        assert!(probes.get(m) > 0, "no {} was searched", m.label());
+    }
+    assert!(probes.get(Mapping::HotCompound) > 0, "no compound node was searched");
+    pm::crash::stop_named_counts();
+    pm::crash::disarm();
+}

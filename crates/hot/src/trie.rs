@@ -10,6 +10,15 @@
 //! branch node, or a leaf-value store) — **Condition #1**, so the conversion to P-HOT
 //! only adds cache-line flushes and fences after those stores.
 //!
+//! Flushes and fences follow one discipline — **stage, fence once, publish**: an
+//! object nothing can reach yet (a new leaf, a branch node, an unpublished compound
+//! slot's lanes) is flushed with `fence = false` and becomes durable under the single
+//! fence that precedes the store publishing it. Where the leaf is the only new object
+//! and the very next store publishes it (slot insert, slot reuse, husk replacement),
+//! that fence is the leaf's own. Every publishing site asserts
+//! (`PersistMode::assert_durable`, live under the durability tracker) that what it
+//! publishes is durable.
+//!
 //! # Compound-node widening
 //!
 //! Hot subtrees are opportunistically *widened* into [`Compound`] nodes covering a
@@ -103,29 +112,40 @@ fn subtree_start(word: usize) -> u32 {
     }
 }
 
-fn alloc_leaf<P: PersistMode>(key: &[u8], value: u64) -> usize {
+/// Allocate a leaf and flush it (its boxed key bytes, then the leaf). With
+/// `fence = false` the leaf is *staged*: the caller keeps it unreachable until a
+/// later fence of its own — the one ahead of the publishing store — has made it
+/// durable.
+fn alloc_leaf<P: PersistMode>(key: &[u8], value: u64, fence: bool) -> usize {
     let leaf = pm::alloc::pm_box(Leaf {
         key: key.to_vec().into_boxed_slice(),
         value: AtomicU64::new(value),
     });
     // SAFETY: freshly allocated, uniquely owned.
     let l = unsafe { &*leaf };
+    // The key box comes from the plain heap, so the tracker learns of it here.
+    P::mark_dirty(l.key.as_ptr(), l.key.len());
     P::persist_range(l.key.as_ptr(), l.key.len(), false);
-    P::persist_obj(leaf, true);
+    P::persist_obj(leaf, fence);
     (leaf as usize) | 1
 }
 
+/// The check of the discipline at a store that publishes the new leaf `word`: the
+/// leaf and its key bytes are durable.
+fn assert_leaf_durable<P: PersistMode>(word: usize) {
+    // SAFETY: allocated by the operation that is publishing it.
+    let l = unsafe { &*leaf_of(word) };
+    P::assert_durable(l.key.as_ptr(), l.key.len());
+    P::assert_durable_obj(l as *const Leaf);
+}
+
 fn alloc_node(bit_pos: u32, width: u32) -> *mut Node {
-    let mut children: Vec<AtomicUsize> = Vec::with_capacity(FANOUT);
-    children.resize_with(FANOUT, Default::default);
-    let children: Box<[AtomicUsize; FANOUT]> =
-        children.into_boxed_slice().try_into().unwrap_or_else(|_| unreachable!("fanout matches"));
     pm::alloc::pm_box(Node {
         bit_pos,
         width,
         obsolete: AtomicBool::new(false),
         lock: VersionLock::new(),
-        children: *children,
+        children: std::array::from_fn(|_| AtomicUsize::new(0)),
     })
 }
 
@@ -284,8 +304,9 @@ impl<P: PersistMode> Hot<P> {
                 if self.root.load(Ordering::Acquire) != 0 {
                     continue 'restart;
                 }
-                let leaf = alloc_leaf::<P>(key, value);
+                let leaf = alloc_leaf::<P>(key, value, true);
                 P::crash_site("hot.insert.root_leaf_persisted");
+                assert_leaf_durable::<P>(leaf);
                 self.root.store(leaf, Ordering::Release);
                 P::mark_dirty_obj(&self.root);
                 P::persist_obj(&self.root, true);
@@ -379,8 +400,9 @@ impl<P: PersistMode> Hot<P> {
                     {
                         continue 'restart;
                     }
-                    let leaf = alloc_leaf::<P>(key, value);
+                    let leaf = alloc_leaf::<P>(key, value, true);
                     P::crash_site("hot.insert.leaf_persisted");
+                    assert_leaf_durable::<P>(leaf);
                     node.children[idx].store(leaf, Ordering::Release);
                     P::mark_dirty_obj(&node.children[idx]);
                     P::persist_obj(&node.children[idx], true);
@@ -440,9 +462,10 @@ impl<P: PersistMode> Hot<P> {
         });
         match reuse {
             Some(slot) => {
-                let leaf = alloc_leaf::<P>(key, value);
+                let leaf = alloc_leaf::<P>(key, value, true);
                 P::crash_site("hot.insert.leaf_persisted");
                 // Commit = one atomic child-slot store.
+                assert_leaf_durable::<P>(leaf);
                 c.children[slot].store(leaf, Ordering::Release);
                 P::mark_dirty_obj(&c.children[slot]);
                 P::persist_obj(&c.children[slot], true);
@@ -452,16 +475,21 @@ impl<P: PersistMode> Hot<P> {
             None if count < c.cap() => {
                 // Slot `count` is unpublished: lanes and child can be written in any
                 // order; the `count` store is the single publishing atomic store.
+                // Lanes, leaf and child pointer are staged under the one fence
+                // ahead of it.
                 c.set_lanes(count, ext, FULL_MASK);
                 P::mark_dirty_obj(&c.pkeys[count / 4]);
                 P::persist_obj(&c.pkeys[count / 4], false);
                 P::mark_dirty_obj(&c.masks[count / 4]);
                 P::persist_obj(&c.masks[count / 4], false);
-                let leaf = alloc_leaf::<P>(key, value);
+                let leaf = alloc_leaf::<P>(key, value, false);
                 P::crash_site("hot.insert.leaf_persisted");
                 c.children[count].store(leaf, Ordering::Release);
                 P::mark_dirty_obj(&c.children[count]);
                 P::persist_obj(&c.children[count], true);
+                assert_leaf_durable::<P>(leaf);
+                P::assert_durable_obj(&c.pkeys[count / 4]);
+                P::assert_durable_obj(&c.masks[count / 4]);
                 c.count.store(count as u32 + 1, Ordering::Release);
                 P::mark_dirty_obj(&c.count);
                 P::persist_obj(&c.count, true);
@@ -539,7 +567,7 @@ impl<P: PersistMode> Hot<P> {
         let branch = alloc_node(diff_bit, width);
         // SAFETY: freshly allocated, private.
         let b = unsafe { &*branch };
-        let new_leaf = alloc_leaf::<P>(key, value);
+        let new_leaf = alloc_leaf::<P>(key, value, false);
         let new_idx = extract_bits(key, diff_bit, width);
         // The displaced subtree's keys all agree with `ref_key` on the window bits
         // (they share every bit up to their own, deeper windows).
@@ -547,10 +575,13 @@ impl<P: PersistMode> Hot<P> {
         debug_assert_ne!(new_idx, old_idx);
         b.children[old_idx].store(displaced, Ordering::Relaxed);
         b.children[new_idx].store(new_leaf, Ordering::Relaxed);
+        // One fence for the staged leaf and the branch.
         P::persist_obj(branch, true);
         P::crash_site("hot.branch.built");
 
         // Commit: a single atomic pointer swap in the parent slot (or the root).
+        assert_leaf_durable::<P>(new_leaf);
+        P::assert_durable_obj(branch);
         match parent {
             None => {
                 let _g = self.root_lock.lock();
@@ -682,8 +713,9 @@ impl<P: PersistMode> Hot<P> {
         // Commit: one atomic pointer swap in the parent slot (or the root),
         // same shape as every other insert commit.
         let parent = if boundary == 0 { None } else { Some(path[boundary - 1]) };
-        let leaf = alloc_leaf::<P>(key, value);
+        let leaf = alloc_leaf::<P>(key, value, true);
         P::crash_site("hot.insert.leaf_persisted");
+        assert_leaf_durable::<P>(leaf);
         let committed = match parent {
             None => {
                 let _g = self.root_lock.lock();

@@ -60,6 +60,14 @@ pub fn coalesce_fences() -> FenceCoalesce {
     FenceCoalesce { _not_send: std::marker::PhantomData }
 }
 
+/// Whether the calling thread is inside a [`coalesce_fences`] region, where every
+/// ordering fence is deferred to the region's end.
+#[inline]
+#[must_use]
+pub fn coalescing() -> bool {
+    COALESCE_DEPTH.with(Cell::get) > 0
+}
+
 impl Drop for FenceCoalesce {
     fn drop(&mut self) {
         let depth = COALESCE_DEPTH.with(|d| {
@@ -94,7 +102,7 @@ pub fn clwb(addr: *const u8) {
 /// thread's flush-coalescing epoch in the [`latency`] model.
 #[inline]
 pub fn sfence() {
-    if COALESCE_DEPTH.with(Cell::get) > 0 {
+    if coalescing() {
         FENCE_PENDING.with(|p| p.set(true));
         stats::bump(stats::ELIDED_FENCES, 1);
         return;

@@ -18,6 +18,14 @@
 //! store was never followed by a flush — or, when `strict` is requested, if a line is
 //! still `pending` (flushed but never fenced).
 //!
+//! [`check`] looks at the end of an operation, so it cannot tell a fence that came
+//! *after* a publishing store from one that came before it. [`assert_durable`] is the
+//! ordering check: a conversion calls it (through `PersistMode::assert_durable`) right
+//! before the store that makes an object reachable, and it panics if any line of the
+//! object is still `dirty` or `pending` — the object would be reachable before it is
+//! durable. Like the rest of the tracker it is line-granular and process-wide, so it
+//! is meant for one writer at a time.
+//!
 //! Tracking is globally disabled by default (a single relaxed atomic load on the fast
 //! path) so benchmarks pay nothing for it.
 
@@ -142,6 +150,36 @@ pub fn check(strict: bool) -> DurabilityReport {
     }
 }
 
+/// Panic unless every cache line overlapping `[addr, addr + len)` is durable: neither
+/// `dirty` (stored, never flushed) nor `pending` (flushed, no fence since).
+///
+/// The publish-ordering check of the conversions: call it on an object immediately
+/// before the store that makes the object reachable. A no-op while tracking is
+/// disabled. It is an `assert!`, not a `debug_assert!`: release builds keep it.
+///
+/// # Panics
+/// If tracking is enabled and a line of the range is not durable.
+pub fn assert_durable(addr: usize, len: usize) {
+    if !enabled() || len == 0 {
+        return;
+    }
+    // Decide under the lock, panic after releasing it.
+    let offending = STATE.lock().as_ref().and_then(|s| {
+        (line_of(addr)..addr + len).step_by(crate::CACHE_LINE).find_map(|line| {
+            if s.dirty.contains(&line) {
+                Some((line, "dirty (stored, never flushed)"))
+            } else if s.pending.contains(&line) {
+                Some((line, "flushed but not yet fenced"))
+            } else {
+                None
+            }
+        })
+    });
+    if let Some((line, state)) = offending {
+        panic!("publish before durable: line {line:#x} of [{addr:#x}, +{len}) is {state}");
+    }
+}
+
 /// Forget all dirty/pending state but keep tracking enabled. Used between the load
 /// phase and the test phase of the durability test.
 pub fn clear_lines() {
@@ -209,6 +247,71 @@ pub(crate) mod tests {
         let r = check(false);
         assert_eq!(r.unflushed, vec![0x4000]);
         disable();
+    }
+
+    /// `assert_durable(addr, len)` under the test lock, as a `Result`.
+    fn durable(addr: usize, len: usize) -> Result<(), String> {
+        std::panic::catch_unwind(|| assert_durable(addr, len))
+            .map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default())
+    }
+
+    #[test]
+    fn assert_durable_rejects_a_dirty_line() {
+        let _g = TEST_LOCK.lock();
+        enable();
+        on_store(0x6000, 8);
+        let err = durable(0x6000, 8).expect_err("a stored, unflushed line is not durable");
+        assert!(err.contains("dirty"), "{err}");
+        disable();
+    }
+
+    #[test]
+    fn assert_durable_rejects_a_flushed_but_unfenced_line() {
+        let _g = TEST_LOCK.lock();
+        enable();
+        on_store(0x6100, 8);
+        on_flush(line_of(0x6100));
+        let err = durable(0x6100, 8).expect_err("a flush without a fence is not durable");
+        assert!(err.contains("not yet fenced"), "{err}");
+        disable();
+    }
+
+    #[test]
+    fn assert_durable_accepts_a_fenced_line_and_untouched_memory() {
+        let _g = TEST_LOCK.lock();
+        enable();
+        on_store(0x6200, 8);
+        on_flush(line_of(0x6200));
+        on_fence();
+        assert_eq!(durable(0x6200, 8), Ok(()));
+        assert_eq!(durable(0x7000, 256), Ok(()), "never-stored lines are durable");
+        assert_eq!(durable(0x6200, 0), Ok(()), "an empty range has no lines");
+        disable();
+    }
+
+    #[test]
+    fn assert_durable_covers_every_line_of_the_range() {
+        let _g = TEST_LOCK.lock();
+        enable();
+        // 16 bytes from 0x6338 span the lines at 0x6300 and 0x6340.
+        on_store(0x6338, 16);
+        on_flush(0x6300);
+        on_fence();
+        assert_eq!(durable(0x6300, 0x38), Ok(()), "the fenced first line alone");
+        let err = durable(0x6338, 16).expect_err("the second line was never flushed");
+        assert!(err.contains("0x6340") && err.contains("dirty"), "{err}");
+        on_flush(0x6340);
+        on_fence();
+        assert_eq!(durable(0x6338, 16), Ok(()));
+        disable();
+    }
+
+    #[test]
+    fn assert_durable_is_a_no_op_while_disabled() {
+        let _g = TEST_LOCK.lock();
+        disable();
+        on_store(0x6400, 8);
+        assert_eq!(durable(0x6400, 8), Ok(()));
     }
 
     #[test]

@@ -51,6 +51,22 @@ pub trait PersistMode: Send + Sync + 'static {
         Self::mark_dirty(ptr.cast(), std::mem::size_of::<T>());
     }
 
+    /// Assert that `[ptr, ptr + len)` is durable — flushed *and* covered by a fence.
+    ///
+    /// The check of the **stage, fence once, publish** discipline: an object nothing
+    /// can reach yet is flushed with `fence = false` and rides on the one fence that
+    /// precedes the store publishing it; the publishing site calls this on what it
+    /// publishes, right before that store. Active in PM mode with the durability
+    /// tracker on ([`pm::tracker::assert_durable`], an `assert!` in every build
+    /// profile); free otherwise. Skipped inside a fence-coalescing region
+    /// (`Handle::batch`), which defers every ordering fence to its end by design.
+    fn assert_durable(ptr: *const u8, len: usize);
+
+    /// Convenience form of [`PersistMode::assert_durable`] for a whole object.
+    fn assert_durable_obj<T>(ptr: *const T) {
+        Self::assert_durable(ptr.cast(), std::mem::size_of::<T>());
+    }
+
     /// Declare a crash site (only active in PM mode): a point between the ordered
     /// atomic steps of an operation at which the §5 testing harness may cut execution.
     fn crash_site(name: &'static str);
@@ -72,6 +88,9 @@ impl PersistMode for Dram {
 
     #[inline(always)]
     fn mark_dirty(_ptr: *const u8, _len: usize) {}
+
+    #[inline(always)]
+    fn assert_durable(_ptr: *const u8, _len: usize) {}
 
     #[inline(always)]
     fn crash_site(_name: &'static str) {}
@@ -103,6 +122,13 @@ impl PersistMode for Pmem {
     }
 
     #[inline]
+    fn assert_durable(ptr: *const u8, len: usize) {
+        if tracker::enabled() && !flush::coalescing() {
+            tracker::assert_durable(ptr as usize, len);
+        }
+    }
+
+    #[inline]
     fn crash_site(name: &'static str) {
         crash::site(name);
     }
@@ -119,6 +145,7 @@ mod tests {
         Dram::persist_obj(&x, true);
         Dram::fence();
         Dram::mark_dirty_obj(&x);
+        Dram::assert_durable_obj(&x);
         Dram::crash_site("never");
         let d = pm::stats::snapshot_local().since(&before);
         assert_eq!(d.clwb, 0);
@@ -152,6 +179,17 @@ mod tests {
         assert!(!report.is_durable());
         Pmem::persist_obj(&x, true);
         assert!(pm::tracker::check(false).is_durable());
+        // The ordering check reads the same line states (a dirty line, because a
+        // fence on another test's thread cannot clean it), except where a
+        // coalescing region defers every fence by design.
+        Pmem::assert_durable_obj(&x);
+        Pmem::mark_dirty_obj(&x);
+        assert!(std::panic::catch_unwind(|| Pmem::assert_durable_obj(&x)).is_err());
+        {
+            let _region = pm::flush::coalesce_fences();
+            Pmem::assert_durable_obj(&x);
+        }
+        Pmem::persist_obj(&x, true);
         pm::tracker::disable();
     }
 }
