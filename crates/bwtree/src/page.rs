@@ -30,7 +30,10 @@ pub const NO_PID: Pid = 0;
 ///
 /// Leaf bases map keys to record values; inner bases map separator keys to the child
 /// covering `[sep, next_sep)`, with [`BasePage::leftmost`] covering keys below every
-/// separator.
+/// separator. This is the page's *header*: two cache lines of its own, allocated
+/// beside the chain's [`Delta`] record and flushed with it. The payload behind it
+/// (the two vectors' buffers and the key boxes) is not flushed.
+#[repr(align(64))]
 pub struct BasePage {
     /// Whether this is a leaf page.
     pub leaf: bool,
@@ -65,23 +68,118 @@ impl BasePage {
             right: NO_PID,
         }
     }
+
+    /// Bytes of the payload behind the header: key bytes and value words.
+    fn payload_bytes(&self) -> usize {
+        self.keys.iter().map(|k| k.len()).sum::<usize>()
+            + self.vals.len() * std::mem::size_of::<Pid>()
+            + self.low.as_ref().map_or(0, |k| k.len())
+            + self.high.as_ref().map_or(0, |k| k.len())
+    }
+}
+
+/// The owning pointer from a base record to its [`BasePage`] header, which lives on
+/// the PM pool (`pm::alloc::pm_line_box`) and is freed with the record.
+pub struct BaseBox(std::ptr::NonNull<BasePage>);
+
+impl BaseBox {
+    /// Move `page` onto the PM pool. Flushed by [`Delta::persist`].
+    #[must_use]
+    pub fn new(page: BasePage) -> BaseBox {
+        let p = pm::alloc::pm_line_box(page);
+        BaseBox(std::ptr::NonNull::new(p).expect("pm_line_box never returns null"))
+    }
+}
+
+impl std::ops::Deref for BaseBox {
+    type Target = BasePage;
+
+    fn deref(&self) -> &BasePage {
+        // SAFETY: the header is owned by this box and lives until it drops.
+        unsafe { self.0.as_ref() }
+    }
+}
+
+impl Drop for BaseBox {
+    fn drop(&mut self) {
+        // SAFETY: allocated by `pm_line_box` in `BaseBox::new` and owned only here.
+        unsafe { pm::alloc::pm_line_drop(self.0.as_ptr()) };
+    }
+}
+
+// SAFETY: `BaseBox` uniquely owns its `BasePage`, which is `Send + Sync`.
+unsafe impl Send for BaseBox {}
+// SAFETY: as above; shared access only reads through `Deref`.
+unsafe impl Sync for BaseBox {}
+
+/// Bytes of a key a delta record holds inline; a longer key spills to a box.
+pub const INLINE_KEY: usize = 22;
+
+/// A key inside a [`Delta`] record: inline up to [`INLINE_KEY`] bytes (so an 8-byte
+/// integer key or a short string costs no allocation and no extra line), else a
+/// spilled copy on the PM pool (`pm::alloc::pm_slice`), flushed with the record.
+pub enum DeltaKey {
+    /// The key's bytes, in the record.
+    Inline {
+        /// Key length.
+        len: u8,
+        /// Key bytes; those past `len` are zero.
+        bytes: [u8; INLINE_KEY],
+    },
+    /// A key longer than [`INLINE_KEY`] bytes.
+    Spilled(Box<[u8]>),
+}
+
+impl DeltaKey {
+    /// The record form of `key`.
+    #[must_use]
+    pub fn new(key: &[u8]) -> DeltaKey {
+        if key.len() <= INLINE_KEY {
+            let mut bytes = [0u8; INLINE_KEY];
+            bytes[..key.len()].copy_from_slice(key);
+            DeltaKey::Inline { len: key.len() as u8, bytes }
+        } else {
+            DeltaKey::Spilled(pm::alloc::pm_slice(key))
+        }
+    }
+
+    /// The spilled copy's bytes, if the key did not fit inline.
+    #[must_use]
+    pub fn spill(&self) -> Option<&[u8]> {
+        match self {
+            DeltaKey::Inline { .. } => None,
+            DeltaKey::Spilled(b) => Some(b),
+        }
+    }
+}
+
+impl std::ops::Deref for DeltaKey {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        match self {
+            DeltaKey::Inline { len, bytes } => &bytes[..*len as usize],
+            DeltaKey::Spilled(b) => b,
+        }
+    }
 }
 
 /// One record in a delta chain.
 pub enum DeltaKind {
     /// The base page terminating the chain.
-    Base(BasePage),
+    Base(BaseBox),
     /// Leaf upsert: `key` now maps to `value`.
     Insert {
         /// Record key.
-        key: Box<[u8]>,
+        key: DeltaKey,
         /// Record value.
         value: u64,
     },
     /// Leaf delete: `key` is no longer mapped.
     Delete {
         /// Record key.
-        key: Box<[u8]>,
+        key: DeltaKey,
     },
     /// Split delta: this page is logically truncated at `sep`; keys `>= sep` now
     /// live in the page `right`. Published as the *second* step of the split SMO
@@ -89,7 +187,7 @@ pub enum DeltaKind {
     /// routes `sep` to `right`.
     Split {
         /// First key owned by the right sibling (the new exclusive high key here).
-        sep: Box<[u8]>,
+        sep: DeltaKey,
         /// PID of the new right sibling.
         right: Pid,
         /// Transient completion hint: set once a helper confirmed the parent entry
@@ -101,7 +199,7 @@ pub enum DeltaKind {
     /// `>= sep` (up to the next separator) to `child`.
     IndexEntry {
         /// Separator key being installed.
-        sep: Box<[u8]>,
+        sep: DeltaKey,
         /// PID of the split-off child.
         child: Pid,
     },
@@ -122,7 +220,7 @@ pub enum DeltaKind {
     /// delta is bounded by it.
     Merge {
         /// The victim's (frozen) exclusive high key — the new bound here.
-        high: Option<Box<[u8]>>,
+        high: Option<DeltaKey>,
         /// The victim's (frozen) right sibling — the new right link here.
         right: Pid,
         /// PID of the removed page, for helpers and diagnostics.
@@ -133,7 +231,7 @@ pub enum DeltaKind {
     /// to the preceding separator (the sibling that absorbed the victim).
     IndexTermDelete {
         /// Separator of the entry being deleted (the victim's low key).
-        sep: Box<[u8]>,
+        sep: DeltaKey,
         /// The removed child the entry routed to. Deletion is pair-exact: a
         /// newer re-promotion of the same separator to a different child is
         /// not affected.
@@ -141,10 +239,23 @@ pub enum DeltaKind {
     },
 }
 
-/// A node of a delta chain. Chains are immutable once published: `next` is set
-/// before the node is CAS-installed and never changes afterwards, and nodes are
-/// reclaimed only when the whole tree is dropped (the PM allocator's
-/// garbage-collection assumption), so readers can traverse without protection.
+impl DeltaKind {
+    /// A base record over `page`, whose header moves onto the PM pool.
+    #[must_use]
+    pub fn base(page: BasePage) -> DeltaKind {
+        DeltaKind::Base(BaseBox::new(page))
+    }
+}
+
+/// A node of a delta chain: one cache line. Chains are immutable once published:
+/// `next` is set before the node is CAS-installed and never changes afterwards, and
+/// a replaced chain is freed only at epoch quiescence (or when the tree drops), so
+/// readers traverse without further protection.
+///
+/// Publishing a record makes reachable its own line and the objects it owns — a
+/// spilled key, a base page's header — and nothing else, so those are exactly what
+/// [`Delta::persist`] flushes and [`Delta::assert_durable`] checks.
+#[repr(align(64))]
 pub struct Delta {
     /// Next (older) record; the chain ends at a [`DeltaKind::Base`] with a null
     /// `next`.
@@ -155,11 +266,64 @@ pub struct Delta {
     pub kind: DeltaKind,
 }
 
+const _: () = assert!(std::mem::size_of::<Delta>() == pm::CACHE_LINE, "a record is one line");
+
 impl Delta {
-    /// Allocate a chain node on the PM pool. The caller must persist it before
-    /// publishing it (CAS into a mapping-table slot).
+    /// Allocate a chain node in a one-line slab block of the PM pool
+    /// (`pm::alloc::pm_line_box`; free it with `pm_line_drop`). The caller must
+    /// persist it ([`Delta::persist`]) before publishing it (CAS into a
+    /// mapping-table slot).
     pub fn alloc(next: *mut Delta, leaf: bool, kind: DeltaKind) -> *mut Delta {
-        pm::alloc::pm_box(Delta { next: AtomicPtr::new(next), leaf, kind })
+        pm::alloc::pm_line_box(Delta { next: AtomicPtr::new(next), leaf, kind })
+    }
+
+    /// Every PM range this record makes reachable when published: its line, then a
+    /// spilled key or a base page's header.
+    fn owned_ranges(&self, mut f: impl FnMut(*const u8, usize)) {
+        f((self as *const Delta).cast(), std::mem::size_of::<Delta>());
+        let key = match &self.kind {
+            DeltaKind::Base(b) => {
+                f((&**b as *const BasePage).cast(), std::mem::size_of::<BasePage>());
+                None
+            }
+            DeltaKind::Insert { key, .. } | DeltaKind::Delete { key } => Some(key),
+            DeltaKind::Split { sep, .. }
+            | DeltaKind::IndexEntry { sep, .. }
+            | DeltaKind::IndexTermDelete { sep, .. } => Some(sep),
+            DeltaKind::Merge { high, .. } => high.as_ref(),
+            DeltaKind::RemoveNode { .. } => None,
+        };
+        if let Some(spill) = key.and_then(DeltaKey::spill) {
+            f(spill.as_ptr(), spill.len());
+        }
+    }
+
+    /// Flush every range the record owns — its line, a spilled key, a base page's
+    /// header — and optionally fence: one line for a keyed delta whose key sits
+    /// inline.
+    pub fn persist<P: PersistMode>(&self, fence: bool) {
+        self.owned_ranges(|p, len| P::persist_range(p, len, false));
+        if fence {
+            P::fence();
+        }
+    }
+
+    /// The publish check of [`PersistMode::assert_durable`] over every range the
+    /// record owns: call it right before the CAS that publishes the record.
+    pub fn assert_durable<P: PersistMode>(&self) {
+        self.owned_ranges(|p, len| P::assert_durable(p, len));
+    }
+
+    /// Heap footprint of the record: its line, a base page's header and payload, and
+    /// a spilled key — the unit the reclamation gauge counts in.
+    #[must_use]
+    pub fn footprint(&self) -> usize {
+        let mut bytes = 0;
+        self.owned_ranges(|_, len| bytes += len);
+        match &self.kind {
+            DeltaKind::Base(b) => bytes + b.payload_bytes(),
+            _ => bytes,
+        }
     }
 }
 
@@ -426,8 +590,10 @@ pub fn effective_bounds(head: *mut Delta) -> (Option<Box<[u8]>>, Pid) {
     loop {
         let d = delta_ref(cur);
         match &d.kind {
-            DeltaKind::Split { sep, right, .. } => return (Some(sep.clone()), *right),
-            DeltaKind::Merge { high, right, .. } => return (high.clone(), *right),
+            DeltaKind::Split { sep, right, .. } => return (Some(sep[..].into()), *right),
+            DeltaKind::Merge { high, right, .. } => {
+                return (high.as_deref().map(Box::from), *right)
+            }
             DeltaKind::Base(b) => return (b.high.clone(), b.right),
             _ => {}
         }
@@ -457,6 +623,19 @@ pub fn chain_len(head: *mut Delta) -> usize {
         cur = delta_ref(cur).next.load(Ordering::Acquire);
     }
     n
+}
+
+/// Heap footprint of the chain at `head` ([`Delta::footprint`] summed): the unit
+/// the reclamation gauge counts retired chains in.
+pub fn chain_bytes(head: *mut Delta) -> u64 {
+    let mut total = 0u64;
+    let mut cur = head;
+    while !cur.is_null() {
+        let d = delta_ref(cur);
+        total += d.footprint() as u64;
+        cur = d.next.load(Ordering::Acquire);
+    }
+    total
 }
 
 /// A consolidated, owned snapshot of one page: the logical content the delta chain
@@ -511,15 +690,15 @@ pub fn build_view(head: *mut Delta) -> PageView {
             }
             DeltaKind::Split { sep, right, .. } => {
                 if pending_split.is_none() {
-                    pending_split = Some((sep.clone(), *right));
+                    pending_split = Some((sep[..].into(), *right));
                 }
                 if boundary.is_none() {
-                    boundary = Some((Some(sep.clone()), *right));
+                    boundary = Some((Some(sep[..].into()), *right));
                 }
             }
             DeltaKind::Merge { high, right, .. } => {
                 if boundary.is_none() {
-                    boundary = Some((high.clone(), *right));
+                    boundary = Some((high.as_deref().map(Box::from), *right));
                 }
             }
             DeltaKind::RemoveNode { .. } => removed = true,
@@ -725,6 +904,7 @@ impl MappingTable {
         slots.resize_with(SEG_SLOTS, || AtomicPtr::new(std::ptr::null_mut()));
         let seg = pm::alloc::pm_box(Segment { slots });
         P::persist_obj(seg, true);
+        P::assert_durable_obj(seg);
         if self.segs[si]
             .compare_exchange(std::ptr::null_mut(), seg, Ordering::AcqRel, Ordering::Acquire)
             .is_err()
@@ -771,11 +951,15 @@ mod tests {
         s.into()
     }
 
+    fn dk(s: &[u8]) -> DeltaKey {
+        DeltaKey::new(s)
+    }
+
     fn free_chain(mut p: *mut Delta) {
         while !p.is_null() {
             let next = delta_ref(p).next.load(Ordering::Acquire);
             // SAFETY: test-local chains, no other references.
-            unsafe { pm::alloc::pm_drop(p) };
+            unsafe { pm::alloc::pm_line_drop(p) };
             p = next;
         }
     }
@@ -790,14 +974,14 @@ mod tests {
             right,
             low: None,
         };
-        Delta::alloc(std::ptr::null_mut(), true, DeltaKind::Base(base))
+        Delta::alloc(std::ptr::null_mut(), true, DeltaKind::base(base))
     }
 
     #[test]
     fn leaf_lookup_honours_newest_first_overlay() {
         let base = leaf_base(&[(b"b", 2), (b"d", 4)], None, NO_PID);
-        let del = Delta::alloc(base, true, DeltaKind::Delete { key: bx(b"b") });
-        let ins = Delta::alloc(del, true, DeltaKind::Insert { key: bx(b"b"), value: 9 });
+        let del = Delta::alloc(base, true, DeltaKind::Delete { key: dk(b"b") });
+        let ins = Delta::alloc(del, true, DeltaKind::Insert { key: dk(b"b"), value: 9 });
         assert_eq!(leaf_lookup(base, b"b"), Find::Val(2));
         assert_eq!(leaf_lookup(del, b"b"), Find::Missing);
         assert_eq!(leaf_lookup(ins, b"b"), Find::Val(9), "newest record wins");
@@ -812,7 +996,7 @@ mod tests {
         let split = Delta::alloc(
             base,
             true,
-            DeltaKind::Split { sep: bx(b"m"), right: 7, done: AtomicBool::new(false) },
+            DeltaKind::Split { sep: dk(b"m"), right: 7, done: AtomicBool::new(false) },
         );
         // `m` and `z` were copied to page 7; the stale base records must be shadowed.
         assert_eq!(leaf_lookup(split, b"m"), Find::Right(7));
@@ -830,7 +1014,7 @@ mod tests {
         let base = Delta::alloc(
             std::ptr::null_mut(),
             false,
-            DeltaKind::Base(BasePage {
+            DeltaKind::base(BasePage {
                 leaf: false,
                 keys: vec![bx(b"h")],
                 vals: vec![20],
@@ -840,7 +1024,7 @@ mod tests {
                 low: None,
             }),
         );
-        let ie = Delta::alloc(base, false, DeltaKind::IndexEntry { sep: bx(b"p"), child: 30 });
+        let ie = Delta::alloc(base, false, DeltaKind::IndexEntry { sep: dk(b"p"), child: 30 });
         assert_eq!(inner_route(ie, b"a"), Route::Child(10));
         assert_eq!(inner_route(ie, b"h"), Route::Child(20));
         assert_eq!(inner_route(ie, b"k"), Route::Child(20));
@@ -852,7 +1036,7 @@ mod tests {
         let split = Delta::alloc(
             ie,
             false,
-            DeltaKind::Split { sep: bx(b"p"), right: 5, done: AtomicBool::new(false) },
+            DeltaKind::Split { sep: dk(b"p"), right: 5, done: AtomicBool::new(false) },
         );
         assert_eq!(inner_route(split, b"z"), Route::Right(5));
         assert_eq!(inner_route(split, b"h"), Route::Child(20));
@@ -862,14 +1046,14 @@ mod tests {
     #[test]
     fn build_view_consolidates_overlay_split_and_base() {
         let base = leaf_base(&[(b"a", 1), (b"c", 3), (b"p", 16), (b"t", 20)], None, NO_PID);
-        let d1 = Delta::alloc(base, true, DeltaKind::Insert { key: bx(b"b"), value: 2 });
-        let d2 = Delta::alloc(d1, true, DeltaKind::Delete { key: bx(b"c") });
+        let d1 = Delta::alloc(base, true, DeltaKind::Insert { key: dk(b"b"), value: 2 });
+        let d2 = Delta::alloc(d1, true, DeltaKind::Delete { key: dk(b"c") });
         let d3 = Delta::alloc(
             d2,
             true,
-            DeltaKind::Split { sep: bx(b"p"), right: 9, done: AtomicBool::new(false) },
+            DeltaKind::Split { sep: dk(b"p"), right: 9, done: AtomicBool::new(false) },
         );
-        let d4 = Delta::alloc(d3, true, DeltaKind::Insert { key: bx(b"a"), value: 11 });
+        let d4 = Delta::alloc(d3, true, DeltaKind::Insert { key: dk(b"a"), value: 11 });
         let v = build_view(d4);
         assert!(v.leaf);
         assert_eq!(v.chain_len, 5);
@@ -899,8 +1083,8 @@ mod tests {
             [(30, Some(300)), (40, None), (45, Some(450)), (50, None), (50, Some(51)), (5, Some(1))]
         {
             let kind = match v {
-                Some(value) => DeltaKind::Insert { key: key(k), value },
-                None => DeltaKind::Delete { key: key(k) },
+                Some(value) => DeltaKind::Insert { key: dk(&key(k)), value },
+                None => DeltaKind::Delete { key: dk(&key(k)) },
             };
             head = Delta::alloc(head, true, kind);
         }
@@ -908,14 +1092,15 @@ mod tests {
 
         // A split below newer records, then a long tail that spills the overlay.
         let mut head = leaf_base(&pair_refs, Some(&key(500)), 7);
-        head = Delta::alloc(head, true, DeltaKind::Insert { key: key(125), value: 9 });
+        head = Delta::alloc(head, true, DeltaKind::Insert { key: dk(&key(125)), value: 9 });
         head = Delta::alloc(
             head,
             true,
-            DeltaKind::Split { sep: key(120), right: 9, done: AtomicBool::new(false) },
+            DeltaKind::Split { sep: dk(&key(120)), right: 9, done: AtomicBool::new(false) },
         );
         for i in 0..(OVERLAY_INLINE as u64 + 8) {
-            head = Delta::alloc(head, true, DeltaKind::Insert { key: key(i * 3 + 1), value: i });
+            head =
+                Delta::alloc(head, true, DeltaKind::Insert { key: dk(&key(i * 3 + 1)), value: i });
         }
         chains.push(head);
 
@@ -924,10 +1109,10 @@ mod tests {
         head = Delta::alloc(
             head,
             true,
-            DeltaKind::Merge { high: Some(key(150)), right: 4, victim: 3 },
+            DeltaKind::Merge { high: Some(dk(&key(150))), right: 4, victim: 3 },
         );
-        head = Delta::alloc(head, true, DeltaKind::Insert { key: key(120), value: 12 });
-        head = Delta::alloc(head, true, DeltaKind::Insert { key: key(170), value: 17 });
+        head = Delta::alloc(head, true, DeltaKind::Insert { key: dk(&key(120)), value: 12 });
+        head = Delta::alloc(head, true, DeltaKind::Insert { key: dk(&key(170)), value: 17 });
         chains.push(head);
 
         for head in chains {
@@ -964,6 +1149,70 @@ mod tests {
     }
 
     #[test]
+    fn delta_keys_sit_inline_up_to_22_bytes_and_spill_beyond() {
+        let short = dk(&[7u8; INLINE_KEY]);
+        assert!(short.spill().is_none());
+        assert_eq!(&*short, &[7u8; INLINE_KEY][..]);
+        assert_eq!(&*dk(b""), b"");
+        let long = dk(&[9u8; INLINE_KEY + 1]);
+        assert_eq!(long.spill().map(<[u8]>::len), Some(INLINE_KEY + 1));
+        assert_eq!(&*long, &[9u8; INLINE_KEY + 1][..]);
+    }
+
+    #[test]
+    fn persisting_a_record_flushes_its_line_and_what_it_owns() {
+        use recipe::persist::Pmem;
+        let clwbs = |d: *mut Delta| {
+            let before = pm::stats::snapshot_local();
+            delta_ref(d).persist::<Pmem>(false);
+            pm::stats::snapshot_local().since(&before).clwb
+        };
+        let base = leaf_base(&[(b"a", 1)], None, NO_PID);
+        let ins = Delta::alloc(base, true, DeltaKind::Insert { key: dk(&[3u8; 8]), value: 2 });
+        let long = Delta::alloc(ins, true, DeltaKind::Insert { key: dk(&[4u8; 24]), value: 3 });
+        assert_eq!(clwbs(base), 1 + 2, "the record's line and the base header's two");
+        assert_eq!(clwbs(ins), 1, "an inline key is on the record's line");
+        let DeltaKind::Insert { key, .. } = &delta_ref(long).kind else { unreachable!() };
+        let spill = key.spill().expect("24 bytes spill");
+        let spill_lines = pm::flush::lines_spanned(spill.as_ptr() as usize, spill.len()) as u64;
+        assert_eq!(clwbs(long), 1 + spill_lines, "a spilled key is flushed with its record");
+        free_chain(long);
+    }
+
+    /// The reclamation gauge of a hand-built chain: every record's line, the base
+    /// header and its payload, and each spilled key.
+    #[test]
+    fn chain_bytes_counts_lines_headers_payload_and_spills() {
+        let long = [b'k'; 30];
+        let base = Delta::alloc(
+            std::ptr::null_mut(),
+            true,
+            DeltaKind::base(BasePage {
+                leaf: true,
+                keys: vec![bx(b"a"), bx(&long)],
+                vals: vec![1, 2],
+                leftmost: NO_PID,
+                low: Some(bx(b"lo")),
+                high: Some(bx(b"zzzzz")),
+                right: 4,
+            }),
+        );
+        let ins = Delta::alloc(base, true, DeltaKind::Insert { key: dk(&[1u8; 8]), value: 3 });
+        let spilled = Delta::alloc(ins, true, DeltaKind::Delete { key: dk(&[b'q'; 40]) });
+        let split = Delta::alloc(
+            spilled,
+            true,
+            DeltaKind::Split { sep: dk(b"m"), right: 4, done: AtomicBool::new(false) },
+        );
+        assert_eq!(std::mem::size_of::<Delta>(), 64);
+        assert_eq!(std::mem::size_of::<BasePage>(), 128);
+        let payload = (1 + 30) + 2 * 8 + 2 + 5;
+        assert_eq!(chain_bytes(base), 64 + 128 + payload);
+        assert_eq!(chain_bytes(split), 4 * 64 + 128 + payload + 40);
+        free_chain(split);
+    }
+
+    #[test]
     fn chain_len_and_first_split() {
         let base = leaf_base(&[], None, NO_PID);
         assert_eq!(chain_len(base), 1);
@@ -971,12 +1220,12 @@ mod tests {
         let s1 = Delta::alloc(
             base,
             true,
-            DeltaKind::Split { sep: bx(b"m"), right: 3, done: AtomicBool::new(false) },
+            DeltaKind::Split { sep: dk(b"m"), right: 3, done: AtomicBool::new(false) },
         );
         let s2 = Delta::alloc(
             s1,
             true,
-            DeltaKind::Split { sep: bx(b"f"), right: 4, done: AtomicBool::new(false) },
+            DeltaKind::Split { sep: dk(b"f"), right: 4, done: AtomicBool::new(false) },
         );
         let (_, sep, right) = first_split(s2).expect("split present");
         assert_eq!((sep, right), (&b"f"[..], 4), "newest (smallest) split wins");

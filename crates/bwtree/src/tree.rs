@@ -15,6 +15,14 @@
 //!   the right page's mapping entry it just read, so the helper's dependent store
 //!   can never become durable before the state it was derived from.
 //!
+//! A delta record is one cache line with its key inline ([`Delta`]), so an insert
+//! flushes that line, fences, publishes, and flushes and fences the slot: two lines,
+//! two fences. An object nothing can reach yet is *staged* — flushed without a fence
+//! of its own — and rides on the fence ahead of the store that publishes it: a split
+//! stages its right page and that page's mapping slot under the split delta's fence.
+//! The CAS that publishes a record checks (`PersistMode::assert_durable`) that the
+//! record and everything it owns are durable.
+//!
 //! Crash sites sit after each ordered step; [`BwTree::recover`] replays incomplete
 //! SMOs (the same helper code) at restart.
 //!
@@ -29,10 +37,10 @@
 //! accumulates unmergeable empty pages that every scan must still traverse.
 
 use crate::page::{
-    build_view, chain_len, chain_removed, delta_ref, effective_bounds, first_smo, first_split,
-    inner_contains_sep, inner_route, inner_route_before, leaf_lookup, page_live, page_low,
-    scan_leaf, BasePage, Delta, DeltaKind, Find, MappingTable, PageView, Pid, Route, SmoMarker,
-    NO_PID,
+    build_view, chain_bytes, chain_len, chain_removed, delta_ref, effective_bounds, first_smo,
+    first_split, inner_contains_sep, inner_route, inner_route_before, leaf_lookup, page_live,
+    page_low, scan_leaf, BasePage, Delta, DeltaKey, DeltaKind, Find, MappingTable, PageView, Pid,
+    Route, SmoMarker, NO_PID,
 };
 use recipe::persist::PersistMode;
 use recipe::session::ScanBuf;
@@ -88,35 +96,9 @@ unsafe fn free_chain(mut p: *mut Delta) {
         let next = delta_ref(p).next.load(Ordering::Acquire);
         // SAFETY: per the function contract the chain is unreachable and
         // unobserved; nodes are never shared across chains.
-        unsafe { pm::alloc::pm_drop(p) };
+        unsafe { pm::alloc::pm_line_drop(p) };
         p = next;
     }
-}
-
-/// Approximate heap footprint of a delta chain (node headers plus key bytes),
-/// the unit the reclamation gauge counts in.
-fn chain_bytes(head: *mut Delta) -> u64 {
-    let mut p = head;
-    let mut total = 0u64;
-    while !p.is_null() {
-        let d = delta_ref(p);
-        let payload = match &d.kind {
-            DeltaKind::Base(b) => {
-                b.keys.iter().map(|k| k.len()).sum::<usize>()
-                    + b.vals.len() * std::mem::size_of::<u64>()
-                    + b.high.as_ref().map_or(0, |h| h.len())
-            }
-            DeltaKind::Insert { key, .. } | DeltaKind::Delete { key } => key.len(),
-            DeltaKind::Split { sep, .. }
-            | DeltaKind::IndexEntry { sep, .. }
-            | DeltaKind::IndexTermDelete { sep, .. } => sep.len(),
-            DeltaKind::RemoveNode { .. } => 0,
-            DeltaKind::Merge { high, .. } => high.as_ref().map_or(0, |h| h.len()),
-        };
-        total += (std::mem::size_of::<Delta>() + payload) as u64;
-        p = d.next.load(Ordering::Acquire);
-    }
-    total
 }
 
 impl<P: PersistMode> Default for BwTree<P> {
@@ -139,8 +121,8 @@ impl<P: PersistMode> BwTree<P> {
         assert!(split_at >= 2, "a split needs at least two entries");
         let map = MappingTable::new::<P>();
         let base =
-            Delta::alloc(std::ptr::null_mut(), true, DeltaKind::Base(BasePage::empty_leaf()));
-        P::persist_obj(base, true);
+            Delta::alloc(std::ptr::null_mut(), true, DeltaKind::base(BasePage::empty_leaf()));
+        delta_ref(base).persist::<P>(true);
         map.slot(1).store(base, Ordering::Release);
         let t = BwTree {
             map,
@@ -178,6 +160,7 @@ impl<P: PersistMode> BwTree<P> {
     /// Publish `delta` (already persisted) as the new head of `pid`'s chain iff the
     /// head is still `expected`; on success persist the slot and fence.
     fn publish(&self, pid: Pid, expected: *mut Delta, delta: *mut Delta) -> bool {
+        delta_ref(delta).assert_durable::<P>();
         let slot = self.map.slot(pid);
         if slot.compare_exchange(expected, delta, Ordering::AcqRel, Ordering::Acquire).is_ok() {
             P::mark_dirty_obj(slot);
@@ -186,7 +169,7 @@ impl<P: PersistMode> BwTree<P> {
         } else {
             // Never published: no other thread has seen it.
             // SAFETY: `delta` came from `Delta::alloc` and never escaped.
-            unsafe { pm::alloc::pm_drop(delta) };
+            unsafe { pm::alloc::pm_line_drop(delta) };
             false
         }
     }
@@ -241,7 +224,7 @@ impl<P: PersistMode> BwTree<P> {
                 // (§4.4): the split delta and the right page's mapping entry
                 // were written by another thread and may not be durable yet; the
                 // helper's parent store must not become durable before them.
-                P::persist_obj(delta as *const Delta, false);
+                delta.persist::<P>(false);
                 P::persist_obj(self.map.slot(right), true);
                 P::crash_site("bwtree.help.split_flushed");
                 obs::event::emit("bwtree.smo", "help_split", pid, right);
@@ -255,7 +238,7 @@ impl<P: PersistMode> BwTree<P> {
                 }
                 // Same helping-load rule: the remove-node delta and the victim's
                 // slot must be durable before any dependent merge/parent store.
-                P::persist_obj(delta as *const Delta, false);
+                delta.persist::<P>(false);
                 P::persist_obj(self.map.slot(pid), true);
                 P::crash_site("bwtree.help.merge_flushed");
                 obs::event::emit("bwtree.smo", "help_merge", pid, 0);
@@ -273,7 +256,7 @@ impl<P: PersistMode> BwTree<P> {
                     if done.load(Ordering::Acquire) {
                         return;
                     }
-                    P::persist_obj(delta as *const Delta, false);
+                    delta.persist::<P>(false);
                     P::persist_obj(self.map.slot(victim), true);
                     P::crash_site("bwtree.help.merge_flushed");
                     obs::event::emit("bwtree.smo", "help_merge", victim, pid);
@@ -367,9 +350,12 @@ impl<P: PersistMode> BwTree<P> {
             if let Route::Right(_) = inner_route(head, sep) {
                 return None;
             }
-            let delta =
-                Delta::alloc(head, false, DeltaKind::IndexEntry { sep: sep.into(), child: right });
-            P::persist_obj(delta, true);
+            let delta = Delta::alloc(
+                head,
+                false,
+                DeltaKind::IndexEntry { sep: DeltaKey::new(sep), child: right },
+            );
+            delta_ref(delta).persist::<P>(true);
             if self.publish(parent, head, delta) {
                 P::crash_site("bwtree.smo.parent_published");
                 obs::event::emit("bwtree.smo", "parent_published", parent, right);
@@ -391,14 +377,16 @@ impl<P: PersistMode> BwTree<P> {
             right: NO_PID,
             low: None,
         };
-        let delta = Delta::alloc(std::ptr::null_mut(), false, DeltaKind::Base(base));
-        P::persist_obj(delta, true);
+        let delta = Delta::alloc(std::ptr::null_mut(), false, DeltaKind::base(base));
+        delta_ref(delta).persist::<P>(true);
         let new_root = self.alloc_pid();
         let slot = self.map.slot(new_root);
+        delta_ref(delta).assert_durable::<P>();
         slot.store(delta, Ordering::Release);
         P::mark_dirty_obj(slot);
         P::persist_obj(slot, true);
         P::crash_site("bwtree.root_split.new_root_installed");
+        P::assert_durable_obj(slot);
         if self.root.compare_exchange(left, new_root, Ordering::AcqRel, Ordering::Acquire).is_ok() {
             P::mark_dirty_obj(&self.root);
             P::persist_obj(&self.root, true);
@@ -442,7 +430,7 @@ impl<P: PersistMode> BwTree<P> {
             return;
         }
         let rm = Delta::alloc(head, true, DeltaKind::RemoveNode { done: AtomicBool::new(false) });
-        P::persist_obj(rm, true);
+        delta_ref(rm).persist::<P>(true);
         if self.publish(pid, head, rm) {
             P::crash_site("bwtree.merge.remove_published");
             obs::event::emit("bwtree.smo", "remove_published", pid, 0);
@@ -504,9 +492,13 @@ impl<P: PersistMode> BwTree<P> {
             let merge = Delta::alloc(
                 lhead,
                 true,
-                DeltaKind::Merge { high: vhigh.clone(), right: vright, victim },
+                DeltaKind::Merge {
+                    high: vhigh.as_deref().map(DeltaKey::new),
+                    right: vright,
+                    victim,
+                },
             );
-            P::persist_obj(merge, true);
+            delta_ref(merge).persist::<P>(true);
             if self.publish(left, lhead, merge) {
                 P::crash_site("bwtree.merge.merge_published");
                 obs::event::emit("bwtree.smo", "merge_published", left, victim);
@@ -593,9 +585,9 @@ impl<P: PersistMode> BwTree<P> {
                         let delta = Delta::alloc(
                             head,
                             false,
-                            DeltaKind::IndexTermDelete { sep: sep.into(), child },
+                            DeltaKind::IndexTermDelete { sep: DeltaKey::new(sep), child },
                         );
-                        P::persist_obj(delta, true);
+                        delta_ref(delta).persist::<P>(true);
                         if self.publish(pid, head, delta) {
                             P::crash_site("bwtree.merge.parent_updated");
                             obs::event::emit("bwtree.smo", "parent_updated", pid, child);
@@ -648,8 +640,8 @@ impl<P: PersistMode> BwTree<P> {
             low: view.low.clone(),
         };
         let emptied = view.leaf && view.entries.is_empty();
-        let delta = Delta::alloc(std::ptr::null_mut(), view.leaf, DeltaKind::Base(base));
-        P::persist_obj(delta, true);
+        let delta = Delta::alloc(std::ptr::null_mut(), view.leaf, DeltaKind::base(base));
+        delta_ref(delta).persist::<P>(true);
         if self.publish(pid, head, delta) {
             P::crash_site("bwtree.consolidate.installed");
             obs::event::emit("bwtree.smo", "consolidate", pid, view.entries.len() as u64);
@@ -693,7 +685,8 @@ impl<P: PersistMode> BwTree<P> {
 
         // Step 1: build and install the right page under a fresh PID. Until the
         // split delta is published the page is unreachable, so a crash here only
-        // leaks it.
+        // leaks it — and the page and its slot are only staged (flushed, not
+        // fenced): they ride on the split delta's fence below.
         let right_base = if view.leaf {
             BasePage {
                 leaf: true,
@@ -717,23 +710,26 @@ impl<P: PersistMode> BwTree<P> {
             }
         };
         let right_delta =
-            Delta::alloc(std::ptr::null_mut(), view.leaf, DeltaKind::Base(right_base));
-        P::persist_obj(right_delta, true);
+            Delta::alloc(std::ptr::null_mut(), view.leaf, DeltaKind::base(right_base));
+        delta_ref(right_delta).persist::<P>(false);
         let right = self.alloc_pid();
         let slot = self.map.slot(right);
         slot.store(right_delta, Ordering::Release);
         P::mark_dirty_obj(slot);
-        P::persist_obj(slot, true);
+        P::persist_obj(slot, false);
         P::crash_site("bwtree.split.right_installed");
 
         // Step 2: publish the split delta — the single CAS that makes the split
-        // logically visible (keys >= sep redirect through the B-link).
+        // logically visible (keys >= sep redirect through the B-link). Its fence
+        // covers the staged right page and slot too.
         let split = Delta::alloc(
             head,
             view.leaf,
-            DeltaKind::Split { sep: sep.clone(), right, done: AtomicBool::new(false) },
+            DeltaKind::Split { sep: DeltaKey::new(&sep), right, done: AtomicBool::new(false) },
         );
-        P::persist_obj(split, true);
+        delta_ref(split).persist::<P>(true);
+        delta_ref(right_delta).assert_durable::<P>();
+        P::assert_durable_obj(slot);
         if !self.publish(pid, head, split) {
             // Chain moved on: unpublish the orphaned right page (nothing ever
             // routed to it — the split delta that would have exposed it was
@@ -867,11 +863,11 @@ impl<P: PersistMode> BwTree<P> {
                 return None;
             }
             let kind = match value {
-                Some(v) => DeltaKind::Insert { key: key.into(), value: v },
-                None => DeltaKind::Delete { key: key.into() },
+                Some(v) => DeltaKind::Insert { key: DeltaKey::new(key), value: v },
+                None => DeltaKind::Delete { key: DeltaKey::new(key) },
             };
             let delta = Delta::alloc(head, true, kind);
-            P::persist_obj(delta, true);
+            delta_ref(delta).persist::<P>(true);
             if self.publish(pid, head, delta) {
                 P::crash_site(site);
                 self.try_consolidate(pid);

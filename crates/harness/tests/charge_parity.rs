@@ -8,8 +8,8 @@
 //! line set replaced the global atomics and the `HashSet`, the scan values at
 //! the commit *before* the scan path was rebuilt around `ScanBuf`; any drift
 //! means the accounting (or the set of nodes a scan visits) changed, not just
-//! its speed. P-ART and P-HOT were re-pinned once since, on purpose — see
-//! [`STAGED`].
+//! its speed. P-ART and P-HOT, then P-Masstree and both P-BwTree rows, were
+//! re-pinned since, on purpose — see [`STAGED`].
 //!
 //! This file holds a single test so it owns its process: the installed latency
 //! model is process-global, and so is the allocator below.
@@ -121,9 +121,10 @@ const PARENT: &[(&str, [u64; 6])] = &[
     ("Level-Hashing", [73_723, 29_531, 185_677, 7_656_000, 5_315_580, 7_427_080]),
 ];
 
-/// The two rows the stage–fence–publish discipline moved, on purpose, as
-/// `(index, registry_stream row, scan_stream row)` in the column order of
-/// [`PARENT`] and [`PARENT_SCAN`]. What moved against the parent's rows:
+/// The rows the stage–fence–publish discipline and the line layouts moved, on
+/// purpose, as `(index, registry_stream row, scan_stream row)` in the column order
+/// of [`PARENT`] and [`PARENT_SCAN`]. P-ART and P-HOT moved first; against the
+/// parent's rows:
 ///
 /// * **fence** and **fence_ns** fall: an unpublished leaf (and, in P-HOT, an
 ///   unpublished compound slot's lanes) no longer has a fence of its own but
@@ -135,8 +136,26 @@ const PARENT: &[(&str, [u64; 6])] = &[
 ///   child slot) more often falls into the epoch that already paid for it.
 /// * **node_visits**, **read_ns** and the entries scanned are untouched.
 ///
-/// The test also holds both rows to "nothing rose", and the other nine
-/// indexes to the parent's pins, bit for bit.
+/// P-Masstree and the two P-BwTree rows moved next, when every insert began to
+/// flush only the lines it writes:
+///
+/// * **clwb** and **clwb_ns** fall: a P-BwTree delta is one 64-byte record with
+///   its key inline (it spanned two lines), and a P-Masstree slot costs its key
+///   and value lines while its length class rides on the permutation word's
+///   header line (four lines before). A consolidated base costs one line more
+///   (the record plus a two-line page header), far fewer than the inserts save.
+/// * **fence** and **fence_ns** fall: a Bw-tree split stages its right page and
+///   mapping slot under the split delta's fence (two fences fewer), and a
+///   Masstree split's link, high-key and truncate stores share one flush and
+///   fence (two fewer).
+/// * **node_visits**, **read_ns** and the entries scanned are untouched.
+///
+/// The test also holds every row here to "nothing rose", and the other six
+/// indexes to the parent's pins, bit for bit, as it does P-ART's and P-HOT's
+/// rows above (unchanged since they were staged). The line-aligned slab of
+/// `pm::alloc` (`pm_line_box`) serves only the Bw-tree's records and page
+/// headers and the Masstree's nodes, so those eight rows show it moved
+/// nothing else.
 const STAGED: &[(&str, [u64; 6], [u64; 7])] = &[
     (
         "P-ART",
@@ -147,6 +166,21 @@ const STAGED: &[(&str, [u64; 6], [u64; 7])] = &[
         "P-HOT",
         [126_556, 49_717, 202_368, 15_186_720, 8_949_060, 8_094_720],
         [1_333, 444, 14_891, 159_960, 79_920, 595_640, 191_186],
+    ),
+    (
+        "P-BwTree",
+        [83_889, 71_468, 49_525, 10_066_680, 12_864_240, 1_981_000],
+        [702, 573, 13_388, 84_240, 103_140, 535_520, 191_186],
+    ),
+    (
+        "P-Masstree",
+        [85_131, 55_773, 202_960, 10_215_720, 10_039_140, 8_118_400],
+        [882, 530, 37_705, 105_840, 95_400, 1_508_200, 191_186],
+    ),
+    (
+        "P-BwTree(dc16)",
+        [76_661, 67_854, 49_525, 9_199_320, 12_213_720, 1_981_000],
+        [540, 492, 12_356, 64_800, 88_560, 494_240, 191_186],
     ),
 ];
 

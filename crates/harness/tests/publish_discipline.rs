@@ -1,10 +1,10 @@
-//! The stage–fence–publish discipline of P-ART and P-HOT, checked where a crash
-//! sweep cannot see it.
+//! The stage–fence–publish discipline of P-ART, P-HOT, P-Masstree and P-BwTree,
+//! checked where a crash sweep cannot see it.
 //!
 //! The sweeps keep every store a crashed operation executed, so they prove the
 //! *order of steps* but pass a conversion that publishes an object before the
 //! fence that makes it durable. Here the durability tracker is on, and every
-//! publishing store of the two conversions asserts
+//! publishing store of the four conversions asserts
 //! (`PersistMode::assert_durable`) that what it makes reachable is already
 //! flushed *and* fenced — an `assert!`, so this file means the same in debug
 //! and release. Moving or dropping the one fence a staged object rides on
@@ -14,7 +14,9 @@
 //! holds a single test.
 
 use art_index::PArt;
+use bwtree::PBwTree;
 use hot_trie::PHot;
+use masstree::PMasstree;
 use pm::stats::Mapping;
 use recipe::key::u64_key;
 use recipe::session::{Index, ScanBuf};
@@ -28,10 +30,12 @@ fn random_key(id: u64) -> Vec<u8> {
     u64_key(pm::mix64(id)).to_vec()
 }
 
-/// 24-byte keys under a handful of long shared prefixes, dense in the bytes behind them: chained leaf splits, path splits
-/// where a new tenant diverges inside a compressed prefix, and one node per
-/// tenant that grows Node4 → 16 → 48 → 256; in HOT, deep branch chains that
-/// widen into compounds and then take appends until they regrow.
+/// 24-byte keys under a handful of long shared prefixes, dense in the bytes
+/// behind them: chained leaf splits, path splits where a new tenant diverges
+/// inside a compressed prefix, and one node per tenant that grows Node4 → 16 →
+/// 48 → 256; in HOT, deep branch chains that widen into compounds and then take
+/// appends until they regrow; in Masstree, three trie layers per key; in the
+/// Bw-tree, keys too long for a delta record, so every one spills.
 fn shared_prefix_key(id: u64) -> Vec<u8> {
     const TENANTS: [&[u8; 18]; 5] = [
         b"tenant-00/objects/",
@@ -52,7 +56,9 @@ fn shared_prefix_key(id: u64) -> Vec<u8> {
 
 /// Inserts (60%), updates (20%) and removes (20%) of `key(id)` against `index`
 /// and a `BTreeMap`, with the tracker recording from before the index exists;
-/// then the whole contents are compared and every line must be durable.
+/// then the middle half of the live keys is removed in key order, emptying
+/// whole leaves (P-BwTree merges them away); then the whole contents are
+/// compared and every line must be durable.
 fn run_stream(index: &dyn Index, key: fn(u64) -> Vec<u8>) {
     let name = index.index_name();
     let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
@@ -87,6 +93,13 @@ fn run_stream(index: &dyn Index, key: fn(u64) -> Vec<u8>) {
         }
     }
 
+    let live: Vec<Vec<u8>> = model.keys().cloned().collect();
+    for k in &live[live.len() / 4..live.len() * 3 / 4] {
+        assert!(index.exec_remove(k).is_ok(), "{name}: range remove of {k:?}");
+        model.remove(k);
+    }
+    index.exec_settle();
+
     let report = pm::tracker::check(true);
     assert!(report.is_durable(), "{name}: lines left unflushed or unfenced: {report:?}");
     for (k, v) in &model {
@@ -111,10 +124,17 @@ fn every_publishing_store_finds_its_object_durable() {
         let hot = PHot::new();
         run_stream(&hot, key);
         assert!(hot.compound_nodes() > 0, "the stream must build compound nodes");
+        pm::tracker::enable();
+        run_stream(&PMasstree::new(), key);
+        pm::tracker::enable();
+        let bw = PBwTree::new();
+        run_stream(&bw, key);
+        assert!(bw.merged_pages() > 0, "the range remove must merge emptied pages");
     }
     pm::tracker::disable();
 
-    // The two mixes together went through every converted publish site.
+    // The two mixes together went through every converted publish site, SMOs
+    // included.
     for site in [
         "art.insert.committed",
         "art.grow.committed",
@@ -126,6 +146,23 @@ fn every_publishing_store_finds_its_object_durable() {
         "hot.branch.committed",
         "hot.widen.committed",
         "hot.remove.committed",
+        "masstree.insert.committed",
+        "masstree.update.committed",
+        "masstree.remove.committed",
+        "masstree.split.left_truncated",
+        "masstree.root_split.committed",
+        "masstree.parent_split.left_truncated",
+        "masstree.parent.committed",
+        "bwtree.insert.delta_published",
+        "bwtree.update.delta_published",
+        "bwtree.remove.delta_published",
+        "bwtree.consolidate.installed",
+        "bwtree.split.delta_published",
+        "bwtree.smo.parent_published",
+        "bwtree.root_split.committed",
+        "bwtree.merge.remove_published",
+        "bwtree.merge.merge_published",
+        "bwtree.merge.parent_updated",
     ] {
         assert!(pm::crash::named_count(site) > 0, "{site} never ran");
     }

@@ -115,20 +115,21 @@ impl Perm {
 /// next-layer subtrees ([`LAYER`]); internal nodes map separator slices to children.
 /// Separators are always pure slices — splits never divide a run of equal slices —
 /// so routing and high keys fit a single atomic word.
+///
+/// The layout is fixed at five cache lines. The first, the **header line**, holds
+/// every word a commit or a split step stores — `lock`, `perm`, `leftmost`, `next`,
+/// `high` — plus `leaf` and the per-slot length classes; `keys` fill the next two
+/// lines and `vals` the two after. Stores to one line persist in program order (the
+/// line is written back whole), so a length class stored before the permutation that
+/// publishes it needs no flush of its own, and a split's link, high-key and truncate
+/// stores share one flush of the header line — the same rule P-CLHT's value-then-key
+/// commit relies on.
+#[repr(C, align(64))]
 pub struct Node {
     /// Writer lock (readers never take it; recovery force-unlocks it).
     pub lock: VersionLock,
-    /// Leaf marker; set at allocation and never changed.
-    leaf: bool,
     /// The permutation word publishing this node's entries.
     pub perm: AtomicU64,
-    /// Per-slot key slices (leaf) or separator slices (internal).
-    pub keys: [AtomicU64; WIDTH],
-    /// Per-slot length classes (leaves only; internal nodes leave them 0).
-    pub lens: [AtomicU8; WIDTH],
-    /// Per-slot values: record value or `Layer` pointer (leaf), child pointer
-    /// (internal).
-    pub vals: [AtomicU64; WIDTH],
     /// Child covering slices below every separator (internal nodes only).
     pub leftmost: AtomicU64,
     /// Right sibling (B-link pointer).
@@ -137,23 +138,54 @@ pub struct Node {
     /// (0 can never be a real separator: a slice-0 run is at most 10 entries and
     /// therefore never the upper half of a split.)
     pub high: AtomicU64,
+    /// Leaf marker; set at allocation and never changed.
+    leaf: bool,
+    /// Per-slot length classes (leaves only; internal nodes leave them 0).
+    pub lens: [AtomicU8; WIDTH],
+    _header_pad: [u8; 8],
+    /// Per-slot key slices (leaf) or separator slices (internal).
+    pub keys: [AtomicU64; WIDTH],
+    _keys_pad: [u8; 8],
+    /// Per-slot values: record value or `Layer` pointer (leaf), child pointer
+    /// (internal).
+    pub vals: [AtomicU64; WIDTH],
 }
 
+/// Bytes of a node's header line (see [`Node`]).
+pub const HEADER_BYTES: usize = pm::CACHE_LINE;
+
+const _: () = {
+    use std::mem::offset_of;
+    assert!(offset_of!(Node, lens) + WIDTH <= HEADER_BYTES, "header fits one line");
+    assert!(offset_of!(Node, keys) == HEADER_BYTES, "keys start the second line");
+    assert!(offset_of!(Node, vals) == 3 * pm::CACHE_LINE, "vals share no line with keys");
+    assert!(std::mem::size_of::<Node>() == 5 * pm::CACHE_LINE);
+};
+
 impl Node {
-    /// Allocate an empty node on the PM pool. The caller must persist it before
-    /// publishing a pointer to it.
+    /// Allocate an empty node in a five-line slab block of the PM pool
+    /// (`pm::alloc::pm_line_box`). The caller must persist it before publishing a
+    /// pointer to it.
     pub fn alloc(leaf: bool) -> *mut Node {
-        pm::alloc::pm_box(Node {
+        pm::alloc::pm_line_box(Node {
             lock: VersionLock::new(),
-            leaf,
             perm: AtomicU64::new(Perm::EMPTY.0),
-            keys: std::array::from_fn(|_| AtomicU64::new(0)),
-            lens: std::array::from_fn(|_| AtomicU8::new(0)),
-            vals: std::array::from_fn(|_| AtomicU64::new(0)),
             leftmost: AtomicU64::new(0),
             next: AtomicPtr::new(std::ptr::null_mut()),
             high: AtomicU64::new(0),
+            leaf,
+            lens: std::array::from_fn(|_| AtomicU8::new(0)),
+            _header_pad: [0; 8],
+            keys: std::array::from_fn(|_| AtomicU64::new(0)),
+            _keys_pad: [0; 8],
+            vals: std::array::from_fn(|_| AtomicU64::new(0)),
         })
+    }
+
+    /// Start of the header line (see [`Node`]), for flushing it whole.
+    #[must_use]
+    pub fn header(&self) -> *const u8 {
+        (self as *const Node).cast()
     }
 
     /// Whether this node is a leaf.

@@ -11,7 +11,9 @@
 //!
 //! Splits are the multi-step SMO that puts Masstree under Condition #3 ("writers
 //! don't fix inconsistencies"): sibling persisted → sibling linked → high key set →
-//! left half truncated, with a crash site after each atomic step. A crash between the
+//! left half truncated, with a crash site after each atomic step. The last three
+//! steps store words of one header line ([`Node`]), which persist in program order,
+//! so they share one flush and fence. A crash between the
 //! steps leaves duplicate entries and/or a missing high key. Readers *detect and
 //! tolerate* these states (move-right plus scan-time duplicate suppression) but never
 //! repair them; the helper built from the write path runs at [`Masstree::recover`],
@@ -19,7 +21,7 @@
 //! minimum, truncates stale upper halves, re-roots orphaned sibling chains) and
 //! re-initialises every node lock, exactly as RECIPE prescribes for restart.
 
-use crate::node::{Node, Perm, LAYER, WIDTH};
+use crate::node::{Node, Perm, HEADER_BYTES, LAYER, WIDTH};
 use recipe::key::keyslice;
 use recipe::lock::VersionGuard;
 use recipe::persist::PersistMode;
@@ -87,8 +89,10 @@ fn len_class(key: &[u8], off: usize) -> u8 {
 }
 
 /// Write one entry into a free slot of a locked node and publish it with a single
-/// atomic store of the permutation (flush + fence after each step). `sites` names the
-/// crash sites declared after the slot persist and after the commit.
+/// atomic store of the permutation. The key and value words are staged under one
+/// fence; the length class sits on the header line with the permutation word, so it
+/// persists with the commit's flush and no later than it. `sites` names the crash
+/// sites declared after the slot persist and after the commit.
 fn publish_entry<P: PersistMode>(
     node: &Node,
     perm: Perm,
@@ -106,9 +110,10 @@ fn publish_entry<P: PersistMode>(
     node.vals[slot].store(val, Ordering::Release);
     P::mark_dirty_obj(&node.vals[slot]);
     P::persist_obj(&node.keys[slot], false);
-    P::persist_obj(&node.lens[slot], false);
     P::persist_obj(&node.vals[slot], true);
     P::crash_site(sites.0);
+    P::assert_durable_obj(&node.keys[slot]);
+    P::assert_durable_obj(&node.vals[slot]);
     node.perm.store(perm.insert(rank, slot).0, Ordering::Release);
     P::mark_dirty_obj(&node.perm);
     P::persist_obj(&node.perm, true);
@@ -464,18 +469,19 @@ impl<P: PersistMode> Masstree<P> {
         P::persist_range(right_ptr.cast(), std::mem::size_of::<Node>(), true);
         P::crash_site("masstree.split.sibling_persisted");
 
-        // Ordered atomic steps of the SMO (Condition #3): link, bound, truncate.
+        // Ordered atomic steps of the SMO (Condition #3): link, bound, truncate. All
+        // three words share the header line, so they persist in this order and one
+        // flush + fence after the last makes all three durable.
+        P::assert_durable_obj(right_ptr);
         node.next.store(right_ptr, Ordering::Release);
         P::mark_dirty_obj(&node.next);
-        P::persist_obj(&node.next, true);
         P::crash_site("masstree.split.sibling_linked");
         node.high.store(split_slice, Ordering::Release);
         P::mark_dirty_obj(&node.high);
-        P::persist_obj(&node.high, true);
         P::crash_site("masstree.split.high_set");
         node.perm.store(perm.truncate(b).0, Ordering::Release);
         P::mark_dirty_obj(&node.perm);
-        P::persist_obj(&node.perm, true);
+        P::persist_range(node.header(), HEADER_BYTES, true);
         P::crash_site("masstree.split.left_truncated");
         obs::event::emit("masstree.smo", "leaf_split", split_slice, right_ptr as u64);
 
@@ -521,6 +527,7 @@ impl<P: PersistMode> Masstree<P> {
             new_root.perm.store(Perm::identity(1).0, Ordering::Relaxed);
             P::persist_range(new_root_ptr.cast(), std::mem::size_of::<Node>(), true);
             P::crash_site("masstree.root_split.new_root_persisted");
+            P::assert_durable_obj(new_root_ptr);
             layer.root.store(new_root_ptr, Ordering::Release);
             P::mark_dirty_obj(&layer.root);
             P::persist_obj(&layer.root, true);
@@ -581,17 +588,18 @@ impl<P: PersistMode> Masstree<P> {
         P::persist_range(right_ptr.cast(), std::mem::size_of::<Node>(), true);
         P::crash_site("masstree.parent_split.sibling_persisted");
 
+        // Link, bound, truncate: one header line, one flush + fence (as in the leaf
+        // split).
+        P::assert_durable_obj(right_ptr);
         parent.next.store(right_ptr, Ordering::Release);
         P::mark_dirty_obj(&parent.next);
-        P::persist_obj(&parent.next, true);
         P::crash_site("masstree.parent_split.sibling_linked");
         parent.high.store(up_slice, Ordering::Release);
         P::mark_dirty_obj(&parent.high);
-        P::persist_obj(&parent.high, true);
         // Truncate *excluding* the promoted separator.
         parent.perm.store(perm.truncate(mid).0, Ordering::Release);
         P::mark_dirty_obj(&parent.perm);
-        P::persist_obj(&parent.perm, true);
+        P::persist_range(parent.header(), HEADER_BYTES, true);
         P::crash_site("masstree.parent_split.left_truncated");
         obs::event::emit("masstree.smo", "parent_split", up_slice, right_ptr as u64);
 

@@ -27,6 +27,8 @@
 //! quiescence instead of accumulating it (the gauge regression tests and the
 //! `perf_gate` binary pin this behaviour down).
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -48,6 +50,35 @@ struct Slot {
 }
 
 type Deferred = Box<dyn FnOnce() + Send>;
+
+/// Collectors the calling thread holds a pinned session on, by address (0 = empty
+/// entry), so [`Collector::enter`] under a pinned session skips a second
+/// registration. A thread pinned on more collectors at once than there are entries
+/// just registers again for the extra ones.
+const PINNED_ENTRIES: usize = 4;
+
+thread_local! {
+    static PINNED: Cell<[usize; PINNED_ENTRIES]> = const { Cell::new([0; PINNED_ENTRIES]) };
+}
+
+/// Record (`on`) or forget one pinned session of this thread on `inner`.
+fn note_pinned(inner: &Arc<Inner>, on: bool) {
+    let addr = Arc::as_ptr(inner) as usize;
+    let (from, to) = if on { (0, addr) } else { (addr, 0) };
+    PINNED.with(|p| {
+        let mut set = p.get();
+        if let Some(e) = set.iter_mut().find(|e| **e == from) {
+            *e = to;
+            p.set(set);
+        }
+    });
+}
+
+/// Whether this thread holds a pinned session on `inner`.
+fn pinned_here(inner: &Arc<Inner>) -> bool {
+    let addr = Arc::as_ptr(inner) as usize;
+    PINNED.with(|p| p.get().contains(&addr))
+}
 
 struct Bag {
     epoch: u64,
@@ -187,11 +218,19 @@ impl Collector {
     /// Register **and** pin in one step: an RAII guard for callers that bracket
     /// a single operation (the index-internal protection path). Prefer a held
     /// [`Session`] when issuing many operations.
+    ///
+    /// If the calling thread already holds a pinned session on this collector (a
+    /// [`crate::session::Handle`] pins one around every operation), that pin
+    /// already protects the operation, and the guard is a no-op: no slot, no
+    /// reference count, no second announcement.
     #[must_use]
     pub fn enter(&self) -> EnterGuard {
+        if pinned_here(&self.inner) {
+            return EnterGuard { session: None, _not_send: PhantomData };
+        }
         let mut session = self.register();
         session.pin_raw();
-        EnterGuard { session }
+        EnterGuard { session: Some(session), _not_send: PhantomData }
     }
 
     /// Retire `bytes` of unlinked memory: `free` runs once no thread that could
@@ -239,6 +278,12 @@ impl Collector {
             .store(self.inner.retired_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
+    /// Slots owned by a session, pinned or not (tests only).
+    #[cfg(test)]
+    pub(crate) fn occupied_slots(&self) -> usize {
+        self.inner.slots.iter().filter(|s| s.state.load(Ordering::SeqCst) != FREE).count()
+    }
+
     /// Eagerly advance and collect until no further garbage can be freed.
     /// With no session pinned this drains everything (two epoch advances move
     /// any bag out of its protection window); with pinned sessions it frees
@@ -276,6 +321,7 @@ impl Session {
 
     pub(crate) fn pin_raw(&mut self) {
         if self.depth == 0 {
+            note_pinned(&self.inner, true);
             loop {
                 let e = self.inner.epoch.load(Ordering::Relaxed);
                 self.slot().state.store(e, Ordering::SeqCst);
@@ -295,6 +341,7 @@ impl Session {
         self.depth -= 1;
         if self.depth == 0 {
             self.slot().state.store(UNPINNED, Ordering::SeqCst);
+            note_pinned(&self.inner, false);
             let ticks = self.inner.unpin_ticks.fetch_add(1, Ordering::Relaxed) + 1;
             if ticks % COLLECT_EVERY == 0 {
                 self.inner.try_collect();
@@ -306,7 +353,7 @@ impl Session {
     /// this epoch onward is reclaimed. Reentrant (nested pins are counted).
     pub fn pin(&mut self) -> Guard<'_> {
         self.pin_raw();
-        Guard { session: self }
+        Guard { session: self, _not_send: PhantomData }
     }
 }
 
@@ -318,9 +365,11 @@ impl Drop for Session {
 }
 
 /// RAII pin over a borrowed [`Session`]; unpins (and occasionally collects) on
-/// drop.
+/// drop. Stays on the thread that pinned: the thread's record of its pins (see
+/// [`Collector::enter`]) must see the unpin.
 pub struct Guard<'s> {
     session: &'s mut Session,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for Guard<'_> {
@@ -330,14 +379,18 @@ impl Drop for Guard<'_> {
 }
 
 /// RAII register-and-pin over an owned slot, from [`Collector::enter`]; unpins
-/// and releases the slot on drop.
+/// and releases the slot on drop. Holds nothing when the thread's own pinned
+/// session already covers the operation.
 pub struct EnterGuard {
-    session: Session,
+    session: Option<Session>,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for EnterGuard {
     fn drop(&mut self) {
-        self.session.unpin_raw();
+        if let Some(session) = &mut self.session {
+            session.unpin_raw();
+        }
     }
 }
 
@@ -410,6 +463,42 @@ mod tests {
         drop(e);
         c.flush();
         assert_eq!(freed.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn enter_under_a_pinned_session_takes_no_slot() {
+        let c = Collector::new();
+        let mut s = c.register();
+        assert_eq!(c.occupied_slots(), 1);
+        {
+            let _pin = s.pin();
+            let _inner = c.enter();
+            assert_eq!(c.occupied_slots(), 1, "the held pin covers the enter");
+            let other = Collector::new();
+            let _elsewhere = other.enter();
+            assert_eq!(other.occupied_slots(), 1, "another collector still registers");
+        }
+        // Unpinned again: enter registers (and pins) a slot of its own.
+        let e = c.enter();
+        assert_eq!(c.occupied_slots(), 2);
+        drop(e);
+        assert_eq!(c.occupied_slots(), 1);
+        // A pin on another thread does not cover this one.
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+            let c = &c;
+            scope.spawn(move || {
+                let mut t = c.register();
+                let _pin = t.pin();
+                tx.send(()).unwrap();
+                done_rx.recv().unwrap();
+            });
+            rx.recv().unwrap();
+            let _mine = c.enter();
+            assert_eq!(c.occupied_slots(), 3, "own session, the other thread's, this enter");
+            done_tx.send(()).unwrap();
+        });
     }
 
     #[test]

@@ -894,6 +894,9 @@ mod tests {
         epoch: epoch::Collector,
         /// Calls that reached [`Index::exec_settle`].
         settles: std::sync::atomic::AtomicUsize,
+        /// Collector slots in use during the last [`Index::exec_get`], which
+        /// protects itself with `enter` as a reclaiming index must.
+        slots_in_get: std::sync::atomic::AtomicUsize,
     }
 
     impl Model {
@@ -902,6 +905,7 @@ mod tests {
                 map: RwLock::new(BTreeMap::new()),
                 epoch: epoch::Collector::new(),
                 settles: std::sync::atomic::AtomicUsize::new(0),
+                slots_in_get: std::sync::atomic::AtomicUsize::new(0),
             }
         }
     }
@@ -928,6 +932,9 @@ mod tests {
         }
 
         fn exec_get(&self, key: &[u8]) -> Option<u64> {
+            let _epoch = self.epoch.enter();
+            self.slots_in_get
+                .store(self.epoch.occupied_slots(), std::sync::atomic::Ordering::Relaxed);
             self.map.read().get(key).copied()
         }
 
@@ -1247,6 +1254,23 @@ mod tests {
         drop(sc);
         m.epoch.flush();
         assert_eq!(freed.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_pinned_handle_get_registers_no_second_slot() {
+        let m = Model::new();
+        let slots_in_get = || m.slots_in_get.load(std::sync::atomic::Ordering::Relaxed);
+        // Bare call: the index's own `enter` registers (and pins) one slot.
+        assert_eq!(m.exec_get(&k(1)), None);
+        assert_eq!(slots_in_get(), 1);
+        // Through a handle: the handle's pinned session is the only slot.
+        let mut h = m.handle();
+        assert_eq!(h.get(&k(1)), None);
+        assert_eq!(slots_in_get(), 1, "enter under the handle's pin took a slot");
+        // A second handle on this thread does not change that.
+        let mut h2 = m.handle();
+        assert_eq!(h2.get(&k(1)), None);
+        assert_eq!(slots_in_get(), 2, "two handles, two slots, no third for the enter");
     }
 
     #[test]
