@@ -46,7 +46,6 @@ pub const CRASH_SITES: &[&str] = &[
     "apex.recover.redone",
 ];
 
-use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
 use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
@@ -103,9 +102,7 @@ impl<P: PersistMode> Index for Apex<P> {
             "APEX(dram)".into()
         }
     }
-}
 
-impl<P: PersistMode> Recoverable for Apex<P> {
     fn recover(&self) {
         Apex::recover(self);
     }

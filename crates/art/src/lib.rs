@@ -46,7 +46,6 @@ pub const CRASH_SITES: &[&str] = &[
     "art.helper.prefix_fixed",
 ];
 
-use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
 use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
@@ -99,9 +98,7 @@ impl<P: PersistMode> Index for Art<P> {
             "ART".into()
         }
     }
-}
 
-impl<P: PersistMode> Recoverable for Art<P> {
     fn recover(&self) {
         self.recover_locks();
     }
@@ -126,11 +123,7 @@ mod tests {
         assert!(h.capabilities().scan && !h.capabilities().linearizable_update);
         assert_eq!(h.index_name(), "P-ART");
         assert_eq!(h.remove(&u64_key(1)), Ok(OpResult::Removed));
-        // The legacy boolean adapter stays available on the same object.
-        use recipe::index::ConcurrentIndex;
-        assert!(idx.insert(&u64_key(3), 30));
-        assert!(idx.supports_scan());
-        assert_eq!(idx.name(), "P-ART");
+        assert_eq!(h.insert(&u64_key(3), 30), Ok(OpResult::Inserted));
     }
 
     #[test]

@@ -7,10 +7,10 @@ use recipe::session::IndexExt;
 fn bench_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("insert_1k_sequential");
     group.sample_size(10);
-    for entry in bench::all_indexes() {
+    for entry in bench::registry::all_indexes() {
         group.bench_function(BenchmarkId::from_parameter(entry.name), |b| {
             b.iter_batched(
-                entry.build,
+                entry.build_pmem,
                 |index| {
                     let mut h = index.handle();
                     for i in 0..1_000u64 {
@@ -27,8 +27,8 @@ fn bench_insert(c: &mut Criterion) {
 fn bench_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("lookup_1k_of_100k");
     group.sample_size(10);
-    for entry in bench::all_indexes() {
-        let index = (entry.build)();
+    for entry in bench::registry::all_indexes() {
+        let index = (entry.build_pmem)();
         let mut h = index.handle();
         for i in 0..100_000u64 {
             let _ = h.insert(&u64_key(i), i);

@@ -60,10 +60,7 @@ fn main() {
                 model.install();
                 // One pass per grid point (the sheer point count averages noise);
                 // RECIPE_SHAPE_REPS buys best-of-N per point when runtime allows.
-                let reps = std::env::var("RECIPE_SHAPE_REPS")
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-                    .unwrap_or(1);
+                let reps = bench::env_usize("RECIPE_SHAPE_REPS", 1);
                 let cells = shape::run_shape_matrix_reps(bench::SHAPE_SCALE, reps);
                 let evals = shape::evaluate(&cells, &constraints);
                 rows.extend(shape::csv_rows(&model, &evals));

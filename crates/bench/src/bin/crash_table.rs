@@ -32,16 +32,8 @@ fn main() {
     let mut coverage_rows = Vec::new();
     let mut all_passed = true;
     for entry in bench::registry::all_indexes().into_iter().filter(|e| !e.single_writer) {
-        let sweep = run_crash_sweep(
-            || entry.build_recoverable(bench::registry::PolicyMode::Pmem),
-            entry.crash_sites,
-            &cfg,
-        );
-        let durability = run_durability_test(
-            || entry.build_recoverable(bench::registry::PolicyMode::Pmem),
-            5_000,
-            1_000,
-        );
+        let sweep = run_crash_sweep(entry.build_pmem, entry.crash_sites, &cfg);
+        let durability = run_durability_test(entry.build_pmem, 5_000, 1_000);
         println!(
             "{:<16} states={:<5} crashes={:<5} lost={:<3} wrong={:<3} resurrected={:<3} failed-ops={:<3} coverage={}/{} {:<6} | durability: construction-unflushed={} per-op-violations={} {}",
             entry.name,

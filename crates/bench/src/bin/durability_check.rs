@@ -4,10 +4,7 @@ fn main() {
     let checks: Vec<(&str, crashtest::DurabilityReport)> = bench::registry::all_indexes()
         .into_iter()
         .filter(|e| !e.single_writer)
-        .map(|e| {
-            let build = || e.build_recoverable(bench::registry::PolicyMode::Pmem);
-            (e.name, crashtest::run_durability_test(build, 20_000, 5_000))
-        })
+        .map(|e| (e.name, crashtest::run_durability_test(e.build_pmem, 20_000, 5_000)))
         .collect();
     for (name, r) in checks {
         println!(

@@ -2,7 +2,8 @@
 fn main() {
     bench::install_latency_from_env();
     let workloads = ycsb::Workload::ALL;
-    let cells = bench::run_matrix(&bench::ordered_indexes(), &workloads, ycsb::KeyType::RandInt);
+    let cells =
+        bench::run_matrix(&bench::registry::ordered_indexes(), &workloads, ycsb::KeyType::RandInt);
     bench::print_throughput_table(
         "Fig 4a — ordered indexes, integer keys (YCSB)",
         &cells,

@@ -2,7 +2,8 @@
 fn main() {
     bench::install_latency_from_env();
     let workloads = ycsb::Workload::ALL;
-    let cells = bench::run_matrix(&bench::ordered_indexes(), &workloads, ycsb::KeyType::RandInt);
+    let cells =
+        bench::run_matrix(&bench::registry::ordered_indexes(), &workloads, ycsb::KeyType::RandInt);
     bench::print_counter_table(
         "Fig 4c — counters, ordered indexes, integer keys",
         &cells,

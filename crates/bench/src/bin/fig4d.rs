@@ -2,7 +2,8 @@
 fn main() {
     bench::install_latency_from_env();
     let workloads = ycsb::Workload::ALL;
-    let cells = bench::run_matrix(&bench::ordered_indexes(), &workloads, ycsb::KeyType::String24);
+    let cells =
+        bench::run_matrix(&bench::registry::ordered_indexes(), &workloads, ycsb::KeyType::String24);
     bench::print_counter_table(
         "Fig 4d — counters, ordered indexes, string keys",
         &cells,

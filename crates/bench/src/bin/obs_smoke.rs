@@ -18,7 +18,7 @@ fn main() {
     // Small enough to gate CI, big enough for every instrument to fire; one
     // plain index plus one with an epoch reclaimer.
     let scale = bench::MatrixScale { load_n: 20_000, ops_n: 20_000, threads: 4 };
-    let indexes: Vec<_> = bench::all_indexes()
+    let indexes: Vec<_> = bench::registry::all_indexes()
         .into_iter()
         .filter(|e| e.name == "FAST&FAIR" || e.name == "P-BwTree")
         .collect();

@@ -3,7 +3,8 @@ fn main() {
     bench::install_latency_from_env();
     let workloads =
         [ycsb::Workload::LoadA, ycsb::Workload::A, ycsb::Workload::B, ycsb::Workload::C];
-    let cells = bench::run_matrix(&bench::hash_indexes(), &workloads, ycsb::KeyType::RandInt);
+    let cells =
+        bench::run_matrix(&bench::registry::hash_indexes(), &workloads, ycsb::KeyType::RandInt);
     bench::print_counter_table(
         "Table 4 — counters, hash indexes, integer keys",
         &cells,

@@ -41,7 +41,7 @@ fn main() {
             "{:<20}{:<20}{:<9}{:<11}{:<14}{:<13}{}",
             e.name,
             e.dram_name,
-            if e.kind == harness::registry::IndexKind::Ordered { "ordered" } else { "hash" },
+            if e.caps.ordered { "ordered" } else { "hash" },
             e.converted,
             e.caps.linearizable_update,
             if e.single_writer { "single-wr" } else { "multi-wr" },
@@ -82,7 +82,7 @@ fn main() {
                 "{},{},{},{},{},{},{}",
                 e.name,
                 e.dram_name,
-                if e.kind == harness::registry::IndexKind::Ordered { "ordered" } else { "hash" },
+                if e.caps.ordered { "ordered" } else { "hash" },
                 e.converted,
                 e.caps.linearizable_update,
                 !e.single_writer,

@@ -2,7 +2,7 @@
 
 fn main() {
     bench::install_latency_from_env();
-    let indexes: Vec<bench::IndexEntry> = bench::all_indexes()
+    let indexes: Vec<_> = bench::registry::all_indexes()
         .into_iter()
         .filter(|e| e.name == "P-ART" || e.name == "WOART(global-lock)")
         .collect();

@@ -18,24 +18,18 @@
 //! | `RECIPE_CRASH_STATES` | sampled crash states per index (crash_table) | 1000 |
 //! | `RECIPE_CRASH_LOAD_N` | mixed ops per crash-state load (crash_table) | 10000 |
 //! | `RECIPE_CRASH_POST_N` | post-recovery ops per crash state (crash_table) | 4000 |
-//! | `RECIPE_CHUNK_OPS`  | per-thread op-buffer chunk (sharded driver) | 8192    |
 //! | `RECIPE_OUT_DIR`    | directory for the machine-readable CSVs   | target/figures |
 //! | `RECIPE_SHAPE_REPS` | best-of-N passes in the gating matrices   | 3 (calibrate: 1) |
 //! | `RECIPE_CAL_CLWB` / `_FENCE` / `_READ` | comma-separated ns grids for `calibrate` | see `calibrate` |
-//! | `RECIPE_PERF_BASELINE` | perf-gate baseline path | crates/bench/baselines/throughput.json |
-//! | `RECIPE_PERF_TOLERANCE` | perf-gate per-entry regression tolerance | 0.25 |
-//! | `RECIPE_PERF_WRITE` | `1` = regenerate the perf baseline        | unset     |
 //! | `RECIPE_OBS_EVENTS` | `1` = enable the obs structured event ring | off      |
 //! | `RECIPE_OBS_RING`   | per-thread event-ring capacity (records)  | 4096      |
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-use recipe::session::Index;
-use std::sync::Arc;
+use registry::IndexEntry;
 use ycsb::{KeyType, PhaseResult, Spec, Workload};
 
-pub mod baseline;
 pub mod csv;
 pub mod metrics;
 pub mod shape;
@@ -43,45 +37,10 @@ pub mod shape;
 pub use harness::registry;
 pub use pm::latency::Model;
 
-/// A named index constructor used by the benchmark binaries.
-///
-/// Thin projection of [`registry::IndexEntry`]: the figure binaries only need the
-/// PM instantiation and its display name.
-pub struct IndexEntry {
-    /// Display name (matches the paper's naming).
-    pub name: &'static str,
-    /// Constructor for a fresh instance.
-    pub build: fn() -> Arc<dyn Index>,
-}
-
-impl From<registry::IndexEntry> for IndexEntry {
-    fn from(e: registry::IndexEntry) -> Self {
-        IndexEntry { name: e.name, build: e.build_pmem }
-    }
-}
-
-/// The ordered PM indexes of Fig. 4: FAST & FAIR (baseline) and the RECIPE-converted
-/// ordered indexes (P-ART, P-HOT, P-BwTree + its delta-chain ablation, P-Masstree),
-/// from the workspace registry.
+/// The `usize` in environment variable `key`, or `default` when it is unset or
+/// does not parse.
 #[must_use]
-pub fn ordered_indexes() -> Vec<IndexEntry> {
-    registry::ordered_indexes().into_iter().map(IndexEntry::from).collect()
-}
-
-/// The unordered PM indexes of Fig. 5 / Table 4, from the workspace registry.
-#[must_use]
-pub fn hash_indexes() -> Vec<IndexEntry> {
-    registry::hash_indexes().into_iter().map(IndexEntry::from).collect()
-}
-
-/// Every PM index in the workspace registry, including the global-lock WOART
-/// baseline (used by the micro-benchmarks).
-#[must_use]
-pub fn all_indexes() -> Vec<IndexEntry> {
-    registry::all_indexes().into_iter().map(IndexEntry::from).collect()
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
+pub fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
@@ -101,17 +60,12 @@ pub struct MatrixScale {
 pub const FULL_SCALE: MatrixScale =
     MatrixScale { load_n: 2_000_000, ops_n: 2_000_000, threads: 16 };
 
-/// The reduced scale used by `perf_gate` (whose checked-in baseline records it):
-/// big enough that the hash tables' deterministic resize points land in the load
-/// phase, not mid-run, small enough to gate CI.
-pub const REDUCED_SCALE: MatrixScale = MatrixScale { load_n: 60_000, ops_n: 60_000, threads: 4 };
-
-/// The scale `shape_check` and `calibrate` compare orderings at: the
-/// [`REDUCED_SCALE`] index, run four times as long. Four threads finish a read-only
-/// cell of 60 000 operations in 8–17 ms, too short to order two such cells: on a
-/// 2-vCPU host P-CLHT against Level-Hashing on B changed sign in 3 of 6 single
-/// passes. At 240 000 operations the cells last 35–70 ms and that ordering held,
-/// by +17% or more, in 40 runs out of 40.
+/// The scale `shape_check` and `calibrate` compare orderings at. 60 000 keys put
+/// the hash tables' deterministic resize points in the load phase, not mid-run.
+/// Four threads finish a read-only cell of 60 000 operations in 8–17 ms, too short
+/// to order two such cells: on a 2-vCPU host P-CLHT against Level-Hashing on B
+/// changed sign in 3 of 6 single passes. At 240 000 operations the cells last
+/// 35–70 ms and that ordering held, by +17% or more, in 40 runs out of 40.
 pub const SHAPE_SCALE: MatrixScale = MatrixScale { load_n: 60_000, ops_n: 240_000, threads: 4 };
 
 /// Install the simulated PM latency model from the environment (calibrated defaults,
@@ -163,12 +117,6 @@ pub fn crash_post_from_env() -> usize {
     env_usize("RECIPE_CRASH_POST_N", 4_000)
 }
 
-/// Per-thread op-buffer chunk for the sharded YCSB driver (`RECIPE_CHUNK_OPS`).
-#[must_use]
-pub fn chunk_from_env() -> usize {
-    env_usize("RECIPE_CHUNK_OPS", ycsb::DEFAULT_CHUNK_OPS).max(1)
-}
-
 /// One measured cell of a figure: index × workload.
 #[derive(Debug, Clone)]
 pub struct Cell {
@@ -184,7 +132,7 @@ pub struct Cell {
 /// phase for A/B/C/E and the load phase for Load A — exactly what Fig. 4/5 plot.
 ///
 /// Uses the sharded chunked driver, so the op-buffer footprint stays at
-/// `threads × RECIPE_CHUNK_OPS` operations regardless of `RECIPE_OPS_N`. Runs under
+/// `threads × ycsb::DEFAULT_CHUNK_OPS` operations regardless of `RECIPE_OPS_N`. Runs under
 /// whatever [`Model`] is currently installed (binaries install it from the
 /// environment at startup; `calibrate` sweeps it) and echoes that model once so
 /// every log ties its numbers to the cost constants that produced them.
@@ -194,7 +142,7 @@ pub fn run_matrix(indexes: &[IndexEntry], workloads: &[Workload], key_type: KeyT
 }
 
 /// [`run_matrix`] with explicit default sizes (used at [`SHAPE_SCALE`] by the
-/// calibration and shape-check binaries and at [`REDUCED_SCALE`] by the perf gate).
+/// calibration and shape-check binaries).
 #[must_use]
 pub fn run_matrix_scaled(
     indexes: &[IndexEntry],
@@ -203,7 +151,7 @@ pub fn run_matrix_scaled(
     scale: MatrixScale,
 ) -> Vec<Cell> {
     metrics::install();
-    let chunk = chunk_from_env();
+    let chunk = ycsb::DEFAULT_CHUNK_OPS;
     let m = Model::current();
     eprintln!(
         "# latency model: clwb {} ns (dedup per fence epoch), fence {} ns, read {} ns, eadr {}",
@@ -213,7 +161,7 @@ pub fn run_matrix_scaled(
     for entry in indexes {
         for &wl in workloads {
             let spec = spec_from_env_scaled(wl, key_type, scale);
-            let index = (entry.build)();
+            let index = (entry.build_pmem)();
             eprintln!(
                 "# running {:<14} workload {:<6} (load {} / ops {} / {} threads, chunk {})",
                 entry.name,
@@ -249,7 +197,7 @@ pub fn run_matrix_scaled(
 /// throughput. The workload stream is deterministic per spec, so structural
 /// effects repeat identically and run-to-run variance is downward scheduler
 /// interference — the per-cell max is the noise-filtered estimate the gating
-/// binaries (`shape_check`, `perf_gate`) compare on.
+/// binaries (`shape_check`, `calibrate`) compare on.
 #[must_use]
 pub fn run_matrix_best_of(
     indexes: &[IndexEntry],
@@ -277,44 +225,10 @@ pub fn run_matrix_best_of(
     best
 }
 
-/// Deterministic delete-heavy reclamation run for the perf gate: a
-/// single-threaded insert/remove churn against a fresh P-BwTree, long enough
-/// for thousands of delta-chain retirements. Single-threaded means the
-/// retire/collect interleaving — and so the peak of the epoch reclaimer's
-/// retired-bytes gauge — is exactly reproducible across runs *and hosts* (it
-/// counts bytes, not time), which is what makes it gateable as an absolute
-/// number in the checked-in baseline.
-#[must_use]
-pub fn measure_bwtree_reclamation() -> Vec<baseline::Gauge> {
-    use recipe::session::IndexExt;
-    let tree = bwtree::PBwTree::new();
-    let mut h = tree.handle();
-    for round in 0..60u64 {
-        for i in 0..500u64 {
-            h.insert(&recipe::key::u64_key(i), round).expect("bwtree upsert");
-        }
-        for i in 0..500u64 {
-            h.remove(&recipe::key::u64_key(i)).expect("key was just inserted");
-        }
-    }
-    drop(h);
-    let peak_kb = tree.peak_retired_bytes() as f64 / 1024.0;
-    let total_kb = (tree.reclaimed_bytes() + tree.retired_bytes()) as f64 / 1024.0;
-    eprintln!(
-        "# bwtree reclamation churn: peak retired {peak_kb:.1} KiB of {total_kb:.1} KiB retired \
-         in total"
-    );
-    assert!(
-        tree.reclaimed_bytes() > 0,
-        "reclamation churn freed nothing — epoch collection is broken"
-    );
-    vec![baseline::Gauge { name: "bwtree.reclaim.peak_retired_kb".into(), value: peak_kb }]
-}
-
 /// Repetition count for the gating binaries (`RECIPE_SHAPE_REPS`, default 3).
 #[must_use]
 pub fn shape_reps_from_env() -> usize {
-    std::env::var("RECIPE_SHAPE_REPS").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(3)
+    env_usize("RECIPE_SHAPE_REPS", 3)
 }
 
 /// Print a figure as a throughput table: rows = indexes, columns = workloads.
@@ -377,16 +291,22 @@ pub fn print_counter_table(title: &str, cells: &[Cell], workloads: &[Workload]) 
 
 #[cfg(test)]
 mod tests {
-    /// The gauge the perf gate checks absolutely must be deterministic: same
-    /// churn, same retire/collect schedule, same peak — byte-for-byte.
+    use super::*;
+
     #[test]
-    fn bwtree_reclamation_measurement_is_deterministic() {
-        let a = super::measure_bwtree_reclamation();
-        let b = super::measure_bwtree_reclamation();
-        assert_eq!(a.len(), 1);
-        assert_eq!(a[0].name, "bwtree.reclaim.peak_retired_kb");
-        assert!(a[0].value > 0.0);
-        assert_eq!(a[0].value, b[0].value, "reclamation peak must be reproducible");
-        eprintln!("gauge value: {:.4}", a[0].value);
+    fn env_usize_trims_and_falls_back_on_garbage() {
+        // Keys no other test reads, so setting them cannot race another test.
+        let key = "BENCH_LIB_TEST_ENV_USIZE";
+        std::env::remove_var(key);
+        assert_eq!(env_usize(key, 7), 7, "unset");
+        for (text, want) in [("42", 42), (" 12\n", 12), ("0", 0)] {
+            std::env::set_var(key, text);
+            assert_eq!(env_usize(key, 7), want, "{text:?}");
+        }
+        for garbage in ["", "x", "-1", "1.5", "1e3"] {
+            std::env::set_var(key, garbage);
+            assert_eq!(env_usize(key, 7), 7, "{garbage:?}");
+        }
+        std::env::remove_var(key);
     }
 }

@@ -10,7 +10,8 @@
 //! constants against these constraints; `bench --bin shape_check` asserts them at
 //! the calibrated defaults and gates CI.
 
-use crate::{Cell, IndexEntry, MatrixScale};
+use crate::registry::{all_indexes, IndexEntry};
+use crate::{Cell, MatrixScale};
 use ycsb::{KeyType, Workload};
 
 /// Ordered indexes the shape matrix runs (the Fig. 4 protagonists; P-BwTree's
@@ -206,13 +207,12 @@ pub fn min_margin(evals: &[Evaluation]) -> f64 {
 }
 
 fn subset(names: &[&str]) -> Vec<IndexEntry> {
-    let all: Vec<IndexEntry> = crate::all_indexes();
     names
         .iter()
         .map(|&n| {
-            all.iter()
+            all_indexes()
+                .into_iter()
                 .find(|e| e.name == n)
-                .map(|e| IndexEntry { name: e.name, build: e.build })
                 .unwrap_or_else(|| panic!("shape index {n} not in registry"))
         })
         .collect()

@@ -11,7 +11,7 @@ fn matrix_snapshot_is_complete_and_schema_valid() {
     bench::install_latency_from_env();
     let scale = bench::MatrixScale { load_n: 5_000, ops_n: 5_000, threads: 2 };
     let indexes: Vec<_> =
-        bench::all_indexes().into_iter().filter(|e| e.name == "P-BwTree").collect();
+        bench::registry::all_indexes().into_iter().filter(|e| e.name == "P-BwTree").collect();
     assert_eq!(indexes.len(), 1, "registry must contain P-BwTree");
     let cells = bench::run_matrix_scaled(&indexes, &[Workload::A], KeyType::RandInt, scale);
     assert_eq!(cells.len(), 1);

@@ -18,7 +18,7 @@
 //! `BwTree<Dram>` is the original concurrent DRAM index; `BwTree<Pmem>` is
 //! P-BwTree, with crash sites at every ordered SMO step (splits *and* the
 //! three-step node merge that retires emptied leaves) and a
-//! [`recipe::index::Recoverable::recover`] that replays incomplete SMOs at
+//! [`recipe::session::Index::recover`] that replays incomplete SMOs at
 //! restart.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
@@ -29,7 +29,6 @@ pub mod tree;
 
 pub use tree::BwTree;
 
-use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
 use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
@@ -117,9 +116,7 @@ impl<P: PersistMode> Index for BwTree<P> {
         // Maintenance between batches: retire emptied leaves via the merge SMO.
         BwTree::merge_empty_pages(self);
     }
-}
 
-impl<P: PersistMode> Recoverable for BwTree<P> {
     fn recover(&self) {
         BwTree::recover(self);
     }

@@ -761,8 +761,8 @@ impl<P: PersistMode> BwTree<P> {
         self.epoch.retired_bytes()
     }
 
-    /// High-water mark of [`BwTree::retired_bytes`] — the gauge `perf_gate`
-    /// and the reclamation regression test bound.
+    /// High-water mark of [`BwTree::retired_bytes`] — the gauge the
+    /// reclamation regression tests (`harness/tests/epoch_reclamation.rs`) bound.
     #[must_use]
     pub fn peak_retired_bytes(&self) -> u64 {
         self.epoch.peak_retired_bytes()

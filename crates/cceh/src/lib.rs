@@ -42,7 +42,6 @@ pub const CRASH_SITES: &[&str] = &[
     "cceh.split.directory_updated",
 ];
 
-use recipe::index::Recoverable;
 use recipe::key::{hash_u64, key_to_u64};
 use recipe::persist::{PersistMode, Pmem};
 use recipe::session::{Capabilities, Index, OpError, OpResult};
@@ -430,9 +429,7 @@ impl<P: PersistMode> Index for Cceh<P> {
             "CCEH(dram)".into()
         }
     }
-}
 
-impl<P: PersistMode> Recoverable for Cceh<P> {
     fn recover(&self) {
         let dir = self.directory();
         let mut seen = std::collections::HashSet::new();
@@ -453,8 +450,8 @@ const _: () = assert!(SLOTS_PER_BUCKET * segment::LINEAR_PROBE <= BUCKETS_PER_SE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe::index::ConcurrentIndex;
     use recipe::key::u64_key;
+    use recipe::session::IndexExt;
     use std::sync::Arc;
 
     fn k(x: u64) -> [u8; 8] {
@@ -465,8 +462,9 @@ mod tests {
     fn splits_and_doublings_emit_resize_events() {
         let was = obs::event::set_enabled(true);
         let t: PCceh = Cceh::new();
+        let mut h = t.handle();
         for i in 0..20_000u64 {
-            assert!(t.insert(&k(i), i));
+            assert_eq!(h.insert(&k(i), i), Ok(OpResult::Inserted));
         }
         let dump = obs::event::drain();
         obs::event::set_enabled(was);
@@ -487,12 +485,13 @@ mod tests {
     #[test]
     fn insert_get_remove() {
         let t: PCceh = Cceh::new();
-        assert!(t.insert(&k(1), 10));
-        assert!(!t.insert(&k(1), 11));
-        assert_eq!(t.get(&k(1)), Some(11));
-        assert_eq!(t.get(&k(2)), None);
-        assert!(t.remove(&k(1)));
-        assert!(!t.remove(&k(1)));
+        let mut h = t.handle();
+        assert_eq!(h.insert(&k(1), 10), Ok(OpResult::Inserted));
+        assert_eq!(h.insert(&k(1), 11), Ok(OpResult::Updated));
+        assert_eq!(h.get(&k(1)), Some(11));
+        assert_eq!(h.get(&k(2)), None);
+        assert_eq!(h.remove(&k(1)), Ok(OpResult::Removed));
+        assert_eq!(h.remove(&k(1)), Err(OpError::NotFound));
         assert!(t.is_empty());
     }
 
@@ -500,12 +499,13 @@ mod tests {
     fn many_inserts_trigger_splits_and_doubling() {
         let t: PCceh = Cceh::new();
         let n = 60_000u64;
+        let mut h = t.handle();
         for i in 0..n {
-            assert!(t.insert(&k(i), i), "insert {i}");
+            assert_eq!(h.insert(&k(i), i), Ok(OpResult::Inserted), "insert {i}");
         }
         assert!(t.global_depth() > 1, "directory should have doubled");
         for i in 0..n {
-            assert_eq!(t.get(&k(i)), Some(i), "key {i} lost after splits");
+            assert_eq!(h.get(&k(i)), Some(i), "key {i} lost after splits");
         }
         assert_eq!(t.len(), n as usize);
     }
@@ -513,10 +513,11 @@ mod tests {
     #[test]
     fn update_semantics() {
         let t: PCceh = Cceh::new();
-        assert!(!t.update(&k(5), 1));
-        t.insert(&k(5), 1);
-        assert!(t.update(&k(5), 2));
-        assert_eq!(t.get(&k(5)), Some(2));
+        let mut h = t.handle();
+        assert_eq!(h.update(&k(5), 1), Err(OpError::NotFound));
+        h.insert(&k(5), 1).unwrap();
+        assert_eq!(h.update(&k(5), 2), Ok(OpResult::Updated));
+        assert_eq!(h.get(&k(5)), Some(2));
     }
 
     #[test]
@@ -528,17 +529,19 @@ mod tests {
         for tid in 0..threads {
             let t = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
+                let mut h = t.handle();
                 for i in 0..per {
                     let key = tid * per + i;
-                    assert!(t.insert(&k(key), key));
+                    assert_eq!(h.insert(&k(key), key), Ok(OpResult::Inserted));
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
+        let mut h = t.handle();
         for key in 0..threads * per {
-            assert_eq!(t.get(&k(key)), Some(key), "key {key} lost");
+            assert_eq!(h.get(&k(key)), Some(key), "key {key} lost");
         }
         assert_eq!(t.len(), (threads * per) as usize);
     }
@@ -546,9 +549,10 @@ mod tests {
     #[test]
     fn unsupported_keys_rejected() {
         let t: PCceh = Cceh::new();
-        assert!(!t.insert(b"longer-than-8-bytes", 1));
-        assert_eq!(t.get(b"longer-than-8-bytes"), None);
-        // The typed API names the cause instead of collapsing it into `false`.
+        let mut h = t.handle();
+        assert_eq!(h.insert(b"longer-than-8-bytes", 1), Err(OpError::UnsupportedKey));
+        assert_eq!(h.get(b"longer-than-8-bytes"), None);
+        // The bare entry points name the cause too.
         assert_eq!(t.exec_insert(b"longer-than-8-bytes", 1), Err(OpError::UnsupportedKey));
         assert_eq!(t.exec_update(b"longer-than-8-bytes", 1), Err(OpError::UnsupportedKey));
         assert_eq!(t.exec_remove(b"longer-than-8-bytes"), Err(OpError::UnsupportedKey));
@@ -582,9 +586,9 @@ mod tests {
     #[test]
     fn name_and_recover() {
         let t: PCceh = Cceh::new();
-        assert_eq!(t.name(), "CCEH");
-        t.insert(&k(3), 3);
+        assert_eq!(t.index_name(), "CCEH");
+        t.handle().insert(&k(3), 3).unwrap();
         t.recover();
-        assert_eq!(t.get(&k(3)), Some(3));
+        assert_eq!(t.handle().get(&k(3)), Some(3));
     }
 }

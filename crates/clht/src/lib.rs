@@ -25,7 +25,6 @@ pub mod bucket;
 pub mod table;
 
 use bucket::{Bucket, EMPTY_KEY, ENTRIES_PER_BUCKET};
-use recipe::index::Recoverable;
 use recipe::key::{hash_u64, key_to_u64};
 use recipe::persist::{Dram, PersistMode, Pmem};
 use recipe::session::{Capabilities, Index, OpError, OpResult};
@@ -430,9 +429,7 @@ impl<P: PersistMode> Index for Clht<P> {
             "CLHT".into()
         }
     }
-}
 
-impl<P: PersistMode> Recoverable for Clht<P> {
     fn recover(&self) {
         // RECIPE lock re-initialisation: clear every bucket lock of the installed
         // table. Values/keys need no repair — partially completed inserts left either
@@ -454,8 +451,8 @@ impl<P: PersistMode> Recoverable for Clht<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe::index::ConcurrentIndex;
     use recipe::key::u64_key;
+    use recipe::session::IndexExt;
     use std::sync::Arc;
 
     fn k(x: u64) -> [u8; 8] {
@@ -465,49 +462,54 @@ mod tests {
     #[test]
     fn insert_get_remove_roundtrip() {
         let m: DramClht = Clht::with_capacity(64);
-        assert!(m.insert(&k(1), 10));
-        assert!(m.insert(&k(2), 20));
-        assert!(!m.insert(&k(1), 11), "duplicate insert updates");
-        assert_eq!(m.get(&k(1)), Some(11));
-        assert_eq!(m.get(&k(2)), Some(20));
-        assert_eq!(m.get(&k(3)), None);
-        assert!(m.remove(&k(1)));
-        assert!(!m.remove(&k(1)));
-        assert_eq!(m.get(&k(1)), None);
+        let mut h = m.handle();
+        assert_eq!(h.insert(&k(1), 10), Ok(OpResult::Inserted));
+        assert_eq!(h.insert(&k(2), 20), Ok(OpResult::Inserted));
+        assert_eq!(h.insert(&k(1), 11), Ok(OpResult::Updated), "duplicate insert updates");
+        assert_eq!(h.get(&k(1)), Some(11));
+        assert_eq!(h.get(&k(2)), Some(20));
+        assert_eq!(h.get(&k(3)), None);
+        assert_eq!(h.remove(&k(1)), Ok(OpResult::Removed));
+        assert_eq!(h.remove(&k(1)), Err(OpError::NotFound));
+        assert_eq!(h.get(&k(1)), None);
         assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn update_only_touches_existing() {
         let m: DramClht = Clht::with_capacity(64);
-        assert!(!m.update(&k(5), 1));
-        m.insert(&k(5), 1);
-        assert!(m.update(&k(5), 2));
-        assert_eq!(m.get(&k(5)), Some(2));
+        let mut h = m.handle();
+        assert_eq!(h.update(&k(5), 1), Err(OpError::NotFound));
+        h.insert(&k(5), 1).unwrap();
+        assert_eq!(h.update(&k(5), 2), Ok(OpResult::Updated));
+        assert_eq!(h.get(&k(5)), Some(2));
     }
 
     #[test]
     fn key_zero_is_supported_via_internal_offset() {
         let m: DramClht = Clht::with_capacity(16);
-        assert!(m.insert(&k(0), 99));
-        assert_eq!(m.get(&k(0)), Some(99));
+        let mut h = m.handle();
+        assert_eq!(h.insert(&k(0), 99), Ok(OpResult::Inserted));
+        assert_eq!(h.get(&k(0)), Some(99));
     }
 
     #[test]
     fn unsupported_keys_are_rejected() {
         let m: DramClht = Clht::with_capacity(16);
-        assert!(!m.insert(b"a-very-long-string-key", 1));
-        assert_eq!(m.get(b"a-very-long-string-key"), None);
+        let mut h = m.handle();
+        assert_eq!(h.insert(b"a-very-long-string-key", 1), Err(OpError::UnsupportedKey));
+        assert_eq!(h.get(b"a-very-long-string-key"), None);
         // all-0xFF 8-byte key maps to the reserved sentinel
-        assert!(!m.insert(&[0xFF; 8], 1));
+        assert_eq!(h.insert(&[0xFF; 8], 1), Err(OpError::UnsupportedKey));
     }
 
     #[test]
     fn rehash_emits_resize_event() {
         let was = obs::event::set_enabled(true);
         let m: DramClht = Clht::with_capacity(8);
+        let mut h = m.handle();
         for i in 0..5_000u64 {
-            assert!(m.insert(&k(i), i));
+            assert_eq!(h.insert(&k(i), i), Ok(OpResult::Inserted));
         }
         let dump = obs::event::drain();
         obs::event::set_enabled(was);
@@ -523,12 +525,13 @@ mod tests {
     fn grows_via_rehash_and_keeps_all_keys() {
         let m: DramClht = Clht::with_capacity(8);
         let before = m.num_buckets();
+        let mut h = m.handle();
         for i in 0..5_000u64 {
-            assert!(m.insert(&k(i), i * 2));
+            assert_eq!(h.insert(&k(i), i * 2), Ok(OpResult::Inserted));
         }
         assert!(m.num_buckets() > before, "rehash should have grown the table");
         for i in 0..5_000u64 {
-            assert_eq!(m.get(&k(i)), Some(i * 2), "key {i} lost after rehash");
+            assert_eq!(h.get(&k(i)), Some(i * 2), "key {i} lost after rehash");
         }
         assert_eq!(m.len(), 5_000);
     }
@@ -536,10 +539,11 @@ mod tests {
     #[test]
     fn pclht_counts_flushes_per_insert() {
         let m: PClht = Clht::with_capacity(1 << 14);
+        let mut h = m.handle();
         // Warm up (skip table-creation flushes).
         let before = pm::stats::snapshot_local();
         for i in 1..=1000u64 {
-            m.insert(&k(i), i);
+            h.insert(&k(i), i).unwrap();
         }
         let d = pm::stats::snapshot_local().since(&before);
         let per_insert = d.clwb as f64 / 1000.0;
@@ -552,9 +556,10 @@ mod tests {
     #[test]
     fn dram_clht_issues_no_flushes() {
         let m: DramClht = Clht::with_capacity(256);
+        let mut h = m.handle();
         let before = pm::stats::snapshot_local();
         for i in 1..=100u64 {
-            m.insert(&k(i), i);
+            h.insert(&k(i), i).unwrap();
         }
         let d = pm::stats::snapshot_local().since(&before);
         assert_eq!(d.clwb, 0);
@@ -570,18 +575,20 @@ mod tests {
         for t in 0..threads {
             let m = Arc::clone(&m);
             handles.push(std::thread::spawn(move || {
+                let mut h = m.handle();
                 for i in 0..per_thread {
                     let key = t as u64 * per_thread + i;
-                    assert!(m.insert(&k(key), key + 1));
-                    assert_eq!(m.get(&k(key)), Some(key + 1));
+                    assert_eq!(h.insert(&k(key), key + 1), Ok(OpResult::Inserted));
+                    assert_eq!(h.get(&k(key)), Some(key + 1));
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
+        let mut h = m.handle();
         for key in 0..threads as u64 * per_thread {
-            assert_eq!(m.get(&k(key)), Some(key + 1), "key {key} lost");
+            assert_eq!(h.get(&k(key)), Some(key + 1), "key {key} lost");
         }
         assert_eq!(m.len(), (threads as u64 * per_thread) as usize);
     }
@@ -589,7 +596,7 @@ mod tests {
     #[test]
     fn recover_clears_stuck_locks() {
         let m: PClht = Clht::with_capacity(16);
-        m.insert(&k(1), 1);
+        m.handle().insert(&k(1), 1).unwrap();
         // Simulate a crash that left a bucket lock set.
         let t = m.current();
         std::mem::forget(t.buckets()[0].lock.lock());
@@ -598,12 +605,12 @@ mod tests {
             assert!(!b.lock.is_locked());
         }
         // Index still usable.
-        assert!(m.insert(&k(2), 2));
+        assert_eq!(m.handle().insert(&k(2), 2), Ok(OpResult::Inserted));
     }
 
     #[test]
     fn name_reflects_policy() {
-        assert_eq!(Clht::<Dram>::with_capacity(4).name(), "CLHT");
-        assert_eq!(Clht::<Pmem>::with_capacity(4).name(), "P-CLHT");
+        assert_eq!(Clht::<Dram>::with_capacity(4).index_name(), "CLHT");
+        assert_eq!(Clht::<Pmem>::with_capacity(4).index_name(), "P-CLHT");
     }
 }

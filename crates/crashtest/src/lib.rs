@@ -9,7 +9,7 @@
 //! * **Consistency testing** ([`run_crash_test`]): load the index while a crash is
 //!   armed at one of its crash sites; when the crash fires the operation is cut
 //!   mid-way (leaving partial state, like a power failure); the index is "restarted"
-//!   (locks re-initialised via [`recipe::index::Recoverable::recover`]); a
+//!   (locks re-initialised via [`recipe::session::Index::recover`]); a
 //!   multi-threaded mixed workload then runs and finally every key acknowledged
 //!   before the crash is read back and checked. Repeating this over many crash
 //!   states enumerates the interesting crash points of the workload.
@@ -28,7 +28,6 @@ pub use sweep::{
 };
 
 use pm::crash;
-use recipe::index::Recoverable;
 use recipe::key::u64_key;
 use recipe::session::{Index, IndexExt};
 use std::panic::AssertUnwindSafe;
@@ -117,7 +116,7 @@ where
 /// DRAM mode, so no crashes would ever fire).
 pub fn run_crash_test<I, F>(factory: F, cfg: &CrashTestConfig) -> CrashTestReport
 where
-    I: Index + Recoverable + Send + Sync,
+    I: Index,
     F: Fn() -> I,
 {
     crash::install_quiet_hook();
@@ -335,14 +334,32 @@ mod tests {
         fn index_name(&self) -> String {
             "toy".into()
         }
-    }
-
-    impl Recoverable for ToyIndex {
         fn recover(&self) {
             for (lock, _) in &self.shards {
                 lock.force_unlock();
             }
         }
+    }
+
+    /// A crash inside a critical section leaves its lock held; the harness
+    /// restarts through [`Index::recover`], which must release it so the
+    /// post-recovery workload cannot deadlock on that shard.
+    #[test]
+    fn recover_releases_a_lock_a_crash_left_held() {
+        fn restart<I: Index>(index: &I) {
+            index.recover();
+        }
+        let _g = CRASH_LOCK.lock();
+        let idx = ToyIndex::new(true);
+        let key = recipe::key::u64_key(5);
+        let (lock, _) = idx.shard(&key);
+        std::mem::forget(lock.lock());
+        assert!(lock.is_locked());
+        restart(&idx);
+        assert!(!lock.is_locked(), "recover re-initialises the lock");
+        let mut h = idx.handle();
+        assert_eq!(h.insert(&key, 50), Ok(OpResult::Inserted));
+        assert_eq!(h.get(&key), Some(50));
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! keys — so one failing run is enough to see *what* the index was doing.
 
 use pm::crash;
-use recipe::index::Recoverable;
 use recipe::key::u64_key;
 use recipe::session::{Index, IndexExt};
 use std::collections::HashMap;
@@ -269,7 +268,7 @@ struct StateResult {
 /// mixed phase, then a full read-back against the acknowledged model.
 fn run_state<I>(index: &I, cfg: &SweepConfig, arm: &Arm) -> StateResult
 where
-    I: Index + Recoverable + Send + Sync,
+    I: Index,
 {
     match arm {
         Arm::Nth(n) => crash::arm_nth(*n),
@@ -419,7 +418,7 @@ pub fn run_crash_sweep<I, F>(
     cfg: &SweepConfig,
 ) -> SweepReport
 where
-    I: Index + Recoverable + Send + Sync,
+    I: Index,
     F: Fn() -> I,
 {
     crash::install_quiet_hook();

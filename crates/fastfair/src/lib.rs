@@ -37,7 +37,6 @@ pub const CRASH_SITES: &[&str] = &[
     "fastfair.parent_split.left_truncated",
 ];
 
-use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
 use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
@@ -90,9 +89,7 @@ impl<P: PersistMode> Index for FastFair<P> {
             "FAST&FAIR(dram)".into()
         }
     }
-}
 
-impl<P: PersistMode> Recoverable for FastFair<P> {
     fn recover(&self) {
         self.recover_locks();
     }

@@ -3,9 +3,8 @@
 //! remains fully usable — without any dedicated recovery code.
 //!
 //! Run with `cargo run -p harness --release --example crash_recovery`.
-use recipe::index::Recoverable;
 use recipe::key::u64_key;
-use recipe::session::IndexExt;
+use recipe::session::{Index, IndexExt};
 
 fn main() {
     pm::crash::install_quiet_hook();

@@ -2,8 +2,7 @@
 //!
 //! Home of the cross-index [`registry`] plus the integration tests and examples
 //! that exercise every index through the session API ([`recipe::session::Index`]
-//! objects driven by per-thread [`recipe::session::Handle`]s; the legacy
-//! `ConcurrentIndex` adapter is covered by each index crate's own tests):
+//! objects driven by per-thread [`recipe::session::Handle`]s):
 //!
 //! * `tests/conformance.rs` — §2.1 interface semantics against a `BTreeMap` model;
 //! * `tests/registry_smoke.rs` — the registry itself, in both policy modes;
@@ -21,4 +20,4 @@
 
 pub mod registry;
 
-pub use registry::{all_indexes, IndexEntry, IndexKind, PolicyMode};
+pub use registry::{all_indexes, IndexEntry, PolicyMode};

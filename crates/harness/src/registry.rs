@@ -2,26 +2,16 @@
 //!
 //! Each [`IndexEntry`] can construct its index under either persistence policy
 //! ([`PolicyMode::Dram`] gives the original DRAM index, [`PolicyMode::Pmem`] the
-//! RECIPE-converted / hand-crafted PM index), as a session-capable
-//! [`Index`] object or as a [`RecoverableIndex`] for the crash harness, and
+//! RECIPE-converted / hand-crafted PM index) as an [`Index`] object — the
+//! same object the crash harness restarts through [`Index::recover`] — and
 //! carries the index's static [`Capabilities`] so callers can pick workloads
 //! without building anything. Tests, examples and the benchmark binaries all
 //! enumerate indexes through [`all_indexes`] so adding an index to the
 //! evaluation is a one-line change here.
 
-use recipe::index::RecoverableIndex;
 use recipe::persist::{Dram, Pmem};
 use recipe::session::{Capabilities, Index};
 use std::sync::Arc;
-
-/// Whether an index orders its keys (and therefore supports range scans).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Lexicographically ordered keys; `scan` is meaningful.
-    Ordered,
-    /// Hashed keys; `scan` returns nothing.
-    Hash,
-}
 
 /// Which persistence policy to instantiate an index with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +33,6 @@ pub struct IndexEntry {
     pub name: &'static str,
     /// Display name of the DRAM instantiation (e.g. `"ART"`).
     pub dram_name: &'static str,
-    /// Ordered or hash index.
-    pub kind: IndexKind,
     /// The index crate's declared capabilities (identical across policy modes;
     /// the conformance suite asserts it matches what the built index reports,
     /// and probes `linearizable_update` against actual interleavings).
@@ -61,10 +49,6 @@ pub struct IndexEntry {
     pub build_pmem: fn() -> Arc<dyn Index>,
     /// Construct the DRAM instantiation.
     pub build_dram: fn() -> Arc<dyn Index>,
-    /// Construct the PM instantiation for the crash harness.
-    pub build_pmem_recoverable: fn() -> Arc<dyn RecoverableIndex>,
-    /// Construct the DRAM instantiation for the crash harness.
-    pub build_dram_recoverable: fn() -> Arc<dyn RecoverableIndex>,
 }
 
 impl IndexEntry {
@@ -77,15 +61,6 @@ impl IndexEntry {
         }
     }
 
-    /// Construct the index under the given policy mode, with recovery support.
-    #[must_use]
-    pub fn build_recoverable(&self, mode: PolicyMode) -> Arc<dyn RecoverableIndex> {
-        match mode {
-            PolicyMode::Dram => (self.build_dram_recoverable)(),
-            PolicyMode::Pmem => (self.build_pmem_recoverable)(),
-        }
-    }
-
     /// Display name under the given policy mode.
     #[must_use]
     pub fn name(&self, mode: PolicyMode) -> &'static str {
@@ -94,31 +69,20 @@ impl IndexEntry {
             PolicyMode::Pmem => self.name,
         }
     }
-
-    /// Whether range scans are meaningful for this index
-    /// (`self.caps.scan`; kept as a method for the many call sites that
-    /// predate [`Capabilities`]).
-    #[must_use]
-    pub fn supports_scan(&self) -> bool {
-        self.caps.scan
-    }
 }
 
 macro_rules! entry {
-    ($pname:literal, $dname:literal, $kind:ident, converted: $conv:literal,
+    ($pname:literal, $dname:literal, converted: $conv:literal,
      single_writer: $sw:literal, $ty:ident :: $base:ident, $sites:expr) => {
         IndexEntry {
             name: $pname,
             dram_name: $dname,
-            kind: IndexKind::$kind,
             caps: $ty::CAPS,
             converted: $conv,
             single_writer: $sw,
             crash_sites: $sites,
             build_pmem: || Arc::new($ty::$base::<Pmem>::new()),
             build_dram: || Arc::new($ty::$base::<Dram>::new()),
-            build_pmem_recoverable: || Arc::new($ty::$base::<Pmem>::new()),
-            build_dram_recoverable: || Arc::new($ty::$base::<Dram>::new()),
         }
     };
 }
@@ -131,7 +95,6 @@ fn bwtree_dc16() -> IndexEntry {
     IndexEntry {
         name: "P-BwTree(dc16)",
         dram_name: "BwTree(dc16)",
-        kind: IndexKind::Ordered,
         caps: bwtree::CAPS,
         converted: true,
         single_writer: false,
@@ -150,20 +113,6 @@ fn bwtree_dc16() -> IndexEntry {
                 "(dc16)",
             ))
         },
-        build_pmem_recoverable: || {
-            Arc::new(bwtree::BwTree::<Pmem>::with_config(
-                DC,
-                bwtree::tree::DEFAULT_SPLIT_AT,
-                "(dc16)",
-            ))
-        },
-        build_dram_recoverable: || {
-            Arc::new(bwtree::BwTree::<Dram>::with_config(
-                DC,
-                bwtree::tree::DEFAULT_SPLIT_AT,
-                "(dc16)",
-            ))
-        },
     }
 }
 
@@ -172,17 +121,17 @@ fn bwtree_dc16() -> IndexEntry {
 #[must_use]
 pub fn all_indexes() -> Vec<IndexEntry> {
     vec![
-        entry!("P-ART", "ART", Ordered, converted: true, single_writer: false, art_index::Art, art_index::CRASH_SITES),
-        entry!("P-HOT", "HOT", Ordered, converted: true, single_writer: false, hot_trie::Hot, hot_trie::CRASH_SITES),
-        entry!("P-BwTree", "BwTree", Ordered, converted: true, single_writer: false, bwtree::BwTree, bwtree::CRASH_SITES),
-        entry!("P-Masstree", "Masstree", Ordered, converted: true, single_writer: false, masstree::Masstree, masstree::CRASH_SITES),
-        entry!("P-CLHT", "CLHT", Hash, converted: true, single_writer: false, clht::Clht, clht::CRASH_SITES),
+        entry!("P-ART", "ART", converted: true, single_writer: false, art_index::Art, art_index::CRASH_SITES),
+        entry!("P-HOT", "HOT", converted: true, single_writer: false, hot_trie::Hot, hot_trie::CRASH_SITES),
+        entry!("P-BwTree", "BwTree", converted: true, single_writer: false, bwtree::BwTree, bwtree::CRASH_SITES),
+        entry!("P-Masstree", "Masstree", converted: true, single_writer: false, masstree::Masstree, masstree::CRASH_SITES),
+        entry!("P-CLHT", "CLHT", converted: true, single_writer: false, clht::Clht, clht::CRASH_SITES),
         bwtree_dc16(),
-        entry!("FAST&FAIR", "FAST&FAIR(dram)", Ordered, converted: false, single_writer: false, fastfair::FastFair, fastfair::CRASH_SITES),
-        entry!("P-APEX", "APEX(dram)", Ordered, converted: false, single_writer: false, apex::Apex, apex::CRASH_SITES),
-        entry!("WOART(global-lock)", "WOART(dram)", Ordered, converted: false, single_writer: true, woart::Woart, woart::CRASH_SITES),
-        entry!("CCEH", "CCEH(dram)", Hash, converted: false, single_writer: false, cceh::Cceh, cceh::CRASH_SITES),
-        entry!("Level-Hashing", "Level-Hashing(dram)", Hash, converted: false, single_writer: false, levelhash::LevelHash, levelhash::CRASH_SITES),
+        entry!("FAST&FAIR", "FAST&FAIR(dram)", converted: false, single_writer: false, fastfair::FastFair, fastfair::CRASH_SITES),
+        entry!("P-APEX", "APEX(dram)", converted: false, single_writer: false, apex::Apex, apex::CRASH_SITES),
+        entry!("WOART(global-lock)", "WOART(dram)", converted: false, single_writer: true, woart::Woart, woart::CRASH_SITES),
+        entry!("CCEH", "CCEH(dram)", converted: false, single_writer: false, cceh::Cceh, cceh::CRASH_SITES),
+        entry!("Level-Hashing", "Level-Hashing(dram)", converted: false, single_writer: false, levelhash::LevelHash, levelhash::CRASH_SITES),
     ]
 }
 
@@ -190,27 +139,26 @@ pub fn all_indexes() -> Vec<IndexEntry> {
 /// global-lock WOART baseline, which gets its own §7.3 comparison).
 #[must_use]
 pub fn ordered_indexes() -> Vec<IndexEntry> {
-    all_indexes().into_iter().filter(|e| e.kind == IndexKind::Ordered && !e.single_writer).collect()
+    all_indexes().into_iter().filter(|e| e.caps.ordered && !e.single_writer).collect()
 }
 
 /// The unordered (hash) indexes of the paper's Fig. 5 / Table 4.
 #[must_use]
 pub fn hash_indexes() -> Vec<IndexEntry> {
-    all_indexes().into_iter().filter(|e| e.kind == IndexKind::Hash).collect()
+    all_indexes().into_iter().filter(|e| !e.caps.ordered).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe::index::ConcurrentIndex;
     use recipe::session::IndexExt;
 
     #[test]
     fn registry_covers_both_kinds() {
         let all = all_indexes();
         assert_eq!(all.len(), 11);
-        assert!(all.iter().any(|e| e.kind == IndexKind::Ordered));
-        assert!(all.iter().any(|e| e.kind == IndexKind::Hash));
+        assert!(all.iter().any(|e| e.caps.ordered));
+        assert!(all.iter().any(|e| !e.caps.ordered));
         assert_eq!(ordered_indexes().len() + hash_indexes().len() + 1, all.len());
     }
 
@@ -228,10 +176,23 @@ mod tests {
     }
 
     #[test]
-    fn declared_caps_match_kind_and_built_index() {
+    fn figure_registries_split_on_caps_and_single_writer() {
+        let (ordered, hash) = (ordered_indexes(), hash_indexes());
+        assert!(ordered.iter().all(|e| e.caps.ordered && e.caps.scan && !e.single_writer));
+        assert!(hash.iter().all(|e| !e.caps.ordered && !e.caps.scan));
+        // The one entry in neither figure is the single-writer ordered index.
+        let left_out: Vec<_> = all_indexes()
+            .into_iter()
+            .filter(|e| !ordered.iter().chain(&hash).any(|f| f.name == e.name))
+            .collect();
+        assert_eq!(left_out.len(), 1);
+        assert!(left_out[0].single_writer && left_out[0].caps.ordered, "{}", left_out[0].name);
+    }
+
+    #[test]
+    fn declared_caps_match_built_index() {
         for e in all_indexes() {
-            assert_eq!(e.caps.ordered, e.kind == IndexKind::Ordered, "{}", e.name);
-            assert_eq!(e.caps.scan, e.supports_scan(), "{}", e.name);
+            assert_eq!(e.caps.scan, e.caps.ordered, "{}", e.name);
             for mode in PolicyMode::ALL {
                 assert_eq!(e.build(mode).capabilities(), e.caps, "{}", e.name(mode));
             }
@@ -262,21 +223,42 @@ mod tests {
         for e in all_indexes() {
             assert_eq!(e.build(PolicyMode::Pmem).index_name(), e.name, "{}", e.name);
             assert_eq!(e.build(PolicyMode::Dram).index_name(), e.dram_name, "{}", e.name);
-            // The legacy adapter reports the same name.
-            assert_eq!(e.build(PolicyMode::Pmem).name(), e.name, "{}", e.name);
         }
     }
 
     #[test]
-    fn recoverable_constructors_build_the_same_index() {
+    fn built_indexes_recover_and_stay_usable() {
         for e in all_indexes() {
-            let idx = e.build_recoverable(PolicyMode::Pmem);
+            let idx = e.build(PolicyMode::Pmem);
             assert_eq!(idx.index_name(), e.name);
             idx.recover();
-            // Recoverable entries speak the session API too.
             let mut h = idx.handle();
             assert!(h.insert(&recipe::key::u64_key(1), 1).is_ok());
             assert_eq!(h.get(&recipe::key::u64_key(1)), Some(1));
+        }
+    }
+
+    /// Recovery re-initialises locks only (§4.2): every key written before
+    /// `recover` reads back after it, under both policies.
+    #[test]
+    fn recover_keeps_every_written_key_in_both_modes() {
+        for e in all_indexes() {
+            for mode in PolicyMode::ALL {
+                let idx = e.build(mode);
+                let mut h = idx.handle();
+                for i in 0..300u64 {
+                    assert!(h.insert(&recipe::key::u64_key(i), i + 1).is_ok());
+                }
+                drop(h);
+                idx.recover();
+                let mut h = idx.handle();
+                for i in 0..300u64 {
+                    let got = h.get(&recipe::key::u64_key(i));
+                    assert_eq!(got, Some(i + 1), "{} key {i}", e.name(mode));
+                }
+                assert!(h.insert(&recipe::key::u64_key(300), 301).is_ok());
+                assert_eq!(h.get(&recipe::key::u64_key(300)), Some(301), "{}", e.name(mode));
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! paper's DRAM-index interface (§2.1) with the same observable semantics, checked
 //! against a BTreeMap model, sequentially and under concurrency — driven through
 //! the session-handle API ([`recipe::session::Handle`]) with typed results.
-use harness::registry::{self, IndexKind, PolicyMode};
+use harness::registry::{self, PolicyMode};
 use recipe::key::u64_key;
 use recipe::session::{Index, IndexExt, OpError, OpResult};
 use std::collections::BTreeMap;
@@ -11,16 +11,17 @@ use std::sync::Arc;
 
 /// Every registry index in both policy modes: the DRAM original must conform to
 /// the same §2.1 semantics as its PM conversion.
-fn indexes_of_kind(kind: Option<IndexKind>) -> Vec<(&'static str, Arc<dyn Index>)> {
+/// `ordered` selects ordered (`Some(true)`) or hash (`Some(false)`) entries.
+fn indexes_of_kind(ordered: Option<bool>) -> Vec<(&'static str, Arc<dyn Index>)> {
     registry::all_indexes()
         .iter()
-        .filter(|e| kind.is_none_or(|k| e.kind == k))
+        .filter(|e| ordered.is_none_or(|o| e.caps.ordered == o))
         .flat_map(|e| PolicyMode::ALL.map(|mode| (e.name(mode), e.build(mode))))
         .collect()
 }
 
 fn ordered_indexes() -> Vec<(&'static str, Arc<dyn Index>)> {
-    indexes_of_kind(Some(IndexKind::Ordered))
+    indexes_of_kind(Some(true))
 }
 
 fn all_indexes() -> Vec<(&'static str, Arc<dyn Index>)> {
@@ -155,7 +156,7 @@ fn dram_variants_issue_no_persistence_traffic() {
 /// answering `false`.
 #[test]
 fn hash_indexes_report_unsupported_keys() {
-    for (name, index) in indexes_of_kind(Some(IndexKind::Hash)) {
+    for (name, index) in indexes_of_kind(Some(false)) {
         let mut h = index.handle();
         let long = b"longer-than-8-bytes";
         assert_eq!(h.insert(long, 1), Err(OpError::UnsupportedKey), "{name}");

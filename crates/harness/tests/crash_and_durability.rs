@@ -5,7 +5,7 @@
 use crashtest::{
     run_crash_sweep, run_crash_test, run_durability_test, CrashTestConfig, SweepConfig,
 };
-use harness::registry::{self, PolicyMode};
+use harness::registry;
 use recipe::key::u64_key;
 use std::sync::{Mutex, MutexGuard};
 
@@ -27,7 +27,7 @@ fn small_cfg() -> CrashTestConfig {
 fn converted_indexes_survive_crash_states() {
     let _exclusive = exclusive();
     for entry in registry::all_indexes().into_iter().filter(|e| e.converted) {
-        let report = run_crash_test(|| entry.build_recoverable(PolicyMode::Pmem), &small_cfg());
+        let report = run_crash_test(entry.build_pmem, &small_cfg());
         assert!(report.crashes_triggered > 0, "{}: no crash state fired", entry.name);
         assert!(report.passed(), "{}: {report:?}", entry.name);
     }
@@ -38,7 +38,7 @@ fn baselines_survive_crash_states_without_bug_features() {
     let _exclusive = exclusive();
     // Built without their `*-bug` features the baselines should also pass.
     for entry in registry::all_indexes().into_iter().filter(|e| !e.converted && !e.single_writer) {
-        let report = run_crash_test(|| entry.build_recoverable(PolicyMode::Pmem), &small_cfg());
+        let report = run_crash_test(entry.build_pmem, &small_cfg());
         assert!(report.passed(), "{}: {report:?}", entry.name);
     }
 }
@@ -47,7 +47,7 @@ fn baselines_survive_crash_states_without_bug_features() {
 fn recipe_indexes_pass_durability_check() {
     let _exclusive = exclusive();
     for entry in registry::all_indexes().into_iter().filter(|e| e.converted) {
-        let report = run_durability_test(|| entry.build_recoverable(PolicyMode::Pmem), 2_000, 500);
+        let report = run_durability_test(entry.build_pmem, 2_000, 500);
         assert!(report.passed(), "{}: {report:?}", entry.name);
     }
 }
@@ -181,8 +181,7 @@ fn exhaustive_sweep_covers_every_declared_crash_site() {
     let cfg =
         SweepConfig { load_ops: 10_000, post_ops: 800, threads: 4, sampled_states: 2, seed: 11 };
     for entry in registry::all_indexes().into_iter().filter(|e| !e.single_writer) {
-        let report =
-            run_crash_sweep(|| entry.build_recoverable(PolicyMode::Pmem), entry.crash_sites, &cfg);
+        let report = run_crash_sweep(entry.build_pmem, entry.crash_sites, &cfg);
         assert!(report.consistent(), "{}: {report:?}", entry.name);
         let holes: Vec<_> =
             report.per_site.iter().filter(|s| !s.exercised).map(|s| s.site).collect();

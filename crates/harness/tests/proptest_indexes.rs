@@ -171,7 +171,7 @@ proptest! {
         for entry in registry::all_indexes() {
             for mode in PolicyMode::ALL {
                 let index = entry.build(mode);
-                let scan = entry.supports_scan();
+                let scan = entry.caps.scan;
                 check_against_model(index.as_ref(), &actions, scan);
             }
         }

@@ -3,7 +3,8 @@
 //! matching actual behavior and names matching the catalogue.
 use harness::registry::{all_indexes, PolicyMode};
 use recipe::key::u64_key;
-use recipe::session::{Capabilities, IndexExt, OpError, OpResult};
+use recipe::session::{Capabilities, Index, IndexExt, OpError, OpResult};
+use std::sync::Arc;
 
 #[test]
 fn every_entry_works_in_both_policy_modes() {
@@ -121,17 +122,21 @@ fn pmem_mode_flushes_and_dram_mode_does_not() {
 #[test]
 fn recoverable_entries_recover_and_stay_usable() {
     for entry in all_indexes() {
-        let index = entry.build_recoverable(PolicyMode::Pmem);
-        let mut h = index.handle();
-        for i in 0..200u64 {
-            h.insert(&u64_key(i), i).unwrap();
+        for mode in PolicyMode::ALL {
+            let name = entry.name(mode);
+            // `recover` reaches the index through the `Arc<dyn Index>` delegation.
+            let index: Arc<dyn Index> = entry.build(mode);
+            let mut h = index.handle();
+            for i in 0..200u64 {
+                h.insert(&u64_key(i), i).unwrap();
+            }
+            drop(h);
+            index.recover();
+            let mut h = index.handle();
+            for i in 0..200u64 {
+                assert_eq!(h.get(&u64_key(i)), Some(i), "{name}: key {i} lost");
+            }
+            assert!(h.insert(&u64_key(1_000), 1).is_ok(), "{name}: unusable after recover");
         }
-        drop(h);
-        index.recover();
-        let mut h = index.handle();
-        for i in 0..200u64 {
-            assert_eq!(h.get(&u64_key(i)), Some(i), "{}: key {i} lost", entry.name);
-        }
-        assert!(h.insert(&u64_key(1_000), 1).is_ok(), "{}: unusable after recover", entry.name);
     }
 }

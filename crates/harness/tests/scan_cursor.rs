@@ -5,7 +5,7 @@
 //! concurrent removals, and one sequence from every way of reading a cursor
 //! (`visit`, `next`, `next_into`, the bare `exec_scan_chunk`, chained
 //! `scan_after`).
-use harness::registry::{self, IndexKind, PolicyMode};
+use harness::registry::{self, PolicyMode};
 use recipe::key::{key_to_u64, u64_key};
 use recipe::session::{Index, IndexExt};
 use std::collections::BTreeMap;
@@ -16,7 +16,7 @@ use std::sync::Arc;
 fn loaded_ordered(count: u64, step: u64) -> Vec<(&'static str, Arc<dyn Index>)> {
     registry::all_indexes()
         .iter()
-        .filter(|e| e.kind == IndexKind::Ordered)
+        .filter(|e| e.caps.ordered)
         .flat_map(|e| PolicyMode::ALL.map(|mode| (e.name(mode), e.build(mode))))
         .map(|(name, index)| {
             let mut h = index.handle();
@@ -79,9 +79,7 @@ fn zero_limits_and_empty_buffers_touch_nothing() {
         let mut full: Vec<(Vec<u8>, u64)> = Vec::new(); // zero capacity => zero spare
         assert_eq!(h.scan(&[]).next_into(&mut full), 0, "{name}: no spare capacity");
         assert!(full.is_empty(), "{name}");
-        // The legacy adapter agrees.
-        use recipe::index::ConcurrentIndex;
-        assert!(index.scan(&[], 0).is_empty(), "{name}");
+        assert!(h.scan(&[]).limit(0).collect_vec().is_empty(), "{name}");
     }
 }
 
@@ -190,7 +188,7 @@ fn every_way_of_reading_a_cursor_yields_the_model_sequence() {
     ];
     let indexes = registry::all_indexes()
         .iter()
-        .filter(|e| e.kind == IndexKind::Ordered)
+        .filter(|e| e.caps.ordered)
         .flat_map(|e| PolicyMode::ALL.map(|mode| (e.name(mode), e.build(mode))))
         .collect::<Vec<_>>();
     for (name, index) in indexes {

@@ -4,8 +4,8 @@
 //! every `service.migrate.*` site, resumes, and checks source and
 //! destination agree — hole-free against the driver's own site list.
 
-use recipe::index::ConcurrentIndex;
 use recipe::key::u64_key;
+use recipe::session::IndexExt;
 use service::{Op, ReplyBody, Service, ServiceConfig, MIGRATE_CRASH_SITES};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +51,7 @@ fn verify_agreement(svc: &Service, trees: &TreeLog, expect: &BTreeMap<Vec<u8>, u
     }
     let mut seen: HashMap<Vec<u8>, usize> = HashMap::new();
     for (id, t) in trees.lock().iter() {
-        for (k, _) in t.scan(&[], usize::MAX) {
+        for (k, _) in t.handle().scan(&[]).collect_vec() {
             assert_eq!(
                 svc.route(&k),
                 *id,

@@ -84,7 +84,7 @@ fn delete_heavy_soak_merges_pages_and_drops_no_events() {
     // settling merges the soak's emptied pages, and the tree still scans in
     // order with its contents intact.
     for t in &trees {
-        use recipe::index::{ConcurrentIndex, Recoverable};
+        use recipe::session::{Index, IndexExt};
         t.recover();
         assert_eq!(t.incomplete_smos(), 0, "soak left a torn SMO");
         t.merge_empty_pages();
@@ -94,7 +94,7 @@ fn delete_heavy_soak_merges_pages_and_drops_no_events() {
         // — a handful — while the soak's hundreds of emptied leaves merge.
         assert!(after < 32, "emptied pages must merge away, {after} left");
         assert!(t.merged_pages() > after, "most emptied pages must actually merge");
-        let scanned = t.scan(&[], usize::MAX);
+        let scanned = t.handle().scan(&[]).collect_vec();
         assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0), "scan disorder after soak");
         assert_eq!(scanned.len() as u64, t.len() as u64, "scan and len disagree");
     }

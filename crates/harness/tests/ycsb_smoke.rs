@@ -50,11 +50,8 @@ fn sharded_driver_matches_smoke_expectations_for_all_indexes() {
     for entry in registry::all_indexes() {
         let name = entry.name;
         let index = (entry.build_pmem)();
-        let workloads: &[Workload] = if entry.supports_scan() {
-            &[Workload::A, Workload::E]
-        } else {
-            &[Workload::A, Workload::C]
-        };
+        let workloads: &[Workload] =
+            if entry.caps.scan { &[Workload::A, Workload::E] } else { &[Workload::A, Workload::C] };
         for &wl in workloads {
             let s = spec(wl, KeyType::RandInt);
             let res = ycsb::run_spec_sharded(index.as_ref(), &s, CHUNK);

@@ -48,7 +48,6 @@ pub const CRASH_SITES: &[&str] = &[
     "hot.widen.committed",
 ];
 
-use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
 use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
@@ -105,9 +104,7 @@ impl<P: PersistMode> Index for Hot<P> {
             "HOT".into()
         }
     }
-}
 
-impl<P: PersistMode> Recoverable for Hot<P> {
     fn recover(&self) {
         self.recover_locks();
     }

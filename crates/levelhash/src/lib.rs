@@ -11,7 +11,6 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-use recipe::index::Recoverable;
 use recipe::key::{hash64, key_to_u64};
 use recipe::lock::VersionLock;
 use recipe::persist::{PersistMode, Pmem};
@@ -496,9 +495,7 @@ impl<P: PersistMode> Index for LevelHash<P> {
             "Level-Hashing(dram)".into()
         }
     }
-}
 
-impl<P: PersistMode> Recoverable for LevelHash<P> {
     fn recover(&self) {
         let l = self.current();
         for b in l.top.iter().chain(l.bottom.iter()) {
@@ -510,8 +507,8 @@ impl<P: PersistMode> Recoverable for LevelHash<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe::index::ConcurrentIndex;
     use recipe::key::u64_key;
+    use recipe::session::IndexExt;
     use std::sync::Arc;
 
     fn k(x: u64) -> [u8; 8] {
@@ -521,11 +518,12 @@ mod tests {
     #[test]
     fn insert_get_remove() {
         let t: PLevelHash = LevelHash::with_capacity(64);
-        assert!(t.insert(&k(1), 10));
-        assert!(!t.insert(&k(1), 11));
-        assert_eq!(t.get(&k(1)), Some(11));
-        assert!(t.remove(&k(1)));
-        assert_eq!(t.get(&k(1)), None);
+        let mut h = t.handle();
+        assert_eq!(h.insert(&k(1), 10), Ok(OpResult::Inserted));
+        assert_eq!(h.insert(&k(1), 11), Ok(OpResult::Updated));
+        assert_eq!(h.get(&k(1)), Some(11));
+        assert_eq!(h.remove(&k(1)), Ok(OpResult::Removed));
+        assert_eq!(h.get(&k(1)), None);
         assert!(t.is_empty());
     }
 
@@ -533,8 +531,9 @@ mod tests {
     fn resize_emits_generation_event() {
         let was = obs::event::set_enabled(true);
         let t: PLevelHash = LevelHash::with_capacity(64);
+        let mut h = t.handle();
         for i in 0..2_000u64 {
-            assert!(t.insert(&k(i), i));
+            assert_eq!(h.insert(&k(i), i), Ok(OpResult::Inserted));
         }
         let dump = obs::event::drain();
         obs::event::set_enabled(was);
@@ -550,12 +549,13 @@ mod tests {
     fn grows_under_load() {
         let t: PLevelHash = LevelHash::with_capacity(64);
         let before = t.top_buckets();
+        let mut h = t.handle();
         for i in 0..20_000u64 {
-            assert!(t.insert(&k(i), i * 2), "insert {i}");
+            assert_eq!(h.insert(&k(i), i * 2), Ok(OpResult::Inserted), "insert {i}");
         }
         assert!(t.top_buckets() > before);
         for i in 0..20_000u64 {
-            assert_eq!(t.get(&k(i)), Some(i * 2), "key {i} lost across resizes");
+            assert_eq!(h.get(&k(i)), Some(i * 2), "key {i} lost across resizes");
         }
         assert_eq!(t.len(), 20_000);
     }
@@ -569,18 +569,20 @@ mod tests {
         for tid in 0..threads {
             let t = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
+                let mut h = t.handle();
                 for i in 0..per {
                     let key = tid * per + i;
-                    assert!(t.insert(&k(key), key + 7));
-                    assert_eq!(t.get(&k(key)), Some(key + 7));
+                    assert_eq!(h.insert(&k(key), key + 7), Ok(OpResult::Inserted));
+                    assert_eq!(h.get(&k(key)), Some(key + 7));
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
+        let mut h = t.handle();
         for key in 0..threads * per {
-            assert_eq!(t.get(&k(key)), Some(key + 7), "key {key} lost");
+            assert_eq!(h.get(&k(key)), Some(key + 7), "key {key} lost");
         }
         assert_eq!(t.len(), (threads * per) as usize);
     }
@@ -588,13 +590,15 @@ mod tests {
     #[test]
     fn update_and_unsupported_keys() {
         let t: PLevelHash = LevelHash::new();
-        assert!(!t.update(&k(9), 1));
-        t.insert(&k(9), 1);
-        assert!(t.update(&k(9), 2));
-        assert_eq!(t.get(&k(9)), Some(2));
-        assert!(!t.insert(b"key-that-is-too-long", 1));
-        assert_eq!(t.name(), "Level-Hashing");
+        let mut h = t.handle();
+        assert_eq!(h.update(&k(9), 1), Err(OpError::NotFound));
+        h.insert(&k(9), 1).unwrap();
+        assert_eq!(h.update(&k(9), 2), Ok(OpResult::Updated));
+        assert_eq!(h.get(&k(9)), Some(2));
+        assert_eq!(h.insert(b"key-that-is-too-long", 1), Err(OpError::UnsupportedKey));
+        assert_eq!(h.index_name(), "Level-Hashing");
+        drop(h);
         t.recover();
-        assert_eq!(t.get(&k(9)), Some(2));
+        assert_eq!(t.handle().get(&k(9)), Some(2));
     }
 }

@@ -13,7 +13,7 @@
 //! permutation store — and Condition #3 for splits: the multi-step SMO can be cut by
 //! a crash, readers detect and tolerate the torn state (B-link move-right, duplicate
 //! suppression) but do not fix it, and a helper built from the write path completes
-//! the split on [`recipe::index::Recoverable::recover`].
+//! the split on [`recipe::session::Index::recover`].
 //!
 //! `Masstree<Dram>` is the original DRAM index; `Masstree<Pmem>` is P-Masstree.
 
@@ -44,7 +44,6 @@ pub const CRASH_SITES: &[&str] = &[
     "masstree.parent.committed",
 ];
 
-use recipe::index::Recoverable;
 use recipe::persist::{Dram, PersistMode, Pmem};
 use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 
@@ -103,9 +102,7 @@ impl<P: PersistMode> Index for Masstree<P> {
             "Masstree".into()
         }
     }
-}
 
-impl<P: PersistMode> Recoverable for Masstree<P> {
     fn recover(&self) {
         Masstree::recover(self);
     }

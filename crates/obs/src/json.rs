@@ -301,4 +301,67 @@ mod tests {
         assert_eq!(doc.get("a").unwrap().as_array().unwrap().len(), 0);
         assert_eq!(doc.get("o").unwrap().as_object().unwrap().len(), 0);
     }
+
+    /// Metric files carry small rates and ratios in exponent form; each must
+    /// read back as its value, never as its mantissa.
+    #[test]
+    fn reads_exponents_at_their_value() {
+        for (text, want) in [
+            ("1e-3", 1e-3),
+            ("1E3", 1000.0),
+            ("2.5e+2", 250.0),
+            ("-4.2E-1", -0.42),
+            ("6.02e23", 6.02e23),
+            ("0", 0.0),
+            ("-0.5", -0.5),
+        ] {
+            assert_eq!(parse(text).unwrap().as_f64(), Some(want), "{text}");
+        }
+        let doc = parse(r#"{"p99":1.5e-6,"n":[1e0,1e1]}"#).unwrap();
+        assert_eq!(doc.get("p99").unwrap().as_f64(), Some(1.5e-6));
+        let n = doc.get("n").unwrap().as_array().unwrap();
+        assert_eq!((n[0].as_f64(), n[1].as_f64()), (Some(1.0), Some(10.0)));
+    }
+
+    #[test]
+    fn decodes_every_escape() {
+        let doc = parse(r#""q\"b\\s\/b\bf\fn\nr\rt\t\u00e9\u2603""#);
+        assert_eq!(doc.unwrap().as_str(), Some("q\"b\\s/b\u{8}f\u{c}n\nr\rt\té☃"));
+    }
+
+    #[test]
+    fn rejects_bad_escapes_and_numbers() {
+        for bad in [r#""\u12""#, r#""\uzzzz""#, r#""\x""#, "-", "--1", "1e", "+1", ".5"] {
+            assert!(parse(bad).is_err(), "{bad:?} must fail");
+        }
+    }
+
+    #[test]
+    fn objects_keep_source_order_and_get_returns_the_first_duplicate() {
+        let doc = parse(r#"{"b":1,"a":2,"b":3}"#).unwrap();
+        let keys: Vec<&str> = doc.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["b", "a", "b"]);
+        assert_eq!(doc.get("b").unwrap().as_f64(), Some(1.0));
+        assert_eq!(doc.get("missing"), None);
+    }
+
+    #[test]
+    fn accessors_return_none_for_other_variants() {
+        let num = Json::Num(1.0);
+        assert_eq!((num.as_str(), num.as_array(), num.as_object()), (None, None, None));
+        assert_eq!(num.get("k"), None, "get on a non-object");
+        assert!(!num.is_null());
+        let s = Json::Str("1".into());
+        assert_eq!(s.as_f64(), None);
+        assert_eq!(Json::Arr(vec![]).get("k"), None);
+        assert_eq!(Json::Bool(true).as_f64(), None);
+    }
+
+    #[test]
+    fn whitespace_is_allowed_between_every_token() {
+        let doc = parse(" \t{ \"a\" :\n[ 1 ,\r\n2 ] , \"b\"\t:{ } }\n").unwrap();
+        let a = doc.get("a").unwrap().as_array().unwrap();
+        assert_eq!(a, [Json::Num(1.0), Json::Num(2.0)]);
+        assert_eq!(doc.get("b").unwrap(), &Json::Obj(vec![]));
+    }
 }

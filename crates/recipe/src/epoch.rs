@@ -24,8 +24,8 @@
 //!
 //! Reclamation is amortized: every `COLLECT_EVERY`-th unpin attempts an
 //! advance-and-collect pass, so long delete-heavy runs free garbage at epoch
-//! quiescence instead of accumulating it (the gauge regression tests and the
-//! `perf_gate` binary pin this behaviour down).
+//! quiescence instead of accumulating it (the gauge regression tests in
+//! `harness/tests/epoch_reclamation.rs` pin this behaviour down).
 
 use std::cell::Cell;
 use std::marker::PhantomData;

@@ -23,14 +23,12 @@
 //!   [`session::OpError`]), stream range queries through resumable
 //!   [`session::Scanner`] cursors over one flat reused [`session::ScanBuf`]
 //!   (no allocation per scan), report structure capabilities
-//!   ([`session::Capabilities`]) and pin an epoch guard around every
-//!   operation.
+//!   ([`session::Capabilities`]), pin an epoch guard around every
+//!   operation, and re-initialise locks after a crash
+//!   ([`session::Index::recover`], the restart step RECIPE assumes).
 //! * [`epoch`] — epoch-based memory reclamation for the lock-free indexes:
 //!   per-thread announcement slots, reentrant pinning, deferred frees with a
 //!   retired-bytes gauge (what bounds Bw-tree memory in delete-heavy runs).
-//! * [`index`] — the legacy boolean index interface, kept alive as a blanket
-//!   compatibility adapter over [`session::Index`], plus the recovery hook
-//!   (post-crash lock re-initialisation) RECIPE assumes.
 //! * [`lock`] — the versioned word spin-lock embedded in index nodes, with the
 //!   try-lock primitive used for permanent-inconsistency detection (Condition #3) and
 //!   explicit re-initialisation for recovery.
@@ -50,7 +48,6 @@
 
 pub mod condition;
 pub mod epoch;
-pub mod index;
 pub mod key;
 pub mod lock;
 pub mod persist;
@@ -58,7 +55,6 @@ pub mod session;
 pub mod simd;
 
 pub use condition::{catalog, CatalogEntry, Condition};
-pub use index::{ConcurrentIndex, Recoverable, RecoverableIndex};
 pub use persist::{Dram, PersistMode, Pmem};
 pub use session::{
     Capabilities, Handle, HandleStats, Index, IndexExt, OpError, OpResult, ScanBuf, Scanner,

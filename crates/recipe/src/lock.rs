@@ -10,7 +10,7 @@
 //! * **Recovery** — locks are persisted along with the node but are only meaningful
 //!   within a single run; RECIPE requires them to be re-initialised on restart to
 //!   avoid deadlock. [`VersionLock::force_unlock`] implements that re-initialisation
-//!   and is called from each index's [`crate::index::Recoverable::recover`].
+//!   and is called from each index's [`crate::session::Index::recover`].
 //!
 //! The lock word also carries a version counter (incremented on every unlock).
 //! Masstree's readers use it the way the original does: an optimistic seqlock-style

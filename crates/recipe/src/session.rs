@@ -5,9 +5,8 @@
 //! `Send + Sync` and holds the data; each thread opens a cheap, `!Sync`
 //! [`Handle`] session on it ([`IndexExt::handle`]). The handle
 //!
-//! * returns **typed results**: [`OpResult`] / [`OpError`] instead of the
-//!   cause-erasing booleans of the legacy [`ConcurrentIndex`] trait (CCEH's
-//!   `SegmentFull`, for instance, converts into
+//! * returns **typed results**: [`OpResult`] / [`OpError`] instead of
+//!   cause-erasing booleans (CCEH's `SegmentFull`, for instance, converts into
 //!   [`OpError::CapacityExceeded`] instead of living in a crate-local side
 //!   channel, and hash indexes report [`OpError::UnsupportedKey`] for keys
 //!   they cannot store instead of silently answering `false`);
@@ -22,8 +21,9 @@
 //!   traversing them;
 //! * accumulates per-thread **operation statistics** ([`Handle::stats`]).
 //!
-//! Capability discovery moves from the old lone `supports_scan` flag to the
-//! [`Capabilities`] struct ([`Index::capabilities`]).
+//! An index reports what it supports through [`Capabilities`]
+//! ([`Index::capabilities`]) and re-initialises its locks after a crash
+//! through [`Index::recover`].
 //!
 //! # The scan path and its compatibility shims
 //!
@@ -33,13 +33,9 @@
 //! [`Scanner`], [`Scanner::next_into`], [`Scanner::collect_vec`] and
 //! [`IndexExt::exec_scan_chunk`] — are shims written once in this module over
 //! those two: each copies an entry out of the `ScanBuf` into a fresh `Vec<u8>`.
-//! They stay because the frozen `benchmark/` package, the legacy
-//! [`ConcurrentIndex::scan`] adapter and most tests want owned pairs and are
-//! not hot paths; nothing on a measured path should call them.
-//!
-//! The legacy [`ConcurrentIndex`] trait stays alive as a *blanket adapter*
-//! over [`Index`] (every `Index` is automatically a `ConcurrentIndex`), so old
-//! call sites keep compiling while new code talks to handles.
+//! They stay because the frozen `benchmark/` package and most tests want
+//! owned pairs and are not hot paths; nothing on a measured path should call
+//! them.
 //!
 //! ```
 //! use recipe::session::{Capabilities, Index, IndexExt, OpError, OpResult, ScanBuf};
@@ -73,6 +69,7 @@
 //! #     fn index_name(&self) -> String {
 //! #         "toy".into()
 //! #     }
+//! #     fn recover(&self) {}
 //! # }
 //! # let index = Toy(Mutex::new(BTreeMap::new()));
 //! let mut handle = index.handle(); // one per thread
@@ -90,13 +87,12 @@
 //! ```
 
 use crate::epoch;
-use crate::index::ConcurrentIndex;
 use std::marker::PhantomData;
 
 /// Default entries fetched per [`Scanner`] batch.
 pub const DEFAULT_SCAN_BATCH: usize = 64;
 
-/// What an index can do, replacing the legacy lone `supports_scan` flag.
+/// What an index can do.
 ///
 /// Surfaced per registry entry (`harness::registry::IndexEntry::caps`) so
 /// drivers and tests select workloads without building an index first.
@@ -143,10 +139,8 @@ pub enum OpResult {
 
 /// Failure outcome of a typed index operation.
 ///
-/// These were invisible under the boolean [`ConcurrentIndex`] interface:
-/// `update`/`remove` of an absent key, a capacity-limited structure refusing a
-/// key, and a hash index silently dropping a key it cannot encode all
-/// collapsed into `false`.
+/// Each variant names a cause that a boolean result would collapse into
+/// `false`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpError {
     /// Conditional operation on an absent key (`update`, `remove`).
@@ -250,6 +244,15 @@ pub trait Index: Send + Sync {
     fn reclaimer(&self) -> Option<&epoch::Collector> {
         None
     }
+
+    /// Re-initialise every lock after a (simulated) crash, as a restart would.
+    ///
+    /// RECIPE assumes locks are non-persistent and re-initialised when the
+    /// index restarts (§4.2), and that no other explicit recovery is needed:
+    /// the read/write paths tolerate or fix partial state lazily. An index
+    /// walks its structure and force-unlocks every embedded lock; it must not
+    /// "repair" data, which is the converted write path's job.
+    fn recover(&self);
 }
 
 /// Extension trait providing [`IndexExt::handle`] for every [`Index`]
@@ -771,8 +774,7 @@ impl<I: Index + ?Sized> Scanner<'_, '_, I> {
         n
     }
 
-    /// Drain the remaining entries into a fresh vector (convenience for tests
-    /// and the legacy-`scan` compatibility adapter).
+    /// Drain the remaining entries into a fresh vector (convenience for tests).
     #[must_use]
     pub fn collect_vec(self) -> Vec<(Vec<u8>, u64)> {
         self.collect()
@@ -792,11 +794,9 @@ impl<I: Index + ?Sized> Iterator for Scanner<'_, '_, I> {
 }
 
 /// Generates the `&T` / `Arc<T>` delegation impls for the session traits in
-/// one place, so adding a method cannot drift between the two pointer kinds
-/// (the legacy [`ConcurrentIndex`] needs no delegation impls at all: it is
-/// blanket-implemented over every [`Index`], including these).
+/// one place, so adding a method cannot drift between the two pointer kinds.
 macro_rules! delegate_session_traits {
-    ($({$($decl:tt)*} {$($rdecl:tt)*} $ty:ty),+ $(,)?) => {$(
+    ($({$($decl:tt)*} $ty:ty),+ $(,)?) => {$(
         impl<$($decl)*> Index for $ty {
             fn exec_insert(&self, key: &[u8], value: u64) -> Result<OpResult, OpError> {
                 (**self).exec_insert(key, value)
@@ -825,9 +825,6 @@ macro_rules! delegate_session_traits {
             fn reclaimer(&self) -> Option<&epoch::Collector> {
                 (**self).reclaimer()
             }
-        }
-
-        impl<$($rdecl)*> crate::index::Recoverable for $ty {
             fn recover(&self) {
                 (**self).recover();
             }
@@ -836,48 +833,8 @@ macro_rules! delegate_session_traits {
 }
 
 delegate_session_traits! {
-    {'x, T: Index + ?Sized} {'x, T: crate::index::Recoverable + ?Sized} &'x T,
-    {T: Index + ?Sized} {T: crate::index::Recoverable + ?Sized} std::sync::Arc<T>,
-}
-
-/// The compatibility adapter: every [`Index`] is automatically a legacy
-/// [`ConcurrentIndex`]. Each call opens a transient [`Handle`] (epoch-pinned
-/// like any other session) and collapses the typed result into the old
-/// boolean. New code should use [`IndexExt::handle`] directly.
-impl<T: Index + ?Sized> ConcurrentIndex for T {
-    fn insert(&self, key: &[u8], value: u64) -> bool {
-        matches!(self.handle().insert(key, value), Ok(OpResult::Inserted))
-    }
-
-    fn update(&self, key: &[u8], value: u64) -> bool {
-        self.handle().update(key, value).is_ok()
-    }
-
-    fn get(&self, key: &[u8]) -> Option<u64> {
-        self.handle().get(key)
-    }
-
-    fn remove(&self, key: &[u8]) -> bool {
-        self.handle().remove(key).is_ok()
-    }
-
-    fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let mut h = self.handle();
-        // A legacy scan was one call into the index; fetch the whole request as
-        // one chunk (capped for huge counts like `usize::MAX`) instead of
-        // paying a cursor refill — and its per-batch re-descent — every
-        // `DEFAULT_SCAN_BATCH` entries.
-        h.set_scan_batch(count.clamp(1, 4_096));
-        h.scan(start).limit(count).collect_vec()
-    }
-
-    fn supports_scan(&self) -> bool {
-        self.capabilities().scan
-    }
-
-    fn name(&self) -> String {
-        self.index_name()
-    }
+    {'x, T: Index + ?Sized} &'x T,
+    {T: Index + ?Sized} std::sync::Arc<T>,
 }
 
 #[cfg(test)]
@@ -897,6 +854,8 @@ mod tests {
         /// Collector slots in use during the last [`Index::exec_get`], which
         /// protects itself with `enter` as a reclaiming index must.
         slots_in_get: std::sync::atomic::AtomicUsize,
+        /// Calls that reached [`Index::recover`].
+        recovers: std::sync::atomic::AtomicUsize,
     }
 
     impl Model {
@@ -906,6 +865,7 @@ mod tests {
                 epoch: epoch::Collector::new(),
                 settles: std::sync::atomic::AtomicUsize::new(0),
                 slots_in_get: std::sync::atomic::AtomicUsize::new(0),
+                recovers: std::sync::atomic::AtomicUsize::new(0),
             }
         }
     }
@@ -965,6 +925,10 @@ mod tests {
 
         fn reclaimer(&self) -> Option<&epoch::Collector> {
             Some(&self.epoch)
+        }
+
+        fn recover(&self) {
+            self.recovers.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
     }
 
@@ -1165,23 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn compat_adapter_preserves_legacy_semantics() {
-        let m = Model::new();
-        let legacy: &dyn ConcurrentIndex = &m;
-        assert!(legacy.insert(&k(1), 1));
-        assert!(!legacy.insert(&k(1), 2), "re-insert reports existing");
-        assert_eq!(legacy.get(&k(1)), Some(2));
-        assert!(legacy.update(&k(1), 3));
-        assert!(!legacy.update(&k(9), 1));
-        assert!(legacy.supports_scan());
-        assert_eq!(legacy.scan(&k(0), 10).len(), 1);
-        assert_eq!(legacy.scan(&k(0), 0).len(), 0);
-        assert_eq!(legacy.name(), "model");
-        assert!(legacy.remove(&k(1)));
-        assert!(!legacy.remove(&k(1)));
-    }
-
-    #[test]
     fn delegation_covers_refs_arcs_and_trait_objects() {
         let m = Arc::new(Model::new());
         let mut h = m.handle(); // Arc<Model> is itself an Index
@@ -1234,6 +1181,68 @@ mod tests {
         let mut owned = Vec::new();
         obj.exec_scan_chunk(&k(4), 10, &mut owned);
         assert_eq!(owned, both[1..]);
+    }
+
+    /// `recover` has no default, so a pointer impl that forgot it would not
+    /// compile; this pins that each one forwards to the inner index rather
+    /// than to some other `recover` (a restart that re-initialises nothing).
+    #[test]
+    fn delegation_forwards_recover() {
+        fn restart<I: Index>(index: I) {
+            index.recover();
+        }
+        let recovers = |m: &Model| m.recovers.load(std::sync::atomic::Ordering::Relaxed);
+        let m = Model::new();
+        restart(&m);
+        assert_eq!(recovers(&m), 1, "&T reaches the inner recover");
+        let arc = Arc::new(m);
+        restart(Arc::clone(&arc));
+        assert_eq!(recovers(&arc), 2, "Arc<T> reaches the inner recover");
+        let obj: Arc<dyn Index> = arc.clone();
+        restart(Arc::clone(&obj));
+        restart(&obj);
+        let r: &dyn Index = &*obj;
+        restart(r);
+        assert_eq!(recovers(&arc), 5, "and so do Arc<dyn Index> and references to one");
+    }
+
+    /// Every operation keeps its meaning through a `&dyn Index` handle, and a
+    /// recovered index keeps its contents and stays usable.
+    #[test]
+    fn a_trait_object_handle_runs_every_op_across_a_recover() {
+        let m = Model::new();
+        let obj: &dyn Index = &m;
+        let mut h = obj.handle();
+        assert_eq!(h.insert(&k(1), 1), Ok(OpResult::Inserted));
+        assert_eq!(h.insert(&k(1), 2), Ok(OpResult::Updated), "re-insert reports existing");
+        assert_eq!(h.get(&k(1)), Some(2));
+        assert_eq!(h.update(&k(1), 3), Ok(OpResult::Updated));
+        assert_eq!(h.update(&k(9), 1), Err(OpError::NotFound));
+        drop(h);
+        obj.recover();
+        let mut h = obj.handle();
+        assert_eq!(h.get(&k(1)), Some(3), "recover keeps what was written");
+        assert_eq!(h.scan(&k(0)).collect_vec(), vec![(k(1).to_vec(), 3)]);
+        assert_eq!(h.index_name(), "model");
+        assert_eq!(h.remove(&k(1)), Ok(OpResult::Removed));
+        assert_eq!(h.remove(&k(1)), Err(OpError::NotFound));
+        assert_eq!(h.get(&k(1)), None);
+    }
+
+    #[test]
+    fn collect_vec_honours_start_and_limit() {
+        let m = Model::new();
+        let mut h = m.handle();
+        for i in 0..20u64 {
+            h.insert(&k(i), i * 10).unwrap();
+        }
+        assert!(h.scan(&k(0)).limit(0).collect_vec().is_empty(), "limit 0 yields nothing");
+        assert!(h.scan(&k(20)).collect_vec().is_empty(), "start past the last key");
+        let got = h.scan(&k(5)).limit(3).collect_vec();
+        assert_eq!(got, (5..8).map(|i| (k(i).to_vec(), i * 10)).collect::<Vec<_>>());
+        let mut owned = Vec::new();
+        m.exec_scan_chunk(&k(5), 3, &mut owned);
+        assert_eq!(got, owned, "the cursor and the owned-pair shim agree");
     }
 
     #[test]
@@ -1340,6 +1349,7 @@ mod tests {
             fn index_name(&self) -> String {
                 "inject-remove".into()
             }
+            fn recover(&self) {}
         }
         let idx =
             InjectRemove { inner: Model::new(), armed: std::sync::atomic::AtomicBool::new(false) };
@@ -1372,6 +1382,7 @@ mod tests {
             fn index_name(&self) -> String {
                 "no-update".into()
             }
+            fn recover(&self) {}
         }
         let m = NoUpdate(Model::new());
         let mut h = m.handle();

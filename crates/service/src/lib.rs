@@ -10,10 +10,9 @@
 //! The design points, in the order they matter:
 //!
 //! * **Typed request envelope** ([`Request`]): callers submit an [`Op`]
-//!   optionally wrapped with a latency budget ([`Deadline`]) and a
-//!   [`TenantId`]. `impl From<Op> for Request` keeps every pre-envelope call
-//!   site compiling unchanged — [`Service::call`]/[`Service::cast`] accept
-//!   both. The [`Reply`] carries the request's disposition back: which shard
+//!   optionally wrapped with a latency budget ([`Deadline`]). `impl From<Op>
+//!   for Request` keeps every pre-envelope call site compiling unchanged —
+//!   [`Service::call`]/[`Service::cast`] accept both. The [`Reply`] carries the request's disposition back: which shard
 //!   executed it and how long it queued.
 //! * **Batched group commit** ([`shard`]): the shard's combiner takes up to
 //!   `max_batch` requests — what is queued, plus what arrives while the batch
@@ -132,12 +131,6 @@ impl Deadline {
     }
 }
 
-/// Opaque tenant tag carried through the envelope. Routing and execution
-/// ignore it today; it reserves the slot for per-tenant admission policies
-/// without another envelope change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TenantId(pub u32);
-
 /// The typed request envelope: an [`Op`] plus optional admission metadata.
 /// `From<Op>` means every bare-`Op` call site keeps compiling —
 /// [`Service::call`](service::Service::call) takes `impl Into<Request>`.
@@ -147,28 +140,19 @@ pub struct Request {
     pub op: Op,
     /// Optional latency budget; `None` means never deadline-shed.
     pub deadline: Option<Deadline>,
-    /// Tenant tag (reserved; defaults to `TenantId(0)`).
-    pub tenant: TenantId,
 }
 
 impl Request {
-    /// Wrap an op with no deadline and the default tenant.
+    /// Wrap an op with no deadline.
     #[must_use]
     pub fn new(op: Op) -> Request {
-        Request { op, deadline: None, tenant: TenantId::default() }
+        Request { op, deadline: None }
     }
 
     /// Attach a latency budget.
     #[must_use]
     pub fn with_deadline(mut self, d: Deadline) -> Request {
         self.deadline = Some(d);
-        self
-    }
-
-    /// Attach a tenant tag.
-    #[must_use]
-    pub fn with_tenant(mut self, t: TenantId) -> Request {
-        self.tenant = t;
         self
     }
 

@@ -297,6 +297,7 @@ mod tests {
         fn index_name(&self) -> String {
             "capped-map".into()
         }
+        fn recover(&self) {}
     }
 
     #[test]
@@ -406,6 +407,7 @@ mod tests {
             fn index_name(&self) -> String {
                 "slow-once".into()
             }
+            fn recover(&self) {}
         }
         let svc = Service::start(
             ServiceConfig { shards: 1, queue_cap: 4, max_batch: 4, ..ServiceConfig::default() },
@@ -495,6 +497,7 @@ mod tests {
             fn index_name(&self) -> String {
                 "no-scan".into()
             }
+            fn recover(&self) {}
         }
         let svc = Service::start(ServiceConfig::default(), |_| {
             Arc::new(NoScan(CappedMap::shared(usize::MAX))) as Arc<dyn Index>

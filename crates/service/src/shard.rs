@@ -1064,6 +1064,7 @@ mod tests {
         fn index_name(&self) -> String {
             "probe".into()
         }
+        fn recover(&self) {}
     }
 
     /// `shard.call`, settled: the reply, however it arrives.

@@ -85,6 +85,7 @@ impl Index for GatedMap {
     fn index_name(&self) -> String {
         "gated-map".into()
     }
+    fn recover(&self) {}
 }
 
 /// The first caller is held inside its own operation while a second caller
@@ -176,6 +177,7 @@ impl Index for PoisonedMap {
     fn index_name(&self) -> String {
         "poisoned-map".into()
     }
+    fn recover(&self) {}
 }
 
 /// A caller that unwinds inside its own inline operation gives the token

@@ -55,6 +55,7 @@ impl recipe::session::Index for SlowMap {
     fn index_name(&self) -> String {
         "slow-map".into()
     }
+    fn recover(&self) {}
 }
 
 /// `offered == enqueued + shed_queue_full + shed_deadline` (enqueued counts
@@ -168,6 +169,7 @@ fn stale_closed_loop_calls_shed_with_observed_age() {
         fn index_name(&self) -> String {
             "wedge-once".into()
         }
+        fn recover(&self) {}
     }
     let svc = Service::start(
         ServiceConfig {

@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 
 use parking_lot::RwLock;
-use recipe::index::Recoverable;
 use recipe::persist::{PersistMode, Pmem};
 use recipe::session::{Capabilities, Index, OpError, OpResult, ScanBuf};
 use std::marker::PhantomData;
@@ -354,9 +353,7 @@ impl<P: PersistMode> Index for Woart<P> {
             "WOART(dram)".into()
         }
     }
-}
 
-impl<P: PersistMode> Recoverable for Woart<P> {
     fn recover(&self) {
         // The global lock is a process-local parking_lot lock: nothing to do.
     }
@@ -365,39 +362,41 @@ impl<P: PersistMode> Recoverable for Woart<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recipe::index::ConcurrentIndex;
     use recipe::key::u64_key;
+    use recipe::session::IndexExt;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
     #[test]
     fn insert_get_remove_roundtrip() {
         let t: PWoart = Woart::new();
+        let mut h = t.handle();
         for i in 0..10_000u64 {
-            assert!(t.insert(&u64_key(i), i * 2), "insert {i}");
+            assert_eq!(h.insert(&u64_key(i), i * 2), Ok(OpResult::Inserted), "insert {i}");
         }
         for i in 0..10_000u64 {
-            assert_eq!(t.get(&u64_key(i)), Some(i * 2), "get {i}");
+            assert_eq!(h.get(&u64_key(i)), Some(i * 2), "get {i}");
         }
-        assert!(t.remove(&u64_key(55)));
-        assert_eq!(t.get(&u64_key(55)), None);
-        assert!(!t.remove(&u64_key(55)));
+        assert_eq!(h.remove(&u64_key(55)), Ok(OpResult::Removed));
+        assert_eq!(h.get(&u64_key(55)), None);
+        assert_eq!(h.remove(&u64_key(55)), Err(OpError::NotFound));
     }
 
     #[test]
     fn string_keys_and_model_scan() {
         let t: PWoart = Woart::new();
+        let mut h = t.handle();
         let mut model = BTreeMap::new();
         for i in 0..3_000u64 {
             let key = format!("user{:020}", i * 31 % 9_000).into_bytes();
             let newly = model.insert(key.clone(), i).is_none();
-            assert_eq!(t.insert(&key, i), newly);
+            assert_eq!(h.insert(&key, i) == Ok(OpResult::Inserted), newly);
         }
         for (k, v) in &model {
-            assert_eq!(t.get(k), Some(*v));
+            assert_eq!(h.get(k), Some(*v));
         }
         let start = b"user00000000000000004000".to_vec();
-        let got = t.scan(&start, 20);
+        let got = h.scan(&start).limit(20).collect_vec();
         let want: Vec<(Vec<u8>, u64)> =
             model.range(start..).take(20).map(|(k, v)| (k.clone(), *v)).collect();
         assert_eq!(got, want);
@@ -410,16 +409,17 @@ mod tests {
     fn scan_prunes_by_start_key_and_charges_its_visits() {
         const N: u64 = 50_000;
         let t: PWoart = Woart::new();
+        let mut h = t.handle();
         let mut model = BTreeMap::new();
         for i in 0..N {
             let key = u64_key(pm::mix64(i)).to_vec();
-            assert!(t.insert(&key, i));
+            assert_eq!(h.insert(&key, i), Ok(OpResult::Inserted));
             model.insert(key, i);
         }
         for j in 0..200u64 {
             let start = u64_key(pm::mix64(pm::mix64(j ^ 0xE5CA) % N)).to_vec();
             let before = pm::stats::snapshot_local();
-            let got = t.scan(&start, 20);
+            let got = h.scan(&start).limit(20).collect_vec();
             let visits = pm::stats::snapshot_local().since(&before).node_visits;
             assert!((1..=64).contains(&visits), "a 20-entry scan visited {visits} nodes");
             let want: Vec<(Vec<u8>, u64)> =
@@ -433,11 +433,12 @@ mod tests {
     #[test]
     fn bounded_scan_matches_model_on_awkward_start_keys() {
         let t: PWoart = Woart::new();
+        let mut h = t.handle();
         let mut model = BTreeMap::new();
         let keys: [&[u8]; 9] =
             [b"a", b"abc", b"abcdef", b"abcdeg", b"abd", b"b", b"bcdefgh", b"bcdefgi", b"c"];
         for (i, key) in keys.into_iter().enumerate() {
-            assert!(t.insert(key, i as u64));
+            assert_eq!(h.insert(key, i as u64), Ok(OpResult::Inserted));
             model.insert(key.to_vec(), i as u64);
         }
         let starts: [&[u8]; 14] = [
@@ -451,7 +452,8 @@ mod tests {
                     .take(count)
                     .map(|(k, v)| (k.clone(), *v))
                     .collect();
-                assert_eq!(t.scan(start, count), want, "from {start:?}, {count} entries");
+                let got = h.scan(start).limit(count).collect_vec();
+                assert_eq!(got, want, "from {start:?}, {count} entries");
             }
         }
     }
@@ -459,11 +461,12 @@ mod tests {
     #[test]
     fn prefix_keys_are_supported() {
         let t: PWoart = Woart::new();
-        assert!(t.insert(b"abc", 1));
-        assert!(t.insert(b"abcdef", 2));
-        assert_eq!(t.get(b"abc"), Some(1));
-        assert_eq!(t.get(b"abcdef"), Some(2));
-        assert_eq!(t.get(b"abcd"), None);
+        let mut h = t.handle();
+        assert_eq!(h.insert(b"abc", 1), Ok(OpResult::Inserted));
+        assert_eq!(h.insert(b"abcdef", 2), Ok(OpResult::Inserted));
+        assert_eq!(h.get(b"abc"), Some(1));
+        assert_eq!(h.get(b"abcdef"), Some(2));
+        assert_eq!(h.get(b"abcd"), None);
     }
 
     #[test]
@@ -473,17 +476,19 @@ mod tests {
         for tid in 0..4u64 {
             let t = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
+                let mut h = t.handle();
                 for i in 0..2_000u64 {
                     let k = tid * 2_000 + i;
-                    assert!(t.insert(&u64_key(k), k));
+                    assert_eq!(h.insert(&u64_key(k), k), Ok(OpResult::Inserted));
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
+        let mut h = t.handle();
         for k in 0..8_000u64 {
-            assert_eq!(t.get(&u64_key(k)), Some(k));
+            assert_eq!(h.get(&u64_key(k)), Some(k));
         }
     }
 }

@@ -293,6 +293,7 @@ mod tests {
         fn index_name(&self) -> String {
             "model".into()
         }
+        fn recover(&self) {}
     }
 
     #[test]

@@ -238,6 +238,7 @@ mod tests {
         fn index_name(&self) -> String {
             "model".into()
         }
+        fn recover(&self) {}
     }
 
     fn spec(workload: Workload) -> Spec {
