@@ -3,10 +3,11 @@
 //! ART adapts the physical fanout of each node to the number of live children: 4-, 16-,
 //! 48- and 256-way nodes share a common header (type tag, child count, level, prefix,
 //! lock). Child pointers are tagged words: bit 0 set means the pointer refers to a
-//! [`Leaf`], clear means an inner node. The 8-byte header word that holds the
-//! compressed prefix (up to 7 bytes + length) is a single atomic, because the second
-//! step of ART's path-compression SMO — truncating the prefix — must be one
-//! hardware-atomic store (§6.4 of the RECIPE paper).
+//! [`Leaf`] (one cache line, its key inline up to 22 bytes), clear means an inner
+//! node. The 8-byte header word that holds the compressed prefix (up to 7 bytes +
+//! length) is a single atomic, because the second step of ART's path-compression
+//! SMO — truncating the prefix — must be one hardware-atomic store (§6.4 of the
+//! RECIPE paper).
 //!
 //! Mutation protocol (writers hold the node's lock; readers are non-blocking):
 //!
@@ -18,6 +19,7 @@
 //! * growing a node copies it and the parent's slot is swapped by the caller — the old
 //!   node is marked obsolete so writers that still hold its lock restart.
 
+use recipe::key::Leaf;
 use recipe::lock::VersionLock;
 use recipe::persist::{Dram, PersistMode};
 use recipe::simd::SetBits;
@@ -65,24 +67,11 @@ pub fn unpack_prefix(word: u64) -> ([u8; MAX_PREFIX], usize) {
     (out, len)
 }
 
-/// A single-value leaf: the full key (for final verification by non-blocking readers)
-/// and the value.
-pub struct Leaf {
-    /// Full key bytes.
-    pub key: Box<[u8]>,
-    /// Current value; updates are single atomic stores.
-    pub value: AtomicU64,
-}
-
-impl Leaf {
-    /// Allocate a leaf on the PM pool and return its tagged pointer word.
-    pub fn alloc(key: &[u8], value: u64) -> usize {
-        let leaf = pm::alloc::pm_box(Leaf {
-            key: key.to_vec().into_boxed_slice(),
-            value: AtomicU64::new(value),
-        });
-        (leaf as usize) | 1
-    }
+/// The tagged child word of `leaf`.
+#[inline]
+#[must_use]
+pub fn leaf_word(leaf: &Leaf) -> usize {
+    (leaf as *const Leaf as usize) | 1
 }
 
 /// Whether a child word refers to a leaf.
@@ -95,11 +84,11 @@ pub fn is_leaf(word: usize) -> bool {
 /// Dereference a leaf child word.
 ///
 /// # Safety
-/// `word` must be a tagged pointer produced by [`Leaf::alloc`] that has not been freed.
+/// `word` must be a tagged pointer produced by [`leaf_word`].
 #[inline]
 pub unsafe fn leaf_ref<'a>(word: usize) -> &'a Leaf {
     debug_assert!(is_leaf(word));
-    // SAFETY: caller contract; leaves are never freed while the tree is alive.
+    // SAFETY: caller contract; leaves are never freed.
     unsafe { &*((word & !1) as *const Leaf) }
 }
 
@@ -111,17 +100,14 @@ fn persist_store<P: PersistMode, T>(field: &T, fence: bool) {
     P::persist_obj(field, fence);
 }
 
-/// Assert that the leaf a store is about to make reachable — the leaf and its boxed
-/// key bytes — is durable (the check of the stage–fence–publish discipline; free
-/// unless the durability tracker is on). Inner-node children are asserted by the
-/// tree, which built them.
+/// Assert that the leaf a store is about to make reachable is durable (the check of
+/// the stage–fence–publish discipline; free unless the durability tracker is on).
+/// Inner-node children are asserted by the tree, which built them.
 #[inline]
 fn assert_leaf_staged<P: PersistMode>(child: usize) {
     if is_leaf(child) {
         // SAFETY: `child` is a leaf word the calling insert allocated.
-        let l = unsafe { leaf_ref(child) };
-        P::assert_durable(l.key.as_ptr(), l.key.len());
-        P::assert_durable_obj(l as *const Leaf);
+        unsafe { leaf_ref(child) }.assert_durable::<P>();
     }
 }
 
@@ -771,7 +757,7 @@ mod tests {
 
     #[test]
     fn leaf_tagging() {
-        let w = Leaf::alloc(b"key", 7);
+        let w = leaf_word(Leaf::alloc(b"key", 7));
         assert!(is_leaf(w));
         // SAFETY: freshly allocated leaf.
         let l = unsafe { leaf_ref(w) };
@@ -785,8 +771,8 @@ mod tests {
         // SAFETY: freshly allocated.
         let n = unsafe { NodeRef::from_word(w) };
         assert_eq!(n.find_child(5), 0);
-        let c1 = Leaf::alloc(b"a", 1);
-        let c2 = Leaf::alloc(b"b", 2);
+        let c1 = leaf_word(Leaf::alloc(b"a", 1));
+        let c2 = leaf_word(Leaf::alloc(b"b", 2));
         assert!(n.add_child::<Dram>(5, c1));
         assert!(n.add_child::<Dram>(9, c2));
         assert_eq!(n.find_child(5), c1);
@@ -796,7 +782,7 @@ mod tests {
         assert_eq!(n.find_child(5), 0);
         assert!(!n.remove_child::<Dram>(5));
         // Hole is reused.
-        let c3 = Leaf::alloc(b"c", 3);
+        let c3 = leaf_word(Leaf::alloc(b"c", 3));
         assert!(n.add_child::<Dram>(7, c3));
         assert_eq!(n.find_child(7), c3);
         assert_eq!(n.hdr().count.load(Ordering::Relaxed), 2);
@@ -809,10 +795,10 @@ mod tests {
         let n = unsafe { NodeRef::from_word(w) };
         for b in 0..4u8 {
             assert!(!n.is_full());
-            assert!(n.add_child::<Dram>(b, Leaf::alloc(&[b], b as u64)));
+            assert!(n.add_child::<Dram>(b, leaf_word(Leaf::alloc(&[b], b as u64))));
         }
         assert!(n.is_full());
-        assert!(!n.add_child::<Dram>(99, Leaf::alloc(b"x", 0)));
+        assert!(!n.add_child::<Dram>(99, leaf_word(Leaf::alloc(b"x", 0))));
     }
 
     #[test]
@@ -822,7 +808,7 @@ mod tests {
         for b in 0..200u8 {
             // SAFETY: `word` always refers to the current live copy.
             let n = unsafe { NodeRef::from_word(word) };
-            let leaf = Leaf::alloc(&[b], b as u64);
+            let leaf = leaf_word(Leaf::alloc(&[b], b as u64));
             if n.is_full() {
                 word = n.grow_with(b, leaf);
             } else {
@@ -855,8 +841,8 @@ mod tests {
             let w = make(0, b"");
             // SAFETY: freshly allocated.
             let n = unsafe { NodeRef::from_word(w) };
-            let c1 = Leaf::alloc(b"1", 1);
-            let c2 = Leaf::alloc(b"2", 2);
+            let c1 = leaf_word(Leaf::alloc(b"1", 1));
+            let c2 = leaf_word(Leaf::alloc(b"2", 2));
             assert!(!n.replace_child::<Dram>(10, c2), "replace on absent byte fails");
             assert!(n.add_child::<Dram>(10, c1));
             assert!(n.replace_child::<Dram>(10, c2));
@@ -899,7 +885,7 @@ mod tests {
             let n = unsafe { NodeRef::from_word(w) };
             let bytes: Vec<u8> = (0..n_keys as u8).map(|i| 251u8.wrapping_mul(i + 1)).collect();
             for &b in &bytes {
-                assert!(n.add_child::<Dram>(b, Leaf::alloc(&[b], u64::from(b))));
+                assert!(n.add_child::<Dram>(b, leaf_word(Leaf::alloc(&[b], u64::from(b)))));
             }
             let got: Vec<u8> = children_from(&n, 0).iter().map(|&(b, _)| b).collect();
             let mut want = bytes.clone();
@@ -917,7 +903,7 @@ mod tests {
         for (i, &b) in bytes.iter().enumerate() {
             // SAFETY: `word` always refers to the current live copy.
             let n = unsafe { NodeRef::from_word(word) };
-            let leaf = Leaf::alloc(&[b], u64::from(b));
+            let leaf = leaf_word(Leaf::alloc(&[b], u64::from(b)));
             if n.is_full() {
                 word = n.grow_with(b, leaf);
             } else {
@@ -947,7 +933,7 @@ mod tests {
         // SAFETY: freshly allocated.
         let n = unsafe { NodeRef::from_word(w) };
         for b in [0u8, 7, 200, 255] {
-            assert!(n.add_child::<Dram>(b, Leaf::alloc(&[b], 0)));
+            assert!(n.add_child::<Dram>(b, leaf_word(Leaf::alloc(&[b], 0))));
         }
         let from = |lo| children_from(&n, lo).iter().map(|&(b, _)| b).collect::<Vec<u8>>();
         assert_eq!(from(0), vec![0, 7, 200, 255]);

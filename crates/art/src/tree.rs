@@ -23,7 +23,8 @@
 //! acknowledged. Every publishing site asserts (`PersistMode::assert_durable`, live
 //! under the durability tracker) that what it publishes is durable.
 
-use crate::node::{is_leaf, leaf_ref, pack_prefix, Leaf, Node256, Node4, NodeRef, MAX_PREFIX};
+use crate::node::{is_leaf, leaf_ref, leaf_word, pack_prefix, Node256, Node4, NodeRef, MAX_PREFIX};
+use recipe::key::Leaf;
 use recipe::persist::{Dram, PersistMode};
 use recipe::session::ScanBuf;
 use std::marker::PhantomData;
@@ -60,25 +61,12 @@ fn persist_new_node<P: PersistMode>(word: usize, fence: bool) {
     P::persist_range(word as *const u8, n.size_bytes(), fence);
 }
 
-/// Stage a freshly allocated leaf: flush its boxed key bytes and the leaf itself
-/// without a fence. Every insert path publishes the leaf behind a later fence — the
-/// one `add_child` issues ahead of its commit, or the new node's.
-fn stage_new_leaf<P: PersistMode>(leaf_word: usize) {
-    // SAFETY: caller passes a freshly allocated tagged leaf word.
-    let l = unsafe { leaf_ref(leaf_word) };
-    // The key box comes from the plain heap, so the tracker learns of it here.
-    P::mark_dirty(l.key.as_ptr(), l.key.len());
-    P::persist_range(l.key.as_ptr(), l.key.len(), false);
-    P::persist_obj(l as *const Leaf, false);
-}
-
-/// The check of the discipline at a publishing store: the new leaf (with its key
-/// bytes) and the new node about to become reachable through `node_word` are durable.
-fn assert_staged_durable<P: PersistMode>(leaf_word: usize, node_word: usize) {
-    // SAFETY: both words were allocated by the operation that is publishing them.
-    let (l, n) = unsafe { (leaf_ref(leaf_word), NodeRef::from_word(node_word)) };
-    P::assert_durable(l.key.as_ptr(), l.key.len());
-    P::assert_durable_obj(l as *const Leaf);
+/// The check of the discipline at a publishing store: the new leaf and the new node
+/// about to become reachable through `node_word` are durable.
+fn assert_staged_durable<P: PersistMode>(leaf: &Leaf, node_word: usize) {
+    leaf.assert_durable::<P>();
+    // SAFETY: the node was allocated by the operation that is publishing it.
+    let n = unsafe { NodeRef::from_word(node_word) };
     P::assert_durable(node_word as *const u8, n.size_bytes());
 }
 
@@ -264,10 +252,10 @@ impl<P: PersistMode> Art<P> {
             if !node.is_full() {
                 let leaf = Leaf::alloc(key, value);
                 // Staged: it rides on the fence `add_child` issues ahead of its commit.
-                stage_new_leaf::<P>(leaf);
+                leaf.stage::<P>();
                 P::crash_site("art.insert.leaf_persisted");
                 // Commit: single atomic child-pointer (or index, or count) store.
-                let ok = node.add_child::<P>(b, leaf);
+                let ok = node.add_child::<P>(b, leaf_word(leaf));
                 debug_assert!(ok);
                 P::crash_site("art.insert.committed");
                 return AddLeafOutcome::Inserted;
@@ -290,8 +278,8 @@ impl<P: PersistMode> Art<P> {
             return AddLeafOutcome::Retry;
         }
         let leaf = Leaf::alloc(key, value);
-        stage_new_leaf::<P>(leaf);
-        let grown = node.grow_with(b, leaf);
+        leaf.stage::<P>();
+        let grown = node.grow_with(b, leaf_word(leaf));
         // One fence for the staged leaf and the grown copy.
         persist_new_node::<P>(grown, true);
         P::crash_site("art.grow.new_node_persisted");
@@ -340,13 +328,13 @@ impl<P: PersistMode> Art<P> {
             return false;
         }
         let new_leaf = Leaf::alloc(key, value);
-        stage_new_leaf::<P>(new_leaf);
+        new_leaf.stage::<P>();
         // Build the new branch node covering the matched part of the prefix.
         let branch = Node4::alloc((depth + p) as u32, &pbytes[..p]);
         // SAFETY: freshly allocated.
         let branch_ref = unsafe { NodeRef::from_word(branch) };
         branch_ref.add_child::<Dram>(pbytes[p], node.word());
-        branch_ref.add_child::<Dram>(key[depth + p], new_leaf);
+        branch_ref.add_child::<Dram>(key[depth + p], leaf_word(new_leaf));
         // One fence for the staged leaf and the branch.
         persist_new_node::<P>(branch, true);
         P::crash_site("art.path_split.branch_persisted");
@@ -399,8 +387,9 @@ impl<P: PersistMode> Art<P> {
             return Some(false);
         }
         let new_leaf = Leaf::alloc(key, value);
-        stage_new_leaf::<P>(new_leaf);
-        let subtree = build_split_subtree::<P>(base, cp, key, old_key, existing, new_leaf);
+        new_leaf.stage::<P>();
+        let subtree =
+            build_split_subtree::<P>(base, cp, key, old_key, existing, leaf_word(new_leaf));
         P::crash_site("art.leaf_split.subtree_persisted");
         // Commit: single atomic store replacing the leaf with the subtree.
         assert_staged_durable::<P>(new_leaf, subtree);

@@ -15,6 +15,7 @@
 //! [`scan_leaf`], [`build_view`]) — while `tree` drives the CAS protocol, the
 //! persistence ordering and the SMOs.
 
+use recipe::key::LeafKey;
 use recipe::persist::PersistMode;
 use recipe::session::ScanBuf;
 use std::collections::BTreeMap;
@@ -112,59 +113,6 @@ unsafe impl Send for BaseBox {}
 // SAFETY: as above; shared access only reads through `Deref`.
 unsafe impl Sync for BaseBox {}
 
-/// Bytes of a key a delta record holds inline; a longer key spills to a box.
-pub const INLINE_KEY: usize = 22;
-
-/// A key inside a [`Delta`] record: inline up to [`INLINE_KEY`] bytes (so an 8-byte
-/// integer key or a short string costs no allocation and no extra line), else a
-/// spilled copy on the PM pool (`pm::alloc::pm_slice`), flushed with the record.
-pub enum DeltaKey {
-    /// The key's bytes, in the record.
-    Inline {
-        /// Key length.
-        len: u8,
-        /// Key bytes; those past `len` are zero.
-        bytes: [u8; INLINE_KEY],
-    },
-    /// A key longer than [`INLINE_KEY`] bytes.
-    Spilled(Box<[u8]>),
-}
-
-impl DeltaKey {
-    /// The record form of `key`.
-    #[must_use]
-    pub fn new(key: &[u8]) -> DeltaKey {
-        if key.len() <= INLINE_KEY {
-            let mut bytes = [0u8; INLINE_KEY];
-            bytes[..key.len()].copy_from_slice(key);
-            DeltaKey::Inline { len: key.len() as u8, bytes }
-        } else {
-            DeltaKey::Spilled(pm::alloc::pm_slice(key))
-        }
-    }
-
-    /// The spilled copy's bytes, if the key did not fit inline.
-    #[must_use]
-    pub fn spill(&self) -> Option<&[u8]> {
-        match self {
-            DeltaKey::Inline { .. } => None,
-            DeltaKey::Spilled(b) => Some(b),
-        }
-    }
-}
-
-impl std::ops::Deref for DeltaKey {
-    type Target = [u8];
-
-    #[inline]
-    fn deref(&self) -> &[u8] {
-        match self {
-            DeltaKey::Inline { len, bytes } => &bytes[..*len as usize],
-            DeltaKey::Spilled(b) => b,
-        }
-    }
-}
-
 /// One record in a delta chain.
 pub enum DeltaKind {
     /// The base page terminating the chain.
@@ -172,14 +120,14 @@ pub enum DeltaKind {
     /// Leaf upsert: `key` now maps to `value`.
     Insert {
         /// Record key.
-        key: DeltaKey,
+        key: LeafKey,
         /// Record value.
         value: u64,
     },
     /// Leaf delete: `key` is no longer mapped.
     Delete {
         /// Record key.
-        key: DeltaKey,
+        key: LeafKey,
     },
     /// Split delta: this page is logically truncated at `sep`; keys `>= sep` now
     /// live in the page `right`. Published as the *second* step of the split SMO
@@ -187,7 +135,7 @@ pub enum DeltaKind {
     /// routes `sep` to `right`.
     Split {
         /// First key owned by the right sibling (the new exclusive high key here).
-        sep: DeltaKey,
+        sep: LeafKey,
         /// PID of the new right sibling.
         right: Pid,
         /// Transient completion hint: set once a helper confirmed the parent entry
@@ -199,7 +147,7 @@ pub enum DeltaKind {
     /// `>= sep` (up to the next separator) to `child`.
     IndexEntry {
         /// Separator key being installed.
-        sep: DeltaKey,
+        sep: LeafKey,
         /// PID of the split-off child.
         child: Pid,
     },
@@ -220,7 +168,7 @@ pub enum DeltaKind {
     /// delta is bounded by it.
     Merge {
         /// The victim's (frozen) exclusive high key — the new bound here.
-        high: Option<DeltaKey>,
+        high: Option<LeafKey>,
         /// The victim's (frozen) right sibling — the new right link here.
         right: Pid,
         /// PID of the removed page, for helpers and diagnostics.
@@ -231,7 +179,7 @@ pub enum DeltaKind {
     /// to the preceding separator (the sibling that absorbed the victim).
     IndexTermDelete {
         /// Separator of the entry being deleted (the victim's low key).
-        sep: DeltaKey,
+        sep: LeafKey,
         /// The removed child the entry routed to. Deletion is pair-exact: a
         /// newer re-promotion of the same separator to a different child is
         /// not affected.
@@ -293,7 +241,7 @@ impl Delta {
             DeltaKind::Merge { high, .. } => high.as_ref(),
             DeltaKind::RemoveNode { .. } => None,
         };
-        if let Some(spill) = key.and_then(DeltaKey::spill) {
+        if let Some(spill) = key.and_then(LeafKey::spill) {
             f(spill.as_ptr(), spill.len());
         }
     }
@@ -951,8 +899,8 @@ mod tests {
         s.into()
     }
 
-    fn dk(s: &[u8]) -> DeltaKey {
-        DeltaKey::new(s)
+    fn dk(s: &[u8]) -> LeafKey {
+        LeafKey::new(s)
     }
 
     fn free_chain(mut p: *mut Delta) {
@@ -1146,17 +1094,6 @@ mod tests {
         let got = out.to_vec();
         assert_eq!(got, vec![(b"zz".to_vec(), 0), (b"b".to_vec(), 1), (b"d".to_vec(), 4)]);
         free_chain(head);
-    }
-
-    #[test]
-    fn delta_keys_sit_inline_up_to_22_bytes_and_spill_beyond() {
-        let short = dk(&[7u8; INLINE_KEY]);
-        assert!(short.spill().is_none());
-        assert_eq!(&*short, &[7u8; INLINE_KEY][..]);
-        assert_eq!(&*dk(b""), b"");
-        let long = dk(&[9u8; INLINE_KEY + 1]);
-        assert_eq!(long.spill().map(<[u8]>::len), Some(INLINE_KEY + 1));
-        assert_eq!(&*long, &[9u8; INLINE_KEY + 1][..]);
     }
 
     #[test]

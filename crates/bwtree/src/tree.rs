@@ -39,9 +39,10 @@
 use crate::page::{
     build_view, chain_bytes, chain_len, chain_removed, delta_ref, effective_bounds, first_smo,
     first_split, inner_contains_sep, inner_route, inner_route_before, leaf_lookup, page_live,
-    page_low, scan_leaf, BasePage, Delta, DeltaKey, DeltaKind, Find, MappingTable, PageView, Pid,
-    Route, SmoMarker, NO_PID,
+    page_low, scan_leaf, BasePage, Delta, DeltaKind, Find, MappingTable, PageView, Pid, Route,
+    SmoMarker, NO_PID,
 };
+use recipe::key::LeafKey;
 use recipe::persist::PersistMode;
 use recipe::session::ScanBuf;
 use std::cell::Cell;
@@ -353,7 +354,7 @@ impl<P: PersistMode> BwTree<P> {
             let delta = Delta::alloc(
                 head,
                 false,
-                DeltaKind::IndexEntry { sep: DeltaKey::new(sep), child: right },
+                DeltaKind::IndexEntry { sep: LeafKey::new(sep), child: right },
             );
             delta_ref(delta).persist::<P>(true);
             if self.publish(parent, head, delta) {
@@ -493,7 +494,7 @@ impl<P: PersistMode> BwTree<P> {
                 lhead,
                 true,
                 DeltaKind::Merge {
-                    high: vhigh.as_deref().map(DeltaKey::new),
+                    high: vhigh.as_deref().map(LeafKey::new),
                     right: vright,
                     victim,
                 },
@@ -585,7 +586,7 @@ impl<P: PersistMode> BwTree<P> {
                         let delta = Delta::alloc(
                             head,
                             false,
-                            DeltaKind::IndexTermDelete { sep: DeltaKey::new(sep), child },
+                            DeltaKind::IndexTermDelete { sep: LeafKey::new(sep), child },
                         );
                         delta_ref(delta).persist::<P>(true);
                         if self.publish(pid, head, delta) {
@@ -725,7 +726,7 @@ impl<P: PersistMode> BwTree<P> {
         let split = Delta::alloc(
             head,
             view.leaf,
-            DeltaKind::Split { sep: DeltaKey::new(&sep), right, done: AtomicBool::new(false) },
+            DeltaKind::Split { sep: LeafKey::new(&sep), right, done: AtomicBool::new(false) },
         );
         delta_ref(split).persist::<P>(true);
         delta_ref(right_delta).assert_durable::<P>();
@@ -863,8 +864,8 @@ impl<P: PersistMode> BwTree<P> {
                 return None;
             }
             let kind = match value {
-                Some(v) => DeltaKind::Insert { key: DeltaKey::new(key), value: v },
-                None => DeltaKind::Delete { key: DeltaKey::new(key) },
+                Some(v) => DeltaKind::Insert { key: LeafKey::new(key), value: v },
+                None => DeltaKind::Delete { key: LeafKey::new(key) },
             };
             let delta = Delta::alloc(head, true, kind);
             delta_ref(delta).persist::<P>(true);

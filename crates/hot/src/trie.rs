@@ -37,11 +37,12 @@ use crate::bits::{
 };
 use crate::compound::{prefix_mask, Compound, Entry, COMPOUND_CAP, FULL_MASK};
 use pm::stats::{record_probes, Mapping};
+use recipe::key::Leaf;
 use recipe::lock::{VersionGuard, VersionLock};
 use recipe::persist::PersistMode;
 use recipe::session::ScanBuf;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 const FANOUT: usize = 1 << MAX_BITS;
 
@@ -54,14 +55,6 @@ const MIN_WIDEN_ENTRIES: usize = 4;
 /// the smallest capacity class is several lines — so installs must be rare
 /// enough that flushing one amortizes to a few cache lines per insert.
 const WIDEN_PERIOD: usize = 64;
-
-/// Leaf: full key plus value.
-pub struct Leaf {
-    /// Full key bytes (verified on every lookup).
-    pub key: Box<[u8]>,
-    /// Current value.
-    pub value: AtomicU64,
-}
 
 /// Inner node: a window of discriminative bits and up to 32 children.
 pub struct Node {
@@ -112,31 +105,16 @@ fn subtree_start(word: usize) -> u32 {
     }
 }
 
-/// Allocate a leaf and flush it (its boxed key bytes, then the leaf). With
-/// `fence = false` the leaf is *staged*: the caller keeps it unreachable until a
-/// later fence of its own — the one ahead of the publishing store — has made it
-/// durable.
-fn alloc_leaf<P: PersistMode>(key: &[u8], value: u64, fence: bool) -> usize {
-    let leaf = pm::alloc::pm_box(Leaf {
-        key: key.to_vec().into_boxed_slice(),
-        value: AtomicU64::new(value),
-    });
-    // SAFETY: freshly allocated, uniquely owned.
-    let l = unsafe { &*leaf };
-    // The key box comes from the plain heap, so the tracker learns of it here.
-    P::mark_dirty(l.key.as_ptr(), l.key.len());
-    P::persist_range(l.key.as_ptr(), l.key.len(), false);
-    P::persist_obj(leaf, fence);
-    (leaf as usize) | 1
-}
-
-/// The check of the discipline at a store that publishes the new leaf `word`: the
-/// leaf and its key bytes are durable.
-fn assert_leaf_durable<P: PersistMode>(word: usize) {
-    // SAFETY: allocated by the operation that is publishing it.
-    let l = unsafe { &*leaf_of(word) };
-    P::assert_durable(l.key.as_ptr(), l.key.len());
-    P::assert_durable_obj(l as *const Leaf);
+/// Allocate a leaf and stage it, returning it with its tagged word. With
+/// `fence = false` the caller keeps it unreachable until a later fence of its own —
+/// the one ahead of the publishing store — has made it durable.
+fn alloc_leaf<P: PersistMode>(key: &[u8], value: u64, fence: bool) -> (&'static Leaf, usize) {
+    let leaf = Leaf::alloc(key, value);
+    leaf.stage::<P>();
+    if fence {
+        P::fence();
+    }
+    (leaf, leaf as *const Leaf as usize | 1)
 }
 
 fn alloc_node(bit_pos: u32, width: u32) -> *mut Node {
@@ -304,9 +282,9 @@ impl<P: PersistMode> Hot<P> {
                 if self.root.load(Ordering::Acquire) != 0 {
                     continue 'restart;
                 }
-                let leaf = alloc_leaf::<P>(key, value, true);
+                let (new, leaf) = alloc_leaf::<P>(key, value, true);
                 P::crash_site("hot.insert.root_leaf_persisted");
-                assert_leaf_durable::<P>(leaf);
+                new.assert_durable::<P>();
                 self.root.store(leaf, Ordering::Release);
                 P::mark_dirty_obj(&self.root);
                 P::persist_obj(&self.root, true);
@@ -400,9 +378,9 @@ impl<P: PersistMode> Hot<P> {
                     {
                         continue 'restart;
                     }
-                    let leaf = alloc_leaf::<P>(key, value, true);
+                    let (new, leaf) = alloc_leaf::<P>(key, value, true);
                     P::crash_site("hot.insert.leaf_persisted");
-                    assert_leaf_durable::<P>(leaf);
+                    new.assert_durable::<P>();
                     node.children[idx].store(leaf, Ordering::Release);
                     P::mark_dirty_obj(&node.children[idx]);
                     P::persist_obj(&node.children[idx], true);
@@ -462,10 +440,10 @@ impl<P: PersistMode> Hot<P> {
         });
         match reuse {
             Some(slot) => {
-                let leaf = alloc_leaf::<P>(key, value, true);
+                let (new, leaf) = alloc_leaf::<P>(key, value, true);
                 P::crash_site("hot.insert.leaf_persisted");
                 // Commit = one atomic child-slot store.
-                assert_leaf_durable::<P>(leaf);
+                new.assert_durable::<P>();
                 c.children[slot].store(leaf, Ordering::Release);
                 P::mark_dirty_obj(&c.children[slot]);
                 P::persist_obj(&c.children[slot], true);
@@ -482,12 +460,12 @@ impl<P: PersistMode> Hot<P> {
                 P::persist_obj(&c.pkeys[count / 4], false);
                 P::mark_dirty_obj(&c.masks[count / 4]);
                 P::persist_obj(&c.masks[count / 4], false);
-                let leaf = alloc_leaf::<P>(key, value, false);
+                let (new, leaf) = alloc_leaf::<P>(key, value, false);
                 P::crash_site("hot.insert.leaf_persisted");
                 c.children[count].store(leaf, Ordering::Release);
                 P::mark_dirty_obj(&c.children[count]);
                 P::persist_obj(&c.children[count], true);
-                assert_leaf_durable::<P>(leaf);
+                new.assert_durable::<P>();
                 P::assert_durable_obj(&c.pkeys[count / 4]);
                 P::assert_durable_obj(&c.masks[count / 4]);
                 c.count.store(count as u32 + 1, Ordering::Release);
@@ -567,7 +545,7 @@ impl<P: PersistMode> Hot<P> {
         let branch = alloc_node(diff_bit, width);
         // SAFETY: freshly allocated, private.
         let b = unsafe { &*branch };
-        let new_leaf = alloc_leaf::<P>(key, value, false);
+        let (new, new_leaf) = alloc_leaf::<P>(key, value, false);
         let new_idx = extract_bits(key, diff_bit, width);
         // The displaced subtree's keys all agree with `ref_key` on the window bits
         // (they share every bit up to their own, deeper windows).
@@ -580,7 +558,7 @@ impl<P: PersistMode> Hot<P> {
         P::crash_site("hot.branch.built");
 
         // Commit: a single atomic pointer swap in the parent slot (or the root).
-        assert_leaf_durable::<P>(new_leaf);
+        new.assert_durable::<P>();
         P::assert_durable_obj(branch);
         match parent {
             None => {
@@ -713,9 +691,9 @@ impl<P: PersistMode> Hot<P> {
         // Commit: one atomic pointer swap in the parent slot (or the root),
         // same shape as every other insert commit.
         let parent = if boundary == 0 { None } else { Some(path[boundary - 1]) };
-        let leaf = alloc_leaf::<P>(key, value, true);
+        let (new, leaf) = alloc_leaf::<P>(key, value, true);
         P::crash_site("hot.insert.leaf_persisted");
-        assert_leaf_durable::<P>(leaf);
+        new.assert_durable::<P>();
         let committed = match parent {
             None => {
                 let _g = self.root_lock.lock();

@@ -20,14 +20,19 @@
 //! its size needs, so how many `clwb`s persisting an object costs is a property of
 //! its type, not of where the heap happened to put it. Each thread keeps a cache —
 //! one free list per class and the unused tail of its current chunk — so the common
-//! allocation and free touch no shared state. Any other type passed to it
-//! (unaligned, over-aligned or larger) goes through `Box`.
+//! allocation and free touch no shared state: a thread whose list runs dry locks the
+//! pool only when a per-class count says it holds a batch. Any other type passed to
+//! it (unaligned, over-aligned or larger) goes through `Box`.
 //!
-//! [`pm_box`] keeps every type on the global heap. The line-aligned nodes that
-//! predate the slab (P-ART's, P-CLHT's buckets, CCEH's segments) stay there: on the
-//! slab, P-ART's nodes pack densely enough to speed its reads by a fifth against
-//! FAST & FAIR, which moves the paper-shape orderings `shape_check` gates (P-HOT's
-//! read ratio against the best ordered index) until those gates are re-fitted.
+//! The slab serves P-BwTree's delta records and page headers, P-Masstree's nodes, and
+//! the one-line leaves of P-ART and P-HOT (`recipe::key::Leaf`). [`pm_box`] keeps
+//! every type on the global heap, and the line-aligned nodes that predate the slab
+//! (the tries' inner nodes, P-CLHT's buckets, CCEH's segments) stay there: on the
+//! slab, P-ART's inner nodes pack densely enough to speed its reads by a fifth
+//! against FAST & FAIR, which moves the paper-shape orderings `shape_check` gates
+//! (P-HOT's read ratio against the best ordered index) until those gates are
+//! re-fitted. A leaf is read once per lookup, after the descent, so where it lives
+//! does not move them.
 //!
 //! # Reclamation model
 //!
@@ -46,7 +51,7 @@
 //!
 //! This slab is the seed of the persistent heap the roadmap plans (one line-aligned,
 //! size-classed arena that every PM byte comes from, with a recovery-time mark pass
-//! for what a crash leaked); today it serves the line-aligned types only.
+//! for what a crash leaked); today it serves the line-aligned types named above.
 //!
 //! Allocation counters (two fields of the allocating thread's [`crate::stats`] slab,
 //! summed over all threads by the readers here) are exposed so tests can assert that
@@ -129,6 +134,24 @@ struct Pool {
 static POOL: Mutex<Pool> =
     Mutex::new(Pool { batches: [const { Vec::new() }; CLASSES], tails: Vec::new() });
 
+/// Per class, how many batches the pool holds: written under the pool's lock, read
+/// without it, so a thread whose list runs dry locks the pool only when there is a
+/// batch to take.
+static POOLED: [AtomicUsize; CLASSES] = [const { AtomicUsize::new(0) }; CLASSES];
+
+impl Pool {
+    fn push_batch(&mut self, c: usize, batch: FreeList) {
+        self.batches[c].push(batch);
+        POOLED[c].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn pop_batch(&mut self, c: usize) -> Option<FreeList> {
+        let batch = self.batches[c].pop()?;
+        POOLED[c].fetch_sub(1, Ordering::Relaxed);
+        Some(batch)
+    }
+}
+
 /// Chunks allocated since process start.
 static CHUNKS: AtomicUsize = AtomicUsize::new(0);
 
@@ -147,9 +170,11 @@ impl Cache {
         if let Some(block) = self.free[c].pop() {
             return block;
         }
-        if let Some(batch) = POOL.lock().batches[c].pop() {
-            self.free[c] = batch;
-            return self.free[c].pop().expect("the pool holds no empty batch");
+        if POOLED[c].load(Ordering::Relaxed) > 0 {
+            if let Some(batch) = POOL.lock().pop_batch(c) {
+                self.free[c] = batch;
+                return self.free[c].pop().expect("the pool holds no empty batch");
+            }
         }
         let size = block_bytes(c);
         if self.end - self.bump < size {
@@ -190,7 +215,7 @@ impl Cache {
         let list = &mut self.free[c];
         list.push(block);
         if list.len * block_bytes(c) > LOCAL_MAX_BYTES {
-            POOL.lock().batches[c].push(std::mem::replace(list, FreeList::EMPTY));
+            POOL.lock().push_batch(c, std::mem::replace(list, FreeList::EMPTY));
         }
     }
 }
@@ -200,7 +225,7 @@ impl Drop for Cache {
         let mut pool = POOL.lock();
         for (c, list) in self.free.iter_mut().enumerate() {
             if list.len > 0 {
-                pool.batches[c].push(std::mem::replace(list, FreeList::EMPTY));
+                pool.push_batch(c, std::mem::replace(list, FreeList::EMPTY));
             }
         }
         if self.end > self.bump {
@@ -478,6 +503,35 @@ mod tests {
         .join()
         .expect("the freeing thread ran");
         assert_eq!(reused, a, "the other thread reused the block it freed");
+    }
+
+    #[test]
+    fn a_batch_freed_on_one_thread_is_taken_by_another() {
+        let _g = tracker::tests::TEST_LOCK.lock();
+        // 2880-byte blocks: a class no other test allocates. Forty of them are more
+        // than a thread keeps, so one batch moves to the pool on a free and the rest
+        // when the thread exits.
+        let c = class_of::<Lines<2880>>();
+        let freed: Vec<usize> = std::thread::spawn(|| {
+            let ps: Vec<_> = (0..40).map(|_| pm_line_box(Lines([0u8; 2880]))).collect();
+            for &p in &ps {
+                // SAFETY: allocated above, never shared.
+                unsafe { pm_line_drop(p) };
+            }
+            ps.into_iter().map(|p| p as usize).collect()
+        })
+        .join()
+        .expect("the freeing thread ran");
+        assert_eq!(POOLED[c].load(Ordering::Relaxed), 2, "a full list and the exit's rest");
+        let taken = std::thread::spawn(|| {
+            let p = pm_line_box(Lines([1u8; 2880]));
+            // SAFETY: freshly allocated, never shared.
+            unsafe { pm_line_drop(p) };
+            p as usize
+        })
+        .join()
+        .expect("the allocating thread ran");
+        assert!(freed.contains(&taken), "a thread with an empty list carved a new block");
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! this workspace compare keys as byte strings, so integer keys are encoded big-endian
 //! to preserve numeric order. Unordered indexes hash the raw bytes with a 64-bit
 //! FNV-1a variant.
+//!
+//! It also holds the key as a persistent record stores it — [`LeafKey`], inline up to
+//! [`INLINE_KEY`] bytes — and the one-line trie [`Leaf`] built on it.
+
+use crate::persist::PersistMode;
+use std::sync::atomic::AtomicU64;
 
 /// Encode a `u64` as an order-preserving 8-byte big-endian key.
 #[inline]
@@ -85,6 +91,109 @@ pub fn keyslice_len(key: &[u8], off: usize) -> usize {
     key.len().saturating_sub(off).min(8)
 }
 
+/// Bytes of a key a [`LeafKey`] holds inline; a longer key spills to a box.
+pub const INLINE_KEY: usize = 22;
+
+/// A key inside a persistent record (a trie [`Leaf`], a Bw-tree delta): inline up to
+/// [`INLINE_KEY`] bytes, so an 8-byte integer key or a short string costs no
+/// allocation and no line of its own, else a spilled copy on the PM pool
+/// (`pm::alloc::pm_slice`) that the record flushes with itself.
+pub enum LeafKey {
+    /// The key's bytes, in the record.
+    Inline {
+        /// Key length.
+        len: u8,
+        /// Key bytes; those past `len` are zero.
+        bytes: [u8; INLINE_KEY],
+    },
+    /// A key longer than [`INLINE_KEY`] bytes.
+    Spilled(Box<[u8]>),
+}
+
+impl LeafKey {
+    /// The record form of `key`.
+    #[must_use]
+    pub fn new(key: &[u8]) -> LeafKey {
+        if key.len() <= INLINE_KEY {
+            let mut bytes = [0u8; INLINE_KEY];
+            bytes[..key.len()].copy_from_slice(key);
+            LeafKey::Inline { len: key.len() as u8, bytes }
+        } else {
+            LeafKey::Spilled(pm::alloc::pm_slice(key))
+        }
+    }
+
+    /// The spilled copy's bytes, if the key did not fit inline.
+    #[must_use]
+    pub fn spill(&self) -> Option<&[u8]> {
+        match self {
+            LeafKey::Inline { .. } => None,
+            LeafKey::Spilled(b) => Some(b),
+        }
+    }
+}
+
+impl std::ops::Deref for LeafKey {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        match self {
+            LeafKey::Inline { len, bytes } => &bytes[..*len as usize],
+            LeafKey::Spilled(b) => b,
+        }
+    }
+}
+
+/// A single-value leaf of the PM tries (P-ART, P-HOT): the value and the full key,
+/// which non-blocking readers verify on every hit. One cache line from the slab
+/// (`pm::alloc::pm_line_box`), so staging a leaf whose key sits inline flushes one
+/// line; a spilled key adds its own lines.
+#[repr(align(64))]
+pub struct Leaf {
+    /// Current value; updates are single atomic stores.
+    pub value: AtomicU64,
+    /// Full key bytes.
+    pub key: LeafKey,
+}
+
+const _: () = {
+    assert!(std::mem::size_of::<Leaf>() == pm::CACHE_LINE, "a leaf is one line");
+    assert!(std::mem::align_of::<Leaf>() == pm::CACHE_LINE, "a leaf starts on a line");
+};
+
+impl Leaf {
+    /// Allocate a leaf in a one-line slab block of the PM pool. It is never freed:
+    /// the tries leak what they unlink, the simplest sound realisation of RECIPE's
+    /// garbage-collecting allocator (`pm::alloc`). The caller must [`Leaf::stage`] it
+    /// before the fence that precedes the store publishing it.
+    #[must_use]
+    pub fn alloc(key: &[u8], value: u64) -> &'static Leaf {
+        let leaf = Leaf { value: AtomicU64::new(value), key: LeafKey::new(key) };
+        // SAFETY: a fresh slab block that nothing ever frees.
+        unsafe { &*pm::alloc::pm_line_box(leaf) }
+    }
+
+    /// Stage the leaf: flush its spilled key, if any, and its line, without a fence.
+    /// It becomes durable under the next fence, which must precede the store that
+    /// makes it reachable.
+    pub fn stage<P: PersistMode>(&self) {
+        if let Some(spill) = self.key.spill() {
+            P::persist_range(spill.as_ptr(), spill.len(), false);
+        }
+        P::persist_obj(self as *const Leaf, false);
+    }
+
+    /// The publish check of [`PersistMode::assert_durable`] over what [`Leaf::stage`]
+    /// flushes: call it right before the store that makes the leaf reachable.
+    pub fn assert_durable<P: PersistMode>(&self) {
+        if let Some(spill) = self.key.spill() {
+            P::assert_durable(spill.as_ptr(), spill.len());
+        }
+        P::assert_durable_obj(self as *const Leaf);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,5 +254,39 @@ mod tests {
         assert_eq!(keyslice(key, 11), 0);
         assert_eq!(keyslice_len(key, 11), 0);
         assert_eq!(keyslice_len(key, 100), 0);
+    }
+
+    #[test]
+    fn leaf_keys_sit_inline_up_to_22_bytes_and_spill_beyond() {
+        let short = LeafKey::new(&[7u8; INLINE_KEY]);
+        assert!(short.spill().is_none());
+        assert_eq!(&*short, &[7u8; INLINE_KEY][..]);
+        assert_eq!(&*LeafKey::new(b""), b"");
+        let long = LeafKey::new(&[9u8; INLINE_KEY + 1]);
+        assert_eq!(long.spill().map(<[u8]>::len), Some(INLINE_KEY + 1));
+        assert_eq!(&*long, &[9u8; INLINE_KEY + 1][..]);
+    }
+
+    #[test]
+    fn staging_a_leaf_flushes_its_line_and_only_a_spill_beyond() {
+        use crate::persist::Pmem;
+        // A leaf registers with the durability tracker another test may have on.
+        let _g = crate::persist::tests::TRACKER_LOCK.lock();
+        let clwbs = |l: &Leaf| {
+            let before = pm::stats::snapshot_local();
+            l.stage::<Pmem>();
+            let d = pm::stats::snapshot_local().since(&before);
+            assert_eq!(d.fence, 0, "staging never fences");
+            d.clwb
+        };
+        let short = Leaf::alloc(&[3u8; 8], 1);
+        assert_eq!(short as *const Leaf as usize % pm::CACHE_LINE, 0);
+        assert_eq!(clwbs(short), 1, "an inline key is on the leaf's line");
+        let long = Leaf::alloc(&[4u8; 24], 2);
+        let spill = long.key.spill().expect("24 bytes spill");
+        let spill_lines = pm::flush::lines_spanned(spill.as_ptr() as usize, spill.len()) as u64;
+        assert_eq!(clwbs(long), 1 + spill_lines, "a spilled key is flushed with its leaf");
+        let value = long.value.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!((&*long.key, value), (&[4u8; 24][..], 2));
     }
 }

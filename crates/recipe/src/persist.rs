@@ -135,8 +135,12 @@ impl PersistMode for Pmem {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes the tests that turn the process-global durability tracker on
+    /// with those that allocate PM objects, which it would register as dirty.
+    pub(crate) static TRACKER_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     #[test]
     fn dram_policy_is_free() {
@@ -171,6 +175,7 @@ mod tests {
 
     #[test]
     fn pmem_mark_dirty_feeds_tracker() {
+        let _g = TRACKER_LOCK.lock();
         // Tracker is global; keep this self-contained and tolerant of other tests.
         pm::tracker::enable();
         let x = 7u64;

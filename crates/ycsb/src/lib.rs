@@ -16,4 +16,4 @@ pub mod zipf;
 
 pub use driver::{execute, run_spec, PhaseResult, RunResult};
 pub use shard::{peak_resident_ops, reset_peak_resident_ops, run_spec_sharded, DEFAULT_CHUNK_OPS};
-pub use workload::{generate, id_value, GeneratedWorkload, KeyType, Op, Spec, Workload};
+pub use workload::{generate, id_value, GeneratedWorkload, KeyType, Op, OpKey, Spec, Workload};

@@ -1,17 +1,17 @@
 //! Sharded, chunked workload execution for large-scale runs.
 //!
 //! [`crate::workload::generate`] materialises every operation of both phases up
-//! front — one `Vec<Op>` per thread, each `Op` owning its key bytes. At the
-//! ROADMAP scale (`RECIPE_OPS_N = 2M × 16 threads`) that is a multi-hundred-MB
-//! allocation spike *before the first operation runs*, all of it dead weight once
-//! the phase finishes.
+//! front — one `Vec<Op>` per thread. At the ROADMAP scale
+//! (`RECIPE_OPS_N = 2M × 16 threads`) that is a multi-hundred-MB allocation spike
+//! *before the first operation runs*, all of it dead weight once the phase finishes.
 //!
 //! This module generates operations **per thread, in chunks**: each worker owns
 //! one reusable buffer of at most `chunk` operations, fills it from a
 //! deterministic per-thread generator, executes it, and refills. Peak op-buffer
 //! footprint drops from `O(load + ops)` to `O(threads × chunk)` regardless of
 //! scale, which [`peak_resident_ops`] makes observable (and the regression test
-//! pins down).
+//! pins down). An `Op` holds its key inline ([`crate::workload::OpKey`]), so
+//! refilling the buffer allocates nothing.
 //!
 //! Generation differs from `generate` only in how identifiers are drawn: keys are
 //! pure functions of `(seed, phase, thread, index)` (so no global uniqueness set
@@ -43,7 +43,7 @@ fn gauge_sub(n: usize) {
 
 /// Highest number of generated-but-unexecuted operations resident at any point
 /// since [`reset_peak_resident_ops`] — the op-buffer footprint, in operations
-/// (`Op` size is key-length-bound, so ops are the right unit).
+/// (every `Op` is the same size, key included, so ops are the right unit).
 #[must_use]
 pub fn peak_resident_ops() -> u64 {
     PEAK_RESIDENT_OPS.load(Ordering::Relaxed)
@@ -324,5 +324,48 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 40_000, "id collisions at toy scale");
+    }
+
+    /// Order-dependent fold of an op stream: kind, key bytes, value or length.
+    fn digest<'a>(ops: impl IntoIterator<Item = &'a Op>) -> u64 {
+        ops.into_iter().fold(0u64, |h, op| {
+            let (tag, key, n) = match op {
+                Op::Insert(k, v) => (1, &k[..], *v),
+                Op::Read(k) => (2, &k[..], 0),
+                Op::Scan(k, len) => (3, &k[..], *len as u64),
+            };
+            mix64(h ^ recipe::key::hash64(key)).wrapping_add(n).wrapping_mul(31).wrapping_add(tag)
+        })
+    }
+
+    /// Both generators feed the indexes exactly the keys, values and scan lengths
+    /// they fed them when every `Op` owned a `Vec<u8>`: the first 10 000 ops
+    /// (5 000 loads, 5 000 run ops) of workloads A and E, for both key types,
+    /// hash to the values recorded before the key became an inline `OpKey`.
+    #[test]
+    fn op_streams_are_pinned_for_both_key_types() {
+        let mut got = Vec::new();
+        for key_type in [KeyType::RandInt, KeyType::String24] {
+            let (mut sharded, mut upfront) = (Vec::new(), Vec::new());
+            for workload in [Workload::A, Workload::E] {
+                let s = Spec { key_type, ..spec(workload) };
+                let s = Spec { load_count: 5_000, op_count: 5_000, threads: 3, ..s };
+                for (phase, total) in [(Phase::Load, s.load_count), (Phase::Run, s.op_count)] {
+                    for t in 0..s.threads {
+                        let n = thread_share(total, s.threads, t);
+                        sharded.extend((0..n).map(|j| gen_op(&s, &phase, s.threads, t, j)));
+                    }
+                }
+                let g = crate::workload::generate(&s);
+                upfront.extend(g.load.into_iter().chain(g.run).flatten());
+            }
+            assert_eq!((sharded.len(), upfront.len()), (20_000, 20_000));
+            got.push((digest(&sharded), digest(&upfront)));
+        }
+        let recorded = [
+            (0xf54f_fb86_f50a_3732, 0x9520_4ab3_d938_868d),
+            (0x2678_f857_689f_7b00, 0xf939_a301_df45_1e98),
+        ];
+        assert_eq!(got, recorded);
     }
 }

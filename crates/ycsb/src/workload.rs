@@ -78,27 +78,57 @@ pub enum KeyType {
 impl KeyType {
     /// Encode the `i`-th generated identifier as a key of this type.
     #[must_use]
-    pub fn encode(&self, id: u64) -> Vec<u8> {
+    pub fn encode(&self, id: u64) -> OpKey {
+        let mut key = OpKey { len: 0, bytes: [0; OP_KEY_MAX] };
         match self {
-            KeyType::RandInt => recipe::key::u64_key(id).to_vec(),
+            KeyType::RandInt => {
+                key.len = 8;
+                key.bytes[..8].copy_from_slice(&recipe::key::u64_key(id));
+            }
             KeyType::String24 => {
-                let s = format!("user{id:020}");
-                debug_assert_eq!(s.len(), 24);
-                s.into_bytes()
+                // `user` and the id in 20 zero-padded decimal digits (`u64::MAX` has 20).
+                key.len = 24;
+                key.bytes[..4].copy_from_slice(b"user");
+                let mut n = id;
+                for digit in key.bytes[4..].iter_mut().rev() {
+                    *digit = b'0' + (n % 10) as u8;
+                    n /= 10;
+                }
             }
         }
+        key
+    }
+}
+
+/// Longest key an [`OpKey`] holds: a key of either [`KeyType`] fits.
+const OP_KEY_MAX: usize = 24;
+
+/// A generated key, held inline: an [`Op`] is `Copy`, and generating one allocates
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct OpKey {
+    len: u8,
+    bytes: [u8; OP_KEY_MAX],
+}
+
+impl std::ops::Deref for OpKey {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
     }
 }
 
 /// A single benchmark operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Insert `key -> value`.
-    Insert(Vec<u8>, u64),
+    Insert(OpKey, u64),
     /// Point lookup.
-    Read(Vec<u8>),
+    Read(OpKey),
     /// Range scan of `len` items starting at `key`.
-    Scan(Vec<u8>, usize),
+    Scan(OpKey, usize),
 }
 
 /// Workload generation parameters.
@@ -142,7 +172,7 @@ pub struct GeneratedWorkload {
     /// Operations of the run phase, split across threads.
     pub run: Vec<Vec<Op>>,
     /// Keys inserted by the load phase (for correctness checks).
-    pub loaded_keys: Vec<Vec<u8>>,
+    pub loaded_keys: Vec<OpKey>,
 }
 
 /// Generate unique uniformly distributed key identifiers.
@@ -170,12 +200,12 @@ pub fn generate(spec: &Spec) -> GeneratedWorkload {
     let ids = generate_ids(&mut rng, total_ids);
     let (load_ids, run_ids) = ids.split_at(spec.load_count);
 
-    let loaded_keys: Vec<Vec<u8>> = load_ids.iter().map(|&id| spec.key_type.encode(id)).collect();
+    let loaded_keys: Vec<OpKey> = load_ids.iter().map(|&id| spec.key_type.encode(id)).collect();
 
     // Load phase: pure inserts, statically partitioned.
     let mut load: Vec<Vec<Op>> = vec![Vec::with_capacity(spec.load_count / threads + 1); threads];
     for (i, key) in loaded_keys.iter().enumerate() {
-        load[i % threads].push(Op::Insert(key.clone(), id_value(load_ids[i])));
+        load[i % threads].push(Op::Insert(*key, id_value(load_ids[i])));
     }
 
     // Run phase.
@@ -185,15 +215,14 @@ pub fn generate(spec: &Spec) -> GeneratedWorkload {
     for i in 0..spec.op_count {
         let dice = rng.gen_range(0..100u32);
         let op = if dice < read_pct {
-            let key = &loaded_keys[rng.gen_range(0..loaded_keys.len().max(1))];
-            Op::Read(key.clone())
+            Op::Read(loaded_keys[rng.gen_range(0..loaded_keys.len().max(1))])
         } else if dice < read_pct + insert_pct {
             let id = run_ids.get(next_new_key).copied().unwrap_or_else(|| rng.gen());
             next_new_key += 1;
             Op::Insert(spec.key_type.encode(id), id_value(id))
         } else {
-            let key = &loaded_keys[rng.gen_range(0..loaded_keys.len().max(1))];
-            Op::Scan(key.clone(), rng.gen_range(1..=spec.scan_max.max(1)))
+            let key = loaded_keys[rng.gen_range(0..loaded_keys.len().max(1))];
+            Op::Scan(key, rng.gen_range(1..=spec.scan_max.max(1)))
         };
         run[i % threads].push(op);
     }
@@ -227,8 +256,9 @@ mod tests {
 
     #[test]
     fn string_keys_are_24_bytes() {
-        for id in [0u64, 1, u64::MAX - 2] {
-            assert_eq!(KeyType::String24.encode(id).len(), 24);
+        for id in [0u64, 1, 1234, u64::MAX - 2] {
+            let key = KeyType::String24.encode(id);
+            assert_eq!(&*key, format!("user{id:020}").as_bytes());
         }
         assert_eq!(KeyType::RandInt.encode(7).len(), 8);
     }
@@ -252,7 +282,7 @@ mod tests {
         for part in &g.load {
             for op in part {
                 match op {
-                    Op::Insert(k, _) => assert!(keys.insert(k.clone()), "duplicate load key"),
+                    Op::Insert(k, _) => assert!(keys.insert(*k), "duplicate load key"),
                     other => panic!("unexpected load op {other:?}"),
                 }
             }
