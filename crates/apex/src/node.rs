@@ -22,7 +22,7 @@
 
 use crate::model::LinearModel;
 use pm::stats::{self, Mapping};
-use recipe::persist::PersistMode;
+use recipe::persist::{span, span_of, PersistMode};
 use recipe::session::ScanBuf;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -132,21 +132,15 @@ impl NodeInner {
         }
     }
 
-    /// Mark every region of this node dirty and flush it (keys excepted: their
-    /// bytes were persisted when first inserted and are shared, not copied).
-    /// The caller owns fencing — builds run inside a coalesced fence epoch.
-    pub fn persist_all<P: PersistMode>(&self) {
-        P::mark_dirty_obj(self);
-        P::persist_obj(self, false);
-        let (p, l) = (self.slots.as_ptr().cast::<u8>(), std::mem::size_of_val(&*self.slots));
-        P::mark_dirty(p, l);
-        P::persist_range(p, l, false);
-        let (p, l) = (self.live.as_ptr().cast::<u8>(), std::mem::size_of_val(&*self.live));
-        P::mark_dirty(p, l);
-        P::persist_range(p, l, false);
-        let (p, l) = (self.buf.as_ptr().cast::<u8>(), std::mem::size_of_val(&*self.buf));
-        P::mark_dirty(p, l);
-        P::persist_range(p, l, false);
+    /// Stage every region of this node, reporting what the build stored (keys
+    /// excepted: their bytes were persisted when first inserted and are shared, not
+    /// copied). The caller owns fencing — builds run inside a coalesced fence epoch.
+    pub fn stage<P: PersistMode>(&self) {
+        let built = || ();
+        P::stage_store(self, built);
+        P::stage_store(&*self.slots, built);
+        P::stage_store(&*self.live, built);
+        P::stage_store(&*self.buf, built);
     }
 
     #[inline]
@@ -272,18 +266,15 @@ impl NodeInner {
     pub fn buf_insert<P: PersistMode>(&mut self, key: &[u8], value: u64) {
         let i = (!self.buf_live).trailing_zeros() as usize;
         let slot = Slot { key: Arc::from(key), knum: feature(key, self.feat_off), value };
-        // The key bytes are a fresh PM-heap allocation: persist them before
-        // the slot that points at them.
-        P::mark_dirty(slot.key.as_ptr(), slot.key.len());
-        P::persist_range(slot.key.as_ptr(), slot.key.len(), false);
+        // The key bytes are a fresh PM-heap allocation, staged with the slot that
+        // points at them.
+        let key = span_of(&*slot.key);
+        P::stage_store(&*slot.key, || ());
         self.buf[i] = Some(slot);
-        P::mark_dirty_obj(&self.buf[i]);
-        P::persist_obj(&self.buf[i], true);
+        P::stage_store(&self.buf[i], || ());
         P::crash_site("apex.insert.slot_written");
-        self.buf_live |= 1 << i;
-        P::mark_dirty_obj(&self.buf_live);
-        P::persist_obj(&self.buf_live, true);
-        P::crash_site("apex.insert.committed");
+        let covers = [key, span(&self.buf[i])];
+        P::publish(&self.buf_live, || self.buf_live |= 1 << i, covers, "apex.insert.committed");
     }
 
     /// Overwrite the value of a found entry in place (an 8-byte atomic store).
@@ -294,8 +285,7 @@ impl NodeInner {
             Found::Absent => unreachable!("set_value requires a hit"),
         };
         *v = value;
-        P::mark_dirty_obj(v);
-        P::persist_obj(&*v, true);
+        P::persist_store(v, || ());
         P::crash_site("apex.update.committed");
     }
 
@@ -315,13 +305,11 @@ impl NodeInner {
         match at {
             Found::Gapped(i) => {
                 self.live[i / 64] &= !(1 << (i % 64));
-                P::mark_dirty_obj(&self.live[i / 64]);
-                P::persist_obj(&self.live[i / 64], true);
+                P::persist_store(&self.live[i / 64], || ());
             }
             Found::Buffer(i) => {
                 self.buf_live &= !(1 << i);
-                P::mark_dirty_obj(&self.buf_live);
-                P::persist_obj(&self.buf_live, true);
+                P::persist_store(&self.buf_live, || ());
             }
             Found::Absent => unreachable!("remove_at requires a hit"),
         }

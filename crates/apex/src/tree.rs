@@ -74,24 +74,16 @@ impl TreeInner {
 
     /// Persist the node directory (bounds + node pointers).
     fn persist_nodes<P: PersistMode>(&self) {
-        let (p, l) = (self.nodes.as_ptr().cast::<u8>(), std::mem::size_of_val(&*self.nodes));
-        P::mark_dirty(p, l);
-        P::persist_range(p, l, true);
+        P::persist_store(&*self.nodes, || ());
     }
 
     /// Persist the SMO redo record.
     fn persist_pending<P: PersistMode>(&self) {
-        P::mark_dirty_obj(&self.pending);
-        P::persist_obj(&self.pending, false);
         if let Some(p) = &self.pending {
-            P::mark_dirty(p.lo.as_ptr(), p.lo.len());
-            P::persist_range(p.lo.as_ptr(), p.lo.len(), false);
-            let (rp, rl) =
-                (p.replacement.as_ptr().cast::<u8>(), std::mem::size_of_val(&*p.replacement));
-            P::mark_dirty(rp, rl);
-            P::persist_range(rp, rl, false);
+            P::stage_store(&*p.lo, || ());
+            P::stage_store(&*p.replacement, || ());
         }
-        P::fence();
+        P::persist_store(&self.pending, || ());
     }
 }
 
@@ -122,7 +114,7 @@ impl<P: PersistMode> Apex<P> {
         let t = Apex { inner: RwLock::new(inner), len: AtomicUsize::new(0), _policy: PhantomData };
         {
             let tree = t.inner.read();
-            tree.nodes[0].1.read().persist_all::<P>();
+            tree.nodes[0].1.read().stage::<P>();
             tree.persist_nodes::<P>();
         }
         t
@@ -279,7 +271,7 @@ impl<P: PersistMode> Apex<P> {
                     let bound: Box<[u8]> =
                         if i == 0 { lo.into() } else { Box::from(es[0].key.as_ref()) };
                     let built = NodeInner::build(es);
-                    built.persist_all::<P>();
+                    built.stage::<P>();
                     (bound, Arc::new(RwLock::new(built)))
                 })
                 .collect()

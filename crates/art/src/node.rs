@@ -21,7 +21,7 @@
 
 use recipe::key::Leaf;
 use recipe::lock::VersionLock;
-use recipe::persist::{Dram, PersistMode};
+use recipe::persist::{Dram, PersistMode, Span};
 use recipe::simd::SetBits;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
 
@@ -92,22 +92,15 @@ pub unsafe fn leaf_ref<'a>(word: usize) -> &'a Leaf {
     unsafe { &*((word & !1) as *const Leaf) }
 }
 
-/// The conversion action on one in-place store: report it to the durability tracker,
-/// flush its line and optionally fence.
+/// What linking `child` makes reachable: a leaf's line and spilled key. An inner
+/// node is covered by the tree, which built it.
 #[inline]
-fn persist_store<P: PersistMode, T>(field: &T, fence: bool) {
-    P::mark_dirty_obj(field);
-    P::persist_obj(field, fence);
-}
-
-/// Assert that the leaf a store is about to make reachable is durable (the check of
-/// the stage–fence–publish discipline; free unless the durability tracker is on).
-/// Inner-node children are asserted by the tree, which built them.
-#[inline]
-fn assert_leaf_staged<P: PersistMode>(child: usize) {
+fn leaf_covers(child: usize) -> [Span; 2] {
     if is_leaf(child) {
         // SAFETY: `child` is a leaf word the calling insert allocated.
-        unsafe { leaf_ref(child) }.assert_durable::<P>();
+        unsafe { leaf_ref(child) }.covers()
+    } else {
+        [(std::ptr::null(), 0); 2]
     }
 }
 
@@ -252,13 +245,12 @@ impl Node48 {
     /// Store slot reference `v` for key byte `b` with one atomic word store (a
     /// lane splice; the word is only written under the node lock, so the
     /// read-modify-write cannot race another writer, and readers see the other
-    /// lanes unchanged). Persists the containing 8-byte word and fences.
+    /// lanes unchanged). The caller persists `index[b / 8]`.
     #[inline]
-    fn set_slot_ref<P: PersistMode>(&self, b: u8, v: u8) {
-        let wi = b as usize / 8;
-        let cur = self.index[wi].load(Ordering::Acquire);
-        self.index[wi].store(recipe::simd::set_lane8(cur, b as usize % 8, v), Ordering::Release);
-        persist_store::<P, _>(&self.index[wi], true);
+    fn set_slot_ref(&self, b: u8, v: u8) {
+        let word = &self.index[b as usize / 8];
+        let cur = word.load(Ordering::Acquire);
+        word.store(recipe::simd::set_lane8(cur, b as usize % 8, v), Ordering::Release);
     }
 }
 
@@ -501,13 +493,10 @@ impl NodeRef {
     /// Add a child for key byte `b`. Must be called with the node lock held and only
     /// when [`NodeRef::is_full`] is false and `b` is not already present.
     ///
-    /// `P` drives the RECIPE conversion: each store is flushed, one fence precedes
-    /// the commit and one follows it. A new leaf therefore arrives *staged* — flushed
-    /// with `fence = false` — and rides on the fence ahead of the commit: the one
-    /// behind the preparatory store (key byte, child slot) of a Node4/16/48, and a
-    /// bare fence in a Node256, whose first store already publishes. Private, not
-    /// yet reachable nodes are filled with `P = Dram` and flushed whole by their
-    /// builder.
+    /// `P` drives the RECIPE conversion: preparatory stores (key byte, child slot)
+    /// are staged, and the commit is a `PersistMode::publish` whose leading fence
+    /// also covers the new leaf, which arrives staged. Private, not yet reachable
+    /// nodes are filled with `P = Dram` and staged whole by their builder.
     pub fn add_child<P: PersistMode>(&self, b: u8, child: usize) -> bool {
         match self.hdr().tag {
             NodeTag::N4 => {
@@ -522,25 +511,36 @@ impl NodeRef {
                 let n = self.as_n48();
                 let slot = (0..48).find(|&i| n.children[i].load(Ordering::Acquire) == 0);
                 let Some(slot) = slot else { return false };
-                // The slot is unreachable until the index byte names it: its fence is
-                // the one a staged child rides on.
-                n.children[slot].store(child, Ordering::Release);
-                persist_store::<P, _>(&n.children[slot], true);
-                assert_leaf_staged::<P>(child);
+                // The slot is unreachable until the index byte names it.
+                P::stage_store(&n.children[slot], || {
+                    n.children[slot].store(child, Ordering::Release)
+                });
                 // Commit: publish the slot in the packed byte index.
-                n.set_slot_ref::<P>(b, slot as u8 + 1);
-                self.hdr().count.fetch_add(1, Ordering::Release);
+                let word = &n.index[b as usize / 8];
+                P::publish(
+                    word,
+                    || {
+                        n.set_slot_ref(b, slot as u8 + 1);
+                        self.hdr().count.fetch_add(1, Ordering::Release);
+                    },
+                    leaf_covers(child),
+                    None,
+                );
                 true
             }
             NodeTag::N256 => {
                 let n = self.as_n256();
-                // No preparatory store: the child-pointer store publishes, so the
-                // staged child gets a fence of its own here.
-                P::fence();
-                assert_leaf_staged::<P>(child);
-                n.children[b as usize].store(child, Ordering::Release);
-                persist_store::<P, _>(&n.children[b as usize], true);
-                self.hdr().count.fetch_add(1, Ordering::Release);
+                // No preparatory store: the child-pointer store publishes.
+                let slot = &n.children[b as usize];
+                P::publish(
+                    slot,
+                    || {
+                        slot.store(child, Ordering::Release);
+                        self.hdr().count.fetch_add(1, Ordering::Release);
+                    },
+                    leaf_covers(child),
+                    None,
+                );
                 true
             }
         }
@@ -563,135 +563,97 @@ impl NodeRef {
             None if count < cap => (count, true),
             None => return false,
         };
-        // Key byte first (persisted), then the committing child-pointer store. The
-        // byte is spliced into its packed word with one atomic store; the word is
-        // only written under the node lock, so the read-modify-write cannot race
-        // with another writer, and readers see the other lanes unchanged. The fence
-        // behind the key byte is also the one a staged child rides on.
+        // Key byte first, staged, then the committing store. The byte is spliced
+        // into its packed word with one atomic store; the word is only written
+        // under the node lock, so the read-modify-write cannot race with another
+        // writer, and readers see the other lanes unchanged.
         let (wi, lane) = (slot / 8, slot % 8);
         let cur = words[wi].load(Ordering::Acquire);
-        words[wi].store(recipe::simd::set_lane8(cur, lane, b), Ordering::Release);
-        persist_store::<P, _>(&words[wi], true);
-        assert_leaf_staged::<P>(child);
-        // A slot past `count` is published by the `count` store, a reused hole by
-        // the child pointer. Recovery tolerates either of pointer and count durable
-        // without the other (a pointer past `count` is invisible and overwritten by
-        // the next add; a counted slot with a null pointer is a hole), so the two
-        // share the fence that precedes the acknowledgement.
-        children[slot].store(child, Ordering::Release);
-        persist_store::<P, _>(&children[slot], !bump_count);
+        P::stage_store(&words[wi], || {
+            words[wi].store(recipe::simd::set_lane8(cur, lane, b), Ordering::Release);
+        });
+        // A slot past `count` is published by the `count` store (its pointer is
+        // staged with the key byte: invisible until counted), a reused hole by the
+        // child pointer (a counted slot with a null pointer is a hole).
+        let store_child = || children[slot].store(child, Ordering::Release);
         if bump_count {
-            hdr.count.fetch_add(1, Ordering::Release);
-            persist_store::<P, _>(&hdr.count, true);
+            P::stage_store(&children[slot], store_child);
+            P::publish(
+                &hdr.count,
+                || {
+                    hdr.count.fetch_add(1, Ordering::Release);
+                },
+                leaf_covers(child),
+                None,
+            );
+        } else {
+            P::publish(&children[slot], store_child, leaf_covers(child), None);
         }
         true
     }
 
-    /// Replace the existing child for byte `b` with `new_child` (single atomic store,
-    /// flushed and fenced). Must be called with the node lock held; returns false if
-    /// `b` has no child. The store publishes `new_child`: the caller has made it
-    /// durable.
-    pub fn replace_child<P: PersistMode>(&self, b: u8, new_child: usize) -> bool {
+    /// The occupied child slot for byte `b`, if any.
+    fn child_slot(&self, b: u8) -> Option<&AtomicUsize> {
         match self.hdr().tag {
             NodeTag::N4 => {
                 let n = self.as_n4();
-                self.replace_packed::<P>(std::slice::from_ref(&n.keys), &n.children, b, new_child)
+                self.packed_slot(std::slice::from_ref(&n.keys), &n.children, b)
             }
             NodeTag::N16 => {
                 let n = self.as_n16();
-                self.replace_packed::<P>(&n.keys, &n.children, b, new_child)
+                self.packed_slot(&n.keys, &n.children, b)
             }
             NodeTag::N48 => {
                 let n = self.as_n48();
                 let idx = n.slot_ref(b);
-                if idx == 0 {
-                    return false;
-                }
-                let slot = (idx - 1) as usize;
-                n.children[slot].store(new_child, Ordering::Release);
-                persist_store::<P, _>(&n.children[slot], true);
-                true
+                (idx != 0).then(|| &n.children[(idx - 1) as usize])
             }
             NodeTag::N256 => {
-                let n = self.as_n256();
-                if n.children[b as usize].load(Ordering::Acquire) == 0 {
-                    return false;
-                }
-                n.children[b as usize].store(new_child, Ordering::Release);
-                persist_store::<P, _>(&n.children[b as usize], true);
-                true
+                let slot = &self.as_n256().children[b as usize];
+                (slot.load(Ordering::Acquire) != 0).then_some(slot)
             }
         }
     }
 
-    fn replace_packed<P: PersistMode>(
+    fn packed_slot<'a>(
         &self,
         words: &[AtomicU64],
-        children: &[AtomicUsize],
+        children: &'a [AtomicUsize],
         b: u8,
-        new_child: usize,
-    ) -> bool {
+    ) -> Option<&'a AtomicUsize> {
         let count = (self.hdr().count.load(Ordering::Acquire) as usize).min(children.len());
         let (w0, w1) = Self::load_key_words(words);
-        for i in crate::search::match_slots(w0, w1, count, b) {
-            if children[i].load(Ordering::Acquire) != 0 {
-                children[i].store(new_child, Ordering::Release);
-                persist_store::<P, _>(&children[i], true);
-                return true;
-            }
-        }
-        false
+        crate::search::match_slots(w0, w1, count, b)
+            .map(|i| &children[i])
+            .find(|c| c.load(Ordering::Acquire) != 0)
+    }
+
+    /// Replace the existing child for byte `b` with `new_child`: a publishing store
+    /// whose `covers` the caller names (what it built and staged). Must be called
+    /// with the node lock held; returns false if `b` has no child.
+    pub fn replace_child<P: PersistMode>(
+        &self,
+        b: u8,
+        new_child: usize,
+        covers: impl IntoIterator<Item = Span>,
+    ) -> bool {
+        let Some(slot) = self.child_slot(b) else { return false };
+        P::publish(slot, || slot.store(new_child, Ordering::Release), covers, None);
+        true
     }
 
     /// Remove the child for byte `b` (single atomic store). Lock must be held.
     pub fn remove_child<P: PersistMode>(&self, b: u8) -> bool {
-        match self.hdr().tag {
-            NodeTag::N4 => {
-                let n = self.as_n4();
-                self.remove_packed::<P>(std::slice::from_ref(&n.keys), &n.children, b)
-            }
-            NodeTag::N16 => {
-                let n = self.as_n16();
-                self.remove_packed::<P>(&n.keys, &n.children, b)
-            }
-            NodeTag::N48 => {
-                let n = self.as_n48();
-                let idx = n.slot_ref(b);
-                if idx == 0 {
-                    return false;
-                }
-                n.set_slot_ref::<P>(b, 0);
-                n.children[(idx - 1) as usize].store(0, Ordering::Release);
-                true
-            }
-            NodeTag::N256 => {
-                let n = self.as_n256();
-                if n.children[b as usize].load(Ordering::Acquire) == 0 {
-                    return false;
-                }
-                n.children[b as usize].store(0, Ordering::Release);
-                persist_store::<P, _>(&n.children[b as usize], true);
-                true
-            }
+        let Some(slot) = self.child_slot(b) else { return false };
+        if let NodeTag::N48 = self.hdr().tag {
+            // The index byte unpublishes the slot; the pointer is cleared behind it.
+            let n = self.as_n48();
+            P::persist_store(&n.index[b as usize / 8], || n.set_slot_ref(b, 0));
+            slot.store(0, Ordering::Release);
+        } else {
+            P::persist_store(slot, || slot.store(0, Ordering::Release));
         }
-    }
-
-    fn remove_packed<P: PersistMode>(
-        &self,
-        words: &[AtomicU64],
-        children: &[AtomicUsize],
-        b: u8,
-    ) -> bool {
-        let count = (self.hdr().count.load(Ordering::Acquire) as usize).min(children.len());
-        let (w0, w1) = Self::load_key_words(words);
-        for i in crate::search::match_slots(w0, w1, count, b) {
-            if children[i].load(Ordering::Acquire) != 0 {
-                children[i].store(0, Ordering::Release);
-                persist_store::<P, _>(&children[i], true);
-                return true;
-            }
-        }
-        false
+        true
     }
 
     /// Copy this node into the next larger node type, adding child `b -> child`.
@@ -843,9 +805,9 @@ mod tests {
             let n = unsafe { NodeRef::from_word(w) };
             let c1 = leaf_word(Leaf::alloc(b"1", 1));
             let c2 = leaf_word(Leaf::alloc(b"2", 2));
-            assert!(!n.replace_child::<Dram>(10, c2), "replace on absent byte fails");
+            assert!(!n.replace_child::<Dram>(10, c2, []), "replace on absent byte fails");
             assert!(n.add_child::<Dram>(10, c1));
-            assert!(n.replace_child::<Dram>(10, c2));
+            assert!(n.replace_child::<Dram>(10, c2, []));
             assert_eq!(n.find_child(10), c2);
         }
     }

@@ -16,16 +16,16 @@
 //! succeeds, no writer is active, so the inconsistency is permanent and the prefix is
 //! recomputed from the `level` field and persisted.
 //!
-//! Persistence follows one discipline — **stage, fence once, publish**: an object
-//! nothing can reach yet (a new leaf, a grown / branch / split node) is flushed with
-//! `fence = false` and becomes durable under the single fence that precedes the store
-//! publishing it; that store is flushed and fenced before the operation is
-//! acknowledged. Every publishing site asserts (`PersistMode::assert_durable`, live
-//! under the durability tracker) that what it publishes is durable.
+//! Persistence follows one discipline — **stage, fence once, publish**
+//! (`recipe::persist`): an object nothing can reach yet (a new leaf, a grown / branch
+//! / split node) is staged and becomes durable under the single fence
+//! `PersistMode::publish` issues ahead of the store that makes it reachable; that
+//! store is flushed and fenced before the operation is acknowledged, and its
+//! `covers` (what it makes reachable) are checked durable under the tracker.
 
 use crate::node::{is_leaf, leaf_ref, leaf_word, pack_prefix, Node256, Node4, NodeRef, MAX_PREFIX};
 use recipe::key::Leaf;
-use recipe::persist::{Dram, PersistMode};
+use recipe::persist::{Dram, PersistMode, Span};
 use recipe::session::ScanBuf;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,21 +53,18 @@ impl<P: PersistMode> Default for Art<P> {
     }
 }
 
-/// Flush a freshly built inner node. With `fence = false` the node is *staged*: it
-/// must stay unreachable until a later fence, before the store that publishes it.
-fn persist_new_node<P: PersistMode>(word: usize, fence: bool) {
-    // SAFETY: caller passes a freshly allocated inner-node word.
+/// The bytes of an inner node the calling operation built: what it stages, and
+/// what the store linking it covers.
+fn node_span(word: usize) -> Span {
+    // SAFETY: callers pass a live inner-node word.
     let n = unsafe { NodeRef::from_word(word) };
-    P::persist_range(word as *const u8, n.size_bytes(), fence);
+    (word as *const u8, n.size_bytes())
 }
 
-/// The check of the discipline at a publishing store: the new leaf and the new node
-/// about to become reachable through `node_word` are durable.
-fn assert_staged_durable<P: PersistMode>(leaf: &Leaf, node_word: usize) {
-    leaf.assert_durable::<P>();
-    // SAFETY: the node was allocated by the operation that is publishing it.
-    let n = unsafe { NodeRef::from_word(node_word) };
-    P::assert_durable(node_word as *const u8, n.size_bytes());
+/// What linking the freshly built `node` (and the new `leaf` under it) makes
+/// reachable.
+fn new_node_covers(leaf: &Leaf, node: usize) -> impl Iterator<Item = Span> {
+    leaf.covers().into_iter().chain([node_span(node)])
 }
 
 impl<P: PersistMode> Art<P> {
@@ -75,9 +72,10 @@ impl<P: PersistMode> Art<P> {
     #[must_use]
     pub fn new() -> Self {
         let root = Node256::alloc(0, b"");
-        persist_new_node::<P>(root, true);
-        let t = Art { root: AtomicUsize::new(root), _policy: PhantomData };
-        P::persist_obj(&t.root, true);
+        let (ptr, len) = node_span(root);
+        P::stage(ptr, len);
+        let t = Art { root: AtomicUsize::new(0), _policy: PhantomData };
+        P::publish(&t.root, || t.root.store(root, Ordering::Release), [node_span(root)], None);
         t
     }
 
@@ -152,9 +150,7 @@ impl<P: PersistMode> Art<P> {
             let eff = level - depth;
             let skip = plen - eff;
             let fixed = pack_prefix(&pbytes[skip..plen]);
-            hdr.prefix.store(fixed, Ordering::Release);
-            P::mark_dirty_obj(&hdr.prefix);
-            P::persist_obj(&hdr.prefix, true);
+            P::persist_store(&hdr.prefix, || hdr.prefix.store(fixed, Ordering::Release));
             P::crash_site("art.helper.prefix_fixed");
         }
     }
@@ -216,9 +212,9 @@ impl<P: PersistMode> Art<P> {
                     // SAFETY: leaves are never freed while the tree is alive.
                     let leaf = unsafe { leaf_ref(child) };
                     if &*leaf.key == key {
-                        leaf.value.store(value, Ordering::Release);
-                        P::mark_dirty_obj(&leaf.value);
-                        P::persist_obj(&leaf.value, true);
+                        P::persist_store(&leaf.value, || {
+                            leaf.value.store(value, Ordering::Release)
+                        });
                         return false;
                     }
                     match self.leaf_split(node, b, child, depth, key, value) {
@@ -251,7 +247,7 @@ impl<P: PersistMode> Art<P> {
             }
             if !node.is_full() {
                 let leaf = Leaf::alloc(key, value);
-                // Staged: it rides on the fence `add_child` issues ahead of its commit.
+                // Staged: it rides on the fence of `add_child`'s publishing store.
                 leaf.stage::<P>();
                 P::crash_site("art.insert.leaf_persisted");
                 // Commit: single atomic child-pointer (or index, or count) store.
@@ -280,12 +276,11 @@ impl<P: PersistMode> Art<P> {
         let leaf = Leaf::alloc(key, value);
         leaf.stage::<P>();
         let grown = node.grow_with(b, leaf_word(leaf));
-        // One fence for the staged leaf and the grown copy.
-        persist_new_node::<P>(grown, true);
+        let (ptr, len) = node_span(grown);
+        P::stage(ptr, len);
         P::crash_site("art.grow.new_node_persisted");
         // Commit: swap the parent's child pointer to the grown copy.
-        assert_staged_durable::<P>(leaf, grown);
-        let ok = par.replace_child::<P>(pbyte, grown);
+        let ok = par.replace_child::<P>(pbyte, grown, new_node_covers(leaf, grown));
         debug_assert!(ok);
         hdr.obsolete.store(true, Ordering::Release);
         P::crash_site("art.grow.committed");
@@ -335,20 +330,17 @@ impl<P: PersistMode> Art<P> {
         let branch_ref = unsafe { NodeRef::from_word(branch) };
         branch_ref.add_child::<Dram>(pbytes[p], node.word());
         branch_ref.add_child::<Dram>(key[depth + p], leaf_word(new_leaf));
-        // One fence for the staged leaf and the branch.
-        persist_new_node::<P>(branch, true);
+        let (ptr, len) = node_span(branch);
+        P::stage(ptr, len);
         P::crash_site("art.path_split.branch_persisted");
         // Step 1: install the branch node in the parent (atomic store).
-        assert_staged_durable::<P>(new_leaf, branch);
-        let ok = par.replace_child::<P>(pbyte, branch);
+        let ok = par.replace_child::<P>(pbyte, branch, new_node_covers(new_leaf, branch));
         debug_assert!(ok);
         P::crash_site("art.path_split.installed");
         // Step 2: truncate this node's prefix (single atomic store). A crash between
         // the steps leaves the stale prefix that readers tolerate and the helper fixes.
         let truncated = pack_prefix(&pbytes[p + 1..plen]);
-        hdr.prefix.store(truncated, Ordering::Release);
-        P::mark_dirty_obj(&hdr.prefix);
-        P::persist_obj(&hdr.prefix, true);
+        P::persist_store(&hdr.prefix, || hdr.prefix.store(truncated, Ordering::Release));
         P::crash_site("art.path_split.prefix_truncated");
         true
     }
@@ -388,12 +380,13 @@ impl<P: PersistMode> Art<P> {
         }
         let new_leaf = Leaf::alloc(key, value);
         new_leaf.stage::<P>();
-        let subtree =
+        let (subtree, linked) =
             build_split_subtree::<P>(base, cp, key, old_key, existing, leaf_word(new_leaf));
         P::crash_site("art.leaf_split.subtree_persisted");
-        // Commit: single atomic store replacing the leaf with the subtree.
-        assert_staged_durable::<P>(new_leaf, subtree);
-        let ok = node.replace_child::<P>(b, subtree);
+        // Commit: single atomic store replacing the leaf with the subtree, which
+        // makes the whole chain reachable.
+        let covers = new_node_covers(new_leaf, subtree).chain(linked.iter().map(|&n| node_span(n)));
+        let ok = node.replace_child::<P>(b, subtree, covers);
         debug_assert!(ok);
         P::crash_site("art.leaf_split.committed");
         Some(true)
@@ -583,8 +576,8 @@ enum AddLeafOutcome {
 
 /// Build a chain of `Node4`s covering `cp` shared key bytes starting at `base`, ending
 /// in a `Node4` that branches between the existing leaf and the new leaf. Every node
-/// is staged and one fence at the end makes the chain — and the caller's staged new
-/// leaf — durable; the caller commits by installing the returned word.
+/// is staged; the caller commits by installing the returned top word, whose publish
+/// fence makes the chain (the returned nodes below the top) and the new leaf durable.
 fn build_split_subtree<P: PersistMode>(
     base: usize,
     cp: usize,
@@ -592,7 +585,7 @@ fn build_split_subtree<P: PersistMode>(
     old_key: &[u8],
     existing: usize,
     new_leaf: usize,
-) -> usize {
+) -> (usize, Vec<usize>) {
     // Segment the shared bytes into chunks of (up to 7 prefix bytes + 1 branch byte)
     // for intermediate single-child nodes, leaving <= MAX_PREFIX bytes for the final
     // branching node.
@@ -612,7 +605,8 @@ fn build_split_subtree<P: PersistMode>(
     let final_ref = unsafe { NodeRef::from_word(final_node) };
     final_ref.add_child::<Dram>(old_key[branch_pos], existing);
     final_ref.add_child::<Dram>(new_key[branch_pos], new_leaf);
-    persist_new_node::<P>(final_node, false);
+    let (ptr, len) = node_span(final_node);
+    P::stage(ptr, len);
 
     let mut child = final_node;
     let mut linked: Vec<usize> = Vec::new(); // nodes below the top of the chain
@@ -624,16 +618,12 @@ fn build_split_subtree<P: PersistMode>(
         // SAFETY: freshly allocated.
         let r = unsafe { NodeRef::from_word(node) };
         r.add_child::<Dram>(new_key[seg_start + MAX_PREFIX], child);
-        persist_new_node::<P>(node, false);
+        let (ptr, len) = node_span(node);
+        P::stage(ptr, len);
         linked.push(child);
         child = node;
     }
-    P::fence();
-    // The caller asserts the top of the chain; installing it publishes these too.
-    for &node in &linked {
-        P::assert_durable(node as *const u8, std::mem::size_of::<Node4>());
-    }
-    child
+    (child, linked)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! persistence ordering and the SMOs.
 
 use recipe::key::LeafKey;
-use recipe::persist::PersistMode;
+use recipe::persist::{span, PersistMode, Span};
 use recipe::session::ScanBuf;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
@@ -84,7 +84,7 @@ impl BasePage {
 pub struct BaseBox(std::ptr::NonNull<BasePage>);
 
 impl BaseBox {
-    /// Move `page` onto the PM pool. Flushed by [`Delta::persist`].
+    /// Move `page` onto the PM pool. Flushed by [`Delta::stage`].
     #[must_use]
     pub fn new(page: BasePage) -> BaseBox {
         let p = pm::alloc::pm_line_box(page);
@@ -202,7 +202,7 @@ impl DeltaKind {
 ///
 /// Publishing a record makes reachable its own line and the objects it owns — a
 /// spilled key, a base page's header — and nothing else, so those are exactly what
-/// [`Delta::persist`] flushes and [`Delta::assert_durable`] checks.
+/// [`Delta::stage`] flushes and [`Delta::covers`] names to the publishing CAS.
 #[repr(align(64))]
 pub struct Delta {
     /// Next (older) record; the chain ends at a [`DeltaKind::Base`] with a null
@@ -219,21 +219,18 @@ const _: () = assert!(std::mem::size_of::<Delta>() == pm::CACHE_LINE, "a record 
 impl Delta {
     /// Allocate a chain node in a one-line slab block of the PM pool
     /// (`pm::alloc::pm_line_box`; free it with `pm_line_drop`). The caller must
-    /// persist it ([`Delta::persist`]) before publishing it (CAS into a
+    /// stage it ([`Delta::stage`]) before publishing it (CAS into a
     /// mapping-table slot).
     pub fn alloc(next: *mut Delta, leaf: bool, kind: DeltaKind) -> *mut Delta {
         pm::alloc::pm_line_box(Delta { next: AtomicPtr::new(next), leaf, kind })
     }
 
     /// Every PM range this record makes reachable when published: its line, then a
-    /// spilled key or a base page's header.
-    fn owned_ranges(&self, mut f: impl FnMut(*const u8, usize)) {
-        f((self as *const Delta).cast(), std::mem::size_of::<Delta>());
+    /// spilled key or a base page's header (empty if neither).
+    #[must_use]
+    pub fn covers(&self) -> [Span; 2] {
         let key = match &self.kind {
-            DeltaKind::Base(b) => {
-                f((&**b as *const BasePage).cast(), std::mem::size_of::<BasePage>());
-                None
-            }
+            DeltaKind::Base(b) => return [span(self), span(&**b)],
             DeltaKind::Insert { key, .. } | DeltaKind::Delete { key } => Some(key),
             DeltaKind::Split { sep, .. }
             | DeltaKind::IndexEntry { sep, .. }
@@ -241,33 +238,24 @@ impl Delta {
             DeltaKind::Merge { high, .. } => high.as_ref(),
             DeltaKind::RemoveNode { .. } => None,
         };
-        if let Some(spill) = key.and_then(LeafKey::spill) {
-            f(spill.as_ptr(), spill.len());
-        }
+        let spill =
+            key.and_then(LeafKey::spill).map_or((std::ptr::null(), 0), |s| (s.as_ptr(), s.len()));
+        [span(self), spill]
     }
 
-    /// Flush every range the record owns — its line, a spilled key, a base page's
-    /// header — and optionally fence: one line for a keyed delta whose key sits
-    /// inline.
-    pub fn persist<P: PersistMode>(&self, fence: bool) {
-        self.owned_ranges(|p, len| P::persist_range(p, len, false));
-        if fence {
-            P::fence();
+    /// Stage every range the record owns — its line, a spilled key, a base page's
+    /// header — without a fence: one line for a keyed delta whose key sits inline.
+    pub fn stage<P: PersistMode>(&self) {
+        for (ptr, len) in self.covers() {
+            P::stage(ptr, len);
         }
-    }
-
-    /// The publish check of [`PersistMode::assert_durable`] over every range the
-    /// record owns: call it right before the CAS that publishes the record.
-    pub fn assert_durable<P: PersistMode>(&self) {
-        self.owned_ranges(|p, len| P::assert_durable(p, len));
     }
 
     /// Heap footprint of the record: its line, a base page's header and payload, and
     /// a spilled key — the unit the reclamation gauge counts in.
     #[must_use]
     pub fn footprint(&self) -> usize {
-        let mut bytes = 0;
-        self.owned_ranges(|_, len| bytes += len);
+        let bytes: usize = self.covers().iter().map(|&(_, len)| len).sum();
         match &self.kind {
             DeltaKind::Base(b) => bytes + b.payload_bytes(),
             _ => bytes,
@@ -851,17 +839,15 @@ impl MappingTable {
         let mut slots = Vec::with_capacity(SEG_SLOTS);
         slots.resize_with(SEG_SLOTS, || AtomicPtr::new(std::ptr::null_mut()));
         let seg = pm::alloc::pm_box(Segment { slots });
-        P::persist_obj(seg, true);
-        P::assert_durable_obj(seg);
-        if self.segs[si]
-            .compare_exchange(std::ptr::null_mut(), seg, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
+        P::stage_obj(seg);
+        let link = &self.segs[si];
+        let cas = || {
+            link.compare_exchange(std::ptr::null_mut(), seg, Ordering::AcqRel, Ordering::Acquire)
+        };
+        if P::publish(link, cas, [span(seg)], None).is_err() {
             // Another thread installed the segment first.
             // SAFETY: `seg` was never published; no other thread can reach it.
             unsafe { pm::alloc::pm_drop(seg) };
-        } else {
-            P::persist_obj(&self.segs[si], true);
         }
     }
 
@@ -1101,7 +1087,7 @@ mod tests {
         use recipe::persist::Pmem;
         let clwbs = |d: *mut Delta| {
             let before = pm::stats::snapshot_local();
-            delta_ref(d).persist::<Pmem>(false);
+            delta_ref(d).stage::<Pmem>();
             pm::stats::snapshot_local().since(&before).clwb
         };
         let base = leaf_base(&[(b"a", 1)], None, NO_PID);

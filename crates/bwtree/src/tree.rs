@@ -20,8 +20,8 @@
 //! two fences. An object nothing can reach yet is *staged* — flushed without a fence
 //! of its own — and rides on the fence ahead of the store that publishes it: a split
 //! stages its right page and that page's mapping slot under the split delta's fence.
-//! The CAS that publishes a record checks (`PersistMode::assert_durable`) that the
-//! record and everything it owns are durable.
+//! The CAS that publishes a record is a `PersistMode::publish` whose `covers` are
+//! the record and everything it owns ([`Delta::covers`]).
 //!
 //! Crash sites sit after each ordered step; [`BwTree::recover`] replays incomplete
 //! SMOs (the same helper code) at restart.
@@ -43,7 +43,7 @@ use crate::page::{
     SmoMarker, NO_PID,
 };
 use recipe::key::LeafKey;
-use recipe::persist::PersistMode;
+use recipe::persist::{span, PersistMode};
 use recipe::session::ScanBuf;
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -123,9 +123,10 @@ impl<P: PersistMode> BwTree<P> {
         let map = MappingTable::new::<P>();
         let base =
             Delta::alloc(std::ptr::null_mut(), true, DeltaKind::base(BasePage::empty_leaf()));
-        delta_ref(base).persist::<P>(true);
-        map.slot(1).store(base, Ordering::Release);
-        let t = BwTree {
+        delta_ref(base).stage::<P>();
+        let slot = map.slot(1);
+        P::publish(slot, || slot.store(base, Ordering::Release), delta_ref(base).covers(), None);
+        BwTree {
             map,
             root: AtomicU64::new(1),
             next_pid: AtomicU64::new(2),
@@ -135,10 +136,7 @@ impl<P: PersistMode> BwTree<P> {
             epoch: recipe::epoch::Collector::new(),
             merged_pages: AtomicU64::new(0),
             _policy: PhantomData,
-        };
-        P::persist_obj(t.map.slot(1), false);
-        P::persist_obj(&t.root, true);
-        t
+        }
     }
 
     /// Display-name suffix configured at construction.
@@ -158,21 +156,24 @@ impl<P: PersistMode> BwTree<P> {
         self.map.slot(pid).load(Ordering::Acquire)
     }
 
-    /// Publish `delta` (already persisted) as the new head of `pid`'s chain iff the
-    /// head is still `expected`; on success persist the slot and fence.
-    fn publish(&self, pid: Pid, expected: *mut Delta, delta: *mut Delta) -> bool {
-        delta_ref(delta).assert_durable::<P>();
+    /// Publish `delta` (staged) as the new head of `pid`'s chain iff the head is
+    /// still `expected`, declaring `site`. A record that lost the CAS was never
+    /// seen by another thread and is freed.
+    fn install(
+        &self,
+        pid: Pid,
+        expected: *mut Delta,
+        delta: *mut Delta,
+        site: &'static str,
+    ) -> bool {
         let slot = self.map.slot(pid);
-        if slot.compare_exchange(expected, delta, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-            P::mark_dirty_obj(slot);
-            P::persist_obj(slot, true);
-            true
-        } else {
-            // Never published: no other thread has seen it.
-            // SAFETY: `delta` came from `Delta::alloc` and never escaped.
-            unsafe { pm::alloc::pm_line_drop(delta) };
-            false
+        let cas = || slot.compare_exchange(expected, delta, Ordering::AcqRel, Ordering::Acquire);
+        if P::publish(slot, cas, delta_ref(delta).covers(), site).is_ok() {
+            return true;
         }
+        // SAFETY: `delta` came from `Delta::alloc` and never escaped.
+        unsafe { pm::alloc::pm_line_drop(delta) };
+        false
     }
 
     /// Descend from the root to the leaf whose key space contains `key`, helping
@@ -225,7 +226,7 @@ impl<P: PersistMode> BwTree<P> {
                 // (§4.4): the split delta and the right page's mapping entry
                 // were written by another thread and may not be durable yet; the
                 // helper's parent store must not become durable before them.
-                delta.persist::<P>(false);
+                delta.stage::<P>();
                 P::persist_obj(self.map.slot(right), true);
                 P::crash_site("bwtree.help.split_flushed");
                 obs::event::emit("bwtree.smo", "help_split", pid, right);
@@ -239,7 +240,7 @@ impl<P: PersistMode> BwTree<P> {
                 }
                 // Same helping-load rule: the remove-node delta and the victim's
                 // slot must be durable before any dependent merge/parent store.
-                delta.persist::<P>(false);
+                delta.stage::<P>();
                 P::persist_obj(self.map.slot(pid), true);
                 P::crash_site("bwtree.help.merge_flushed");
                 obs::event::emit("bwtree.smo", "help_merge", pid, 0);
@@ -257,7 +258,7 @@ impl<P: PersistMode> BwTree<P> {
                     if done.load(Ordering::Acquire) {
                         return;
                     }
-                    delta.persist::<P>(false);
+                    delta.stage::<P>();
                     P::persist_obj(self.map.slot(victim), true);
                     P::crash_site("bwtree.help.merge_flushed");
                     obs::event::emit("bwtree.smo", "help_merge", victim, pid);
@@ -356,9 +357,8 @@ impl<P: PersistMode> BwTree<P> {
                 false,
                 DeltaKind::IndexEntry { sep: LeafKey::new(sep), child: right },
             );
-            delta_ref(delta).persist::<P>(true);
-            if self.publish(parent, head, delta) {
-                P::crash_site("bwtree.smo.parent_published");
+            delta_ref(delta).stage::<P>();
+            if self.install(parent, head, delta, "bwtree.smo.parent_published") {
                 obs::event::emit("bwtree.smo", "parent_published", parent, right);
                 self.try_consolidate(parent);
                 return Some(());
@@ -379,29 +379,29 @@ impl<P: PersistMode> BwTree<P> {
             low: None,
         };
         let delta = Delta::alloc(std::ptr::null_mut(), false, DeltaKind::base(base));
-        delta_ref(delta).persist::<P>(true);
+        delta_ref(delta).stage::<P>();
         let new_root = self.alloc_pid();
         let slot = self.map.slot(new_root);
-        delta_ref(delta).assert_durable::<P>();
-        slot.store(delta, Ordering::Release);
-        P::mark_dirty_obj(slot);
-        P::persist_obj(slot, true);
-        P::crash_site("bwtree.root_split.new_root_installed");
-        P::assert_durable_obj(slot);
-        if self.root.compare_exchange(left, new_root, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-            P::mark_dirty_obj(&self.root);
-            P::persist_obj(&self.root, true);
+        let install = || slot.store(delta, Ordering::Release);
+        P::publish(
+            slot,
+            install,
+            delta_ref(delta).covers(),
+            "bwtree.root_split.new_root_installed",
+        );
+        // The store just above made the new root's slot durable.
+        let cas =
+            || self.root.compare_exchange(left, new_root, Ordering::AcqRel, Ordering::Acquire);
+        if P::persist_store(&self.root, cas).is_ok() {
             P::crash_site("bwtree.root_split.committed");
             obs::event::emit("bwtree.smo", "root_split", left, right);
             true
         } else {
             // Lost the race: nothing routes to `new_root` (the CAS that would
             // have exposed it failed), so unpublish and free it immediately.
-            let orphan = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            P::mark_dirty_obj(slot);
-            P::persist_obj(slot, true);
+            P::persist_store(slot, || slot.store(std::ptr::null_mut(), Ordering::Release));
             // SAFETY: the page was freshly allocated and never became reachable.
-            unsafe { free_chain(orphan) };
+            unsafe { free_chain(delta) };
             false
         }
     }
@@ -431,9 +431,8 @@ impl<P: PersistMode> BwTree<P> {
             return;
         }
         let rm = Delta::alloc(head, true, DeltaKind::RemoveNode { done: AtomicBool::new(false) });
-        delta_ref(rm).persist::<P>(true);
-        if self.publish(pid, head, rm) {
-            P::crash_site("bwtree.merge.remove_published");
+        delta_ref(rm).stage::<P>();
+        if self.install(pid, head, rm, "bwtree.merge.remove_published") {
             obs::event::emit("bwtree.smo", "remove_published", pid, 0);
             // The removing thread is the merge's first helper.
             self.help_page(pid, self.head(pid));
@@ -499,9 +498,8 @@ impl<P: PersistMode> BwTree<P> {
                     victim,
                 },
             );
-            delta_ref(merge).persist::<P>(true);
-            if self.publish(left, lhead, merge) {
-                P::crash_site("bwtree.merge.merge_published");
+            delta_ref(merge).stage::<P>();
+            if self.install(left, lhead, merge, "bwtree.merge.merge_published") {
                 obs::event::emit("bwtree.smo", "merge_published", left, victim);
                 adopted = true;
                 break;
@@ -588,9 +586,8 @@ impl<P: PersistMode> BwTree<P> {
                             false,
                             DeltaKind::IndexTermDelete { sep: LeafKey::new(sep), child },
                         );
-                        delta_ref(delta).persist::<P>(true);
-                        if self.publish(pid, head, delta) {
-                            P::crash_site("bwtree.merge.parent_updated");
+                        delta_ref(delta).stage::<P>();
+                        if self.install(pid, head, delta, "bwtree.merge.parent_updated") {
                             obs::event::emit("bwtree.smo", "parent_updated", pid, child);
                             self.try_consolidate(pid);
                             return;
@@ -642,9 +639,8 @@ impl<P: PersistMode> BwTree<P> {
         };
         let emptied = view.leaf && view.entries.is_empty();
         let delta = Delta::alloc(std::ptr::null_mut(), view.leaf, DeltaKind::base(base));
-        delta_ref(delta).persist::<P>(true);
-        if self.publish(pid, head, delta) {
-            P::crash_site("bwtree.consolidate.installed");
+        delta_ref(delta).stage::<P>();
+        if self.install(pid, head, delta, "bwtree.consolidate.installed") {
             obs::event::emit("bwtree.smo", "consolidate", pid, view.entries.len() as u64);
             // The whole old chain is now unreachable; retire it to the epoch
             // domain (freed once every thread that might still hold the old
@@ -712,12 +708,10 @@ impl<P: PersistMode> BwTree<P> {
         };
         let right_delta =
             Delta::alloc(std::ptr::null_mut(), view.leaf, DeltaKind::base(right_base));
-        delta_ref(right_delta).persist::<P>(false);
+        delta_ref(right_delta).stage::<P>();
         let right = self.alloc_pid();
         let slot = self.map.slot(right);
-        slot.store(right_delta, Ordering::Release);
-        P::mark_dirty_obj(slot);
-        P::persist_obj(slot, false);
+        P::stage_store(slot, || slot.store(right_delta, Ordering::Release));
         P::crash_site("bwtree.split.right_installed");
 
         // Step 2: publish the split delta — the single CAS that makes the split
@@ -728,21 +722,23 @@ impl<P: PersistMode> BwTree<P> {
             view.leaf,
             DeltaKind::Split { sep: LeafKey::new(&sep), right, done: AtomicBool::new(false) },
         );
-        delta_ref(split).persist::<P>(true);
-        delta_ref(right_delta).assert_durable::<P>();
-        P::assert_durable_obj(slot);
-        if !self.publish(pid, head, split) {
+        delta_ref(split).stage::<P>();
+        let pslot = self.map.slot(pid);
+        let cas = || pslot.compare_exchange(head, split, Ordering::AcqRel, Ordering::Acquire);
+        let covers = delta_ref(split).covers().into_iter().chain(delta_ref(right_delta).covers());
+        let covers = covers.chain([span(slot)]);
+        if P::publish(pslot, cas, covers, "bwtree.split.delta_published").is_err() {
             // Chain moved on: unpublish the orphaned right page (nothing ever
             // routed to it — the split delta that would have exposed it was
-            // never installed) and free it immediately.
-            let orphan = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            P::mark_dirty_obj(slot);
-            P::persist_obj(slot, true);
+            // never installed) and free both records immediately.
+            P::persist_store(slot, || slot.store(std::ptr::null_mut(), Ordering::Release));
             // SAFETY: freshly allocated and never reachable.
-            unsafe { free_chain(orphan) };
+            unsafe {
+                pm::alloc::pm_line_drop(split);
+                free_chain(right_delta);
+            }
             return;
         }
-        P::crash_site("bwtree.split.delta_published");
         obs::event::emit("bwtree.smo", "split", pid, right);
 
         // Step 3: the splitting writer is the SMO's first helper.
@@ -868,9 +864,8 @@ impl<P: PersistMode> BwTree<P> {
                 None => DeltaKind::Delete { key: LeafKey::new(key) },
             };
             let delta = Delta::alloc(head, true, kind);
-            delta_ref(delta).persist::<P>(true);
-            if self.publish(pid, head, delta) {
-                P::crash_site(site);
+            delta_ref(delta).stage::<P>();
+            if self.install(pid, head, delta, site) {
                 self.try_consolidate(pid);
                 if value.is_none() && !page_live(self.head(pid)) {
                     // This delete may have emptied the leaf: trigger the merge.

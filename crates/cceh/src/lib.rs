@@ -43,7 +43,7 @@ pub const CRASH_SITES: &[&str] = &[
 ];
 
 use recipe::key::{hash_u64, key_to_u64};
-use recipe::persist::{PersistMode, Pmem};
+use recipe::persist::{span, span_of, PersistMode, Pmem, Span};
 use recipe::session::{Capabilities, Index, OpError, OpResult};
 use segment::{Segment, BUCKETS_PER_SEGMENT, SLOTS_PER_BUCKET};
 use std::marker::PhantomData;
@@ -59,6 +59,19 @@ pub struct Directory {
 }
 
 impl Directory {
+    /// What linking the directory makes reachable: its entries, then its header —
+    /// also the order [`Directory::stage`] flushes them in.
+    fn covers(&self) -> [Span; 2] {
+        [span_of(&*self.segments), span(self)]
+    }
+
+    /// Stage the whole directory, without a fence.
+    fn stage<P: PersistMode>(&self) {
+        for (ptr, len) in self.covers() {
+            P::stage(ptr, len);
+        }
+    }
+
     fn alloc(global_depth: u64) -> *mut Directory {
         let n = 1usize << global_depth;
         let mut segments = Vec::with_capacity(n);
@@ -110,26 +123,24 @@ impl<P: PersistMode> Cceh<P> {
         let d = unsafe { &*dir };
         for i in 0..d.segments.len() {
             let seg = Segment::alloc(initial_depth);
+            // SAFETY: freshly allocated segment, private.
             #[cfg(not(feature = "durability-bug"))]
-            {
-                // SAFETY: freshly allocated segment, private.
-                let s = unsafe { &*seg };
-                P::persist_range(s.buckets.as_ptr().cast(), BUCKETS_PER_SEGMENT * 64, false);
-                P::persist_obj(seg, false);
-            }
+            unsafe { &*seg }.stage::<P>();
             d.segments[i].store(seg as u64, Ordering::Release);
         }
         #[cfg(not(feature = "durability-bug"))]
-        {
-            P::persist_range(d.segments.as_ptr().cast(), d.segments.len() * 8, false);
-            P::persist_obj(dir, true);
-        }
+        d.stage::<P>();
         let t = Cceh {
-            dir: AtomicPtr::new(dir),
+            dir: AtomicPtr::new(std::ptr::null_mut()),
             dir_lock: parking_lot::Mutex::new(()),
             _policy: PhantomData,
         };
-        P::persist_obj(&t.dir, true);
+        let install = || t.dir.store(dir, Ordering::Release);
+        // The paper's bug: the root is linked without persisting what it reaches.
+        #[cfg(feature = "durability-bug")]
+        P::persist_store(&t.dir, install);
+        #[cfg(not(feature = "durability-bug"))]
+        P::publish(&t.dir, install, d.covers(), None);
         t
     }
 
@@ -253,27 +264,15 @@ impl<P: PersistMode> Cceh<P> {
             {
                 self.dir.store(new_dir_ptr, Ordering::Release);
                 P::crash_site("cceh.doubling.swapped_before_persist");
-                P::persist_range(
-                    new_dir.segments.as_ptr().cast(),
-                    new_dir.segments.len() * 8,
-                    false,
-                );
-                P::persist_obj(new_dir_ptr, true);
-                P::persist_obj(&self.dir, true);
+                new_dir.stage::<P>();
+                P::publish(&self.dir, || (), new_dir.covers(), None);
             }
             #[cfg(not(feature = "doubling-bug"))]
             {
-                P::persist_range(
-                    new_dir.segments.as_ptr().cast(),
-                    new_dir.segments.len() * 8,
-                    false,
-                );
-                P::persist_obj(new_dir_ptr, true);
+                new_dir.stage::<P>();
                 P::crash_site("cceh.doubling.new_dir_persisted");
-                self.dir.store(new_dir_ptr, Ordering::Release);
-                P::mark_dirty_obj(&self.dir);
-                P::persist_obj(&self.dir, true);
-                P::crash_site("cceh.doubling.committed");
+                let swap = || self.dir.store(new_dir_ptr, Ordering::Release);
+                P::publish(&self.dir, swap, new_dir.covers(), "cceh.doubling.committed");
             }
             obs::event::emit("cceh.resize", "dir_doubled", dir.global_depth, new_dir.global_depth);
             new_dir
@@ -296,25 +295,31 @@ impl<P: PersistMode> Cceh<P> {
             let redistributed = target.insert::<recipe::persist::Dram>(kh, k, v);
             debug_assert!(redistributed.is_ok(), "probe window overflow during segment split");
         });
-        P::persist_range(left.buckets.as_ptr().cast(), BUCKETS_PER_SEGMENT * 64, false);
-        P::persist_range(right.buckets.as_ptr().cast(), BUCKETS_PER_SEGMENT * 64, false);
-        P::persist_obj(left_ptr, false);
-        P::persist_obj(right_ptr, true);
+        left.stage::<P>();
+        right.stage::<P>();
         P::crash_site("cceh.split.segments_persisted");
 
-        // Update every directory entry that pointed at the old segment.
-        let prefix_bits = new_depth;
-        for i in 0..dir.segments.len() {
-            if dir.segments[i].load(Ordering::Acquire) == seg_ptr as u64 {
-                let entry_prefix = (i as u64) >> (dir.global_depth - prefix_bits);
-                let target = if entry_prefix & 1 == 0 { left_ptr } else { right_ptr };
-                dir.segments[i].store(target as u64, Ordering::Release);
-                P::mark_dirty_obj(&dir.segments[i]);
-                P::persist_obj(&dir.segments[i], false);
+        // Repoint every directory entry that pointed at the old segment: the
+        // publishing stores of the split, all under one fence. All but the last are
+        // staged; the last one's flush and fence make them durable together.
+        let target = |i: usize| {
+            let entry_prefix = (i as u64) >> (dir.global_depth - new_depth);
+            (if entry_prefix & 1 == 0 { left_ptr } else { right_ptr }) as u64
+        };
+        let mut stale = dir
+            .segments
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.load(Ordering::Acquire) == seg_ptr as u64);
+        let (last_i, last) = stale.next_back().expect("the directory routes to the split segment");
+        let repoint = || {
+            for (i, e) in stale {
+                P::stage_store(e, || e.store(target(i), Ordering::Release));
             }
-        }
-        P::fence();
-        P::crash_site("cceh.split.directory_updated");
+            last.store(target(last_i), Ordering::Release);
+        };
+        let covers = left.covers().into_iter().chain(right.covers());
+        P::publish(last, repoint, covers, "cceh.split.directory_updated");
         obs::event::emit("cceh.resize", "segment_split", local_depth, new_depth);
     }
 

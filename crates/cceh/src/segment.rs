@@ -9,6 +9,7 @@
 //! metadata updates caused the crash bugs described in §3 of the RECIPE paper.
 
 use recipe::lock::VersionLock;
+use recipe::persist::{span, span_of, PersistMode, Span};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Key/value slots per cache-line bucket (16 bytes per pair).
@@ -47,6 +48,20 @@ pub struct Segment {
 }
 
 impl Segment {
+    /// What linking the segment makes reachable: its buckets, then its header —
+    /// also the order [`Segment::stage`] flushes them in.
+    #[must_use]
+    pub fn covers(&self) -> [Span; 2] {
+        [span_of(&*self.buckets), span(self)]
+    }
+
+    /// Stage the whole segment, without a fence.
+    pub fn stage<P: PersistMode>(&self) {
+        for (ptr, len) in self.covers() {
+            P::stage(ptr, len);
+        }
+    }
+
     /// Allocate a segment with the given local depth.
     pub fn alloc(local_depth: u64) -> *mut Segment {
         let mut buckets = Vec::with_capacity(BUCKETS_PER_SEGMENT);
@@ -87,7 +102,7 @@ impl Segment {
     /// Insert (or update) under the segment lock. Returns:
     /// `Ok(true)` newly inserted, `Ok(false)` updated in place, [`SegmentFull`] probe window
     /// full — the caller must split the segment.
-    pub fn insert<P: recipe::persist::PersistMode>(
+    pub fn insert<P: PersistMode>(
         &self,
         hash: u64,
         key: u64,
@@ -101,9 +116,7 @@ impl Segment {
             for i in 0..SLOTS_PER_BUCKET {
                 let k = b.keys[i].load(Ordering::Acquire);
                 if k == key {
-                    b.vals[i].store(value, Ordering::Release);
-                    P::mark_dirty_obj(&b.vals[i]);
-                    P::persist_obj(&b.vals[i], true);
+                    P::persist_store(&b.vals[i], || b.vals[i].store(value, Ordering::Release));
                     return Ok(false);
                 }
                 if k == EMPTY_KEY && free.is_none() {
@@ -115,31 +128,21 @@ impl Segment {
         let b = &self.buckets[bi];
         // Value first, then the committing 8-byte key store; one flush covers the line.
         b.vals[i].store(value, Ordering::Release);
-        P::mark_dirty_obj(&b.vals[i]);
         P::crash_site("cceh.insert.value_written");
-        b.keys[i].store(key, Ordering::Release);
-        P::mark_dirty_obj(&b.keys[i]);
-        P::persist_range(b as *const Bucket as *const u8, 64, true);
-        P::crash_site("cceh.insert.committed");
+        let commit = || b.keys[i].store(key, Ordering::Release);
+        P::publish_same_line(&b.keys[i], commit, [span(&b.vals[i])], "cceh.insert.committed");
         Ok(true)
     }
 
     /// Update in place under the segment lock, without inserting. Returns `false`
     /// if the key is not present in the probe window.
-    pub fn update_in_place<P: recipe::persist::PersistMode>(
-        &self,
-        hash: u64,
-        key: u64,
-        value: u64,
-    ) -> bool {
+    pub fn update_in_place<P: PersistMode>(&self, hash: u64, key: u64, value: u64) -> bool {
         let start = Self::bucket_index(hash);
         for p in 0..LINEAR_PROBE {
             let b = &self.buckets[(start + p) & (BUCKETS_PER_SEGMENT - 1)];
             for i in 0..SLOTS_PER_BUCKET {
                 if b.keys[i].load(Ordering::Acquire) == key {
-                    b.vals[i].store(value, Ordering::Release);
-                    P::mark_dirty_obj(&b.vals[i]);
-                    P::persist_obj(&b.vals[i], true);
+                    P::persist_store(&b.vals[i], || b.vals[i].store(value, Ordering::Release));
                     return true;
                 }
             }
@@ -148,15 +151,13 @@ impl Segment {
     }
 
     /// Remove under the segment lock.
-    pub fn remove<P: recipe::persist::PersistMode>(&self, hash: u64, key: u64) -> bool {
+    pub fn remove<P: PersistMode>(&self, hash: u64, key: u64) -> bool {
         let start = Self::bucket_index(hash);
         for p in 0..LINEAR_PROBE {
             let b = &self.buckets[(start + p) & (BUCKETS_PER_SEGMENT - 1)];
             for i in 0..SLOTS_PER_BUCKET {
                 if b.keys[i].load(Ordering::Acquire) == key {
-                    b.keys[i].store(EMPTY_KEY, Ordering::Release);
-                    P::mark_dirty_obj(&b.keys[i]);
-                    P::persist_obj(&b.keys[i], true);
+                    P::persist_store(&b.keys[i], || b.keys[i].store(EMPTY_KEY, Ordering::Release));
                     return true;
                 }
             }

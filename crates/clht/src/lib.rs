@@ -26,7 +26,7 @@ pub mod table;
 
 use bucket::{Bucket, EMPTY_KEY, ENTRIES_PER_BUCKET};
 use recipe::key::{hash_u64, key_to_u64};
-use recipe::persist::{Dram, PersistMode, Pmem};
+use recipe::persist::{span, span_of, Dram, PersistMode, Pmem};
 use recipe::session::{Capabilities, Index, OpError, OpResult};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -83,14 +83,16 @@ impl<P: PersistMode> Clht<P> {
         // durability bug the paper found in FAST & FAIR and CCEH root allocation.
         // SAFETY: freshly allocated, uniquely owned here.
         let tref = unsafe { &*t };
-        P::persist_range(tref.buckets().as_ptr().cast(), tref.num_buckets() * 64, false);
-        P::persist_obj(t, true);
+        let covers = [span_of(tref.buckets()), span(t)];
+        for (ptr, len) in covers {
+            P::stage(ptr, len);
+        }
         let this = Clht {
-            table: AtomicPtr::new(t),
+            table: AtomicPtr::new(std::ptr::null_mut()),
             resize_lock: parking_lot::Mutex::new(Vec::new()),
             _policy: PhantomData,
         };
-        P::persist_obj(&this.table, true);
+        P::publish(&this.table, || this.table.store(t, Ordering::Release), covers, None);
         this
     }
 
@@ -186,9 +188,7 @@ impl<P: PersistMode> Clht<P> {
             loop {
                 if let Some(i) = cur.slot_of(k) {
                     // In-place value update: single 8-byte atomic store, then flush.
-                    cur.vals[i].store(value, Ordering::Release);
-                    P::mark_dirty_obj(&cur.vals[i]);
-                    P::persist_obj(&cur.vals[i], true);
+                    P::persist_store(&cur.vals[i], || cur.vals[i].store(value, Ordering::Release));
                     return false;
                 }
                 if free.is_none() {
@@ -211,23 +211,23 @@ impl<P: PersistMode> Clht<P> {
                 // store persists both in order), then publish the key with one atomic
                 // 8-byte store.
                 b.vals[i].store(value, Ordering::Release);
-                P::mark_dirty_obj(&b.vals[i]);
                 P::crash_site("clht.insert.value_written");
-                b.keys[i].store(k, Ordering::Release);
-                P::mark_dirty_obj(&b.keys[i]);
-                P::persist_range((b as *const Bucket).cast(), 64, true);
-                P::crash_site("clht.insert.committed");
+                let commit = || b.keys[i].store(k, Ordering::Release);
+                P::publish_same_line(
+                    &b.keys[i],
+                    commit,
+                    [span(&b.vals[i])],
+                    "clht.insert.committed",
+                );
                 return true;
             }
 
             // Chain is full: link a new overflow bucket (its single entry is the new
             // key), committing with one atomic pointer store.
             let nb = pm::alloc::pm_box(Bucket::with_entry(k, value));
-            P::persist_range(nb.cast(), 64, true);
+            P::stage_obj(nb);
             P::crash_site("clht.insert.overflow_allocated");
-            cur.next.store(nb, Ordering::Release);
-            P::mark_dirty_obj(&cur.next);
-            P::persist_obj(&cur.next, true);
+            P::publish(&cur.next, || cur.next.store(nb, Ordering::Release), [span(nb)], None);
             let expansions = t.expansions.fetch_add(1, Ordering::Relaxed) + 1;
             drop(_guard);
             if expansions * EXPANSION_RATIO > t.num_buckets() as u64 {
@@ -256,9 +256,7 @@ impl<P: PersistMode> Clht<P> {
             loop {
                 if let Some(i) = cur.slot_of(k) {
                     // Same single-atomic-store commit as the in-place insert path.
-                    cur.vals[i].store(value, Ordering::Release);
-                    P::mark_dirty_obj(&cur.vals[i]);
-                    P::persist_obj(&cur.vals[i], true);
+                    P::persist_store(&cur.vals[i], || cur.vals[i].store(value, Ordering::Release));
                     return true;
                 }
                 let next = cur.next_ptr();
@@ -288,9 +286,9 @@ impl<P: PersistMode> Clht<P> {
             loop {
                 if let Some(i) = cur.slot_of(k) {
                     // Deletion commits by atomically storing EMPTY_KEY to the key slot.
-                    cur.keys[i].store(EMPTY_KEY, Ordering::Release);
-                    P::mark_dirty_obj(&cur.keys[i]);
-                    P::persist_obj(&cur.keys[i], true);
+                    P::persist_store(&cur.keys[i], || {
+                        cur.keys[i].store(EMPTY_KEY, Ordering::Release)
+                    });
                     P::crash_site("clht.remove.committed");
                     return true;
                 }
@@ -327,23 +325,23 @@ impl<P: PersistMode> Clht<P> {
 
         // Persist the entire new table before publishing it, including any overflow
         // buckets allocated while re-inserting the old entries.
-        P::persist_range(new_ref.buckets().as_ptr().cast(), new_ref.num_buckets() * 64, false);
+        let (buckets, header) = (span_of(new_ref.buckets()), span(new_t));
+        P::stage(buckets.0, buckets.1);
         for b in new_ref.buckets() {
             let mut cur = b.next_ptr();
             while !cur.is_null() {
-                P::persist_range(cur.cast(), 64, false);
+                P::stage_obj(cur);
                 // SAFETY: overflow buckets of the private new table are never freed.
                 cur = unsafe { (*cur).next_ptr() };
             }
         }
-        P::persist_obj(new_t, true);
+        P::stage(header.0, header.1);
         P::crash_site("clht.rehash.table_built");
 
-        // Single atomic commit: swap the table pointer, then persist the pointer.
-        self.table.store(new_t, Ordering::Release);
-        P::mark_dirty_obj(&self.table);
-        P::persist_obj(&self.table, true);
-        P::crash_site("clht.rehash.committed");
+        // Single atomic commit: swap the table pointer (its overflow buckets,
+        // staged above, are reachable only through the bucket array).
+        let commit = || self.table.store(new_t, Ordering::Release);
+        P::publish(&self.table, commit, [header, buckets], "clht.rehash.committed");
         obs::event::emit(
             "clht.resize",
             "rehash_committed",

@@ -17,7 +17,7 @@
 //! reason FAST & FAIR pays an extra pointer dereference per comparison on string keys.
 
 use recipe::lock::VersionLock;
-use recipe::persist::PersistMode;
+use recipe::persist::{span, span_of, PersistMode, Span};
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
 
@@ -43,6 +43,19 @@ pub struct KeyBuf {
     pub bytes: Box<[u8]>,
 }
 
+/// What publishing a key word makes reachable: an indirect word's [`KeyBuf`] and its
+/// bytes (nothing for an inline word).
+fn key_covers(mode: KeyMode, word: u64) -> [Span; 2] {
+    match mode {
+        KeyMode::Inline => [(std::ptr::null(), 0); 2],
+        KeyMode::Indirect => {
+            let buf = word as *const KeyBuf;
+            // SAFETY: indirect key words are pointers to leaked KeyBufs.
+            [span(buf), span_of(&*unsafe { &*buf }.bytes)]
+        }
+    }
+}
+
 /// Encode a search key into a key word for the given mode, allocating a [`KeyBuf`] in
 /// indirect mode (`persist` controls whether the fresh buffer is flushed).
 pub fn encode_key<P: PersistMode>(mode: KeyMode, key: &[u8]) -> u64 {
@@ -52,7 +65,7 @@ pub fn encode_key<P: PersistMode>(mode: KeyMode, key: &[u8]) -> u64 {
             let buf = pm::alloc::pm_box(KeyBuf { bytes: key.to_vec().into_boxed_slice() });
             // SAFETY: freshly allocated, uniquely owned.
             let bytes = unsafe { &(*buf).bytes };
-            P::persist_range(bytes.as_ptr(), bytes.len(), false);
+            P::stage(bytes.as_ptr(), bytes.len());
             P::persist_obj(buf, true);
             buf as u64
         }
@@ -249,9 +262,8 @@ impl Node {
         // previous split truncation, and the shift below overwrites the old
         // terminator.
         if count + 1 < CARDINALITY {
-            self.entries[count + 1].key.store(EMPTY, Ordering::Release);
-            P::mark_dirty_obj(&self.entries[count + 1].key);
-            P::persist_obj(&self.entries[count + 1].key, true);
+            let terminator = &self.entries[count + 1].key;
+            P::persist_store(terminator, || terminator.store(EMPTY, Ordering::Release));
         }
         // Find insertion position.
         let mut pos = count;
@@ -278,23 +290,25 @@ impl Node {
         while i > pos {
             let prev_val = self.entries[i - 1].val.load(Ordering::Acquire);
             let prev_key = self.entries[i - 1].key.load(Ordering::Acquire);
-            self.entries[i].val.store(prev_val, Ordering::Release);
-            self.entries[i].key.store(prev_key, Ordering::Release);
-            P::mark_dirty_obj(&self.entries[i].key);
-            P::mark_dirty_obj(&self.entries[i].val);
+            let e = &self.entries[i];
             // FAST flushes once per cache line crossed during the shift.
-            P::persist_obj(&self.entries[i], true);
+            P::persist_store(e, || {
+                e.val.store(prev_val, Ordering::Release);
+                e.key.store(prev_key, Ordering::Release);
+            });
             P::crash_site("fastfair.shift.step");
             i -= 1;
         }
-        self.entries[pos].val.store(val, Ordering::Release);
-        P::mark_dirty_obj(&self.entries[pos].val);
-        P::persist_obj(&self.entries[pos].val, true);
+        let e = &self.entries[pos];
+        P::stage_store(&e.val, || e.val.store(val, Ordering::Release));
         P::crash_site("fastfair.insert.value_written");
-        self.entries[pos].key.store(key_word, Ordering::Release);
-        P::mark_dirty_obj(&self.entries[pos].key);
-        P::persist_obj(&self.entries[pos].key, true);
-        P::crash_site("fastfair.insert.committed");
+        let covers = key_covers(mode, key_word).into_iter().chain([span(&e.val)]);
+        P::publish(
+            &e.key,
+            || e.key.store(key_word, Ordering::Release),
+            covers,
+            "fastfair.insert.committed",
+        );
     }
 
     /// FAIR deletion (lock must be held): shift entries left over the removed slot.
@@ -335,11 +349,11 @@ impl Node {
             // Key first: the transiently mixed slot then duplicates the key of the
             // complete pair to its right, which readers defer to
             // (rightmost-duplicate rule in `find_in_leaf`).
-            self.entries[i].key.store(nk, Ordering::Release);
-            P::mark_dirty_obj(&self.entries[i].key);
-            self.entries[i].val.store(nv, Ordering::Release);
-            P::mark_dirty_obj(&self.entries[i].val);
-            P::persist_obj(&self.entries[i], true);
+            let e = &self.entries[i];
+            P::persist_store(e, || {
+                e.key.store(nk, Ordering::Release);
+                e.val.store(nv, Ordering::Release);
+            });
             P::crash_site("fastfair.remove.step");
         }
         true
@@ -361,9 +375,8 @@ impl Node {
                 {
                     continue;
                 }
-                self.entries[i].val.store(val, Ordering::Release);
-                P::mark_dirty_obj(&self.entries[i].val);
-                P::persist_obj(&self.entries[i].val, true);
+                let v = &self.entries[i].val;
+                P::persist_store(v, || v.store(val, Ordering::Release));
                 return true;
             }
         }

@@ -11,7 +11,7 @@ use crate::node::{
     cmp_word_key, cmp_words, encode_key, word_bytes, word_to_bytes, KeyMode, Node, CARDINALITY,
     EMPTY,
 };
-use recipe::persist::PersistMode;
+use recipe::persist::{span, PersistMode};
 use recipe::session::ScanBuf;
 use std::cmp::Ordering as CmpOrdering;
 use std::marker::PhantomData;
@@ -46,15 +46,20 @@ impl<P: PersistMode> FastFair<P> {
         // Persist the freshly allocated root before publishing it — unless the
         // `durability-bug` feature reproduces the missing-root-flush bug the paper's
         // durability test found in the original implementation (§7.5).
-        #[cfg(not(feature = "durability-bug"))]
-        P::persist_obj(root, true);
         let t = FastFair {
-            root: AtomicPtr::new(root),
+            root: AtomicPtr::new(std::ptr::null_mut()),
             mode: AtomicU8::new(0),
             smo_lock: parking_lot::Mutex::new(()),
             _policy: PhantomData,
         };
-        P::persist_obj(&t.root, true);
+        let install = || t.root.store(root, Ordering::Release);
+        #[cfg(feature = "durability-bug")]
+        P::persist_store(&t.root, install);
+        #[cfg(not(feature = "durability-bug"))]
+        {
+            P::stage_obj(root);
+            P::publish(&t.root, install, [span(root)], None);
+        }
         t
     }
 
@@ -230,21 +235,11 @@ impl<P: PersistMode> FastFair<P> {
             let w = encode_key::<P>(mode, key);
             right.insert_sorted::<P>(mode, w, value);
         }
-        P::persist_obj(right_ptr, true);
+        P::stage_obj(right_ptr);
         P::crash_site("fastfair.split.sibling_persisted");
 
         // Link the sibling (atomic store) and shrink this node's key space.
-        node.sibling.store(right_ptr, Ordering::Release);
-        P::mark_dirty_obj(&node.sibling);
-        P::persist_obj(&node.sibling, true);
-        P::crash_site("fastfair.split.sibling_linked");
-        node.high_key.store(split_word, Ordering::Release);
-        P::mark_dirty_obj(&node.high_key);
-        P::persist_obj(&node.high_key, true);
-        // Truncate the moved entries with a single atomic store of the terminator.
-        node.entries[mid].key.store(EMPTY, Ordering::Release);
-        P::mark_dirty_obj(&node.entries[mid].key);
-        P::persist_obj(&node.entries[mid].key, true);
+        self.link_sibling(node, right_ptr, split_word, mid, "fastfair.split.sibling_linked");
         P::crash_site("fastfair.split.left_truncated");
 
         // A key belonging to the lower half is inserted under the node lock we hold.
@@ -255,6 +250,29 @@ impl<P: PersistMode> FastFair<P> {
 
         // Propagate the separator to the parent (still under the SMO lock).
         self.insert_into_parent(mode, node as *const Node as *mut Node, split_word, right_ptr);
+    }
+
+    /// The ordered in-place steps of a split on the left node: link the staged
+    /// sibling `right` (the store that publishes it, then the site `linked`),
+    /// lower the high key to `split_word`, and truncate the moved entries with one
+    /// store of the terminator at `mid`. Each step is flushed and fenced in turn.
+    fn link_sibling(
+        &self,
+        node: &Node,
+        right: *mut Node,
+        split_word: u64,
+        mid: usize,
+        linked: impl Into<Option<&'static str>>,
+    ) {
+        P::publish(
+            &node.sibling,
+            || node.sibling.store(right, Ordering::Release),
+            [span(right)],
+            linked,
+        );
+        P::persist_store(&node.high_key, || node.high_key.store(split_word, Ordering::Release));
+        let terminator = &node.entries[mid].key;
+        P::persist_store(terminator, || terminator.store(EMPTY, Ordering::Release));
     }
 
     /// Insert `(split_word -> right)` into the parent of `left`, splitting parents as
@@ -274,12 +292,10 @@ impl<P: PersistMode> FastFair<P> {
             new_root.leftmost.store(left as u64, Ordering::Relaxed);
             new_root.entries[0].key.store(split_word, Ordering::Relaxed);
             new_root.entries[0].val.store(right as u64, Ordering::Relaxed);
-            P::persist_obj(new_root_ptr, true);
+            P::stage_obj(new_root_ptr);
             P::crash_site("fastfair.root_split.new_root_persisted");
-            self.root.store(new_root_ptr, Ordering::Release);
-            P::mark_dirty_obj(&self.root);
-            P::persist_obj(&self.root, true);
-            P::crash_site("fastfair.root_split.committed");
+            let commit = || self.root.store(new_root_ptr, Ordering::Release);
+            P::publish(&self.root, commit, [span(new_root_ptr)], "fastfair.root_split.committed");
             return;
         }
 
@@ -313,14 +329,9 @@ impl<P: PersistMode> FastFair<P> {
         }
         pr.sibling.store(parent.sibling.load(Ordering::Acquire), Ordering::Relaxed);
         pr.high_key.store(parent.high_key.load(Ordering::Acquire), Ordering::Relaxed);
-        P::persist_obj(new_parent_right, true);
+        P::stage_obj(new_parent_right);
         P::crash_site("fastfair.parent_split.sibling_persisted");
-        parent.sibling.store(new_parent_right, Ordering::Release);
-        P::persist_obj(&parent.sibling, true);
-        parent.high_key.store(parent_split_word, Ordering::Release);
-        P::persist_obj(&parent.high_key, true);
-        parent.entries[mid].key.store(EMPTY, Ordering::Release);
-        P::persist_obj(&parent.entries[mid].key, true);
+        self.link_sibling(parent, new_parent_right, parent_split_word, mid, None);
         P::crash_site("fastfair.parent_split.left_truncated");
 
         // Route the pending separator into the correct half, then recurse upwards.

@@ -1,22 +1,19 @@
-//! The stage–fence–publish discipline of P-ART, P-HOT, P-Masstree and P-BwTree,
-//! checked where a crash sweep cannot see it.
+//! The stage–fence–publish discipline of every registry row, checked where a
+//! crash sweep cannot see it.
 //!
 //! The sweeps keep every store a crashed operation executed, so they prove the
-//! *order of steps* but pass a conversion that publishes an object before the
-//! fence that makes it durable. Here the durability tracker is on, and every
-//! publishing store of the four conversions asserts
-//! (`PersistMode::assert_durable`) that what it makes reachable is already
-//! flushed *and* fenced — an `assert!`, so this file means the same in debug
-//! and release. Moving or dropping the one fence a staged object rides on
-//! makes the stream below panic at the site that lost it.
+//! *order of steps* but pass an index that publishes an object before the fence
+//! that makes it durable. Here the durability tracker is on, and every
+//! `PersistMode::publish` asserts that what its store makes reachable (its
+//! `covers`) is already flushed *and* fenced — an `assert!`, so this file means
+//! the same in debug and release; every `publish_same_line` asserts that its
+//! covered words share the slot's cache line. Dropping a stage, or the fence a
+//! staged object rides on, makes the stream below panic at the site that lost it.
 //!
 //! The tracker and the crash-site counters are process-global, so this file
 //! holds a single test.
 
-use art_index::PArt;
-use bwtree::PBwTree;
-use hot_trie::PHot;
-use masstree::PMasstree;
+use harness::registry::{all_indexes, PolicyMode};
 use pm::stats::Mapping;
 use recipe::key::u64_key;
 use recipe::session::{Index, ScanBuf};
@@ -58,7 +55,8 @@ fn shared_prefix_key(id: u64) -> Vec<u8> {
 /// and a `BTreeMap`, with the tracker recording from before the index exists;
 /// then the middle half of the live keys is removed in key order, emptying
 /// whole leaves (P-BwTree merges them away); then the whole contents are
-/// compared and every line must be durable.
+/// compared (by a full scan too, where the index scans) and every line must be
+/// durable.
 fn run_stream(index: &dyn Index, key: fn(u64) -> Vec<u8>) {
     let name = index.index_name();
     let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
@@ -105,10 +103,12 @@ fn run_stream(index: &dyn Index, key: fn(u64) -> Vec<u8>) {
     for (k, v) in &model {
         assert_eq!(index.exec_get(k), Some(*v), "{name}: key {k:?}");
     }
-    let mut all = ScanBuf::new();
-    index.exec_scan(&[], model.len() + 1, &mut all);
-    let want: Vec<(Vec<u8>, u64)> = model.into_iter().collect();
-    assert_eq!(all.to_vec(), want, "{name}: full scan");
+    if index.capabilities().scan {
+        let mut all = ScanBuf::new();
+        index.exec_scan(&[], model.len() + 1, &mut all);
+        let want: Vec<(Vec<u8>, u64)> = model.into_iter().collect();
+        assert_eq!(all.to_vec(), want, "{name}: full scan");
+    }
 }
 
 #[test]
@@ -116,25 +116,20 @@ fn every_publishing_store_finds_its_object_durable() {
     pm::crash::arm_count_only();
     pm::crash::start_named_counts();
     let probes0 = pm::stats::probes_local();
-    for key in [random_key as fn(u64) -> Vec<u8>, shared_prefix_key] {
-        // Enabled before construction: the root allocation is tracked too.
-        pm::tracker::enable();
-        run_stream(&PArt::new(), key);
-        pm::tracker::enable();
-        let hot = PHot::new();
-        run_stream(&hot, key);
-        assert!(hot.compound_nodes() > 0, "the stream must build compound nodes");
-        pm::tracker::enable();
-        run_stream(&PMasstree::new(), key);
-        pm::tracker::enable();
-        let bw = PBwTree::new();
-        run_stream(&bw, key);
-        assert!(bw.merged_pages() > 0, "the range remove must merge emptied pages");
+    for entry in all_indexes() {
+        // The hash indexes take 8-byte keys only.
+        let streams: &[fn(u64) -> Vec<u8>] =
+            if entry.caps.ordered { &[random_key, shared_prefix_key] } else { &[random_key] };
+        for &key in streams {
+            // Enabled before construction: the root allocation is tracked too.
+            pm::tracker::enable();
+            let index = entry.build(PolicyMode::Pmem);
+            run_stream(index.as_ref(), key);
+        }
     }
     pm::tracker::disable();
 
-    // The two mixes together went through every converted publish site, SMOs
-    // included.
+    // The streams went through every publish site of every row, SMOs included.
     for site in [
         "art.insert.committed",
         "art.grow.committed",
@@ -163,6 +158,24 @@ fn every_publishing_store_finds_its_object_durable() {
         "bwtree.merge.remove_published",
         "bwtree.merge.merge_published",
         "bwtree.merge.parent_updated",
+        "clht.insert.committed",
+        "clht.remove.committed",
+        "clht.rehash.committed",
+        "fastfair.insert.committed",
+        "fastfair.split.sibling_linked",
+        "fastfair.parent_split.left_truncated",
+        "fastfair.root_split.committed",
+        "apex.insert.committed",
+        "apex.update.committed",
+        "apex.remove.committed",
+        "apex.smo.swapped",
+        "woart.insert.committed",
+        "woart.leaf_split",
+        "cceh.insert.committed",
+        "cceh.split.directory_updated",
+        "cceh.doubling.committed",
+        "level.insert.committed",
+        "level.resize.committed",
     ] {
         assert!(pm::crash::named_count(site) > 0, "{site} never ran");
     }

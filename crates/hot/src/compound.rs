@@ -27,7 +27,7 @@
 use crate::bits::COMPOUND_BITS;
 use pm::stats::{record_probes, Mapping};
 use recipe::lock::VersionLock;
-use recipe::persist::PersistMode;
+use recipe::persist::{span, span_of, PersistMode, Span};
 use recipe::simd::{self, SetBits};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -151,21 +151,23 @@ impl Compound {
             + std::mem::size_of_val(&*self.children)
     }
 
-    /// Flush the whole node — header and the out-of-line lane/child arrays —
-    /// marking the lines dirty first so the durability tracker sees exactly the
-    /// class-sized footprint, then fence.
-    pub fn persist_all<P: PersistMode>(&self) {
-        P::mark_dirty_obj(self);
-        P::persist_obj(self, false);
-        let (p, l) = (self.pkeys.as_ptr().cast::<u8>(), std::mem::size_of_val(&*self.pkeys));
-        P::mark_dirty(p, l);
-        P::persist_range(p, l, false);
-        let (p, l) = (self.masks.as_ptr().cast::<u8>(), std::mem::size_of_val(&*self.masks));
-        P::mark_dirty(p, l);
-        P::persist_range(p, l, false);
-        let (p, l) = (self.children.as_ptr().cast::<u8>(), std::mem::size_of_val(&*self.children));
-        P::mark_dirty(p, l);
-        P::persist_range(p, l, true);
+    /// Stage the whole node — header and the out-of-line lane/child arrays —
+    /// reporting what [`Compound::alloc`] stored first so the durability tracker
+    /// sees exactly the class-sized footprint. No fence: the node rides on the one
+    /// ahead of the store that installs it.
+    pub fn stage<P: PersistMode>(&self) {
+        let filled_by_alloc = || ();
+        P::stage_store(self, filled_by_alloc);
+        P::stage_store(&*self.pkeys, filled_by_alloc);
+        P::stage_store(&*self.masks, filled_by_alloc);
+        P::stage_store(&*self.children, filled_by_alloc);
+    }
+
+    /// What installing the node makes reachable: the ranges [`Compound::stage`]
+    /// flushes.
+    #[must_use]
+    pub fn covers(&self) -> [Span; 4] {
+        [span(self), span_of(&*self.pkeys), span_of(&*self.masks), span_of(&*self.children)]
     }
 
     /// Partial key stored at `slot`.
@@ -478,7 +480,7 @@ mod tests {
         );
         // And flushing it dirties proportionally few cache lines.
         let before = pm::stats::snapshot_local();
-        small.persist_all::<recipe::persist::Pmem>();
+        small.stage::<recipe::persist::Pmem>();
         let d = pm::stats::snapshot_local().since(&before);
         assert!(d.clwb < 32, "small-class persist flushed {} lines", d.clwb);
         let big: Vec<Entry> = (0..200u16).map(|i| (i * 13, FULL_MASK, 0x11)).collect();
@@ -486,7 +488,7 @@ mod tests {
         let big = unsafe { &*Compound::alloc(0, &big) };
         assert_eq!(big.cap(), COMPOUND_CAP);
         let before = pm::stats::snapshot_local();
-        big.persist_all::<recipe::persist::Pmem>();
+        big.stage::<recipe::persist::Pmem>();
         let dbig = pm::stats::snapshot_local().since(&before);
         assert!(dbig.clwb > d.clwb * 4, "class sizes must show up in flush counts");
     }

@@ -10,14 +10,12 @@
 //! branch node, or a leaf-value store) — **Condition #1**, so the conversion to P-HOT
 //! only adds cache-line flushes and fences after those stores.
 //!
-//! Flushes and fences follow one discipline — **stage, fence once, publish**: an
-//! object nothing can reach yet (a new leaf, a branch node, an unpublished compound
-//! slot's lanes) is flushed with `fence = false` and becomes durable under the single
-//! fence that precedes the store publishing it. Where the leaf is the only new object
-//! and the very next store publishes it (slot insert, slot reuse, husk replacement),
-//! that fence is the leaf's own. Every publishing site asserts
-//! (`PersistMode::assert_durable`, live under the durability tracker) that what it
-//! publishes is durable.
+//! Flushes and fences follow one discipline — **stage, fence once, publish**
+//! (`recipe::persist`): an object nothing can reach yet (a new leaf, a branch node, a
+//! compound, an unpublished compound slot's lanes) is staged and becomes durable
+//! under the single fence `PersistMode::publish` issues ahead of the store that makes
+//! it reachable, which checks its `covers` durable under the tracker. Every
+//! structural change publishes through `Hot::publish_in_parent`.
 //!
 //! # Compound-node widening
 //!
@@ -39,7 +37,7 @@ use crate::compound::{prefix_mask, Compound, Entry, COMPOUND_CAP, FULL_MASK};
 use pm::stats::{record_probes, Mapping};
 use recipe::key::Leaf;
 use recipe::lock::{VersionGuard, VersionLock};
-use recipe::persist::PersistMode;
+use recipe::persist::{span, PersistMode, Span};
 use recipe::session::ScanBuf;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -105,15 +103,11 @@ fn subtree_start(word: usize) -> u32 {
     }
 }
 
-/// Allocate a leaf and stage it, returning it with its tagged word. With
-/// `fence = false` the caller keeps it unreachable until a later fence of its own —
-/// the one ahead of the publishing store — has made it durable.
-fn alloc_leaf<P: PersistMode>(key: &[u8], value: u64, fence: bool) -> (&'static Leaf, usize) {
+/// Allocate a leaf and stage it, returning it with its tagged word. The caller
+/// keeps it unreachable until the publishing store whose `covers` name it.
+fn alloc_leaf<P: PersistMode>(key: &[u8], value: u64) -> (&'static Leaf, usize) {
     let leaf = Leaf::alloc(key, value);
     leaf.stage::<P>();
-    if fence {
-        P::fence();
-    }
     (leaf, leaf as *const Leaf as usize | 1)
 }
 
@@ -282,13 +276,15 @@ impl<P: PersistMode> Hot<P> {
                 if self.root.load(Ordering::Acquire) != 0 {
                     continue 'restart;
                 }
-                let (new, leaf) = alloc_leaf::<P>(key, value, true);
+                let (new, leaf) = alloc_leaf::<P>(key, value);
                 P::crash_site("hot.insert.root_leaf_persisted");
-                new.assert_durable::<P>();
-                self.root.store(leaf, Ordering::Release);
-                P::mark_dirty_obj(&self.root);
-                P::persist_obj(&self.root, true);
-                P::crash_site("hot.insert.root_committed");
+                let root = &self.root;
+                P::publish(
+                    root,
+                    || root.store(leaf, Ordering::Release),
+                    new.covers(),
+                    "hot.insert.root_committed",
+                );
                 return true;
             }
 
@@ -378,13 +374,15 @@ impl<P: PersistMode> Hot<P> {
                     {
                         continue 'restart;
                     }
-                    let (new, leaf) = alloc_leaf::<P>(key, value, true);
+                    let (new, leaf) = alloc_leaf::<P>(key, value);
                     P::crash_site("hot.insert.leaf_persisted");
-                    new.assert_durable::<P>();
-                    node.children[idx].store(leaf, Ordering::Release);
-                    P::mark_dirty_obj(&node.children[idx]);
-                    P::persist_obj(&node.children[idx], true);
-                    P::crash_site("hot.insert.slot_committed");
+                    let slot = &node.children[idx];
+                    P::publish(
+                        slot,
+                        || slot.store(leaf, Ordering::Release),
+                        new.covers(),
+                        "hot.insert.slot_committed",
+                    );
                     return true;
                 }
                 path.push(Step::Node(node as *const Node, idx));
@@ -396,9 +394,7 @@ impl<P: PersistMode> Hot<P> {
             let Some(diff_bit) = first_diff_bit(key, &leaf.key) else {
                 if &*leaf.key == key {
                     // Same key: in-place value update, single atomic store.
-                    leaf.value.store(value, Ordering::Release);
-                    P::mark_dirty_obj(&leaf.value);
-                    P::persist_obj(&leaf.value, true);
+                    P::persist_store(&leaf.value, || leaf.value.store(value, Ordering::Release));
                     return false;
                 }
                 // Keys identical up to zero padding (one is a bit-prefix of the
@@ -440,14 +436,16 @@ impl<P: PersistMode> Hot<P> {
         });
         match reuse {
             Some(slot) => {
-                let (new, leaf) = alloc_leaf::<P>(key, value, true);
+                let (new, leaf) = alloc_leaf::<P>(key, value);
                 P::crash_site("hot.insert.leaf_persisted");
                 // Commit = one atomic child-slot store.
-                new.assert_durable::<P>();
-                c.children[slot].store(leaf, Ordering::Release);
-                P::mark_dirty_obj(&c.children[slot]);
-                P::persist_obj(&c.children[slot], true);
-                P::crash_site("hot.insert.slot_committed");
+                let slot = &c.children[slot];
+                P::publish(
+                    slot,
+                    || slot.store(leaf, Ordering::Release),
+                    new.covers(),
+                    "hot.insert.slot_committed",
+                );
                 Append::Inserted
             }
             None if count < c.cap() => {
@@ -455,23 +453,17 @@ impl<P: PersistMode> Hot<P> {
                 // order; the `count` store is the single publishing atomic store.
                 // Lanes, leaf and child pointer are staged under the one fence
                 // ahead of it.
-                c.set_lanes(count, ext, FULL_MASK);
-                P::mark_dirty_obj(&c.pkeys[count / 4]);
-                P::persist_obj(&c.pkeys[count / 4], false);
-                P::mark_dirty_obj(&c.masks[count / 4]);
-                P::persist_obj(&c.masks[count / 4], false);
-                let (new, leaf) = alloc_leaf::<P>(key, value, false);
+                let (pkeys, masks) = (&c.pkeys[count / 4], &c.masks[count / 4]);
+                P::stage_store(pkeys, || c.set_lanes(count, ext, FULL_MASK));
+                P::stage_store(masks, || ());
+                let (new, leaf) = alloc_leaf::<P>(key, value);
                 P::crash_site("hot.insert.leaf_persisted");
-                c.children[count].store(leaf, Ordering::Release);
-                P::mark_dirty_obj(&c.children[count]);
-                P::persist_obj(&c.children[count], true);
-                new.assert_durable::<P>();
-                P::assert_durable_obj(&c.pkeys[count / 4]);
-                P::assert_durable_obj(&c.masks[count / 4]);
-                c.count.store(count as u32 + 1, Ordering::Release);
-                P::mark_dirty_obj(&c.count);
-                P::persist_obj(&c.count, true);
-                P::crash_site("hot.insert.slot_committed");
+                P::stage_store(&c.children[count], || {
+                    c.children[count].store(leaf, Ordering::Release)
+                });
+                let covers = new.covers().into_iter().chain([span(pkeys), span(masks)]);
+                let publish = || c.count.store(count as u32 + 1, Ordering::Release);
+                P::publish(&c.count, publish, covers, "hot.insert.slot_committed");
                 Append::Inserted
             }
             None if c.cap() < COMPOUND_CAP => {
@@ -486,6 +478,42 @@ impl<P: PersistMode> Hot<P> {
                 Append::Retry
             }
         }
+    }
+
+    /// The publishing store of every structural change: under the lock of the slot
+    /// `parent` names (the root word if `None`), swap `expected` for `new`, which
+    /// makes `covers` reachable, and declare `site`. Returns `false`, storing
+    /// nothing, if the slot's node was retired or the slot no longer holds
+    /// `expected`.
+    fn publish_in_parent(
+        &self,
+        parent: Option<Step>,
+        expected: usize,
+        new: usize,
+        covers: impl IntoIterator<Item = Span>,
+        site: &'static str,
+    ) -> bool {
+        let (slot, lock, obsolete) = match parent {
+            None => (&self.root, &self.root_lock, None),
+            Some(Step::Node(n, idx)) => {
+                // SAFETY: never freed.
+                let n = unsafe { &*n };
+                (&n.children[idx], &n.lock, Some(&n.obsolete))
+            }
+            Some(Step::Cpd(c, idx, _)) => {
+                // SAFETY: never freed.
+                let c = unsafe { &*c };
+                (&c.children[idx], &c.lock, Some(&c.obsolete))
+            }
+        };
+        let _g = lock.lock();
+        if obsolete.is_some_and(|o| o.load(Ordering::Acquire))
+            || slot.load(Ordering::Acquire) != expected
+        {
+            return false;
+        }
+        P::publish(slot, || slot.store(new, Ordering::Release), covers, site);
+        true
     }
 
     /// Insert a freshly built branch node above the subtree whose keys diverge from
@@ -545,7 +573,7 @@ impl<P: PersistMode> Hot<P> {
         let branch = alloc_node(diff_bit, width);
         // SAFETY: freshly allocated, private.
         let b = unsafe { &*branch };
-        let (new, new_leaf) = alloc_leaf::<P>(key, value, false);
+        let (new, new_leaf) = alloc_leaf::<P>(key, value);
         let new_idx = extract_bits(key, diff_bit, width);
         // The displaced subtree's keys all agree with `ref_key` on the window bits
         // (they share every bit up to their own, deeper windows).
@@ -553,53 +581,22 @@ impl<P: PersistMode> Hot<P> {
         debug_assert_ne!(new_idx, old_idx);
         b.children[old_idx].store(displaced, Ordering::Relaxed);
         b.children[new_idx].store(new_leaf, Ordering::Relaxed);
-        // One fence for the staged leaf and the branch.
-        P::persist_obj(branch, true);
+        P::stage_obj(branch);
         P::crash_site("hot.branch.built");
 
-        // Commit: a single atomic pointer swap in the parent slot (or the root).
-        new.assert_durable::<P>();
-        P::assert_durable_obj(branch);
-        match parent {
-            None => {
-                let _g = self.root_lock.lock();
-                if self.root.load(Ordering::Acquire) != displaced {
-                    return false;
-                }
-                self.root.store(branch as usize, Ordering::Release);
-                P::mark_dirty_obj(&self.root);
-                P::persist_obj(&self.root, true);
-            }
-            Some(Step::Node(pnode, pidx)) => {
-                // SAFETY: never freed.
-                let p = unsafe { &*pnode };
-                let _g = p.lock.lock();
-                if p.obsolete.load(Ordering::Acquire)
-                    || p.children[pidx].load(Ordering::Acquire) != displaced
-                {
-                    return false;
-                }
-                p.children[pidx].store(branch as usize, Ordering::Release);
-                P::mark_dirty_obj(&p.children[pidx]);
-                P::persist_obj(&p.children[pidx], true);
-            }
-            Some(Step::Cpd(pcpd, slot, _)) => {
-                // SAFETY: never freed.
-                let c = unsafe { &*pcpd };
-                let _g = c.lock.lock();
-                if c.obsolete.load(Ordering::Acquire)
-                    || c.children[slot].load(Ordering::Acquire) != displaced
-                {
-                    return false;
-                }
-                // The entry's masked prefix still covers the subtree: the branch
-                // only resolves bits at or past the entry's resolved depth.
-                c.children[slot].store(branch as usize, Ordering::Release);
-                P::mark_dirty_obj(&c.children[slot]);
-                P::persist_obj(&c.children[slot], true);
-            }
+        // Commit: a single atomic pointer swap in the parent slot (or the root). A
+        // compound entry's masked prefix still covers the subtree: the branch only
+        // resolves bits at or past the entry's resolved depth.
+        let covers = new.covers().into_iter().chain([span(branch)]);
+        if !self.publish_in_parent(
+            parent,
+            displaced,
+            branch as usize,
+            covers,
+            "hot.branch.committed",
+        ) {
+            return false;
         }
-        P::crash_site("hot.branch.committed");
 
         // The parent just gained an inner-node child — exactly the shape compound
         // widening profits from. Occasionally climb the traversed path from the
@@ -691,57 +688,12 @@ impl<P: PersistMode> Hot<P> {
         // Commit: one atomic pointer swap in the parent slot (or the root),
         // same shape as every other insert commit.
         let parent = if boundary == 0 { None } else { Some(path[boundary - 1]) };
-        let (new, leaf) = alloc_leaf::<P>(key, value, true);
+        let (new, leaf) = alloc_leaf::<P>(key, value);
         P::crash_site("hot.insert.leaf_persisted");
-        new.assert_durable::<P>();
-        let committed = match parent {
-            None => {
-                let _g = self.root_lock.lock();
-                if self.root.load(Ordering::Acquire) != top {
-                    false
-                } else {
-                    self.root.store(leaf, Ordering::Release);
-                    P::mark_dirty_obj(&self.root);
-                    P::persist_obj(&self.root, true);
-                    true
-                }
-            }
-            Some(Step::Node(pnode, pidx)) => {
-                // SAFETY: never freed.
-                let p = unsafe { &*pnode };
-                let _g = p.lock.lock();
-                if p.obsolete.load(Ordering::Acquire)
-                    || p.children[pidx].load(Ordering::Acquire) != top
-                {
-                    false
-                } else {
-                    p.children[pidx].store(leaf, Ordering::Release);
-                    P::mark_dirty_obj(&p.children[pidx]);
-                    P::persist_obj(&p.children[pidx], true);
-                    true
-                }
-            }
-            Some(Step::Cpd(pcpd, slot, _)) => {
-                // SAFETY: never freed.
-                let c = unsafe { &*pcpd };
-                let _g = c.lock.lock();
-                if c.obsolete.load(Ordering::Acquire)
-                    || c.children[slot].load(Ordering::Acquire) != top
-                {
-                    false
-                } else {
-                    c.children[slot].store(leaf, Ordering::Release);
-                    P::mark_dirty_obj(&c.children[slot]);
-                    P::persist_obj(&c.children[slot], true);
-                    true
-                }
-            }
-        };
-        if !committed {
+        if !self.publish_in_parent(parent, top, leaf, new.covers(), "hot.insert.slot_committed") {
             Self::unfreeze(&frozen);
             return false;
         }
-        P::crash_site("hot.insert.slot_committed");
         // The husk stays obsolete and unreachable (nodes are never freed).
         true
     }
@@ -952,50 +904,16 @@ impl<P: PersistMode> Hot<P> {
         let cptr = Compound::alloc(base, &ctx.entries);
         P::crash_site("hot.widen.built");
         // SAFETY: freshly allocated, uniquely owned until installed below.
-        unsafe { &*cptr }.persist_all::<P>();
+        let compound = unsafe { &*cptr };
+        compound.stage::<P>();
         P::crash_site("hot.widen.flushed");
 
-        // Install: one atomic parent-slot store, flush-then-publish.
-        let rword = target as usize;
+        // Install: one atomic parent-slot store.
         let cword = (cptr as usize) | 0b10;
-        match parent {
-            None => {
-                let _g = self.root_lock.lock();
-                if self.root.load(Ordering::Acquire) != rword {
-                    return WidenOutcome::Busy;
-                }
-                self.root.store(cword, Ordering::Release);
-                P::mark_dirty_obj(&self.root);
-                P::persist_obj(&self.root, true);
-            }
-            Some(Step::Node(pnode, pidx)) => {
-                // SAFETY: never freed.
-                let p = unsafe { &*pnode };
-                let _g = p.lock.lock();
-                if p.obsolete.load(Ordering::Acquire)
-                    || p.children[pidx].load(Ordering::Acquire) != rword
-                {
-                    return WidenOutcome::Busy;
-                }
-                p.children[pidx].store(cword, Ordering::Release);
-                P::mark_dirty_obj(&p.children[pidx]);
-                P::persist_obj(&p.children[pidx], true);
-            }
-            Some(Step::Cpd(pcpd, slot, _)) => {
-                // SAFETY: never freed.
-                let c = unsafe { &*pcpd };
-                let _g = c.lock.lock();
-                if c.obsolete.load(Ordering::Acquire)
-                    || c.children[slot].load(Ordering::Acquire) != rword
-                {
-                    return WidenOutcome::Busy;
-                }
-                c.children[slot].store(cword, Ordering::Release);
-                P::mark_dirty_obj(&c.children[slot]);
-                P::persist_obj(&c.children[slot], true);
-            }
+        let covers = compound.covers();
+        if !self.publish_in_parent(parent, target as usize, cword, covers, "hot.widen.committed") {
+            return WidenOutcome::Busy;
         }
-        P::crash_site("hot.widen.committed");
         obs::event::emit("hot.smo", "widen", base as u64, ctx.entries.len() as u64);
         // Retire the replaced nodes while their locks are still held, so any writer
         // blocked on one of them re-checks and restarts. The flags are volatile
@@ -1207,49 +1125,15 @@ impl<P: PersistMode> Hot<P> {
         let cptr = Compound::alloc(c.bit_pos, &entries);
         P::crash_site("hot.widen.built");
         // SAFETY: freshly allocated, uniquely owned until installed below.
-        unsafe { &*cptr }.persist_all::<P>();
+        let compound = unsafe { &*cptr };
+        compound.stage::<P>();
         P::crash_site("hot.widen.flushed");
 
         let old = (c as *const Compound as usize) | 0b10;
         let new = (cptr as usize) | 0b10;
-        match parent {
-            None => {
-                let _g = self.root_lock.lock();
-                if self.root.load(Ordering::Acquire) != old {
-                    return;
-                }
-                self.root.store(new, Ordering::Release);
-                P::mark_dirty_obj(&self.root);
-                P::persist_obj(&self.root, true);
-            }
-            Some(Step::Node(pnode, pidx)) => {
-                // SAFETY: never freed.
-                let p = unsafe { &*pnode };
-                let _g = p.lock.lock();
-                if p.obsolete.load(Ordering::Acquire)
-                    || p.children[pidx].load(Ordering::Acquire) != old
-                {
-                    return;
-                }
-                p.children[pidx].store(new, Ordering::Release);
-                P::mark_dirty_obj(&p.children[pidx]);
-                P::persist_obj(&p.children[pidx], true);
-            }
-            Some(Step::Cpd(pcpd, slot, _)) => {
-                // SAFETY: never freed.
-                let pc = unsafe { &*pcpd };
-                let _g = pc.lock.lock();
-                if pc.obsolete.load(Ordering::Acquire)
-                    || pc.children[slot].load(Ordering::Acquire) != old
-                {
-                    return;
-                }
-                pc.children[slot].store(new, Ordering::Release);
-                P::mark_dirty_obj(&pc.children[slot]);
-                P::persist_obj(&pc.children[slot], true);
-            }
+        if !self.publish_in_parent(parent, old, new, compound.covers(), "hot.widen.committed") {
+            return;
         }
-        P::crash_site("hot.widen.committed");
         obs::event::emit("hot.smo", "regrow", c.bit_pos as u64, entries.len() as u64);
         c.obsolete.store(true, Ordering::Release);
     }
@@ -1264,50 +1148,16 @@ impl<P: PersistMode> Hot<P> {
         let mut created: Vec<*mut Node> = Vec::new();
         let word = build_plain(c.bit_pos, &entries, &mut created);
         P::crash_site("hot.widen.built");
-        for (i, &n) in created.iter().enumerate() {
-            P::persist_obj(n, i + 1 == created.len());
+        for &n in &created {
+            P::stage_obj(n);
         }
         P::crash_site("hot.widen.flushed");
 
         let cword = (c as *const Compound as usize) | 0b10;
-        match parent {
-            None => {
-                let _g = self.root_lock.lock();
-                if self.root.load(Ordering::Acquire) != cword {
-                    return;
-                }
-                self.root.store(word, Ordering::Release);
-                P::mark_dirty_obj(&self.root);
-                P::persist_obj(&self.root, true);
-            }
-            Some(Step::Node(pnode, pidx)) => {
-                // SAFETY: never freed.
-                let p = unsafe { &*pnode };
-                let _g = p.lock.lock();
-                if p.obsolete.load(Ordering::Acquire)
-                    || p.children[pidx].load(Ordering::Acquire) != cword
-                {
-                    return;
-                }
-                p.children[pidx].store(word, Ordering::Release);
-                P::mark_dirty_obj(&p.children[pidx]);
-                P::persist_obj(&p.children[pidx], true);
-            }
-            Some(Step::Cpd(pcpd, slot, _)) => {
-                // SAFETY: never freed.
-                let pc = unsafe { &*pcpd };
-                let _g = pc.lock.lock();
-                if pc.obsolete.load(Ordering::Acquire)
-                    || pc.children[slot].load(Ordering::Acquire) != cword
-                {
-                    return;
-                }
-                pc.children[slot].store(word, Ordering::Release);
-                P::mark_dirty_obj(&pc.children[slot]);
-                P::persist_obj(&pc.children[slot], true);
-            }
+        let covers = created.iter().map(|&n| span(n));
+        if !self.publish_in_parent(parent, cword, word, covers, "hot.widen.committed") {
+            return;
         }
-        P::crash_site("hot.widen.committed");
         obs::event::emit("hot.smo", "unwiden", c.bit_pos as u64, entries.len() as u64);
         c.obsolete.store(true, Ordering::Release);
     }
@@ -1334,9 +1184,7 @@ impl<P: PersistMode> Hot<P> {
                 if self.root.load(Ordering::Acquire) != root_word {
                     continue;
                 }
-                self.root.store(0, Ordering::Release);
-                P::mark_dirty_obj(&self.root);
-                P::persist_obj(&self.root, true);
+                P::persist_store(&self.root, || self.root.store(0, Ordering::Release));
                 return true;
             }
             let mut word = root_word;
@@ -1358,9 +1206,8 @@ impl<P: PersistMode> Hot<P> {
                         {
                             break; // re-descend
                         }
-                        c.children[slot].store(0, Ordering::Release);
-                        P::mark_dirty_obj(&c.children[slot]);
-                        P::persist_obj(&c.children[slot], true);
+                        let slot = &c.children[slot];
+                        P::persist_store(slot, || slot.store(0, Ordering::Release));
                         P::crash_site("hot.remove.committed");
                         return true;
                     }
@@ -1386,9 +1233,8 @@ impl<P: PersistMode> Hot<P> {
                     {
                         break; // re-descend
                     }
-                    node.children[idx].store(0, Ordering::Release);
-                    P::mark_dirty_obj(&node.children[idx]);
-                    P::persist_obj(&node.children[idx], true);
+                    let slot = &node.children[idx];
+                    P::persist_store(slot, || slot.store(0, Ordering::Release));
                     P::crash_site("hot.remove.committed");
                     return true;
                 }

@@ -13,7 +13,7 @@
 
 use recipe::key::{hash64, key_to_u64};
 use recipe::lock::VersionLock;
-use recipe::persist::{PersistMode, Pmem};
+use recipe::persist::{span, span_of, PersistMode, Pmem, Span};
 use recipe::session::{Capabilities, Index, OpError, OpResult};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -58,9 +58,7 @@ impl Bucket {
         pm::stats::record_node_visit();
         for i in 0..SLOTS_PER_BUCKET {
             if self.keys[i].load(Ordering::Acquire) == key {
-                self.vals[i].store(value, Ordering::Release);
-                P::mark_dirty_obj(&self.vals[i]);
-                P::persist_obj(&self.vals[i], true);
+                P::persist_store(&self.vals[i], || self.vals[i].store(value, Ordering::Release));
                 return true;
             }
         }
@@ -71,14 +69,13 @@ impl Bucket {
         pm::stats::record_node_visit();
         for i in 0..SLOTS_PER_BUCKET {
             if self.keys[i].load(Ordering::Acquire) == EMPTY_KEY {
-                // Value first, key (the atomic commit) second, one flush for the pair.
-                self.vals[i].store(value, Ordering::Release);
-                P::mark_dirty_obj(&self.vals[i]);
+                // Value first, key (the atomic commit) second, one fence for the pair.
+                // Not a same-line commit: a 72-byte bucket puts `keys[i]` and
+                // `vals[i]` on different lines at some offsets, and nothing orders
+                // the two flushes (see the README's persistence table).
+                P::stage_store(&self.vals[i], || self.vals[i].store(value, Ordering::Release));
                 P::crash_site("level.insert.value_written");
-                self.keys[i].store(key, Ordering::Release);
-                P::mark_dirty_obj(&self.keys[i]);
-                P::persist_obj(&self.vals[i], false);
-                P::persist_obj(&self.keys[i], true);
+                P::persist_store(&self.keys[i], || self.keys[i].store(key, Ordering::Release));
                 P::crash_site("level.insert.committed");
                 return true;
             }
@@ -90,9 +87,9 @@ impl Bucket {
         pm::stats::record_node_visit();
         for i in 0..SLOTS_PER_BUCKET {
             if self.keys[i].load(Ordering::Acquire) == key {
-                self.keys[i].store(EMPTY_KEY, Ordering::Release);
-                P::mark_dirty_obj(&self.keys[i]);
-                P::persist_obj(&self.keys[i], true);
+                P::persist_store(&self.keys[i], || {
+                    self.keys[i].store(EMPTY_KEY, Ordering::Release)
+                });
                 return true;
             }
         }
@@ -118,6 +115,19 @@ struct Levels {
 }
 
 impl Levels {
+    /// What linking the generation makes reachable: both levels, then its header —
+    /// also the order [`Levels::stage`] flushes them in.
+    fn covers(&self) -> [Span; 3] {
+        [span_of(&*self.top), span_of(&*self.bottom), span(self)]
+    }
+
+    /// Stage the whole generation, without a fence.
+    fn stage<P: PersistMode>(&self) {
+        for (ptr, len) in self.covers() {
+            P::stage(ptr, len);
+        }
+    }
+
     fn alloc(top_size: usize) -> *mut Levels {
         let top_size = top_size.next_power_of_two().max(4);
         let mut top = Vec::with_capacity(top_size);
@@ -196,19 +206,13 @@ impl<P: PersistMode> LevelHash<P> {
         let levels = Levels::alloc(capacity / SLOTS_PER_BUCKET);
         // SAFETY: freshly allocated, private.
         let l = unsafe { &*levels };
-        P::persist_range(l.top.as_ptr().cast(), l.top.len() * std::mem::size_of::<Bucket>(), false);
-        P::persist_range(
-            l.bottom.as_ptr().cast(),
-            l.bottom.len() * std::mem::size_of::<Bucket>(),
-            false,
-        );
-        P::persist_obj(levels, true);
+        l.stage::<P>();
         let t = LevelHash {
-            levels: AtomicPtr::new(levels),
+            levels: AtomicPtr::new(std::ptr::null_mut()),
             resize_lock: parking_lot::Mutex::new(()),
             _policy: PhantomData,
         };
-        P::persist_obj(&t.levels, true);
+        P::publish(&t.levels, || t.levels.store(levels, Ordering::Release), l.covers(), None);
         t
     }
 
@@ -346,22 +350,10 @@ impl<P: PersistMode> LevelHash<P> {
     fn commit_generation(&self, new_ptr: *mut Levels) {
         // SAFETY: allocated by resize.
         let new_l = unsafe { &*new_ptr };
-        P::persist_range(
-            new_l.top.as_ptr().cast(),
-            new_l.top.len() * std::mem::size_of::<Bucket>(),
-            false,
-        );
-        P::persist_range(
-            new_l.bottom.as_ptr().cast(),
-            new_l.bottom.len() * std::mem::size_of::<Bucket>(),
-            false,
-        );
-        P::persist_obj(new_ptr, true);
+        new_l.stage::<P>();
         P::crash_site("level.resize.generation_persisted");
-        self.levels.store(new_ptr, Ordering::Release);
-        P::mark_dirty_obj(&self.levels);
-        P::persist_obj(&self.levels, true);
-        P::crash_site("level.resize.committed");
+        let swap = || self.levels.store(new_ptr, Ordering::Release);
+        P::publish(&self.levels, swap, new_l.covers(), "level.resize.committed");
         obs::event::emit(
             "levelhash.resize",
             "generation_committed",

@@ -182,12 +182,6 @@ impl Node {
         })
     }
 
-    /// Start of the header line (see [`Node`]), for flushing it whole.
-    #[must_use]
-    pub fn header(&self) -> *const u8 {
-        (self as *const Node).cast()
-    }
-
     /// Whether this node is a leaf.
     #[must_use]
     pub fn is_leaf(&self) -> bool {

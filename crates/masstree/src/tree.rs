@@ -21,10 +21,10 @@
 //! minimum, truncates stale upper halves, re-roots orphaned sibling chains) and
 //! re-initialises every node lock, exactly as RECIPE prescribes for restart.
 
-use crate::node::{Node, Perm, HEADER_BYTES, LAYER, WIDTH};
+use crate::node::{Node, Perm, LAYER, WIDTH};
 use recipe::key::keyslice;
 use recipe::lock::VersionGuard;
-use recipe::persist::PersistMode;
+use recipe::persist::{span, PersistMode};
 use recipe::session::ScanBuf;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -89,11 +89,11 @@ fn len_class(key: &[u8], off: usize) -> u8 {
 }
 
 /// Write one entry into a free slot of a locked node and publish it with a single
-/// atomic store of the permutation. The key and value words are staged under one
-/// fence; the length class sits on the header line with the permutation word, so it
-/// persists with the commit's flush and no later than it. `sites` names the crash
-/// sites declared after the slot persist and after the commit.
-fn publish_entry<P: PersistMode>(
+/// atomic store of the permutation. The key and value words are staged; the length
+/// class sits on the header line with the permutation word, so it persists with the
+/// commit's flush and no later than it. `sites` names the crash sites declared after
+/// the slot is staged and after the commit.
+fn insert_entry<P: PersistMode>(
     node: &Node,
     perm: Perm,
     rank: usize,
@@ -103,21 +103,20 @@ fn publish_entry<P: PersistMode>(
     sites: (&'static str, &'static str),
 ) {
     let slot = perm.free_slot().expect("caller checked the node is not full");
-    node.keys[slot].store(slice, Ordering::Release);
-    P::mark_dirty_obj(&node.keys[slot]);
+    let (key, value) = (&node.keys[slot], &node.vals[slot]);
+    P::stage_store(key, || key.store(slice, Ordering::Release));
     node.lens[slot].store(lc, Ordering::Release);
-    P::mark_dirty_obj(&node.lens[slot]);
-    node.vals[slot].store(val, Ordering::Release);
-    P::mark_dirty_obj(&node.vals[slot]);
-    P::persist_obj(&node.keys[slot], false);
-    P::persist_obj(&node.vals[slot], true);
+    P::stage_store(value, || value.store(val, Ordering::Release));
     P::crash_site(sites.0);
-    P::assert_durable_obj(&node.keys[slot]);
-    P::assert_durable_obj(&node.vals[slot]);
-    node.perm.store(perm.insert(rank, slot).0, Ordering::Release);
-    P::mark_dirty_obj(&node.perm);
-    P::persist_obj(&node.perm, true);
-    P::crash_site(sites.1);
+    // A new sublayer (`make_chain`) becomes reachable with the entry too.
+    let (layer, root) = if lc == LAYER {
+        let layer = val as *const Layer;
+        (span(layer), span(layer_ref(layer).root.load(Ordering::Acquire)))
+    } else {
+        ((std::ptr::null(), 0), (std::ptr::null(), 0))
+    };
+    let commit = || node.perm.store(perm.insert(rank, slot).0, Ordering::Release);
+    P::publish(&node.perm, commit, [span(key), span(value), layer, root], sites.1);
 }
 
 /// Leftmost leaf of the subtree rooted at `root` (descends the leftmost spine).
@@ -176,13 +175,14 @@ impl<P: PersistMode> Masstree<P> {
     #[must_use]
     pub fn new() -> Self {
         let root = Node::alloc(true);
-        P::persist_range(root.cast(), std::mem::size_of::<Node>(), true);
+        P::stage_obj(root);
         let t = Masstree {
-            layer0: Layer { root: AtomicPtr::new(root) },
+            layer0: Layer { root: AtomicPtr::new(std::ptr::null_mut()) },
             smo_lock: parking_lot::Mutex::new(()),
             _policy: PhantomData,
         };
-        P::persist_obj(&t.layer0.root, true);
+        let slot = &t.layer0.root;
+        P::publish(slot, || slot.store(root, Ordering::Release), [span(root)], None);
         t
     }
 
@@ -302,7 +302,7 @@ impl<P: PersistMode> Masstree<P> {
         node.lens[0].store(lc, Ordering::Relaxed);
         node.vals[0].store(val, Ordering::Relaxed);
         node.perm.store(Perm::identity(1).0, Ordering::Relaxed);
-        P::persist_range(leaf.cast(), std::mem::size_of::<Node>(), false);
+        P::stage_obj(leaf);
         let layer = pm::alloc::pm_box(Layer { root: AtomicPtr::new(leaf) });
         P::persist_obj(layer, true);
         layer as u64
@@ -341,9 +341,8 @@ impl<P: PersistMode> Masstree<P> {
                     }
                     // Existing terminal entry: in-place value overwrite, committed by
                     // one atomic store.
-                    node.vals[slot].store(value, Ordering::Release);
-                    P::mark_dirty_obj(&node.vals[slot]);
-                    P::persist_obj(&node.vals[slot], true);
+                    let v = &node.vals[slot];
+                    P::persist_store(v, || v.store(value, Ordering::Release));
                     P::crash_site("masstree.update.committed");
                     return LayerStep::Done(false);
                 }
@@ -351,7 +350,7 @@ impl<P: PersistMode> Masstree<P> {
                     if perm.count() < WIDTH {
                         let val =
                             if lc == LAYER { self.make_chain(key, off + 8, value) } else { value };
-                        publish_entry::<P>(
+                        insert_entry::<P>(
                             node,
                             perm,
                             rank,
@@ -383,7 +382,7 @@ impl<P: PersistMode> Masstree<P> {
                                 value
                             };
                             if perm.count() < WIDTH {
-                                publish_entry::<P>(
+                                insert_entry::<P>(
                                     node,
                                     perm,
                                     rank,
@@ -466,23 +465,21 @@ impl<P: PersistMode> Masstree<P> {
         right.perm.store(Perm::identity(rcount).0, Ordering::Relaxed);
         right.next.store(node.next.load(Ordering::Acquire), Ordering::Relaxed);
         right.high.store(node.high.load(Ordering::Acquire), Ordering::Relaxed);
-        P::persist_range(right_ptr.cast(), std::mem::size_of::<Node>(), true);
+        P::stage_obj(right_ptr);
         P::crash_site("masstree.split.sibling_persisted");
 
         // Ordered atomic steps of the SMO (Condition #3): link, bound, truncate. All
-        // three words share the header line, so they persist in this order and one
-        // flush + fence after the last makes all three durable.
-        P::assert_durable_obj(right_ptr);
-        node.next.store(right_ptr, Ordering::Release);
-        P::mark_dirty_obj(&node.next);
-        P::crash_site("masstree.split.sibling_linked");
-        node.high.store(split_slice, Ordering::Release);
-        P::mark_dirty_obj(&node.high);
-        P::crash_site("masstree.split.high_set");
-        node.perm.store(perm.truncate(b).0, Ordering::Release);
-        P::mark_dirty_obj(&node.perm);
-        P::persist_range(node.header(), HEADER_BYTES, true);
-        P::crash_site("masstree.split.left_truncated");
+        // three words share the header line, so they persist in this order and the
+        // one flush + fence of the permutation's line after the last makes all three
+        // durable; the link publishes the sibling.
+        let steps = || {
+            node.next.store(right_ptr, Ordering::Release);
+            P::crash_site("masstree.split.sibling_linked");
+            node.high.store(split_slice, Ordering::Release);
+            P::crash_site("masstree.split.high_set");
+            node.perm.store(perm.truncate(b).0, Ordering::Release);
+        };
+        P::publish(&node.perm, steps, [span(right_ptr)], "masstree.split.left_truncated");
         obs::event::emit("masstree.smo", "leaf_split", split_slice, right_ptr as u64);
 
         // A pending entry belonging to the lower half goes in through the normal
@@ -492,7 +489,7 @@ impl<P: PersistMode> Masstree<P> {
             let rank = node
                 .find_rank(p2, slice, lc)
                 .expect_err("pending key cannot exist in a leaf we just split");
-            publish_entry::<P>(
+            insert_entry::<P>(
                 node,
                 p2,
                 rank,
@@ -525,13 +522,10 @@ impl<P: PersistMode> Masstree<P> {
             new_root.keys[0].store(split_slice, Ordering::Relaxed);
             new_root.vals[0].store(right as u64, Ordering::Relaxed);
             new_root.perm.store(Perm::identity(1).0, Ordering::Relaxed);
-            P::persist_range(new_root_ptr.cast(), std::mem::size_of::<Node>(), true);
+            P::stage_obj(new_root_ptr);
             P::crash_site("masstree.root_split.new_root_persisted");
-            P::assert_durable_obj(new_root_ptr);
-            layer.root.store(new_root_ptr, Ordering::Release);
-            P::mark_dirty_obj(&layer.root);
-            P::persist_obj(&layer.root, true);
-            P::crash_site("masstree.root_split.committed");
+            let commit = || layer.root.store(new_root_ptr, Ordering::Release);
+            P::publish(&layer.root, commit, [span(new_root_ptr)], "masstree.root_split.committed");
             obs::event::emit("masstree.smo", "root_split", split_slice, new_root_ptr as u64);
             return;
         }
@@ -548,7 +542,7 @@ impl<P: PersistMode> Masstree<P> {
             let rank = parent
                 .find_rank(perm, split_slice, 0)
                 .expect_err("separator being inserted cannot already exist");
-            publish_entry::<P>(
+            insert_entry::<P>(
                 parent,
                 perm,
                 rank,
@@ -585,22 +579,19 @@ impl<P: PersistMode> Masstree<P> {
         right.perm.store(Perm::identity(count - mid - 1).0, Ordering::Relaxed);
         right.next.store(parent.next.load(Ordering::Acquire), Ordering::Relaxed);
         right.high.store(parent.high.load(Ordering::Acquire), Ordering::Relaxed);
-        P::persist_range(right_ptr.cast(), std::mem::size_of::<Node>(), true);
+        P::stage_obj(right_ptr);
         P::crash_site("masstree.parent_split.sibling_persisted");
 
         // Link, bound, truncate: one header line, one flush + fence (as in the leaf
         // split).
-        P::assert_durable_obj(right_ptr);
-        parent.next.store(right_ptr, Ordering::Release);
-        P::mark_dirty_obj(&parent.next);
-        P::crash_site("masstree.parent_split.sibling_linked");
-        parent.high.store(up_slice, Ordering::Release);
-        P::mark_dirty_obj(&parent.high);
-        // Truncate *excluding* the promoted separator.
-        parent.perm.store(perm.truncate(mid).0, Ordering::Release);
-        P::mark_dirty_obj(&parent.perm);
-        P::persist_range(parent.header(), HEADER_BYTES, true);
-        P::crash_site("masstree.parent_split.left_truncated");
+        let steps = || {
+            parent.next.store(right_ptr, Ordering::Release);
+            P::crash_site("masstree.parent_split.sibling_linked");
+            parent.high.store(up_slice, Ordering::Release);
+            // Truncate *excluding* the promoted separator.
+            parent.perm.store(perm.truncate(mid).0, Ordering::Release);
+        };
+        P::publish(&parent.perm, steps, [span(right_ptr)], "masstree.parent_split.left_truncated");
         obs::event::emit("masstree.smo", "parent_split", up_slice, right_ptr as u64);
 
         // Route the pending separator into the half that now covers it.
@@ -609,7 +600,7 @@ impl<P: PersistMode> Masstree<P> {
         let rank = target
             .find_rank(p2, slice, 0)
             .expect_err("separator being inserted cannot already exist");
-        publish_entry::<P>(
+        insert_entry::<P>(
             target,
             p2,
             rank,
@@ -674,9 +665,8 @@ impl<P: PersistMode> Masstree<P> {
                         off += 8;
                         continue;
                     }
-                    node.vals[slot].store(value, Ordering::Release);
-                    P::mark_dirty_obj(&node.vals[slot]);
-                    P::persist_obj(&node.vals[slot], true);
+                    let v = &node.vals[slot];
+                    P::persist_store(v, || v.store(value, Ordering::Release));
                     P::crash_site("masstree.update.committed");
                     return true;
                 }
@@ -705,9 +695,9 @@ impl<P: PersistMode> Masstree<P> {
                         off += 8;
                         continue;
                     }
-                    node.perm.store(perm.remove(rank).0, Ordering::Release);
-                    P::mark_dirty_obj(&node.perm);
-                    P::persist_obj(&node.perm, true);
+                    P::persist_store(&node.perm, || {
+                        node.perm.store(perm.remove(rank).0, Ordering::Release)
+                    });
                     P::crash_site("masstree.remove.committed");
                     return true;
                 }
@@ -866,10 +856,9 @@ impl<P: PersistMode> Masstree<P> {
                 n = sib;
             }
             new_root.perm.store(Perm::identity(count).0, Ordering::Relaxed);
-            P::persist_range(new_root_ptr.cast(), std::mem::size_of::<Node>(), true);
-            layer.root.store(new_root_ptr, Ordering::Release);
-            P::mark_dirty_obj(&layer.root);
-            P::persist_obj(&layer.root, true);
+            P::stage_obj(new_root_ptr);
+            let commit = || layer.root.store(new_root_ptr, Ordering::Release);
+            P::publish(&layer.root, commit, [span(new_root_ptr)], None);
             // A chain longer than WIDTH keeps its tail reachable through the last
             // child's sibling pointers; the loop then runs again only if the new
             // root itself has siblings (it never does).
@@ -935,9 +924,7 @@ impl<P: PersistMode> Masstree<P> {
                     // sibling's minimum slice is exactly the split boundary. This is
                     // the helper built from the write path's own split code.
                     let sep = node_ref(next).min_slice();
-                    node.high.store(sep, Ordering::Release);
-                    P::mark_dirty_obj(&node.high);
-                    P::persist_obj(&node.high, true);
+                    P::persist_store(&node.high, || node.high.store(sep, Ordering::Release));
                 }
                 let high = node.high.load(Ordering::Acquire);
                 if high != 0 {
@@ -952,9 +939,8 @@ impl<P: PersistMode> Masstree<P> {
                         }
                     }
                     if keep != perm.count() {
-                        node.perm.store(perm.truncate(keep).0, Ordering::Release);
-                        P::mark_dirty_obj(&node.perm);
-                        P::persist_obj(&node.perm, true);
+                        let truncate = || node.perm.store(perm.truncate(keep).0, Ordering::Release);
+                        P::persist_store(&node.perm, truncate);
                     }
                 }
                 cur = next;

@@ -9,7 +9,7 @@
 //! It also holds the key as a persistent record stores it — [`LeafKey`], inline up to
 //! [`INLINE_KEY`] bytes — and the one-line trie [`Leaf`] built on it.
 
-use crate::persist::PersistMode;
+use crate::persist::{span, PersistMode, Span};
 use std::sync::atomic::AtomicU64;
 
 /// Encode a `u64` as an order-preserving 8-byte big-endian key.
@@ -178,19 +178,17 @@ impl Leaf {
     /// It becomes durable under the next fence, which must precede the store that
     /// makes it reachable.
     pub fn stage<P: PersistMode>(&self) {
-        if let Some(spill) = self.key.spill() {
-            P::persist_range(spill.as_ptr(), spill.len(), false);
+        for (ptr, len) in self.covers() {
+            P::stage(ptr, len);
         }
-        P::persist_obj(self as *const Leaf, false);
     }
 
-    /// The publish check of [`PersistMode::assert_durable`] over what [`Leaf::stage`]
-    /// flushes: call it right before the store that makes the leaf reachable.
-    pub fn assert_durable<P: PersistMode>(&self) {
-        if let Some(spill) = self.key.spill() {
-            P::assert_durable(spill.as_ptr(), spill.len());
-        }
-        P::assert_durable_obj(self as *const Leaf);
+    /// What publishing the leaf makes reachable — its spilled key, if any, then its
+    /// line: the `covers` of the [`PersistMode::publish`] that links it.
+    #[must_use]
+    pub fn covers(&self) -> [Span; 2] {
+        let spill = self.key.spill().map_or((std::ptr::null(), 0), |s| (s.as_ptr(), s.len()));
+        [spill, span(self)]
     }
 }
 

@@ -103,27 +103,23 @@ impl<P: PersistMode> Woart<P> {
             node.children = vec![(old_prefix[common], Child::Node(Box::new(lower)))];
             // Persist the rewritten node before linking the new key below (WOART's
             // failure-atomic node reorganisation).
-            P::persist_range(node as *const Node as *const u8, std::mem::size_of::<Node>(), true);
+            P::persist_store(&*node, || ());
             P::crash_site("woart.prefix_split");
             if common == key.len() {
                 node.value = Some(value);
-                P::persist_range(
-                    node as *const Node as *const u8,
-                    std::mem::size_of::<Node>(),
-                    true,
-                );
+                P::persist_store(&*node, || ());
                 return true;
             }
             node.children.push((key[common], Child::Leaf(full_key.to_vec(), value)));
             node.children.sort_by_key(|(b, _)| *b);
-            P::persist_range(node as *const Node as *const u8, std::mem::size_of::<Node>(), true);
+            P::persist_store(&*node, || ());
             return true;
         }
         let rest = &key[common..];
         if rest.is_empty() {
             let newly = node.value.is_none();
             node.value = Some(value);
-            P::persist_range(&node.value as *const _ as *const u8, 16, true);
+            P::persist_store(&node.value, || ());
             return newly;
         }
         match node.child_index(rest[0]) {
@@ -180,11 +176,7 @@ impl<P: PersistMode> Woart<P> {
                                 .push((full_key[branch], Child::Leaf(full_key.to_vec(), value)));
                             inner.children.sort_by_key(|(b, _)| *b);
                         }
-                        P::persist_range(
-                            &inner as *const Node as *const u8,
-                            std::mem::size_of::<Node>(),
-                            true,
-                        );
+                        P::persist_store(&inner, || ());
                         P::crash_site("woart.leaf_split");
                         node.children[i].1 = Child::Node(Box::new(inner));
                         P::persist_range(node.children.as_ptr() as *const u8, 16, true);
