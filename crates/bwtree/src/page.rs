@@ -12,13 +12,12 @@
 //!
 //! This module holds the passive data structures — [`Delta`], [`BasePage`], the
 //! [`MappingTable`] and the chain-walking queries ([`leaf_lookup`], [`inner_route`],
-//! [`scan_leaf`], [`build_view`]) — while `tree` drives the CAS protocol, the
-//! persistence ordering and the SMOs.
+//! and [`merge_chain`], the one merge behind scans and consolidation) — while
+//! `tree` drives the CAS protocol, the persistence ordering and the SMOs.
 
 use recipe::key::LeafKey;
 use recipe::persist::{span, PersistMode, Span};
 use recipe::session::ScanBuf;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 
 /// Logical page ID. PIDs are never reused within a tree's lifetime.
@@ -32,16 +31,19 @@ pub const NO_PID: Pid = 0;
 /// Leaf bases map keys to record values; inner bases map separator keys to the child
 /// covering `[sep, next_sep)`, with [`BasePage::leftmost`] covering keys below every
 /// separator. This is the page's *header*: two cache lines of its own, allocated
-/// beside the chain's [`Delta`] record and flushed with it. The payload behind it
-/// (the two vectors' buffers and the key boxes) is not flushed.
+/// beside the chain's [`Delta`] record and flushed with it. Its entries live in one
+/// payload buffer behind it, which is not flushed: `len` 8-byte big-endian
+/// zero-padded key prefixes, then `len` values, then `len` key end offsets (`u32`),
+/// then the packed key bytes. A binary search compares prefix words and reads full
+/// keys from the same buffer only on a prefix tie.
 #[repr(align(64))]
 pub struct BasePage {
     /// Whether this is a leaf page.
     pub leaf: bool,
-    /// Sorted keys: record keys (leaf) or separators (inner).
-    pub keys: Vec<Box<[u8]>>,
-    /// Values aligned with `keys`: record values (leaf) or child PIDs (inner).
-    pub vals: Vec<Pid>,
+    /// Entries in `payload`.
+    len: usize,
+    /// Prefixes, values (record values or child PIDs), key end offsets, key bytes.
+    payload: Box<[u64]>,
     /// Child covering keys below every separator (inner pages only).
     pub leftmost: Pid,
     /// Inclusive lower bound of this page's key space (`None` = unbounded, i.e.
@@ -55,27 +57,124 @@ pub struct BasePage {
     pub right: Pid,
 }
 
+const _: () =
+    assert!(std::mem::size_of::<BasePage>() == 2 * pm::CACHE_LINE, "a base header is two lines");
+
+/// The first 8 bytes of `key`, zero-padded, as a big-endian word: a strictly
+/// smaller prefix means a strictly smaller key, and equal keys have equal prefixes.
+#[inline]
+fn prefix(key: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    let n = key.len().min(8);
+    word[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(word)
+}
+
 impl BasePage {
+    /// A base over `entries` (keys sorted and distinct), packed into one payload
+    /// buffer: record values (leaf) or child PIDs (inner).
+    #[must_use]
+    pub fn new(
+        leaf: bool,
+        entries: &[(&[u8], u64)],
+        leftmost: Pid,
+        low: Option<Box<[u8]>>,
+        high: Option<Box<[u8]>>,
+        right: Pid,
+    ) -> BasePage {
+        let n = entries.len();
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "sorted, distinct keys");
+        let key_bytes: usize = entries.iter().map(|(k, _)| k.len()).sum();
+        let end_words = n.div_ceil(2);
+        let mut payload = vec![0u64; 2 * n + end_words + key_bytes.div_ceil(8)].into_boxed_slice();
+        for (i, &(key, value)) in entries.iter().enumerate() {
+            payload[i] = prefix(key);
+            payload[n + i] = value;
+        }
+        let (ends, keys) = as_bytes_mut(&mut payload[2 * n..]).split_at_mut(8 * end_words);
+        let mut end = 0usize;
+        for (i, (key, _)) in entries.iter().enumerate() {
+            keys[end..end + key.len()].copy_from_slice(key);
+            end += key.len();
+            let end = u32::try_from(end).expect("a page's keys fit in 4 GiB");
+            ends[4 * i..4 * i + 4].copy_from_slice(&end.to_ne_bytes());
+        }
+        BasePage { leaf, len: n, payload, leftmost, low, high, right }
+    }
+
     /// An empty leaf base (the initial root page of a tree).
     #[must_use]
     pub fn empty_leaf() -> BasePage {
-        BasePage {
-            leaf: true,
-            keys: Vec::new(),
-            vals: Vec::new(),
-            leftmost: NO_PID,
-            low: None,
-            high: None,
-            right: NO_PID,
-        }
+        BasePage::new(true, &[], NO_PID, None, None, NO_PID)
     }
 
-    /// Bytes of the payload behind the header: key bytes and value words.
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn ends(&self) -> &[u32] {
+        let words = &self.payload[2 * self.len..];
+        // SAFETY: the `len.div_ceil(2)` words after the values hold `len` native
+        // `u32` offsets, and a `u64` slice is aligned for `u32`.
+        unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u32>(), self.len) }
+    }
+
+    /// The `i`th key, ascending.
+    #[inline]
+    #[must_use]
+    pub fn key(&self, i: usize) -> &[u8] {
+        let ends = self.ends();
+        let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+        let keys = as_bytes(&self.payload[2 * self.len + self.len.div_ceil(2)..]);
+        &keys[start..ends[i] as usize]
+    }
+
+    /// The `i`th value: a record value (leaf) or a child PID (inner).
+    #[inline]
+    #[must_use]
+    pub fn val(&self, i: usize) -> u64 {
+        self.payload[self.len + i]
+    }
+
+    /// Binary search for `key`, like `slice::binary_search`: `Ok(i)` if `key(i)`
+    /// is `key`, else `Err(i)` with `i` the index of the first larger key. The
+    /// prefix words settle every step but a prefix tie, which compares full keys.
+    pub fn search(&self, key: &[u8]) -> Result<usize, usize> {
+        let want = prefix(key);
+        let prefixes = &self.payload[..self.len];
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match prefixes[mid].cmp(&want).then_with(|| self.key(mid).cmp(key)) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
+    /// Bytes behind the header that freeing the page releases: the payload
+    /// buffer and the bound keys.
     fn payload_bytes(&self) -> usize {
-        self.keys.iter().map(|k| k.len()).sum::<usize>()
-            + self.vals.len() * std::mem::size_of::<Pid>()
+        std::mem::size_of_val(&*self.payload)
             + self.low.as_ref().map_or(0, |k| k.len())
             + self.high.as_ref().map_or(0, |k| k.len())
+    }
+}
+
+fn as_bytes(words: &[u64]) -> &[u8] {
+    // SAFETY: any initialized `u64` is a valid run of bytes, and `u8` has no
+    // alignment requirement.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), std::mem::size_of_val(words)) }
+}
+
+fn as_bytes_mut(words: &mut [u64]) -> &mut [u8] {
+    // SAFETY: as in `as_bytes`; every byte pattern is also a valid `u64`.
+    unsafe {
+        std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), std::mem::size_of_val(words))
     }
 }
 
@@ -312,8 +411,8 @@ pub fn leaf_lookup(head: *mut Delta, key: &[u8]) -> Find {
                 if !merged && b.high.as_ref().is_some_and(|h| key >= h.as_ref()) {
                     return Find::Right(b.right);
                 }
-                return match b.keys.binary_search_by(|k| k.as_ref().cmp(key)) {
-                    Ok(i) => Find::Val(b.vals[i]),
+                return match b.search(key) {
+                    Ok(i) => Find::Val(b.val(i)),
                     Err(_) => Find::Missing,
                 };
             }
@@ -376,22 +475,22 @@ fn inner_route_impl(head: *mut Delta, key: &[u8], inclusive: bool) -> Route {
                 if b.high.as_ref().is_some_and(|h| beyond(h)) {
                     return Route::Right(b.right);
                 }
-                let mut i = match b.keys.binary_search_by(|k| k.as_ref().cmp(key)) {
+                let mut i = match b.search(key) {
                     Ok(i) if inclusive => Some(i),
                     Ok(0) | Err(0) => None,
                     Ok(i) | Err(i) => Some(i - 1),
                 };
                 // Step left over base entries shadowed by a term delete.
                 while let Some(ix) = i {
-                    if deleted.contains(&(b.keys[ix].as_ref(), b.vals[ix])) {
+                    if deleted.contains(&(b.key(ix), b.val(ix))) {
                         i = ix.checked_sub(1);
                     } else {
                         break;
                     }
                 }
                 if let Some(ix) = i {
-                    if best.is_none_or(|(bk, _)| b.keys[ix].as_ref() > bk) {
-                        best = Some((b.keys[ix].as_ref(), b.vals[ix]));
+                    if best.is_none_or(|(bk, _)| b.key(ix) > bk) {
+                        best = Some((b.key(ix), b.val(ix)));
                     }
                 }
                 return Route::Child(best.map_or(b.leftmost, |(_, c)| c));
@@ -417,7 +516,7 @@ pub fn inner_contains_sep(head: *mut Delta, sep: &[u8]) -> bool {
                 if b.high.as_ref().is_some_and(|h| sep >= h.as_ref()) {
                     return false;
                 }
-                return b.keys.binary_search_by(|k| k.as_ref().cmp(sep)).is_ok();
+                return b.search(sep).is_ok();
             }
             _ => {}
         }
@@ -495,10 +594,9 @@ pub fn chain_removed(head: *mut Delta) -> bool {
 }
 
 /// Whether the leaf chain at `head` holds at least one live record —
-/// allocation-free, unlike materializing a [`build_view`] or a scan. Each
-/// candidate key (insert deltas and base keys) is resolved through
-/// [`leaf_lookup`] on the same snapshot, so delete shadowing and split/merge
-/// truncation are honoured exactly.
+/// allocation-free, unlike a scan. Each candidate key (insert deltas and base
+/// keys) is resolved through [`leaf_lookup`] on the same snapshot, so delete
+/// shadowing and split/merge truncation are honoured exactly.
 pub fn page_live(head: *mut Delta) -> bool {
     let mut cur = head;
     loop {
@@ -510,7 +608,7 @@ pub fn page_live(head: *mut Delta) -> bool {
                 }
             }
             DeltaKind::Base(b) => {
-                return b.keys.iter().any(|k| matches!(leaf_lookup(head, k), Find::Val(_)));
+                return (0..b.len()).any(|i| matches!(leaf_lookup(head, b.key(i)), Find::Val(_)));
             }
             _ => {}
         }
@@ -518,23 +616,11 @@ pub fn page_live(head: *mut Delta) -> bool {
     }
 }
 
-/// The effective `(high, right)` boundary of the chain at `head`: the newest
-/// split or merge delta owns it, else the base. Clones the key (slow-path use:
-/// the merge SMO and diagnostics).
+/// The effective `(high, right)` boundary of the chain at `head`, from
+/// [`merge_chain`]. Clones the key (slow-path use: the merge SMO).
 pub fn effective_bounds(head: *mut Delta) -> (Option<Box<[u8]>>, Pid) {
-    let mut cur = head;
-    loop {
-        let d = delta_ref(cur);
-        match &d.kind {
-            DeltaKind::Split { sep, right, .. } => return (Some(sep[..].into()), *right),
-            DeltaKind::Merge { high, right, .. } => {
-                return (high.as_deref().map(Box::from), *right)
-            }
-            DeltaKind::Base(b) => return (b.high.clone(), b.right),
-            _ => {}
-        }
-        cur = d.next.load(Ordering::Acquire);
-    }
+    let merged = merge_chain(head, &[], |_, _| false);
+    (merged.high.map(Box::from), merged.right)
 }
 
 /// The page's inclusive low bound, from its base (stable for the page's
@@ -574,152 +660,33 @@ pub fn chain_bytes(head: *mut Delta) -> u64 {
     total
 }
 
-/// A consolidated, owned snapshot of one page: the logical content the delta chain
-/// at `head` denotes. Used by consolidation, splits and recovery; a range scan
-/// streams the chain through [`scan_leaf`] instead and owns nothing.
-pub struct PageView {
-    /// Whether the page is a leaf.
-    pub leaf: bool,
-    /// Sorted live entries: records (leaf) or separator/child pairs (inner).
-    pub entries: Vec<(Box<[u8]>, u64)>,
-    /// Leftmost child (inner pages).
-    pub leftmost: Pid,
-    /// Effective exclusive upper bound (split truncation applied).
-    pub high: Option<Box<[u8]>>,
-    /// Effective right sibling (split redirection applied).
-    pub right: Pid,
-    /// Records in the chain (consolidation trigger).
-    pub chain_len: usize,
-    /// The newest split delta's `(sep, right)` if the chain has one.
-    pub pending_split: Option<(Box<[u8]>, Pid)>,
-    /// Whether the chain carries a remove-node delta (merge victim husk).
-    pub removed: bool,
-    /// The page's own inclusive low bound (from the base; never moves).
-    pub low: Option<Box<[u8]>>,
-}
-
-/// Build the consolidated view of the chain snapshot at `head`.
-pub fn build_view(head: *mut Delta) -> PageView {
-    // Newest-first overlay: the first record seen for a key wins; `None` = deleted.
-    let mut overlay: BTreeMap<&[u8], Option<u64>> = BTreeMap::new();
-    let mut pending_split: Option<(Box<[u8]>, Pid)> = None;
-    // Effective (high, right): the newest split *or* merge delta owns it.
-    let mut boundary: Option<(Option<Box<[u8]>>, Pid)> = None;
-    let mut removed = false;
-    let mut n = 0usize;
-    let mut cur = head;
-    let base = loop {
-        let d = delta_ref(cur);
-        n += 1;
-        match &d.kind {
-            DeltaKind::Insert { key, value } => {
-                overlay.entry(key.as_ref()).or_insert(Some(*value));
-            }
-            DeltaKind::Delete { key } => {
-                overlay.entry(key.as_ref()).or_insert(None);
-            }
-            DeltaKind::IndexEntry { sep, child } => {
-                overlay.entry(sep.as_ref()).or_insert(Some(*child));
-            }
-            DeltaKind::IndexTermDelete { sep, .. } => {
-                overlay.entry(sep.as_ref()).or_insert(None);
-            }
-            DeltaKind::Split { sep, right, .. } => {
-                if pending_split.is_none() {
-                    pending_split = Some((sep[..].into(), *right));
-                }
-                if boundary.is_none() {
-                    boundary = Some((Some(sep[..].into()), *right));
-                }
-            }
-            DeltaKind::Merge { high, right, .. } => {
-                if boundary.is_none() {
-                    boundary = Some((high.as_deref().map(Box::from), *right));
-                }
-            }
-            DeltaKind::RemoveNode { .. } => removed = true,
-            DeltaKind::Base(b) => break b,
-        }
-        cur = d.next.load(Ordering::Acquire);
-    };
-
-    let (high, right) = match boundary {
-        Some(b) => b,
-        None => (base.high.clone(), base.right),
-    };
-    let below_high = |k: &[u8]| high.as_ref().is_none_or(|h| k < h.as_ref());
-
-    // Merge-join the sorted base with the sorted overlay (overlay shadows base).
-    let ov: Vec<(&[u8], Option<u64>)> = overlay.iter().map(|(k, v)| (*k, *v)).collect();
-    let mut entries: Vec<(Box<[u8]>, u64)> = Vec::with_capacity(base.keys.len() + ov.len());
-    let push_overlay = |entries: &mut Vec<(Box<[u8]>, u64)>, k: &[u8], v: Option<u64>| {
-        if let Some(v) = v {
-            if below_high(k) {
-                entries.push((k.into(), v));
-            }
-        }
-    };
-    let (mut bi, mut oi) = (0usize, 0usize);
-    while bi < base.keys.len() || oi < ov.len() {
-        let take_overlay = match (base.keys.get(bi), ov.get(oi)) {
-            (Some(bk), Some((ok, _))) => {
-                if bk.as_ref() == *ok {
-                    bi += 1; // shadowed by the overlay entry
-                    true
-                } else {
-                    *ok < bk.as_ref()
-                }
-            }
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => unreachable!(),
-        };
-        if take_overlay {
-            let (ok, ov_val) = ov[oi];
-            push_overlay(&mut entries, ok, ov_val);
-            oi += 1;
-        } else {
-            if below_high(&base.keys[bi]) {
-                entries.push((base.keys[bi].clone(), base.vals[bi]));
-            }
-            bi += 1;
-        }
-    }
-
-    PageView {
-        leaf: base.leaf,
-        entries,
-        leftmost: base.leftmost,
-        high,
-        right,
-        chain_len: n,
-        pending_split,
-        removed,
-        low: base.low.clone(),
-    }
-}
-
-/// Delta records of one chain a scan overlays from the stack; a longer chain
+/// Delta records of one chain a merge overlays from the stack; a longer chain
 /// (consolidation lost its CAS many times over) spills to the heap.
 const OVERLAY_INLINE: usize = 32;
 
-/// Stream the live records with key `>= start` of the leaf chain snapshot at
-/// `head` into `out`, ascending, until `out` holds `target` entries or the page
-/// ends; returns the page's effective right sibling. The same content
-/// [`build_view`] denotes, read in place: keys are borrowed from the chain (the
-/// caller's epoch guard keeps it alive) and copied once, into `out`.
-///
-/// `first` is where this scan's entries start in `out`: a record that does not
-/// sort after the last one appended since is dropped — cross-page duplicate
-/// suppression (defence in depth; split truncation already keeps page snapshots
-/// disjoint).
-pub fn scan_leaf(
+/// Where a chain's merge ended: its base (for `leaf`, `leftmost` and `low`) and
+/// the effective `(high, right)` — the newest split or merge delta's, else the
+/// base's.
+pub struct Merged<'a> {
+    /// The base page terminating the chain.
+    pub base: &'a BasePage,
+    /// Effective exclusive upper bound.
+    pub high: Option<&'a [u8]>,
+    /// Effective right sibling.
+    pub right: Pid,
+}
+
+/// The one merge of a chain: stream the live entries with key `>= start` of the
+/// chain snapshot at `head` into `emit`, ascending, until `emit` returns `false`
+/// or the page's effective high key is reached. The newest record for a key wins:
+/// inserts and index entries map it, deletes and index-term deletes unmap it.
+/// Keys are borrowed from the chain (the caller's epoch guard keeps it alive).
+/// Range scans ([`scan_leaf`]) and consolidation are its two callers.
+pub fn merge_chain<'a>(
     head: *mut Delta,
     start: &[u8],
-    first: usize,
-    target: usize,
-    out: &mut ScanBuf,
-) -> Pid {
+    mut emit: impl FnMut(&'a [u8], u64) -> bool,
+) -> Merged<'a> {
     // The chain's records at or after `start`, newest first; `None` = deleted.
     let mut inline: [(&[u8], Option<u64>); OVERLAY_INLINE] = [(&[], None); OVERLAY_INLINE];
     let mut spilled: Vec<(&[u8], Option<u64>)> = Vec::new();
@@ -728,10 +695,12 @@ pub fn scan_leaf(
     let mut boundary: Option<(Option<&[u8]>, Pid)> = None;
     let mut cur = head;
     let base = loop {
-        let d = delta_ref(cur);
+        let d: &'a Delta = delta_ref(cur);
         let record = match &d.kind {
             DeltaKind::Insert { key, value } => Some((key.as_ref(), Some(*value))),
+            DeltaKind::IndexEntry { sep, child } => Some((sep.as_ref(), Some(*child))),
             DeltaKind::Delete { key } => Some((key.as_ref(), None)),
+            DeltaKind::IndexTermDelete { sep, .. } => Some((sep.as_ref(), None)),
             DeltaKind::Split { sep, right, .. } => {
                 boundary.get_or_insert((Some(sep.as_ref()), *right));
                 None
@@ -740,8 +709,8 @@ pub fn scan_leaf(
                 boundary.get_or_insert((high.as_deref(), *right));
                 None
             }
-            DeltaKind::Base(b) => break b,
-            _ => None,
+            DeltaKind::Base(b) => break &**b,
+            DeltaKind::RemoveNode { .. } => None,
         };
         if let Some(record) = record.filter(|(k, _)| *k >= start) {
             if n < OVERLAY_INLINE {
@@ -761,22 +730,24 @@ pub fn scan_leaf(
     overlay.sort_by(|a, b| a.0.cmp(b.0));
     let (high, right) = boundary.unwrap_or((base.high.as_deref(), base.right));
 
-    // Merge-join the sorted base with the sorted overlay (overlay shadows base).
-    let mut bi = base.keys.partition_point(|k| k.as_ref() < start);
+    // Merge-join the sorted base with the sorted overlay (overlay shadows base),
+    // both cut at the effective high key: the rest is the right sibling's.
+    let overlay = &overlay[..overlay.partition_point(|(k, _)| high.is_none_or(|h| *k < h))];
+    let base_end = high.map_or(base.len(), |h| base.search(h).unwrap_or_else(|i| i));
+    let mut bi = base.search(start).unwrap_or_else(|i| i);
     let mut oi = 0usize;
-    while out.len() < target {
-        let take_overlay = match (base.keys.get(bi), overlay.get(oi)) {
-            (Some(bk), Some((ok, _))) => {
-                if bk.as_ref() == *ok {
+    loop {
+        let take_overlay = match (bi < base_end, overlay.get(oi)) {
+            (true, Some((ok, _))) => match base.key(bi).cmp(ok) {
+                std::cmp::Ordering::Equal => {
                     bi += 1; // shadowed by the overlay record
                     true
-                } else {
-                    *ok < bk.as_ref()
                 }
-            }
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => break,
+                order => order.is_gt(),
+            },
+            (false, Some(_)) => true,
+            (true, None) => false,
+            (false, None) => break,
         };
         let (key, value) = if take_overlay {
             let (key, value) = overlay[oi];
@@ -787,18 +758,44 @@ pub fn scan_leaf(
             (key, value)
         } else {
             bi += 1;
-            (base.keys[bi - 1].as_ref(), Some(base.vals[bi - 1]))
+            (base.key(bi - 1), Some(base.val(bi - 1)))
         };
-        if high.is_some_and(|h| key >= h) {
-            break; // both sides ascend: everything left is the right sibling's
+        if let Some(value) = value {
+            if !emit(key, value) {
+                break;
+            }
         }
-        let Some(value) = value else { continue };
-        if out.len() > first && out.last_key().is_some_and(|last| last >= key) {
-            continue;
-        }
-        out.push(key, value);
     }
-    right
+    Merged { base, high, right }
+}
+
+/// Stream the live records with key `>= start` of the leaf chain snapshot at
+/// `head` into `out`, ascending, until `out` holds `target` entries or the page
+/// ends; returns the page's effective right sibling. Keys are copied once, into
+/// `out`. `out` must hold fewer than `target` entries on entry.
+///
+/// `first` is where this scan's entries start in `out`: a record that does not
+/// sort after the last one appended since is dropped — cross-page duplicate
+/// suppression (defence in depth; split truncation already keeps page snapshots
+/// disjoint).
+pub fn scan_leaf(
+    head: *mut Delta,
+    start: &[u8],
+    first: usize,
+    target: usize,
+    out: &mut ScanBuf,
+) -> Pid {
+    debug_assert!(out.len() < target);
+    // The merge ascends: once one record sorts after the last entry, all do.
+    let mut after = out.len() <= first;
+    merge_chain(head, start, |key, value| {
+        after = after || out.last_key().is_none_or(|last| last < key);
+        if after {
+            out.push(key, value);
+        }
+        out.len() < target
+    })
+    .right
 }
 
 const SEG_BITS: usize = 12;
@@ -899,15 +896,7 @@ mod tests {
     }
 
     fn leaf_base(pairs: &[(&[u8], u64)], high: Option<&[u8]>, right: Pid) -> *mut Delta {
-        let base = BasePage {
-            leaf: true,
-            keys: pairs.iter().map(|(k, _)| bx(k)).collect(),
-            vals: pairs.iter().map(|(_, v)| *v).collect(),
-            leftmost: NO_PID,
-            high: high.map(bx),
-            right,
-            low: None,
-        };
+        let base = BasePage::new(true, pairs, NO_PID, None, high.map(bx), right);
         Delta::alloc(std::ptr::null_mut(), true, DeltaKind::base(base))
     }
 
@@ -948,15 +937,7 @@ mod tests {
         let base = Delta::alloc(
             std::ptr::null_mut(),
             false,
-            DeltaKind::base(BasePage {
-                leaf: false,
-                keys: vec![bx(b"h")],
-                vals: vec![20],
-                leftmost: 10,
-                high: None,
-                right: NO_PID,
-                low: None,
-            }),
+            DeltaKind::base(BasePage::new(false, &[(b"h", 20)], 10, None, None, NO_PID)),
         );
         let ie = Delta::alloc(base, false, DeltaKind::IndexEntry { sep: dk(b"p"), child: 30 });
         assert_eq!(inner_route(ie, b"a"), Route::Child(10));
@@ -977,8 +958,10 @@ mod tests {
         free_chain(split);
     }
 
+    /// Consolidating a chain: the merge's entries and effective bounds, packed
+    /// into a base that answers lookups the way the chain did.
     #[test]
-    fn build_view_consolidates_overlay_split_and_base() {
+    fn merge_chain_consolidates_overlay_split_and_base() {
         let base = leaf_base(&[(b"a", 1), (b"c", 3), (b"p", 16), (b"t", 20)], None, NO_PID);
         let d1 = Delta::alloc(base, true, DeltaKind::Insert { key: dk(b"b"), value: 2 });
         let d2 = Delta::alloc(d1, true, DeltaKind::Delete { key: dk(b"c") });
@@ -988,82 +971,189 @@ mod tests {
             DeltaKind::Split { sep: dk(b"p"), right: 9, done: AtomicBool::new(false) },
         );
         let d4 = Delta::alloc(d3, true, DeltaKind::Insert { key: dk(b"a"), value: 11 });
-        let v = build_view(d4);
-        assert!(v.leaf);
-        assert_eq!(v.chain_len, 5);
-        assert_eq!(v.pending_split, Some((bx(b"p"), 9)));
-        assert_eq!(v.high.as_deref(), Some(&b"p"[..]));
-        assert_eq!(v.right, 9);
-        let got: Vec<(&[u8], u64)> = v.entries.iter().map(|(k, v)| (k.as_ref(), *v)).collect();
+        let mut got = Vec::new();
+        let merged = merge_chain(d4, b"", |k, v| {
+            got.push((k, v));
+            true
+        });
+        assert!(merged.base.leaf);
+        assert_eq!((merged.high, merged.right), (Some(&b"p"[..]), 9));
         // `c` deleted, `a` overwritten, `p`/`t` truncated away by the split.
         assert_eq!(got, vec![(&b"a"[..], 11), (&b"b"[..], 2)]);
+        let page = BasePage::new(true, &got, NO_PID, None, merged.high.map(bx), merged.right);
+        let cons = Delta::alloc(std::ptr::null_mut(), true, DeltaKind::base(page));
+        for k in [&b"a"[..], b"b", b"c", b"p", b"t", b"z"] {
+            assert_eq!(leaf_lookup(cons, k), leaf_lookup(d4, k), "key {k:?}");
+        }
         free_chain(d4);
+        free_chain(cons);
     }
 
-    /// `scan_leaf` must denote exactly what `build_view` consolidates, from any
-    /// start key and for any room left in the buffer — on chains with shadowed
-    /// and re-inserted keys, a split, a merge over a narrower base, and one long
-    /// enough to spill the stack overlay.
+    /// One record of a test chain, over `u64` keys.
+    #[derive(Clone, Copy)]
+    enum Rec {
+        Ins(u64, u64),
+        Del(u64),
+        Split(u64, Pid),
+        Merge(Option<u64>, Pid),
+        Entry(u64, Pid),
+        TermDel(u64, Pid),
+    }
+
+    fn key(i: u64) -> Box<[u8]> {
+        bx(&i.to_be_bytes())
+    }
+
+    /// A test chain: a base of `(key, value)` pairs with its bounds, and the
+    /// records published on it, oldest first.
+    struct Shape<'a> {
+        leaf: bool,
+        base: &'a [(u64, u64)],
+        high: Option<u64>,
+        right: Pid,
+        records: Vec<Rec>,
+    }
+
+    /// What a chain denotes: its live entries and its effective `(high, right)`.
+    #[derive(Debug, PartialEq)]
+    struct Denoted {
+        entries: Vec<(Vec<u8>, u64)>,
+        high: Option<Vec<u8>>,
+        right: Pid,
+    }
+
+    impl Shape<'_> {
+        fn build(&self) -> *mut Delta {
+            let keys: Vec<Box<[u8]>> = self.base.iter().map(|&(k, _)| key(k)).collect();
+            let pairs: Vec<(&[u8], u64)> =
+                keys.iter().zip(self.base).map(|(k, &(_, v))| (&k[..], v)).collect();
+            let leftmost = if self.leaf { NO_PID } else { 1 };
+            let page =
+                BasePage::new(self.leaf, &pairs, leftmost, None, self.high.map(key), self.right);
+            let mut head = Delta::alloc(std::ptr::null_mut(), self.leaf, DeltaKind::base(page));
+            for &rec in &self.records {
+                let kind = match rec {
+                    Rec::Ins(k, value) => DeltaKind::Insert { key: dk(&key(k)), value },
+                    Rec::Del(k) => DeltaKind::Delete { key: dk(&key(k)) },
+                    Rec::Split(k, right) => {
+                        DeltaKind::Split { sep: dk(&key(k)), right, done: AtomicBool::new(false) }
+                    }
+                    Rec::Merge(h, right) => {
+                        DeltaKind::Merge { high: h.map(|h| dk(&key(h))), right, victim: right }
+                    }
+                    Rec::Entry(k, child) => DeltaKind::IndexEntry { sep: dk(&key(k)), child },
+                    Rec::TermDel(k, child) => {
+                        DeltaKind::IndexTermDelete { sep: dk(&key(k)), child }
+                    }
+                };
+                head = Delta::alloc(head, self.leaf, kind);
+            }
+            head
+        }
+
+        /// The model: a newest-first `BTreeMap` overlay on the base, cut at the
+        /// newest split or merge delta's high key.
+        fn model(&self) -> Denoted {
+            let mut overlay = std::collections::BTreeMap::new();
+            let mut bounds = None;
+            for &rec in self.records.iter().rev() {
+                match rec {
+                    Rec::Ins(k, v) | Rec::Entry(k, v) => {
+                        overlay.entry(k).or_insert(Some(v));
+                    }
+                    Rec::Del(k) | Rec::TermDel(k, _) => {
+                        overlay.entry(k).or_insert(None);
+                    }
+                    Rec::Split(k, r) => {
+                        bounds.get_or_insert((Some(k), r));
+                    }
+                    Rec::Merge(h, r) => {
+                        bounds.get_or_insert((h, r));
+                    }
+                }
+            }
+            for &(k, v) in self.base {
+                overlay.entry(k).or_insert(Some(v));
+            }
+            let (high, right) = bounds.unwrap_or((self.high, self.right));
+            let live = overlay.into_iter().filter(|&(k, _)| high.is_none_or(|h| k < h));
+            let entries = live.filter_map(|(k, v)| Some((key(k).to_vec(), v?))).collect();
+            Denoted { entries, high: high.map(|h| key(h).to_vec()), right }
+        }
+    }
+
+    /// The one chain merge — as a range scan from any start key with any room
+    /// left in the buffer, and as consolidation — denotes what a newest-first
+    /// model of the chain does: on shadowed and re-inserted keys, a split with a
+    /// spilled overlay, a merge over a narrower base, and an inner chain of index
+    /// entries and index-term deletes.
     #[test]
-    fn scan_leaf_streams_what_build_view_consolidates() {
-        let key = |i: u64| bx(&i.to_be_bytes());
-        let pairs: Vec<(Box<[u8]>, u64)> = (0..20u64).map(|i| (key(i * 10), i)).collect();
-        let pair_refs: Vec<(&[u8], u64)> = pairs.iter().map(|(k, v)| (k.as_ref(), *v)).collect();
-        let mut chains = Vec::new();
-
-        // Overlay only: updates, deletes, a delete then re-insert, new keys.
-        let mut head = leaf_base(&pair_refs, None, NO_PID);
-        for (k, v) in
-            [(30, Some(300)), (40, None), (45, Some(450)), (50, None), (50, Some(51)), (5, Some(1))]
-        {
-            let kind = match v {
-                Some(value) => DeltaKind::Insert { key: dk(&key(k)), value },
-                None => DeltaKind::Delete { key: dk(&key(k)) },
-            };
-            head = Delta::alloc(head, true, kind);
-        }
-        chains.push(head);
-
-        // A split below newer records, then a long tail that spills the overlay.
-        let mut head = leaf_base(&pair_refs, Some(&key(500)), 7);
-        head = Delta::alloc(head, true, DeltaKind::Insert { key: dk(&key(125)), value: 9 });
-        head = Delta::alloc(
-            head,
-            true,
-            DeltaKind::Split { sep: dk(&key(120)), right: 9, done: AtomicBool::new(false) },
-        );
-        for i in 0..(OVERLAY_INLINE as u64 + 8) {
-            head =
-                Delta::alloc(head, true, DeltaKind::Insert { key: dk(&key(i * 3 + 1)), value: i });
-        }
-        chains.push(head);
-
-        // A merge delta widens the base's bound; records past the old bound count.
-        let mut head = leaf_base(&pair_refs[..10], Some(&key(100)), 3);
-        head = Delta::alloc(
-            head,
-            true,
-            DeltaKind::Merge { high: Some(dk(&key(150))), right: 4, victim: 3 },
-        );
-        head = Delta::alloc(head, true, DeltaKind::Insert { key: dk(&key(120)), value: 12 });
-        head = Delta::alloc(head, true, DeltaKind::Insert { key: dk(&key(170)), value: 17 });
-        chains.push(head);
-
-        for head in chains {
-            let view = build_view(head);
+    fn scan_leaf_and_merge_chain_match_a_newest_first_model() {
+        let base: Vec<(u64, u64)> = (0..20u64).map(|i| (i * 10, i)).collect();
+        let mut spill = vec![Rec::Ins(125, 9), Rec::Split(120, 9)];
+        spill.extend((0..(OVERLAY_INLINE as u64 + 8)).map(|i| Rec::Ins(i * 3 + 1, i)));
+        let shapes = [
+            // Overlay only: updates, deletes, a delete then re-insert, new keys.
+            Shape {
+                leaf: true,
+                base: &base,
+                high: None,
+                right: NO_PID,
+                records: vec![
+                    Rec::Ins(30, 300),
+                    Rec::Del(40),
+                    Rec::Ins(45, 450),
+                    Rec::Del(50),
+                    Rec::Ins(50, 51),
+                    Rec::Ins(5, 1),
+                ],
+            },
+            // A split below newer records, then a long tail that spills the overlay.
+            Shape { leaf: true, base: &base, high: Some(500), right: 7, records: spill },
+            // A merge delta widens the base's bound; records past the old bound count.
+            Shape {
+                leaf: true,
+                base: &base[..10],
+                high: Some(100),
+                right: 3,
+                records: vec![Rec::Merge(Some(150), 4), Rec::Ins(120, 12), Rec::Ins(170, 17)],
+            },
+            // An inner chain: index entries installed, replaced and deleted, then split.
+            Shape {
+                leaf: false,
+                base: &base[..12],
+                high: None,
+                right: NO_PID,
+                records: vec![
+                    Rec::Entry(35, 35),
+                    Rec::TermDel(40, 4),
+                    Rec::Entry(40, 41),
+                    Rec::TermDel(60, 6),
+                    Rec::Entry(95, 95),
+                    Rec::TermDel(35, 35),
+                    Rec::Split(90, 8),
+                ],
+            },
+        ];
+        for shape in shapes {
+            let head = shape.build();
+            let want = shape.model();
+            let mut entries = Vec::new();
+            let merged = merge_chain(head, b"", |k, v| {
+                entries.push((k.to_vec(), v));
+                true
+            });
+            let high = merged.high.map(<[u8]>::to_vec);
+            assert_eq!(Denoted { entries, high, right: merged.right }, want);
+            assert_eq!(merged.base.leaf, shape.leaf);
             for start in (0..210u64).step_by(5).map(key).chain([bx(b"")]) {
-                let want: Vec<(Vec<u8>, u64)> = view
-                    .entries
-                    .iter()
-                    .filter(|(k, _)| k.as_ref() >= start.as_ref())
-                    .map(|(k, v)| (k.to_vec(), *v))
-                    .collect();
+                let from: Vec<_> =
+                    want.entries.iter().filter(|(k, _)| k[..] >= start[..]).cloned().collect();
                 for room in [1, 3, usize::MAX] {
                     let mut out = ScanBuf::new();
-                    let right = scan_leaf(head, &start, 0, room, &mut out);
-                    assert_eq!(right, view.right);
+                    assert_eq!(scan_leaf(head, &start, 0, room, &mut out), want.right);
                     let got = out.to_vec();
-                    assert_eq!(got, want[..want.len().min(room)], "start {start:?} room {room}");
+                    assert_eq!(got, from[..from.len().min(room)], "start {start:?} room {room}");
                 }
             }
             free_chain(head);
@@ -1080,6 +1170,55 @@ mod tests {
         let got = out.to_vec();
         assert_eq!(got, vec![(b"zz".to_vec(), 0), (b"b".to_vec(), 1), (b"d".to_vec(), 4)]);
         free_chain(head);
+    }
+
+    /// Key stems: empty, short, zero-terminated, and two sharing an 8-byte prefix.
+    const STEMS: [&[u8]; 5] = [b"", b"ab", b"ab\0", b"prefix08", b"prefix08\0"];
+
+    /// A key of at most 30 bytes: a stem and a tail over {0, 1, 'a', 0xff}.
+    fn test_key((stem, tail): &(usize, Vec<usize>)) -> Vec<u8> {
+        let mut k = STEMS[*stem].to_vec();
+        k.extend(tail.iter().map(|&b| [0u8, 1, b'a', 0xff][b]));
+        k.truncate(30);
+        k
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..Default::default() })]
+
+        /// The flat page against a sorted `Vec`: `search`, its lower bound,
+        /// `key(i)` and `val(i)`, on 0, 1 and 24 entries whose keys share
+        /// prefixes and carry embedded and trailing zero bytes.
+        #[test]
+        fn flat_page_matches_a_sorted_vec(
+            size in 0usize..3,
+            raw in proptest::collection::vec((0usize..5, proptest::collection::vec(0usize..4, 0..=28)), 64),
+            probes in proptest::collection::vec((0usize..5, proptest::collection::vec(0usize..4, 0..=28)), 32),
+        ) {
+            let mut keys: Vec<Vec<u8>> = raw.iter().map(test_key).collect();
+            keys.sort();
+            keys.dedup();
+            keys.truncate([0, 1, 24][size]);
+            let pairs: Vec<(&[u8], u64)> =
+                keys.iter().enumerate().map(|(i, k)| (&k[..], i as u64 * 7 + 1)).collect();
+            let page = BasePage::new(true, &pairs, NO_PID, None, None, NO_PID);
+            proptest::prop_assert_eq!(page.len(), keys.len());
+            for (i, k) in keys.iter().enumerate() {
+                proptest::prop_assert_eq!(page.key(i), &k[..]);
+                proptest::prop_assert_eq!(page.val(i), i as u64 * 7 + 1);
+            }
+            let mut queries: Vec<Vec<u8>> = probes.iter().map(test_key).collect();
+            for k in &keys {
+                queries.push(k.clone());
+                queries.push([&k[..], b"\0"].concat());
+                queries.push(k[..k.len().saturating_sub(1)].to_vec());
+            }
+            for q in &queries {
+                proptest::prop_assert_eq!(page.search(q), keys.binary_search(q), "query {:?}", q);
+                let lower = page.search(q).unwrap_or_else(|i| i);
+                proptest::prop_assert_eq!(lower, keys.partition_point(|k| k < q));
+            }
+        }
     }
 
     #[test]
@@ -1110,15 +1249,14 @@ mod tests {
         let base = Delta::alloc(
             std::ptr::null_mut(),
             true,
-            DeltaKind::base(BasePage {
-                leaf: true,
-                keys: vec![bx(b"a"), bx(&long)],
-                vals: vec![1, 2],
-                leftmost: NO_PID,
-                low: Some(bx(b"lo")),
-                high: Some(bx(b"zzzzz")),
-                right: 4,
-            }),
+            DeltaKind::base(BasePage::new(
+                true,
+                &[(b"a", 1), (&long, 2)],
+                NO_PID,
+                Some(bx(b"lo")),
+                Some(bx(b"zzzzz")),
+                4,
+            )),
         );
         let ins = Delta::alloc(base, true, DeltaKind::Insert { key: dk(&[1u8; 8]), value: 3 });
         let spilled = Delta::alloc(ins, true, DeltaKind::Delete { key: dk(&[b'q'; 40]) });
@@ -1129,7 +1267,9 @@ mod tests {
         );
         assert_eq!(std::mem::size_of::<Delta>(), 64);
         assert_eq!(std::mem::size_of::<BasePage>(), 128);
-        let payload = (1 + 30) + 2 * 8 + 2 + 5;
+        // Two prefix words, two value words, one word of end offsets, the 31 key
+        // bytes padded to four words; then the bound keys.
+        let payload = (2 + 2 + 1 + 4) * 8 + 2 + 5;
         assert_eq!(chain_bytes(base), 64 + 128 + payload);
         assert_eq!(chain_bytes(split), 4 * 64 + 128 + payload + 40);
         free_chain(split);

@@ -37,9 +37,9 @@
 //! accumulates unmergeable empty pages that every scan must still traverse.
 
 use crate::page::{
-    build_view, chain_bytes, chain_len, chain_removed, delta_ref, effective_bounds, first_smo,
-    first_split, inner_contains_sep, inner_route, inner_route_before, leaf_lookup, page_live,
-    page_low, scan_leaf, BasePage, Delta, DeltaKind, Find, MappingTable, PageView, Pid, Route,
+    chain_bytes, chain_len, chain_removed, delta_ref, effective_bounds, first_smo, first_split,
+    inner_contains_sep, inner_route, inner_route_before, leaf_lookup, merge_chain, page_live,
+    page_low, scan_leaf, BasePage, Delta, DeltaKind, Find, MappingTable, Merged, Pid, Route,
     SmoMarker, NO_PID,
 };
 use recipe::key::LeafKey;
@@ -369,15 +369,7 @@ impl<P: PersistMode> BwTree<P> {
     /// Grow the tree: replace the root `left` with a fresh inner page routing
     /// `sep` to `right`. Returns `false` if `left` stopped being the root.
     fn split_root(&self, left: Pid, sep: &[u8], right: Pid) -> bool {
-        let base = BasePage {
-            leaf: false,
-            keys: vec![sep.into()],
-            vals: vec![right],
-            leftmost: left,
-            high: None,
-            right: NO_PID,
-            low: None,
-        };
+        let base = BasePage::new(false, &[(sep, right)], left, None, None, NO_PID);
         let delta = Delta::alloc(std::ptr::null_mut(), false, DeltaKind::base(base));
         delta_ref(delta).stage::<P>();
         let new_root = self.alloc_pid();
@@ -623,25 +615,29 @@ impl<P: PersistMode> BwTree<P> {
         // Never absorb a split delta whose SMO might still be incomplete: the delta
         // *is* the in-progress marker helpers and recovery look for.
         self.help_page(pid, head);
-        let view = build_view(head);
-        if view.entries.len() > self.split_at {
-            self.split_page(pid, head, &view);
+        let mut entries = Vec::new();
+        let merged = merge_chain(head, &[], |key, value| {
+            entries.push((key, value));
+            true
+        });
+        if entries.len() > self.split_at {
+            self.split_page(pid, head, &merged, &entries);
             return;
         }
-        let base = BasePage {
-            leaf: view.leaf,
-            keys: view.entries.iter().map(|(k, _)| k.clone()).collect(),
-            vals: view.entries.iter().map(|(_, v)| *v).collect(),
-            leftmost: view.leftmost,
-            high: view.high.clone(),
-            right: view.right,
-            low: view.low.clone(),
-        };
-        let emptied = view.leaf && view.entries.is_empty();
-        let delta = Delta::alloc(std::ptr::null_mut(), view.leaf, DeltaKind::base(base));
+        let Merged { base, high, right } = merged;
+        let page = BasePage::new(
+            base.leaf,
+            &entries,
+            base.leftmost,
+            base.low.clone(),
+            high.map(Box::from),
+            right,
+        );
+        let emptied = base.leaf && entries.is_empty();
+        let delta = Delta::alloc(std::ptr::null_mut(), base.leaf, DeltaKind::base(page));
         delta_ref(delta).stage::<P>();
         if self.install(pid, head, delta, "bwtree.consolidate.installed") {
-            obs::event::emit("bwtree.smo", "consolidate", pid, view.entries.len() as u64);
+            obs::event::emit("bwtree.smo", "consolidate", pid, entries.len() as u64);
             // The whole old chain is now unreachable; retire it to the epoch
             // domain (freed once every thread that might still hold the old
             // snapshot has unpinned).
@@ -658,17 +654,24 @@ impl<P: PersistMode> BwTree<P> {
     }
 
     /// Split `pid` (leaf or inner): the ordered atomic steps of the Condition #2
-    /// SMO. `head` is the chain the caller consolidated `view` from.
-    fn split_page(&self, pid: Pid, head: *mut Delta, view: &PageView) {
-        let n = view.entries.len();
+    /// SMO. `head` is the chain the caller merged into `entries` and `merged`.
+    fn split_page(
+        &self,
+        pid: Pid,
+        head: *mut Delta,
+        merged: &Merged<'_>,
+        entries: &[(&[u8], u64)],
+    ) {
+        let n = entries.len();
+        let leaf = merged.base.leaf;
         debug_assert!(n >= 2);
         let mut m = n / 2;
-        if !view.leaf {
+        if !leaf {
             // Never promote an entry whose child is a merge victim: promotion
             // would make the husk a leftmost child, which the merge SMO's
             // index-term delete cannot unroute.
             let live = |i: usize| {
-                let h = self.head(view.entries[i].1);
+                let h = self.head(entries[i].1);
                 !h.is_null() && !chain_removed(h)
             };
             if !live(m) {
@@ -678,36 +681,24 @@ impl<P: PersistMode> BwTree<P> {
                 }
             }
         }
-        let sep: Box<[u8]> = view.entries[m].0.clone();
+        let sep = entries[m].0;
 
         // Step 1: build and install the right page under a fresh PID. Until the
         // split delta is published the page is unreachable, so a crash here only
         // leaks it — and the page and its slot are only staged (flushed, not
         // fenced): they ride on the split delta's fence below.
-        let right_base = if view.leaf {
-            BasePage {
-                leaf: true,
-                keys: view.entries[m..].iter().map(|(k, _)| k.clone()).collect(),
-                vals: view.entries[m..].iter().map(|(_, v)| *v).collect(),
-                leftmost: NO_PID,
-                high: view.high.clone(),
-                right: view.right,
-                low: Some(sep.clone()),
-            }
-        } else {
-            // Promote entries[m]: its child becomes the right page's leftmost.
-            BasePage {
-                leaf: false,
-                keys: view.entries[m + 1..].iter().map(|(k, _)| k.clone()).collect(),
-                vals: view.entries[m + 1..].iter().map(|(_, v)| *v).collect(),
-                leftmost: view.entries[m].1,
-                high: view.high.clone(),
-                right: view.right,
-                low: Some(sep.clone()),
-            }
-        };
-        let right_delta =
-            Delta::alloc(std::ptr::null_mut(), view.leaf, DeltaKind::base(right_base));
+        // A leaf's right page starts at entries[m]; an inner page promotes
+        // entries[m], whose child becomes the right page's leftmost.
+        let (rest, leftmost) = if leaf { (m, NO_PID) } else { (m + 1, entries[m].1) };
+        let right_base = BasePage::new(
+            leaf,
+            &entries[rest..],
+            leftmost,
+            Some(sep.into()),
+            merged.high.map(Box::from),
+            merged.right,
+        );
+        let right_delta = Delta::alloc(std::ptr::null_mut(), leaf, DeltaKind::base(right_base));
         delta_ref(right_delta).stage::<P>();
         let right = self.alloc_pid();
         let slot = self.map.slot(right);
@@ -719,8 +710,8 @@ impl<P: PersistMode> BwTree<P> {
         // covers the staged right page and slot too.
         let split = Delta::alloc(
             head,
-            view.leaf,
-            DeltaKind::Split { sep: LeafKey::new(&sep), right, done: AtomicBool::new(false) },
+            leaf,
+            DeltaKind::Split { sep: LeafKey::new(sep), right, done: AtomicBool::new(false) },
         );
         delta_ref(split).stage::<P>();
         let pslot = self.map.slot(pid);
