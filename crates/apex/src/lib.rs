@@ -117,34 +117,12 @@ mod tests {
     use std::panic::AssertUnwindSafe;
     use std::sync::Arc;
 
-    /// The `pm::crash` injector is process-global and every `Pmem`-policy
-    /// operation passes its sites, so a test that arms it would otherwise fire
-    /// inside — or have its hit consumed by — any sibling test driving a
-    /// `Pmem` index on another libtest thread.
-    static CRASH_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
-    /// Held for the whole body of every test in this crate that arms the
-    /// injector or runs `Pmem`-policy code. Dropping it disarms first, so no
-    /// exit path (a failed assertion included) hands an armed injector to the
-    /// next holder.
-    pub(crate) struct Serial {
-        _lock: parking_lot::MutexGuard<'static, ()>,
-    }
-
-    impl Drop for Serial {
-        fn drop(&mut self) {
-            crash::disarm();
-            crash::stop_named_counts();
-        }
-    }
-
-    pub(crate) fn serial() -> Serial {
-        Serial { _lock: CRASH_LOCK.lock() }
-    }
+    // Every test enters a fresh `pm::Domain`: an arming in one never fires in,
+    // or has its hits consumed by, a sibling driving a `Pmem` index at once.
 
     #[test]
     fn insert_get_integer_keys() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         let t: PApex = Apex::new();
         for i in 0..20_000u64 {
             assert!(t.insert(&u64_key(i), i * 2), "insert {i}");
@@ -159,7 +137,7 @@ mod tests {
 
     #[test]
     fn insert_is_upsert() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         let t: PApex = Apex::new();
         assert!(t.insert(&u64_key(7), 1));
         assert!(!t.insert(&u64_key(7), 2));
@@ -169,7 +147,7 @@ mod tests {
 
     #[test]
     fn string_keys_round_trip() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         let t: PApex = Apex::new();
         let mut model = BTreeMap::new();
         for i in 0..5_000u64 {
@@ -184,7 +162,7 @@ mod tests {
 
     #[test]
     fn remove_keeps_other_keys() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         let t: PApex = Apex::new();
         for i in 0..2_000u64 {
             t.insert(&u64_key(i), i);
@@ -204,7 +182,7 @@ mod tests {
 
     #[test]
     fn scan_matches_btreemap_across_node_boundaries() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         let t: PApex = Apex::new();
         let mut model = BTreeMap::new();
         for i in 0..5_000u64 {
@@ -228,7 +206,7 @@ mod tests {
 
     #[test]
     fn mixed_workload_matches_model() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         let t: PApex = Apex::new();
         let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
         let mut gen = crashtest_like_mix(13);
@@ -281,7 +259,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_keep_all_keys() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         let t: Arc<PApex> = Arc::new(Apex::new());
         let threads = 8u64;
         let per = 3_000u64;
@@ -306,7 +284,7 @@ mod tests {
 
     #[test]
     fn buffered_inserts_flush_a_constant_two_fences() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         let t: PApex = Apex::new();
         // Warm up until just after a merge so the measured window is merge-free.
         for i in 0..node::BUF_CAP as u64 + 1 {
@@ -323,7 +301,7 @@ mod tests {
 
     #[test]
     fn amortized_flushes_beat_a_shift_based_baseline() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         // The headline APEX claim, counter-attributed: buffered inserts plus
         // amortized merges must undercut FAST & FAIR's shift-based inserts on
         // the very same key sequence.
@@ -349,7 +327,7 @@ mod tests {
 
     #[test]
     fn probes_attribute_to_the_apex_mapping() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         use pm::stats::Mapping;
         let t: PApex = Apex::new();
         for i in 0..2_000u64 {
@@ -383,7 +361,7 @@ mod tests {
 
     #[test]
     fn trait_object_and_recover() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         use recipe::session::IndexExt;
         let t: PApex = Apex::new();
         let idx: &dyn Index = &t;
@@ -400,7 +378,7 @@ mod tests {
     /// Drive inserts until the armed crash site fires, then recover and verify
     /// every acknowledged key (the torn op's key is exempt: unacknowledged).
     fn crash_at_site_then_recover(site: &'static str) {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         crash::install_quiet_hook();
         let t: PApex = Apex::new();
         let mut acked: BTreeMap<u64, u64> = BTreeMap::new();
@@ -497,7 +475,7 @@ mod tests {
 
     #[test]
     fn recovery_replays_a_logged_smo() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         // Crash between log and swap, then verify recover() emits the redo
         // helper site and completes the split: the torn SMO's keys survive.
         crash::install_quiet_hook();
@@ -534,7 +512,7 @@ mod tests {
 
     #[test]
     fn declared_sites_match_emitted_sites() {
-        let _serial = serial();
+        let _d = pm::Domain::new().enter();
         // Every site the crate can emit is declared, and a mixed load plus a
         // torn-SMO recovery emits every declared site (the same two-directional
         // coverage contract the sweep enforces).

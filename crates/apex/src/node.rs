@@ -475,7 +475,7 @@ mod tests {
     #[test]
     fn buffer_insert_commits_with_two_flush_fence_pairs() {
         // `buf_insert::<Pmem>` passes the `apex.insert.*` crash sites.
-        let _serial = crate::tests::serial();
+        let _d = pm::Domain::new().enter();
         let mut n = built(&[]);
         let before = pm::stats::snapshot_local();
         n.buf_insert::<Pmem>(&7u64.to_be_bytes(), 70);

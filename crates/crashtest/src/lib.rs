@@ -161,12 +161,14 @@ where
         // acknowledged keys, each thread through its own session handle.
         let failed_ops = AtomicU64::new(0);
         let per_thread = cfg.post_ops / cfg.threads.max(1);
+        let domain = &pm::Domain::current();
         std::thread::scope(|scope| {
             for t in 0..cfg.threads.max(1) as u64 {
                 let index = &index;
                 let acknowledged = &acknowledged;
                 let failed_ops = &failed_ops;
                 scope.spawn(move || {
+                    let _d = domain.enter();
                     let mut h = index.handle();
                     for j in 0..per_thread as u64 {
                         if j % 2 == 0 {
@@ -273,9 +275,8 @@ mod tests {
     use std::collections::HashMap;
     use std::sync::atomic::AtomicBool;
 
-    /// Crash arming, site counters and the durability tracker are
-    /// process-global; tests that arm or enable them must not overlap.
-    static CRASH_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    // Every test that arms the injector or enables the tracker enters a fresh
+    // `pm::Domain`, so the tests run at once without seeing each other's state.
 
     /// A small lock-protected hash map with RECIPE-style crash sites, used to validate
     /// the harness itself (the real indexes are tested from the integration suite).
@@ -349,7 +350,7 @@ mod tests {
         fn restart<I: Index>(index: &I) {
             index.recover();
         }
-        let _g = CRASH_LOCK.lock();
+        let _d = pm::Domain::new().enter();
         let idx = ToyIndex::new(true);
         let key = recipe::key::u64_key(5);
         let (lock, _) = idx.shard(&key);
@@ -364,7 +365,7 @@ mod tests {
 
     #[test]
     fn crash_harness_passes_a_correct_index() {
-        let _g = CRASH_LOCK.lock();
+        let _d = pm::Domain::new().enter();
         let cfg = CrashTestConfig {
             load_keys: 500,
             post_ops: 400,
@@ -381,9 +382,8 @@ mod tests {
 
     #[test]
     fn durability_harness_detects_missing_flushes() {
-        // The tracker is process-global: without the lock, the dirty lines of a
-        // neighbouring crash test's workers land in this test's report.
-        let _g = CRASH_LOCK.lock();
+        // In its own domain, no neighbouring crash test's dirty lines reach the report.
+        let _d = pm::Domain::new().enter();
         let bad = run_durability_test(|| ToyIndex::new(false), 50, 50);
         assert!(!bad.passed());
         assert_eq!(bad.ops, 50);
@@ -408,7 +408,7 @@ mod tests {
 
     #[test]
     fn sweep_passes_a_correct_index_with_full_coverage() {
-        let _g = CRASH_LOCK.lock();
+        let _d = pm::Domain::new().enter();
         let cfg =
             SweepConfig { load_ops: 400, post_ops: 300, threads: 2, sampled_states: 5, seed: 3 };
         let report = run_crash_sweep(|| ToyIndex::new(true), TOY_SITES, &cfg);
@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn sweep_flags_never_exercised_sites() {
-        let _g = CRASH_LOCK.lock();
+        let _d = pm::Domain::new().enter();
         const WITH_HOLE: &[&str] = &["toy.insert.locked", "toy.never.reached"];
         let cfg =
             SweepConfig { load_ops: 200, post_ops: 100, threads: 2, sampled_states: 2, seed: 9 };
@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn sweep_flags_emitted_but_undeclared_sites() {
-        let _g = CRASH_LOCK.lock();
+        let _d = pm::Domain::new().enter();
         // Declare only one of the two sites the toy index emits: consistency and
         // declared-site coverage are fine, but the sweep must still fail because
         // an executed atomic step has no targeted crash state.

@@ -337,12 +337,14 @@ where
     let present: Vec<(u64, u64)> = model.iter().filter_map(|(k, v)| v.map(|v| (*k, v))).collect();
     let failed_ops = AtomicU64::new(0);
     let per_thread = cfg.post_ops / cfg.threads.max(1);
+    let domain = &pm::Domain::current();
     std::thread::scope(|scope| {
         for t in 0..cfg.threads.max(1) as u64 {
             let index = &index;
             let present = &present;
             let failed_ops = &failed_ops;
             scope.spawn(move || {
+                let _d = domain.enter();
                 // One session handle per post-recovery worker thread.
                 let mut h = index.handle();
                 for j in 0..per_thread as u64 {

@@ -2,21 +2,18 @@
 //! test (no acknowledged key lost, index usable after recovery) and the durability
 //! test (every dirtied cache line flushed and fenced) over many crash states, and
 //! the per-site exhaustive sweep must exercise every declared crash site.
+//!
+//! Every test runs in a `pm::Domain` of its own: its crash arming, site counters
+//! and durability tracker are invisible to the tests libtest runs beside it.
 use crashtest::{
     run_crash_sweep, run_crash_test, run_durability_test, CrashTestConfig, SweepConfig,
 };
 use harness::registry;
 use recipe::key::u64_key;
-use std::sync::{Mutex, MutexGuard};
 
-/// The crash-arming mode, site counters and durability tracker in `pm` are
-/// process-global, so the tests in this binary cannot overlap: libtest runs
-/// tests on concurrent threads, and one test arming/disarming crash sites would
-/// corrupt another's run. Every test takes this lock first.
-static CRASH_HARNESS: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    CRASH_HARNESS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Enter a fresh PM domain for the rest of the test.
+fn own_domain() -> pm::domain::Entered {
+    pm::Domain::new().enter()
 }
 
 fn small_cfg() -> CrashTestConfig {
@@ -25,7 +22,7 @@ fn small_cfg() -> CrashTestConfig {
 
 #[test]
 fn converted_indexes_survive_crash_states() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     for entry in registry::all_indexes().into_iter().filter(|e| e.converted) {
         let report = run_crash_test(entry.build_pmem, &small_cfg());
         assert!(report.crashes_triggered > 0, "{}: no crash state fired", entry.name);
@@ -35,7 +32,7 @@ fn converted_indexes_survive_crash_states() {
 
 #[test]
 fn baselines_survive_crash_states_without_bug_features() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     // Built without their `*-bug` features the baselines should also pass.
     for entry in registry::all_indexes().into_iter().filter(|e| !e.converted && !e.single_writer) {
         let report = run_crash_test(entry.build_pmem, &small_cfg());
@@ -45,7 +42,7 @@ fn baselines_survive_crash_states_without_bug_features() {
 
 #[test]
 fn recipe_indexes_pass_durability_check() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     for entry in registry::all_indexes().into_iter().filter(|e| e.converted) {
         let report = run_durability_test(entry.build_pmem, 2_000, 500);
         assert!(report.passed(), "{}: {report:?}", entry.name);
@@ -58,7 +55,7 @@ fn recipe_indexes_pass_durability_check() {
 /// runs on restart" Condition #3 story.
 #[test]
 fn masstree_leaf_split_crash_then_recover() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     pm::crash::install_quiet_hook();
     for site in [
         "masstree.split.sibling_persisted",
@@ -112,7 +109,7 @@ fn masstree_leaf_split_crash_then_recover() {
 /// acknowledged key may be lost.
 #[test]
 fn masstree_torn_parent_link_is_reattached_on_recover() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     pm::crash::install_quiet_hook();
     for site in ["masstree.parent.slot_written", "masstree.parent.committed"] {
         let t = masstree::PMasstree::new();
@@ -164,7 +161,7 @@ fn masstree_torn_parent_link_is_reattached_on_recover() {
 /// acknowledged key after recovery.
 #[test]
 fn masstree_multi_layer_crash_states() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     let report = run_crash_test(masstree::PMasstree::new, &small_cfg());
     assert!(report.crashes_triggered > 0);
     assert!(report.passed(), "{report:?}");
@@ -175,7 +172,7 @@ fn masstree_multi_layer_crash_states() {
 /// mixed states — must keep consistency *and* exercise every declared site.
 #[test]
 fn exhaustive_sweep_covers_every_declared_crash_site() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     // Level-Hashing's resize only triggers past ~7k distinct inserts, so the load
     // must stay at the paper's 10k scale for full coverage.
     let cfg =
@@ -190,6 +187,45 @@ fn exhaustive_sweep_covers_every_declared_crash_site() {
     }
 }
 
+/// Two sweeps on two registry rows at once, each on its own thread and domain:
+/// both pass, and neither report counts a site of the other row.
+#[test]
+fn crash_sweeps_in_separate_domains_run_in_parallel() {
+    let cfg =
+        SweepConfig { load_ops: 4_000, post_ops: 400, threads: 2, sampled_states: 4, seed: 5 };
+    let rows: Vec<_> = registry::all_indexes()
+        .into_iter()
+        .filter(|e| e.name == "P-ART" || e.name == "P-Masstree")
+        .collect();
+    assert_eq!(rows.len(), 2);
+    std::thread::scope(|scope| {
+        let sweeps: Vec<_> = rows
+            .iter()
+            .map(|entry| {
+                let cfg = &cfg;
+                scope.spawn(move || {
+                    let _domain = own_domain();
+                    (entry, run_crash_sweep(entry.build_pmem, entry.crash_sites, cfg))
+                })
+            })
+            .collect();
+        for sweep in sweeps {
+            let (entry, report) = sweep.join().expect("sweep thread");
+            assert!(report.passed(), "{}: {report:?}", entry.name);
+            let prefix = entry.crash_sites[0].split('.').next().unwrap();
+            let foreign: Vec<_> = report
+                .per_site
+                .iter()
+                .filter(|s| s.exercised)
+                .map(|s| s.site)
+                .chain(report.undeclared_sites.iter().copied())
+                .filter(|site| !site.starts_with(&format!("{prefix}.")))
+                .collect();
+            assert!(foreign.is_empty(), "{}: sites of another row {foreign:?}", entry.name);
+        }
+    });
+}
+
 /// Condition #2's distinguishing behavior, deterministically: a crash tears a
 /// P-BwTree split in half (split delta published, parent entry missing), and a
 /// *reader* that merely observes the torn state completes the SMO — with every
@@ -197,7 +233,7 @@ fn exhaustive_sweep_covers_every_declared_crash_site() {
 /// loads the helper participates in, so the whole help path is durable).
 #[test]
 fn bwtree_reader_helps_complete_torn_split() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     pm::crash::install_quiet_hook();
     let t = bwtree::PBwTree::new();
     pm::crash::arm_at_site("bwtree.split.delta_published", 1);
@@ -245,7 +281,7 @@ fn bwtree_reader_helps_complete_torn_split() {
 /// leave the tree writable — including the root-split steps.
 #[test]
 fn bwtree_split_crash_then_recover_at_every_step() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     pm::crash::install_quiet_hook();
     for site in [
         "bwtree.split.right_installed",
@@ -301,7 +337,7 @@ fn bwtree_split_crash_then_recover_at_every_step() {
 /// scans ordered, and leave the merged key range writable.
 #[test]
 fn bwtree_merge_crash_then_recover_at_every_step() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     pm::crash::install_quiet_hook();
     for site in [
         "bwtree.merge.remove_published",
@@ -358,7 +394,7 @@ fn bwtree_merge_crash_then_recover_at_every_step() {
 /// every helper store flushed and fenced — no `recover()` call involved.
 #[test]
 fn bwtree_reader_helps_complete_torn_merge() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     pm::crash::install_quiet_hook();
     let t = bwtree::PBwTree::new();
     for i in 0..400u64 {
@@ -409,7 +445,7 @@ fn bwtree_reader_helps_complete_torn_merge() {
 /// acknowledged operation, and the tree must keep scanning in order.
 #[test]
 fn bwtree_torn_delta_chain_stress() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     pm::crash::install_quiet_hook();
     let t = bwtree::PBwTree::new();
     let mut gen = crashtest::MixedGen::new(0xB417);
@@ -476,7 +512,7 @@ fn bwtree_torn_delta_chain_stress() {
 
 #[test]
 fn dram_indexes_never_crash_because_sites_are_inert() {
-    let _exclusive = exclusive();
+    let _domain = own_domain();
     // Crash sites are only active in PM mode: the DRAM variant must run the same
     // workload without a single site firing.
     pm::crash::arm_count_only();

@@ -1,26 +1,21 @@
 //! Integration tests for the calibrated PM latency model (`pm::latency`) against
 //! real indexes: deterministic charged-ns accounting instead of wall clocks.
 //!
-//! The installed model is process-global, so every test here takes `MODEL_LOCK`,
-//! installs what it needs, and restores the zero model before releasing it. The
-//! charged counters asserted on are **thread-local**, so concurrent activity from
-//! other threads cannot perturb them.
+//! A model is installed per `pm::Domain`, so every test here installs what it
+//! needs in a fresh domain of its own. The charged counters asserted on are
+//! **thread-local**, so concurrent activity from other threads cannot perturb them.
 
 use harness::registry::{self, PolicyMode};
-use parking_lot::Mutex;
 use pm::latency::{charged_local, ChargedNs, Model};
 use recipe::key::u64_key;
 use recipe::session::{Index, IndexExt};
 use std::sync::Arc;
 
-static MODEL_LOCK: Mutex<()> = Mutex::new(());
-
+/// Run `f` in a fresh domain with `m` installed.
 fn with_model<R>(m: Model, f: impl FnOnce() -> R) -> R {
-    let _g = MODEL_LOCK.lock();
+    let _domain = pm::Domain::new().enter();
     m.install();
-    let r = f();
-    Model::ZERO.install();
-    r
+    f()
 }
 
 fn build(name: &str) -> Arc<dyn Index> {

@@ -3,21 +3,16 @@
 //! proves zero acknowledged writes were lost, and a crash sweep that arms
 //! every `service.migrate.*` site, resumes, and checks source and
 //! destination agree — hole-free against the driver's own site list.
+//!
+//! Each test runs in a `pm::Domain` of its own, which its services capture at
+//! start: a crash armed in one never fires in another test's service.
 
 use recipe::key::u64_key;
 use recipe::session::IndexExt;
 use service::{Op, ReplyBody, Service, ServiceConfig, MIGRATE_CRASH_SITES};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// The crash machinery is process-global; the sweep must not see the soak's
-/// split (and vice versa). Every test takes this lock first.
-static CRASH_HARNESS: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    CRASH_HARNESS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::Arc;
 
 type TreeLog = Arc<parking_lot::Mutex<Vec<(usize, Arc<bwtree::PBwTree>)>>>;
 
@@ -66,7 +61,7 @@ fn verify_agreement(svc: &Service, trees: &TreeLog, expect: &BTreeMap<Vec<u8>, u
 
 #[test]
 fn live_split_under_load_loses_no_acked_writes() {
-    let _x = exclusive();
+    let _domain = pm::Domain::new().enter();
     let (svc, trees) = start_service(4096);
     const WRITERS: u64 = 3;
     const RANGE: u64 = 1_200;
@@ -172,7 +167,7 @@ fn live_split_under_load_loses_no_acked_writes() {
 
 #[test]
 fn crash_sweep_over_every_migration_site_recovers_agreement() {
-    let _x = exclusive();
+    let _domain = pm::Domain::new().enter();
     pm::crash::install_quiet_hook();
     const KEYS: u64 = 1_500;
 
@@ -241,4 +236,55 @@ fn crash_sweep_over_every_migration_site_recovers_agreement() {
             svc.shutdown();
         }
     }
+}
+
+/// Two services in two domains at once: a crash armed in the first domain cuts
+/// that service's split, and the second service, serving a closed loop all the
+/// while, neither crashes nor loses a reply.
+#[test]
+fn a_crash_in_one_services_domain_leaves_another_serving() {
+    pm::crash::install_quiet_hook();
+    const SITE: &str = "service.migrate.freeze";
+    assert!(MIGRATE_CRASH_SITES.contains(&SITE));
+    let started = std::sync::Barrier::new(2);
+    let crashed = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| {
+            let _domain = pm::Domain::new().enter();
+            let (svc, _) = start_service(4096);
+            started.wait();
+            let mut round = 0u64;
+            while !crashed.load(Ordering::Acquire) || round < 3 {
+                round += 1;
+                for i in 0..500u64 {
+                    let k = u64_key(i).to_vec();
+                    let put = svc.call(Op::Insert(k.clone(), round));
+                    assert!(matches!(put.body, ReplyBody::Done(_)), "insert {i}: {put:?}");
+                    assert_eq!(svc.call(Op::Get(k)), ReplyBody::Value(Some(round)), "get {i}");
+                }
+            }
+            assert!(!pm::crash::has_crashed(), "the other domain's crash fired here");
+            svc.shutdown();
+        });
+
+        let _domain = pm::Domain::new().enter();
+        let (svc, trees) = start_service(4096);
+        let mut expect = BTreeMap::new();
+        for i in 0..1_500u64 {
+            let k = u64_key(i).to_vec();
+            svc.cast(Op::Insert(k.clone(), i)).expect("seed cast");
+            expect.insert(k, i);
+        }
+        svc.drain();
+        started.wait();
+        pm::crash::arm_at_site(SITE, 1);
+        let res = pm::crash::catch_crash(std::panic::AssertUnwindSafe(|| svc.split(0)));
+        pm::crash::disarm();
+        crashed.store(true, Ordering::Release);
+        assert_eq!(res.err(), Some(SITE), "the split must crash at the armed site");
+        assert_eq!(svc.resume_split().expect("resumable").dest, 2);
+        verify_agreement(&svc, &trees, &expect);
+        svc.shutdown();
+        serving.join().expect("the serving domain's service");
+    });
 }

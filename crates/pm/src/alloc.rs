@@ -365,6 +365,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// Serialises the tests that carve slab blocks: the chunk count and the pool
+    /// are process-wide, so one test's carving would move another's counts. It
+    /// goes when the pool moves into the persistent heap.
+    static POOL_TEST_LOCK: Mutex<()> = Mutex::new(());
+
     /// Slab chunks allocated since process start.
     fn slab_chunks() -> usize {
         CHUNKS.load(Ordering::Relaxed)
@@ -372,10 +377,7 @@ mod tests {
 
     #[test]
     fn pm_box_allocates_and_counts() {
-        // The count is process-wide, and `pm_box` dirties lines in a tracker
-        // another test may have enabled.
-        let _g = tracker::tests::TEST_LOCK.lock();
-        let before = allocated_objects();
+        let before = stats::local()[stats::ALLOC_OBJECTS];
         let p = pm_box(42u64);
         assert!(!p.is_null());
         // SAFETY: freshly allocated, no other references exist.
@@ -383,12 +385,13 @@ mod tests {
             assert_eq!(*p, 42);
             pm_drop(p);
         }
-        assert_eq!(allocated_objects(), before + 1);
+        assert_eq!(stats::local()[stats::ALLOC_OBJECTS], before + 1);
+        assert!(allocated_objects() > before, "the process total counts it too");
     }
 
     #[test]
     fn pm_box_marks_lines_dirty_when_tracking() {
-        let _g = tracker::tests::TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         tracker::enable();
         let p = pm_box([0u8; 256]);
         let report = tracker::check(false);
@@ -432,7 +435,7 @@ mod tests {
 
     #[test]
     fn every_size_class_is_line_aligned_and_tight() {
-        let _g = tracker::tests::TEST_LOCK.lock();
+        let _g = POOL_TEST_LOCK.lock();
         assert!(slab_served::<Lines<1>>() && slab_served::<Lines<{ SLAB_MAX }>>());
         assert_eq!(class_of::<Lines<64>>(), 0);
         assert_eq!(class_of::<Lines<65>>(), 1);
@@ -457,7 +460,7 @@ mod tests {
 
     #[test]
     fn a_dropped_block_is_reused() {
-        let _g = tracker::tests::TEST_LOCK.lock();
+        let _g = POOL_TEST_LOCK.lock();
         let a = pm_line_box(Lines([1u8; 192]));
         // SAFETY: freshly allocated, never shared.
         unsafe { pm_line_drop(a) };
@@ -469,7 +472,7 @@ mod tests {
 
     #[test]
     fn drop_runs_the_destructor_of_a_slab_object() {
-        let _g = tracker::tests::TEST_LOCK.lock();
+        let _g = POOL_TEST_LOCK.lock();
         static DROPS: AtomicU64 = AtomicU64::new(0);
         #[repr(align(64))]
         struct Counted(Vec<u8>);
@@ -489,7 +492,7 @@ mod tests {
 
     #[test]
     fn a_block_may_be_freed_on_another_thread() {
-        let _g = tracker::tests::TEST_LOCK.lock();
+        let _g = POOL_TEST_LOCK.lock();
         // Allocated here, freed there, and then handed out there again.
         let a = pm_line_box(Lines([3u8; 320])) as usize;
         let reused = std::thread::spawn(move || {
@@ -507,7 +510,7 @@ mod tests {
 
     #[test]
     fn a_batch_freed_on_one_thread_is_taken_by_another() {
-        let _g = tracker::tests::TEST_LOCK.lock();
+        let _g = POOL_TEST_LOCK.lock();
         // 2880-byte blocks: a class no other test allocates. Forty of them are more
         // than a thread keeps, so one batch moves to the pool on a free and the rest
         // when the thread exits.
@@ -536,8 +539,7 @@ mod tests {
 
     #[test]
     fn exited_threads_return_their_cache_to_the_pool() {
-        // Serialized with the other chunk-counting and allocating tests.
-        let _g = tracker::tests::TEST_LOCK.lock();
+        let _g = POOL_TEST_LOCK.lock();
         let before = slab_chunks();
         for i in 0..200u32 {
             std::thread::spawn(move || {
@@ -568,7 +570,7 @@ mod tests {
         assert!(!slab_served::<Huge>());
         assert!(!slab_served::<Wide>());
         assert!(!slab_served::<[u64; 8]>(), "an 8-aligned type stays on the heap");
-        let _g = tracker::tests::TEST_LOCK.lock();
+        let _g = POOL_TEST_LOCK.lock();
         let before = slab_chunks();
         let h = pm_line_box(Huge([1; SLAB_MAX + 1]));
         let w = pm_line_box(Wide([5; 128]));
@@ -584,7 +586,8 @@ mod tests {
 
     #[test]
     fn slab_allocations_register_and_count_like_boxes() {
-        let _g = tracker::tests::TEST_LOCK.lock();
+        let _g = POOL_TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         tracker::enable();
         let objects = stats::local();
         let p = pm_line_box(Lines([0u8; 130]));

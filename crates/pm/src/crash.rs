@@ -23,10 +23,13 @@
 //! payload; the harness catches the unwind, treats the process as "restarted", calls
 //! the index's recovery hook (lock re-initialisation), and continues the workload.
 //! Only one crash fires per arming.
+//!
+//! Arming and counters are per [`crate::Domain`]: a site consults the arming of
+//! the calling thread's domain, so crash tests in separate domains run at once.
 
-use parking_lot::Mutex;
+use crate::Domain;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Panic payload identifying a simulated crash. Carries the name of the crash site
 /// that fired.
@@ -39,71 +42,73 @@ const MODE_PROB: u8 = 2;
 const MODE_SITE: u8 = 3;
 const MODE_COUNT: u8 = 4;
 
-static MODE: AtomicU8 = AtomicU8::new(MODE_OFF);
-static HITS: AtomicU64 = AtomicU64::new(0);
-static PARAM: AtomicU64 = AtomicU64::new(0);
-static CRASHED: AtomicBool = AtomicBool::new(false);
-static RNG_STATE: AtomicU64 = AtomicU64::new(0x9E3779B97F4A7C15);
-static TARGET_SITE: Mutex<Option<&'static str>> = Mutex::new(None);
-static LAST_CRASH_SITE: Mutex<Option<&'static str>> = Mutex::new(None);
-/// Fast-path gate for per-name accounting: checked with a relaxed load before
-/// touching the map's mutex, so multi-threaded phases that run armed but with
-/// accounting off never serialize on it.
-static NAMED_ENABLED: AtomicBool = AtomicBool::new(false);
-static NAMED_HITS: Mutex<Option<HashMap<&'static str, u64>>> = Mutex::new(None);
+/// A domain's crash arming, changed under its lock together with the mode.
+#[derive(Default)]
+pub(crate) struct Armed {
+    hits: u64,
+    /// The hit to crash at, the crash probability per million, or the hits of
+    /// `target` left before the crash, by mode.
+    param: u64,
+    rng: u64,
+    target: Option<&'static str>,
+    crashed: bool,
+    last_crash_site: Option<&'static str>,
+    /// Hits per site name while accounting is on; kept across armings.
+    named: Option<HashMap<&'static str, u64>>,
+}
+
+/// Run `f` on the arming of the calling thread's domain, under its lock.
+fn armed<R>(f: impl FnOnce(&Domain, &mut Armed) -> R) -> R {
+    crate::domain::with(|d| f(d, &mut d.crash.lock()))
+}
+
+/// Arm `mode` with a fresh hit count; the per-name accounting carries over.
+fn arm(mode: u8, param: u64, rng: u64, target: Option<&'static str>) {
+    armed(|d, s| {
+        *s = Armed { param, rng, target, named: s.named.take(), ..Armed::default() };
+        d.crash_mode.store(mode, Ordering::SeqCst);
+    });
+}
 
 /// Disarm crash injection entirely (the default).
 pub fn disarm() {
-    MODE.store(MODE_OFF, Ordering::SeqCst);
-    CRASHED.store(false, Ordering::SeqCst);
-    HITS.store(0, Ordering::SeqCst);
-    *TARGET_SITE.lock() = None;
-    *LAST_CRASH_SITE.lock() = None;
+    arm(MODE_OFF, 0, 0, None);
 }
 
 /// Arm a crash at the `n`-th crash-site hit (1-based) from now on.
 pub fn arm_nth(n: u64) {
-    disarm();
-    PARAM.store(n.max(1), Ordering::SeqCst);
-    MODE.store(MODE_NTH, Ordering::SeqCst);
+    arm(MODE_NTH, n.max(1), 0, None);
 }
 
 /// Arm probabilistic crashing: each site hit crashes with probability
 /// `per_million / 1_000_000`. `seed` makes the pseudo-random sequence reproducible.
 pub fn arm_probability(per_million: u64, seed: u64) {
-    disarm();
-    RNG_STATE.store(seed | 1, Ordering::SeqCst);
-    PARAM.store(per_million.min(1_000_000), Ordering::SeqCst);
-    MODE.store(MODE_PROB, Ordering::SeqCst);
+    arm(MODE_PROB, per_million.min(1_000_000), seed | 1, None);
 }
 
 /// Arm a crash at the `hit`-th (1-based) execution of the named site.
 pub fn arm_at_site(name: &'static str, hit: u64) {
-    disarm();
-    *TARGET_SITE.lock() = Some(name);
-    PARAM.store(hit.max(1), Ordering::SeqCst);
-    MODE.store(MODE_SITE, Ordering::SeqCst);
+    arm(MODE_SITE, hit.max(1), 0, Some(name));
 }
 
 /// Count site hits without ever crashing.
 pub fn arm_count_only() {
-    disarm();
-    MODE.store(MODE_COUNT, Ordering::SeqCst);
+    arm(MODE_COUNT, 0, 0, None);
 }
 
 /// Total crash-site hits since the last arming.
 pub fn sites_hit() -> u64 {
-    HITS.load(Ordering::SeqCst)
+    armed(|_, s| s.hits)
 }
 
 /// Whether a simulated crash has fired since the last arming.
 pub fn has_crashed() -> bool {
-    CRASHED.load(Ordering::SeqCst)
+    armed(|_, s| s.crashed)
 }
 
 /// Name of the site at which the last simulated crash fired, if any.
 pub fn last_crash_site() -> Option<&'static str> {
-    *LAST_CRASH_SITE.lock()
+    armed(|_, s| s.last_crash_site)
 }
 
 /// Start (or restart) per-name site-hit accounting with empty counters.
@@ -114,47 +119,25 @@ pub fn last_crash_site() -> Option<&'static str> {
 /// call [`stop_named_counts`] to turn it off again. The §5 coverage report is built
 /// from these counters.
 pub fn start_named_counts() {
-    *NAMED_HITS.lock() = Some(HashMap::new());
-    NAMED_ENABLED.store(true, Ordering::SeqCst);
+    armed(|_, s| s.named = Some(HashMap::new()));
 }
 
 /// Stop per-name accounting and drop the counters.
 pub fn stop_named_counts() {
-    NAMED_ENABLED.store(false, Ordering::SeqCst);
-    *NAMED_HITS.lock() = None;
+    armed(|_, s| s.named = None);
 }
 
 /// Snapshot of the per-name site-hit counters (empty if accounting is off).
 #[must_use]
 pub fn named_counts() -> Vec<(&'static str, u64)> {
-    NAMED_HITS
-        .lock()
-        .as_ref()
-        .map(|m| m.iter().map(|(k, v)| (*k, *v)).collect())
-        .unwrap_or_default()
+    armed(|_, s| s.named.iter().flatten().map(|(k, v)| (*k, *v)).collect())
 }
 
 /// Hits recorded for one named site since [`start_named_counts`] (0 if accounting
 /// is off or the site never fired).
 #[must_use]
 pub fn named_count(name: &str) -> u64 {
-    NAMED_HITS.lock().as_ref().and_then(|m| m.get(name).copied()).unwrap_or(0)
-}
-
-#[inline]
-fn next_rand() -> u64 {
-    // SplitMix64 step on a shared atomic state; collisions between threads only make
-    // the sequence less predictable, which is fine for crash fuzzing.
-    crate::mix64(RNG_STATE.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed))
-}
-
-#[cold]
-fn fire(name: &'static str) -> ! {
-    MODE.store(MODE_OFF, Ordering::SeqCst);
-    CRASHED.store(true, Ordering::SeqCst);
-    *LAST_CRASH_SITE.lock() = Some(name);
-    obs::event::emit("crash.fire", name, 0, 0);
-    std::panic::panic_any(CrashPanic(name));
+    armed(|_, s| s.named.as_ref().and_then(|m| m.get(name).copied()).unwrap_or(0))
 }
 
 /// Declare a crash site. Index code calls this between the ordered atomic steps of an
@@ -164,42 +147,41 @@ fn fire(name: &'static str) -> ! {
 /// so far.
 #[inline]
 pub fn site(name: &'static str) {
-    let mode = MODE.load(Ordering::Relaxed);
-    if mode == MODE_OFF {
-        return;
+    if crate::domain::with(|d| d.crash_mode.load(Ordering::Relaxed)) != MODE_OFF {
+        site_slow(name);
     }
-    site_slow(mode, name);
 }
 
 #[inline(never)]
-fn site_slow(mode: u8, name: &'static str) {
-    if NAMED_ENABLED.load(Ordering::Relaxed) {
-        if let Some(map) = NAMED_HITS.lock().as_mut() {
+fn site_slow(name: &'static str) {
+    let (hit, fire) = armed(|d, s| {
+        if let Some(map) = s.named.as_mut() {
             *map.entry(name).or_insert(0) += 1;
         }
-    }
-    let hit = HITS.fetch_add(1, Ordering::SeqCst) + 1;
+        s.hits += 1;
+        let fire = match d.crash_mode.load(Ordering::Relaxed) {
+            MODE_NTH => s.hits == s.param,
+            MODE_PROB => {
+                let r = crate::mix64(s.rng);
+                s.rng = s.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                r % 1_000_000 < s.param
+            }
+            MODE_SITE if s.target == Some(name) => {
+                s.param -= 1;
+                s.param == 0
+            }
+            _ => false,
+        };
+        if fire {
+            d.crash_mode.store(MODE_OFF, Ordering::SeqCst);
+            (s.crashed, s.last_crash_site) = (true, Some(name));
+        }
+        (s.hits, fire)
+    });
     obs::event::emit("crash.site", name, hit, 0);
-    match mode {
-        MODE_COUNT => {}
-        MODE_NTH if hit == PARAM.load(Ordering::SeqCst) => fire(name),
-        MODE_NTH => {}
-        MODE_PROB => {
-            let p = PARAM.load(Ordering::SeqCst);
-            if next_rand() % 1_000_000 < p {
-                fire(name);
-            }
-        }
-        MODE_SITE => {
-            let target = *TARGET_SITE.lock();
-            if target == Some(name) {
-                let remaining = PARAM.fetch_sub(1, Ordering::SeqCst);
-                if remaining == 1 {
-                    fire(name);
-                }
-            }
-        }
-        _ => {}
+    if fire {
+        obs::event::emit("crash.fire", name, 0, 0);
+        std::panic::panic_any(CrashPanic(name));
     }
 }
 
@@ -215,29 +197,28 @@ pub fn catch_crash<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> Result<
     }
 }
 
-/// Install a panic hook that silences the default "thread panicked" message for
-/// simulated crashes while delegating every other panic to the previous hook.
-/// Idempotent enough for test use; call once from the harness.
+/// Install, once per process, a panic hook that silences the default "thread
+/// panicked" message for simulated crashes while delegating every other panic to
+/// the hook it replaced. Later calls do nothing.
 pub fn install_quiet_hook() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if info.payload().downcast_ref::<CrashPanic>().is_some() {
-            return;
-        }
-        prev(info);
-    }));
+    static INSTALLED: std::sync::Once = std::sync::Once::new();
+    INSTALLED.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<CrashPanic>().is_none() {
+                prev(info);
+            }
+        }));
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Crash state is global; serialize.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disarmed_sites_do_nothing() {
-        let _g = LOCK.lock();
+        let _d = crate::Domain::new().enter();
         disarm();
         site("a");
         site("b");
@@ -247,7 +228,7 @@ mod tests {
 
     #[test]
     fn nth_mode_crashes_exactly_once_at_nth_hit() {
-        let _g = LOCK.lock();
+        let _d = crate::Domain::new().enter();
         install_quiet_hook();
         arm_nth(3);
         let r = catch_crash(|| {
@@ -271,7 +252,7 @@ mod tests {
 
     #[test]
     fn count_only_mode_counts() {
-        let _g = LOCK.lock();
+        let _d = crate::Domain::new().enter();
         arm_count_only();
         for _ in 0..10 {
             site("x");
@@ -283,7 +264,7 @@ mod tests {
 
     #[test]
     fn at_site_mode_targets_named_site() {
-        let _g = LOCK.lock();
+        let _d = crate::Domain::new().enter();
         install_quiet_hook();
         arm_at_site("target", 2);
         let r = catch_crash(|| {
@@ -299,7 +280,7 @@ mod tests {
 
     #[test]
     fn probability_zero_never_crashes() {
-        let _g = LOCK.lock();
+        let _d = crate::Domain::new().enter();
         arm_probability(0, 7);
         for _ in 0..1000 {
             site("p");
@@ -310,7 +291,7 @@ mod tests {
 
     #[test]
     fn probability_full_crashes_immediately() {
-        let _g = LOCK.lock();
+        let _d = crate::Domain::new().enter();
         install_quiet_hook();
         arm_probability(1_000_000, 9);
         let r = catch_crash(|| {
@@ -323,7 +304,7 @@ mod tests {
 
     #[test]
     fn named_counts_accumulate_across_armings() {
-        let _g = LOCK.lock();
+        let _d = crate::Domain::new().enter();
         install_quiet_hook();
         start_named_counts();
         arm_count_only();
@@ -351,11 +332,25 @@ mod tests {
 
     #[test]
     fn catch_crash_propagates_other_panics() {
-        let _g = LOCK.lock();
+        let _d = crate::Domain::new().enter();
         disarm();
         let res = std::panic::catch_unwind(|| {
             let _ = catch_crash(|| -> u32 { panic!("real bug") });
         });
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn the_quiet_hook_installs_once_and_passes_other_panics_on() {
+        let _d = crate::Domain::new().enter();
+        install_quiet_hook();
+        install_quiet_hook();
+        let res = std::panic::catch_unwind(|| {
+            let _ = catch_crash(|| -> u32 { panic!("real bug") });
+        });
+        let payload = res.expect_err("a non-crash panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"real bug"));
+        arm_nth(1);
+        assert_eq!(catch_crash(|| site("quiet")), Err("quiet"));
     }
 }

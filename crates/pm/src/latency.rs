@@ -28,11 +28,12 @@
 //! (debt is accumulated per thread and paid once it exceeds [`PAY_GRANULARITY_NS`],
 //! amortising the `Instant` overhead that would otherwise dwarf a ~100 ns charge).
 //!
-//! The model's own cost per event is a thread-local borrow, one shared load (the
-//! install epoch, against which each thread caches the [`Model`]) and, for a flush,
-//! one probe of the thread's line set; a fence closes the epoch in O(1).
+//! A model is installed per [`crate::Domain`] and prices the threads of its domain.
+//! Its own cost per event is a thread-local borrow, one shared load (the install
+//! epoch, against which each thread caches the [`Model`]) and, for a flush, one
+//! probe of the thread's line set; a fence closes the epoch in O(1).
 //!
-//! The process starts with the **zero model** installed (no charges, no waits), so
+//! Every domain starts with the **zero model** installed (no charges, no waits), so
 //! unit tests and the crash harness run at full speed. Benchmark binaries install
 //! [`Model::from_env`], whose defaults are the *calibrated* constants
 //! ([`DEFAULT_CLWB_NS`] / [`DEFAULT_FENCE_NS`] / [`DEFAULT_READ_NS`]) picked by
@@ -42,9 +43,8 @@
 //! override them.
 
 use crate::stats;
-use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Calibrated default: nanoseconds charged for the first `clwb` of a cache line in a
@@ -69,12 +69,6 @@ pub const PAY_GRANULARITY_NS: u64 = 4_096;
 /// epoch set is cleared (an index that flushes tens of thousands of lines without
 /// fencing is not modelling RECIPE-style conversions anyway). Bounds memory.
 const MAX_EPOCH_LINES: usize = 1 << 15;
-
-/// The installed (process-global) model. `MODEL_EPOCH` bumps on every install; each
-/// thread caches the model beside the epoch it read it under, so an event costs one
-/// load of `MODEL_EPOCH`, and drops its dedup state when it observes a new epoch.
-static MODEL: Mutex<Model> = Mutex::new(Model::ZERO);
-static MODEL_EPOCH: AtomicU64 = AtomicU64::new(0);
 
 /// An exact set of cache-line addresses whose `clear` is O(1): open addressing with
 /// linear probing, where a slot is live iff its stamp equals the current generation,
@@ -170,7 +164,7 @@ thread_local! {
 
 /// The simulated PM cost model. Install one with [`Model::install`]; the flush/fence
 /// primitives and the node-visit counter consult the installed model on every event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Model {
     /// Nanoseconds charged for the first flush of a cache line within a fence epoch
     /// (repeats of the same line are free until the next fence).
@@ -186,8 +180,8 @@ pub struct Model {
 }
 
 impl Model {
-    /// The free model: nothing is charged, nothing busy-waits. Installed at process
-    /// start so tests run at full speed.
+    /// The free model: nothing is charged, nothing busy-waits. Installed in every
+    /// new domain so tests run at full speed.
     pub const ZERO: Model = Model { clwb_ns: 0, fence_ns: 0, read_ns: 0, eadr: false };
 
     /// The calibrated Optane-like defaults (see the module docs and README for the
@@ -199,19 +193,22 @@ impl Model {
         eadr: false,
     };
 
-    /// Install this model process-wide. Threads start a fresh dedup epoch the next
-    /// time they flush under the new model.
+    /// Install this model in the calling thread's domain. Its threads start a fresh
+    /// dedup epoch the next time they flush under the new model.
     pub fn install(self) {
-        *MODEL.lock() = self;
-        // A thread that sees the new epoch then reads `MODEL` under its lock,
-        // so it cannot pair the epoch with an older model.
-        MODEL_EPOCH.fetch_add(1, Ordering::Release);
+        crate::domain::with(|d| {
+            *d.model.lock() = self;
+            // Each thread caches the model beside the epoch it read it under. One
+            // that sees the new epoch then reads the model under its lock, so it
+            // cannot pair the epoch with an older model.
+            d.model_epoch.fetch_add(1, Ordering::Release);
+        });
     }
 
-    /// The currently installed model.
+    /// The model installed in the calling thread's domain.
     #[must_use]
     pub fn current() -> Model {
-        *MODEL.lock()
+        crate::domain::with(|d| *d.model.lock())
     }
 
     /// Effective per-first-flush charge: zero under eADR.
@@ -370,11 +367,11 @@ fn charge(t: &mut ThreadLat, kind: usize, ns: u64) {
 }
 
 impl ThreadLat {
-    /// The installed model; on the first event after an install, re-reads it and
-    /// drops the dedup state and debt of the previous one.
+    /// The installed model; on the first event after an install or a change of
+    /// domain, re-reads it and drops the dedup state and debt of the previous one.
     #[inline]
     fn model(&mut self) -> Model {
-        let now = MODEL_EPOCH.load(Ordering::Acquire);
+        let now = crate::domain::with(|d| d.model_epoch.load(Ordering::Acquire));
         if self.model_epoch != now {
             self.model_epoch = now;
             self.model = Model::current();
@@ -383,6 +380,11 @@ impl ThreadLat {
         }
         self.model
     }
+}
+
+/// The calling thread changed domains: make its next event re-read the model.
+pub(crate) fn rebind() {
+    TL.with(|t| t.borrow_mut().model_epoch = u64::MAX);
 }
 
 /// Price one cache-line flush of `line` (called by [`crate::flush::clwb`]).
@@ -429,16 +431,11 @@ pub(crate) fn on_node_visits(n: u64) {
 mod tests {
     use super::*;
 
-    /// The installed model is process-global; tests that install one serialize and
-    /// restore [`Model::ZERO`] before releasing the lock.
-    static MODEL_LOCK: Mutex<()> = Mutex::new(());
-
+    /// Run `f` in a fresh domain with `m` installed.
     fn with_model<R>(m: Model, f: impl FnOnce() -> R) -> R {
-        let _g = MODEL_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         m.install();
-        let r = f();
-        Model::ZERO.install();
-        r
+        f()
     }
 
     #[test]
@@ -515,14 +512,13 @@ mod tests {
     #[test]
     fn model_reinstall_opens_a_fresh_epoch() {
         let a = Model { clwb_ns: 10, fence_ns: 0, read_ns: 0, eadr: false };
-        let _g = MODEL_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         a.install();
         let before = charged_local();
         on_clwb(0x1000);
         a.install(); // same constants, new epoch
         on_clwb(0x1000);
         let d = charged_local().since(&before);
-        Model::ZERO.install();
         assert_eq!(d.clwb_ns, 20, "reinstall must clear per-thread dedup state");
     }
 
@@ -557,7 +553,9 @@ mod tests {
         let m = Model { clwb_ns: 100, fence_ns: 100, read_ns: 100, eadr: false };
         with_model(m, || {
             let before = charged_local();
-            std::thread::spawn(|| {
+            let domain = crate::Domain::current();
+            std::thread::spawn(move || {
+                let _d = domain.enter();
                 on_clwb(0);
                 on_fence();
                 on_node_visits(3);

@@ -23,6 +23,7 @@
 //! * [`crash`] — named crash sites placed between the atomic steps of insert and
 //!   structure-modification operations, implementing the paper's targeted
 //!   crash-state generation (§5).
+//! * [`domain`] — the [`Domain`]: crash arming, tracker and model, found per thread.
 //! * [`obs_bridge`] — registers an `obs` collector so one `obs::snapshot()`
 //!   export carries the substrate's counters, per-mapping probes, and
 //!   charged-ns breakdown alongside the rest of the stack's metrics.
@@ -36,11 +37,14 @@
 
 pub mod alloc;
 pub mod crash;
+pub mod domain;
 pub mod flush;
 pub mod latency;
 pub mod obs_bridge;
 pub mod stats;
 pub mod tracker;
+
+pub use domain::Domain;
 
 /// Size of a cache line on the simulated machine, in bytes.
 ///

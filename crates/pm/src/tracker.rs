@@ -23,20 +23,19 @@
 //! ordering check: a conversion calls it (through `PersistMode::assert_durable`) right
 //! before the store that makes an object reachable, and it panics if any line of the
 //! object is still `dirty` or `pending` — the object would be reachable before it is
-//! durable. Like the rest of the tracker it is line-granular and process-wide, so it
-//! is meant for one writer at a time.
+//! durable. Like the rest of the tracker it is line-granular and shared by every
+//! thread of its domain, so it is meant for one writer at a time per domain.
 //!
-//! Tracking is globally disabled by default (a single relaxed atomic load on the fast
-//! path) so benchmarks pay nothing for it.
+//! Tracking is per [`crate::Domain`] and disabled by default (a thread-local
+//! pointer and a relaxed load on the fast path), so benchmarks pay nothing for it.
 
 use crate::line_of;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-struct State {
+/// A domain's tracked allocations and line states, present while tracking is on.
+#[derive(Default)]
+pub(crate) struct Lines {
     /// Tracked allocation ranges: start → length.
     allocs: BTreeMap<usize, usize>,
     /// Lines with stores not yet flushed.
@@ -45,7 +44,16 @@ struct State {
     pending: HashSet<usize>,
 }
 
-static STATE: Mutex<Option<State>> = Mutex::new(None);
+/// Run `f` on the line states, if tracking is on in the calling thread's domain.
+#[inline]
+fn tracked<R>(f: impl FnOnce(&mut Lines) -> R) -> Option<R> {
+    crate::domain::with(|d| {
+        if !d.tracking.load(Ordering::Relaxed) {
+            return None;
+        }
+        d.tracker.lock().as_mut().map(f)
+    })
+}
 
 /// Result of a durability [`check`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -68,86 +76,70 @@ impl DurabilityReport {
 
 /// Enable tracking and clear any previous state.
 pub fn enable() {
-    let mut g = STATE.lock();
-    *g = Some(State { allocs: BTreeMap::new(), dirty: HashSet::new(), pending: HashSet::new() });
-    ENABLED.store(true, Ordering::SeqCst);
+    crate::domain::with(|d| {
+        *d.tracker.lock() = Some(Lines::default());
+        d.tracking.store(true, Ordering::SeqCst);
+    });
 }
 
 /// Disable tracking and drop all state.
 pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-    *STATE.lock() = None;
+    crate::domain::with(|d| {
+        d.tracking.store(false, Ordering::SeqCst);
+        *d.tracker.lock() = None;
+    });
 }
 
 /// Whether tracking is currently enabled.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::domain::with(|d| d.tracking.load(Ordering::Relaxed))
 }
 
 /// Record an allocation of `len` bytes at `addr` (called by [`crate::alloc`]).
 pub fn on_alloc(addr: usize, len: usize) {
-    if !enabled() {
-        return;
-    }
-    if let Some(s) = STATE.lock().as_mut() {
-        s.allocs.insert(addr, len);
-    }
+    tracked(|s| s.allocs.insert(addr, len));
 }
 
 /// Record a store of `len` bytes at `addr`: the overlapped cache lines become dirty.
 pub fn on_store(addr: usize, len: usize) {
-    if !enabled() || len == 0 {
+    if len == 0 {
         return;
     }
-    if let Some(s) = STATE.lock().as_mut() {
-        let mut line = line_of(addr);
-        let end = addr + len;
-        while line < end {
+    tracked(|s| {
+        for line in (line_of(addr)..addr + len).step_by(crate::CACHE_LINE) {
             s.pending.remove(&line);
             s.dirty.insert(line);
-            line += crate::CACHE_LINE;
         }
-    }
+    });
 }
 
 /// Record a cache-line write-back of the line starting at `line_addr`.
 pub fn on_flush(line_addr: usize) {
-    if !enabled() {
-        return;
-    }
-    if let Some(s) = STATE.lock().as_mut() {
+    tracked(|s| {
         if s.dirty.remove(&line_addr) {
             s.pending.insert(line_addr);
         }
-    }
+    });
 }
 
 /// Record a store fence: all pending lines become durable.
 pub fn on_fence() {
-    if !enabled() {
-        return;
-    }
-    if let Some(s) = STATE.lock().as_mut() {
-        s.pending.clear();
-    }
+    tracked(|s| s.pending.clear());
 }
 
 /// Run the durability check. With `strict`, lines that were flushed but not yet fenced
 /// are also reported (the paper's conversions always end an operation with a fence).
 pub fn check(strict: bool) -> DurabilityReport {
-    let g = STATE.lock();
-    match g.as_ref() {
-        None => DurabilityReport::default(),
-        Some(s) => {
-            let mut unflushed: Vec<usize> = s.dirty.iter().copied().collect();
-            unflushed.sort_unstable();
-            let mut unfenced: Vec<usize> =
-                if strict { s.pending.iter().copied().collect() } else { Vec::new() };
-            unfenced.sort_unstable();
-            DurabilityReport { unflushed, unfenced, allocations: s.allocs.len() }
-        }
-    }
+    tracked(|s| {
+        let mut unflushed: Vec<usize> = s.dirty.iter().copied().collect();
+        unflushed.sort_unstable();
+        let mut unfenced: Vec<usize> =
+            if strict { s.pending.iter().copied().collect() } else { Vec::new() };
+        unfenced.sort_unstable();
+        DurabilityReport { unflushed, unfenced, allocations: s.allocs.len() }
+    })
+    .unwrap_or_default()
 }
 
 /// Panic unless every cache line overlapping `[addr, addr + len)` is durable: neither
@@ -160,11 +152,11 @@ pub fn check(strict: bool) -> DurabilityReport {
 /// # Panics
 /// If tracking is enabled and a line of the range is not durable.
 pub fn assert_durable(addr: usize, len: usize) {
-    if !enabled() || len == 0 {
+    if len == 0 {
         return;
     }
     // Decide under the lock, panic after releasing it.
-    let offending = STATE.lock().as_ref().and_then(|s| {
+    let offending = tracked(|s| {
         (line_of(addr)..addr + len).step_by(crate::CACHE_LINE).find_map(|line| {
             if s.dirty.contains(&line) {
                 Some((line, "dirty (stored, never flushed)"))
@@ -175,7 +167,7 @@ pub fn assert_durable(addr: usize, len: usize) {
             }
         })
     });
-    if let Some((line, state)) = offending {
+    if let Some(Some((line, state))) = offending {
         panic!("publish before durable: line {line:#x} of [{addr:#x}, +{len}) is {state}");
     }
 }
@@ -183,23 +175,21 @@ pub fn assert_durable(addr: usize, len: usize) {
 /// Forget all dirty/pending state but keep tracking enabled. Used between the load
 /// phase and the test phase of the durability test.
 pub fn clear_lines() {
-    if let Some(s) = STATE.lock().as_mut() {
-        s.dirty.clear();
-        s.pending.clear();
-    }
+    crate::domain::with(|d| {
+        if let Some(s) = d.tracker.lock().as_mut() {
+            s.dirty.clear();
+            s.pending.clear();
+        }
+    });
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    // The tracker is global; serialize the tests that use it — and, while it is
-    // enabled, every test of this crate that allocates with `pm_box`.
-    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn store_flush_fence_cycle_is_durable() {
-        let _g = TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         enable();
         on_alloc(0x1000, 128);
         on_store(0x1000, 16);
@@ -213,7 +203,7 @@ pub(crate) mod tests {
 
     #[test]
     fn missing_flush_is_reported() {
-        let _g = TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         enable();
         on_store(0x2000, 8);
         on_store(0x2040, 8);
@@ -227,7 +217,7 @@ pub(crate) mod tests {
 
     #[test]
     fn missing_fence_reported_only_in_strict_mode() {
-        let _g = TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         enable();
         on_store(0x3000, 8);
         on_flush(0x3000);
@@ -238,7 +228,7 @@ pub(crate) mod tests {
 
     #[test]
     fn store_after_flush_re_dirties_the_line() {
-        let _g = TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         enable();
         on_store(0x4000, 8);
         on_flush(0x4000);
@@ -249,7 +239,7 @@ pub(crate) mod tests {
         disable();
     }
 
-    /// `assert_durable(addr, len)` under the test lock, as a `Result`.
+    /// `assert_durable(addr, len)` as a `Result`.
     fn durable(addr: usize, len: usize) -> Result<(), String> {
         std::panic::catch_unwind(|| assert_durable(addr, len))
             .map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default())
@@ -257,7 +247,7 @@ pub(crate) mod tests {
 
     #[test]
     fn assert_durable_rejects_a_dirty_line() {
-        let _g = TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         enable();
         on_store(0x6000, 8);
         let err = durable(0x6000, 8).expect_err("a stored, unflushed line is not durable");
@@ -267,7 +257,7 @@ pub(crate) mod tests {
 
     #[test]
     fn assert_durable_rejects_a_flushed_but_unfenced_line() {
-        let _g = TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         enable();
         on_store(0x6100, 8);
         on_flush(line_of(0x6100));
@@ -278,7 +268,7 @@ pub(crate) mod tests {
 
     #[test]
     fn assert_durable_accepts_a_fenced_line_and_untouched_memory() {
-        let _g = TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         enable();
         on_store(0x6200, 8);
         on_flush(line_of(0x6200));
@@ -291,7 +281,7 @@ pub(crate) mod tests {
 
     #[test]
     fn assert_durable_covers_every_line_of_the_range() {
-        let _g = TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         enable();
         // 16 bytes from 0x6338 span the lines at 0x6300 and 0x6340.
         on_store(0x6338, 16);
@@ -308,7 +298,7 @@ pub(crate) mod tests {
 
     #[test]
     fn assert_durable_is_a_no_op_while_disabled() {
-        let _g = TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         disable();
         on_store(0x6400, 8);
         assert_eq!(durable(0x6400, 8), Ok(()));
@@ -316,7 +306,7 @@ pub(crate) mod tests {
 
     #[test]
     fn disabled_tracker_reports_nothing() {
-        let _g = TEST_LOCK.lock();
+        let _d = crate::Domain::new().enter();
         disable();
         on_store(0x5000, 8);
         assert!(check(true).is_durable());

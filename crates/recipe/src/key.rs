@@ -268,8 +268,6 @@ mod tests {
     #[test]
     fn staging_a_leaf_flushes_its_line_and_only_a_spill_beyond() {
         use crate::persist::Pmem;
-        // A leaf registers with the durability tracker another test may have on.
-        let _g = crate::persist::tests::TRACKER_LOCK.lock();
         let clwbs = |l: &Leaf| {
             let before = pm::stats::snapshot_local();
             l.stage::<Pmem>();

@@ -292,13 +292,9 @@ impl PersistMode for Pmem {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Serializes the tests that turn the process-global durability tracker on
-    /// with those that allocate PM objects, which it would register as dirty.
-    pub(crate) static TRACKER_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     /// Two words on one cache line, and a third on the next.
     #[repr(C, align(64))]
@@ -409,7 +405,7 @@ pub(crate) mod tests {
 
     #[test]
     fn publish_panics_on_a_cover_that_was_never_staged() {
-        let _g = TRACKER_LOCK.lock();
+        let _d = pm::Domain::new().enter();
         pm::tracker::enable();
         let l = lines();
         // The covered word was stored but never flushed: the fence ahead of the
@@ -430,7 +426,7 @@ pub(crate) mod tests {
 
     #[test]
     fn coalesced_publish_elides_its_fences_and_skips_the_check() {
-        let _g = TRACKER_LOCK.lock();
+        let _d = pm::Domain::new().enter();
         pm::tracker::enable();
         let l = lines();
         Pmem::mark_dirty_obj(&l.next_line);
@@ -469,8 +465,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pmem_mark_dirty_feeds_tracker() {
-        let _g = TRACKER_LOCK.lock();
-        // Tracker is global; keep this self-contained and tolerant of other tests.
+        let _d = pm::Domain::new().enter();
         pm::tracker::enable();
         let x = 7u64;
         Pmem::mark_dirty_obj(&x);
@@ -478,8 +473,7 @@ pub(crate) mod tests {
         assert!(!report.is_durable());
         Pmem::persist_obj(&x, true);
         assert!(pm::tracker::check(false).is_durable());
-        // The ordering check reads the same line states (a dirty line, because a
-        // fence on another test's thread cannot clean it), except where a
+        // The ordering check reads the same line states, except where a
         // coalescing region defers every fence by design.
         let (ptr, len) = span(&x);
         Pmem::assert_durable(ptr, len);

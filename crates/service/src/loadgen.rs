@@ -88,10 +88,10 @@ impl LoadgenConfig {
     /// (`RECIPE_SERVICE_DEADLINE_NS`, `RECIPE_SERVICE_STREAM_MS`).
     #[must_use]
     pub fn from_env() -> Self {
-        let get = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<u64>().ok());
+        let env = |k: &str| std::env::var(k).ok();
         LoadgenConfig {
-            deadline_ns: get("RECIPE_SERVICE_DEADLINE_NS").unwrap_or(0),
-            stream_ms: get("RECIPE_SERVICE_STREAM_MS").unwrap_or(0),
+            deadline_ns: crate::service::knob(&env, "RECIPE_SERVICE_DEADLINE_NS", 0),
+            stream_ms: crate::service::knob(&env, "RECIPE_SERVICE_STREAM_MS", 0),
             ..LoadgenConfig::default()
         }
     }

@@ -266,12 +266,8 @@ fn begin(
         (new_router, delta, topo.shards.len())
     };
     debug_assert_eq!(dest_id + 1, new_router.shards());
-    let dest_shard = Arc::new(Shard::spawn(
-        dest_id,
-        (svc.make_shard)(dest_id),
-        svc.cfg.queue_cap,
-        svc.cfg.max_batch,
-    ));
+    let dest_shard =
+        Arc::new(Shard::spawn(dest_id, (svc.make_shard)(dest_id), &svc.domain, &svc.cfg));
     let mut by_src: BTreeMap<usize, Vec<MovedRange>> = BTreeMap::new();
     for r in delta {
         by_src.entry(r.from).or_default().push(r);

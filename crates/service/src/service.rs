@@ -48,18 +48,29 @@ impl ServiceConfig {
     /// Defaults overridden by the `RECIPE_SERVICE_*` environment variables.
     #[must_use]
     pub fn from_env() -> Self {
-        let get = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<usize>().ok());
+        Self::from_lookup(&|k| std::env::var(k).ok())
+    }
+
+    /// [`ServiceConfig::from_env`] over any lookup: each value goes through
+    /// [`knob`], and a zero size keeps its default too.
+    pub(crate) fn from_lookup(get: &dyn Fn(&str) -> Option<String>) -> Self {
         let d = ServiceConfig::default();
+        let size = |k, d| Some(knob(get, k, d as u64) as usize).filter(|&n| n > 0).unwrap_or(d);
         ServiceConfig {
-            shards: get("RECIPE_SERVICE_SHARDS").filter(|&n| n > 0).unwrap_or(d.shards),
-            queue_cap: get("RECIPE_SERVICE_QUEUE_CAP").filter(|&n| n > 0).unwrap_or(d.queue_cap),
-            max_batch: get("RECIPE_SERVICE_BATCH").filter(|&n| n > 0).unwrap_or(d.max_batch),
-            default_deadline_ns: std::env::var("RECIPE_SERVICE_DEADLINE_NS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(d.default_deadline_ns),
+            shards: size("RECIPE_SERVICE_SHARDS", d.shards),
+            queue_cap: size("RECIPE_SERVICE_QUEUE_CAP", d.queue_cap),
+            max_batch: size("RECIPE_SERVICE_BATCH", d.max_batch),
+            default_deadline_ns: knob(get, "RECIPE_SERVICE_DEADLINE_NS", d.default_deadline_ns),
         }
     }
+}
+
+/// The `RECIPE_SERVICE_*` knob `key` from `get`, read by [`pm::latency::parse_ns`]:
+/// unset keeps `default`, and so does a malformed value, with a warning on stderr.
+pub(crate) fn knob(get: &dyn Fn(&str) -> Option<String>, key: &str, default: u64) -> u64 {
+    let (v, warning) = pm::latency::parse_ns(key, get(key), default);
+    warning.into_iter().for_each(|w| eprintln!("warning: {w}"));
+    v
 }
 
 /// The mutable routing state: the ring and the workers it routes to, swapped
@@ -83,6 +94,8 @@ pub struct Service {
     /// destination shard the same way `start` spawned the originals.
     pub(crate) make_shard: Box<dyn Fn(usize) -> Arc<dyn Index> + Send + Sync>,
     pub(crate) cfg: ServiceConfig,
+    /// The PM domain of the thread that started it, for every shard's batches.
+    pub(crate) domain: Arc<pm::Domain>,
 }
 
 impl Service {
@@ -96,14 +109,16 @@ impl Service {
         make_shard: impl Fn(usize) -> Arc<dyn Index> + Send + Sync + 'static,
     ) -> Service {
         assert!(cfg.shards > 0, "service needs at least one shard");
+        let domain = pm::Domain::current();
         let shards = (0..cfg.shards)
-            .map(|i| Arc::new(Shard::spawn(i, make_shard(i), cfg.queue_cap, cfg.max_batch)))
+            .map(|i| Arc::new(Shard::spawn(i, make_shard(i), &domain, &cfg)))
             .collect();
         Service {
             topo: parking_lot::RwLock::new(Topology { router: Router::new(cfg.shards), shards }),
             migration: parking_lot::Mutex::new(None),
             make_shard: Box::new(make_shard),
             cfg,
+            domain,
         }
     }
 
@@ -510,5 +525,28 @@ mod tests {
 
     fn svc_total(stats: &[ShardStats]) -> u64 {
         stats.iter().map(|s| s.completed).sum()
+    }
+
+    #[test]
+    fn service_knobs_parse_or_keep_their_defaults() {
+        let vars = |pairs: &'static [(&'static str, &'static str)]| {
+            move |k: &str| pairs.iter().find(|(n, _)| *n == k).map(|(_, v)| (*v).to_string())
+        };
+        let d = ServiceConfig::default();
+        let cfg = ServiceConfig::from_lookup(&vars(&[
+            ("RECIPE_SERVICE_SHARDS", "4"),
+            ("RECIPE_SERVICE_QUEUE_CAP", "0"),
+            ("RECIPE_SERVICE_BATCH", " 8 "),
+            ("RECIPE_SERVICE_DEADLINE_NS", "3ms"),
+        ]));
+        assert_eq!((cfg.shards, cfg.max_batch), (4, 8));
+        assert_eq!(cfg.queue_cap, d.queue_cap, "a zero size keeps its default");
+        assert_eq!(cfg.default_deadline_ns, 0, "a malformed deadline keeps the default");
+        let cfg = ServiceConfig::from_lookup(&vars(&[("RECIPE_SERVICE_DEADLINE_NS", "250000")]));
+        assert_eq!((cfg.shards, cfg.default_deadline_ns), (d.shards, 250_000));
+        let stream = vars(&[("RECIPE_SERVICE_STREAM_MS", "25"), ("RECIPE_SERVICE_BATCH", "x")]);
+        assert_eq!(knob(&stream, "RECIPE_SERVICE_STREAM_MS", 0), 25);
+        assert_eq!(knob(&stream, "RECIPE_SERVICE_BATCH", 32), 32);
+        assert_eq!(knob(&stream, "RECIPE_SERVICE_SHARDS", 2), 2, "unset");
     }
 }

@@ -93,7 +93,7 @@
 //! without such panics.
 
 use crate::migrate::{KeyState, ShardMigration};
-use crate::{Op, Reply, ReplyBody, ShedReason};
+use crate::{Op, Reply, ReplyBody, ServiceConfig, ShedReason};
 use recipe::session::{Handle, Index, IndexExt, OpError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -483,6 +483,8 @@ impl Stats {
 struct Core {
     id: usize,
     index: Arc<dyn Index>,
+    /// The service's PM domain, entered by whoever holds the combiner token.
+    domain: Arc<pm::Domain>,
     queue: Arc<Queue>,
     max_batch: usize,
     stats: Stats,
@@ -785,6 +787,7 @@ impl Drop for Turn<'_> {
 }
 
 fn worker_loop(core: &Core) {
+    let _domain = core.domain.enter();
     loop {
         let turn = {
             let mut g = lock(&core.queue.inner);
@@ -808,12 +811,12 @@ fn worker_loop(core: &Core) {
 
 impl Shard {
     /// Start shard `id` over its own `index` shard: the queue, and the
-    /// worker thread that serves it whenever no caller does.
+    /// worker thread that serves it whenever no caller does, in `domain`.
     pub(crate) fn spawn(
         id: usize,
         index: Arc<dyn Index>,
-        queue_cap: usize,
-        max_batch: usize,
+        domain: &Arc<pm::Domain>,
+        cfg: &ServiceConfig,
     ) -> Shard {
         let queue = Arc::new(Queue {
             inner: Mutex::new(QueueInner {
@@ -826,14 +829,15 @@ impl Shard {
                 scratch: Scratch::default(),
             }),
             cv: Condvar::new(),
-            cap: queue_cap.max(1),
+            cap: cfg.queue_cap.max(1),
         });
         // obs handles are cheap clones of registry entries; resolve once.
         let core = Arc::new(Core {
             id,
             index,
+            domain: Arc::clone(domain),
             queue,
-            max_batch: max_batch.max(1),
+            max_batch: cfg.max_batch.max(1),
             stats: Stats::new(id),
             m_copy_errors: obs::counter(&format!("service.shard{id}.migrate_copy_errors")),
             m_lat: obs::histogram(&format!("service.shard{id}.latency_ns")),
@@ -898,6 +902,7 @@ impl Shard {
         let mut turn = Turn::claim(core, &mut g, true);
         drop(g);
         turn.s.jobs.push(job);
+        let _domain = core.domain.enter();
         turn.run().expect("a caller's turn settles its own request")
     }
 
@@ -987,6 +992,9 @@ mod tests {
     use recipe::session::{Capabilities, OpResult};
     use std::sync::mpsc;
 
+    const CFG: ServiceConfig =
+        ServiceConfig { shards: 1, queue_cap: 8, max_batch: 4, default_deadline_ns: 0 };
+
     /// Run `f` on its own thread; panic if it has not finished within 30 s.
     fn within_30s<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
         let (tx, rx) = mpsc::channel();
@@ -1009,7 +1017,8 @@ mod tests {
     /// bookkeeping.
     #[test]
     fn shutdown_wakes_a_parked_worker() {
-        let shard = Shard::spawn(0, Arc::new(bwtree::DramBwTree::new()), 8, 4);
+        let shard =
+            Shard::spawn(0, Arc::new(bwtree::DramBwTree::new()), &pm::Domain::current(), &CFG);
         shard.cast(Op::Insert(vec![7], 7), None).unwrap();
         shard.drain();
         wait_until_parked(&shard);
@@ -1037,7 +1046,7 @@ mod tests {
             let (entered_tx, entered) = mpsc::sync_channel(1);
             let (go, go_rx) = mpsc::channel();
             let index = Arc::new(Probe { entered: entered_tx, go: Mutex::new(go_rx) });
-            let shard = Arc::new(Shard::spawn(0, index, 8, 4));
+            let shard = Arc::new(Shard::spawn(0, index, &pm::Domain::current(), &CFG));
             wait_until_parked(&shard);
             (shard, entered, go)
         }

@@ -27,13 +27,12 @@ fn run(max_batch: usize, seed: u64) -> service::LoadReport {
 
 #[test]
 fn batching_lowers_charged_ns_per_op() {
-    // Price PM events for this test; restore the free model afterwards. The
-    // other tests in this binary only drive DRAM model indexes, so their
-    // concurrent charges are zero and cannot pollute the comparison.
+    // Price PM events in this test's own domain, which its services capture;
+    // other tests run under the zero model of theirs and charge nothing.
+    let _domain = pm::Domain::new().enter();
     pm::latency::Model::CALIBRATED.install();
     let unbatched = run(1, 0xA11);
     let batched = run(64, 0xA11);
-    pm::latency::Model::ZERO.install();
 
     assert_eq!(unbatched.completed, 16_000, "queue cap must admit the whole run");
     assert_eq!(batched.completed, 16_000);

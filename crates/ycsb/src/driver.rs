@@ -17,7 +17,6 @@
 
 use crate::workload::{GeneratedWorkload, Op, Spec};
 use recipe::session::{Handle, HandleStats, Index, IndexExt};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Result of executing one phase of a workload against one index.
@@ -49,7 +48,8 @@ pub struct PhaseResult {
     pub p999_ns: u64,
     /// Simulated PM nanoseconds charged per operation by the installed
     /// [`pm::latency::Model`] (read charges + deduplicated flushes + fences); 0 when
-    /// the zero model is installed.
+    /// the zero model is installed. The mean of `charged_hist`: only the phase's
+    /// own operations count, whatever other threads of the process are charged.
     pub sim_ns_per_op: f64,
     /// Full wall-clock latency distribution (every operation recorded).
     pub wall_hist: obs::Hist,
@@ -60,22 +60,45 @@ pub struct PhaseResult {
     pub handle_stats: HandleStats,
 }
 
-/// Assemble a [`PhaseResult`] from merged per-thread state; shared by this
-/// driver and the sharded one so the quantile definitions cannot drift.
-// One argument per merged input — bundling them into a struct would just move
-// the field list one call site up.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn phase_result(
-    ops: u64,
-    secs: f64,
-    delta: pm::stats::Stats,
-    charged: pm::latency::ChargedNs,
-    failed_reads: u64,
-    wall_hist: obs::Hist,
-    charged_hist: obs::Hist,
-    handle_stats: HandleStats,
+/// Run `work(t, worker)` on threads `0..threads`, each with its own [`Worker`] and
+/// in the caller's PM domain, and merge what they measured into one phase result.
+/// Shared by this driver and the sharded one, so the quantile definitions cannot
+/// drift.
+pub(crate) fn run_workers(
+    index: &dyn Index,
+    threads: usize,
+    work: impl Fn(usize, &mut Worker<'_>) + Sync,
 ) -> PhaseResult {
-    let per_op = delta.per_op(ops);
+    let before = pm::stats::snapshot();
+    let start = Instant::now();
+    let (mut wall_hist, mut charged_hist) = (obs::Hist::new(), obs::Hist::new());
+    let (mut handle_stats, mut failed_reads) = (HandleStats::default(), 0);
+    let domain = &pm::Domain::current();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let work = &work;
+                scope.spawn(move || {
+                    let _d = domain.enter();
+                    let mut w = Worker::new(index);
+                    work(t, &mut w);
+                    let stats = w.handle.stats();
+                    // The handle drops here, on the thread that used it.
+                    (w.wall, w.charged, w.failed_reads, stats)
+                })
+            })
+            .collect();
+        for h in handles {
+            let (wall, charged, failed, stats) = h.join().expect("worker thread panicked");
+            wall_hist.merge(&wall);
+            charged_hist.merge(&charged);
+            handle_stats.merge(&stats);
+            failed_reads += failed;
+        }
+    });
+    let secs = start.elapsed().as_secs_f64();
+    let ops = wall_hist.count();
+    let per_op = pm::stats::snapshot().since(&before).per_op(ops);
     PhaseResult {
         ops,
         secs,
@@ -88,7 +111,7 @@ pub(crate) fn phase_result(
         p90_ns: wall_hist.quantile(0.90),
         p99_ns: wall_hist.quantile(0.99),
         p999_ns: wall_hist.quantile(0.999),
-        sim_ns_per_op: charged.total() as f64 / ops.max(1) as f64,
+        sim_ns_per_op: charged_hist.sum() as f64 / ops.max(1) as f64,
         wall_hist,
         charged_hist,
         handle_stats,
@@ -101,9 +124,9 @@ pub(crate) fn phase_result(
 pub(crate) struct Worker<'a> {
     handle: Handle<'a>,
     supports_scan: bool,
-    pub(crate) wall: obs::Hist,
-    pub(crate) charged: obs::Hist,
-    pub(crate) failed_reads: u64,
+    wall: obs::Hist,
+    charged: obs::Hist,
+    failed_reads: u64,
     /// End timestamp of the previous operation, doubling as the start of the
     /// next one: recording every operation (no sampling) costs one clock
     /// read per op instead of two.
@@ -174,58 +197,15 @@ impl<'a> Worker<'a> {
         self.charged.record(charged - self.last_charged);
         self.last_charged = charged;
     }
-
-    pub(crate) fn stats(&self) -> HandleStats {
-        self.handle.stats()
-    }
 }
 
 fn run_partitions(index: &dyn Index, partitions: &[Vec<Op>]) -> PhaseResult {
-    let failed_reads = AtomicU64::new(0);
-    let total_ops: u64 = partitions.iter().map(|p| p.len() as u64).sum();
-    let before = pm::stats::snapshot();
-    let charged_before = pm::latency::charged();
-    let start = Instant::now();
-    let mut wall_hist = obs::Hist::new();
-    let mut charged_hist = obs::Hist::new();
-    let mut handle_stats = HandleStats::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .iter()
-            .map(|part| {
-                let failed = &failed_reads;
-                scope.spawn(move || {
-                    let mut worker = Worker::new(index);
-                    worker.resync();
-                    for op in part.iter() {
-                        worker.run_op(op);
-                    }
-                    failed.fetch_add(worker.failed_reads, Ordering::Relaxed);
-                    let stats = worker.stats();
-                    (worker.wall, worker.charged, stats)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (wall, charged, stats) = h.join().expect("worker thread panicked");
-            wall_hist.merge(&wall);
-            charged_hist.merge(&charged);
-            handle_stats.merge(&stats);
+    run_workers(index, partitions.len(), |t, worker| {
+        worker.resync();
+        for op in &partitions[t] {
+            worker.run_op(op);
         }
-    });
-    let secs = start.elapsed().as_secs_f64();
-    let delta = pm::stats::snapshot().since(&before);
-    let charged = pm::latency::charged().since(&charged_before);
-    phase_result(
-        total_ops,
-        secs,
-        delta,
-        charged,
-        failed_reads.load(Ordering::Relaxed),
-        wall_hist,
-        charged_hist,
-        handle_stats,
-    )
+    })
 }
 
 /// Result of a full load + run execution.

@@ -20,11 +20,10 @@
 //! principle but have probability ~`n²/2⁶⁴`; a collision merely turns one insert
 //! into an upsert of the same derived value, so every check stays valid.
 
-use crate::driver::{phase_result, PhaseResult, RunResult, Worker};
+use crate::driver::{run_workers, PhaseResult, RunResult};
 use crate::workload::{id_value, Op, Spec};
-use recipe::session::{HandleStats, Index};
+use recipe::session::Index;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Default operations per per-thread chunk buffer.
 pub const DEFAULT_CHUNK_OPS: usize = 8_192;
@@ -116,64 +115,26 @@ fn run_phase(index: &dyn Index, spec: &Spec, phase: &Phase, chunk: usize) -> Pha
         Phase::Load => spec.load_count,
         Phase::Run => spec.op_count,
     };
-    let failed_reads = AtomicU64::new(0);
-    let before = pm::stats::snapshot();
-    let charged_before = pm::latency::charged();
-    let start = Instant::now();
-    let mut wall_hist = obs::Hist::new();
-    let mut charged_hist = obs::Hist::new();
-    let mut handle_stats = HandleStats::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let failed = &failed_reads;
-                let phase = &*phase;
-                scope.spawn(move || {
-                    let my_ops = thread_share(total, threads, t);
-                    let mut worker = Worker::new(index);
-                    let mut buf: Vec<Op> = Vec::with_capacity(chunk.min(my_ops));
-                    let mut done = 0usize;
-                    while done < my_ops {
-                        let n = chunk.min(my_ops - done);
-                        buf.clear();
-                        for j in done..done + n {
-                            buf.push(gen_op(spec, phase, threads, t, j));
-                        }
-                        gauge_add(n);
-                        // Chunk generation above is not operation latency.
-                        worker.resync();
-                        for op in buf.iter() {
-                            worker.run_op(op);
-                        }
-                        gauge_sub(n);
-                        done += n;
-                    }
-                    failed.fetch_add(worker.failed_reads, Ordering::Relaxed);
-                    let stats = worker.stats();
-                    (worker.wall, worker.charged, stats)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (wall, charged, stats) = h.join().expect("worker thread panicked");
-            wall_hist.merge(&wall);
-            charged_hist.merge(&charged);
-            handle_stats.merge(&stats);
+    run_workers(index, threads, |t, worker| {
+        let my_ops = thread_share(total, threads, t);
+        let mut buf: Vec<Op> = Vec::with_capacity(chunk.min(my_ops));
+        let mut done = 0usize;
+        while done < my_ops {
+            let n = chunk.min(my_ops - done);
+            buf.clear();
+            for j in done..done + n {
+                buf.push(gen_op(spec, phase, threads, t, j));
+            }
+            gauge_add(n);
+            // Chunk generation above is not operation latency.
+            worker.resync();
+            for op in buf.iter() {
+                worker.run_op(op);
+            }
+            gauge_sub(n);
+            done += n;
         }
-    });
-    let secs = start.elapsed().as_secs_f64();
-    let delta = pm::stats::snapshot().since(&before);
-    let charged = pm::latency::charged().since(&charged_before);
-    phase_result(
-        total as u64,
-        secs,
-        delta,
-        charged,
-        failed_reads.load(Ordering::Relaxed),
-        wall_hist,
-        charged_hist,
-        handle_stats,
-    )
+    })
 }
 
 /// Execute `spec` against `index` with chunked per-thread generation: load phase
