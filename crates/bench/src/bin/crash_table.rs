@@ -16,11 +16,9 @@ use crashtest::{run_crash_sweep, run_durability_test, SweepConfig};
 
 fn main() {
     let cfg = SweepConfig {
-        load_ops: bench::crash_load_from_env(),
         post_ops: bench::crash_post_from_env(),
-        threads: 4,
         sampled_states: bench::crash_states_from_env(),
-        seed: 7,
+        ..SweepConfig::default()
     };
     println!(
         "== §7.5 — exhaustive crash-recovery and durability testing (per-site states + {} sampled, {} load ops) ==",

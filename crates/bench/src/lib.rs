@@ -16,7 +16,6 @@
 //! | `RECIPE_READ_NS`    | simulated ns per node visit (Optane read) | calibrated |
 //! | `RECIPE_EADR`       | eADR mode: flushes free, fences kept      | 0         |
 //! | `RECIPE_CRASH_STATES` | sampled crash states per index (crash_table) | 1000 |
-//! | `RECIPE_CRASH_LOAD_N` | mixed ops per crash-state load (crash_table) | 10000 |
 //! | `RECIPE_CRASH_POST_N` | post-recovery ops per crash state (crash_table) | 4000 |
 //! | `RECIPE_OUT_DIR`    | directory for the machine-readable CSVs   | target/figures |
 //! | `RECIPE_SHAPE_REPS` | best-of-N passes in the gating matrices   | 3 (calibrate: 1) |
@@ -102,12 +101,6 @@ pub fn spec_from_env_scaled(workload: Workload, key_type: KeyType, scale: Matrix
 #[must_use]
 pub fn crash_states_from_env() -> usize {
     env_usize("RECIPE_CRASH_STATES", 1_000)
-}
-
-/// Mixed operations in each crash state's load phase (`RECIPE_CRASH_LOAD_N`).
-#[must_use]
-pub fn crash_load_from_env() -> usize {
-    env_usize("RECIPE_CRASH_LOAD_N", 10_000)
 }
 
 /// Mixed operations in each crash state's post-recovery phase

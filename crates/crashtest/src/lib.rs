@@ -6,17 +6,23 @@
 //! atomic step rather than after every instruction. This crate implements both halves
 //! of that methodology against the `pm` substrate:
 //!
-//! * **Consistency testing** ([`run_crash_test`]): load the index while a crash is
-//!   armed at one of its crash sites; when the crash fires the operation is cut
-//!   mid-way (leaving partial state, like a power failure); the index is "restarted"
-//!   (locks re-initialised via [`recipe::session::Index::recover`]); a
-//!   multi-threaded mixed workload then runs and finally every key acknowledged
-//!   before the crash is read back and checked. Repeating this over many crash
-//!   states enumerates the interesting crash points of the workload.
+//! * **Consistency testing**: one crash driver, [`run_crash_sweep`]. Each crash
+//!   state loads a fresh index with a mixed workload while a crash is armed at one
+//!   site hit; when the crash fires the operation is cut mid-way (leaving partial
+//!   state, like a power failure); the index is "restarted" (locks re-initialised
+//!   via [`recipe::session::Index::recover`]); a multi-threaded mixed workload then
+//!   runs and finally every acknowledged key is read back and checked. One state
+//!   per declared crash site plus sampled states enumerate the interesting crash
+//!   points. The load loop ([`run_load`]) and the acknowledged-state model
+//!   ([`Acked`]) are public, so a test that cuts one operation by hand uses the
+//!   same two.
 //! * **Durability testing** ([`run_durability_test`]): with the shadow cache-line
 //!   tracker enabled, every insert is checked to have flushed (and fenced) every cache
 //!   line it dirtied — the check that exposed the unflushed root allocations in
 //!   FAST & FAIR and CCEH (§7.5).
+//!
+//! Both run in a fresh [`pm::Domain`] of their own, so they leave their caller's
+//! crash arming, site counts and tracker as they found them.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -24,182 +30,15 @@
 pub mod sweep;
 
 pub use sweep::{
-    run_crash_sweep, FailureDump, MixedGen, MixedOp, SiteOutcome, SweepConfig, SweepReport,
+    run_crash_sweep, run_load, Acked, Cut, FailureDump, MixedGen, MixedOp, Readback, SiteOutcome,
+    SweepConfig, SweepReport,
 };
 
-use pm::crash;
 use recipe::key::u64_key;
 use recipe::session::{Index, IndexExt};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// Configuration for the crash-consistency test.
-#[derive(Debug, Clone)]
-pub struct CrashTestConfig {
-    /// Keys loaded (single-threaded) while the crash is armed. The paper uses 10 000.
-    pub load_keys: usize,
-    /// Mixed operations (half inserts, half reads) executed after recovery. The paper
-    /// uses 10 000 across 4 threads.
-    pub post_ops: usize,
-    /// Threads used for the post-recovery mixed workload.
-    pub threads: usize,
-    /// Number of distinct crash states to generate and test.
-    pub crash_states: usize,
-    /// Base RNG seed (crash points are derived deterministically from it).
-    pub seed: u64,
-}
-
-impl Default for CrashTestConfig {
-    fn default() -> Self {
-        CrashTestConfig {
-            load_keys: 10_000,
-            post_ops: 10_000,
-            threads: 4,
-            crash_states: 100,
-            seed: 7,
-        }
-    }
-}
-
-/// Outcome of a crash-consistency test run.
-#[derive(Debug, Clone, Default)]
-pub struct CrashTestReport {
-    /// Crash states generated (equals the configured number).
-    pub states_tested: usize,
-    /// States in which a crash actually fired (a state may finish the load without
-    /// hitting its crash point if the point exceeds the workload's site count).
-    pub crashes_triggered: usize,
-    /// Keys acknowledged before a crash that could not be read back afterwards.
-    pub lost_keys: usize,
-    /// Keys read back with a value different from the one acknowledged.
-    pub wrong_values: usize,
-    /// Post-recovery operations that failed (inserts rejected or reads of
-    /// post-recovery inserts missing).
-    pub failed_post_ops: usize,
-    /// Average milliseconds to generate and test one crash state.
-    pub avg_state_ms: f64,
-}
-
-impl CrashTestReport {
-    /// Whether the index passed: nothing was lost and recovery kept the index usable.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.lost_keys == 0 && self.wrong_values == 0 && self.failed_post_ops == 0
-    }
-}
 
 fn crash_value(id: u64) -> u64 {
     id.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
-}
-
-/// Count the crash sites exercised by loading `load_keys` keys into a fresh index.
-fn calibrate_sites<I, F>(factory: &F, load_keys: usize) -> u64
-where
-    I: Index,
-    F: Fn() -> I,
-{
-    crash::arm_count_only();
-    let index = factory();
-    let mut h = index.handle();
-    for i in 0..load_keys as u64 {
-        let _ = h.insert(&u64_key(i), crash_value(i));
-    }
-    let sites = crash::sites_hit();
-    crash::disarm();
-    sites
-}
-
-/// Run the §5 crash-consistency test against indexes produced by `factory`.
-///
-/// The factory must produce the *PM* variant of an index (crash sites are inert in
-/// DRAM mode, so no crashes would ever fire).
-pub fn run_crash_test<I, F>(factory: F, cfg: &CrashTestConfig) -> CrashTestReport
-where
-    I: Index,
-    F: Fn() -> I,
-{
-    crash::install_quiet_hook();
-    let sites = calibrate_sites(&factory, cfg.load_keys).max(1);
-    let mut report = CrashTestReport { states_tested: cfg.crash_states, ..Default::default() };
-    let started = Instant::now();
-
-    for state in 0..cfg.crash_states {
-        // Deterministically spread crash points over the whole workload.
-        let mix = (state as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ cfg.seed;
-        let crash_at = (mix % sites) + 1;
-        let index = factory();
-
-        // Load phase with the crash armed: keys acknowledged before the crash are the
-        // ones that must survive. The load runs through one session handle (a
-        // crash unwinds through its epoch guard like a power failure).
-        crash::arm_nth(crash_at);
-        let mut h = index.handle();
-        let mut acknowledged: Vec<u64> = Vec::with_capacity(cfg.load_keys);
-        let mut crashed = false;
-        for i in 0..cfg.load_keys as u64 {
-            let r = crash::catch_crash(AssertUnwindSafe(|| {
-                let _ = h.insert(&u64_key(i), crash_value(i));
-            }));
-            match r {
-                Ok(_) => acknowledged.push(i),
-                Err(_site) => {
-                    crashed = true;
-                    break;
-                }
-            }
-        }
-        crash::disarm();
-        if crashed {
-            report.crashes_triggered += 1;
-        }
-
-        // "Restart": RECIPE's recovery is just lock re-initialisation.
-        index.recover();
-
-        // Post-recovery mixed workload: concurrent inserts of new keys and reads of
-        // acknowledged keys, each thread through its own session handle.
-        let failed_ops = AtomicU64::new(0);
-        let per_thread = cfg.post_ops / cfg.threads.max(1);
-        let domain = &pm::Domain::current();
-        std::thread::scope(|scope| {
-            for t in 0..cfg.threads.max(1) as u64 {
-                let index = &index;
-                let acknowledged = &acknowledged;
-                let failed_ops = &failed_ops;
-                scope.spawn(move || {
-                    let _d = domain.enter();
-                    let mut h = index.handle();
-                    for j in 0..per_thread as u64 {
-                        if j % 2 == 0 {
-                            let id = 1_000_000 + t * per_thread as u64 + j;
-                            let _ = h.insert(&u64_key(id), crash_value(id));
-                            if h.get(&u64_key(id)) != Some(crash_value(id)) {
-                                failed_ops.fetch_add(1, Ordering::Relaxed);
-                            }
-                        } else if !acknowledged.is_empty() {
-                            let id = acknowledged[(j as usize * 7919) % acknowledged.len()];
-                            if h.get(&u64_key(id)) != Some(crash_value(id)) {
-                                failed_ops.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        report.failed_post_ops += failed_ops.load(Ordering::Relaxed) as usize;
-
-        // Final read-back of everything acknowledged before the crash.
-        for &id in &acknowledged {
-            match h.get(&u64_key(id)) {
-                Some(v) if v == crash_value(id) => {}
-                Some(_) => report.wrong_values += 1,
-                None => report.lost_keys += 1,
-            }
-        }
-    }
-    report.avg_state_ms = started.elapsed().as_secs_f64() * 1000.0 / cfg.crash_states.max(1) as f64;
-    report
 }
 
 /// Outcome of the durability test.
@@ -226,14 +65,16 @@ impl DurabilityReport {
     }
 }
 
-/// Run the §5 durability test: build an index with tracking enabled, load it so that
-/// later insertions trigger structure modifications, then insert `test_keys` more keys
-/// verifying after each insert that every dirtied cache line was flushed and fenced.
+/// Run the §5 durability test in a fresh [`pm::Domain`]: build an index with
+/// tracking enabled, load it so that later insertions trigger structure
+/// modifications, then insert `test_keys` more keys verifying after each insert
+/// that every dirtied cache line was flushed and fenced.
 pub fn run_durability_test<I, F>(factory: F, load_keys: usize, test_keys: usize) -> DurabilityReport
 where
     I: Index,
     F: Fn() -> I,
 {
+    let _domain = pm::Domain::new().enter();
     pm::tracker::enable();
     let index = factory();
     let construction = pm::tracker::check(false);
@@ -262,7 +103,6 @@ where
         pm::tracker::clear_lines();
         report.ops += 1;
     }
-    pm::tracker::disable();
     report
 }
 
@@ -273,10 +113,11 @@ mod tests {
     use recipe::persist::{PersistMode, Pmem};
     use recipe::session::{Capabilities, OpError, OpResult};
     use std::collections::HashMap;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
-    // Every test that arms the injector or enables the tracker enters a fresh
-    // `pm::Domain`, so the tests run at once without seeing each other's state.
+    // The sweep and the durability test enter a fresh `pm::Domain` of their own;
+    // a test that sets PM state itself enters one too, so the tests run at once
+    // without seeing each other's state.
 
     /// A small lock-protected hash map with RECIPE-style crash sites, used to validate
     /// the harness itself (the real indexes are tested from the integration suite).
@@ -364,26 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_harness_passes_a_correct_index() {
-        let _d = pm::Domain::new().enter();
-        let cfg = CrashTestConfig {
-            load_keys: 500,
-            post_ops: 400,
-            threads: 2,
-            crash_states: 10,
-            seed: 3,
-        };
-        let report = run_crash_test(|| ToyIndex::new(true), &cfg);
-        assert_eq!(report.states_tested, 10);
-        assert!(report.crashes_triggered > 0, "crash points must fire");
-        assert!(report.passed(), "{report:?}");
-        assert!(report.avg_state_ms >= 0.0);
-    }
-
-    #[test]
     fn durability_harness_detects_missing_flushes() {
-        // In its own domain, no neighbouring crash test's dirty lines reach the report.
-        let _d = pm::Domain::new().enter();
         let bad = run_durability_test(|| ToyIndex::new(false), 50, 50);
         assert!(!bad.passed());
         assert_eq!(bad.ops, 50);
@@ -393,22 +215,43 @@ mod tests {
         assert!(good.passed(), "{good:?}");
     }
 
+    /// `crash_table` builds its config from this default: the paper's 10k-op
+    /// load (Level-Hashing's resize needs ~7k inserts), 4 post-recovery threads
+    /// and seed 7.
     #[test]
     fn default_config_matches_paper_scale() {
-        let cfg = CrashTestConfig::default();
-        assert_eq!(cfg.load_keys, 10_000);
-        assert_eq!(cfg.post_ops, 10_000);
-        assert_eq!(cfg.threads, 4);
         let s = SweepConfig::default();
-        assert_eq!(s.load_ops, 10_000);
+        assert_eq!((s.load_ops, s.post_ops, s.threads, s.seed), (10_000, 4_000, 4, 7));
         assert!(s.sampled_states > 0);
+    }
+
+    /// A caller with its own arming, site counts and tracker finds all three as it
+    /// left them after a sweep and a durability test.
+    #[test]
+    fn the_harness_leaves_its_callers_domain_as_it_found_it() {
+        let _d = pm::Domain::new().enter();
+        pm::crash::arm_count_only();
+        pm::crash::start_named_counts();
+        pm::crash::site("caller.site");
+        pm::tracker::enable();
+        let state = || {
+            let mut counts = pm::crash::named_counts();
+            counts.sort_unstable();
+            (counts, pm::crash::sites_hit(), pm::tracker::enabled())
+        };
+        let before = state();
+        assert_eq!(before, (vec![("caller.site", 1)], 1, true));
+        let cfg =
+            SweepConfig { load_ops: 200, post_ops: 100, threads: 2, sampled_states: 2, seed: 3 };
+        assert!(run_crash_sweep(|| ToyIndex::new(true), TOY_SITES, &cfg).passed());
+        assert!(run_durability_test(|| ToyIndex::new(true), 50, 50).passed());
+        assert_eq!(state(), before);
     }
 
     const TOY_SITES: &[&str] = &["toy.insert.locked", "toy.insert.committed"];
 
     #[test]
     fn sweep_passes_a_correct_index_with_full_coverage() {
-        let _d = pm::Domain::new().enter();
         let cfg =
             SweepConfig { load_ops: 400, post_ops: 300, threads: 2, sampled_states: 5, seed: 3 };
         let report = run_crash_sweep(|| ToyIndex::new(true), TOY_SITES, &cfg);
@@ -426,7 +269,6 @@ mod tests {
 
     #[test]
     fn sweep_flags_never_exercised_sites() {
-        let _d = pm::Domain::new().enter();
         const WITH_HOLE: &[&str] = &["toy.insert.locked", "toy.never.reached"];
         let cfg =
             SweepConfig { load_ops: 200, post_ops: 100, threads: 2, sampled_states: 2, seed: 9 };
@@ -447,7 +289,6 @@ mod tests {
 
     #[test]
     fn sweep_flags_emitted_but_undeclared_sites() {
-        let _d = pm::Domain::new().enter();
         // Declare only one of the two sites the toy index emits: consistency and
         // declared-site coverage are fine, but the sweep must still fail because
         // an executed atomic step has no targeted crash state.

@@ -1,14 +1,12 @@
-//! Per-site exhaustive crash sweeps with coverage accounting.
+//! The crash driver: per-site exhaustive crash sweeps with coverage accounting.
 //!
-//! [`super::run_crash_test`] samples crash points uniformly over an insert-only
-//! load, which is how the paper *presents* its numbers (§7.5) but weaker than what
-//! §5 actually claims: the methodology *enumerates* the interesting crash points,
-//! because operations are a small number of ordered atomic steps. This module
-//! implements that claim:
+//! §5 *enumerates* the interesting crash points, because operations are a small
+//! number of ordered atomic steps. [`run_crash_sweep`] implements that claim:
 //!
 //! * every crash site an index **declares** (`CRASH_SITES` in its crate) gets its
 //!   own targeted crash state — armed at a deterministically chosen hit of exactly
-//!   that site — plus the familiar uniformly sampled states on top;
+//!   that site — plus uniformly sampled states on top (the way the paper
+//!   *presents* its numbers, §7.5); a sweep with no declared sites is sampled-only;
 //! * the load is a **mixed** workload (inserts of fresh keys, re-inserts of
 //!   removed keys, updates, removes) so update/remove commit points and
 //!   SMO-heavy paths are all reachable;
@@ -20,15 +18,21 @@
 //! * the sweep **fails** if consistency is violated *or* if any declared site was
 //!   never exercised — a never-exercised site means the crash matrix has a hole.
 //!
-//! The whole sweep runs with the `obs` event ring enabled: every crash state
-//! starts from a cleared ring, and a state that fails any consistency check
-//! drains the ring into a [`FailureDump`] — the SMO/crash/epoch event timeline
+//! Every load, the calibration pass's and each crash state's, runs through one
+//! loop, [`run_load`], and is checked against one model of what was
+//! acknowledged, [`Acked`]; tests that cut one operation by hand use the same two.
+//! A sweep runs in a fresh [`pm::Domain`], so it never sees or changes its
+//! caller's crash arming, site counts or tracker.
+//!
+//! The whole sweep holds the `obs` event ring on: a crash state that fails any
+//! consistency check reads its own window of the ring (every event from the
+//! state's start on) into a [`FailureDump`] — the SMO/crash/epoch event timeline
 //! leading up to the violation, plus `sweep.*` events pinpointing the failing
 //! keys — so one failing run is enough to see *what* the index was doing.
 
 use pm::crash;
 use recipe::key::u64_key;
-use recipe::session::{Index, IndexExt};
+use recipe::session::{Handle, Index, IndexExt};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,6 +162,16 @@ pub enum MixedOp {
     Remove(u64),
 }
 
+impl MixedOp {
+    /// The key the operation writes.
+    #[must_use]
+    pub fn key(self) -> u64 {
+        match self {
+            MixedOp::Insert(k, _) | MixedOp::Update(k, _) | MixedOp::Remove(k) => k,
+        }
+    }
+}
+
 /// Deterministic mixed-operation generator: ~72% inserts (a slice of them
 /// re-inserting previously removed keys, to exercise slot recycling), ~14%
 /// updates of live keys, ~14% removes. Entirely a function of the seed.
@@ -200,6 +214,11 @@ impl MixedGen {
     #[must_use]
     pub fn value(key: u64, i: u64) -> u64 {
         mix64(key ^ i.wrapping_mul(0xA24B_AED4_963E_E407)) | 1
+    }
+
+    /// The first `n` operations, generated as they are consumed.
+    pub fn ops(mut self, n: usize) -> impl Iterator<Item = MixedOp> {
+        (0..n as u64).map(move |i| self.next_op(i))
     }
 
     /// Produce the next operation (for op index `i`).
@@ -249,6 +268,122 @@ impl MixedGen {
     }
 }
 
+/// The acknowledged state of a load: per key, `Some(v)` if the last operation
+/// that returned left it at `v`, `None` if it removed it. A key the model does
+/// not hold is unconstrained.
+#[derive(Debug, Default)]
+pub struct Acked(HashMap<u64, Option<u64>>);
+
+/// What a read-back against [`Acked`] found wrong.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Readback {
+    /// Acknowledged keys that read back absent.
+    pub lost: usize,
+    /// Acknowledged keys that read back with another value.
+    pub wrong: usize,
+    /// Acknowledged removals that read back present.
+    pub resurrected: usize,
+}
+
+impl Acked {
+    /// Fold in an operation that returned. An update counts only on a key the
+    /// model holds as present, where the index must have applied it.
+    pub fn apply(&mut self, op: MixedOp) {
+        match op {
+            MixedOp::Insert(k, v) => {
+                self.0.insert(k, Some(v));
+            }
+            MixedOp::Update(k, v) => {
+                if let Some(state @ Some(_)) = self.0.get_mut(&k) {
+                    *state = Some(v);
+                }
+            }
+            MixedOp::Remove(k) => {
+                self.0.insert(k, None);
+            }
+        }
+    }
+
+    /// Forget `key`: a crash cut its operation, so both outcomes are legal.
+    pub fn forget(&mut self, key: u64) {
+        self.0.remove(&key);
+    }
+
+    /// The keys acknowledged present, with their values.
+    pub fn present(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.0.iter().filter_map(|(k, v)| v.map(|v| (*k, v)))
+    }
+
+    /// Read every acknowledged key back through `get`, emitting one
+    /// `sweep.readback` event per key in the wrong state.
+    pub fn read_back(&self, mut get: impl FnMut(u64) -> Option<u64>) -> Readback {
+        let mut r = Readback::default();
+        for (&k, &state) in &self.0 {
+            match (state, get(k)) {
+                (Some(v), Some(g)) if g == v => {}
+                (Some(v), Some(_)) => {
+                    obs::event::emit("sweep.readback", "wrong_value", k, v);
+                    r.wrong += 1;
+                }
+                (Some(v), None) => {
+                    obs::event::emit("sweep.readback", "lost_key", k, v);
+                    r.lost += 1;
+                }
+                (None, Some(g)) => {
+                    obs::event::emit("sweep.readback", "resurrected_key", k, g);
+                    r.resurrected += 1;
+                }
+                (None, None) => {}
+            }
+        }
+        r
+    }
+}
+
+/// Where a crash cut a load: the operation it interrupted and the site it fired at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cut {
+    /// The interrupted (unacknowledged) operation.
+    pub op: MixedOp,
+    /// The crash site that fired.
+    pub site: &'static str,
+}
+
+/// Run `ops` through `h`, each under [`crash::catch_crash`], folding every
+/// operation that returned into `acked`. At the first crash, forget the cut
+/// operation's key and return where the load was cut; `None` if it ran to the
+/// end. The caller arms the injector; a crash that fires disarms it. The
+/// operations' own results are not checked: the read-back is.
+pub fn run_load<I: Index + ?Sized>(
+    h: &mut Handle<'_, I>,
+    ops: impl IntoIterator<Item = MixedOp>,
+    acked: &mut Acked,
+) -> Option<Cut> {
+    for op in ops {
+        // A crash unwinds through the handle's epoch guard, exactly like a power
+        // failure mid-operation.
+        let r = crash::catch_crash(AssertUnwindSafe(|| match op {
+            MixedOp::Insert(k, v) => {
+                let _ = h.insert(&u64_key(k), v);
+            }
+            MixedOp::Update(k, v) => {
+                let _ = h.update(&u64_key(k), v);
+            }
+            MixedOp::Remove(k) => {
+                let _ = h.remove(&u64_key(k));
+            }
+        }));
+        match r {
+            Ok(()) => acked.apply(op),
+            Err(site) => {
+                acked.forget(op.key());
+                return Some(Cut { op, site });
+            }
+        }
+    }
+    None
+}
+
 /// How one crash state arms the injector.
 enum Arm {
     Nth(u64),
@@ -258,9 +393,7 @@ enum Arm {
 #[derive(Debug, Default)]
 struct StateResult {
     crashed_at: Option<&'static str>,
-    lost: usize,
-    wrong: usize,
-    resurrected: usize,
+    readback: Readback,
     failed_post: usize,
 }
 
@@ -274,56 +407,9 @@ where
         Arm::Nth(n) => crash::arm_nth(*n),
         Arm::AtSite(site, hit) => crash::arm_at_site(site, *hit),
     }
-    // Model of *acknowledged* state: Some(v) = present with value v, None =
-    // removed. Only updated when the operation returned.
-    let mut model: HashMap<u64, Option<u64>> = HashMap::new();
-    let mut gen = MixedGen::new(cfg.seed);
-    let mut result = StateResult::default();
-    // The whole load runs through one session handle; a crash unwinds through
-    // the handle's epoch guard, exactly like a power failure mid-operation.
+    let mut acked = Acked::default();
     let mut h = index.handle();
-    for i in 0..cfg.load_ops as u64 {
-        let op = gen.next_op(i);
-        let r = crash::catch_crash(AssertUnwindSafe(|| match op {
-            MixedOp::Insert(k, v) => {
-                let _ = h.insert(&u64_key(k), v);
-            }
-            MixedOp::Update(k, v) => {
-                let _ = h.update(&u64_key(k), v);
-            }
-            MixedOp::Remove(k) => {
-                let _ = h.remove(&u64_key(k));
-            }
-        }));
-        let key = match op {
-            MixedOp::Insert(k, _) | MixedOp::Update(k, _) | MixedOp::Remove(k) => k,
-        };
-        match r {
-            Ok(()) => {
-                match op {
-                    MixedOp::Insert(k, v) => {
-                        model.insert(k, Some(v));
-                    }
-                    MixedOp::Update(k, v) => {
-                        if model.get(&k).is_some_and(Option::is_some) {
-                            model.insert(k, Some(v));
-                        }
-                    }
-                    MixedOp::Remove(k) => {
-                        model.insert(k, None);
-                    }
-                };
-            }
-            Err(site) => {
-                // The interrupted operation is unacknowledged: both outcomes are
-                // legal for its key, so it is exempt from the read-back.
-                model.remove(&key);
-                result.crashed_at = Some(site);
-                break;
-            }
-        }
-    }
-    crash::disarm();
+    let cut = run_load(&mut h, MixedGen::new(cfg.seed).ops(cfg.load_ops), &mut acked);
 
     // "Restart": recovery replays helpers / re-initialises locks. Count-only
     // arming keeps recording site coverage (recovery and post-recovery phases are
@@ -334,7 +420,7 @@ where
     // Post-recovery phase: fresh inserts, idempotent updates of acknowledged keys
     // (traversing the crashed region, which triggers observation-driven helpers)
     // and reads, from several threads.
-    let present: Vec<(u64, u64)> = model.iter().filter_map(|(k, v)| v.map(|v| (*k, v))).collect();
+    let present: Vec<(u64, u64)> = acked.present().collect();
     let failed_ops = AtomicU64::new(0);
     let per_thread = cfg.post_ops / cfg.threads.max(1);
     let domain = &pm::Domain::current();
@@ -382,33 +468,18 @@ where
             });
         }
     });
-    result.failed_post = failed_ops.load(Ordering::Relaxed) as usize;
 
     // Read-back: every acknowledged key must be in its acknowledged state.
-    for (k, state) in &model {
-        let got = h.get(&u64_key(*k));
-        match (state, got) {
-            (Some(v), Some(g)) if g == *v => {}
-            (Some(v), Some(_)) => {
-                obs::event::emit("sweep.readback", "wrong_value", *k, *v);
-                result.wrong += 1;
-            }
-            (Some(v), None) => {
-                obs::event::emit("sweep.readback", "lost_key", *k, *v);
-                result.lost += 1;
-            }
-            (None, Some(g)) => {
-                obs::event::emit("sweep.readback", "resurrected_key", *k, g);
-                result.resurrected += 1;
-            }
-            (None, None) => {}
-        }
-    }
+    let readback = acked.read_back(|k| h.get(&u64_key(k)));
     crash::disarm();
-    result
+    StateResult {
+        crashed_at: cut.map(|c| c.site),
+        readback,
+        failed_post: failed_ops.load(Ordering::Relaxed) as usize,
+    }
 }
 
-/// Run the exhaustive per-site sweep for one index.
+/// Run the exhaustive per-site sweep for one index, in a fresh [`pm::Domain`].
 ///
 /// `declared` is the index crate's `CRASH_SITES` list. Each declared site gets one
 /// targeted crash state (armed at a seed-chosen hit of that site), followed by
@@ -423,34 +494,22 @@ where
     I: Index,
     F: Fn() -> I,
 {
+    let _domain = pm::Domain::new().enter();
     crash::install_quiet_hook();
     crash::start_named_counts();
     // Trace SMO/crash/epoch/sweep events for the whole sweep so a failing
-    // state can be explained from its timeline; restored on exit.
-    let events_were_on = obs::event::set_enabled(true);
+    // state can be explained from its timeline.
+    let _events = obs::event::hold();
     let started = Instant::now();
 
     // Calibration: run the mixed load crash-free, counting per-site hits (used to
     // pick which hit of each site to crash at) and the total hit count (used to
     // spread the sampled states).
     crash::arm_count_only();
-    let mut gen = MixedGen::new(cfg.seed);
     {
         let index = factory();
-        let mut h = index.handle();
-        for i in 0..cfg.load_ops as u64 {
-            match gen.next_op(i) {
-                MixedOp::Insert(k, v) => {
-                    let _ = h.insert(&u64_key(k), v);
-                }
-                MixedOp::Update(k, v) => {
-                    let _ = h.update(&u64_key(k), v);
-                }
-                MixedOp::Remove(k) => {
-                    let _ = h.remove(&u64_key(k));
-                }
-            }
-        }
+        let load = MixedGen::new(cfg.seed).ops(cfg.load_ops);
+        run_load(&mut index.handle(), load, &mut Acked::default());
     }
     let total_sites = crash::sites_hit().max(1);
     let load_hits: HashMap<&'static str, u64> =
@@ -465,28 +524,18 @@ where
         let hits = load_hits[site];
         let hit =
             1 + mix64(cfg.seed ^ (si as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % hits.max(1);
-        let index = factory();
-        obs::event::clear();
-        let r = run_state(&index, cfg, &Arm::AtSite(site, hit));
-        report.states_tested += 1;
-        if r.crashed_at.is_some() {
-            report.crashes_triggered += 1;
-        }
-        fired.push(r.crashed_at == Some(site));
-        record_state(&mut report, &r, format!("site {site} hit {hit}"));
+        let r = record_state(&mut report, format!("site {site} hit {hit}"), || {
+            run_state(&factory(), cfg, &Arm::AtSite(site, hit))
+        });
+        fired.push(r == Some(site));
     }
 
     // The uniformly sampled mixed states on top.
     for s in 0..cfg.sampled_states as u64 {
         let crash_at = mix64(cfg.seed ^ s.wrapping_mul(0xD6E8_FEB8_6659_FD93)) % total_sites + 1;
-        let index = factory();
-        obs::event::clear();
-        let r = run_state(&index, cfg, &Arm::Nth(crash_at));
-        report.states_tested += 1;
-        if r.crashed_at.is_some() {
-            report.crashes_triggered += 1;
-        }
-        record_state(&mut report, &r, format!("sampled state {s} (crash at hit {crash_at})"));
+        record_state(&mut report, format!("sampled state {s} (crash at hit {crash_at})"), || {
+            run_state(&factory(), cfg, &Arm::Nth(crash_at))
+        });
     }
 
     report.per_site = declared
@@ -509,28 +558,37 @@ where
     report.undeclared_sites.sort_unstable();
     report.avg_state_ms =
         started.elapsed().as_secs_f64() * 1000.0 / report.states_tested.max(1) as f64;
-    crash::stop_named_counts();
-    obs::event::set_enabled(events_were_on);
     report
 }
 
-/// Fold one state's consistency counts into the report; a failing state also
-/// drains the event ring into a [`FailureDump`].
-fn record_state(report: &mut SweepReport, r: &StateResult, state: String) {
-    report.lost_keys += r.lost;
-    report.wrong_values += r.wrong;
-    report.resurrected_keys += r.resurrected;
+/// Run one crash state and fold its counts into the report; a failing state
+/// also reads its window of the event ring into a [`FailureDump`]. Returns the
+/// site the state crashed at.
+fn record_state(
+    report: &mut SweepReport,
+    state: String,
+    run: impl FnOnce() -> StateResult,
+) -> Option<&'static str> {
+    let start = obs::event::next_seq();
+    let r = run();
+    let Readback { lost, wrong, resurrected } = r.readback;
+    report.states_tested += 1;
+    report.crashes_triggered += usize::from(r.crashed_at.is_some());
+    report.lost_keys += lost;
+    report.wrong_values += wrong;
+    report.resurrected_keys += resurrected;
     report.failed_post_ops += r.failed_post;
-    if r.lost + r.wrong + r.resurrected + r.failed_post > 0 {
+    if lost + wrong + resurrected + r.failed_post > 0 {
         report.failure_dumps.push(FailureDump {
             state,
             summary: format!(
-                "lost={} wrong={} resurrected={} failed-post-ops={} (crashed at {:?})",
-                r.lost, r.wrong, r.resurrected, r.failed_post, r.crashed_at
+                "lost={lost} wrong={wrong} resurrected={resurrected} failed-post-ops={} (crashed at {:?})",
+                r.failed_post, r.crashed_at
             ),
-            dump: obs::event::drain(),
+            dump: obs::event::since(start),
         });
     }
+    r.crashed_at
 }
 
 #[cfg(test)]

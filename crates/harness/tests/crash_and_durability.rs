@@ -1,48 +1,64 @@
-//! §5 / §7.5 integration: every RECIPE-converted index must pass the crash-recovery
-//! test (no acknowledged key lost, index usable after recovery) and the durability
-//! test (every dirtied cache line flushed and fenced) over many crash states, and
-//! the per-site exhaustive sweep must exercise every declared crash site.
+//! §5 / §7.5 integration: every multi-writer registry row must keep every
+//! acknowledged operation across sampled crash states, the converted rows must pass
+//! the durability test (every dirtied cache line flushed and fenced), the per-site
+//! exhaustive sweep must exercise every declared crash site, and P-Masstree's and
+//! P-BwTree's SMOs, cut at each ordered step, must recover (or be helped to
+//! completion by a reader).
 //!
-//! Every test runs in a `pm::Domain` of its own: its crash arming, site counters
-//! and durability tracker are invisible to the tests libtest runs beside it.
+//! The sweeps run through `crashtest`'s one crash driver; it and the durability
+//! test each enter a `pm::Domain` of their own. The SMO tests cut one load by hand
+//! with the driver's load loop (`crashtest::run_load`) and acknowledged-state model
+//! (`crashtest::Acked`), and enter a domain of their own so their arming and
+//! tracker are invisible to the tests libtest runs beside them.
 use crashtest::{
-    run_crash_sweep, run_crash_test, run_durability_test, CrashTestConfig, SweepConfig,
+    run_crash_sweep, run_durability_test, run_load, Acked, Cut, MixedGen, MixedOp, Readback,
+    SweepConfig,
 };
 use harness::registry;
 use recipe::key::u64_key;
+use recipe::session::{Handle, Index, IndexExt};
 
 /// Enter a fresh PM domain for the rest of the test.
 fn own_domain() -> pm::domain::Entered {
     pm::Domain::new().enter()
 }
 
-fn small_cfg() -> CrashTestConfig {
-    CrashTestConfig { load_keys: 2_000, post_ops: 2_000, threads: 4, crash_states: 40, seed: 11 }
+/// Inserts of keys `keys`, each with value `key + offset`.
+fn inserts(keys: std::ops::Range<u64>, offset: u64) -> impl Iterator<Item = MixedOp> {
+    keys.map(move |i| MixedOp::Insert(i, i + offset))
 }
 
+/// Run `ops` through `h` with a crash armed at the first hit of `site`, which
+/// must fire.
+fn cut_at<I: Index>(
+    h: &mut Handle<'_, I>,
+    site: &'static str,
+    ops: impl IntoIterator<Item = MixedOp>,
+    acked: &mut Acked,
+) -> Cut {
+    pm::crash::install_quiet_hook();
+    pm::crash::arm_at_site(site, 1);
+    let cut = run_load(h, ops, acked).unwrap_or_else(|| panic!("{site}: crash never fired"));
+    assert_eq!(cut.site, site);
+    cut
+}
+
+/// Every multi-writer row, converted or baseline (built without its `*-bug`
+/// feature), keeps every acknowledged operation across sampled crash states of a
+/// mixed load.
 #[test]
-fn converted_indexes_survive_crash_states() {
-    let _domain = own_domain();
-    for entry in registry::all_indexes().into_iter().filter(|e| e.converted) {
-        let report = run_crash_test(entry.build_pmem, &small_cfg());
+fn multi_writer_rows_survive_sampled_crash_states() {
+    let cfg =
+        SweepConfig { load_ops: 2_000, post_ops: 1_000, threads: 4, sampled_states: 40, seed: 11 };
+    for entry in registry::all_indexes().into_iter().filter(|e| !e.single_writer) {
+        let report = run_crash_sweep(entry.build_pmem, &[], &cfg);
         assert!(report.crashes_triggered > 0, "{}: no crash state fired", entry.name);
-        assert!(report.passed(), "{}: {report:?}", entry.name);
-    }
-}
-
-#[test]
-fn baselines_survive_crash_states_without_bug_features() {
-    let _domain = own_domain();
-    // Built without their `*-bug` features the baselines should also pass.
-    for entry in registry::all_indexes().into_iter().filter(|e| !e.converted && !e.single_writer) {
-        let report = run_crash_test(entry.build_pmem, &small_cfg());
-        assert!(report.passed(), "{}: {report:?}", entry.name);
+        assert!(report.consistent(), "{}: {report:?}", entry.name);
     }
 }
 
 #[test]
 fn recipe_indexes_pass_durability_check() {
-    let _domain = own_domain();
     for entry in registry::all_indexes().into_iter().filter(|e| e.converted) {
         let report = run_durability_test(entry.build_pmem, 2_000, 500);
         assert!(report.passed(), "{}: {report:?}", entry.name);
@@ -56,7 +72,6 @@ fn recipe_indexes_pass_durability_check() {
 #[test]
 fn masstree_leaf_split_crash_then_recover() {
     let _domain = own_domain();
-    pm::crash::install_quiet_hook();
     for site in [
         "masstree.split.sibling_persisted",
         "masstree.split.sibling_linked",
@@ -66,23 +81,16 @@ fn masstree_leaf_split_crash_then_recover() {
         "masstree.root_split.committed",
     ] {
         let t = masstree::PMasstree::new();
+        let mut h = t.handle();
+        let mut acked = Acked::default();
         // Fill exactly one leaf (15 entries); the 16th insert forces the split.
-        for i in 0..15u64 {
-            assert!(t.insert(&recipe::key::u64_key(i), i + 100));
-        }
-        pm::crash::arm_at_site(site, 1);
-        let r = pm::crash::catch_crash(std::panic::AssertUnwindSafe(|| {
-            t.insert(&recipe::key::u64_key(15), 115);
-        }));
-        pm::crash::disarm();
-        assert_eq!(r, Err(site), "crash must fire at {site}");
+        assert_eq!(run_load(&mut h, inserts(0..15, 100), &mut acked), None);
+        cut_at(&mut h, site, inserts(15..16, 100), &mut acked);
 
         t.recover();
 
         // Every committed (acknowledged) key must survive with its value.
-        for i in 0..15u64 {
-            assert_eq!(t.get(&recipe::key::u64_key(i)), Some(i + 100), "{site}: key {i} lost");
-        }
+        assert_eq!(acked.read_back(|k| h.get(&u64_key(k))), Readback::default(), "{site}");
         // The tree must scan in strict order with no torn-split duplicates, and the
         // scan must agree with point lookups (the unacknowledged 16th key may or may
         // not have committed).
@@ -91,14 +99,13 @@ fn masstree_leaf_split_crash_then_recover() {
             scanned.windows(2).all(|w| w[0].0 < w[1].0),
             "{site}: scan has duplicates or disorder: {scanned:?}"
         );
-        let visible: usize =
-            (0..16u64).filter(|&i| t.get(&recipe::key::u64_key(i)).is_some()).count();
+        let visible: usize = (0..16u64).filter(|&i| t.get(&u64_key(i)).is_some()).count();
         assert_eq!(scanned.len(), visible, "{site}: scan disagrees with lookups");
 
         // And it must remain fully usable: inserts into both halves plus re-split.
         for i in 20..60u64 {
-            assert!(t.insert(&recipe::key::u64_key(i), i), "{site}: unusable after recover");
-            assert_eq!(t.get(&recipe::key::u64_key(i)), Some(i));
+            assert!(t.insert(&u64_key(i), i), "{site}: unusable after recover");
+            assert_eq!(t.get(&u64_key(i)), Some(i));
         }
     }
 }
@@ -110,27 +117,11 @@ fn masstree_leaf_split_crash_then_recover() {
 #[test]
 fn masstree_torn_parent_link_is_reattached_on_recover() {
     let _domain = own_domain();
-    pm::crash::install_quiet_hook();
     for site in ["masstree.parent.slot_written", "masstree.parent.committed"] {
         let t = masstree::PMasstree::new();
-        pm::crash::arm_at_site(site, 1);
-        let mut acked = Vec::new();
-        let mut fired = false;
-        for i in 0..400u64 {
-            let r = pm::crash::catch_crash(std::panic::AssertUnwindSafe(|| {
-                t.insert(&recipe::key::u64_key(i), i + 1);
-            }));
-            match r {
-                Ok(()) => acked.push(i),
-                Err(s) => {
-                    assert_eq!(s, site);
-                    fired = true;
-                    break;
-                }
-            }
-        }
-        pm::crash::disarm();
-        assert!(fired, "{site}: parent-link crash never fired");
+        let mut h = t.handle();
+        let mut acked = Acked::default();
+        cut_at(&mut h, site, inserts(0..400, 1), &mut acked);
         if site == "masstree.parent.slot_written" {
             // The separator was cut before publishing: the right sibling must be
             // reachable only via B-link until the recovery helper reattaches it.
@@ -139,32 +130,17 @@ fn masstree_torn_parent_link_is_reattached_on_recover() {
 
         t.recover();
         assert_eq!(t.unrouted_siblings(), 0, "{site}: recovery left an orphan unparented");
-        for &i in &acked {
-            assert_eq!(t.get(&recipe::key::u64_key(i)), Some(i + 1), "{site}: key {i} lost");
-        }
+        assert_eq!(acked.read_back(|k| h.get(&u64_key(k))), Readback::default(), "{site}");
         let scanned = t.scan(&[], 1_000);
         assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0), "{site}: scan disorder");
         // Recovery completed the split: running it again must be a no-op that leaves
         // the tree equally healthy, and the tree must keep absorbing splits.
         t.recover();
         for i in 1_000..1_400u64 {
-            assert!(t.insert(&recipe::key::u64_key(i), i), "{site}: unusable after recover");
+            assert!(t.insert(&u64_key(i), i), "{site}: unusable after recover");
         }
-        for &i in &acked {
-            assert_eq!(t.get(&recipe::key::u64_key(i)), Some(i + 1), "{site}: key {i} lost late");
-        }
+        assert_eq!(acked.read_back(|k| h.get(&u64_key(k))), Readback::default(), "{site}: late");
     }
-}
-
-/// Deeper P-Masstree crash sweep: a crash at an *arbitrary* site mid-load (including
-/// parent and sublayer splits driven by multi-layer string keys) must never lose an
-/// acknowledged key after recovery.
-#[test]
-fn masstree_multi_layer_crash_states() {
-    let _domain = own_domain();
-    let report = run_crash_test(masstree::PMasstree::new, &small_cfg());
-    assert!(report.crashes_triggered > 0);
-    assert!(report.passed(), "{report:?}");
 }
 
 /// The §5 claim in full: for every (non-single-writer) registry index, the
@@ -172,7 +148,6 @@ fn masstree_multi_layer_crash_states() {
 /// mixed states — must keep consistency *and* exercise every declared site.
 #[test]
 fn exhaustive_sweep_covers_every_declared_crash_site() {
-    let _domain = own_domain();
     // Level-Hashing's resize only triggers past ~7k distinct inserts, so the load
     // must stay at the paper's 10k scale for full coverage.
     let cfg =
@@ -187,8 +162,8 @@ fn exhaustive_sweep_covers_every_declared_crash_site() {
     }
 }
 
-/// Two sweeps on two registry rows at once, each on its own thread and domain:
-/// both pass, and neither report counts a site of the other row.
+/// Two sweeps on two registry rows at once, each on its own thread (and so in
+/// its own domain): both pass, and neither report counts a site of the other row.
 #[test]
 fn crash_sweeps_in_separate_domains_run_in_parallel() {
     let cfg =
@@ -204,7 +179,6 @@ fn crash_sweeps_in_separate_domains_run_in_parallel() {
             .map(|entry| {
                 let cfg = &cfg;
                 scope.spawn(move || {
-                    let _domain = own_domain();
                     (entry, run_crash_sweep(entry.build_pmem, entry.crash_sites, cfg))
                 })
             })
@@ -234,26 +208,10 @@ fn crash_sweeps_in_separate_domains_run_in_parallel() {
 #[test]
 fn bwtree_reader_helps_complete_torn_split() {
     let _domain = own_domain();
-    pm::crash::install_quiet_hook();
     let t = bwtree::PBwTree::new();
-    pm::crash::arm_at_site("bwtree.split.delta_published", 1);
-    let mut acked = Vec::new();
-    let mut fired = false;
-    for i in 0..400u64 {
-        let r = pm::crash::catch_crash(std::panic::AssertUnwindSafe(|| {
-            t.insert(&u64_key(i), i + 1);
-        }));
-        match r {
-            Ok(()) => acked.push(i),
-            Err(site) => {
-                assert_eq!(site, "bwtree.split.delta_published");
-                fired = true;
-                break;
-            }
-        }
-    }
-    pm::crash::disarm();
-    assert!(fired, "split crash never fired");
+    let mut h = t.handle();
+    let mut acked = Acked::default();
+    cut_at(&mut h, "bwtree.split.delta_published", inserts(0..400, 1), &mut acked);
     assert_eq!(t.incomplete_smos(), 1, "crash must leave the SMO torn");
 
     // No recover(): a plain reader observes the split delta while descending and
@@ -266,9 +224,7 @@ fn bwtree_reader_helps_complete_torn_split() {
     assert_eq!(t.incomplete_smos(), 0, "the reader must have completed the SMO");
 
     // The helped tree is fully consistent and writable.
-    for &i in &acked {
-        assert_eq!(t.get(&u64_key(i)), Some(i + 1), "key {i} lost");
-    }
+    assert_eq!(acked.read_back(|k| h.get(&u64_key(k))), Readback::default());
     let scanned = t.scan(&[], 1_000);
     assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0), "scan disorder: {scanned:?}");
     for i in 1_000..1_200u64 {
@@ -282,7 +238,6 @@ fn bwtree_reader_helps_complete_torn_split() {
 #[test]
 fn bwtree_split_crash_then_recover_at_every_step() {
     let _domain = own_domain();
-    pm::crash::install_quiet_hook();
     for site in [
         "bwtree.split.right_installed",
         "bwtree.split.delta_published",
@@ -293,36 +248,18 @@ fn bwtree_split_crash_then_recover_at_every_step() {
         "bwtree.consolidate.installed",
     ] {
         let t = bwtree::PBwTree::new();
-        pm::crash::arm_at_site(site, 1);
-        let mut acked = Vec::new();
-        let mut fired = false;
-        for i in 0..400u64 {
-            let r = pm::crash::catch_crash(std::panic::AssertUnwindSafe(|| {
-                t.insert(&u64_key(i), i + 1);
-            }));
-            match r {
-                Ok(()) => acked.push(i),
-                Err(s) => {
-                    assert_eq!(s, site);
-                    fired = true;
-                    break;
-                }
-            }
-        }
-        pm::crash::disarm();
-        assert!(fired, "{site}: crash never fired");
+        let mut h = t.handle();
+        let mut acked = Acked::default();
+        let cut = cut_at(&mut h, site, inserts(0..400, 1), &mut acked);
 
         t.recover();
         assert_eq!(t.incomplete_smos(), 0, "{site}: recovery left the SMO torn");
-        for &i in &acked {
-            assert_eq!(t.get(&u64_key(i)), Some(i + 1), "{site}: key {i} lost");
-        }
+        assert_eq!(acked.read_back(|k| h.get(&u64_key(k))), Readback::default(), "{site}");
         let scanned = t.scan(&[], 1_000);
         assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0), "{site}: scan disorder");
         // Scans agree with point lookups (the crashed op's key may or may not
         // have committed).
-        let visible =
-            (0..=acked.len() as u64 + 1).filter(|i| t.get(&u64_key(*i)).is_some()).count();
+        let visible = (0..=cut.op.key()).filter(|i| t.get(&u64_key(*i)).is_some()).count();
         assert_eq!(scanned.len(), visible, "{site}: scan disagrees with lookups");
         for i in 1_000..1_400u64 {
             assert!(t.insert(&u64_key(i), i), "{site}: unusable after recover");
@@ -338,7 +275,6 @@ fn bwtree_split_crash_then_recover_at_every_step() {
 #[test]
 fn bwtree_merge_crash_then_recover_at_every_step() {
     let _domain = own_domain();
-    pm::crash::install_quiet_hook();
     for site in [
         "bwtree.merge.remove_published",
         "bwtree.help.merge_flushed",
@@ -346,43 +282,21 @@ fn bwtree_merge_crash_then_recover_at_every_step() {
         "bwtree.merge.parent_updated",
     ] {
         let t = bwtree::PBwTree::new();
-        for i in 0..400u64 {
-            t.insert(&u64_key(i), i + 1);
-        }
+        let mut h = t.handle();
+        let mut acked = Acked::default();
+        assert_eq!(run_load(&mut h, inserts(0..400, 1), &mut acked), None);
         // Empty leaves from a middle range upward; the delete that empties a
         // leaf triggers the merge inline, so the armed site fires mid-remove.
-        pm::crash::arm_at_site(site, 1);
-        let mut acked = Vec::new();
-        let mut fired = false;
-        for i in 100..400u64 {
-            let r = pm::crash::catch_crash(std::panic::AssertUnwindSafe(|| {
-                assert!(t.remove(&u64_key(i)), "remove {i}");
-            }));
-            match r {
-                Ok(()) => acked.push(i),
-                Err(s) => {
-                    assert_eq!(s, site);
-                    fired = true;
-                    break;
-                }
-            }
-        }
-        pm::crash::disarm();
-        assert!(fired, "{site}: merge crash never fired");
+        let cut = cut_at(&mut h, site, (100..400).map(MixedOp::Remove), &mut acked);
 
         t.recover();
         assert_eq!(t.incomplete_smos(), 0, "{site}: recovery left the merge torn");
         // Acknowledged removes stay removed; untouched keys stay readable.
-        for &i in &acked {
-            assert_eq!(t.get(&u64_key(i)), None, "{site}: key {i} resurrected");
-        }
-        for i in 0..100u64 {
-            assert_eq!(t.get(&u64_key(i)), Some(i + 1), "{site}: key {i} lost");
-        }
+        assert_eq!(acked.read_back(|k| h.get(&u64_key(k))), Readback::default(), "{site}");
         let scanned = t.scan(&[], 1_000);
         assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0), "{site}: scan disorder");
         // The merged (adopted) key range accepts writes again.
-        for &i in acked.iter().take(50) {
+        for i in (100..cut.op.key()).take(50) {
             assert!(t.insert(&u64_key(i), i * 3), "{site}: unusable after recover");
             assert_eq!(t.get(&u64_key(i)), Some(i * 3));
         }
@@ -395,27 +309,13 @@ fn bwtree_merge_crash_then_recover_at_every_step() {
 #[test]
 fn bwtree_reader_helps_complete_torn_merge() {
     let _domain = own_domain();
-    pm::crash::install_quiet_hook();
     let t = bwtree::PBwTree::new();
-    for i in 0..400u64 {
-        t.insert(&u64_key(i), i + 1);
-    }
-    pm::crash::arm_at_site("bwtree.merge.remove_published", 1);
-    let mut fired = false;
-    let mut crashed_at_key = 0;
-    for i in 100..400u64 {
-        let r = pm::crash::catch_crash(std::panic::AssertUnwindSafe(|| {
-            t.remove(&u64_key(i));
-        }));
-        if let Err(site) = r {
-            assert_eq!(site, "bwtree.merge.remove_published");
-            fired = true;
-            crashed_at_key = i;
-            break;
-        }
-    }
-    pm::crash::disarm();
-    assert!(fired, "merge crash never fired");
+    let mut h = t.handle();
+    let mut acked = Acked::default();
+    assert_eq!(run_load(&mut h, inserts(0..400, 1), &mut acked), None);
+    let removes = (100..400).map(MixedOp::Remove);
+    let crashed_at_key =
+        cut_at(&mut h, "bwtree.merge.remove_published", removes, &mut acked).op.key();
     assert_eq!(t.incomplete_smos(), 1, "crash must leave the merge torn");
 
     // No recover(): a reader descending into the removed page's key range
@@ -429,9 +329,7 @@ fn bwtree_reader_helps_complete_torn_merge() {
     assert!(t.merged_pages() > 0, "the torn merge must have completed, not been abandoned");
 
     // Fully consistent and writable afterwards.
-    for i in 0..100u64 {
-        assert_eq!(t.get(&u64_key(i)), Some(i + 1), "key {i} lost");
-    }
+    assert_eq!(acked.read_back(|k| h.get(&u64_key(k))), Readback::default());
     let scanned = t.scan(&[], 1_000);
     assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0), "scan disorder");
     for i in 100..=crashed_at_key {
@@ -448,66 +346,29 @@ fn bwtree_torn_delta_chain_stress() {
     let _domain = own_domain();
     pm::crash::install_quiet_hook();
     let t = bwtree::PBwTree::new();
-    let mut gen = crashtest::MixedGen::new(0xB417);
-    let mut model: std::collections::HashMap<u64, Option<u64>> = std::collections::HashMap::new();
+    let mut h = t.handle();
+    let mut gen = MixedGen::new(0xB417);
+    let mut acked = Acked::default();
     let mut op_index = 0u64;
     let mut crashes = 0;
     for round in 0..60u64 {
         pm::crash::arm_nth(round % 97 * 5 + 3);
-        for _ in 0..300 {
+        let burst = (0..300).map(|_| {
             let op = gen.next_op(op_index);
             op_index += 1;
-            let r = pm::crash::catch_crash(std::panic::AssertUnwindSafe(|| match op {
-                crashtest::MixedOp::Insert(k, v) => {
-                    t.insert(&u64_key(k), v);
-                }
-                crashtest::MixedOp::Update(k, v) => {
-                    t.update(&u64_key(k), v);
-                }
-                crashtest::MixedOp::Remove(k) => {
-                    t.remove(&u64_key(k));
-                }
-            }));
-            let key = match op {
-                crashtest::MixedOp::Insert(k, _)
-                | crashtest::MixedOp::Update(k, _)
-                | crashtest::MixedOp::Remove(k) => k,
-            };
-            match (r, op) {
-                (Ok(()), crashtest::MixedOp::Insert(k, v)) => {
-                    model.insert(k, Some(v));
-                }
-                (Ok(()), crashtest::MixedOp::Update(k, v)) => {
-                    if model.get(&k).is_some_and(Option::is_some) {
-                        model.insert(k, Some(v));
-                    }
-                }
-                (Ok(()), crashtest::MixedOp::Remove(k)) => {
-                    model.insert(k, None);
-                }
-                (Err(_), _) => {
-                    model.remove(&key); // ambiguous: the op was cut mid-flight
-                    crashes += 1;
-                    break;
-                }
-            }
-        }
+            op
+        });
+        crashes += usize::from(run_load(&mut h, burst, &mut acked).is_some());
         pm::crash::disarm();
         t.recover();
         assert_eq!(t.incomplete_smos(), 0, "round {round}: torn SMO survived recovery");
     }
     assert!(crashes >= 30, "stress must actually crash often (got {crashes})");
-    for (k, state) in &model {
-        match state {
-            Some(v) => assert_eq!(t.get(&u64_key(*k)), Some(*v), "key {k} lost or wrong"),
-            None => assert_eq!(t.get(&u64_key(*k)), None, "removed key {k} resurrected"),
-        }
-    }
+    assert_eq!(acked.read_back(|k| h.get(&u64_key(k))), Readback::default());
     let scanned = t.scan(&[], usize::MAX);
     assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0), "scan disorder after stress");
-    let live = model.values().filter(|v| v.is_some()).count();
     // The scan may additionally contain keys from crashed (unacknowledged) ops.
-    assert!(scanned.len() >= live, "scan lost acknowledged keys");
+    assert!(scanned.len() >= acked.present().count(), "scan lost acknowledged keys");
 }
 
 #[test]
@@ -518,7 +379,7 @@ fn dram_indexes_never_crash_because_sites_are_inert() {
     pm::crash::arm_count_only();
     let t = art_index::DramArt::new();
     for i in 0..2_000u64 {
-        t.insert(&recipe::key::u64_key(i), i);
+        t.insert(&u64_key(i), i);
     }
     assert_eq!(pm::crash::sites_hit(), 0);
     pm::crash::disarm();

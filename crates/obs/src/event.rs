@@ -12,8 +12,11 @@
 //!
 //! Records carry a global sequence number from one shared atomic, so a
 //! [`drain`] merges every thread's ring into a single totally-ordered
-//! timeline. The crash harness uses exactly this: clear at the start of a
-//! crash state, dump on failure.
+//! timeline. A [`Hold`] keeps tracing on for as long as it lives, whatever
+//! [`set_enabled`] says, and [`since`] reads the events from a [`next_seq`]
+//! mark on without removing them: the crash harness holds tracing on for a
+//! sweep and reads one crash state's window on failure, so sweeps running at
+//! once neither switch off nor clear each other's events.
 //!
 //! ```
 //! let was = obs::event::set_enabled(true);
@@ -28,7 +31,7 @@
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Default per-thread ring capacity (records); `RECIPE_OBS_RING` overrides.
@@ -80,7 +83,11 @@ impl Ring {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Whether tracing is on, in one word so that [`emit`] tests one load: bit 0
+/// is [`set_enabled`]'s switch, the bits above count the live [`Hold`]s.
+static ON: AtomicU64 = AtomicU64::new(0);
+const SWITCH: u64 = 1;
+const ONE_HOLD: u64 = 2;
 static SEQ: AtomicU64 = AtomicU64::new(0);
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
@@ -104,15 +111,38 @@ thread_local! {
     static MY_RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
 }
 
-/// Is event tracing currently enabled?
+/// Is event tracing currently enabled (switched on, or held)?
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ON.load(Ordering::Relaxed) != 0
 }
 
-/// Enable/disable tracing; returns the previous setting.
+/// Switch tracing on or off; returns the switch's previous setting. A live
+/// [`Hold`] keeps tracing on while the switch is off.
 pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::Relaxed)
+    let prev = if on {
+        ON.fetch_or(SWITCH, Ordering::Relaxed)
+    } else {
+        ON.fetch_and(!SWITCH, Ordering::Relaxed)
+    };
+    prev & SWITCH != 0
+}
+
+/// Keeps tracing on while it lives; see [`hold`].
+#[must_use = "tracing stays on only while the hold lives"]
+pub struct Hold(());
+
+/// Turn tracing on until the returned hold drops. Holds count: tracing stays
+/// on while any of them, or the [`set_enabled`] switch, is on.
+pub fn hold() -> Hold {
+    ON.fetch_add(ONE_HOLD, Ordering::Relaxed);
+    Hold(())
+}
+
+impl Drop for Hold {
+    fn drop(&mut self) {
+        ON.fetch_sub(ONE_HOLD, Ordering::Relaxed);
+    }
 }
 
 /// Enable tracing when `RECIPE_OBS_EVENTS` is set to a truthy value
@@ -121,7 +151,7 @@ pub fn init_from_env() {
     if let Ok(v) = std::env::var("RECIPE_OBS_EVENTS") {
         let v = v.trim().to_ascii_lowercase();
         if matches!(v.as_str(), "1" | "true" | "yes" | "on") {
-            ENABLED.store(true, Ordering::Relaxed);
+            set_enabled(true);
         }
     }
 }
@@ -130,7 +160,7 @@ pub fn init_from_env() {
 /// relaxed load with no allocation and no thread-local access.
 #[inline]
 pub fn emit(kind: &'static str, detail: &'static str, a: u64, b: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if ON.load(Ordering::Relaxed) == 0 {
         return;
     }
     emit_slow(kind, detail, a, b);
@@ -140,23 +170,55 @@ pub fn emit(kind: &'static str, detail: &'static str, a: u64, b: u64) {
 fn emit_slow(kind: &'static str, detail: &'static str, a: u64, b: u64) {
     MY_RING.with(|slot| {
         let mut slot = slot.borrow_mut();
-        let arc = slot.get_or_insert_with(|| {
-            let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            let ring = Arc::new(Mutex::new(Ring {
-                tid,
-                buf: Vec::with_capacity(ring_cap()),
-                cap: ring_cap(),
-                next: 0,
-                dropped: 0,
-            }));
-            rings().lock().push(Arc::clone(&ring));
-            ring
-        });
+        let arc = slot.get_or_insert_with(register);
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
         let mut ring = arc.lock();
         let tid = ring.tid;
         ring.push(Event { seq, tid, kind, detail, a, b });
     });
+}
+
+/// Give the calling thread a ring: one an exited thread left behind (its
+/// records stay readable until overwritten), else a new one. Reuse bounds the
+/// rings by the threads alive at once, however many come and go between two
+/// drains.
+fn register() -> Arc<Mutex<Ring>> {
+    let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    let mut rings = rings().lock();
+    // strong_count == 1: only the registry holds it, its thread exited.
+    // Registering happens under the registry lock, so no two threads take it.
+    if let Some(ring) = rings.iter().find(|r| Arc::strong_count(r) == 1) {
+        ring.lock().tid = tid;
+        return Arc::clone(ring);
+    }
+    let cap = ring_cap();
+    let ring =
+        Arc::new(Mutex::new(Ring { tid, buf: Vec::with_capacity(cap), cap, next: 0, dropped: 0 }));
+    rings.push(Arc::clone(&ring));
+    ring
+}
+
+/// The sequence number the next event will get: a mark for [`since`].
+#[must_use]
+pub fn next_seq() -> u64 {
+    SEQ.load(Ordering::Relaxed)
+}
+
+/// Every retained event with `seq` at or after `start` (a [`next_seq`] mark), in
+/// sequence order, without removing anything. `dropped` counts the window's
+/// events no ring holds any more (overwritten, or taken by a [`drain`] or
+/// [`clear`]). Events of every thread are included, so a window read while
+/// other threads trace holds their events too.
+#[must_use]
+pub fn since(start: u64) -> Dump {
+    let end = SEQ.load(Ordering::Relaxed);
+    let mut events: Vec<Event> = Vec::new();
+    for ring in rings().lock().iter() {
+        events.extend(ring.lock().buf.iter().filter(|e| (start..end).contains(&e.seq)));
+    }
+    events.sort_unstable_by_key(|e| e.seq);
+    let dropped = end.saturating_sub(start).saturating_sub(events.len() as u64);
+    Dump { events, dropped }
 }
 
 /// A drained event timeline.
@@ -319,6 +381,46 @@ mod tests {
         assert_eq!(tail.events.len(), 3);
         assert_eq!(tail.events[0].a, 7, "newest three survive");
         assert_eq!(tail.dropped, 7, "older events counted as dropped");
+    }
+
+    #[test]
+    fn holds_count_and_since_reads_a_window_without_removing_it() {
+        let _g = guard();
+        let was = set_enabled(false);
+        let (a, b) = (hold(), hold());
+        emit("t.ev", "before", 0, 0);
+        let start = next_seq();
+        emit("t.ev", "in", 1, 0);
+        drop(a);
+        assert!(enabled(), "one hold still lives");
+        emit("t.ev", "in", 2, 0);
+        let window = since(start);
+        assert_eq!(window.events.iter().map(|e| e.a).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(window.dropped, 0);
+        assert_eq!(since(start).events.len(), 2, "reading removes nothing");
+        assert!(!set_enabled(false), "a hold is not the switch");
+        drop(b);
+        assert!(!enabled());
+        set_enabled(was);
+    }
+
+    #[test]
+    fn an_exited_threads_ring_is_reused_and_still_read() {
+        let _g = guard();
+        let was = set_enabled(true);
+        clear();
+        let start = next_seq();
+        for t in 0..3u64 {
+            std::thread::spawn(move || emit("t.ev", "reuse", t, 0)).join().unwrap();
+        }
+        let rings_now = rings().lock().len();
+        std::thread::spawn(|| emit("t.ev", "reuse", 3, 0)).join().unwrap();
+        assert_eq!(rings().lock().len(), rings_now, "the new thread took an exited thread's ring");
+        let window = since(start);
+        set_enabled(was);
+        let seen: Vec<u64> =
+            window.events.iter().filter(|e| e.detail == "reuse").map(|e| e.a).collect();
+        assert_eq!(seen, [0, 1, 2, 3]);
     }
 
     #[test]

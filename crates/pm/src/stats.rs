@@ -247,6 +247,14 @@ impl Stats {
     }
 }
 
+impl std::ops::AddAssign for Stats {
+    fn add_assign(&mut self, other: Stats) {
+        self.clwb += other.clwb;
+        self.fence += other.fence;
+        self.node_visits += other.node_visits;
+    }
+}
+
 /// Per-operation averages derived from a [`Stats`] delta.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PerOp {

@@ -28,7 +28,8 @@ pub struct PhaseResult {
     pub secs: f64,
     /// Throughput in million operations per second.
     pub mops: f64,
-    /// Per-operation `clwb` count.
+    /// Per-operation `clwb` count. This and the next two count the phase's
+    /// worker threads only, whatever other threads of the process do.
     pub clwb_per_op: f64,
     /// Per-operation fence count.
     pub fence_per_op: f64,
@@ -69,10 +70,10 @@ pub(crate) fn run_workers(
     threads: usize,
     work: impl Fn(usize, &mut Worker<'_>) + Sync,
 ) -> PhaseResult {
-    let before = pm::stats::snapshot();
     let start = Instant::now();
     let (mut wall_hist, mut charged_hist) = (obs::Hist::new(), obs::Hist::new());
     let (mut handle_stats, mut failed_reads) = (HandleStats::default(), 0);
+    let mut pm_work = pm::stats::Stats::default();
     let domain = &pm::Domain::current();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -80,25 +81,31 @@ pub(crate) fn run_workers(
                 let work = &work;
                 scope.spawn(move || {
                     let _d = domain.enter();
+                    let before = pm::stats::snapshot_local();
                     let mut w = Worker::new(index);
                     work(t, &mut w);
-                    let stats = w.handle.stats();
-                    // The handle drops here, on the thread that used it.
-                    (w.wall, w.charged, w.failed_reads, stats)
+                    let Worker { handle, wall, charged, failed_reads, .. } = w;
+                    let stats = handle.stats();
+                    // The handle drops on the thread that used it, inside the
+                    // thread's own counter delta.
+                    drop(handle);
+                    let own = pm::stats::snapshot_local().since(&before);
+                    (wall, charged, failed_reads, stats, own)
                 })
             })
             .collect();
         for h in handles {
-            let (wall, charged, failed, stats) = h.join().expect("worker thread panicked");
+            let (wall, charged, failed, stats, pm) = h.join().expect("worker thread panicked");
             wall_hist.merge(&wall);
             charged_hist.merge(&charged);
             handle_stats.merge(&stats);
             failed_reads += failed;
+            pm_work += pm;
         }
     });
     let secs = start.elapsed().as_secs_f64();
     let ops = wall_hist.count();
-    let per_op = pm::stats::snapshot().since(&before).per_op(ops);
+    let per_op = pm_work.per_op(ops);
     PhaseResult {
         ops,
         secs,
@@ -297,6 +304,30 @@ mod tests {
         // Session stats cover the whole phase: the load is pure inserts.
         assert_eq!(res.load.handle_stats.inserts, 2_000);
         assert_eq!(res.run.handle_stats.ops(), 2_000);
+    }
+
+    /// A phase counts its workers' PM work, not PM work another thread does
+    /// meanwhile, even a thread a worker spawned and joined.
+    #[test]
+    fn phase_counters_ignore_pm_work_of_other_threads() {
+        let model = Model { map: RwLock::new(BTreeMap::new()) };
+        let ops: Vec<Op> = (0..100).map(|i| Op::Insert(KeyType::RandInt.encode(i), i)).collect();
+        let line = [0u8; 64];
+        let phase = |other_thread: bool| {
+            run_workers(&model, 1, |_, w| {
+                pm::flush::clwb(line.as_ptr());
+                if other_thread {
+                    std::thread::scope(|s| {
+                        s.spawn(|| (0..1_000).for_each(|_| pm::flush::clwb(line.as_ptr())));
+                    });
+                }
+                w.resync();
+                ops.iter().for_each(|op| w.run_op(op));
+            })
+        };
+        let alone = phase(false);
+        assert_eq!(alone.clwb_per_op, 0.01, "the worker's own flush counts");
+        assert_eq!(phase(true).clwb_per_op, alone.clwb_per_op);
     }
 
     #[test]
