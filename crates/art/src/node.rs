@@ -70,8 +70,8 @@ pub fn unpack_prefix(word: u64) -> ([u8; MAX_PREFIX], usize) {
 /// The tagged child word of `leaf`.
 #[inline]
 #[must_use]
-pub fn leaf_word(leaf: &Leaf) -> usize {
-    (leaf as *const Leaf as usize) | 1
+pub fn leaf_word(leaf: *const Leaf) -> usize {
+    (leaf as usize) | 1
 }
 
 /// Whether a child word refers to a leaf.
@@ -88,7 +88,7 @@ pub fn is_leaf(word: usize) -> bool {
 #[inline]
 pub unsafe fn leaf_ref<'a>(word: usize) -> &'a Leaf {
     debug_assert!(is_leaf(word));
-    // SAFETY: caller contract; leaves are never freed.
+    // SAFETY: caller contract; a leaf is freed only when the tree drops.
     unsafe { &*((word & !1) as *const Leaf) }
 }
 
@@ -261,6 +261,23 @@ impl Node256 {
             hdr: NodeHeader::new(NodeTag::N256, level, prefix),
             children: zeroed_array!(AtomicUsize, 256),
         }) as usize
+    }
+}
+
+/// Free the inner node `word` names, not its children.
+///
+/// # Safety
+/// `word` is an untagged pointer to an inner node this crate allocated, freed once,
+/// that no thread can reach any more.
+pub unsafe fn free_node(word: usize) {
+    // SAFETY: caller contract; each node type was allocated with `pm_box`.
+    unsafe {
+        match NodeRef::from_word(word).hdr().tag {
+            NodeTag::N4 => pm::alloc::pm_drop(word as *mut Node4),
+            NodeTag::N16 => pm::alloc::pm_drop(word as *mut Node16),
+            NodeTag::N48 => pm::alloc::pm_drop(word as *mut Node48),
+            NodeTag::N256 => pm::alloc::pm_drop(word as *mut Node256),
+        }
     }
 }
 
@@ -719,7 +736,7 @@ mod tests {
 
     #[test]
     fn leaf_tagging() {
-        let w = leaf_word(Leaf::alloc(b"key", 7));
+        let w = leaf_word(Leaf::alloc(b"key", 7).as_ptr());
         assert!(is_leaf(w));
         // SAFETY: freshly allocated leaf.
         let l = unsafe { leaf_ref(w) };
@@ -733,8 +750,8 @@ mod tests {
         // SAFETY: freshly allocated.
         let n = unsafe { NodeRef::from_word(w) };
         assert_eq!(n.find_child(5), 0);
-        let c1 = leaf_word(Leaf::alloc(b"a", 1));
-        let c2 = leaf_word(Leaf::alloc(b"b", 2));
+        let c1 = leaf_word(Leaf::alloc(b"a", 1).as_ptr());
+        let c2 = leaf_word(Leaf::alloc(b"b", 2).as_ptr());
         assert!(n.add_child::<Dram>(5, c1));
         assert!(n.add_child::<Dram>(9, c2));
         assert_eq!(n.find_child(5), c1);
@@ -744,7 +761,7 @@ mod tests {
         assert_eq!(n.find_child(5), 0);
         assert!(!n.remove_child::<Dram>(5));
         // Hole is reused.
-        let c3 = leaf_word(Leaf::alloc(b"c", 3));
+        let c3 = leaf_word(Leaf::alloc(b"c", 3).as_ptr());
         assert!(n.add_child::<Dram>(7, c3));
         assert_eq!(n.find_child(7), c3);
         assert_eq!(n.hdr().count.load(Ordering::Relaxed), 2);
@@ -757,10 +774,10 @@ mod tests {
         let n = unsafe { NodeRef::from_word(w) };
         for b in 0..4u8 {
             assert!(!n.is_full());
-            assert!(n.add_child::<Dram>(b, leaf_word(Leaf::alloc(&[b], b as u64))));
+            assert!(n.add_child::<Dram>(b, leaf_word(Leaf::alloc(&[b], b as u64).as_ptr())));
         }
         assert!(n.is_full());
-        assert!(!n.add_child::<Dram>(99, leaf_word(Leaf::alloc(b"x", 0))));
+        assert!(!n.add_child::<Dram>(99, leaf_word(Leaf::alloc(b"x", 0).as_ptr())));
     }
 
     #[test]
@@ -770,7 +787,7 @@ mod tests {
         for b in 0..200u8 {
             // SAFETY: `word` always refers to the current live copy.
             let n = unsafe { NodeRef::from_word(word) };
-            let leaf = leaf_word(Leaf::alloc(&[b], b as u64));
+            let leaf = leaf_word(Leaf::alloc(&[b], b as u64).as_ptr());
             if n.is_full() {
                 word = n.grow_with(b, leaf);
             } else {
@@ -803,8 +820,8 @@ mod tests {
             let w = make(0, b"");
             // SAFETY: freshly allocated.
             let n = unsafe { NodeRef::from_word(w) };
-            let c1 = leaf_word(Leaf::alloc(b"1", 1));
-            let c2 = leaf_word(Leaf::alloc(b"2", 2));
+            let c1 = leaf_word(Leaf::alloc(b"1", 1).as_ptr());
+            let c2 = leaf_word(Leaf::alloc(b"2", 2).as_ptr());
             assert!(!n.replace_child::<Dram>(10, c2, []), "replace on absent byte fails");
             assert!(n.add_child::<Dram>(10, c1));
             assert!(n.replace_child::<Dram>(10, c2, []));
@@ -847,7 +864,7 @@ mod tests {
             let n = unsafe { NodeRef::from_word(w) };
             let bytes: Vec<u8> = (0..n_keys as u8).map(|i| 251u8.wrapping_mul(i + 1)).collect();
             for &b in &bytes {
-                assert!(n.add_child::<Dram>(b, leaf_word(Leaf::alloc(&[b], u64::from(b)))));
+                assert!(n.add_child::<Dram>(b, leaf_word(Leaf::alloc(&[b], u64::from(b)).as_ptr())));
             }
             let got: Vec<u8> = children_from(&n, 0).iter().map(|&(b, _)| b).collect();
             let mut want = bytes.clone();
@@ -865,7 +882,7 @@ mod tests {
         for (i, &b) in bytes.iter().enumerate() {
             // SAFETY: `word` always refers to the current live copy.
             let n = unsafe { NodeRef::from_word(word) };
-            let leaf = leaf_word(Leaf::alloc(&[b], u64::from(b)));
+            let leaf = leaf_word(Leaf::alloc(&[b], u64::from(b)).as_ptr());
             if n.is_full() {
                 word = n.grow_with(b, leaf);
             } else {
@@ -895,7 +912,7 @@ mod tests {
         // SAFETY: freshly allocated.
         let n = unsafe { NodeRef::from_word(w) };
         for b in [0u8, 7, 200, 255] {
-            assert!(n.add_child::<Dram>(b, leaf_word(Leaf::alloc(&[b], 0))));
+            assert!(n.add_child::<Dram>(b, leaf_word(Leaf::alloc(&[b], 0).as_ptr())));
         }
         let from = |lo| children_from(&n, lo).iter().map(|&(b, _)| b).collect::<Vec<u8>>();
         assert_eq!(from(0), vec![0, 7, 200, 255]);

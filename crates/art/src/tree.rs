@@ -23,7 +23,10 @@
 //! store is flushed and fenced before the operation is acknowledged, and its
 //! `covers` (what it makes reachable) are checked durable under the tracker.
 
-use crate::node::{is_leaf, leaf_ref, leaf_word, pack_prefix, Node256, Node4, NodeRef, MAX_PREFIX};
+use crate::node::{
+    free_node, is_leaf, leaf_ref, leaf_word, pack_prefix, Node256, Node4, NodeRef, MAX_PREFIX,
+};
+use recipe::epoch::Collector;
 use recipe::key::Leaf;
 use recipe::persist::{Dram, PersistMode, Span};
 use recipe::session::ScanBuf;
@@ -38,11 +41,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// evaluation.
 pub struct Art<P: PersistMode> {
     root: AtomicUsize,
+    /// Nodes and leaves the run unlinked (a grown node's old copy, a removed leaf).
+    /// Readers never pin it, so nothing it holds is freed before the tree drops.
+    retired: Collector,
     _policy: PhantomData<P>,
 }
 
 // SAFETY: all shared mutable state is reached through atomics and per-node locks; the
-// raw node words reference allocations that are never freed while the tree is alive.
+// raw node words reference allocations that are never freed while the tree is alive
+// (unlinked ones are retired until it drops).
 unsafe impl<P: PersistMode> Send for Art<P> {}
 // SAFETY: as above — all shared mutation is mediated by atomics and per-node locks.
 unsafe impl<P: PersistMode> Sync for Art<P> {}
@@ -74,7 +81,7 @@ impl<P: PersistMode> Art<P> {
         let root = Node256::alloc(0, b"");
         let (ptr, len) = node_span(root);
         P::stage(ptr, len);
-        let t = Art { root: AtomicUsize::new(0), _policy: PhantomData };
+        let t = Art { root: AtomicUsize::new(0), retired: Collector::new(), _policy: PhantomData };
         P::publish(&t.root, || t.root.store(root, Ordering::Release), [node_span(root)], None);
         t
     }
@@ -246,7 +253,8 @@ impl<P: PersistMode> Art<P> {
                 return AddLeafOutcome::Retry;
             }
             if !node.is_full() {
-                let leaf = Leaf::alloc(key, value);
+                // SAFETY: fresh; the tree frees it only after unlinking it.
+                let leaf = unsafe { Leaf::alloc(key, value).as_ref() };
                 // Staged: it rides on the fence of `add_child`'s publishing store.
                 leaf.stage::<P>();
                 P::crash_site("art.insert.leaf_persisted");
@@ -273,7 +281,8 @@ impl<P: PersistMode> Art<P> {
         if hdr.obsolete.load(Ordering::Acquire) || node.find_child(b) != 0 || !node.is_full() {
             return AddLeafOutcome::Retry;
         }
-        let leaf = Leaf::alloc(key, value);
+        // SAFETY: fresh; the tree frees it only after unlinking it.
+        let leaf = unsafe { Leaf::alloc(key, value).as_ref() };
         leaf.stage::<P>();
         let grown = node.grow_with(b, leaf_word(leaf));
         let (ptr, len) = node_span(grown);
@@ -283,6 +292,7 @@ impl<P: PersistMode> Art<P> {
         let ok = par.replace_child::<P>(pbyte, grown, new_node_covers(leaf, grown));
         debug_assert!(ok);
         hdr.obsolete.store(true, Ordering::Release);
+        self.retire(node.word());
         P::crash_site("art.grow.committed");
         AddLeafOutcome::Inserted
     }
@@ -322,7 +332,8 @@ impl<P: PersistMode> Art<P> {
         {
             return false;
         }
-        let new_leaf = Leaf::alloc(key, value);
+        // SAFETY: fresh; the tree frees it only after unlinking it.
+        let new_leaf = unsafe { Leaf::alloc(key, value).as_ref() };
         new_leaf.stage::<P>();
         // Build the new branch node covering the matched part of the prefix.
         let branch = Node4::alloc((depth + p) as u32, &pbytes[..p]);
@@ -378,7 +389,8 @@ impl<P: PersistMode> Art<P> {
             // One key is a strict prefix of the other: unsupported.
             return Some(false);
         }
-        let new_leaf = Leaf::alloc(key, value);
+        // SAFETY: fresh; the tree frees it only after unlinking it.
+        let new_leaf = unsafe { Leaf::alloc(key, value).as_ref() };
         new_leaf.stage::<P>();
         let (subtree, linked) =
             build_split_subtree::<P>(base, cp, key, old_key, existing, leaf_word(new_leaf));
@@ -438,6 +450,7 @@ impl<P: PersistMode> Art<P> {
                     // Commit: single atomic store clearing the slot.
                     let ok = node.remove_child::<P>(b);
                     debug_assert!(ok);
+                    self.retire(child);
                     P::crash_site("art.remove.committed");
                     return true;
                 }
@@ -566,6 +579,58 @@ impl<P: PersistMode> Art<P> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Retire the node or leaf `word` names, which the calling operation has just
+    /// unlinked: freed when the tree drops, since a non-blocking reader may still be
+    /// on it.
+    fn retire(&self, word: usize) {
+        let bytes = if is_leaf(word) {
+            std::mem::size_of::<Leaf>()
+        } else {
+            // SAFETY: an unlinked inner node, alive until the retired list drops.
+            unsafe { NodeRef::from_word(word) }.size_bytes()
+        };
+        // SAFETY: unreachable since the unlink, and retired once; the tree's drop
+        // frees only what it reaches from the root.
+        self.retired.defer_free(bytes as u64, move || unsafe {
+            if is_leaf(word) {
+                Leaf::free((word & !1) as *mut Leaf);
+            } else {
+                free_node(word);
+            }
+        });
+    }
+}
+
+impl<P: PersistMode> Drop for Art<P> {
+    /// Free every node and leaf reachable from the root, each once; `retired` frees
+    /// the unlinked ones as it drops after this.
+    fn drop(&mut self) {
+        fn collect(word: usize, nodes: &mut Vec<usize>, leaves: &mut Vec<*mut Leaf>) {
+            if is_leaf(word) {
+                leaves.push((word & !1) as *mut Leaf);
+                return;
+            }
+            nodes.push(word);
+            // SAFETY: a reachable inner node; nothing is freed until the walk ends.
+            unsafe { NodeRef::from_word(word) }.walk_children_from(0, |_, c| {
+                collect(c, nodes, leaves);
+                false
+            });
+        }
+        let (mut nodes, mut leaves) = (Vec::new(), Vec::new());
+        collect(*self.root.get_mut(), &mut nodes, &mut leaves);
+        nodes.sort_unstable();
+        nodes.dedup();
+        // SAFETY: exclusive access; every collected object is reachable only from
+        // this tree, and duplicates were removed.
+        unsafe {
+            for word in nodes {
+                free_node(word);
+            }
+            Leaf::free_all(leaves);
+        }
     }
 }
 

@@ -3,7 +3,8 @@
 //! parse, carry the `recipe-obs-metrics/v1` schema stamp, and contain every
 //! required metric family (substrate counters, per-cell latency histograms,
 //! handle statistics, epoch gauges), with each cell's wall-clock histogram
-//! covering exactly the operations the phase executed. Exits non-zero on the
+//! covering exactly the operations the phase executed and every PM byte the
+//! dropped indexes allocated counted as freed. Exits non-zero on the
 //! first violation so the workflow step fails loudly.
 use std::collections::BTreeSet;
 use ycsb::{KeyType, Workload};
@@ -63,6 +64,21 @@ fn main() {
     let missing: Vec<&String> = required.iter().filter(|r| !names.contains(r.as_str())).collect();
     if !missing.is_empty() {
         fail(&format!("required metrics missing from metrics.json: {missing:?}"));
+    }
+
+    // Both smoke indexes have dropped, and an index frees every PM byte it owns on
+    // drop, so the pool's allocated and freed totals must meet.
+    let counter = |name: &str| {
+        metrics
+            .iter()
+            .find(|m| m.get("name").and_then(|v| v.as_str()) == Some(name))
+            .and_then(|m| m.get("value"))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| fail(&format!("{name} has no numeric value")))
+    };
+    let (alloc, freed) = (counter("pm.alloc_bytes"), counter("pm.freed_bytes"));
+    if alloc == 0.0 || freed != alloc {
+        fail(&format!("pm.alloc_bytes {alloc} vs pm.freed_bytes {freed}: the indexes leaked"));
     }
 
     // The histograms must be the *full* distributions: one record per

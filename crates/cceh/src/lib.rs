@@ -42,6 +42,7 @@ pub const CRASH_SITES: &[&str] = &[
     "cceh.split.directory_updated",
 ];
 
+use recipe::epoch::Collector;
 use recipe::key::{hash_u64, key_to_u64};
 use recipe::persist::{span, span_of, PersistMode, Pmem, Span};
 use recipe::session::{Capabilities, Index, OpError, OpResult};
@@ -93,6 +94,9 @@ impl Directory {
 pub struct Cceh<P: PersistMode = Pmem> {
     dir: AtomicPtr<Directory>,
     dir_lock: parking_lot::Mutex<()>,
+    /// Directories a doubling replaced and segments a split replaced. Readers never
+    /// pin it, so nothing it holds is freed before the table drops.
+    retired: Collector,
     _policy: PhantomData<P>,
 }
 
@@ -102,9 +106,11 @@ pub type PCceh = Cceh<Pmem>;
 pub type DramCceh = Cceh<recipe::persist::Dram>;
 
 // SAFETY: directories and segments are only mutated through atomics/locks and are
-// never freed while the table is alive (copy-on-write splits leak the old versions).
+// never freed while the table is alive (copy-on-write splits retire the old versions
+// until it drops).
 unsafe impl<P: PersistMode> Send for Cceh<P> {}
-// SAFETY: as above — directories/segments are lock- or atomically-mutated, never freed.
+// SAFETY: as above — directories/segments are lock- or atomically-mutated, and freed
+// only when the table drops.
 unsafe impl<P: PersistMode> Sync for Cceh<P> {}
 
 impl<P: PersistMode> Default for Cceh<P> {
@@ -133,6 +139,7 @@ impl<P: PersistMode> Cceh<P> {
         let t = Cceh {
             dir: AtomicPtr::new(std::ptr::null_mut()),
             dir_lock: parking_lot::Mutex::new(()),
+            retired: Collector::new(),
             _policy: PhantomData,
         };
         let install = || t.dir.store(dir, Ordering::Release);
@@ -236,13 +243,13 @@ impl<P: PersistMode> Cceh<P> {
     fn split_segment(&self, seg_ptr: *mut Segment, hash: u64) {
         let _dir_guard = self.dir_lock.lock();
         let dir_ptr = self.dir.load(Ordering::Acquire);
-        // SAFETY: never freed.
+        // SAFETY: freed only when the table drops.
         let dir = unsafe { &*dir_ptr };
         // Another thread may already have split this segment.
         if dir.segments[dir.index(hash)].load(Ordering::Acquire) != seg_ptr as u64 {
             return;
         }
-        // SAFETY: never freed.
+        // SAFETY: freed only when the table drops.
         let seg = unsafe { &*seg_ptr };
         let _seg_guard = seg.lock.lock();
         let local_depth = seg.local_depth.load(Ordering::Acquire);
@@ -275,6 +282,7 @@ impl<P: PersistMode> Cceh<P> {
                 P::publish(&self.dir, swap, new_dir.covers(), "cceh.doubling.committed");
             }
             obs::event::emit("cceh.resize", "dir_doubled", dir.global_depth, new_dir.global_depth);
+            self.retire(dir_ptr, dir.covers());
             new_dir
         } else {
             dir
@@ -321,6 +329,19 @@ impl<P: PersistMode> Cceh<P> {
         let covers = left.covers().into_iter().chain(right.covers());
         P::publish(last, repoint, covers, "cceh.split.directory_updated");
         obs::event::emit("cceh.resize", "segment_split", local_depth, new_depth);
+        self.retire(seg_ptr, seg.covers());
+    }
+
+    /// Retire the directory or segment the calling split just replaced: freed when
+    /// the table drops, since a reader may still be on it.
+    fn retire<T: 'static>(&self, ptr: *mut T, covers: [Span; 2]) {
+        let bytes: usize = covers.iter().map(|&(_, len)| len).sum();
+        let ptr = ptr as usize;
+        // SAFETY: unreachable since the replacing store, and retired once; the
+        // table's drop frees only what the current directory reaches.
+        self.retired.defer_free(bytes as u64, move || unsafe {
+            pm::alloc::pm_drop(ptr as *mut T);
+        });
     }
 
     fn remove_internal(&self, k: u64) -> bool {
@@ -338,7 +359,7 @@ impl<P: PersistMode> Cceh<P> {
         for s in &dir.segments {
             let p = s.load(Ordering::Acquire);
             if seen.insert(p) {
-                // SAFETY: never freed.
+                // SAFETY: freed only when the table drops.
                 let seg = unsafe { &*(p as *const Segment) };
                 seg.for_each(|_, _| count += 1);
             }
@@ -441,10 +462,26 @@ impl<P: PersistMode> Index for Cceh<P> {
         for s in &dir.segments {
             let p = s.load(Ordering::Acquire);
             if seen.insert(p) {
-                // SAFETY: never freed.
+                // SAFETY: freed only when the table drops.
                 let seg = unsafe { &*(p as *const Segment) };
                 seg.lock.force_unlock();
             }
+        }
+    }
+}
+
+impl<P: PersistMode> Drop for Cceh<P> {
+    /// Free the directory and every segment it routes to, each once: after a split
+    /// several directory entries share one segment.
+    fn drop(&mut self) {
+        let dir = *self.dir.get_mut();
+        // SAFETY: exclusive access; the directory and its segments were allocated
+        // with `pm_box` by this table, and the ones splits replaced are in `retired`.
+        unsafe {
+            let segments =
+                (*dir).segments.iter().map(|s| s.load(Ordering::Acquire) as *mut Segment);
+            pm::alloc::pm_drop_all(segments.collect());
+            pm::alloc::pm_drop(dir);
         }
     }
 }

@@ -33,7 +33,7 @@ pub enum KeyMode {
     /// Key words hold the big-endian value of an 8-byte key plus one (so 0 stays free
     /// as the empty sentinel).
     Inline,
-    /// Key words hold a pointer to a leaked [`KeyBuf`].
+    /// Key words hold a pointer to a [`KeyBuf`], freed when the tree drops.
     Indirect,
 }
 
@@ -50,7 +50,7 @@ fn key_covers(mode: KeyMode, word: u64) -> [Span; 2] {
         KeyMode::Inline => [(std::ptr::null(), 0); 2],
         KeyMode::Indirect => {
             let buf = word as *const KeyBuf;
-            // SAFETY: indirect key words are pointers to leaked KeyBufs.
+            // SAFETY: indirect key words point to KeyBufs freed only when the tree drops.
             [span(buf), span_of(&*unsafe { &*buf }.bytes)]
         }
     }
@@ -77,8 +77,9 @@ pub fn cmp_word_key(mode: KeyMode, word: u64, key: &[u8]) -> CmpOrdering {
     match mode {
         KeyMode::Inline => word.cmp(&recipe::key::key_to_u64(key).wrapping_add(1)),
         KeyMode::Indirect => {
-            pm::stats::record_node_visit(); // the extra dereference string keys pay
-                                            // SAFETY: indirect key words are pointers to leaked KeyBufs.
+            // The extra dereference string keys pay.
+            pm::stats::record_node_visit();
+            // SAFETY: indirect key words point to KeyBufs freed only when the tree drops.
             let buf = unsafe { &*(word as *const KeyBuf) };
             (*buf.bytes).cmp(key)
         }
@@ -312,20 +313,27 @@ impl Node {
     }
 
     /// FAIR deletion (lock must be held): shift entries left over the removed slot.
-    /// Returns false if the key is absent.
+    /// Hands the key word of every copy removed to `removed`; returns false if the key
+    /// is absent.
     ///
     /// Removes repeatedly until no copy of the key remains: a crash between the
     /// value and key stores of an entry plant can persist a duplicate run, and a
     /// single shift-left would leave the stale copy behind to resurrect the key.
-    pub fn remove_sorted<P: PersistMode>(&self, mode: KeyMode, key: &[u8]) -> bool {
-        let mut removed = false;
-        while self.remove_one::<P>(mode, key) {
-            removed = true;
+    pub fn remove_sorted<P: PersistMode>(
+        &self,
+        mode: KeyMode,
+        key: &[u8],
+        mut removed: impl FnMut(u64),
+    ) -> bool {
+        let mut any = false;
+        while let Some(word) = self.remove_one::<P>(mode, key) {
+            removed(word);
+            any = true;
         }
-        removed
+        any
     }
 
-    fn remove_one<P: PersistMode>(&self, mode: KeyMode, key: &[u8]) -> bool {
+    fn remove_one<P: PersistMode>(&self, mode: KeyMode, key: &[u8]) -> Option<u64> {
         let count = self.count();
         let mut pos = None;
         for i in 0..count {
@@ -336,7 +344,8 @@ impl Node {
                 break;
             }
         }
-        let Some(pos) = pos else { return false };
+        let pos = pos?;
+        let word = self.entries[pos].key.load(Ordering::Acquire);
         for i in pos..count {
             let (nk, nv) = if i + 1 < count {
                 (
@@ -356,7 +365,7 @@ impl Node {
             });
             P::crash_site("fastfair.remove.step");
         }
-        true
+        Some(word)
     }
 
     /// In-place value update for an existing key (lock must be held). Returns false if
@@ -448,8 +457,10 @@ mod tests {
             let w = encode_key::<Dram>(KeyMode::Inline, &u64_key(k));
             node.insert_sorted::<Dram>(KeyMode::Inline, w, k);
         }
-        assert!(node.remove_sorted::<Dram>(KeyMode::Inline, &u64_key(3)));
-        assert!(!node.remove_sorted::<Dram>(KeyMode::Inline, &u64_key(3)));
+        let mut removed = Vec::new();
+        assert!(node.remove_sorted::<Dram>(KeyMode::Inline, &u64_key(3), |w| removed.push(w)));
+        assert!(!node.remove_sorted::<Dram>(KeyMode::Inline, &u64_key(3), |_| {}));
+        assert_eq!(removed, [encode_key::<Dram>(KeyMode::Inline, &u64_key(3))]);
         assert_eq!(node.count(), 5);
         assert_eq!(node.find_in_leaf(KeyMode::Inline, &u64_key(3)), None);
         assert_eq!(node.find_in_leaf(KeyMode::Inline, &u64_key(6)), Some(6));
@@ -502,7 +513,7 @@ mod tests {
                     }
                     {
                         let _g = node.lock.lock();
-                        node.remove_sorted::<Dram>(KeyMode::Inline, &u64_key(15));
+                        node.remove_sorted::<Dram>(KeyMode::Inline, &u64_key(15), |_| {});
                     }
                 }
             });
@@ -560,7 +571,7 @@ mod tests {
         );
         assert!(node.update_value::<Dram>(KeyMode::Inline, &u64_key(20), 2_222));
         assert_eq!(node.find_in_leaf(KeyMode::Inline, &u64_key(20)), Some(2_222));
-        assert!(node.remove_sorted::<Dram>(KeyMode::Inline, &u64_key(20)));
+        assert!(node.remove_sorted::<Dram>(KeyMode::Inline, &u64_key(20), |_| {}));
         assert_eq!(
             node.find_in_leaf(KeyMode::Inline, &u64_key(20)),
             None,

@@ -8,8 +8,8 @@
 //! right" across in-flight splits, B-link style.
 
 use crate::node::{
-    cmp_word_key, cmp_words, encode_key, word_bytes, word_to_bytes, KeyMode, Node, CARDINALITY,
-    EMPTY,
+    cmp_word_key, cmp_words, encode_key, word_bytes, word_to_bytes, KeyBuf, KeyMode, Node,
+    CARDINALITY, EMPTY,
 };
 use recipe::persist::{span, PersistMode};
 use recipe::session::ScanBuf;
@@ -23,13 +23,17 @@ pub struct FastFair<P: PersistMode> {
     /// 0 = undecided, 1 = inline 8-byte keys, 2 = indirect (string) keys.
     mode: AtomicU8,
     smo_lock: parking_lot::Mutex<()>,
+    /// Key buffers of removed string keys, freed when the tree drops: readers and
+    /// separators may still use them. A torn split can leave a removed key's buffer
+    /// in a second leaf, so they join the drop walk's list and are freed once.
+    removed_keys: parking_lot::Mutex<Vec<u64>>,
     _policy: PhantomData<P>,
 }
 
 // SAFETY: nodes are reached through atomic pointers, mutated under locks with
-// reader-tolerant store orderings, and never freed while the tree is alive.
+// reader-tolerant store orderings, and freed only when the tree drops.
 unsafe impl<P: PersistMode> Send for FastFair<P> {}
-// SAFETY: as above — node words are atomics and nodes are never freed while alive.
+// SAFETY: as above — node words are atomics and nodes are freed only on drop.
 unsafe impl<P: PersistMode> Sync for FastFair<P> {}
 
 impl<P: PersistMode> Default for FastFair<P> {
@@ -50,6 +54,7 @@ impl<P: PersistMode> FastFair<P> {
             root: AtomicPtr::new(std::ptr::null_mut()),
             mode: AtomicU8::new(0),
             smo_lock: parking_lot::Mutex::new(()),
+            removed_keys: parking_lot::Mutex::new(Vec::new()),
             _policy: PhantomData,
         };
         let install = || t.root.store(root, Ordering::Release);
@@ -392,7 +397,11 @@ impl<P: PersistMode> FastFair<P> {
             leaf = self.node_ref(sib);
             guard = leaf.lock.lock();
         }
-        leaf.remove_sorted::<P>(mode, key)
+        leaf.remove_sorted::<P>(mode, key, |word| {
+            if mode == KeyMode::Indirect {
+                self.removed_keys.lock().push(word);
+            }
+        })
     }
 
     /// Range scan: up to `count` pairs with key `>= start`, ascending, following leaf
@@ -520,5 +529,44 @@ impl<P: PersistMode> FastFair<P> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<P: PersistMode> Drop for FastFair<P> {
+    /// Free every node and key buffer, each once. Nodes are collected level by level
+    /// along the sibling chains, so neither a child pointer a crash left in two slots
+    /// nor a sibling whose parent entry was never written is missed or freed twice.
+    /// A string key's buffer belongs to the leaf entry that holds it (separators and
+    /// high keys only borrow it) or, once removed, to `removed_keys`.
+    fn drop(&mut self) {
+        let indirect = *self.mode.get_mut() == 2;
+        let mut keys = std::mem::take(self.removed_keys.get_mut());
+        let mut nodes = Vec::new();
+        let mut level_head = *self.root.get_mut();
+        while !level_head.is_null() {
+            let mut cur = level_head;
+            while !cur.is_null() {
+                nodes.push(cur);
+                let node = self.node_ref(cur);
+                if indirect && node.is_leaf() {
+                    keys.extend(
+                        (0..node.count()).map(|i| node.entries[i].key.load(Ordering::Acquire)),
+                    );
+                }
+                cur = node.sibling.load(Ordering::Acquire);
+            }
+            let head = self.node_ref(level_head);
+            level_head = if head.is_leaf() {
+                std::ptr::null_mut()
+            } else {
+                head.leftmost.load(Ordering::Acquire) as *mut Node
+            };
+        }
+        // SAFETY: exclusive access; every node and key buffer was allocated with
+        // `pm_box` by this tree, and duplicates are freed once.
+        unsafe {
+            pm::alloc::pm_drop_all(nodes);
+            pm::alloc::pm_drop_all(keys.into_iter().map(|w| w as *mut KeyBuf).collect());
+        }
     }
 }

@@ -35,6 +35,7 @@ use crate::bits::{
 };
 use crate::compound::{prefix_mask, Compound, Entry, COMPOUND_CAP, FULL_MASK};
 use pm::stats::{record_probes, Mapping};
+use recipe::epoch::Collector;
 use recipe::key::Leaf;
 use recipe::lock::{VersionGuard, VersionLock};
 use recipe::persist::{span, PersistMode, Span};
@@ -95,20 +96,81 @@ fn compound_of(word: usize) -> *const Compound {
 fn subtree_start(word: usize) -> u32 {
     debug_assert!(word != 0 && !is_leaf(word));
     if is_compound(word) {
-        // SAFETY: never freed.
+        // SAFETY: freed only when the trie drops.
         unsafe { &*compound_of(word) }.bit_pos
     } else {
-        // SAFETY: never freed.
+        // SAFETY: freed only when the trie drops.
         unsafe { &*(word as *const Node) }.bit_pos
     }
 }
 
 /// Allocate a leaf and stage it, returning it with its tagged word. The caller
 /// keeps it unreachable until the publishing store whose `covers` name it.
-fn alloc_leaf<P: PersistMode>(key: &[u8], value: u64) -> (&'static Leaf, usize) {
-    let leaf = Leaf::alloc(key, value);
+fn alloc_leaf<'a, P: PersistMode>(key: &[u8], value: u64) -> (&'a Leaf, usize) {
+    let ptr = Leaf::alloc(key, value);
+    // SAFETY: fresh; the trie frees it only after unlinking it, or if it is never
+    // published.
+    let leaf = unsafe { ptr.as_ref() };
     leaf.stage::<P>();
-    (leaf, leaf as *const Leaf as usize | 1)
+    (leaf, ptr.as_ptr() as usize | 1)
+}
+
+/// Free the leaf, plain node or compound `word` names, not its children.
+///
+/// # Safety
+/// `word` names an object this trie allocated, freed once, that no thread can reach.
+unsafe fn free_one(word: usize) {
+    // SAFETY: caller contract; leaves are slab blocks, nodes and compounds boxes.
+    unsafe {
+        if is_leaf(word) {
+            Leaf::free(leaf_of(word) as *mut Leaf);
+        } else if is_compound(word) {
+            pm::alloc::pm_drop(compound_of(word) as *mut Compound);
+        } else {
+            pm::alloc::pm_drop(word as *mut Node);
+        }
+    }
+}
+
+/// Free every object of the subtree at `word` (0 for none), each once even if two
+/// slots reach it.
+///
+/// # Safety
+/// The subtree is this trie's, no thread can reach it, and nothing else frees any
+/// object in it.
+unsafe fn free_subtree(word: usize) {
+    fn collect(word: usize, inner: &mut Vec<usize>, leaves: &mut Vec<*mut Leaf>) {
+        if word == 0 {
+            return;
+        }
+        if is_leaf(word) {
+            leaves.push(leaf_of(word) as *mut Leaf);
+            return;
+        }
+        inner.push(word);
+        let children: &[AtomicUsize] = if is_compound(word) {
+            // SAFETY: nothing is freed until the walk ends.
+            let c = unsafe { &*compound_of(word) };
+            &c.children[..(c.count.load(Ordering::Acquire) as usize).min(c.cap())]
+        } else {
+            // SAFETY: as above.
+            &unsafe { &*(word as *const Node) }.children
+        };
+        for slot in children {
+            collect(slot.load(Ordering::Acquire), inner, leaves);
+        }
+    }
+    let (mut inner, mut leaves) = (Vec::new(), Vec::new());
+    collect(word, &mut inner, &mut leaves);
+    inner.sort_unstable();
+    inner.dedup();
+    // SAFETY: caller contract; duplicates were removed.
+    unsafe {
+        for w in inner {
+            free_one(w);
+        }
+        Leaf::free_all(leaves);
+    }
 }
 
 fn alloc_node(bit_pos: u32, width: u32) -> *mut Node {
@@ -133,9 +195,9 @@ enum Step {
 impl Step {
     fn window_start(self) -> u32 {
         match self {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             Step::Node(n, _) => unsafe { &*n }.bit_pos,
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             Step::Cpd(c, _, _) => unsafe { &*c }.bit_pos,
         }
     }
@@ -143,7 +205,7 @@ impl Step {
     /// Bits this step resolved beyond its window start.
     fn resolved_width(self) -> u32 {
         match self {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             Step::Node(n, _) => unsafe { &*n }.width,
             Step::Cpd(_, _, depth) => depth,
         }
@@ -151,9 +213,9 @@ impl Step {
 
     fn load_child(self) -> usize {
         match self {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             Step::Node(n, i) => unsafe { &*n }.children[i].load(Ordering::Acquire),
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             Step::Cpd(c, i, _) => unsafe { &*c }.children[i].load(Ordering::Acquire),
         }
     }
@@ -164,8 +226,10 @@ impl Step {
 struct WidenCtx {
     entries: Vec<Entry>,
     guards: Vec<VersionGuard<'static>>,
+    /// Plain nodes inlined into the compound: replaced, children kept.
     frozen_nodes: Vec<&'static Node>,
-    frozen_cpds: Vec<&'static Compound>,
+    /// Tagged words of subtrees removes emptied, which the compound leaves out whole.
+    dropped: Vec<usize>,
     inlined: bool,
     /// Plain nodes whose window ends at or before this absolute bit position are
     /// inlined; everything past it becomes a pointer entry. Chosen by
@@ -195,6 +259,9 @@ pub struct Hot<P: PersistMode> {
     root_lock: VersionLock,
     /// Volatile heuristic counter gating widening attempts; not persisted.
     widen_tick: AtomicUsize,
+    /// What the run unlinked: replaced nodes and compounds, husks, removed leaves.
+    /// Readers never pin it, so nothing it holds is freed before the trie drops.
+    retired: Collector,
     _policy: PhantomData<P>,
 }
 
@@ -223,6 +290,7 @@ impl<P: PersistMode> Hot<P> {
             root: AtomicUsize::new(0),
             root_lock: VersionLock::new(),
             widen_tick: AtomicUsize::new(0),
+            retired: Collector::new(),
             _policy: PhantomData,
         };
         P::persist_obj(&t.root, true);
@@ -297,7 +365,7 @@ impl<P: PersistMode> Hot<P> {
                 }
                 pm::stats::record_node_visit();
                 if is_compound(word) {
-                    // SAFETY: never freed.
+                    // SAFETY: freed only when the trie drops.
                     let c = unsafe { &*compound_of(word) };
                     let ext = extract_wide(key, c.bit_pos, COMPOUND_BITS);
                     match c.find_child(ext) {
@@ -335,7 +403,7 @@ impl<P: PersistMode> Hot<P> {
                     continue;
                 }
                 record_probes(Mapping::HotNode, 1);
-                // SAFETY: never freed.
+                // SAFETY: freed only when the trie drops.
                 let node = unsafe { &*(word as *const Node) };
                 let idx = extract_bits(key, node.bit_pos, node.width);
                 let child = node.children[idx].load(Ordering::Acquire);
@@ -389,7 +457,7 @@ impl<P: PersistMode> Hot<P> {
                 word = child;
             };
 
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let leaf = unsafe { &*leaf_of(existing_leaf) };
             let Some(diff_bit) = first_diff_bit(key, &leaf.key) else {
                 if &*leaf.key == key {
@@ -496,12 +564,12 @@ impl<P: PersistMode> Hot<P> {
         let (slot, lock, obsolete) = match parent {
             None => (&self.root, &self.root_lock, None),
             Some(Step::Node(n, idx)) => {
-                // SAFETY: never freed.
+                // SAFETY: freed only when the trie drops.
                 let n = unsafe { &*n };
                 (&n.children[idx], &n.lock, Some(&n.obsolete))
             }
             Some(Step::Cpd(c, idx, _)) => {
-                // SAFETY: never freed.
+                // SAFETY: freed only when the trie drops.
                 let c = unsafe { &*c };
                 (&c.children[idx], &c.lock, Some(&c.obsolete))
             }
@@ -595,6 +663,11 @@ impl<P: PersistMode> Hot<P> {
             covers,
             "hot.branch.committed",
         ) {
+            // SAFETY: never published.
+            unsafe {
+                free_one(new_leaf);
+                free_one(branch as usize);
+            }
             return false;
         }
 
@@ -692,9 +765,12 @@ impl<P: PersistMode> Hot<P> {
         P::crash_site("hot.insert.leaf_persisted");
         if !self.publish_in_parent(parent, top, leaf, new.covers(), "hot.insert.slot_committed") {
             Self::unfreeze(&frozen);
+            // SAFETY: never published.
+            unsafe { free_one(leaf) };
             return false;
         }
-        // The husk stays obsolete and unreachable (nodes are never freed).
+        // The husk stays obsolete and is freed, whole, when the trie drops.
+        self.retire(top, true);
         true
     }
 
@@ -710,7 +786,7 @@ impl<P: PersistMode> Hot<P> {
             return false;
         }
         if is_compound(word) {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let c = unsafe { &*compound_of(word) };
             {
                 let _g = c.lock.lock();
@@ -724,7 +800,7 @@ impl<P: PersistMode> Hot<P> {
                 .iter()
                 .all(|s| self.freeze_empty(s.load(Ordering::Acquire), frozen));
         }
-        // SAFETY: never freed.
+        // SAFETY: freed only when the trie drops.
         let node = unsafe { &*(word as *const Node) };
         {
             let _g = node.lock.lock();
@@ -740,14 +816,20 @@ impl<P: PersistMode> Hot<P> {
     /// (spinning in re-descend) can proceed.
     fn unfreeze(frozen: &[usize]) {
         for &word in frozen {
-            if is_compound(word) {
-                // SAFETY: never freed.
-                unsafe { &*compound_of(word) }.obsolete.store(false, Ordering::Release);
-            } else {
-                // SAFETY: never freed.
-                unsafe { &*(word as *const Node) }.obsolete.store(false, Ordering::Release);
-            }
+            Self::set_obsolete(word, false);
         }
+    }
+
+    /// Set or clear the obsolete flag of the plain node or compound `word` names.
+    fn set_obsolete(word: usize, on: bool) {
+        let flag = if is_compound(word) {
+            // SAFETY: freed only when the trie drops.
+            &unsafe { &*compound_of(word) }.obsolete
+        } else {
+            // SAFETY: freed only when the trie drops.
+            &unsafe { &*(word as *const Node) }.obsolete
+        };
+        flag.store(on, Ordering::Release);
     }
 
     /// Attempt to replace plain node `target` (held in `parent`'s slot, or the
@@ -767,8 +849,8 @@ impl<P: PersistMode> Hot<P> {
         parent: Option<Step>,
         allow_frontier: bool,
     ) -> WidenOutcome {
-        // SAFETY: nodes are never freed while the trie is alive, so the reference
-        // is valid for the program's lifetime.
+        // SAFETY: nodes are never freed while the trie is alive, and neither the
+        // reference nor the guards built on it outlive this call.
         let r: &'static Node = unsafe { &*target };
         let Some(_gr) = r.lock.try_lock() else { return WidenOutcome::Busy };
         if r.obsolete.load(Ordering::Acquire) {
@@ -849,7 +931,7 @@ impl<P: PersistMode> Hot<P> {
                     return (limits, false); // this level cannot fit; stop at the previous
                 }
                 if !is_leaf(w) && !is_compound(w) {
-                    // SAFETY: never freed.
+                    // SAFETY: freed only when the trie drops.
                     let n = unsafe { &*(w as *const Node) };
                     if n.bit_pos + n.width <= next_end {
                         for slot in &n.children {
@@ -885,7 +967,7 @@ impl<P: PersistMode> Hot<P> {
             entries: Vec::new(),
             guards: Vec::new(),
             frozen_nodes: Vec::new(),
-            frozen_cpds: Vec::new(),
+            dropped: Vec::new(),
             inlined: false,
             limit,
         };
@@ -912,6 +994,8 @@ impl<P: PersistMode> Hot<P> {
         let cword = (cptr as usize) | 0b10;
         let covers = compound.covers();
         if !self.publish_in_parent(parent, target as usize, cword, covers, "hot.widen.committed") {
+            // SAFETY: never published.
+            unsafe { free_one(cword) };
             return WidenOutcome::Busy;
         }
         obs::event::emit("hot.smo", "widen", base as u64, ctx.entries.len() as u64);
@@ -919,11 +1003,14 @@ impl<P: PersistMode> Hot<P> {
         // blocked on one of them re-checks and restarts. The flags are volatile
         // hints: after a crash these nodes are simply unreachable.
         r.obsolete.store(true, Ordering::Release);
+        self.retire(target as usize, false);
         for n in &ctx.frozen_nodes {
             n.obsolete.store(true, Ordering::Release);
+            self.retire(*n as *const Node as usize, false);
         }
-        for c in &ctx.frozen_cpds {
-            c.obsolete.store(true, Ordering::Release);
+        for &word in &ctx.dropped {
+            Self::set_obsolete(word, true);
+            self.retire(word, true);
         }
         WidenOutcome::Installed
     }
@@ -938,7 +1025,7 @@ impl<P: PersistMode> Hot<P> {
     /// capacity, `Busy` on an unresolvable race.
     fn gather(&self, child: usize, base: u32, ctx: &mut WidenCtx) -> Result<(), WidenOutcome> {
         if is_leaf(child) {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let leaf = unsafe { &*leaf_of(child) };
             ctx.entries.push((extract_wide(&leaf.key, base, COMPOUND_BITS), FULL_MASK, child));
             return if ctx.entries.len() <= COMPOUND_CAP {
@@ -981,7 +1068,7 @@ impl<P: PersistMode> Hot<P> {
                 // Removals emptied the subtree. Freeze it so a concurrent insert
                 // cannot fill a slot after we drop it from the compound.
                 if is_compound(child) {
-                    // SAFETY: never freed.
+                    // SAFETY: freed only when the trie drops.
                     let c: &'static Compound = unsafe { &*compound_of(child) };
                     let Some(g) = c.lock.try_lock() else { return Err(WidenOutcome::Busy) };
                     if c.obsolete.load(Ordering::Acquire) {
@@ -994,12 +1081,12 @@ impl<P: PersistMode> Hot<P> {
                         }
                         None => {
                             ctx.guards.push(g);
-                            ctx.frozen_cpds.push(c);
+                            ctx.dropped.push(child);
                             return Ok(()); // truly empty: drop the subtree
                         }
                     }
                 } else {
-                    // SAFETY: never freed.
+                    // SAFETY: freed only when the trie drops.
                     let n: &'static Node = unsafe { &*(child as *const Node) };
                     let Some(g) = n.lock.try_lock() else { return Err(WidenOutcome::Busy) };
                     if n.obsolete.load(Ordering::Acquire) {
@@ -1012,7 +1099,7 @@ impl<P: PersistMode> Hot<P> {
                         }
                         None => {
                             ctx.guards.push(g);
-                            ctx.frozen_nodes.push(n);
+                            ctx.dropped.push(child);
                             return Ok(()); // truly empty: drop the subtree
                         }
                     }
@@ -1049,7 +1136,7 @@ impl<P: PersistMode> Hot<P> {
 
     fn flatten_rec(&self, word: usize, parent: Option<Step>) {
         if is_compound(word) {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let c: &'static Compound = unsafe { &*compound_of(word) };
             {
                 let _g = c.lock.lock();
@@ -1068,7 +1155,7 @@ impl<P: PersistMode> Hot<P> {
             }
             return;
         }
-        // SAFETY: never freed.
+        // SAFETY: freed only when the trie drops.
         let n: &'static Node = unsafe { &*(word as *const Node) };
         for (idx, slot) in n.children.iter().enumerate() {
             let child = slot.load(Ordering::Acquire);
@@ -1080,7 +1167,7 @@ impl<P: PersistMode> Hot<P> {
 
     fn widen_all_rec(&self, word: usize, parent: Option<Step>) {
         if !is_compound(word) {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let n: &'static Node = unsafe { &*(word as *const Node) };
             if self.try_widen(n, parent, true) == WidenOutcome::Installed {
                 // Replaced: re-read the slot and settle the compound's pointer
@@ -1102,7 +1189,7 @@ impl<P: PersistMode> Hot<P> {
             }
             return;
         }
-        // SAFETY: never freed.
+        // SAFETY: freed only when the trie drops.
         let c: &'static Compound = unsafe { &*compound_of(word) };
         let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
         for slot in 0..count {
@@ -1132,10 +1219,13 @@ impl<P: PersistMode> Hot<P> {
         let old = (c as *const Compound as usize) | 0b10;
         let new = (cptr as usize) | 0b10;
         if !self.publish_in_parent(parent, old, new, compound.covers(), "hot.widen.committed") {
+            // SAFETY: never published.
+            unsafe { free_one(new) };
             return;
         }
         obs::event::emit("hot.smo", "regrow", c.bit_pos as u64, entries.len() as u64);
         c.obsolete.store(true, Ordering::Release);
+        self.retire(old, false);
     }
 
     /// Rebuild an overflowed compound as plain nodes (built aside, flushed,
@@ -1156,10 +1246,15 @@ impl<P: PersistMode> Hot<P> {
         let cword = (c as *const Compound as usize) | 0b10;
         let covers = created.iter().map(|&n| span(n));
         if !self.publish_in_parent(parent, cword, word, covers, "hot.widen.committed") {
+            for n in created {
+                // SAFETY: never published; the entries' children stay where they are.
+                unsafe { free_one(n as usize) };
+            }
             return;
         }
         obs::event::emit("hot.smo", "unwiden", c.bit_pos as u64, entries.len() as u64);
         c.obsolete.store(true, Ordering::Release);
+        self.retire(cword, false);
     }
 
     /// Remove a key; returns `true` if it was present. The slot is cleared with a
@@ -1175,7 +1270,7 @@ impl<P: PersistMode> Hot<P> {
                 return false;
             }
             if is_leaf(root_word) {
-                // SAFETY: never freed.
+                // SAFETY: freed only when the trie drops.
                 let leaf = unsafe { &*leaf_of(root_word) };
                 if &*leaf.key != key {
                     return false;
@@ -1185,17 +1280,18 @@ impl<P: PersistMode> Hot<P> {
                     continue;
                 }
                 P::persist_store(&self.root, || self.root.store(0, Ordering::Release));
+                self.retire(root_word, false);
                 return true;
             }
             let mut word = root_word;
             loop {
                 if is_compound(word) {
-                    // SAFETY: never freed.
+                    // SAFETY: freed only when the trie drops.
                     let c = unsafe { &*compound_of(word) };
                     let ext = extract_wide(key, c.bit_pos, COMPOUND_BITS);
                     let Some((slot, child, _)) = c.find_child(ext) else { return false };
                     if is_leaf(child) {
-                        // SAFETY: never freed.
+                        // SAFETY: freed only when the trie drops.
                         let leaf = unsafe { &*leaf_of(child) };
                         if &*leaf.key != key {
                             return false;
@@ -1208,13 +1304,14 @@ impl<P: PersistMode> Hot<P> {
                         }
                         let slot = &c.children[slot];
                         P::persist_store(slot, || slot.store(0, Ordering::Release));
+                        self.retire(child, false);
                         P::crash_site("hot.remove.committed");
                         return true;
                     }
                     word = child;
                     continue;
                 }
-                // SAFETY: never freed.
+                // SAFETY: freed only when the trie drops.
                 let node = unsafe { &*(word as *const Node) };
                 let idx = extract_bits(key, node.bit_pos, node.width);
                 let child = node.children[idx].load(Ordering::Acquire);
@@ -1222,7 +1319,7 @@ impl<P: PersistMode> Hot<P> {
                     return false;
                 }
                 if is_leaf(child) {
-                    // SAFETY: never freed.
+                    // SAFETY: freed only when the trie drops.
                     let leaf = unsafe { &*leaf_of(child) };
                     if &*leaf.key != key {
                         return false;
@@ -1235,6 +1332,7 @@ impl<P: PersistMode> Hot<P> {
                     }
                     let slot = &node.children[idx];
                     P::persist_store(slot, || slot.store(0, Ordering::Release));
+                    self.retire(child, false);
                     P::crash_site("hot.remove.committed");
                     return true;
                 }
@@ -1269,7 +1367,7 @@ impl<P: PersistMode> Hot<P> {
             return None;
         }
         if is_leaf(word) {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             return Some(&unsafe { &*leaf_of(word) }.key);
         }
         // Skip empty branches (a compound or node whose entries were all removed)
@@ -1278,7 +1376,7 @@ impl<P: PersistMode> Hot<P> {
         // removed-out husk, and a widening gather acting on that answer would
         // silently drop every live key under the subtree.
         if is_compound(word) {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let c = unsafe { &*compound_of(word) };
             let mut found = None;
             c.walk_from(0, |_, child| {
@@ -1287,7 +1385,7 @@ impl<P: PersistMode> Hot<P> {
             });
             return found;
         }
-        // SAFETY: never freed.
+        // SAFETY: freed only when the trie drops.
         let node = unsafe { &*(word as *const Node) };
         node.children
             .iter()
@@ -1308,7 +1406,7 @@ impl<P: PersistMode> Hot<P> {
             return out.len() >= count;
         }
         if is_leaf(word) {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let leaf = unsafe { &*leaf_of(word) };
             if !bounded || &*leaf.key >= start {
                 out.push(&leaf.key, leaf.value.load(Ordering::Acquire));
@@ -1317,7 +1415,7 @@ impl<P: PersistMode> Hot<P> {
         }
         pm::stats::record_node_visit();
         if is_compound(word) {
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let c = unsafe { &*compound_of(word) };
             let mut bounded = bounded;
             if bounded {
@@ -1336,7 +1434,7 @@ impl<P: PersistMode> Hot<P> {
                 self.scan_rec(child, start, bounded && pkey <= ext_start, count, out)
             });
         }
-        // SAFETY: never freed.
+        // SAFETY: freed only when the trie drops.
         let node = unsafe { &*(word as *const Node) };
         let mut bounded = bounded;
         if bounded {
@@ -1373,7 +1471,7 @@ impl<P: PersistMode> Hot<P> {
                 return;
             }
             if is_compound(word) {
-                // SAFETY: never freed.
+                // SAFETY: freed only when the trie drops.
                 let c = unsafe { &*compound_of(word) };
                 c.lock.force_unlock();
                 c.obsolete.store(false, Ordering::Relaxed);
@@ -1383,7 +1481,7 @@ impl<P: PersistMode> Hot<P> {
                 }
                 return;
             }
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let node = unsafe { &*(word as *const Node) };
             node.lock.force_unlock();
             node.obsolete.store(false, Ordering::Relaxed);
@@ -1405,12 +1503,12 @@ impl<P: PersistMode> Hot<P> {
                 return 1;
             }
             if is_compound(word) {
-                // SAFETY: never freed.
+                // SAFETY: freed only when the trie drops.
                 let c = unsafe { &*compound_of(word) };
                 let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
                 return c.children[..count].iter().map(|s| walk(s.load(Ordering::Acquire))).sum();
             }
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let node = unsafe { &*(word as *const Node) };
             node.children.iter().map(|c| walk(c.load(Ordering::Acquire))).sum()
         }
@@ -1431,7 +1529,7 @@ impl<P: PersistMode> Hot<P> {
                 return 0;
             }
             if is_compound(word) {
-                // SAFETY: never freed.
+                // SAFETY: freed only when the trie drops.
                 let c = unsafe { &*compound_of(word) };
                 let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
                 return 1 + c.children[..count]
@@ -1440,7 +1538,7 @@ impl<P: PersistMode> Hot<P> {
                     .max()
                     .unwrap_or(0);
             }
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let node = unsafe { &*(word as *const Node) };
             1 + node.children.iter().map(|c| walk(c.load(Ordering::Acquire))).max().unwrap_or(0)
         }
@@ -1456,7 +1554,7 @@ impl<P: PersistMode> Hot<P> {
                 return 0;
             }
             if is_compound(word) {
-                // SAFETY: never freed.
+                // SAFETY: freed only when the trie drops.
                 let c = unsafe { &*compound_of(word) };
                 let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
                 return 1 + c.children[..count]
@@ -1464,11 +1562,44 @@ impl<P: PersistMode> Hot<P> {
                     .map(|s| walk(s.load(Ordering::Acquire)))
                     .sum::<usize>();
             }
-            // SAFETY: never freed.
+            // SAFETY: freed only when the trie drops.
             let node = unsafe { &*(word as *const Node) };
             node.children.iter().map(|c| walk(c.load(Ordering::Acquire))).sum()
         }
         walk(self.root.load(Ordering::Acquire))
+    }
+}
+
+impl<P: PersistMode> Hot<P> {
+    /// Retire the leaf, node or compound `word` names — with its whole subtree if
+    /// `subtree` — which the calling operation has just unlinked: freed when the
+    /// trie drops, since a non-blocking reader may still be on it.
+    fn retire(&self, word: usize, subtree: bool) {
+        let bytes = if is_leaf(word) {
+            std::mem::size_of::<Leaf>()
+        } else if is_compound(word) {
+            std::mem::size_of::<Compound>()
+        } else {
+            std::mem::size_of::<Node>()
+        };
+        // SAFETY: unreachable since the unlink, and retired once; the trie's drop
+        // frees only what it reaches from the root.
+        self.retired.defer_free(bytes as u64, move || unsafe {
+            if subtree {
+                free_subtree(word);
+            } else {
+                free_one(word);
+            }
+        });
+    }
+}
+
+impl<P: PersistMode> Drop for Hot<P> {
+    /// Free everything reachable from the root, each object once; `retired` frees
+    /// the unlinked objects as it drops after this.
+    fn drop(&mut self) {
+        // SAFETY: exclusive access; the live trie and the retired objects are disjoint.
+        unsafe { free_subtree(*self.root.get_mut()) };
     }
 }
 

@@ -11,6 +11,7 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
+use recipe::epoch::Collector;
 use recipe::key::{hash64, key_to_u64};
 use recipe::lock::VersionLock;
 use recipe::persist::{span, span_of, PersistMode, Pmem, Span};
@@ -170,6 +171,9 @@ impl Levels {
 pub struct LevelHash<P: PersistMode = Pmem> {
     levels: AtomicPtr<Levels>,
     resize_lock: parking_lot::Mutex<()>,
+    /// Generations a resize replaced. Readers never pin it, so nothing it holds is
+    /// freed before the table drops.
+    retired: Collector,
     _policy: PhantomData<P>,
 }
 
@@ -187,9 +191,11 @@ pub const CRASH_SITES: &[&str] = &[
 ];
 
 // SAFETY: bucket mutation is lock-protected, reads use atomic snapshots, and old
-// generations are never freed while the table is alive.
+// generations are never freed while the table is alive (a resize retires them until
+// it drops).
 unsafe impl<P: PersistMode> Send for LevelHash<P> {}
-// SAFETY: as above — bucket writes are lock-protected and generations never freed.
+// SAFETY: as above — bucket writes are lock-protected and generations are freed only
+// when the table drops.
 unsafe impl<P: PersistMode> Sync for LevelHash<P> {}
 
 impl<P: PersistMode> Default for LevelHash<P> {
@@ -210,6 +216,7 @@ impl<P: PersistMode> LevelHash<P> {
         let t = LevelHash {
             levels: AtomicPtr::new(std::ptr::null_mut()),
             resize_lock: parking_lot::Mutex::new(()),
+            retired: Collector::new(),
             _policy: PhantomData,
         };
         P::publish(&t.levels, || t.levels.store(levels, Ordering::Release), l.covers(), None);
@@ -240,7 +247,7 @@ impl<P: PersistMode> LevelHash<P> {
     fn get_internal(&self, k: u64) -> Option<u64> {
         loop {
             let ptr = self.levels.load(Ordering::Acquire);
-            // SAFETY: never freed.
+            // SAFETY: freed only when the table drops.
             let l = unsafe { &*ptr };
             if let Some(v) = l.get(k) {
                 return Some(v);
@@ -254,7 +261,7 @@ impl<P: PersistMode> LevelHash<P> {
     fn put_internal(&self, k: u64, value: u64) -> bool {
         loop {
             let ptr = self.levels.load(Ordering::Acquire);
-            // SAFETY: never freed.
+            // SAFETY: freed only when the table drops.
             let l = unsafe { &*ptr };
             let pos = l.positions(k);
             // Candidate buckets in priority order: two top buckets, then their bottom
@@ -305,7 +312,7 @@ impl<P: PersistMode> LevelHash<P> {
         if self.levels.load(Ordering::Acquire) != old {
             return;
         }
-        // SAFETY: never freed.
+        // SAFETY: freed only when the table drops.
         let old_l = unsafe { &*old };
         // Block writers by locking every bucket of the old generation.
         let guards: Vec<_> =
@@ -335,7 +342,7 @@ impl<P: PersistMode> LevelHash<P> {
             // Swap in the partially filled generation first, release all locks (the
             // resize lock too, so a nested resize cannot self-deadlock), then
             // re-insert the overflow through the normal path.
-            self.commit_generation(new_ptr);
+            self.commit_generation(old, new_ptr);
             drop(guards);
             drop(resize_guard);
             for (k, v) in overflow {
@@ -343,17 +350,27 @@ impl<P: PersistMode> LevelHash<P> {
             }
             return;
         }
-        self.commit_generation(new_ptr);
+        self.commit_generation(old, new_ptr);
         drop(guards);
     }
 
-    fn commit_generation(&self, new_ptr: *mut Levels) {
+    /// Publish generation `new_ptr` in place of `old`, and retire `old`: freed when
+    /// the table drops, since a reader may still be on it.
+    fn commit_generation(&self, old: *mut Levels, new_ptr: *mut Levels) {
         // SAFETY: allocated by resize.
         let new_l = unsafe { &*new_ptr };
         new_l.stage::<P>();
         P::crash_site("level.resize.generation_persisted");
         let swap = || self.levels.store(new_ptr, Ordering::Release);
         P::publish(&self.levels, swap, new_l.covers(), "level.resize.committed");
+        // SAFETY: the old generation stays allocated until `retired` drops.
+        let bytes: usize = unsafe { &*old }.covers().iter().map(|&(_, len)| len).sum();
+        let old = old as usize;
+        // SAFETY: unreachable since the swap, and retired once; the table's drop
+        // frees only the current generation.
+        self.retired.defer_free(bytes as u64, move || unsafe {
+            pm::alloc::pm_drop(old as *mut Levels);
+        });
         obs::event::emit(
             "levelhash.resize",
             "generation_committed",
@@ -395,7 +412,7 @@ impl<P: PersistMode> LevelHash<P> {
     fn remove_internal(&self, k: u64) -> bool {
         loop {
             let ptr = self.levels.load(Ordering::Acquire);
-            // SAFETY: never freed.
+            // SAFETY: freed only when the table drops.
             let l = unsafe { &*ptr };
             let pos = l.positions(k);
             let candidates: [&Bucket; 4] =
@@ -493,6 +510,14 @@ impl<P: PersistMode> Index for LevelHash<P> {
         for b in l.top.iter().chain(l.bottom.iter()) {
             b.lock.force_unlock();
         }
+    }
+}
+
+impl<P: PersistMode> Drop for LevelHash<P> {
+    /// Free the current generation; `retired` frees the replaced ones as it drops.
+    fn drop(&mut self) {
+        // SAFETY: exclusive access; allocated with `pm_box` by this table.
+        unsafe { pm::alloc::pm_drop(*self.levels.get_mut()) };
     }
 }
 

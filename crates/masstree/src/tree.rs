@@ -57,6 +57,45 @@ pub struct Masstree<P: PersistMode> {
     _policy: PhantomData<P>,
 }
 
+impl<P: PersistMode> Drop for Masstree<P> {
+    /// Free every node and sublayer, each once. A layer's nodes are collected level
+    /// by level along the sibling chains, so a node a crash left linked only as a
+    /// sibling (its parent entry never written) is freed too; a sublayer linked from
+    /// two leaves (a torn split's copied half) is freed once.
+    fn drop(&mut self) {
+        let mut nodes = Vec::new();
+        let mut sublayers = std::collections::HashSet::new();
+        let mut work = vec![&self.layer0 as *const Layer];
+        while let Some(layer) = work.pop() {
+            let mut level_head = layer_ref(layer).root.load(Ordering::Acquire);
+            loop {
+                let mut cur = level_head;
+                while !cur.is_null() {
+                    nodes.push(cur);
+                    cur = node_ref(cur).next.load(Ordering::Acquire);
+                }
+                let head = node_ref(level_head);
+                if head.is_leaf() {
+                    break;
+                }
+                level_head = head.leftmost.load(Ordering::Acquire) as *mut Node;
+            }
+            for_each_sublayer(level_head, |sub| {
+                if sublayers.insert(sub as *const Layer as *mut Layer) {
+                    work.push(sub);
+                }
+            });
+        }
+        // SAFETY: exclusive access; the nodes are slab blocks and the sublayers boxes
+        // of this tree only (`layer0` is a field, not in the list), and nothing is
+        // read after this.
+        unsafe {
+            pm::alloc::pm_line_drop_all(nodes);
+            pm::alloc::pm_drop_all(sublayers.into_iter().collect());
+        }
+    }
+}
+
 impl<P: PersistMode> Default for Masstree<P> {
     fn default() -> Self {
         Self::new()
@@ -65,14 +104,15 @@ impl<P: PersistMode> Default for Masstree<P> {
 
 #[inline]
 fn node_ref<'a>(ptr: *mut Node) -> &'a Node {
-    // SAFETY: nodes are never freed while the tree is alive (deferred reclamation,
-    // matching the PM allocator's garbage-collection assumption).
+    // SAFETY: nothing unlinks a node (splits only add them), and every node is freed
+    // when the tree drops.
     unsafe { &*ptr }
 }
 
 #[inline]
 fn layer_ref<'a>(ptr: *const Layer) -> &'a Layer {
-    // SAFETY: layers are never freed while the tree is alive.
+    // SAFETY: nothing unlinks a layer (an emptied one stays in place), and every
+    // layer is freed when the tree drops.
     unsafe { &*ptr }
 }
 

@@ -36,15 +36,25 @@
 //!
 //! # Reclamation model
 //!
-//! * Objects an index unlinks are **not** freed by this module. An index either
-//!   leaks them, which is the simplest sound realisation of the garbage-collection
-//!   assumption (no ABA, no use-after-free for non-blocking readers), or frees them
-//!   with [`pm_drop`] (or [`pm_line_drop`]) once it can prove no thread can reach
-//!   them: exclusive access in `Drop`, or epoch quiescence (`recipe::epoch`).
+//! * An index frees everything it owns in its `Drop`: a walk from the root collects
+//!   each reachable object once (a node reachable twice, as a crash or an alias can
+//!   leave it, is still freed once) and hands the lot to [`pm_drop_all`] or
+//!   [`pm_line_drop_all`].
+//! * An object a structure-modification operation unlinks during the run (a grown
+//!   trie node, a split segment, a replaced directory, a removed leaf) is *retired*:
+//!   non-blocking readers may still be reading it, so it is not freed then. The
+//!   Bw-tree retires through `recipe::epoch` and frees at epoch quiescence; the tries
+//!   and the hand-crafted hash tables retire through the same `Collector::defer_free`
+//!   but never pin it, so what they retire is freed when the index drops.
+//! * An object a crash leaves allocated but unreachable is leaked: RECIPE's
+//!   garbage-collecting allocator (§4.2) would reclaim it with a recovery-time mark
+//!   pass, which this module does not have yet.
 //! * A freed slab block goes on the freeing thread's list for its class, which need
 //!   not be the allocating thread's. A list that grows past a bound moves to a shared
 //!   pool as one batch, and a thread whose list runs dry takes a batch from the pool
-//!   before carving new blocks.
+//!   before carving new blocks. [`pm_line_drop_all`] frees in descending address
+//!   order, so the next index that takes the blocks carves them in ascending order,
+//!   as from a fresh chunk.
 //! * When a thread exits, its lists and its chunk tail return to the pool, so a
 //!   stream of short-lived threads reuses the same chunks instead of growing the
 //!   slab. Chunks themselves are never returned to the system.
@@ -53,9 +63,10 @@
 //! size-classed arena that every PM byte comes from, with a recovery-time mark pass
 //! for what a crash leaked); today it serves the line-aligned types named above.
 //!
-//! Allocation counters (two fields of the allocating thread's [`crate::stats`] slab,
-//! summed over all threads by the readers here) are exposed so tests can assert that
-//! structure-modification operations allocate the expected number of nodes. They
+//! Allocation and free counters (fields of the allocating or freeing thread's
+//! [`crate::stats`] slab, summed over all threads by the readers here) are exposed so
+//! tests can assert that structure-modification operations allocate the expected
+//! number of nodes, and so a leak shows as allocated bytes that are never freed. They
 //! count object sizes, the same on either path.
 
 use crate::{stats, tracker, CACHE_LINE};
@@ -265,14 +276,19 @@ fn on_alloc(p: usize, size: usize) {
     }
 }
 
+/// Count a freed PM object of `size` bytes.
+fn on_free(size: usize) {
+    stats::bump(stats::FREED_OBJECTS, 1);
+    stats::bump(stats::FREED_BYTES, size as u64);
+}
+
 /// Allocate `val` on the simulated PM pool and return a raw pointer to it.
 ///
 /// The object is registered with the durability tracker and all of its cache lines are
 /// marked dirty: callers must persist it (flush + fence) before publishing a pointer
 /// to it, or the §5 durability check will flag the lines as unflushed.
 ///
-/// The returned pointer is never freed by this crate; free it with [`pm_drop`] once no
-/// other thread can still reach it.
+/// Free it with [`pm_drop`] once no other thread can still reach it.
 pub fn pm_box<T>(val: T) -> *mut T {
     let p = Box::into_raw(Box::new(val));
     on_alloc(p as usize, std::mem::size_of::<T>());
@@ -321,6 +337,7 @@ pub unsafe fn pm_drop<T>(p: *mut T) {
     if p.is_null() {
         return;
     }
+    on_free(std::mem::size_of::<T>());
     // SAFETY: contract delegated to the caller.
     drop(unsafe { Box::from_raw(p) });
 }
@@ -337,6 +354,7 @@ pub unsafe fn pm_line_drop<T>(p: *mut T) {
     if p.is_null() {
         return;
     }
+    on_free(std::mem::size_of::<T>());
     if slab_served::<T>() {
         // SAFETY: contract delegated to the caller; the block is a slab block of
         // `T`'s class (same `T` as at allocation).
@@ -345,6 +363,38 @@ pub unsafe fn pm_line_drop<T>(p: *mut T) {
     } else {
         // SAFETY: contract delegated to the caller; non-slab objects are boxes.
         drop(unsafe { Box::from_raw(p) });
+    }
+}
+
+/// Free every distinct object of `objs`, each allocated with [`pm_box`]: a pointer
+/// that appears more than once is freed once.
+///
+/// # Safety
+///
+/// Every pointer must satisfy [`pm_drop`]'s contract.
+pub unsafe fn pm_drop_all<T>(mut objs: Vec<*mut T>) {
+    objs.sort_unstable();
+    objs.dedup();
+    for p in objs {
+        // SAFETY: contract delegated to the caller; each pointer once.
+        unsafe { pm_drop(p) };
+    }
+}
+
+/// Free every distinct object of `objs`, each allocated with [`pm_line_box`], highest
+/// address first: the slab's lists hand blocks out last-freed first, so whoever
+/// takes them next carves them in ascending order, as from a fresh chunk. A pointer
+/// that appears more than once is freed once.
+///
+/// # Safety
+///
+/// Every pointer must satisfy [`pm_line_drop`]'s contract.
+pub unsafe fn pm_line_drop_all<T>(mut objs: Vec<*mut T>) {
+    objs.sort_unstable_by(|a, b| b.cmp(a));
+    objs.dedup();
+    for p in objs {
+        // SAFETY: contract delegated to the caller; each pointer once.
+        unsafe { pm_line_drop(p) };
     }
 }
 
@@ -358,6 +408,12 @@ pub fn allocated_objects() -> u64 {
 /// start, by any thread.
 pub fn allocated_bytes() -> u64 {
     stats::totals()[stats::ALLOC_BYTES]
+}
+
+/// Number of bytes freed through [`pm_drop`] and [`pm_line_drop`] since process
+/// start, by any thread.
+pub fn freed_bytes() -> u64 {
+    stats::totals()[stats::FREED_BYTES]
 }
 
 #[cfg(test)]
@@ -468,6 +524,43 @@ mod tests {
         assert_eq!(a, b, "the freed block is the next one of its class");
         // SAFETY: freshly allocated, never shared.
         unsafe { pm_line_drop(b) };
+    }
+
+    #[test]
+    fn drop_all_frees_each_block_once_and_hands_them_out_ascending() {
+        let _g = POOL_TEST_LOCK.lock();
+        let ps: Vec<_> = (0..8).map(|_| pm_line_box(Lines([0u8; 448]))).collect();
+        let mut sorted = ps.clone();
+        sorted.sort_unstable();
+        // Out of order, and one pointer twice, as a walk that reaches a node by two
+        // paths would collect it.
+        let mut freed = vec![ps[3], ps[0], ps[7], ps[3]];
+        freed.extend([ps[1], ps[2], ps[4], ps[5], ps[6]]);
+        let before = stats::local();
+        // SAFETY: allocated above, never shared; the duplicate is freed once.
+        unsafe { pm_line_drop_all(freed) };
+        let after = stats::local();
+        assert_eq!(after[stats::FREED_OBJECTS] - before[stats::FREED_OBJECTS], 8);
+        assert_eq!(
+            after[stats::FREED_BYTES] - before[stats::FREED_BYTES],
+            8 * std::mem::size_of::<Lines<448>>() as u64
+        );
+        let again: Vec<_> = (0..8).map(|_| pm_line_box(Lines([1u8; 448]))).collect();
+        assert_eq!(again, sorted, "the freed blocks come back lowest address first");
+        // SAFETY: allocated above, never shared.
+        unsafe { pm_line_drop_all(again) };
+    }
+
+    #[test]
+    fn pm_drop_all_frees_each_box_once() {
+        let ps: Vec<_> = (0..4u64).map(pm_box).collect();
+        let before = stats::local();
+        // SAFETY: allocated above, never shared; the duplicates are freed once.
+        unsafe { pm_drop_all([ps.clone(), ps].concat()) };
+        let after = stats::local();
+        assert_eq!(after[stats::FREED_OBJECTS] - before[stats::FREED_OBJECTS], 4);
+        assert_eq!(after[stats::FREED_BYTES] - before[stats::FREED_BYTES], 4 * 8);
+        assert!(freed_bytes() >= 4 * 8, "the process total counts them too");
     }
 
     #[test]

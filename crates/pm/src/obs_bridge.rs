@@ -3,8 +3,9 @@
 //! The `pm` counters predate the registry and stay where they are (the
 //! per-thread slabs of [`crate::stats`]); this module registers an `obs`
 //! *collector* that sums them over all threads at `obs::snapshot()` time, so
-//! one export contains the flush/fence/visit counters, per-mapping probe
-//! counters, and the charged-ns breakdown without adding a second write path.
+//! one export contains the flush/fence/visit counters, the bytes allocated and
+//! freed on the PM pool (so a leak shows as the gap between the two), per-mapping
+//! probe counters, and the charged-ns breakdown without adding a second write path.
 
 use std::sync::Once;
 
@@ -13,6 +14,8 @@ pub const METRICS: &[&str] = &[
     "pm.clwb",
     "pm.fence",
     "pm.node_visits",
+    "pm.alloc_bytes",
+    "pm.freed_bytes",
     "pm.probes.art_n4",
     "pm.probes.art_n16",
     "pm.probes.art_n48",
@@ -43,6 +46,8 @@ pub fn install_obs() {
             push("pm.clwb", s.clwb);
             push("pm.fence", s.fence);
             push("pm.node_visits", s.node_visits);
+            push("pm.alloc_bytes", crate::alloc::allocated_bytes());
+            push("pm.freed_bytes", crate::alloc::freed_bytes());
             for m in crate::stats::Mapping::ALL {
                 push(&format!("pm.probes.{}", m.label()), p.get(m));
             }

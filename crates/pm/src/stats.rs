@@ -7,13 +7,14 @@
 //! (each pointer dereference into an index node is one likely-cold cache line touch).
 //!
 //! Every counter of the substrate — these three, the per-mapping probes, and the
-//! charged nanoseconds, elided fences and allocation totals of [`crate::latency`],
-//! [`crate::flush`] and [`crate::alloc`] — is a field of one cache-line-padded **slab
-//! per thread**, written only by its owner with a plain load + store, so counting
-//! shares no line between the workers it is there to explain. The process-wide
-//! readers ([`snapshot`], [`probes`], …) sum the live slabs plus the total of every
-//! exited thread; the `*_local` readers return the calling thread's slab alone, which
-//! is what a test asserting exact deltas must use (libtest runs tests concurrently).
+//! charged nanoseconds, elided fences and allocation and free totals of
+//! [`crate::latency`], [`crate::flush`] and [`crate::alloc`] — is a field of one
+//! cache-line-padded **slab per thread**, written only by its owner with a plain
+//! load + store, so counting shares no line between the workers it is there to
+//! explain. The process-wide readers ([`snapshot`], [`probes`], …) sum the live
+//! slabs plus the total of every exited thread; the `*_local` readers return the
+//! calling thread's slab alone, which is what a test asserting exact deltas must use
+//! (libtest runs tests concurrently).
 
 use parking_lot::Mutex;
 use std::array::from_fn;
@@ -31,7 +32,9 @@ pub(crate) const CHARGED_READ_NS: usize = CHARGED_CLWB_NS + 2;
 pub(crate) const ELIDED_FENCES: usize = CHARGED_CLWB_NS + 3;
 pub(crate) const ALLOC_OBJECTS: usize = CHARGED_CLWB_NS + 4;
 pub(crate) const ALLOC_BYTES: usize = CHARGED_CLWB_NS + 5;
-const FIELDS: usize = ALLOC_BYTES + 1;
+pub(crate) const FREED_OBJECTS: usize = CHARGED_CLWB_NS + 6;
+pub(crate) const FREED_BYTES: usize = CHARGED_CLWB_NS + 7;
+const FIELDS: usize = FREED_BYTES + 1;
 
 /// The value of every field: one slab's, or a sum over slabs.
 pub(crate) type Counts = [u64; FIELDS];

@@ -159,7 +159,10 @@ impl Drop for Inner {
 /// Each structure that unlinks shared memory owns one collector (the Bw-tree
 /// embeds one per tree, so its [`Collector::retired_bytes`] gauge is
 /// per-instance and test isolation is free). Handles pin it around every
-/// operation; see the [module docs](self).
+/// operation; see the [module docs](self). P-ART, P-HOT, CCEH and
+/// Level-Hashing embed one too but expose it to no handle: with no session
+/// ever registered nothing advances or collects it, so what they retire is
+/// freed when the collector drops with the index.
 pub struct Collector {
     inner: Arc<Inner>,
 }

@@ -10,6 +10,7 @@
 //! [`INLINE_KEY`] bytes — and the one-line trie [`Leaf`] built on it.
 
 use crate::persist::{span, PersistMode, Span};
+use std::ptr::NonNull;
 use std::sync::atomic::AtomicU64;
 
 /// Encode a `u64` as an order-preserving 8-byte big-endian key.
@@ -163,15 +164,37 @@ const _: () = {
 };
 
 impl Leaf {
-    /// Allocate a leaf in a one-line slab block of the PM pool. It is never freed:
-    /// the tries leak what they unlink, the simplest sound realisation of RECIPE's
-    /// garbage-collecting allocator (`pm::alloc`). The caller must [`Leaf::stage`] it
-    /// before the fence that precedes the store publishing it.
+    /// Allocate a leaf in a one-line slab block of the PM pool. The index that links
+    /// it owns it: it frees it with [`Leaf::free`] once it unlinks it and no reader
+    /// can still hold it, or with [`Leaf::free_all`] when the index drops. The caller
+    /// must [`Leaf::stage`] it before the fence that precedes the store publishing it.
     #[must_use]
-    pub fn alloc(key: &[u8], value: u64) -> &'static Leaf {
+    pub fn alloc(key: &[u8], value: u64) -> NonNull<Leaf> {
         let leaf = Leaf { value: AtomicU64::new(value), key: LeafKey::new(key) };
-        // SAFETY: a fresh slab block that nothing ever frees.
-        unsafe { &*pm::alloc::pm_line_box(leaf) }
+        NonNull::new(pm::alloc::pm_line_box(leaf)).expect("the slab never returns null")
+    }
+
+    /// Free a leaf and its spilled key.
+    ///
+    /// # Safety
+    ///
+    /// `leaf` came from [`Leaf::alloc`], is freed once, and no thread can reach it any
+    /// more: exclusive access in a `Drop`, or a retired leaf freed when the retiring
+    /// index drops.
+    pub unsafe fn free(leaf: *mut Leaf) {
+        // SAFETY: contract delegated to the caller; leaves are slab blocks.
+        unsafe { pm::alloc::pm_line_drop(leaf) };
+    }
+
+    /// Free every distinct leaf of `leaves`, highest address first, so the next index
+    /// carves the blocks in ascending order (`pm::alloc::pm_line_drop_all`).
+    ///
+    /// # Safety
+    ///
+    /// Every leaf satisfies [`Leaf::free`]'s contract; one listed twice is freed once.
+    pub unsafe fn free_all(leaves: Vec<*mut Leaf>) {
+        // SAFETY: contract delegated to the caller.
+        unsafe { pm::alloc::pm_line_drop_all(leaves) };
     }
 
     /// Stage the leaf: flush its spilled key, if any, and its line, without a fence.
@@ -275,14 +298,17 @@ mod tests {
             assert_eq!(d.fence, 0, "staging never fences");
             d.clwb
         };
-        let short = Leaf::alloc(&[3u8; 8], 1);
-        assert_eq!(short as *const Leaf as usize % pm::CACHE_LINE, 0);
+        let (short_ptr, long_ptr) = (Leaf::alloc(&[3u8; 8], 1), Leaf::alloc(&[4u8; 24], 2));
+        // SAFETY: freshly allocated, freed at the end of the test.
+        let (short, long) = unsafe { (short_ptr.as_ref(), long_ptr.as_ref()) };
+        assert_eq!(short_ptr.as_ptr() as usize % pm::CACHE_LINE, 0);
         assert_eq!(clwbs(short), 1, "an inline key is on the leaf's line");
-        let long = Leaf::alloc(&[4u8; 24], 2);
         let spill = long.key.spill().expect("24 bytes spill");
         let spill_lines = pm::flush::lines_spanned(spill.as_ptr() as usize, spill.len()) as u64;
         assert_eq!(clwbs(long), 1 + spill_lines, "a spilled key is flushed with its leaf");
         let value = long.value.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!((&*long.key, value), (&[4u8; 24][..], 2));
+        // SAFETY: allocated above, no reference is used past this point.
+        unsafe { Leaf::free_all(vec![long_ptr.as_ptr(), short_ptr.as_ptr()]) };
     }
 }
