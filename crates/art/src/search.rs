@@ -5,8 +5,8 @@
 //! packed key words. A node's key bytes live in `AtomicU64` words (slot `i` = byte
 //! lane `i % 8` of word `i / 8`); callers load each word **once** with `Acquire`
 //! and pass the plain values here — the old code issued one `Acquire` load per key
-//! byte. The compare itself is [`recipe::simd::eq_mask16`] (SSE2/NEON or SWAR,
-//! resolved once per process), masked down to the node's occupied slots.
+//! byte. The compare itself is [`recipe::simd::eq_mask16`] (SSE2 or NEON, chosen
+//! at compile time), masked down to the node's occupied slots.
 
 use recipe::simd::{self, SetBits};
 
@@ -115,9 +115,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
 
-        /// The differential property from the issue: SWAR, SIMD and the dispatched
-        /// entry point all agree with the scalar byte loop, across **all**
-        /// occupancies 0..=16, duplicate key bytes included.
+        /// The differential property: the vectorized entry point agrees with the
+        /// scalar byte loop, across **all** occupancies 0..=16, duplicate key bytes
+        /// included.
         #[test]
         fn vectorized_matches_scalar_reference(
             keys in proptest::collection::vec(any::<u8>(), 0..=16),
@@ -130,23 +130,15 @@ mod tests {
             let b = if pick_existing && count > 0 { keys[usize::from(needle) % count] } else { needle };
             let reference = match_mask_scalar(w0, w1, count, b);
             prop_assert_eq!(match_mask(w0, w1, count, b), reference);
-            prop_assert_eq!(
-                recipe::simd::eq_mask16_swar(w0, w1, b) & occupancy_mask(count),
-                reference
-            );
-            prop_assert_eq!(
-                recipe::simd::eq_mask16_simd(w0, w1, b) & occupancy_mask(count),
-                reference
-            );
             // And the slot iterator visits exactly the reference's set bits.
             let slots: Vec<usize> = match_slots(w0, w1, count, b).collect();
             let expect: Vec<usize> = (0..16).filter(|i| reference & (1 << i) != 0).collect();
             prop_assert_eq!(slots, expect);
         }
 
-        /// The Node48 occupancy scan gets the same differential treatment: SWAR,
-        /// SIMD and the dispatched entry point agree with the scalar nonzero
-        /// loop, for sparse (Node48-shaped) and dense index words alike.
+        /// The Node48 occupancy scan gets the same differential treatment: the
+        /// vectorized entry point agrees with the scalar nonzero loop, for sparse
+        /// (Node48-shaped) and dense index words alike.
         #[test]
         fn occupied_matches_scalar_reference(
             slots in proptest::collection::vec(0u8..=48, 0..=16),
@@ -154,8 +146,6 @@ mod tests {
             let (w0, w1) = pack(&slots);
             let reference = occupied_mask_scalar(w0, w1);
             prop_assert_eq!(occupied_mask(w0, w1), reference);
-            prop_assert_eq!(recipe::simd::nonzero_mask16_swar(w0, w1), reference);
-            prop_assert_eq!(recipe::simd::nonzero_mask16_simd(w0, w1), reference);
             let lanes: Vec<usize> = occupied_slots(w0, w1).collect();
             let expect: Vec<usize> = (0..16).filter(|i| reference & (1 << i) != 0).collect();
             prop_assert_eq!(lanes, expect);

@@ -2,9 +2,9 @@
 //! the speed pass vectorized. ART lookups are driven through trees shaped to keep
 //! the root in one specific mapping (Node4/16/48/256); HOT lookups compare the
 //! plain-node trie against the same tree settled into compound nodes; the compound
-//! sparse-array search is additionally benched raw at several occupancies.
-//!
-//! Set `RECIPE_NO_SIMD=1` to bench the SWAR fallback on the same hardware.
+//! sparse-array search is additionally benched raw at several occupancies. The
+//! search path is the target's own (SSE2 on x86-64, NEON on aarch64), fixed at
+//! compile time.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hot_trie::compound::{Compound, Entry, FULL_MASK};
 use recipe::key::u64_key;

@@ -5,7 +5,7 @@
 //! atomic step"), plus `RECIPE_CRASH_STATES` uniformly sampled states over a mixed
 //! insert/update/remove load, plus the durability check. A per-site coverage
 //! report (sites defined vs. sites exercised) is printed and written to
-//! `RECIPE_OUT_DIR/crash_coverage.csv`; the run **exits non-zero** if any state
+//! `target/figures/crash_coverage.csv`; the run **exits non-zero** if any state
 //! fails or any index has a crash site the sweep never exercised.
 //!
 //! The baselines compiled with their `*-bug` features reproduce the paper's
@@ -15,9 +15,10 @@
 use crashtest::{run_crash_sweep, run_durability_test, SweepConfig};
 
 fn main() {
+    let knobs = bench::knobs();
     let cfg = SweepConfig {
-        post_ops: bench::crash_post_from_env(),
-        sampled_states: bench::crash_states_from_env(),
+        post_ops: knobs.crash_post_n,
+        sampled_states: knobs.crash_states,
         ..SweepConfig::default()
     };
     println!(

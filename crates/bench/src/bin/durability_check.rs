@@ -1,6 +1,7 @@
 //! Standalone §5 durability check for every PM index (larger scale than the test
 //! suite). Exits non-zero if any row fails.
 fn main() {
+    bench::knobs();
     println!("== §5 durability check (load 20k, 5k tracked inserts per index) ==");
     let checks: Vec<(&str, crashtest::DurabilityReport)> = bench::registry::all_indexes()
         .into_iter()

@@ -1,6 +1,7 @@
 //! Figure 4a: multi-threaded YCSB throughput, ordered indexes, 8-byte integer keys.
 fn main() {
-    bench::install_latency_from_env();
+    bench::knobs();
+    bench::Model::CALIBRATED.install();
     let workloads = ycsb::Workload::ALL;
     let cells =
         bench::run_matrix(&bench::registry::ordered_indexes(), &workloads, ycsb::KeyType::RandInt);

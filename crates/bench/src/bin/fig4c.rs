@@ -1,6 +1,7 @@
 //! Figure 4c: performance counters per operation, ordered indexes, integer keys.
 fn main() {
-    bench::install_latency_from_env();
+    bench::knobs();
+    bench::Model::CALIBRATED.install();
     let workloads = ycsb::Workload::ALL;
     let cells =
         bench::run_matrix(&bench::registry::ordered_indexes(), &workloads, ycsb::KeyType::RandInt);

@@ -1,7 +1,8 @@
 //! Figure 5: multi-threaded YCSB throughput, unordered (hash) indexes, integer keys.
 //! Workload E is excluded because hash tables do not support range scans.
 fn main() {
-    bench::install_latency_from_env();
+    bench::knobs();
+    bench::Model::CALIBRATED.install();
     let workloads =
         [ycsb::Workload::LoadA, ycsb::Workload::A, ycsb::Workload::B, ycsb::Workload::C];
     let cells =

@@ -15,7 +15,8 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    bench::install_latency_from_env();
+    bench::knobs();
+    bench::Model::CALIBRATED.install();
     // Small enough to gate CI, big enough for every instrument to fire; one
     // plain index plus one with an epoch reclaimer.
     let scale = bench::MatrixScale { load_n: 20_000, ops_n: 20_000, threads: 4 };

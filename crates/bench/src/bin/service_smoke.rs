@@ -17,12 +17,11 @@
 //!    4096 per thread), nothing is overwritten;
 //! 5. **a live split observed through the streaming exporter** — shard 0
 //!    splits while a closed-loop driver keeps hammering the keyspace being
-//!    moved, an [`obs::SnapshotStream`] captures the registry every
-//!    `RECIPE_SERVICE_STREAM_MS` (default 25) milliseconds, and the gate
-//!    requires ≥ 3 schema-valid snapshots with monotone service-wide
-//!    completed counts, every moved entry landed via the destination
-//!    worker, and still zero ring drops under the migration's own event
-//!    traffic.
+//!    moved, an [`obs::SnapshotStream`] captures the registry every 25
+//!    milliseconds, and the gate requires ≥ 3 schema-valid snapshots with
+//!    monotone service-wide completed counts, every moved entry landed via
+//!    the destination worker, and still zero ring drops under the migration's
+//!    own event traffic.
 //!
 //! Exits non-zero on the first violation so the workflow step fails loudly.
 
@@ -33,13 +32,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Snapshot interval of the streaming exporter during the live split.
+const STREAM_MS: u64 = 25;
+
 fn fail(msg: &str) -> ! {
     eprintln!("service_smoke: FAIL — {msg}");
     std::process::exit(1);
 }
 
 fn main() {
-    bench::install_latency_from_env();
+    bench::knobs();
+    bench::Model::CALIBRATED.install();
     pm::obs_bridge::install_obs();
     obs::event::set_enabled(true);
     let _ = obs::event::drain();
@@ -178,11 +181,6 @@ fn main() {
 
     // 5. Live split-drain under load, observed through the streaming
     //    exporter.
-    let stream_ms = std::env::var("RECIPE_SERVICE_STREAM_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(25);
     let svc = Service::start(
         ServiceConfig { shards, queue_cap: 8_192, max_batch: 32, ..ServiceConfig::default() },
         |_| Arc::new(bwtree::PBwTree::new()),
@@ -193,7 +191,7 @@ fn main() {
             fail("seeding the split service must not shed");
         }
     }
-    let stream = obs::SnapshotStream::start(obs::StreamConfig::every_millis(stream_ms));
+    let stream = obs::SnapshotStream::start(obs::StreamConfig::every_millis(STREAM_MS));
     let stop = AtomicBool::new(false);
     let (split, live_dropped) = std::thread::scope(|scope| {
         let loader = scope.spawn(|| {
@@ -221,7 +219,7 @@ fn main() {
             svc.split(0).unwrap_or_else(|e| fail(&format!("live split under load failed: {e}")));
         // Keep load and stream alive long enough for ≥ 3 captures even when
         // the split finishes within one interval.
-        std::thread::sleep(Duration::from_millis(stream_ms.saturating_mul(4)));
+        std::thread::sleep(Duration::from_millis(STREAM_MS * 4));
         stop.store(true, Ordering::Relaxed);
         (split, loader.join().expect("loader thread"))
     });
@@ -281,7 +279,7 @@ fn main() {
     }
     eprintln!(
         "# live split moved {} entries in {} chunks under load; {} streamed snapshots \
-         every {stream_ms}ms, all schema-valid, completed counts monotone, 0 ring drops",
+         every {STREAM_MS}ms, all schema-valid, completed counts monotone, 0 ring drops",
         split.moved_entries,
         split.chunks,
         points.len()

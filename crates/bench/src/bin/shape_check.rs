@@ -1,21 +1,16 @@
 //! Assert the paper's qualitative Figure 4–5 orderings at the calibrated latency
-//! model (CI gate). Runs the reduced shape matrix (`bench::shape`) under the model
-//! from the environment — whose defaults are the calibrated constants — evaluates
-//! every ordering constraint, writes `shape_check.csv`, and exits non-zero with a
-//! readable diff if any ordering is violated.
+//! model (CI gate). Runs the reduced shape matrix (`bench::shape`), best of three
+//! passes, under the calibrated model, evaluates every ordering constraint, writes
+//! `shape_check.csv`, and exits non-zero with a readable diff if any ordering is
+//! violated.
 
-use bench::shape;
+use bench::{shape, Model};
 
 fn main() {
-    let model = bench::install_latency_from_env();
-    if model.is_zero() {
-        eprintln!(
-            "warning: shape_check is running with a zero latency model \
-             (RECIPE_*_NS all 0?); the paper's orderings are only expected to hold \
-             at PM-like costs"
-        );
-    }
-    let cells = shape::run_shape_matrix(bench::SHAPE_SCALE);
+    bench::knobs();
+    let model = Model::CALIBRATED;
+    model.install();
+    let cells = shape::run_shape_matrix(bench::SHAPE_SCALE, 3);
     let constraints = shape::constraints();
     let evals = shape::evaluate(&cells, &constraints);
 

@@ -1,6 +1,7 @@
 //! Table 4: clwb / fence per insert and LLC-miss proxy per operation, hash indexes.
 fn main() {
-    bench::install_latency_from_env();
+    bench::knobs();
+    bench::Model::CALIBRATED.install();
     let workloads =
         [ycsb::Workload::LoadA, ycsb::Workload::A, ycsb::Workload::B, ycsb::Workload::C];
     let cells =

@@ -1,5 +1,6 @@
 //! Tables 1 & 2: the RECIPE categorisation of the converted DRAM indexes.
 fn main() {
+    bench::knobs();
     println!("== Table 1 / Table 2 — RECIPE categorisation ==");
     println!(
         "{:<10}{:<16}{:<14}{:<14}{:<9}{:<9}{:<24}crate",

@@ -1,7 +1,8 @@
 //! §7.3: P-ART vs the global-lock WOART baseline on multi-threaded YCSB.
 
 fn main() {
-    bench::install_latency_from_env();
+    bench::knobs();
+    bench::Model::CALIBRATED.install();
     let indexes: Vec<_> = bench::registry::all_indexes()
         .into_iter()
         .filter(|e| e.name == "P-ART" || e.name == "WOART(global-lock)")

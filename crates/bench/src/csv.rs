@@ -2,8 +2,8 @@
 //!
 //! Every figure/table binary calls into this module after printing its human-readable
 //! table, so each run leaves a diffable artifact (one file per figure) that can be
-//! compared and plotted across PRs. Files land in `RECIPE_OUT_DIR` (default
-//! `target/figures/`), one `<figure>.csv` per binary.
+//! compared and plotted across PRs. Files land in [`OUT_DIR`], one `<figure>.csv`
+//! per binary.
 
 use crate::Cell;
 use std::fs;
@@ -15,21 +15,18 @@ const CELL_HEADER: &str = "index,workload,ops,secs,mops,clwb_per_op,fence_per_op
                            node_visits_per_op,failed_reads,p50_ns,p90_ns,p99_ns,p999_ns,\
                            sim_ns_per_op";
 
-/// Directory the CSV files are written to (`RECIPE_OUT_DIR`, default
-/// `target/figures`).
-#[must_use]
-pub fn out_dir() -> PathBuf {
-    std::env::var("RECIPE_OUT_DIR").unwrap_or_else(|_| "target/figures".into()).into()
-}
+/// Directory the CSV and metrics files are written to, relative to the working
+/// directory.
+pub const OUT_DIR: &str = "target/figures";
 
-/// Write `header` plus `rows` to `<out_dir>/<file_stem>.csv`, creating the directory
+/// Write `header` plus `rows` to `<OUT_DIR>/<file_stem>.csv`, creating the directory
 /// as needed. Returns the path written.
 pub fn write_rows(file_stem: &str, header: &str, rows: &[String]) -> std::io::Result<PathBuf> {
-    write_rows_in(&out_dir(), file_stem, header, rows)
+    write_rows_in(Path::new(OUT_DIR), file_stem, header, rows)
 }
 
 /// [`write_rows`] into an explicit directory (separated out so tests can write to a
-/// temp dir without mutating the process-global `RECIPE_OUT_DIR`).
+/// temp dir).
 fn write_rows_in(
     dir: &Path,
     file_stem: &str,
@@ -131,14 +128,5 @@ mod tests {
         assert!(lines[1].ends_with(",1200,4500,9800,22000,350.5"));
         assert_eq!(lines[1].split(',').count(), 14, "row column count");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn out_dir_defaults_under_target() {
-        // Read-only env access: the default must be used when the variable is unset
-        // (tests never set it, so this is stable regardless of scheduling).
-        if std::env::var("RECIPE_OUT_DIR").is_err() {
-            assert_eq!(out_dir(), PathBuf::from("target/figures"));
-        }
     }
 }

@@ -3,25 +3,8 @@
 //!
 //! Every binary in `src/bin/` uses the registries and helpers here so that adding an
 //! index to the evaluation is a one-line change. Workload sizes default to a
-//! laptop-friendly scale and are overridden with environment variables:
-//!
-//! | Variable            | Meaning                                   | Default   |
-//! |---------------------|-------------------------------------------|-----------|
-//! | `RECIPE_LOAD_N`     | keys inserted in the load phase           | 2,000,000 |
-//! | `RECIPE_OPS_N`      | operations in each run phase              | 2,000,000 |
-//! | `RECIPE_THREADS`    | worker threads                            | 16        |
-//! | `RECIPE_SCAN_MAX`   | max range-scan length (workload E)        | 100       |
-//! | `RECIPE_CLWB_NS`    | simulated ns per (deduplicated) line flush | calibrated (see `pm::latency`) |
-//! | `RECIPE_FENCE_NS`   | simulated ns per fence                    | calibrated |
-//! | `RECIPE_READ_NS`    | simulated ns per node visit (Optane read) | calibrated |
-//! | `RECIPE_EADR`       | eADR mode: flushes free, fences kept      | 0         |
-//! | `RECIPE_CRASH_STATES` | sampled crash states per index (crash_table) | 1000 |
-//! | `RECIPE_CRASH_POST_N` | post-recovery ops per crash state (crash_table) | 4000 |
-//! | `RECIPE_OUT_DIR`    | directory for the machine-readable CSVs   | target/figures |
-//! | `RECIPE_SHAPE_REPS` | best-of-N passes in the gating matrices   | 3 (calibrate: 1) |
-//! | `RECIPE_CAL_CLWB` / `_FENCE` / `_READ` | comma-separated ns grids for `calibrate` | see `calibrate` |
-//! | `RECIPE_OBS_EVENTS` | `1` = enable the obs structured event ring | off      |
-//! | `RECIPE_OBS_RING`   | per-thread event-ring capacity (records)  | 4096      |
+//! [`MatrixScale`] per binary; the environment knobs that override them, and the
+//! few others, are the one table in [`knobs::TABLE`].
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -30,21 +13,16 @@ use registry::IndexEntry;
 use ycsb::{KeyType, PhaseResult, Spec, Workload};
 
 pub mod csv;
+pub mod knobs;
 pub mod metrics;
 pub mod shape;
 
 pub use harness::registry;
+pub use knobs::knobs;
 pub use pm::latency::Model;
 
-/// The `usize` in environment variable `key`, or `default` when it is unset or
-/// does not parse.
-#[must_use]
-pub fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
 /// Default workload sizes for a matrix run; the `RECIPE_LOAD_N` / `RECIPE_OPS_N` /
-/// `RECIPE_THREADS` environment variables override whichever scale is in effect.
+/// `RECIPE_THREADS` [`knobs()`] override whichever scale is in effect.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixScale {
     /// Default keys in the load phase.
@@ -67,47 +45,20 @@ pub const FULL_SCALE: MatrixScale =
 /// 35–70 ms and that ordering held, by +17% or more, in 40 runs out of 40.
 pub const SHAPE_SCALE: MatrixScale = MatrixScale { load_n: 60_000, ops_n: 240_000, threads: 4 };
 
-/// Install the simulated PM latency model from the environment (calibrated defaults,
-/// `RECIPE_*_NS` / `RECIPE_EADR` overrides) and return it. Every benchmark binary
-/// calls this once at startup; `calibrate` instead installs each grid point
-/// explicitly.
-pub fn install_latency_from_env() -> Model {
-    Model::install_from_env()
-}
-
-/// Build the workload spec shared by the figure binaries at [`FULL_SCALE`],
-/// honouring the `RECIPE_*` environment overrides.
+/// The workload spec of one matrix cell at `scale`, with the size [`knobs()`]
+/// applied.
 #[must_use]
-pub fn spec_from_env(workload: Workload, key_type: KeyType) -> Spec {
-    spec_from_env_scaled(workload, key_type, FULL_SCALE)
-}
-
-/// [`spec_from_env`] with explicit default sizes (environment still wins).
-#[must_use]
-pub fn spec_from_env_scaled(workload: Workload, key_type: KeyType, scale: MatrixScale) -> Spec {
+pub fn spec_from_env(workload: Workload, key_type: KeyType, scale: MatrixScale) -> Spec {
+    let k = knobs();
     Spec {
-        load_count: env_usize("RECIPE_LOAD_N", scale.load_n),
-        op_count: env_usize("RECIPE_OPS_N", scale.ops_n),
-        threads: env_usize("RECIPE_THREADS", scale.threads),
+        load_count: k.load_n.unwrap_or(scale.load_n),
+        op_count: k.ops_n.unwrap_or(scale.ops_n),
+        threads: k.threads.unwrap_or(scale.threads),
         key_type,
         workload,
-        scan_max: env_usize("RECIPE_SCAN_MAX", 100),
+        scan_max: 100,
         seed: 0x5EED,
     }
-}
-
-/// Number of *sampled* crash states per index for the §7.5 reproduction (the
-/// per-site exhaustive states are always run on top).
-#[must_use]
-pub fn crash_states_from_env() -> usize {
-    env_usize("RECIPE_CRASH_STATES", 1_000)
-}
-
-/// Mixed operations in each crash state's post-recovery phase
-/// (`RECIPE_CRASH_POST_N`).
-#[must_use]
-pub fn crash_post_from_env() -> usize {
-    env_usize("RECIPE_CRASH_POST_N", 4_000)
 }
 
 /// One measured cell of a figure: index × workload.
@@ -126,9 +77,9 @@ pub struct Cell {
 ///
 /// Uses the sharded chunked driver, so the op-buffer footprint stays at
 /// `threads × ycsb::DEFAULT_CHUNK_OPS` operations regardless of `RECIPE_OPS_N`. Runs under
-/// whatever [`Model`] is currently installed (binaries install it from the
-/// environment at startup; `calibrate` sweeps it) and echoes that model once so
-/// every log ties its numbers to the cost constants that produced them.
+/// whatever [`Model`] is currently installed (binaries install [`Model::CALIBRATED`]
+/// at startup; `calibrate` sweeps it) and echoes that model once so every log ties
+/// its numbers to the cost constants that produced them.
 #[must_use]
 pub fn run_matrix(indexes: &[IndexEntry], workloads: &[Workload], key_type: KeyType) -> Vec<Cell> {
     run_matrix_scaled(indexes, workloads, key_type, FULL_SCALE)
@@ -153,7 +104,7 @@ pub fn run_matrix_scaled(
     let mut cells = Vec::new();
     for entry in indexes {
         for &wl in workloads {
-            let spec = spec_from_env_scaled(wl, key_type, scale);
+            let spec = spec_from_env(wl, key_type, scale);
             let index = (entry.build_pmem)();
             eprintln!(
                 "# running {:<14} workload {:<6} (load {} / ops {} / {} threads, chunk {})",
@@ -218,12 +169,6 @@ pub fn run_matrix_best_of(
     best
 }
 
-/// Repetition count for the gating binaries (`RECIPE_SHAPE_REPS`, default 3).
-#[must_use]
-pub fn shape_reps_from_env() -> usize {
-    env_usize("RECIPE_SHAPE_REPS", 3)
-}
-
 /// Print a figure as a throughput table: rows = indexes, columns = workloads.
 pub fn print_throughput_table(title: &str, cells: &[Cell], workloads: &[Workload]) {
     println!("\n== {title} ==");
@@ -279,27 +224,5 @@ pub fn print_counter_table(title: &str, cells: &[Cell], workloads: &[Workload]) 
             }
         }
         println!();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_usize_trims_and_falls_back_on_garbage() {
-        // Keys no other test reads, so setting them cannot race another test.
-        let key = "BENCH_LIB_TEST_ENV_USIZE";
-        std::env::remove_var(key);
-        assert_eq!(env_usize(key, 7), 7, "unset");
-        for (text, want) in [("42", 42), (" 12\n", 12), ("0", 0)] {
-            std::env::set_var(key, text);
-            assert_eq!(env_usize(key, 7), want, "{text:?}");
-        }
-        for garbage in ["", "x", "-1", "1.5", "1e3"] {
-            std::env::set_var(key, garbage);
-            assert_eq!(env_usize(key, 7), 7, "{garbage:?}");
-        }
-        std::env::remove_var(key);
     }
 }

@@ -1,8 +1,8 @@
 //! Bench-layer wiring into the `obs` metric registry.
 //!
 //! [`install`] hooks up the substrate collector (`pm` probe/flush/charged
-//! counters) and honours `RECIPE_OBS_EVENTS`; [`record_cell`] publishes each
-//! measured matrix cell's full latency distributions and handle statistics;
+//! counters); [`record_cell`] publishes each measured matrix cell's full
+//! latency distributions and handle statistics;
 //! [`record_epoch`] captures the epoch reclaimer's byte gauges while the
 //! index is still alive. After a matrix run a single [`obs::snapshot`]
 //! therefore holds the substrate counters, the per-cell histograms and the
@@ -23,12 +23,11 @@ use crate::Cell;
 use recipe::session::Index;
 use std::path::PathBuf;
 
-/// Install every collector the bench layer depends on and honour
-/// `RECIPE_OBS_EVENTS`. Idempotent; called by [`crate::run_matrix_scaled`]
-/// so any binary that runs a matrix gets a complete snapshot.
+/// Install every collector the bench layer depends on. Idempotent; called by
+/// [`crate::run_matrix_scaled`] so any binary that runs a matrix gets a complete
+/// snapshot.
 pub fn install() {
     pm::obs_bridge::install_obs();
-    obs::event::init_from_env();
 }
 
 /// Publish one measured matrix cell: the full wall/charged latency
@@ -67,13 +66,12 @@ pub fn record_epoch(name: &str, index: &dyn Index) {
     }
 }
 
-/// Write the current [`obs::snapshot`] as JSON to
-/// `<RECIPE_OUT_DIR>/<file_stem>.json` and return the path. The figure
-/// binaries call this after their matrix so every run leaves a metrics
+/// Write the current [`obs::snapshot`] as JSON to `<file_stem>.json` in
+/// [`crate::csv::OUT_DIR`] and return the path. The figure binaries call this after their matrix so every run leaves a metrics
 /// artifact alongside its CSV.
 pub fn export(file_stem: &str) -> std::io::Result<PathBuf> {
-    let dir = crate::csv::out_dir();
-    std::fs::create_dir_all(&dir)?;
+    let dir = std::path::Path::new(crate::csv::OUT_DIR);
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{file_stem}.json"));
     std::fs::write(&path, obs::snapshot().to_json())?;
     Ok(path)

@@ -230,7 +230,7 @@ fn subset(names: &[&str]) -> Vec<IndexEntry> {
 /// interference, which is strictly downward — the per-cell max is therefore the
 /// right estimator for ordering comparisons on noisy (CI) hosts.
 #[must_use]
-pub fn run_shape_matrix_reps(scale: MatrixScale, reps: usize) -> Vec<Cell> {
+pub fn run_shape_matrix(scale: MatrixScale, reps: usize) -> Vec<Cell> {
     let mut cells =
         crate::run_matrix_best_of(&subset(ORDERED), &WORKLOADS, KeyType::RandInt, scale, reps);
     cells.extend(crate::run_matrix_best_of(
@@ -241,13 +241,6 @@ pub fn run_shape_matrix_reps(scale: MatrixScale, reps: usize) -> Vec<Cell> {
         reps,
     ));
     cells
-}
-
-/// [`run_shape_matrix_reps`] with the repetition count from `RECIPE_SHAPE_REPS`
-/// (default 3 — the CI gate wants the noise-filtered estimate).
-#[must_use]
-pub fn run_shape_matrix(scale: MatrixScale) -> Vec<Cell> {
-    run_shape_matrix_reps(scale, crate::shape_reps_from_env())
 }
 
 /// CSV header shared by `calibration.csv` and `shape_check.csv`: one row per

@@ -8,7 +8,7 @@ use ycsb::{KeyType, Workload};
 
 #[test]
 fn matrix_snapshot_is_complete_and_schema_valid() {
-    bench::install_latency_from_env();
+    bench::Model::CALIBRATED.install();
     let scale = bench::MatrixScale { load_n: 5_000, ops_n: 5_000, threads: 2 };
     let indexes: Vec<_> =
         bench::registry::all_indexes().into_iter().filter(|e| e.name == "P-BwTree").collect();

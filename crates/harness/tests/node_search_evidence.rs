@@ -1,7 +1,7 @@
 //! Deterministic read-path evidence for the vectorized-search / compound-widening
 //! speed pass (the host is 1-core, so wall clocks prove nothing): node-visit and
 //! per-mapping probe counters, which are defined by tree shape and occupancy, not by
-//! the SIMD/SWAR/scalar dispatch taken.
+//! the target's search path.
 //!
 //! All assertions use **thread-local** counter snapshots ([`pm::stats::snapshot_local`],
 //! [`pm::stats::probes_local`]) so concurrently running tests cannot perturb them.

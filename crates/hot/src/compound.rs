@@ -8,8 +8,8 @@
 //! ([`crate::bits::extract_wide`]), binary-searches the build-time sorted region by
 //! 8-lane group (prefix-free intervals are disjoint and ascending, so one group
 //! holds the only possible match), and resolves the group with the vectorized
-//! masked-compare primitive ([`recipe::simd::masked_eq_mask8`]) — SSE2/NEON or SWAR,
-//! the same dispatch the ART node search uses — so two to three levels of the trie
+//! masked-compare primitive ([`recipe::simd::masked_eq_mask8`]) — SSE2 or NEON, chosen
+//! at compile time as for the ART node search — so two to three levels of the trie
 //! resolve in a single node visit at a handful of compared lanes.
 //!
 //! Entries are **prefix-free**: no live entry's masked prefix is a prefix of

@@ -3,12 +3,11 @@
 //!
 //! Tracing is off by default; [`emit`] then costs one relaxed atomic load
 //! and performs **zero allocation** (asserted by the crate's
-//! `tests/no_alloc.rs`). Enable it with [`set_enabled`] or by exporting
-//! `RECIPE_OBS_EVENTS=1` and calling [`init_from_env`]. When enabled, each
-//! thread lazily registers a fixed-capacity ring (default 4096 records,
-//! `RECIPE_OBS_RING` overrides); a full ring overwrites its oldest record
-//! and counts the drop, so the most recent history — the part that explains
-//! a failure — is always retained.
+//! `tests/no_alloc.rs`). Enable it with [`set_enabled`] or a [`Hold`]. When
+//! enabled, each thread lazily registers a ring of [`DEFAULT_RING_CAP`]
+//! records; a full ring overwrites its oldest record and counts the drop, so
+//! the most recent history — the part that explains a failure — is always
+//! retained.
 //!
 //! Records carry a global sequence number from one shared atomic, so a
 //! [`drain`] merges every thread's ring into a single totally-ordered
@@ -34,7 +33,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Default per-thread ring capacity (records); `RECIPE_OBS_RING` overrides.
+/// Per-thread ring capacity (records).
 pub const DEFAULT_RING_CAP: usize = 4096;
 
 /// One traced event. `kind` is a stable dotted family name
@@ -59,7 +58,6 @@ pub struct Event {
 struct Ring {
     tid: u32,
     buf: Vec<Event>,
-    cap: usize,
     /// Index of the oldest record once the ring has wrapped.
     next: usize,
     dropped: u64,
@@ -67,12 +65,12 @@ struct Ring {
 
 impl Ring {
     fn push(&mut self, ev: Event) {
-        if self.buf.len() < self.cap {
+        if self.buf.len() < DEFAULT_RING_CAP {
             self.buf.push(ev);
         } else {
             // Overwrite the oldest record: newest history wins.
             self.buf[self.next] = ev;
-            self.next = (self.next + 1) % self.cap;
+            self.next = (self.next + 1) % DEFAULT_RING_CAP;
             self.dropped += 1;
         }
     }
@@ -94,17 +92,6 @@ static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 fn rings() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
     static RINGS: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
     RINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn ring_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("RECIPE_OBS_RING")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_RING_CAP)
-    })
 }
 
 thread_local! {
@@ -145,17 +132,6 @@ impl Drop for Hold {
     }
 }
 
-/// Enable tracing when `RECIPE_OBS_EVENTS` is set to a truthy value
-/// (`1`/`true`/`yes`/`on`).
-pub fn init_from_env() {
-    if let Ok(v) = std::env::var("RECIPE_OBS_EVENTS") {
-        let v = v.trim().to_ascii_lowercase();
-        if matches!(v.as_str(), "1" | "true" | "yes" | "on") {
-            set_enabled(true);
-        }
-    }
-}
-
 /// Record an event if tracing is enabled. The disabled path is a single
 /// relaxed load with no allocation and no thread-local access.
 #[inline]
@@ -191,9 +167,8 @@ fn register() -> Arc<Mutex<Ring>> {
         ring.lock().tid = tid;
         return Arc::clone(ring);
     }
-    let cap = ring_cap();
-    let ring =
-        Arc::new(Mutex::new(Ring { tid, buf: Vec::with_capacity(cap), cap, next: 0, dropped: 0 }));
+    let buf = Vec::with_capacity(DEFAULT_RING_CAP);
+    let ring = Arc::new(Mutex::new(Ring { tid, buf, next: 0, dropped: 0 }));
     rings.push(Arc::clone(&ring));
     ring
 }
@@ -349,7 +324,7 @@ mod tests {
         let was = set_enabled(true);
         clear();
         // A dedicated thread gets a fresh ring; overflow it deliberately.
-        let cap = ring_cap();
+        let cap = DEFAULT_RING_CAP;
         std::thread::scope(|s| {
             s.spawn(move || {
                 for i in 0..(cap as u64 + 10) {

@@ -13,8 +13,6 @@
 //!
 //! * [`arm_nth`] — crash at the n-th site hit (deterministic enumeration of crash
 //!   states across a workload),
-//! * [`arm_probability`] — crash each site hit with probability `p` (the paper's
-//!   probabilistic mode),
 //! * [`arm_at_site`] — crash at the k-th hit of one named site,
 //! * [`arm_count_only`] — never crash, just count site hits (used to size the
 //!   enumeration).
@@ -38,18 +36,16 @@ pub struct CrashPanic(pub &'static str);
 
 const MODE_OFF: u8 = 0;
 const MODE_NTH: u8 = 1;
-const MODE_PROB: u8 = 2;
-const MODE_SITE: u8 = 3;
-const MODE_COUNT: u8 = 4;
+const MODE_SITE: u8 = 2;
+const MODE_COUNT: u8 = 3;
 
 /// A domain's crash arming, changed under its lock together with the mode.
 #[derive(Default)]
 pub(crate) struct Armed {
     hits: u64,
-    /// The hit to crash at, the crash probability per million, or the hits of
-    /// `target` left before the crash, by mode.
+    /// The hit to crash at, or the hits of `target` left before the crash, by
+    /// mode.
     param: u64,
-    rng: u64,
     target: Option<&'static str>,
     crashed: bool,
     last_crash_site: Option<&'static str>,
@@ -63,37 +59,31 @@ fn armed<R>(f: impl FnOnce(&Domain, &mut Armed) -> R) -> R {
 }
 
 /// Arm `mode` with a fresh hit count; the per-name accounting carries over.
-fn arm(mode: u8, param: u64, rng: u64, target: Option<&'static str>) {
+fn arm(mode: u8, param: u64, target: Option<&'static str>) {
     armed(|d, s| {
-        *s = Armed { param, rng, target, named: s.named.take(), ..Armed::default() };
+        *s = Armed { param, target, named: s.named.take(), ..Armed::default() };
         d.crash_mode.store(mode, Ordering::SeqCst);
     });
 }
 
 /// Disarm crash injection entirely (the default).
 pub fn disarm() {
-    arm(MODE_OFF, 0, 0, None);
+    arm(MODE_OFF, 0, None);
 }
 
 /// Arm a crash at the `n`-th crash-site hit (1-based) from now on.
 pub fn arm_nth(n: u64) {
-    arm(MODE_NTH, n.max(1), 0, None);
-}
-
-/// Arm probabilistic crashing: each site hit crashes with probability
-/// `per_million / 1_000_000`. `seed` makes the pseudo-random sequence reproducible.
-pub fn arm_probability(per_million: u64, seed: u64) {
-    arm(MODE_PROB, per_million.min(1_000_000), seed | 1, None);
+    arm(MODE_NTH, n.max(1), None);
 }
 
 /// Arm a crash at the `hit`-th (1-based) execution of the named site.
 pub fn arm_at_site(name: &'static str, hit: u64) {
-    arm(MODE_SITE, hit.max(1), 0, Some(name));
+    arm(MODE_SITE, hit.max(1), Some(name));
 }
 
 /// Count site hits without ever crashing.
 pub fn arm_count_only() {
-    arm(MODE_COUNT, 0, 0, None);
+    arm(MODE_COUNT, 0, None);
 }
 
 /// Total crash-site hits since the last arming.
@@ -161,11 +151,6 @@ fn site_slow(name: &'static str) {
         s.hits += 1;
         let fire = match d.crash_mode.load(Ordering::Relaxed) {
             MODE_NTH => s.hits == s.param,
-            MODE_PROB => {
-                let r = crate::mix64(s.rng);
-                s.rng = s.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                r % 1_000_000 < s.param
-            }
             MODE_SITE if s.target == Some(name) => {
                 s.param -= 1;
                 s.param == 0
@@ -275,30 +260,6 @@ mod tests {
             1
         });
         assert_eq!(r, Err("target"));
-        disarm();
-    }
-
-    #[test]
-    fn probability_zero_never_crashes() {
-        let _d = crate::Domain::new().enter();
-        arm_probability(0, 7);
-        for _ in 0..1000 {
-            site("p");
-        }
-        assert!(!has_crashed());
-        disarm();
-    }
-
-    #[test]
-    fn probability_full_crashes_immediately() {
-        let _d = crate::Domain::new().enter();
-        install_quiet_hook();
-        arm_probability(1_000_000, 9);
-        let r = catch_crash(|| {
-            site("p");
-            0
-        });
-        assert_eq!(r, Err("p"));
         disarm();
     }
 

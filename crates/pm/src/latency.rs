@@ -35,12 +35,10 @@
 //!
 //! Every domain starts with the **zero model** installed (no charges, no waits), so
 //! unit tests and the crash harness run at full speed. Benchmark binaries install
-//! [`Model::from_env`], whose defaults are the *calibrated* constants
-//! ([`DEFAULT_CLWB_NS`] / [`DEFAULT_FENCE_NS`] / [`DEFAULT_READ_NS`]) picked by
-//! `bench --bin calibrate` to reproduce the paper's qualitative orderings
-//! (`bench --bin shape_check` pins them in CI); the `RECIPE_CLWB_NS`,
-//! `RECIPE_FENCE_NS`, `RECIPE_READ_NS` and `RECIPE_EADR` environment variables
-//! override them.
+//! [`Model::CALIBRATED`], the constants ([`DEFAULT_CLWB_NS`] / [`DEFAULT_FENCE_NS`] /
+//! [`DEFAULT_READ_NS`]) picked by `bench --bin calibrate` to reproduce the paper's
+//! qualitative orderings (`bench --bin shape_check` pins them in CI); a study of
+//! other costs builds its own [`Model`] literal, as `calibrate` does per grid point.
 
 use crate::stats;
 use std::cell::RefCell;
@@ -221,70 +219,10 @@ impl Model {
         }
     }
 
-    /// Build the model from the `RECIPE_CLWB_NS` / `RECIPE_FENCE_NS` /
-    /// `RECIPE_READ_NS` / `RECIPE_EADR` environment variables, defaulting each
-    /// unset variable to its **calibrated** constant. Malformed values fall back to
-    /// the default and are reported with a warning on stderr (they used to be
-    /// silently treated as 0).
-    #[must_use]
-    pub fn from_env() -> Model {
-        let get = |k: &str| std::env::var(k).ok();
-        let (clwb_ns, w1) = parse_ns("RECIPE_CLWB_NS", get("RECIPE_CLWB_NS"), DEFAULT_CLWB_NS);
-        let (fence_ns, w2) = parse_ns("RECIPE_FENCE_NS", get("RECIPE_FENCE_NS"), DEFAULT_FENCE_NS);
-        let (read_ns, w3) = parse_ns("RECIPE_READ_NS", get("RECIPE_READ_NS"), DEFAULT_READ_NS);
-        let (eadr, w4) = parse_flag("RECIPE_EADR", get("RECIPE_EADR"), false);
-        for w in [w1, w2, w3, w4].into_iter().flatten() {
-            eprintln!("warning: {w}");
-        }
-        Model { clwb_ns, fence_ns, read_ns, eadr }
-    }
-
-    /// [`Model::from_env`] followed by [`Model::install`]; returns the installed
-    /// model. The one-liner every benchmark binary calls at startup.
-    pub fn install_from_env() -> Model {
-        let m = Model::from_env();
-        m.install();
-        m
-    }
-
     /// `true` when this model never charges anything.
     #[must_use]
     pub fn is_zero(&self) -> bool {
         self.effective_clwb_ns() == 0 && self.fence_ns == 0 && self.read_ns == 0
-    }
-}
-
-/// Parse an environment variable's nanosecond value: `None` (unset) gives
-/// `default`; a malformed value gives `default` plus a warning message. Pure, so
-/// tests cover it without touching the process environment.
-#[must_use]
-pub fn parse_ns(key: &str, raw: Option<String>, default: u64) -> (u64, Option<String>) {
-    match raw {
-        None => (default, None),
-        Some(v) => match v.trim().parse::<u64>() {
-            Ok(n) => (n, None),
-            Err(_) => (
-                default,
-                Some(format!("{key}={v:?} is not a non-negative integer; using default {default}")),
-            ),
-        },
-    }
-}
-
-/// Parse a boolean environment flag (`1`/`true`/`yes` on, `0`/`false`/`no`/empty
-/// off, case-insensitive); malformed values give `default` plus a warning.
-#[must_use]
-pub fn parse_flag(key: &str, raw: Option<String>, default: bool) -> (bool, Option<String>) {
-    match raw {
-        None => (default, None),
-        Some(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "yes" | "on" => (true, None),
-            "" | "0" | "false" | "no" | "off" => (false, None),
-            _ => (
-                default,
-                Some(format!("{key}={v:?} is not a boolean flag; using default {default}")),
-            ),
-        },
     }
 }
 
@@ -520,32 +458,6 @@ mod tests {
         on_clwb(0x1000);
         let d = charged_local().since(&before);
         assert_eq!(d.clwb_ns, 20, "reinstall must clear per-thread dedup state");
-    }
-
-    #[test]
-    fn parse_ns_defaults_and_warns() {
-        assert_eq!(parse_ns("K", None, 7), (7, None));
-        assert_eq!(parse_ns("K", Some("123".into()), 7), (123, None));
-        assert_eq!(parse_ns("K", Some(" 55 ".into()), 7), (55, None));
-        let (v, warn) = parse_ns("RECIPE_CLWB_NS", Some("fast".into()), 120);
-        assert_eq!(v, 120, "malformed values fall back to the default, not 0");
-        let warn = warn.expect("malformed value must warn");
-        assert!(warn.contains("RECIPE_CLWB_NS") && warn.contains("120"), "{warn}");
-        let (v, warn) = parse_ns("K", Some("-3".into()), 9);
-        assert_eq!(v, 9);
-        assert!(warn.is_some());
-    }
-
-    #[test]
-    fn parse_flag_accepts_common_spellings() {
-        for on in ["1", "true", "YES", "on"] {
-            assert_eq!(parse_flag("K", Some(on.into()), false), (true, None), "{on}");
-        }
-        for off in ["0", "false", "No", "off", ""] {
-            assert_eq!(parse_flag("K", Some(off.into()), true), (false, None), "{off}");
-        }
-        let (v, warn) = parse_flag("RECIPE_EADR", Some("maybe".into()), false);
-        assert!(!v && warn.is_some());
     }
 
     #[test]

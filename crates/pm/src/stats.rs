@@ -112,7 +112,7 @@ pub(crate) fn local() -> Counts {
 ///
 /// A **probe** is one candidate key slot examined during an intra-node search —
 /// the work the vectorized search paths do in bulk. The count is defined by the
-/// node's occupancy, not by the dispatch path, so SWAR, SIMD and scalar runs of
+/// node's occupancy, not by the search path, so SSE2, NEON and scalar builds of
 /// the same workload report identical probe counts (this is what makes the
 /// counter usable as deterministic evidence on a 1-core host).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

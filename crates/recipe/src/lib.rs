@@ -32,9 +32,9 @@
 //! * [`lock`] — the versioned word spin-lock embedded in index nodes, with the
 //!   try-lock primitive used for permanent-inconsistency detection (Condition #3) and
 //!   explicit re-initialisation for recovery.
-//! * [`simd`] — branch-free intra-node key search (SWAR with SSE2/NEON fast paths
-//!   behind the default-on `simd` feature; `RECIPE_NO_SIMD=1` forces the portable
-//!   path) shared by the trie crates' node search routines.
+//! * [`simd`] — branch-free intra-node key search (SSE2 on x86-64, NEON on
+//!   aarch64, a scalar loop elsewhere; chosen at compile time) shared by the trie
+//!   crates' node search routines.
 //! * [`key`] — order-preserving key encodings and the hash function shared by the
 //!   unordered indexes.
 //!

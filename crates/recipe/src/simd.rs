@@ -11,65 +11,12 @@
 //! concurrency story stays entirely in the caller and everything below is pure
 //! arithmetic on owned integers, with no aliasing or data-race concerns.
 //!
-//! Three implementations of each primitive exist:
-//!
-//! | path     | mechanism                                   | when used                      |
-//! |----------|---------------------------------------------|--------------------------------|
-//! | `simd`   | SSE2 (`_mm_cmpeq_epi8`/`epi16` + movemask) on x86-64, NEON (`vceqq` + `shrn`) on aarch64 | default on those arches |
-//! | `swar`   | portable 64-bit SWAR zero-byte/zero-lane detect | fallback, and when forced   |
-//! | `scalar` | per-lane loop                               | reference for differential tests |
-//!
-//! Dispatch is resolved **once** per process by [`kind`]: the `simd` cargo feature
-//! (default-on) gates compilation of the `std::arch` paths, and setting
-//! `RECIPE_NO_SIMD=1` in the environment forces the SWAR path at runtime even when
-//! they are compiled in. All three paths return bit-identical masks — asserted by
-//! unit tests here and by the differential proptest in `art::search`.
-
-use std::sync::OnceLock;
-
-/// Which search implementation [`eq_mask16`] and [`masked_eq_mask8`] dispatch to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchKind {
-    /// `std::arch` intrinsics (SSE2 on x86-64, NEON on aarch64).
-    Simd,
-    /// Portable SWAR on 64-bit words.
-    Swar,
-}
-
-static KIND: OnceLock<SearchKind> = OnceLock::new();
-
-/// The search implementation in effect for this process.
-///
-/// Resolved once: `Swar` if the `simd` cargo feature is off, if `RECIPE_NO_SIMD=1`
-/// is set in the environment, or if the target has no vectorized path; `Simd`
-/// otherwise. SSE2 is part of the x86-64 baseline and NEON of the aarch64 baseline,
-/// so no finer-grained CPU feature detection is needed.
-pub fn kind() -> SearchKind {
-    *KIND.get_or_init(|| {
-        if !cfg!(feature = "simd") {
-            return SearchKind::Swar;
-        }
-        if std::env::var("RECIPE_NO_SIMD").ok().as_deref() == Some("1") {
-            return SearchKind::Swar;
-        }
-        if cfg!(any(target_arch = "x86_64", target_arch = "aarch64")) {
-            SearchKind::Simd
-        } else {
-            SearchKind::Swar
-        }
-    })
-}
-
-/// Human-readable label of the active search path (for bench/report output).
-#[must_use]
-pub fn kind_label() -> &'static str {
-    match kind() {
-        SearchKind::Simd if cfg!(target_arch = "x86_64") => "sse2",
-        SearchKind::Simd if cfg!(target_arch = "aarch64") => "neon",
-        SearchKind::Simd => "simd",
-        SearchKind::Swar => "swar",
-    }
-}
+//! Each primitive has one search path per target, chosen at compile time: SSE2
+//! (`_mm_cmpeq_epi8`/`epi16` + movemask) on x86-64, NEON (`vceqq` + `shrn`) on
+//! aarch64 (both part of their target's baseline, so no CPU feature detection is
+//! needed), and the `*_scalar` per-lane loop on any other target. The scalar loops
+//! are also the reference the differential tests here and in `art::search` hold the
+//! vectorized paths to, bit for bit.
 
 // ---------------------------------------------------------------------------
 // Lane accessors: key material is packed little-endian into u64 words, byte
@@ -136,15 +83,15 @@ impl Iterator for SetBits {
 // ---------------------------------------------------------------------------
 
 /// Bitmask (bit `i` = lane `i`) of the 16 byte lanes of `(w0, w1)` equal to `needle`.
-///
-/// Dispatched per [`kind`]; all paths are bit-identical.
 #[inline]
 #[must_use]
 pub fn eq_mask16(w0: u64, w1: u64, needle: u8) -> u32 {
-    match kind() {
-        SearchKind::Simd => eq_mask16_simd(w0, w1, needle),
-        SearchKind::Swar => eq_mask16_swar(w0, w1, needle),
-    }
+    #[cfg(target_arch = "x86_64")]
+    return x86::eq_mask16(w0, w1, needle);
+    #[cfg(target_arch = "aarch64")]
+    return neon::eq_mask16(w0, w1, needle);
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    return eq_mask16_scalar(w0, w1, needle);
 }
 
 /// Scalar reference implementation of [`eq_mask16`] (per-lane loop).
@@ -160,72 +107,18 @@ pub fn eq_mask16_scalar(w0: u64, w1: u64, needle: u8) -> u32 {
     m
 }
 
-/// SWAR implementation of [`eq_mask16`]: broadcast-XOR then zero-byte detect.
-#[inline]
-#[must_use]
-pub fn eq_mask16_swar(w0: u64, w1: u64, needle: u8) -> u32 {
-    let lo = u32::from(swar_eq_bytes(w0, needle));
-    let hi = u32::from(swar_eq_bytes(w1, needle));
-    lo | (hi << 8)
-}
-
-/// Zero-byte-detect SWAR: bitmask of the 8 byte lanes of `w` equal to `needle`.
-#[inline]
-fn swar_eq_bytes(w: u64, needle: u8) -> u16 {
-    const LO: u64 = 0x0101_0101_0101_0101;
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let x = w ^ (LO.wrapping_mul(u64::from(needle)));
-    // Exact per-lane zero detect: `(x | HI) - LO` cannot borrow across lanes, and
-    // its lane MSB is clear only when the lane of `x` is zero (and x's own MSB is
-    // clear). The naive `(x - LO) & !x & HI` is wrong here: a zero lane borrows
-    // into its neighbour and flags non-zero lanes.
-    let z = !(x | ((x | HI).wrapping_sub(LO))) & HI;
-    compress_msb8(z)
-}
-
-/// Gather the per-byte MSB flags of `z` (bits 7, 15, ..., 63) into bits 0..8.
-#[inline]
-fn compress_msb8(z: u64) -> u16 {
-    let mut m = 0u16;
-    for i in 0..8 {
-        m |= (((z >> (8 * i + 7)) & 1) as u16) << i;
-    }
-    m
-}
-
-/// `std::arch` implementation of [`eq_mask16`]; compiles to the SWAR path when no
-/// vectorized target path is built in (so dispatch code exists on every target).
-#[inline]
-#[must_use]
-#[allow(unreachable_code)]
-pub fn eq_mask16_simd(w0: u64, w1: u64, needle: u8) -> u32 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        return x86::eq_mask16(w0, w1, needle);
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    {
-        return neon::eq_mask16(w0, w1, needle);
-    }
-    eq_mask16_swar(w0, w1, needle)
-}
-
 // ---------------------------------------------------------------------------
 // 16-lane nonzero detect: which byte lanes of (w0, w1) hold a nonzero value?
 // ART's Node48 packs its 256-entry byte index (key byte -> child slot + 1,
 // 0 = empty) into u64 words; iterating the live entries is a nonzero-lane scan.
 // ---------------------------------------------------------------------------
 
-/// Bitmask (bit `i` = lane `i`) of the 16 byte lanes of `(w0, w1)` that are nonzero.
-///
-/// Dispatched per [`kind`]; all paths are bit-identical.
+/// Bitmask (bit `i` = lane `i`) of the 16 byte lanes of `(w0, w1)` that are nonzero:
+/// [`eq_mask16`] against zero, inverted.
 #[inline]
 #[must_use]
 pub fn nonzero_mask16(w0: u64, w1: u64) -> u32 {
-    match kind() {
-        SearchKind::Simd => nonzero_mask16_simd(w0, w1),
-        SearchKind::Swar => nonzero_mask16_swar(w0, w1),
-    }
+    !eq_mask16(w0, w1, 0) & 0xFFFF
 }
 
 /// Scalar reference implementation of [`nonzero_mask16`] (per-lane loop).
@@ -241,21 +134,6 @@ pub fn nonzero_mask16_scalar(w0: u64, w1: u64) -> u32 {
     m
 }
 
-/// SWAR implementation of [`nonzero_mask16`]: zero-byte detect, inverted.
-#[inline]
-#[must_use]
-pub fn nonzero_mask16_swar(w0: u64, w1: u64) -> u32 {
-    !eq_mask16_swar(w0, w1, 0) & 0xFFFF
-}
-
-/// `std::arch` implementation of [`nonzero_mask16`]: compare-equal against a zero
-/// vector, inverted. Falls back to SWAR when no vectorized target path is built in.
-#[inline]
-#[must_use]
-pub fn nonzero_mask16_simd(w0: u64, w1: u64) -> u32 {
-    !eq_mask16_simd(w0, w1, 0) & 0xFFFF
-}
-
 // ---------------------------------------------------------------------------
 // 8-lane masked u16 equality: which lanes satisfy (ext & mask_i) == pkey_i?
 // HOT's compound nodes store sparse partial keys (pkey) with per-entry prefix
@@ -267,10 +145,12 @@ pub fn nonzero_mask16_simd(w0: u64, w1: u64) -> u32 {
 #[inline]
 #[must_use]
 pub fn masked_eq_mask8(p0: u64, p1: u64, m0: u64, m1: u64, ext: u16) -> u32 {
-    match kind() {
-        SearchKind::Simd => masked_eq_mask8_simd(p0, p1, m0, m1, ext),
-        SearchKind::Swar => masked_eq_mask8_swar(p0, p1, m0, m1, ext),
-    }
+    #[cfg(target_arch = "x86_64")]
+    return x86::masked_eq_mask8(p0, p1, m0, m1, ext);
+    #[cfg(target_arch = "aarch64")]
+    return neon::masked_eq_mask8(p0, p1, m0, m1, ext);
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    return masked_eq_mask8_scalar(p0, p1, m0, m1, ext);
 }
 
 /// Scalar reference implementation of [`masked_eq_mask8`] (per-lane loop).
@@ -290,50 +170,7 @@ pub fn masked_eq_mask8_scalar(p0: u64, p1: u64, m0: u64, m1: u64, ext: u16) -> u
     out
 }
 
-/// SWAR implementation of [`masked_eq_mask8`]: broadcast, mask, XOR, zero-lane detect.
-#[inline]
-#[must_use]
-pub fn masked_eq_mask8_swar(p0: u64, p1: u64, m0: u64, m1: u64, ext: u16) -> u32 {
-    let lo = u32::from(swar_masked_eq_lanes(p0, m0, ext));
-    let hi = u32::from(swar_masked_eq_lanes(p1, m1, ext));
-    lo | (hi << 4)
-}
-
-/// Zero-lane-detect SWAR over four 16-bit lanes: bit `i` set iff
-/// `(ext & mask_lane_i) == pkey_lane_i`.
-#[inline]
-fn swar_masked_eq_lanes(p: u64, mask: u64, ext: u16) -> u8 {
-    const LO16: u64 = 0x0001_0001_0001_0001;
-    const HI16: u64 = 0x8000_8000_8000_8000;
-    let e4 = LO16.wrapping_mul(u64::from(ext));
-    let x = (e4 & mask) ^ p;
-    // Borrow-free per-lane zero detect; see `swar_eq_bytes`.
-    let z = !(x | ((x | HI16).wrapping_sub(LO16))) & HI16;
-    let mut m = 0u8;
-    for i in 0..4 {
-        m |= (((z >> (16 * i + 15)) & 1) as u8) << i;
-    }
-    m
-}
-
-/// `std::arch` implementation of [`masked_eq_mask8`]; falls back to SWAR when no
-/// vectorized target path is built in.
-#[inline]
-#[must_use]
-#[allow(unreachable_code)]
-pub fn masked_eq_mask8_simd(p0: u64, p1: u64, m0: u64, m1: u64, ext: u16) -> u32 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        return x86::masked_eq_mask8(p0, p1, m0, m1, ext);
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    {
-        return neon::masked_eq_mask8(p0, p1, m0, m1, ext);
-    }
-    masked_eq_mask8_swar(p0, p1, m0, m1, ext)
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
         _mm_and_si128, _mm_cmpeq_epi16, _mm_cmpeq_epi8, _mm_movemask_epi8, _mm_set1_epi16,
@@ -378,7 +215,7 @@ mod x86 {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 mod neon {
     use std::arch::aarch64::{
         uint8x16_t, vceqq_u16, vceqq_u8, vcombine_u16, vcombine_u8, vcreate_u16, vcreate_u8,
@@ -492,8 +329,6 @@ mod tests {
                 _ => get_lane8(w1, (pick >> 8) as usize % 8),
             };
             let scalar = eq_mask16_scalar(w0, w1, needle);
-            assert_eq!(eq_mask16_swar(w0, w1, needle), scalar);
-            assert_eq!(eq_mask16_simd(w0, w1, needle), scalar);
             assert_eq!(eq_mask16(w0, w1, needle), scalar);
         }
     }
@@ -504,9 +339,7 @@ mod tests {
             for (w0, w1) in
                 [(0u64, 0u64), (u64::MAX, u64::MAX), (0x8080_8080_8080_8080, 0x0101_0101_0101_0101)]
             {
-                let scalar = eq_mask16_scalar(w0, w1, needle);
-                assert_eq!(eq_mask16_swar(w0, w1, needle), scalar);
-                assert_eq!(eq_mask16_simd(w0, w1, needle), scalar);
+                assert_eq!(eq_mask16(w0, w1, needle), eq_mask16_scalar(w0, w1, needle));
             }
         }
     }
@@ -524,8 +357,6 @@ mod tests {
                 (mix(&mut s), mix(&mut s))
             };
             let scalar = nonzero_mask16_scalar(w0, w1);
-            assert_eq!(nonzero_mask16_swar(w0, w1), scalar);
-            assert_eq!(nonzero_mask16_simd(w0, w1), scalar);
             assert_eq!(nonzero_mask16(w0, w1), scalar);
         }
         assert_eq!(nonzero_mask16(0, 0), 0);
@@ -542,9 +373,17 @@ mod tests {
             let m1 = mix(&mut s);
             let ext = mix(&mut s) as u16;
             let scalar = masked_eq_mask8_scalar(p0, p1, m0, m1, ext);
-            assert_eq!(masked_eq_mask8_swar(p0, p1, m0, m1, ext), scalar);
-            assert_eq!(masked_eq_mask8_simd(p0, p1, m0, m1, ext), scalar);
             assert_eq!(masked_eq_mask8(p0, p1, m0, m1, ext), scalar);
+        }
+    }
+
+    #[test]
+    fn masked_eq_mask8_edge_values() {
+        for ext in [0u16, 0xFFFF, 0x8000, 1] {
+            for (p, m) in [(0u64, 0u64), (u64::MAX, u64::MAX), (0x8000_0001_8000_0001, u64::MAX)] {
+                let scalar = masked_eq_mask8_scalar(p, !p, m, m, ext);
+                assert_eq!(masked_eq_mask8(p, !p, m, m, ext), scalar);
+            }
         }
     }
 
@@ -560,16 +399,5 @@ mod tests {
         let got = masked_eq_mask8_scalar(p0, 0, m0, u64::MAX, ext);
         assert_eq!(got & 0b11, 0b01);
         assert_eq!(masked_eq_mask8(p0, 0, m0, u64::MAX, ext) & 0b11, 0b01);
-    }
-
-    #[test]
-    fn kind_is_stable_and_labelled() {
-        let k = kind();
-        assert_eq!(kind(), k, "dispatch must resolve once");
-        let label = kind_label();
-        assert!(["sse2", "neon", "simd", "swar"].contains(&label));
-        if std::env::var("RECIPE_NO_SIMD").ok().as_deref() == Some("1") || !cfg!(feature = "simd") {
-            assert_eq!(k, SearchKind::Swar);
-        }
     }
 }

@@ -56,13 +56,10 @@ pub struct LoadgenConfig {
     /// Determinism root; every key/op choice is a pure function of it.
     pub seed: u64,
     /// Latency budget attached to every request, in ns of queue age
-    /// (0 = no deadline). Overridable via `RECIPE_SERVICE_DEADLINE_NS` when
-    /// built through [`LoadgenConfig::from_env`].
+    /// (0 = no deadline).
     pub deadline_ns: u64,
     /// Capture a metrics snapshot every this many milliseconds during the
     /// run and report the per-point [`TimelinePoint`]s (0 = no streaming).
-    /// Overridable via `RECIPE_SERVICE_STREAM_MS` when built through
-    /// [`LoadgenConfig::from_env`].
     pub stream_ms: u64,
 }
 
@@ -79,20 +76,6 @@ impl Default for LoadgenConfig {
             seed: 0x5EED,
             deadline_ns: 0,
             stream_ms: 0,
-        }
-    }
-}
-
-impl LoadgenConfig {
-    /// Defaults with the envelope knobs taken from the environment
-    /// (`RECIPE_SERVICE_DEADLINE_NS`, `RECIPE_SERVICE_STREAM_MS`).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let env = |k: &str| std::env::var(k).ok();
-        LoadgenConfig {
-            deadline_ns: crate::service::knob(&env, "RECIPE_SERVICE_DEADLINE_NS", 0),
-            stream_ms: crate::service::knob(&env, "RECIPE_SERVICE_STREAM_MS", 0),
-            ..LoadgenConfig::default()
         }
     }
 }

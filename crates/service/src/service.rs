@@ -8,16 +8,9 @@ use crate::{Reply, Request, ShedReason};
 use recipe::session::Index;
 use std::sync::Arc;
 
-/// Service sizing knobs. Every field has an environment override so bench
-/// binaries and CI can tune a run without recompiling (see the README's
-/// "Service" section):
-///
-/// | field                 | env var                      | default |
-/// |-----------------------|------------------------------|---------|
-/// | `shards`              | `RECIPE_SERVICE_SHARDS`      | 2       |
-/// | `queue_cap`           | `RECIPE_SERVICE_QUEUE_CAP`   | 1024    |
-/// | `max_batch`           | `RECIPE_SERVICE_BATCH`       | 32      |
-/// | `default_deadline_ns` | `RECIPE_SERVICE_DEADLINE_NS` | 0 (off) |
+/// Service sizing knobs. A caller sets them in code: [`ServiceConfig::default`]
+/// gives 2 shards, a queue of 1024 per shard, batches of up to 32 and no
+/// default deadline.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Shards (each owns one index shard and one worker thread).
@@ -42,35 +35,6 @@ impl Default for ServiceConfig {
             default_deadline_ns: 0,
         }
     }
-}
-
-impl ServiceConfig {
-    /// Defaults overridden by the `RECIPE_SERVICE_*` environment variables.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::from_lookup(&|k| std::env::var(k).ok())
-    }
-
-    /// [`ServiceConfig::from_env`] over any lookup: each value goes through
-    /// [`knob`], and a zero size keeps its default too.
-    pub(crate) fn from_lookup(get: &dyn Fn(&str) -> Option<String>) -> Self {
-        let d = ServiceConfig::default();
-        let size = |k, d| Some(knob(get, k, d as u64) as usize).filter(|&n| n > 0).unwrap_or(d);
-        ServiceConfig {
-            shards: size("RECIPE_SERVICE_SHARDS", d.shards),
-            queue_cap: size("RECIPE_SERVICE_QUEUE_CAP", d.queue_cap),
-            max_batch: size("RECIPE_SERVICE_BATCH", d.max_batch),
-            default_deadline_ns: knob(get, "RECIPE_SERVICE_DEADLINE_NS", d.default_deadline_ns),
-        }
-    }
-}
-
-/// The `RECIPE_SERVICE_*` knob `key` from `get`, read by [`pm::latency::parse_ns`]:
-/// unset keeps `default`, and so does a malformed value, with a warning on stderr.
-pub(crate) fn knob(get: &dyn Fn(&str) -> Option<String>, key: &str, default: u64) -> u64 {
-    let (v, warning) = pm::latency::parse_ns(key, get(key), default);
-    warning.into_iter().for_each(|w| eprintln!("warning: {w}"));
-    v
 }
 
 /// The mutable routing state: the ring and the workers it routes to, swapped
@@ -525,28 +489,5 @@ mod tests {
 
     fn svc_total(stats: &[ShardStats]) -> u64 {
         stats.iter().map(|s| s.completed).sum()
-    }
-
-    #[test]
-    fn service_knobs_parse_or_keep_their_defaults() {
-        let vars = |pairs: &'static [(&'static str, &'static str)]| {
-            move |k: &str| pairs.iter().find(|(n, _)| *n == k).map(|(_, v)| (*v).to_string())
-        };
-        let d = ServiceConfig::default();
-        let cfg = ServiceConfig::from_lookup(&vars(&[
-            ("RECIPE_SERVICE_SHARDS", "4"),
-            ("RECIPE_SERVICE_QUEUE_CAP", "0"),
-            ("RECIPE_SERVICE_BATCH", " 8 "),
-            ("RECIPE_SERVICE_DEADLINE_NS", "3ms"),
-        ]));
-        assert_eq!((cfg.shards, cfg.max_batch), (4, 8));
-        assert_eq!(cfg.queue_cap, d.queue_cap, "a zero size keeps its default");
-        assert_eq!(cfg.default_deadline_ns, 0, "a malformed deadline keeps the default");
-        let cfg = ServiceConfig::from_lookup(&vars(&[("RECIPE_SERVICE_DEADLINE_NS", "250000")]));
-        assert_eq!((cfg.shards, cfg.default_deadline_ns), (d.shards, 250_000));
-        let stream = vars(&[("RECIPE_SERVICE_STREAM_MS", "25"), ("RECIPE_SERVICE_BATCH", "x")]);
-        assert_eq!(knob(&stream, "RECIPE_SERVICE_STREAM_MS", 0), 25);
-        assert_eq!(knob(&stream, "RECIPE_SERVICE_BATCH", 32), 32);
-        assert_eq!(knob(&stream, "RECIPE_SERVICE_SHARDS", 2), 2, "unset");
     }
 }
