@@ -18,16 +18,27 @@
 //! or reuse a dead slot whose lanes already equal the new entry), which keeps
 //! lock-free readers exact: a stale lane can never alias a different live entry.
 //!
+//! Layout: one line-aligned PM block per node, allocated through
+//! [`pm::alloc::pm_line_box`] as one sized type per capacity class
+//! ([`CAP_CLASSES`]). The first line is the header (`bit_pos`, `obsolete`, `lock`,
+//! `count`, `sorted`, `cap`); each following line is a [`Group`] holding four slots:
+//! their partial-key word, their mask word and their four child words. A slot's
+//! lanes and child therefore share one line, and the block spans exactly
+//! `1 + cap / 4` lines wherever the allocator puts it. An 8-lane search group is two
+//! adjacent group lines.
+//!
 //! Publish protocols (Condition #1, one atomic store each):
-//! * append at the end: lanes and child are written first, `count` store publishes;
+//! * append at the end: lanes and child are written on the slot's group line first,
+//!   the `count` store on the header line publishes;
 //! * dead-slot reuse: the child-slot store publishes;
 //! * widening/unwidening: the whole node is built aside, flushed, and installed with
 //!   one parent-slot store (see `trie.rs`).
 
 use crate::bits::COMPOUND_BITS;
 use pm::stats::{record_probes, Mapping};
+use pm::CACHE_LINE;
 use recipe::lock::VersionLock;
-use recipe::persist::{span, span_of, PersistMode, Span};
+use recipe::persist::{span_of, PersistMode, Span};
 use recipe::simd::{self, SetBits};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -40,11 +51,14 @@ pub const COMPOUND_CAP: usize = 1024;
 
 /// Capacity classes a compound can be allocated at. Most compounds hold a few
 /// dozen entries; sizing every one for [`COMPOUND_CAP`] made each node pay the
-/// full ~12 KiB footprint (and its widen-install flush bill). [`cap_class`]
+/// full ~16 KiB footprint (and its widen-install flush bill). [`cap_class`]
 /// picks the smallest class with at least half its slots free for appends, and
 /// a full non-max compound is rebuilt at the next class (`regrow` in `trie.rs`)
 /// instead of falling back to plain nodes.
 pub const CAP_CLASSES: [usize; 3] = [64, 256, COMPOUND_CAP];
+
+/// Slots per [`Group`] line.
+pub const GROUP_SLOTS: usize = 4;
 
 /// The capacity class for a compound built from `n` entries: the smallest class
 /// keeping at least half the slots free for later appends (the largest class is
@@ -72,8 +86,34 @@ pub fn prefix_mask(depth: u32) -> u16 {
 /// One gathered entry: `(pkey, mask, tagged child word)`.
 pub type Entry = (u16, u16, usize);
 
-/// A compound node. See the module docs for the layout and publish protocols.
-pub struct Compound {
+/// One line of a compound's slot array: four consecutive slots (slot `i` is lane
+/// `i % 4` of group `i / 4`).
+#[repr(C, align(64))]
+pub struct Group {
+    /// Partial keys, one `u16` lane per slot.
+    pkeys: AtomicU64,
+    /// Prefix masks, packed like `pkeys`.
+    masks: AtomicU64,
+    /// Tagged child words (leaf / node / compound), 0 = dead or unpublished.
+    children: [AtomicUsize; GROUP_SLOTS],
+}
+
+impl Group {
+    const fn empty() -> Group {
+        Group {
+            pkeys: AtomicU64::new(0),
+            masks: AtomicU64::new(0),
+            children: [const { AtomicUsize::new(0) }; GROUP_SLOTS],
+        }
+    }
+}
+
+/// A compound node: the header line, then `G`, its group lines. The trie holds it
+/// as `Compound<[Group]>`, whose slice length is `cap / 4`; a block is allocated
+/// as the sized `Compound<[Group; cap / 4]>` of its class. See the module docs for
+/// the layout and publish protocols.
+#[repr(C, align(64))]
+pub struct Compound<G: ?Sized = [Group]> {
     /// First bit of the window (absolute position in the key).
     pub bit_pos: u32,
     /// Set (under the parent's and this node's locks) once the node has been
@@ -90,15 +130,19 @@ pub struct Compound {
     pub sorted: u32,
     /// This node's capacity class (see [`cap_class`]); immutable after alloc.
     cap: u32,
-    /// Partial keys, 4 `u16` lanes per word (slot `i` = lane `i % 4` of word
-    /// `i / 4`), `cap / 4` words.
-    pub pkeys: Box<[AtomicU64]>,
-    /// Prefix masks, packed like `pkeys`.
-    pub masks: Box<[AtomicU64]>,
-    /// Tagged child words (leaf / node / compound), 0 = dead or unpublished;
-    /// `cap` slots.
-    pub children: Box<[AtomicUsize]>,
+    /// The slot array, `cap / 4` group lines.
+    groups: G,
 }
+
+/// The sized block of the capacity class with `G` group lines.
+type Block<const G: usize> = Compound<[Group; G]>;
+
+const _: () = {
+    assert!(std::mem::size_of::<Group>() == CACHE_LINE, "a group is one line");
+    assert!(std::mem::size_of::<Block<0>>() == CACHE_LINE, "the header is one line");
+    assert!(std::mem::size_of::<Block<16>>() == 17 * CACHE_LINE);
+    assert!(std::mem::size_of::<Block<{ COMPOUND_CAP / GROUP_SLOTS }>>() == 257 * CACHE_LINE);
+};
 
 impl Compound {
     /// Allocate a compound privately from prefix-free, pkey-sorted `entries`.
@@ -113,25 +157,61 @@ impl Compound {
                 debug_assert_ne!(a.0 & common, b.0 & common, "entries must be prefix-free");
             }
         }
-        let cap = cap_class(entries.len());
-        let c = pm::alloc::pm_box(Compound {
+        let n = entries.len();
+        let c = match cap_class(n) {
+            64 => Self::alloc_block::<16>(bit_pos, n),
+            256 => Self::alloc_block::<64>(bit_pos, n),
+            _ => Self::alloc_block::<{ COMPOUND_CAP / GROUP_SLOTS }>(bit_pos, n),
+        };
+        // SAFETY: freshly allocated, uniquely owned until published.
+        let node = unsafe { &*c };
+        for (slot, &entry) in entries.iter().enumerate() {
+            node.set_slot(slot, entry);
+        }
+        c
+    }
+
+    fn alloc_block<const G: usize>(bit_pos: u32, n: usize) -> *mut Compound {
+        pm::alloc::pm_line_box::<Block<G>>(Compound {
             bit_pos,
             obsolete: AtomicBool::new(false),
             lock: VersionLock::new(),
-            count: AtomicU32::new(entries.len() as u32),
-            sorted: entries.len() as u32,
-            cap: cap as u32,
-            pkeys: (0..cap / 4).map(|_| AtomicU64::new(0)).collect(),
-            masks: (0..cap / 4).map(|_| AtomicU64::new(0)).collect(),
-            children: (0..cap).map(|_| AtomicUsize::new(0)).collect(),
-        });
-        // SAFETY: freshly allocated, uniquely owned until published.
-        let node = unsafe { &*c };
-        for (i, &(pkey, mask, child)) in entries.iter().enumerate() {
-            node.set_lanes(i, pkey, mask);
-            node.children[i].store(child, Ordering::Relaxed);
+            count: AtomicU32::new(n as u32),
+            sorted: n as u32,
+            cap: (G * GROUP_SLOTS) as u32,
+            groups: [const { Group::empty() }; G],
+        })
+    }
+
+    /// The compound whose block starts at `addr`.
+    ///
+    /// # Safety
+    /// `addr` is the address of a block [`Compound::alloc`] returned that is not
+    /// freed yet.
+    #[inline]
+    pub(crate) unsafe fn from_addr<'a>(addr: usize) -> &'a Compound {
+        // SAFETY: caller contract; the header is the same in every class, and `cap`
+        // is immutable after alloc.
+        let groups = unsafe { (*(addr as *const Block<0>)).cap } as usize / GROUP_SLOTS;
+        // SAFETY: the block holds the header and `groups` group lines.
+        unsafe {
+            &*(std::ptr::slice_from_raw_parts(addr as *const Group, groups) as *const Compound)
         }
-        c
+    }
+
+    /// Free the block of `c` through its class's type, as allocated.
+    ///
+    /// # Safety
+    /// `c` came from [`Compound::alloc`], is freed once, and no thread can reach it.
+    pub(crate) unsafe fn free(c: *const Compound) {
+        // SAFETY: caller contract; each class is freed as the type it was allocated as.
+        unsafe {
+            match (*c).cap() {
+                64 => pm::alloc::pm_line_drop(c as *mut Block<16>),
+                256 => pm::alloc::pm_line_drop(c as *mut Block<64>),
+                _ => pm::alloc::pm_line_drop(c as *mut Block<{ COMPOUND_CAP / GROUP_SLOTS }>),
+            }
+        }
     }
 
     /// This node's capacity class in slots.
@@ -141,55 +221,75 @@ impl Compound {
         self.cap as usize
     }
 
-    /// Total bytes this node occupies (header + lane words + child slots) —
-    /// the footprint the capacity classes exist to shrink.
+    /// Number of published slots, `count` clamped to the capacity.
+    #[inline]
+    #[must_use]
+    pub(crate) fn published(&self) -> usize {
+        (self.count.load(Ordering::Acquire) as usize).min(self.cap())
+    }
+
+    /// Total bytes this node occupies: its header line and group lines — the
+    /// footprint the capacity classes exist to shrink.
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Compound>()
-            + std::mem::size_of_val(&*self.pkeys)
-            + std::mem::size_of_val(&*self.masks)
-            + std::mem::size_of_val(&*self.children)
+        std::mem::size_of_val(self)
     }
 
-    /// Stage the whole node — header and the out-of-line lane/child arrays —
-    /// reporting what [`Compound::alloc`] stored first so the durability tracker
-    /// sees exactly the class-sized footprint. No fence: the node rides on the one
-    /// ahead of the store that installs it.
+    /// Stage the whole block, reporting what [`Compound::alloc`] stored first so
+    /// the durability tracker sees exactly the class-sized footprint. No fence: the
+    /// node rides on the one ahead of the store that installs it.
     pub fn stage<P: PersistMode>(&self) {
-        let filled_by_alloc = || ();
-        P::stage_store(self, filled_by_alloc);
-        P::stage_store(&*self.pkeys, filled_by_alloc);
-        P::stage_store(&*self.masks, filled_by_alloc);
-        P::stage_store(&*self.children, filled_by_alloc);
+        P::stage_store(self, || ());
     }
 
-    /// What installing the node makes reachable: the ranges [`Compound::stage`]
+    /// What installing the node makes reachable: the block [`Compound::stage`]
     /// flushes.
     #[must_use]
-    pub fn covers(&self) -> [Span; 4] {
-        [span(self), span_of(&*self.pkeys), span_of(&*self.masks), span_of(&*self.children)]
+    pub fn covers(&self) -> [Span; 1] {
+        [span_of(self)]
+    }
+
+    /// The group line holding `slot`.
+    #[inline]
+    #[must_use]
+    pub(crate) fn group(&self, slot: usize) -> &Group {
+        &self.groups[slot / GROUP_SLOTS]
+    }
+
+    /// Child word of `slot`.
+    #[inline]
+    #[must_use]
+    pub(crate) fn child(&self, slot: usize) -> &AtomicUsize {
+        &self.group(slot).children[slot % GROUP_SLOTS]
+    }
+
+    /// Child words of the published slots, in slot order.
+    pub(crate) fn children(&self) -> impl Iterator<Item = &AtomicUsize> {
+        self.groups.iter().flat_map(|g| &g.children).take(self.published())
     }
 
     /// Partial key stored at `slot`.
     #[inline]
     pub fn pkey_at(&self, slot: usize) -> u16 {
-        simd::get_lane16(self.pkeys[slot / 4].load(Ordering::Relaxed), slot % 4)
+        simd::get_lane16(self.group(slot).pkeys.load(Ordering::Relaxed), slot % GROUP_SLOTS)
     }
 
     /// Prefix mask stored at `slot`.
     #[inline]
     pub fn mask_at(&self, slot: usize) -> u16 {
-        simd::get_lane16(self.masks[slot / 4].load(Ordering::Relaxed), slot % 4)
+        simd::get_lane16(self.group(slot).masks.load(Ordering::Relaxed), slot % GROUP_SLOTS)
     }
 
-    /// Write the lanes of `slot`. Only legal for unpublished slots (`slot >=
-    /// count`, under the node lock): published lanes are immutable.
-    pub fn set_lanes(&self, slot: usize, pkey: u16, mask: u16) {
-        let (w, l) = (slot / 4, slot % 4);
-        let p = self.pkeys[w].load(Ordering::Relaxed);
-        self.pkeys[w].store(simd::set_lane16(p, l, pkey), Ordering::Release);
-        let m = self.masks[w].load(Ordering::Relaxed);
-        self.masks[w].store(simd::set_lane16(m, l, mask), Ordering::Release);
+    /// Write the lanes and child word of `slot`, all on its group line. Only legal
+    /// for unpublished slots (`slot >= count`, under the node lock): published
+    /// lanes are immutable.
+    pub(crate) fn set_slot(&self, slot: usize, (pkey, mask, child): Entry) {
+        let (g, l) = (self.group(slot), slot % GROUP_SLOTS);
+        g.pkeys
+            .store(simd::set_lane16(g.pkeys.load(Ordering::Relaxed), l, pkey), Ordering::Release);
+        g.masks
+            .store(simd::set_lane16(g.masks.load(Ordering::Relaxed), l, mask), Ordering::Release);
+        g.children[l].store(child, Ordering::Release);
     }
 
     /// Find the live entry matching window value `ext`: `(slot, child, depth)` where
@@ -197,7 +297,7 @@ impl Compound {
     /// per lane actually examined (binary-search steps + compared lanes) under
     /// [`Mapping::HotCompound`].
     pub fn find_child(&self, ext: u16) -> Option<(usize, usize, u32)> {
-        let count = (self.count.load(Ordering::Acquire) as usize).min(self.cap());
+        let count = self.published();
         let sorted = (self.sorted as usize).min(count);
         let mut probes = 0u64;
         let mut hit = None;
@@ -237,17 +337,10 @@ impl Compound {
     ) -> Option<(usize, usize, u32)> {
         let mut base = from & !7;
         while base < to {
-            let w = base / 4;
-            let p0 = self.pkeys[w].load(Ordering::Relaxed);
-            let m0 = self.masks[w].load(Ordering::Relaxed);
-            let (p1, m1) = if w + 1 < self.pkeys.len() {
-                (
-                    self.pkeys[w + 1].load(Ordering::Relaxed),
-                    self.masks[w + 1].load(Ordering::Relaxed),
-                )
-            } else {
-                (0, 0)
-            };
+            // The 8-lane group is two adjacent group lines.
+            let g = base / GROUP_SLOTS;
+            let (p0, m0) = self.lanes(g);
+            let (p1, m1) = if g + 1 < self.groups.len() { self.lanes(g + 1) } else { (0, 0) };
             let lanes = (to - base).min(8);
             let mut mm = simd::masked_eq_mask8(p0, p1, m0, m1, ext) & ((1u32 << lanes) - 1);
             if base < from {
@@ -256,7 +349,7 @@ impl Compound {
             *probes += (lanes - from.saturating_sub(base)) as u64;
             for lane in SetBits(mm) {
                 let slot = base + lane;
-                let child = self.children[slot].load(Ordering::Acquire);
+                let child = self.child(slot).load(Ordering::Acquire);
                 if child != 0 {
                     return Some((slot, child, u32::from(self.mask_at(slot)).count_ones()));
                 }
@@ -266,12 +359,18 @@ impl Compound {
         None
     }
 
+    /// The partial-key and mask words of group line `g`.
+    #[inline]
+    fn lanes(&self, g: usize) -> (u64, u64) {
+        let g = &self.groups[g];
+        (g.pkeys.load(Ordering::Relaxed), g.masks.load(Ordering::Relaxed))
+    }
+
     /// All live entries, sorted by partial key (ascending = key order).
     pub fn live_entries(&self) -> Vec<Entry> {
-        let count = (self.count.load(Ordering::Acquire) as usize).min(self.cap());
-        let mut out = Vec::with_capacity(count);
-        for slot in 0..count {
-            let child = self.children[slot].load(Ordering::Acquire);
+        let mut out = Vec::with_capacity(self.published());
+        for (slot, child) in self.children().enumerate() {
+            let child = child.load(Ordering::Acquire);
             if child != 0 {
                 out.push((self.pkey_at(slot), self.mask_at(slot), child));
             }
@@ -292,7 +391,7 @@ impl Compound {
     /// its lanes) — and merged with the appended tail, which is in arrival order
     /// and short, by selecting its next-larger partial key on demand.
     pub fn walk_from(&self, from: u16, mut f: impl FnMut(u16, usize) -> bool) -> bool {
-        let count = (self.count.load(Ordering::Acquire) as usize).min(self.cap());
+        let count = self.published();
         let sorted = (self.sorted as usize).min(count);
         let reaches = |slot: usize| self.pkey_at(slot) | (!self.mask_at(slot) & FULL_MASK) >= from;
         let (mut si, mut hi) = (0usize, sorted);
@@ -307,7 +406,7 @@ impl Compound {
         let next_appended = |after: Option<u16>| {
             let mut best: Option<(u16, usize)> = None;
             for slot in sorted..count {
-                let child = self.children[slot].load(Ordering::Acquire);
+                let child = self.child(slot).load(Ordering::Acquire);
                 if child == 0 || !reaches(slot) {
                     continue;
                 }
@@ -324,7 +423,7 @@ impl Compound {
                 if si >= sorted {
                     break None;
                 }
-                let child = self.children[si].load(Ordering::Acquire);
+                let child = self.child(si).load(Ordering::Acquire);
                 if child != 0 {
                     break Some((self.pkey_at(si), child));
                 }
@@ -396,7 +495,7 @@ mod tests {
             first
         };
         assert_eq!(min_child(), Some(0x11));
-        c.children[0].store(0, Ordering::Release); // remove the smallest entry
+        c.child(0).store(0, Ordering::Release); // remove the smallest entry
         assert_eq!(c.find_child(10), None);
         assert_eq!(min_child(), Some(0x21));
         assert_eq!(c.live_entries(), vec![(20, FULL_MASK, 0x21), (30, FULL_MASK, 0x31)]);
@@ -417,13 +516,12 @@ mod tests {
         // Appends after the build, in arrival order (what `insert` does under the lock).
         let built = entries.len();
         for (i, pkey) in [20_011u16, 5, 9_000, 801, 30_500].into_iter().enumerate() {
-            c.set_lanes(built + i, pkey, FULL_MASK);
-            c.children[built + i].store(0x9001 + i * 8, Ordering::Release);
+            c.set_slot(built + i, (pkey, FULL_MASK, 0x9001 + i * 8));
         }
         c.count.store((built + 5) as u32, Ordering::Release);
         // Removals leave dead slots that keep their lanes.
         for slot in [0, 7, 8, built + 2] {
-            c.children[slot].store(0, Ordering::Release);
+            c.child(slot).store(0, Ordering::Release);
         }
         let live = c.live_entries();
         assert_eq!(live.len(), built + 5 - 4);
@@ -470,9 +568,8 @@ mod tests {
         let small = unsafe { &*Compound::alloc(0, &entries) };
         assert_eq!(small.cap(), 64);
         // The counter-based evidence: a 10-entry compound occupies well under a
-        // tenth of the 12 KiB a max-class node pays.
-        let max_footprint =
-            std::mem::size_of::<Compound>() + COMPOUND_CAP * 8 + 2 * (COMPOUND_CAP / 4) * 8;
+        // tenth of the 16 KiB a max-class node pays.
+        let max_footprint = std::mem::size_of::<Block<{ COMPOUND_CAP / GROUP_SLOTS }>>();
         assert!(
             small.footprint_bytes() * 10 < max_footprint,
             "{} bytes is not a small footprint",
@@ -491,6 +588,43 @@ mod tests {
         big.stage::<recipe::persist::Pmem>();
         let dbig = pm::stats::snapshot_local().since(&before);
         assert!(dbig.clwb > d.clwb * 4, "class sizes must show up in flush counts");
+    }
+
+    /// Each class is one block that starts on a line and spans exactly its header
+    /// line and one line per four slots, so staging it flushes exactly that many
+    /// lines, and a slot's lanes and child word share its group's line.
+    #[test]
+    fn every_class_is_one_line_aligned_block() {
+        for cap in CAP_CLASSES {
+            let entries: Vec<Entry> = (0..cap as u16 / 2)
+                .map(|i| (i * 17, FULL_MASK, (usize::from(i) << 3) | 1))
+                .collect();
+            let ptr = Compound::alloc(3, &entries);
+            // SAFETY: freshly allocated, test-local; freed below.
+            let c = unsafe { &*ptr };
+            assert_eq!(c.cap(), cap);
+            let addr = ptr.cast::<u8>() as usize;
+            assert_eq!(addr % CACHE_LINE, 0, "class {cap} does not start on a line");
+            let lines = 1 + cap / GROUP_SLOTS;
+            assert_eq!(c.footprint_bytes(), lines * CACHE_LINE, "class {cap}");
+            assert_eq!(pm::flush::lines_spanned(addr, c.footprint_bytes()), lines, "class {cap}");
+            // SAFETY: the block of `c`.
+            assert!(std::ptr::eq(unsafe { Compound::from_addr(addr) }, c));
+            let before = pm::stats::snapshot_local();
+            c.stage::<recipe::persist::Pmem>();
+            assert_eq!(pm::stats::snapshot_local().since(&before).clwb, lines as u64);
+            for slot in [0, 5, cap / 2 - 1] {
+                let line = pm::line_of(c.group(slot) as *const Group as usize);
+                assert_eq!(line, addr + CACHE_LINE * (1 + slot / GROUP_SLOTS));
+                assert_eq!(pm::line_of(c.child(slot) as *const AtomicUsize as usize), line);
+                assert_eq!(
+                    c.find_child(entries[slot].0),
+                    Some((slot, entries[slot].2, COMPOUND_BITS))
+                );
+            }
+            // SAFETY: allocated above, never published.
+            unsafe { Compound::free(ptr) };
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! Flushes and fences follow one discipline — **stage, fence once, publish**
 //! (`recipe::persist`): an object nothing can reach yet (a new leaf, a branch node, a
-//! compound, an unpublished compound slot's lanes) is staged and becomes durable
+//! compound, an unpublished compound slot's group line) is staged and becomes durable
 //! under the single fence `PersistMode::publish` issues ahead of the store that makes
 //! it reachable, which checks its `covers` durable under the tracker. Every
 //! structural change publishes through `Hot::publish_in_parent`.
@@ -50,7 +50,7 @@ const FANOUT: usize = 1 << MAX_BITS;
 const MIN_WIDEN_ENTRIES: usize = 4;
 
 /// Attempt widening on every `WIDEN_PERIOD`-th branch insertion. A max-class
-/// compound is ~12 KiB (~190 cache lines at [`COMPOUND_CAP`] entries) — and even
+/// compound is ~16 KiB (257 cache lines at [`COMPOUND_CAP`] entries) — and even
 /// the smallest capacity class is several lines — so installs must be rare
 /// enough that flushing one amortizes to a few cache lines per insert.
 const WIDEN_PERIOD: usize = 64;
@@ -86,9 +86,20 @@ fn leaf_of(word: usize) -> *const Leaf {
     (word & !0b11) as *const Leaf
 }
 
+/// The compound a tagged word names.
+///
+/// # Safety
+/// `word` is a compound word of this trie whose block is not freed yet.
 #[inline]
-fn compound_of(word: usize) -> *const Compound {
-    (word & !0b11) as *const Compound
+unsafe fn compound_of<'a>(word: usize) -> &'a Compound {
+    // SAFETY: caller contract.
+    unsafe { Compound::from_addr(word & !0b11) }
+}
+
+/// The tagged word naming compound `c`.
+#[inline]
+fn compound_word(c: *const Compound) -> usize {
+    c.cast::<u8>() as usize | 0b10
 }
 
 /// First discriminative bit of the non-leaf subtree rooted at `word`.
@@ -97,7 +108,7 @@ fn subtree_start(word: usize) -> u32 {
     debug_assert!(word != 0 && !is_leaf(word));
     if is_compound(word) {
         // SAFETY: freed only when the trie drops.
-        unsafe { &*compound_of(word) }.bit_pos
+        unsafe { compound_of(word) }.bit_pos
     } else {
         // SAFETY: freed only when the trie drops.
         unsafe { &*(word as *const Node) }.bit_pos
@@ -120,12 +131,12 @@ fn alloc_leaf<'a, P: PersistMode>(key: &[u8], value: u64) -> (&'a Leaf, usize) {
 /// # Safety
 /// `word` names an object this trie allocated, freed once, that no thread can reach.
 unsafe fn free_one(word: usize) {
-    // SAFETY: caller contract; leaves are slab blocks, nodes and compounds boxes.
+    // SAFETY: caller contract; leaves and compounds are line blocks, nodes boxes.
     unsafe {
         if is_leaf(word) {
             Leaf::free(leaf_of(word) as *mut Leaf);
         } else if is_compound(word) {
-            pm::alloc::pm_drop(compound_of(word) as *mut Compound);
+            Compound::free(compound_of(word));
         } else {
             pm::alloc::pm_drop(word as *mut Node);
         }
@@ -148,16 +159,16 @@ unsafe fn free_subtree(word: usize) {
             return;
         }
         inner.push(word);
-        let children: &[AtomicUsize] = if is_compound(word) {
+        if is_compound(word) {
             // SAFETY: nothing is freed until the walk ends.
-            let c = unsafe { &*compound_of(word) };
-            &c.children[..(c.count.load(Ordering::Acquire) as usize).min(c.cap())]
+            for slot in unsafe { compound_of(word) }.children() {
+                collect(slot.load(Ordering::Acquire), inner, leaves);
+            }
         } else {
             // SAFETY: as above.
-            &unsafe { &*(word as *const Node) }.children
-        };
-        for slot in children {
-            collect(slot.load(Ordering::Acquire), inner, leaves);
+            for slot in &unsafe { &*(word as *const Node) }.children {
+                collect(slot.load(Ordering::Acquire), inner, leaves);
+            }
         }
     }
     let (mut inner, mut leaves) = (Vec::new(), Vec::new());
@@ -216,7 +227,7 @@ impl Step {
             // SAFETY: freed only when the trie drops.
             Step::Node(n, i) => unsafe { &*n }.children[i].load(Ordering::Acquire),
             // SAFETY: freed only when the trie drops.
-            Step::Cpd(c, i, _) => unsafe { &*c }.children[i].load(Ordering::Acquire),
+            Step::Cpd(c, i, _) => unsafe { &*c }.child(i).load(Ordering::Acquire),
         }
     }
 }
@@ -315,7 +326,7 @@ impl<P: PersistMode> Hot<P> {
             pm::stats::record_node_visit();
             if is_compound(word) {
                 // SAFETY: compounds are never freed while the trie is alive.
-                let c = unsafe { &*compound_of(word) };
+                let c = unsafe { compound_of(word) };
                 let ext = extract_wide(key, c.bit_pos, COMPOUND_BITS);
                 match c.find_child(ext) {
                     Some((_, child, _)) => word = child,
@@ -366,7 +377,7 @@ impl<P: PersistMode> Hot<P> {
                 pm::stats::record_node_visit();
                 if is_compound(word) {
                     // SAFETY: freed only when the trie drops.
-                    let c = unsafe { &*compound_of(word) };
+                    let c = unsafe { compound_of(word) };
                     let ext = extract_wide(key, c.bit_pos, COMPOUND_BITS);
                     match c.find_child(ext) {
                         Some((slot, child, depth)) => {
@@ -494,11 +505,11 @@ impl<P: PersistMode> Hot<P> {
             // Replaced, or a concurrent writer published a matching entry: re-descend.
             return Append::Retry;
         }
-        let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
+        let count = c.published();
         // Published lanes are immutable, so a dead (removed) slot is only reusable
         // when its lanes already equal the entry being inserted.
         let reuse = (0..count).find(|&i| {
-            c.children[i].load(Ordering::Acquire) == 0
+            c.child(i).load(Ordering::Acquire) == 0
                 && c.pkey_at(i) == ext
                 && c.mask_at(i) == FULL_MASK
         });
@@ -507,7 +518,7 @@ impl<P: PersistMode> Hot<P> {
                 let (new, leaf) = alloc_leaf::<P>(key, value);
                 P::crash_site("hot.insert.leaf_persisted");
                 // Commit = one atomic child-slot store.
-                let slot = &c.children[slot];
+                let slot = c.child(slot);
                 P::publish(
                     slot,
                     || slot.store(leaf, Ordering::Release),
@@ -517,19 +528,15 @@ impl<P: PersistMode> Hot<P> {
                 Append::Inserted
             }
             None if count < c.cap() => {
-                // Slot `count` is unpublished: lanes and child can be written in any
-                // order; the `count` store is the single publishing atomic store.
-                // Lanes, leaf and child pointer are staged under the one fence
-                // ahead of it.
-                let (pkeys, masks) = (&c.pkeys[count / 4], &c.masks[count / 4]);
-                P::stage_store(pkeys, || c.set_lanes(count, ext, FULL_MASK));
-                P::stage_store(masks, || ());
+                // Slot `count` is unpublished: its lanes and child share one group
+                // line and can be written in any order; the `count` store on the
+                // header line is the single publishing atomic store. The leaf and
+                // the group line are staged under the one fence ahead of it.
                 let (new, leaf) = alloc_leaf::<P>(key, value);
                 P::crash_site("hot.insert.leaf_persisted");
-                P::stage_store(&c.children[count], || {
-                    c.children[count].store(leaf, Ordering::Release)
-                });
-                let covers = new.covers().into_iter().chain([span(pkeys), span(masks)]);
+                let group = c.group(count);
+                P::stage_store(group, || c.set_slot(count, (ext, FULL_MASK, leaf)));
+                let covers = new.covers().into_iter().chain([span(group)]);
                 let publish = || c.count.store(count as u32 + 1, Ordering::Release);
                 P::publish(&c.count, publish, covers, "hot.insert.slot_committed");
                 Append::Inserted
@@ -571,7 +578,7 @@ impl<P: PersistMode> Hot<P> {
             Some(Step::Cpd(c, idx, _)) => {
                 // SAFETY: freed only when the trie drops.
                 let c = unsafe { &*c };
-                (&c.children[idx], &c.lock, Some(&c.obsolete))
+                (c.child(idx), &c.lock, Some(&c.obsolete))
             }
         };
         let _g = lock.lock();
@@ -715,7 +722,7 @@ impl<P: PersistMode> Hot<P> {
         while boundary > 0 {
             let above = match path[boundary - 1] {
                 Step::Node(n, _) => n as usize,
-                Step::Cpd(c, _, _) => (c as usize) | 0b10,
+                Step::Cpd(c, _, _) => compound_word(c),
             };
             if self.min_key(above).is_some() {
                 break;
@@ -734,7 +741,7 @@ impl<P: PersistMode> Hot<P> {
         if boundary > 0 {
             let parent_word = match path[boundary - 1] {
                 Step::Node(n, _) => n as usize,
-                Step::Cpd(c, _, _) => (c as usize) | 0b10,
+                Step::Cpd(c, _, _) => compound_word(c),
             };
             if let Some(rep) = self.min_key(parent_word) {
                 if let Some(diff) = first_diff_bit(key, rep) {
@@ -787,7 +794,7 @@ impl<P: PersistMode> Hot<P> {
         }
         if is_compound(word) {
             // SAFETY: freed only when the trie drops.
-            let c = unsafe { &*compound_of(word) };
+            let c = unsafe { compound_of(word) };
             {
                 let _g = c.lock.lock();
                 if c.obsolete.swap(true, Ordering::AcqRel) {
@@ -795,10 +802,7 @@ impl<P: PersistMode> Hot<P> {
                 }
             }
             frozen.push(word);
-            let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
-            return c.children[..count]
-                .iter()
-                .all(|s| self.freeze_empty(s.load(Ordering::Acquire), frozen));
+            return c.children().all(|s| self.freeze_empty(s.load(Ordering::Acquire), frozen));
         }
         // SAFETY: freed only when the trie drops.
         let node = unsafe { &*(word as *const Node) };
@@ -824,7 +828,7 @@ impl<P: PersistMode> Hot<P> {
     fn set_obsolete(word: usize, on: bool) {
         let flag = if is_compound(word) {
             // SAFETY: freed only when the trie drops.
-            &unsafe { &*compound_of(word) }.obsolete
+            &unsafe { compound_of(word) }.obsolete
         } else {
             // SAFETY: freed only when the trie drops.
             &unsafe { &*(word as *const Node) }.obsolete
@@ -991,7 +995,7 @@ impl<P: PersistMode> Hot<P> {
         P::crash_site("hot.widen.flushed");
 
         // Install: one atomic parent-slot store.
-        let cword = (cptr as usize) | 0b10;
+        let cword = compound_word(cptr);
         let covers = compound.covers();
         if !self.publish_in_parent(parent, target as usize, cword, covers, "hot.widen.committed") {
             // SAFETY: never published.
@@ -1069,7 +1073,7 @@ impl<P: PersistMode> Hot<P> {
                 // cannot fill a slot after we drop it from the compound.
                 if is_compound(child) {
                     // SAFETY: freed only when the trie drops.
-                    let c: &'static Compound = unsafe { &*compound_of(child) };
+                    let c: &'static Compound = unsafe { compound_of(child) };
                     let Some(g) = c.lock.try_lock() else { return Err(WidenOutcome::Busy) };
                     if c.obsolete.load(Ordering::Acquire) {
                         return Err(WidenOutcome::Busy);
@@ -1137,7 +1141,7 @@ impl<P: PersistMode> Hot<P> {
     fn flatten_rec(&self, word: usize, parent: Option<Step>) {
         if is_compound(word) {
             // SAFETY: freed only when the trie drops.
-            let c: &'static Compound = unsafe { &*compound_of(word) };
+            let c: &'static Compound = unsafe { compound_of(word) };
             {
                 let _g = c.lock.lock();
                 if !c.obsolete.load(Ordering::Acquire) {
@@ -1190,10 +1194,9 @@ impl<P: PersistMode> Hot<P> {
             return;
         }
         // SAFETY: freed only when the trie drops.
-        let c: &'static Compound = unsafe { &*compound_of(word) };
-        let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
-        for slot in 0..count {
-            let child = c.children[slot].load(Ordering::Acquire);
+        let c: &'static Compound = unsafe { compound_of(word) };
+        for (slot, child) in c.children().enumerate() {
+            let child = child.load(Ordering::Acquire);
             if child != 0 && !is_leaf(child) {
                 let depth = u32::from(c.mask_at(slot)).count_ones();
                 self.widen_all_rec(child, Some(Step::Cpd(c, slot, depth)));
@@ -1216,8 +1219,8 @@ impl<P: PersistMode> Hot<P> {
         compound.stage::<P>();
         P::crash_site("hot.widen.flushed");
 
-        let old = (c as *const Compound as usize) | 0b10;
-        let new = (cptr as usize) | 0b10;
+        let old = compound_word(c);
+        let new = compound_word(cptr);
         if !self.publish_in_parent(parent, old, new, compound.covers(), "hot.widen.committed") {
             // SAFETY: never published.
             unsafe { free_one(new) };
@@ -1243,7 +1246,7 @@ impl<P: PersistMode> Hot<P> {
         }
         P::crash_site("hot.widen.flushed");
 
-        let cword = (c as *const Compound as usize) | 0b10;
+        let cword = compound_word(c);
         let covers = created.iter().map(|&n| span(n));
         if !self.publish_in_parent(parent, cword, word, covers, "hot.widen.committed") {
             for n in created {
@@ -1287,7 +1290,7 @@ impl<P: PersistMode> Hot<P> {
             loop {
                 if is_compound(word) {
                     // SAFETY: freed only when the trie drops.
-                    let c = unsafe { &*compound_of(word) };
+                    let c = unsafe { compound_of(word) };
                     let ext = extract_wide(key, c.bit_pos, COMPOUND_BITS);
                     let Some((slot, child, _)) = c.find_child(ext) else { return false };
                     if is_leaf(child) {
@@ -1298,11 +1301,11 @@ impl<P: PersistMode> Hot<P> {
                         }
                         let _g = c.lock.lock();
                         if c.obsolete.load(Ordering::Acquire)
-                            || c.children[slot].load(Ordering::Acquire) != child
+                            || c.child(slot).load(Ordering::Acquire) != child
                         {
                             break; // re-descend
                         }
-                        let slot = &c.children[slot];
+                        let slot = c.child(slot);
                         P::persist_store(slot, || slot.store(0, Ordering::Release));
                         self.retire(child, false);
                         P::crash_site("hot.remove.committed");
@@ -1377,7 +1380,7 @@ impl<P: PersistMode> Hot<P> {
         // silently drop every live key under the subtree.
         if is_compound(word) {
             // SAFETY: freed only when the trie drops.
-            let c = unsafe { &*compound_of(word) };
+            let c = unsafe { compound_of(word) };
             let mut found = None;
             c.walk_from(0, |_, child| {
                 found = self.min_key(child);
@@ -1416,7 +1419,7 @@ impl<P: PersistMode> Hot<P> {
         pm::stats::record_node_visit();
         if is_compound(word) {
             // SAFETY: freed only when the trie drops.
-            let c = unsafe { &*compound_of(word) };
+            let c = unsafe { compound_of(word) };
             let mut bounded = bounded;
             if bounded {
                 if let Some(rep) = self.min_key(word) {
@@ -1472,11 +1475,10 @@ impl<P: PersistMode> Hot<P> {
             }
             if is_compound(word) {
                 // SAFETY: freed only when the trie drops.
-                let c = unsafe { &*compound_of(word) };
+                let c = unsafe { compound_of(word) };
                 c.lock.force_unlock();
                 c.obsolete.store(false, Ordering::Relaxed);
-                let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
-                for slot in &c.children[..count] {
+                for slot in c.children() {
                     walk(slot.load(Ordering::Acquire));
                 }
                 return;
@@ -1504,9 +1506,8 @@ impl<P: PersistMode> Hot<P> {
             }
             if is_compound(word) {
                 // SAFETY: freed only when the trie drops.
-                let c = unsafe { &*compound_of(word) };
-                let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
-                return c.children[..count].iter().map(|s| walk(s.load(Ordering::Acquire))).sum();
+                let c = unsafe { compound_of(word) };
+                return c.children().map(|s| walk(s.load(Ordering::Acquire))).sum();
             }
             // SAFETY: freed only when the trie drops.
             let node = unsafe { &*(word as *const Node) };
@@ -1530,10 +1531,9 @@ impl<P: PersistMode> Hot<P> {
             }
             if is_compound(word) {
                 // SAFETY: freed only when the trie drops.
-                let c = unsafe { &*compound_of(word) };
-                let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
-                return 1 + c.children[..count]
-                    .iter()
+                let c = unsafe { compound_of(word) };
+                return 1 + c
+                    .children()
                     .map(|s| walk(s.load(Ordering::Acquire)))
                     .max()
                     .unwrap_or(0);
@@ -1555,12 +1555,8 @@ impl<P: PersistMode> Hot<P> {
             }
             if is_compound(word) {
                 // SAFETY: freed only when the trie drops.
-                let c = unsafe { &*compound_of(word) };
-                let count = (c.count.load(Ordering::Acquire) as usize).min(c.cap());
-                return 1 + c.children[..count]
-                    .iter()
-                    .map(|s| walk(s.load(Ordering::Acquire)))
-                    .sum::<usize>();
+                let c = unsafe { compound_of(word) };
+                return 1 + c.children().map(|s| walk(s.load(Ordering::Acquire))).sum::<usize>();
             }
             // SAFETY: freed only when the trie drops.
             let node = unsafe { &*(word as *const Node) };
@@ -1578,7 +1574,8 @@ impl<P: PersistMode> Hot<P> {
         let bytes = if is_leaf(word) {
             std::mem::size_of::<Leaf>()
         } else if is_compound(word) {
-            std::mem::size_of::<Compound>()
+            // SAFETY: unlinked, not yet freed.
+            unsafe { compound_of(word) }.footprint_bytes()
         } else {
             std::mem::size_of::<Node>()
         };
@@ -1759,6 +1756,36 @@ mod tests {
         // must be small and nonzero.
         let per = d.clwb as f64 / 1_000.0;
         assert!((2.0..=12.0).contains(&per), "unexpected clwb per insert: {per}");
+    }
+
+    /// A compound append with free capacity flushes the leaf, the slot's group line
+    /// (its lanes and child word) and `count`'s header line: 3 lines under 2 fences,
+    /// in every capacity class.
+    #[test]
+    fn compound_append_flushes_three_lines_under_two_fences() {
+        for (groups, cap) in [(4u64, 64), (7, 256), (31, 1024)] {
+            let t: Hot<Pmem> = Hot::new();
+            let key = |i: u64, m: u64| u64_key((i << 40) | (m << 34));
+            for i in 1..=groups {
+                for m in 0..8 {
+                    assert!(t.insert(&key(i, m), i));
+                }
+            }
+            t.widen_all();
+            let root = t.root.load(Ordering::Acquire);
+            assert!(is_compound(root), "{groups} groups settle into one root compound");
+            // SAFETY: freed only when the trie drops.
+            let c = unsafe { compound_of(root) };
+            assert_eq!(c.cap(), cap);
+            let count = c.published();
+            assert!(count < cap);
+            let before = pm::stats::snapshot_local();
+            assert!(t.insert(&key(1, 8), 0));
+            let d = pm::stats::snapshot_local().since(&before);
+            assert_eq!(c.published(), count + 1, "the insert appended to the root compound");
+            assert_eq!((d.clwb, d.fence), (3, 2), "class {cap}");
+            assert_eq!(t.get(&key(1, 8)), Some(0));
+        }
     }
 
     #[test]

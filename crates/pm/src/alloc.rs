@@ -24,15 +24,17 @@
 //! pool only when a per-class count says it holds a batch. Any other type passed to
 //! it (unaligned, over-aligned or larger) goes through `Box`.
 //!
-//! The slab serves P-BwTree's delta records and page headers, P-Masstree's nodes, and
-//! the one-line leaves of P-ART and P-HOT (`recipe::key::Leaf`). [`pm_box`] keeps
-//! every type on the global heap, and the line-aligned nodes that predate the slab
-//! (the tries' inner nodes, P-CLHT's buckets, CCEH's segments) stay there: on the
-//! slab, P-ART's inner nodes pack densely enough to speed its reads by a fifth
-//! against FAST & FAIR, which moves the paper-shape orderings `shape_check` gates
-//! (P-HOT's read ratio against the best ordered index) until those gates are
-//! re-fitted. A leaf is read once per lookup, after the descent, so where it lives
-//! does not move them.
+//! The slab serves P-BwTree's delta records and page headers, P-Masstree's nodes,
+//! the one-line leaves of P-ART and P-HOT (`recipe::key::Leaf`), and P-HOT's
+//! compound nodes, one line-aligned block per capacity class (the 64-slot class from
+//! the slab, the 256- and 1024-slot classes, larger than [`SLAB_MAX`], from `Box`
+//! at the same alignment). [`pm_box`] keeps every type on the global heap, and the
+//! line-aligned nodes that predate the slab (the tries' plain inner nodes, P-CLHT's
+//! buckets, CCEH's segments) stay there: on the slab, P-ART's inner nodes pack
+//! densely enough to speed its reads by a fifth against FAST & FAIR, which moves the
+//! paper-shape orderings `shape_check` gates (P-HOT's read ratio against the best
+//! ordered index) until those gates are re-fitted. A leaf is read once per lookup,
+//! after the descent, so where it lives does not move them.
 //!
 //! # Reclamation model
 //!
