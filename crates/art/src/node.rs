@@ -13,15 +13,16 @@
 //!
 //! * adding a child writes the key byte / slot first and *commits* with the child
 //!   pointer (or slot-index, or `count`) store; the fence ahead of the commit is
-//!   also the fence a freshly flushed, still unreachable child rides on
-//!   ([`NodeRef::add_child`]);
+//!   also the fence a freshly flushed, still unreachable child rides on, and a
+//!   prepared word on the committing word's line is stored just ahead of it and
+//!   persists with its flush ([`NodeRef::add_child`]);
 //! * removing a child clears the pointer/slot atomically;
 //! * growing a node copies it and the parent's slot is swapped by the caller — the old
 //!   node is marked obsolete so writers that still hold its lock restart.
 
 use recipe::key::Leaf;
 use recipe::lock::VersionLock;
-use recipe::persist::{Dram, PersistMode, Span};
+use recipe::persist::{assert_same_line, span_of, Dram, PersistMode, Span};
 use recipe::simd::SetBits;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
 
@@ -92,6 +93,9 @@ pub unsafe fn leaf_ref<'a>(word: usize) -> &'a Leaf {
     unsafe { &*((word & !1) as *const Leaf) }
 }
 
+/// An empty [`Span`]: nothing to check.
+const NONE: Span = (std::ptr::null(), 0);
+
 /// What linking `child` makes reachable: a leaf's line and spilled key. An inner
 /// node is covered by the tree, which built it.
 #[inline]
@@ -100,23 +104,28 @@ fn leaf_covers(child: usize) -> [Span; 2] {
         // SAFETY: `child` is a leaf word the calling insert allocated.
         unsafe { leaf_ref(child) }.covers()
     } else {
-        [(std::ptr::null(), 0); 2]
+        [NONE; 2]
     }
 }
 
 /// Common header shared (as the first field) by all inner node types.
 ///
-/// Field order is cacheline-conscious: `count` sits **last** so that in every node
-/// type it is adjacent to the key material that follows the header (the packed key
-/// words of Node4/Node16, the byte index of Node48). A lookup's intra-node search
-/// reads exactly `count` + keys, so placing them on the same 64-byte line keeps the
-/// search to a single likely-cold line; the layout test below pins this.
+/// Field order is cacheline-conscious: `count` fills the two bytes after `tag` and
+/// `obsolete`, so the header is 24 bytes and, in every node type, the key material
+/// that follows it (the packed key words of Node4/Node16, the byte index of
+/// Node48) starts on `count`'s line. A lookup's intra-node search reads exactly
+/// `count` + keys, one likely-cold line. An add stores a Node4/16 key byte (and a
+/// child pointer on line 0) just ahead of `count` and persists all of them with
+/// one flush of that line. `Node4` is exactly that one line; the `const` asserts
+/// below pin the layout.
 #[repr(C)]
 pub struct NodeHeader {
     /// Node kind.
     pub tag: NodeTag,
     /// Set when the node has been replaced (grown) and must no longer be modified.
     pub obsolete: AtomicBool,
+    /// Number of child slots ever used (holes from deletions are reused).
+    pub count: AtomicU16,
     /// Key-byte index at which this node branches in the *decompressed* radix tree:
     /// `level == depth + prefix_len` for a consistent node. Never modified after
     /// creation; readers and the Condition-#3 helper use it to detect (and repair)
@@ -127,9 +136,6 @@ pub struct NodeHeader {
     /// Packed compressed prefix (see [`pack_prefix`]). A single atomic word so prefix
     /// truncation — step 2 of the path-compression split — is one atomic store.
     pub prefix: AtomicU64,
-    /// Number of child slots ever used (holes from deletions are reused). Kept last:
-    /// see the struct-level layout note.
-    pub count: AtomicU16,
 }
 
 impl NodeHeader {
@@ -137,10 +143,10 @@ impl NodeHeader {
         NodeHeader {
             tag,
             obsolete: AtomicBool::new(false),
+            count: AtomicU16::new(0),
             level,
             lock: VersionLock::new(),
             prefix: AtomicU64::new(pack_prefix(prefix)),
-            count: AtomicU16::new(0),
         }
     }
 
@@ -151,7 +157,8 @@ impl NodeHeader {
 }
 
 /// 4-way node. Key bytes are packed into one atomic word (byte lane `i` = slot `i`)
-/// so a search is one `Acquire` load + a branch-free compare.
+/// so a search is one `Acquire` load + a branch-free compare. The whole node is one
+/// 64-byte line: header, key word and the four child pointers.
 #[repr(C, align(64))]
 pub struct Node4 {
     /// Shared header.
@@ -161,7 +168,8 @@ pub struct Node4 {
 }
 
 /// 16-way node. Key bytes are packed into two atomic words (slot `i` = byte lane
-/// `i % 8` of word `i / 8`), searched with one vectorized compare.
+/// `i % 8` of word `i / 8`), searched with one vectorized compare. Both key words
+/// and the first three child pointers share `count`'s line.
 #[repr(C, align(64))]
 pub struct Node16 {
     /// Shared header.
@@ -192,6 +200,15 @@ pub struct Node256 {
     pub hdr: NodeHeader,
     children: [AtomicUsize; 256],
 }
+
+const _: () = {
+    use std::mem::{offset_of, size_of};
+    assert!(size_of::<NodeHeader>() == 24, "the header leaves 40 bytes of line 0");
+    assert!(offset_of!(NodeHeader, count) + 2 <= pm::CACHE_LINE);
+    assert!(size_of::<Node4>() == pm::CACHE_LINE, "a Node4 is one line");
+    assert!(offset_of!(Node16, keys) + 16 <= pm::CACHE_LINE, "Node16 keys on line 0");
+    assert!(offset_of!(Node48, index) < pm::CACHE_LINE, "Node48 index starts on line 0");
+};
 
 macro_rules! zeroed_array {
     ($ty:ty, $n:expr) => {{
@@ -510,10 +527,13 @@ impl NodeRef {
     /// Add a child for key byte `b`. Must be called with the node lock held and only
     /// when [`NodeRef::is_full`] is false and `b` is not already present.
     ///
-    /// `P` drives the RECIPE conversion: preparatory stores (key byte, child slot)
-    /// are staged, and the commit is a `PersistMode::publish` whose leading fence
-    /// also covers the new leaf, which arrives staged. Private, not yet reachable
-    /// nodes are filled with `P = Dram` and staged whole by their builder.
+    /// `P` drives the RECIPE conversion: the commit is a `PersistMode::publish`
+    /// whose leading fence also covers the new leaf, which arrives staged. A
+    /// preparatory store (key byte, child slot) on the committing word's line runs
+    /// inside the publish, just ahead of the commit, and persists with its one
+    /// flush (the same-line rule, checked by [`assert_same_line`]); one on another
+    /// line is staged. Private, not yet reachable nodes are filled with `P = Dram`
+    /// and staged whole by their builder.
     pub fn add_child<P: PersistMode>(&self, b: u8, child: usize) -> bool {
         match self.hdr().tag {
             NodeTag::N4 => {
@@ -580,31 +600,49 @@ impl NodeRef {
             None if count < cap => (count, true),
             None => return false,
         };
-        // Key byte first, staged, then the committing store. The byte is spliced
+        // A slot past `count` is published by the `count` store (its key byte and
+        // pointer are invisible until counted), a reused hole by the child pointer
+        // (a counted slot with a null pointer is a hole). The key byte is spliced
         // into its packed word with one atomic store; the word is only written
         // under the node lock, so the read-modify-write cannot race with another
         // writer, and readers see the other lanes unchanged.
-        let (wi, lane) = (slot / 8, slot % 8);
-        let cur = words[wi].load(Ordering::Acquire);
-        P::stage_store(&words[wi], || {
-            words[wi].store(recipe::simd::set_lane8(cur, lane, b), Ordering::Release);
-        });
-        // A slot past `count` is published by the `count` store (its pointer is
-        // staged with the key byte: invisible until counted), a reused hole by the
-        // child pointer (a counted slot with a null pointer is a hole).
-        let store_child = || children[slot].store(child, Ordering::Release);
+        let (key, slot_ptr) = (&words[slot / 8], &children[slot]);
+        let key_word = recipe::simd::set_lane8(key.load(Ordering::Acquire), slot % 8, b);
+        let store_key = || key.store(key_word, Ordering::Release);
+        let store_child = || slot_ptr.store(child, Ordering::Release);
+        // `count` and the key words are on the node's first line, and so is the
+        // child pointer of every Node4 slot and of a Node16's first three. A word
+        // on that line is stored inside the publish, just ahead of the committing
+        // store, and persists with its one flush (checked, not assumed); a Node16
+        // pointer or key byte on another line than the committing word is staged.
+        let line0 = slot_ptr as *const AtomicUsize as usize + 8 <= self.word() + pm::CACHE_LINE;
         if bump_count {
-            P::stage_store(&children[slot], store_child);
-            P::publish(
-                &hdr.count,
-                || {
-                    hdr.count.fetch_add(1, Ordering::Release);
-                },
-                leaf_covers(child),
-                None,
-            );
+            if !line0 {
+                P::stage_store(slot_ptr, store_child);
+            }
+            let prepared = [span_of(key), if line0 { span_of(slot_ptr) } else { NONE }];
+            assert_same_line::<P, _>(&hdr.count, prepared);
+            let commit = || {
+                store_key();
+                if line0 {
+                    store_child();
+                }
+                hdr.count.fetch_add(1, Ordering::Release);
+            };
+            P::publish(&hdr.count, commit, leaf_covers(child), None);
         } else {
-            P::publish(&children[slot], store_child, leaf_covers(child), None);
+            if line0 {
+                assert_same_line::<P, _>(slot_ptr, [span_of(key)]);
+            } else {
+                P::stage_store(key, store_key);
+            }
+            let commit = || {
+                if line0 {
+                    store_key();
+                }
+                store_child();
+            };
+            P::publish(slot_ptr, commit, leaf_covers(child), None);
         }
         true
     }
@@ -714,6 +752,7 @@ impl NodeRef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recipe::persist::Pmem;
 
     /// Every live `(key byte, child)` of `n` from byte `lo` on, as the walk reports them.
     fn children_from(n: &NodeRef, lo: u8) -> Vec<(u8, usize)> {
@@ -841,16 +880,72 @@ mod tests {
     #[test]
     fn count_and_keys_share_the_first_cacheline() {
         // The cacheline-conscious relayout: nodes are 64-byte aligned and the
-        // occupancy count + the key material a search reads all sit in line 0.
+        // occupancy count + the key material a search reads all sit in line 0
+        // (the `const` asserts pin the offsets).
         assert_eq!(std::mem::align_of::<Node4>(), 64);
         assert_eq!(std::mem::align_of::<Node16>(), 64);
         assert_eq!(std::mem::align_of::<Node48>(), 64);
-        let count_off = std::mem::offset_of!(NodeHeader, count);
-        assert!(count_off + 2 <= 64);
-        assert!(std::mem::offset_of!(Node4, keys) + 8 <= 64);
-        assert!(std::mem::offset_of!(Node16, keys) + 16 <= 64);
-        // Node48's index array starts in line 0 right after the header.
-        assert!(std::mem::offset_of!(Node48, index) < 64);
+        // The child slots on line 0: every Node4 slot, a Node16's first three.
+        assert_eq!(std::mem::offset_of!(Node4, children) + 4 * 8, 64);
+        assert_eq!(std::mem::offset_of!(Node16, children) + 3 * 8, 64);
+    }
+
+    /// `(clwb, fence, charged clwb ns)` of one add of byte `b` in PM mode, made as
+    /// the tree makes it: a new leaf is staged, then linked. Runs in a domain of
+    /// its own under the calibrated model with the tracker on, so the publish
+    /// checks the leaf durable and every line it stored ends up flushed and fenced.
+    fn pm_add(n: &NodeRef, b: u8) -> (u64, u64, u64) {
+        let _d = pm::Domain::new().enter();
+        pm::latency::Model::CALIBRATED.install();
+        pm::tracker::enable();
+        let (stats0, charged0) = (pm::stats::snapshot_local(), pm::latency::charged_local());
+        let leaf = Leaf::alloc(&[b], u64::from(b));
+        // SAFETY: freshly allocated.
+        unsafe { leaf.as_ref() }.stage::<Pmem>();
+        assert!(n.add_child::<Pmem>(b, leaf_word(leaf.as_ptr())));
+        let stats = pm::stats::snapshot_local().since(&stats0);
+        let charged = pm::latency::charged_local().since(&charged0);
+        assert!(pm::tracker::check(true).is_durable(), "byte {b}: a stored line left unfenced");
+        pm::tracker::disable();
+        assert_ne!(n.find_child(b), 0);
+        (stats.clwb, stats.fence, charged.clwb_ns)
+    }
+
+    /// Two lines and two fences: the leaf ‖ the node's first line, whose one
+    /// flush persists the key byte and child pointer stored ahead of `count`.
+    const LEAF_AND_LINE0: (u64, u64, u64) = (2, 2, 240);
+    /// A Node16 slot off line 0 stages its pointer (or, for a hole, its key byte)
+    /// on a line of its own under the leaf's fence.
+    const LEAF_SLOT_AND_LINE: (u64, u64, u64) = (3, 2, 360);
+
+    #[test]
+    fn a_node4_add_flushes_the_leaf_and_one_node_line() {
+        // SAFETY: freshly allocated.
+        let n = unsafe { NodeRef::from_word(Node4::alloc(0, b"")) };
+        for slot in 0..4u8 {
+            assert_eq!(pm_add(&n, 10 * slot), LEAF_AND_LINE0, "new slot {slot}");
+        }
+        // A reused hole commits on its child pointer, with the key byte on its line.
+        for slot in 0..4u8 {
+            assert!(n.remove_child::<Dram>(10 * slot));
+            assert_eq!(pm_add(&n, 100 + slot), LEAF_AND_LINE0, "hole at slot {slot}");
+            assert_eq!(n.hdr().count.load(Ordering::Relaxed), 4, "the hole was reused");
+        }
+    }
+
+    #[test]
+    fn a_node16_add_stages_only_what_is_off_line_0() {
+        // SAFETY: freshly allocated.
+        let n = unsafe { NodeRef::from_word(Node16::alloc(0, b"")) };
+        for slot in 0..16u8 {
+            let want = if slot < 3 { LEAF_AND_LINE0 } else { LEAF_SLOT_AND_LINE };
+            assert_eq!(pm_add(&n, slot), want, "new slot {slot}");
+        }
+        for (slot, want) in [(1u8, LEAF_AND_LINE0), (9, LEAF_SLOT_AND_LINE)] {
+            assert!(n.remove_child::<Dram>(slot));
+            assert_eq!(pm_add(&n, 200 + slot), want, "hole at slot {slot}");
+        }
+        assert_eq!(children_from(&n, 0).len(), 16);
     }
 
     #[test]

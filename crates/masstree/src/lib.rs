@@ -383,6 +383,32 @@ mod tests {
         assert!(d.fence > 0);
     }
 
+    /// Every insert that fills the root leaf costs its slot's group line and the
+    /// header line, under two fences; a value update, the value's line and one.
+    #[test]
+    fn a_leaf_insert_flushes_its_pair_line_and_the_header_line() {
+        let _d = pm::Domain::new().enter();
+        pm::latency::Model::CALIBRATED.install();
+        pm::tracker::enable();
+        let t: PMasstree = Masstree::new();
+        let cost = |op: &dyn Fn()| {
+            let (stats0, charged0) = (pm::stats::snapshot_local(), pm::latency::charged_local());
+            op();
+            let stats = pm::stats::snapshot_local().since(&stats0);
+            (stats.clwb, stats.fence, pm::latency::charged_local().since(&charged0).clwb_ns)
+        };
+        // Out of key order, so the permutation splices ranks; 15 entries fill the
+        // leaf without a split.
+        for i in 0..node::WIDTH as u64 {
+            let key = u64_key(pm::mix64(i));
+            assert_eq!(cost(&|| assert!(t.insert(&key, i))), (2, 2, 240), "insert {i}");
+        }
+        assert_eq!(cost(&|| assert!(!t.insert(&u64_key(pm::mix64(3)), 9))), (1, 1, 120));
+        assert!(pm::tracker::check(true).is_durable(), "a stored line left unfenced");
+        pm::tracker::disable();
+        assert_eq!(t.get(&u64_key(pm::mix64(3))), Some(9));
+    }
+
     #[test]
     fn trait_object_and_recover() {
         use recipe::session::IndexExt;

@@ -118,12 +118,14 @@ impl Perm {
 ///
 /// The layout is fixed at five cache lines. The first, the **header line**, holds
 /// every word a commit or a split step stores — `lock`, `perm`, `leftmost`, `next`,
-/// `high` — plus `leaf` and the per-slot length classes; `keys` fill the next two
-/// lines and `vals` the two after. Stores to one line persist in program order (the
-/// line is written back whole), so a length class stored before the permutation that
-/// publishes it needs no flush of its own, and a split's link, high-key and truncate
-/// stores share one flush of the header line — the same rule P-CLHT's value-then-key
-/// commit relies on.
+/// `high` — plus `leaf` and the per-slot length classes. Four **group lines**
+/// follow, each holding four slots' `(key slice, value)` [`Pair`]s, so the two
+/// words an insert prepares share one line and one flush (the sixteenth pair is
+/// unused). Stores to one line persist in program order (the line is written back
+/// whole), so a length class stored before the permutation that publishes it needs
+/// no flush of its own, and a split's link, high-key and truncate stores share one
+/// flush of the header line — the same rule P-CLHT's value-then-key commit relies
+/// on.
 #[repr(C, align(64))]
 pub struct Node {
     /// Writer lock (readers never take it; recovery force-unlocks it).
@@ -142,24 +144,34 @@ pub struct Node {
     leaf: bool,
     /// Per-slot length classes (leaves only; internal nodes leave them 0).
     pub lens: [AtomicU8; WIDTH],
-    _header_pad: [u8; 8],
-    /// Per-slot key slices (leaf) or separator slices (internal).
-    pub keys: [AtomicU64; WIDTH],
-    _keys_pad: [u8; 8],
-    /// Per-slot values: record value or `Layer` pointer (leaf), child pointer
-    /// (internal).
-    pub vals: [AtomicU64; WIDTH],
+    /// Slot `s`'s pair is pair `s % 4` of group line `s / 4` ([`Node::pair`]).
+    groups: [Group; 4],
 }
+
+/// One slot's key slice and value: the two words an insert prepares.
+#[repr(C)]
+#[derive(Default)]
+pub struct Pair {
+    /// Key slice (leaf) or separator slice (internal).
+    pub key: AtomicU64,
+    /// Record value or `Layer` pointer (leaf), child pointer (internal).
+    pub val: AtomicU64,
+}
+
+/// Four slots' pairs: one cache line.
+#[repr(C, align(64))]
+#[derive(Default)]
+struct Group([Pair; 4]);
 
 /// Bytes of a node's header line (see [`Node`]).
 pub const HEADER_BYTES: usize = pm::CACHE_LINE;
 
 const _: () = {
-    use std::mem::offset_of;
+    use std::mem::{offset_of, size_of};
     assert!(offset_of!(Node, lens) + WIDTH <= HEADER_BYTES, "header fits one line");
-    assert!(offset_of!(Node, keys) == HEADER_BYTES, "keys start the second line");
-    assert!(offset_of!(Node, vals) == 3 * pm::CACHE_LINE, "vals share no line with keys");
-    assert!(std::mem::size_of::<Node>() == 5 * pm::CACHE_LINE);
+    assert!(offset_of!(Node, groups) == HEADER_BYTES, "groups start the second line");
+    assert!(size_of::<Group>() == pm::CACHE_LINE && 4 * 4 > WIDTH, "four pairs a line");
+    assert!(size_of::<Node>() == 5 * pm::CACHE_LINE);
 };
 
 impl Node {
@@ -175,11 +187,30 @@ impl Node {
             high: AtomicU64::new(0),
             leaf,
             lens: std::array::from_fn(|_| AtomicU8::new(0)),
-            _header_pad: [0; 8],
-            keys: std::array::from_fn(|_| AtomicU64::new(0)),
-            _keys_pad: [0; 8],
-            vals: std::array::from_fn(|_| AtomicU64::new(0)),
+            groups: Default::default(),
         })
+    }
+
+    /// Slot `s`'s `(key slice, value)` pair, on group line `s / 4`.
+    #[inline]
+    #[must_use]
+    pub fn pair(&self, s: usize) -> &Pair {
+        &self.groups[s / 4].0[s % 4]
+    }
+
+    /// Slot `s`'s key slice (leaf) or separator slice (internal).
+    #[inline]
+    #[must_use]
+    pub fn key(&self, s: usize) -> &AtomicU64 {
+        &self.pair(s).key
+    }
+
+    /// Slot `s`'s value: record value or `Layer` pointer (leaf), child pointer
+    /// (internal).
+    #[inline]
+    #[must_use]
+    pub fn val(&self, s: usize) -> &AtomicU64 {
+        &self.pair(s).val
     }
 
     /// Whether this node is a leaf.
@@ -198,7 +229,7 @@ impl Node {
     #[must_use]
     pub fn entry_key(&self, perm: Perm, rank: usize) -> (u64, u8) {
         let s = perm.slot(rank);
-        (self.keys[s].load(Ordering::Acquire), self.lens[s].load(Ordering::Acquire))
+        (self.key(s).load(Ordering::Acquire), self.lens[s].load(Ordering::Acquire))
     }
 
     /// Binary outcome of a sorted search over the published entries of `perm`:
@@ -223,10 +254,10 @@ impl Node {
         let mut child = self.leftmost.load(Ordering::Acquire);
         for rank in 0..perm.count() {
             let s = perm.slot(rank);
-            if self.keys[s].load(Ordering::Acquire) > slice {
+            if self.key(s).load(Ordering::Acquire) > slice {
                 break;
             }
-            let c = self.vals[s].load(Ordering::Acquire);
+            let c = self.val(s).load(Ordering::Acquire);
             if c != 0 {
                 child = c;
             }
@@ -239,7 +270,7 @@ impl Node {
     pub fn min_slice(&self) -> u64 {
         let perm = self.perm_snapshot();
         debug_assert!(perm.count() > 0);
-        self.keys[perm.slot(0)].load(Ordering::Acquire)
+        self.key(perm.slot(0)).load(Ordering::Acquire)
     }
 
     /// Whether `slice` falls outside this node's key space, i.e. the reader or writer
@@ -339,7 +370,7 @@ mod tests {
         let mut perm = Perm::EMPTY;
         let entries = [(5u64, 2u8), (5, LAYER), (9, 8)];
         for (slot, (k, l)) in entries.iter().enumerate() {
-            node.keys[slot].store(*k, Ordering::Release);
+            node.key(slot).store(*k, Ordering::Release);
             node.lens[slot].store(*l, Ordering::Release);
             perm = perm.insert(slot, slot);
         }

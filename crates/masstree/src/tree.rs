@@ -129,10 +129,11 @@ fn len_class(key: &[u8], off: usize) -> u8 {
 }
 
 /// Write one entry into a free slot of a locked node and publish it with a single
-/// atomic store of the permutation. The key and value words are staged; the length
-/// class sits on the header line with the permutation word, so it persists with the
-/// commit's flush and no later than it. `sites` names the crash sites declared after
-/// the slot is staged and after the commit.
+/// atomic store of the permutation. The slot's key and value share one group line,
+/// staged with one flush; the length class sits on the header line with the
+/// permutation word, so it persists with the commit's flush and no later than it.
+/// `sites` names the crash sites declared after the slot is staged and after the
+/// commit.
 fn insert_entry<P: PersistMode>(
     node: &Node,
     perm: Perm,
@@ -143,10 +144,12 @@ fn insert_entry<P: PersistMode>(
     sites: (&'static str, &'static str),
 ) {
     let slot = perm.free_slot().expect("caller checked the node is not full");
-    let (key, value) = (&node.keys[slot], &node.vals[slot]);
-    P::stage_store(key, || key.store(slice, Ordering::Release));
+    let pair = node.pair(slot);
+    P::stage_store(pair, || {
+        pair.key.store(slice, Ordering::Release);
+        pair.val.store(val, Ordering::Release);
+    });
     node.lens[slot].store(lc, Ordering::Release);
-    P::stage_store(value, || value.store(val, Ordering::Release));
     P::crash_site(sites.0);
     // A new sublayer (`make_chain`) becomes reachable with the entry too.
     let (layer, root) = if lc == LAYER {
@@ -156,7 +159,7 @@ fn insert_entry<P: PersistMode>(
         ((std::ptr::null(), 0), (std::ptr::null(), 0))
     };
     let commit = || node.perm.store(perm.insert(rank, slot).0, Ordering::Release);
-    P::publish(&node.perm, commit, [span(key), span(value), layer, root], sites.1);
+    P::publish(&node.perm, commit, [span(pair), layer, root], sites.1);
 }
 
 /// Leftmost leaf of the subtree rooted at `root` (descends the leftmost spine).
@@ -185,8 +188,8 @@ fn routed_by_level(
         let perm = pn.perm_snapshot();
         for rank in 0..perm.count() {
             let slot = perm.slot(rank);
-            seps.insert(pn.keys[slot].load(Ordering::Acquire));
-            routed.insert(pn.vals[slot].load(Ordering::Acquire));
+            seps.insert(pn.key(slot).load(Ordering::Acquire));
+            routed.insert(pn.val(slot).load(Ordering::Acquire));
         }
         p = pn.next.load(Ordering::Acquire);
     }
@@ -202,7 +205,7 @@ fn for_each_sublayer(leaf_head: *mut Node, mut f: impl FnMut(&Layer)) {
         for rank in 0..perm.count() {
             let slot = perm.slot(rank);
             if node.lens[slot].load(Ordering::Acquire) == LAYER {
-                let sub = node.vals[slot].load(Ordering::Acquire);
+                let sub = node.val(slot).load(Ordering::Acquire);
                 f(layer_ref(sub as *const Layer));
             }
         }
@@ -302,7 +305,7 @@ impl<P: PersistMode> Masstree<P> {
             }
             let perm = node.perm_snapshot();
             let result = match node.find_rank(perm, slice, lc) {
-                Ok(rank) => Some(node.vals[perm.slot(rank)].load(Ordering::Acquire)),
+                Ok(rank) => Some(node.val(perm.slot(rank)).load(Ordering::Acquire)),
                 Err(_) => None,
             };
             if node.lock.read_retry(v0) {
@@ -338,9 +341,9 @@ impl<P: PersistMode> Masstree<P> {
         let slice = keyslice(key, off);
         let lc = len_class(key, off);
         let val = if lc == LAYER { self.make_chain(key, off + 8, value) } else { value };
-        node.keys[0].store(slice, Ordering::Relaxed);
+        node.key(0).store(slice, Ordering::Relaxed);
         node.lens[0].store(lc, Ordering::Relaxed);
-        node.vals[0].store(val, Ordering::Relaxed);
+        node.val(0).store(val, Ordering::Relaxed);
         node.perm.store(Perm::identity(1).0, Ordering::Relaxed);
         P::stage_obj(leaf);
         let layer = pm::alloc::pm_box(Layer { root: AtomicPtr::new(leaf) });
@@ -374,14 +377,14 @@ impl<P: PersistMode> Masstree<P> {
             match node.find_rank(perm, slice, lc) {
                 Ok(rank) => {
                     let slot = perm.slot(rank);
-                    let val = node.vals[slot].load(Ordering::Acquire);
+                    let val = node.val(slot).load(Ordering::Acquire);
                     if lc == LAYER {
                         drop(guard);
                         return LayerStep::Descend(val as *const Layer);
                     }
                     // Existing terminal entry: in-place value overwrite, committed by
                     // one atomic store.
-                    let v = &node.vals[slot];
+                    let v = node.val(slot);
                     P::persist_store(v, || v.store(value, Ordering::Release));
                     P::crash_site("masstree.update.committed");
                     return LayerStep::Done(false);
@@ -450,7 +453,7 @@ impl<P: PersistMode> Masstree<P> {
         let perm = node.perm_snapshot();
         let count = perm.count();
         debug_assert_eq!(count, WIDTH);
-        let key_at = |rank: usize| node.keys[perm.slot(rank)].load(Ordering::Acquire);
+        let key_at = |rank: usize| node.key(perm.slot(rank)).load(Ordering::Acquire);
         // Pick a split boundary that never divides a run of equal slices, so the
         // separator is a pure slice (at most 10 length classes share a slice, so a
         // boundary always exists in a full leaf).
@@ -474,9 +477,9 @@ impl<P: PersistMode> Masstree<P> {
         let mut rcount = 0usize;
         for rank in b..count {
             let s = perm.slot(rank);
-            right.keys[rcount].store(node.keys[s].load(Ordering::Acquire), Ordering::Relaxed);
+            right.key(rcount).store(node.key(s).load(Ordering::Acquire), Ordering::Relaxed);
             right.lens[rcount].store(node.lens[s].load(Ordering::Acquire), Ordering::Relaxed);
-            right.vals[rcount].store(node.vals[s].load(Ordering::Acquire), Ordering::Relaxed);
+            right.val(rcount).store(node.val(s).load(Ordering::Acquire), Ordering::Relaxed);
             rcount += 1;
         }
         if slice >= split_slice {
@@ -484,7 +487,7 @@ impl<P: PersistMode> Masstree<P> {
             let mut pos = rcount;
             for i in 0..rcount {
                 let k =
-                    (right.keys[i].load(Ordering::Relaxed), right.lens[i].load(Ordering::Relaxed));
+                    (right.key(i).load(Ordering::Relaxed), right.lens[i].load(Ordering::Relaxed));
                 if k > (slice, lc) {
                     pos = i;
                     break;
@@ -492,14 +495,14 @@ impl<P: PersistMode> Masstree<P> {
             }
             let mut i = rcount;
             while i > pos {
-                right.keys[i].store(right.keys[i - 1].load(Ordering::Relaxed), Ordering::Relaxed);
+                right.key(i).store(right.key(i - 1).load(Ordering::Relaxed), Ordering::Relaxed);
                 right.lens[i].store(right.lens[i - 1].load(Ordering::Relaxed), Ordering::Relaxed);
-                right.vals[i].store(right.vals[i - 1].load(Ordering::Relaxed), Ordering::Relaxed);
+                right.val(i).store(right.val(i - 1).load(Ordering::Relaxed), Ordering::Relaxed);
                 i -= 1;
             }
-            right.keys[pos].store(slice, Ordering::Relaxed);
+            right.key(pos).store(slice, Ordering::Relaxed);
             right.lens[pos].store(lc, Ordering::Relaxed);
-            right.vals[pos].store(val, Ordering::Relaxed);
+            right.val(pos).store(val, Ordering::Relaxed);
             rcount += 1;
         }
         right.perm.store(Perm::identity(rcount).0, Ordering::Relaxed);
@@ -559,8 +562,8 @@ impl<P: PersistMode> Masstree<P> {
             let new_root_ptr = Node::alloc(false);
             let new_root = node_ref(new_root_ptr);
             new_root.leftmost.store(left as u64, Ordering::Relaxed);
-            new_root.keys[0].store(split_slice, Ordering::Relaxed);
-            new_root.vals[0].store(right as u64, Ordering::Relaxed);
+            new_root.key(0).store(split_slice, Ordering::Relaxed);
+            new_root.val(0).store(right as u64, Ordering::Relaxed);
             new_root.perm.store(Perm::identity(1).0, Ordering::Relaxed);
             P::stage_obj(new_root_ptr);
             P::crash_site("masstree.root_split.new_root_persisted");
@@ -605,16 +608,16 @@ impl<P: PersistMode> Masstree<P> {
         let count = perm.count();
         let mid = count / 2;
         let up_slot = perm.slot(mid);
-        let up_slice = parent.keys[up_slot].load(Ordering::Acquire);
+        let up_slice = parent.key(up_slot).load(Ordering::Acquire);
 
         let right_ptr = Node::alloc(false);
         let right = node_ref(right_ptr);
         // The promoted separator's child becomes the right node's leftmost child.
-        right.leftmost.store(parent.vals[up_slot].load(Ordering::Acquire), Ordering::Relaxed);
+        right.leftmost.store(parent.val(up_slot).load(Ordering::Acquire), Ordering::Relaxed);
         for (j, rank) in (mid + 1..count).enumerate() {
             let s = perm.slot(rank);
-            right.keys[j].store(parent.keys[s].load(Ordering::Acquire), Ordering::Relaxed);
-            right.vals[j].store(parent.vals[s].load(Ordering::Acquire), Ordering::Relaxed);
+            right.key(j).store(parent.key(s).load(Ordering::Acquire), Ordering::Relaxed);
+            right.val(j).store(parent.val(s).load(Ordering::Acquire), Ordering::Relaxed);
         }
         right.perm.store(Perm::identity(count - mid - 1).0, Ordering::Relaxed);
         right.next.store(parent.next.load(Ordering::Acquire), Ordering::Relaxed);
@@ -698,14 +701,14 @@ impl<P: PersistMode> Masstree<P> {
             match node.find_rank(perm, slice, lc) {
                 Ok(rank) => {
                     let slot = perm.slot(rank);
-                    let val = node.vals[slot].load(Ordering::Acquire);
+                    let val = node.val(slot).load(Ordering::Acquire);
                     if lc == LAYER {
                         drop(guard);
                         layer = val as *const Layer;
                         off += 8;
                         continue;
                     }
-                    let v = &node.vals[slot];
+                    let v = node.val(slot);
                     P::persist_store(v, || v.store(value, Ordering::Release));
                     P::crash_site("masstree.update.committed");
                     return true;
@@ -729,7 +732,7 @@ impl<P: PersistMode> Masstree<P> {
             match node.find_rank(perm, slice, lc) {
                 Ok(rank) => {
                     if lc == LAYER {
-                        let sub = node.vals[perm.slot(rank)].load(Ordering::Acquire);
+                        let sub = node.val(perm.slot(rank)).load(Ordering::Acquire);
                         drop(guard);
                         layer = sub as *const Layer;
                         off += 8;
@@ -805,9 +808,9 @@ impl<P: PersistMode> Masstree<P> {
                 for (rank, entry) in entries.iter_mut().enumerate().take(live) {
                     let slot = perm.slot(rank);
                     *entry = (
-                        node.keys[slot].load(Ordering::Acquire),
+                        node.key(slot).load(Ordering::Acquire),
                         node.lens[slot].load(Ordering::Acquire),
-                        node.vals[slot].load(Ordering::Acquire),
+                        node.val(slot).load(Ordering::Acquire),
                     );
                 }
                 if !node.lock.read_retry(v0) {
@@ -890,8 +893,8 @@ impl<P: PersistMode> Masstree<P> {
                 if sib.is_null() {
                     break;
                 }
-                new_root.keys[count].store(node.high.load(Ordering::Acquire), Ordering::Relaxed);
-                new_root.vals[count].store(sib as u64, Ordering::Relaxed);
+                new_root.key(count).store(node.high.load(Ordering::Acquire), Ordering::Relaxed);
+                new_root.val(count).store(sib as u64, Ordering::Relaxed);
                 count += 1;
                 n = sib;
             }
@@ -973,7 +976,7 @@ impl<P: PersistMode> Masstree<P> {
                     let perm = node.perm_snapshot();
                     let mut keep = perm.count();
                     for rank in 0..perm.count() {
-                        if node.keys[perm.slot(rank)].load(Ordering::Acquire) >= high {
+                        if node.key(perm.slot(rank)).load(Ordering::Acquire) >= high {
                             keep = rank;
                             break;
                         }

@@ -197,17 +197,30 @@ pub trait PersistMode: Send + Sync + 'static {
         covers: impl IntoIterator<Item = Span>,
         site: impl Into<Option<&'static str>>,
     ) -> R {
-        if Self::PERSISTENT {
-            let line = pm::line_of(slot as usize);
-            for (ptr, len) in covers {
-                let (first, last) = (ptr as usize, ptr as usize + len.max(1) - 1);
-                assert!(
-                    pm::line_of(first) == line && pm::line_of(last) == line,
-                    "same-line publish: [{first:#x}, +{len}) is not on the slot's line {line:#x}"
-                );
-            }
-        }
+        assert_same_line::<Self, _>(slot, covers);
         commit::<Self, _, _>(slot, store(), site.into())
+    }
+}
+
+/// Assert (PM mode) that every range in `covers` lies on `slot`'s cache line, so
+/// that a store to it persists with the slot's one flush, in program order: the
+/// check of [`PersistMode::publish_same_line`], and of a [`PersistMode::publish`]
+/// whose closure stores those words just ahead of the slot (P-ART's Node4/16
+/// add). An empty range is on every line. Free in DRAM mode.
+#[inline]
+pub fn assert_same_line<P: PersistMode + ?Sized, T>(
+    slot: *const T,
+    covers: impl IntoIterator<Item = Span>,
+) {
+    if P::PERSISTENT {
+        let line = pm::line_of(slot as usize);
+        for (ptr, len) in covers.into_iter().filter(|&(_, len)| len > 0) {
+            let (first, last) = (ptr as usize, ptr as usize + len - 1);
+            assert!(
+                pm::line_of(first) == line && pm::line_of(last) == line,
+                "same-line publish: [{first:#x}, +{len}) is not on the slot's line {line:#x}"
+            );
+        }
     }
 }
 

@@ -16,9 +16,19 @@
 //! Generation differs from `generate` only in how identifiers are drawn: keys are
 //! pure functions of `(seed, phase, thread, index)` (so no global uniqueness set
 //! is needed), run-phase reads target load-phase keys exactly as before, and the
-//! same-spec stream is fully deterministic. Identifier collisions are possible in
-//! principle but have probability ~`n²/2⁶⁴`; a collision merely turns one insert
-//! into an upsert of the same derived value, so every check stays valid.
+//! same-spec stream is fully deterministic.
+//!
+//! Run-phase insert identifiers are **not** disjoint from loaded ones. `mix64` is a
+//! bijection and both derivations XOR the index into the same input, so
+//! `fresh_insert_id(s, t, j) == load_key_id(s, t, j ^ 0xE448)`: insert `j` of thread
+//! `t` re-inserts that thread's loaded key `j ^ 0xE448` whenever that index was
+//! loaded. With 100 000 loaded keys over 2 threads and seed `mix64(0x5EED)` (YCSB A
+//! as the repo benchmark runs it), 50 058 of the 99 896 run-phase inserts overwrite
+//! a loaded key; with 25 000 loaded keys per thread, inserts below index `0x4000`
+//! never reach one. Such an insert is an upsert of the same derived value, so every
+//! check stays valid, but it measures an update where the mix names an insert of a
+//! new key. Deriving the two identifier sets from disjoint inputs fixes it and
+//! changes every run-phase key stream.
 
 use crate::driver::{run_workers, PhaseResult, RunResult};
 use crate::workload::{id_value, Op, Spec};
