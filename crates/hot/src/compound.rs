@@ -40,6 +40,7 @@ use pm::CACHE_LINE;
 use recipe::lock::VersionLock;
 use recipe::persist::{span_of, PersistMode, Span};
 use recipe::simd::{self, SetBits};
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Maximum entries per compound node. A 15-bit window could address 2^15 slots; the
@@ -85,6 +86,9 @@ pub fn prefix_mask(depth: u32) -> u16 {
 
 /// One gathered entry: `(pkey, mask, tagged child word)`.
 pub type Entry = (u16, u16, usize);
+
+/// A live search hit: `(slot, tagged child word, window bits the entry resolves)`.
+pub type Hit = (usize, usize, u32);
 
 /// One line of a compound's slot array: four consecutive slots (slot `i` is lane
 /// `i % 4` of group `i / 4`).
@@ -296,10 +300,21 @@ impl Compound {
     /// `depth` is the number of window bits the entry resolves. Records one probe
     /// per lane actually examined (binary-search steps + compared lanes) under
     /// [`Mapping::HotCompound`].
-    pub fn find_child(&self, ext: u16) -> Option<(usize, usize, u32)> {
+    pub fn find_child(&self, ext: u16) -> Option<Hit> {
+        self.search(ext).ok()
+    }
+
+    /// [`Compound::find_child`], and on a miss the lowest dead slot whose lanes
+    /// equal `(ext, FULL_MASK)` — the slot an append of `ext` may reuse — as
+    /// `Err`. Both come from one pass over the compared lanes: the sorted region
+    /// is strictly ascending, dead slots included (they keep their lanes), so a
+    /// dead slot with partial key `ext` can only sit in the group the binary
+    /// search lands on, and the appended tail is compared whole anyway.
+    pub fn search(&self, ext: u16) -> Result<Hit, Option<usize>> {
         let count = self.published();
         let sorted = (self.sorted as usize).min(count);
         let mut probes = 0u64;
+        let mut reusable = None;
         let mut hit = None;
         if sorted > 0 {
             // Prefix-free entries cover disjoint ascending `[pkey, pkey | !mask]`
@@ -317,24 +332,28 @@ impl Compound {
                     hi = mid;
                 }
             }
-            hit = self.scan_range(lo * 8, sorted.min(lo * 8 + 8), ext, &mut probes);
+            hit = self.scan_range(lo * 8, sorted.min(lo * 8 + 8), ext, &mut probes, &mut reusable);
         }
-        // Appends after the build are unordered: scan the (short) tail linearly.
-        let hit = hit.or_else(|| self.scan_range(sorted, count, ext, &mut probes));
+        // Appends after the build are unordered: scan the tail linearly. It is
+        // not short: 250k random keys inserted on one thread leave 46 slots per
+        // compound on average, and a search on their insert path meets 180.
+        let hit = hit.or_else(|| self.scan_range(sorted, count, ext, &mut probes, &mut reusable));
         record_probes(Mapping::HotCompound, probes);
-        hit
+        hit.ok_or(reusable)
     }
 
     /// Vectorized masked compare over slots `[from, to)` (need not be
     /// group-aligned); returns the first live match and counts compared lanes
-    /// into `probes`.
+    /// into `probes`. A dead full-depth slot among the matches (its lanes equal
+    /// `(ext, FULL_MASK)`) is noted in `reusable` if none is yet.
     fn scan_range(
         &self,
         from: usize,
         to: usize,
         ext: u16,
         probes: &mut u64,
-    ) -> Option<(usize, usize, u32)> {
+        reusable: &mut Option<usize>,
+    ) -> Option<Hit> {
         let mut base = from & !7;
         while base < to {
             // The 8-lane group is two adjacent group lines.
@@ -350,8 +369,12 @@ impl Compound {
             for lane in SetBits(mm) {
                 let slot = base + lane;
                 let child = self.child(slot).load(Ordering::Acquire);
+                let mask = self.mask_at(slot);
                 if child != 0 {
-                    return Some((slot, child, u32::from(self.mask_at(slot)).count_ones()));
+                    return Some((slot, child, u32::from(mask).count_ones()));
+                }
+                if mask == FULL_MASK && reusable.is_none() {
+                    *reusable = Some(slot);
                 }
             }
             base += 8;
@@ -366,31 +389,25 @@ impl Compound {
         (g.pkeys.load(Ordering::Relaxed), g.masks.load(Ordering::Relaxed))
     }
 
-    /// All live entries, sorted by partial key (ascending = key order).
-    pub fn live_entries(&self) -> Vec<Entry> {
-        let mut out = Vec::with_capacity(self.published());
-        for (slot, child) in self.children().enumerate() {
-            let child = child.load(Ordering::Acquire);
-            if child != 0 {
-                out.push((self.pkey_at(slot), self.mask_at(slot), child));
-            }
-        }
-        out.sort_unstable_by_key(|e| e.0);
-        out
+    /// The entry at published `slot`, if it is live.
+    #[inline]
+    fn live_entry(&self, slot: usize) -> Option<Entry> {
+        let child = self.child(slot).load(Ordering::Acquire);
+        (child != 0).then(|| (self.pkey_at(slot), self.mask_at(slot), child))
     }
 
     /// Hand the live entries whose window interval `[pkey, pkey | !mask]` ends at
-    /// or after `from` to `f` as `(pkey, child)`, in ascending partial-key (= key)
-    /// order, until it returns `true`; returns whether it did. What a range scan
-    /// walks (and, from 0, how the leftmost live subtree is found):
-    /// allocation-free, and a child slot is loaded when the walk reaches it.
+    /// or after `from` to `f`, in ascending partial-key (= key) order, until it
+    /// returns `true`; returns whether it did. What a range scan walks and what a
+    /// rebuild copies (from 0): allocation-free, and a child slot is loaded when
+    /// the walk reaches it.
     ///
     /// The build-time region `[0, sorted)` is entered by binary search — its
     /// entries were prefix-free when built, so their intervals are disjoint and
     /// ascend with the slot, and published lanes never change (a dead slot keeps
     /// its lanes) — and merged with the appended tail, which is in arrival order
-    /// and short, by selecting its next-larger partial key on demand.
-    pub fn walk_from(&self, from: u16, mut f: impl FnMut(u16, usize) -> bool) -> bool {
+    /// and is sorted once per walk in a stack buffer.
+    pub fn walk_from(&self, from: u16, mut f: impl FnMut(Entry) -> bool) -> bool {
         let count = self.published();
         let sorted = (self.sorted as usize).min(count);
         let reaches = |slot: usize| self.pkey_at(slot) | (!self.mask_at(slot) & FULL_MASK) >= from;
@@ -403,51 +420,31 @@ impl Compound {
                 si = mid + 1;
             }
         }
-        let next_appended = |after: Option<u16>| {
-            let mut best: Option<(u16, usize)> = None;
-            for slot in sorted..count {
-                let child = self.child(slot).load(Ordering::Acquire);
-                if child == 0 || !reaches(slot) {
-                    continue;
-                }
-                let pkey = self.pkey_at(slot);
-                if after.is_none_or(|a| pkey > a) && best.is_none_or(|(b, _)| pkey < b) {
-                    best = Some((pkey, child));
-                }
-            }
-            best
+        // The tail's slots that reach `from`, as `pkey << 16 | slot`, so sorting
+        // the words sorts by partial key.
+        let mut buf = [const { MaybeUninit::<u32>::uninit() }; COMPOUND_CAP];
+        let mut n = 0;
+        for slot in (sorted..count).filter(|&slot| reaches(slot)) {
+            buf[n].write(u32::from(self.pkey_at(slot)) << 16 | slot as u32);
+            n += 1;
+        }
+        // SAFETY: the first `n` words were written just above.
+        let tail = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u32>(), n) };
+        tail.sort_unstable();
+        let mut built = (si..sorted).filter_map(|slot| self.live_entry(slot)).peekable();
+        let mut appended =
+            tail.iter().filter_map(|&w| self.live_entry((w & 0xFFFF) as usize)).peekable();
+        let mut next = || match (built.peek(), appended.peek()) {
+            (Some(b), Some(a)) if a.0 < b.0 => appended.next(),
+            (Some(_), _) => built.next(),
+            (None, _) => appended.next(),
         };
-        let mut appended = next_appended(None);
-        loop {
-            let built = loop {
-                if si >= sorted {
-                    break None;
-                }
-                let child = self.child(si).load(Ordering::Acquire);
-                if child != 0 {
-                    break Some((self.pkey_at(si), child));
-                }
-                si += 1;
-            };
-            let (pkey, child) = match (built, appended) {
-                (None, None) => return false,
-                (Some(b), None) => {
-                    si += 1;
-                    b
-                }
-                (Some(b), Some(a)) if b.0 <= a.0 => {
-                    si += 1;
-                    b
-                }
-                (_, Some(a)) => {
-                    appended = next_appended(Some(a.0));
-                    a
-                }
-            };
-            if f(pkey, child) {
+        while let Some(entry) = next() {
+            if f(entry) {
                 return true;
             }
         }
+        false
     }
 }
 
@@ -486,23 +483,24 @@ mod tests {
             vec![(10, FULL_MASK, 0x11), (20, FULL_MASK, 0x21), (30, FULL_MASK, 0x31)];
         // SAFETY: never freed, test-local.
         let c = unsafe { &*Compound::alloc(7, &entries) };
-        let min_child = || {
-            let mut first = None;
-            c.walk_from(0, |_, child| {
-                first = Some(child);
-                true
+        let walk = || {
+            let mut all = Vec::new();
+            c.walk_from(0, |entry| {
+                all.push(entry);
+                false
             });
-            first
+            all
         };
-        assert_eq!(min_child(), Some(0x11));
+        assert_eq!(walk()[0].2, 0x11);
         c.child(0).store(0, Ordering::Release); // remove the smallest entry
         assert_eq!(c.find_child(10), None);
-        assert_eq!(min_child(), Some(0x21));
-        assert_eq!(c.live_entries(), vec![(20, FULL_MASK, 0x21), (30, FULL_MASK, 0x31)]);
+        assert_eq!(c.search(10), Err(Some(0)), "the dead slot is reusable");
+        assert_eq!(walk(), vec![(20, FULL_MASK, 0x21), (30, FULL_MASK, 0x31)]);
     }
 
-    /// The scan walk against the snapshot-and-sort it replaced, on a compound
-    /// with pointer entries, dead slots in both regions and an unordered tail.
+    /// The scan walk against a brute-force snapshot-and-sort of every published
+    /// slot, on a compound with pointer entries, dead slots in both regions and an
+    /// unordered tail.
     #[test]
     fn walk_from_matches_live_entries_from_every_start() {
         let mut entries: Vec<Entry> =
@@ -523,27 +521,119 @@ mod tests {
         for slot in [0, 7, 8, built + 2] {
             c.child(slot).store(0, Ordering::Release);
         }
-        let live = c.live_entries();
+        let mut live: Vec<Entry> = (0..c.published())
+            .map(|slot| (c.pkey_at(slot), c.mask_at(slot), c.child(slot).load(Ordering::Acquire)))
+            .filter(|e| e.2 != 0)
+            .collect();
+        live.sort_unstable_by_key(|e| e.0);
         assert_eq!(live.len(), built + 5 - 4);
         for from in (0..=FULL_MASK).step_by(7).chain([FULL_MASK]) {
             let mut got = Vec::new();
-            assert!(!c.walk_from(from, |pkey, child| {
-                got.push((pkey, child));
+            assert!(!c.walk_from(from, |entry| {
+                got.push(entry);
                 false
             }));
-            let want: Vec<(u16, usize)> = live
+            let want: Vec<Entry> = live
                 .iter()
-                .filter(|&&(pkey, mask, _)| pkey | (!mask & FULL_MASK) >= from)
-                .map(|&(pkey, _, child)| (pkey, child))
+                .copied()
+                .filter(|&(pkey, mask, _)| pkey | (!mask & FULL_MASK) >= from)
                 .collect();
             assert_eq!(got, want, "walk from {from}");
         }
         let mut seen = 0;
-        assert!(c.walk_from(0, |_, _| {
+        assert!(c.walk_from(0, |_| {
             seen += 1;
             seen == 3
         }));
         assert_eq!(seen, 3, "the walk must stop when asked");
+    }
+
+    /// `search` against a brute-force pass over every published slot, on random
+    /// compounds: a sorted region and an appended tail, pointer entries, dead
+    /// slots in both, and dead `(ext, FULL_MASK)` lanes on either side of the
+    /// watermark, some repeated so the lowest one must win.
+    #[test]
+    fn search_agrees_with_a_brute_force_pass() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x41);
+        let (mut reused_sorted, mut reused_tail) = (0, 0);
+        for case in 0..400 {
+            // Prefix-free live entries: full-depth leaves and some pointer entries.
+            let mut entries: Vec<Entry> = Vec::new();
+            let want = rng.gen_range(1..160);
+            while entries.len() < want {
+                let mask = if rng.gen_bool(0.2) {
+                    prefix_mask(rng.gen_range(6..COMPOUND_BITS))
+                } else {
+                    FULL_MASK
+                };
+                let pkey = rng.gen::<u16>() & mask;
+                if entries.iter().all(|&(p, m, _)| p & m & mask != pkey & m & mask) {
+                    entries.push((pkey, mask, (entries.len() + 1) << 3 | 1));
+                }
+            }
+            entries.shuffle(&mut rng);
+            let mut built = entries.split_off(rng.gen_range(0..=entries.len()));
+            built.sort_unstable_by_key(|e| e.0);
+            let ptr = Compound::alloc(0, &built);
+            // SAFETY: freshly allocated, test-local; freed below.
+            let c = unsafe { &*ptr };
+            // The rest arrive in random order, as many as fit beside a few dead
+            // duplicates.
+            let room = c.cap() - built.len() - 4;
+            let mut slot = built.len();
+            for &entry in entries.iter().take(room) {
+                c.set_slot(slot, entry);
+                slot += 1;
+            }
+            // Removals, in both regions.
+            for dead in 0..slot {
+                if rng.gen_bool(0.3) {
+                    c.child(dead).store(0, Ordering::Release);
+                }
+            }
+            // Dead tail slots repeating a dead full-depth slot's lanes, or fresh ones.
+            for _ in 0..rng.gen_range(0..=4usize) {
+                let pkey = match rng.gen_range(0..slot.max(1)) {
+                    s if s < slot && c.live_entry(s).is_none() => c.pkey_at(s),
+                    _ => rng.gen::<u16>() & FULL_MASK,
+                };
+                c.set_slot(slot, (pkey, FULL_MASK, 0));
+                slot += 1;
+            }
+            c.count.store(slot as u32, Ordering::Release);
+
+            let probes: Vec<u16> = (0..slot)
+                .flat_map(|s| [c.pkey_at(s), c.pkey_at(s) | (!c.mask_at(s) & FULL_MASK)])
+                .chain((0..64).map(|_| rng.gen::<u16>() & FULL_MASK))
+                .collect();
+            for ext in probes {
+                let hit = (0..slot).find_map(|s| {
+                    let (pkey, mask, child) = c.live_entry(s)?;
+                    (ext & mask == pkey).then(|| (s, child, u32::from(mask).count_ones()))
+                });
+                let reuse = (0..slot).find(|&s| {
+                    c.live_entry(s).is_none() && c.pkey_at(s) == ext && c.mask_at(s) == FULL_MASK
+                });
+                assert_eq!(c.find_child(ext), hit, "case {case}, ext {ext}");
+                match c.search(ext) {
+                    Ok(got) => assert_eq!(Some(got), hit, "case {case}, ext {ext}"),
+                    Err(got) => {
+                        assert_eq!(hit, None, "case {case}, ext {ext}");
+                        assert_eq!(got, reuse, "case {case}, ext {ext}");
+                        match got {
+                            Some(s) if s < c.sorted as usize => reused_sorted += 1,
+                            Some(_) => reused_tail += 1,
+                            None => {}
+                        }
+                    }
+                }
+            }
+            // SAFETY: allocated above, never published.
+            unsafe { Compound::free(ptr) };
+        }
+        assert!(reused_sorted > 0 && reused_tail > 0, "{reused_sorted} / {reused_tail}");
     }
 
     #[test]

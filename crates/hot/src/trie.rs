@@ -387,7 +387,7 @@ impl<P: PersistMode> Hot<P> {
                         None => {
                             // As in the plain-node empty-slot case below: the key may
                             // diverge before this node's window.
-                            if let Some(rep) = self.min_key(word) {
+                            if let Some(rep) = self.any_key(word) {
                                 if let Some(diff) = first_diff_bit(key, rep) {
                                     if diff < c.bit_pos {
                                         if self.insert_branch_above(&path, rep, diff, key, value) {
@@ -423,7 +423,7 @@ impl<P: PersistMode> Hot<P> {
                     // this node's window (Patricia skipping hides those bits); then a
                     // branch node must be inserted above instead of filling the slot,
                     // or sorted order would be violated.
-                    if let Some(rep) = self.min_key(word) {
+                    if let Some(rep) = self.any_key(word) {
                         if let Some(diff) = first_diff_bit(key, rep) {
                             if diff < node.bit_pos {
                                 if self.insert_branch_above(&path, rep, diff, key, value) {
@@ -437,7 +437,7 @@ impl<P: PersistMode> Hot<P> {
                         // would be wrong even though it is empty: nothing witnesses
                         // the prefix bits the husk's position implies (the branch
                         // check above has no `rep` to compare against), so an alien
-                        // key planted here poisons every later `min_key`
+                        // key planted here poisons every later `any_key`
                         // representative drawn from an enclosing subtree — a
                         // subsequent branch insertion placed by such a rep misroutes
                         // every surviving sibling. Retire the husk instead.
@@ -501,18 +501,17 @@ impl<P: PersistMode> Hot<P> {
         parent: Option<Step>,
     ) -> Append {
         let _g = c.lock.lock();
-        if c.obsolete.load(Ordering::Acquire) || c.find_child(ext).is_some() {
-            // Replaced, or a concurrent writer published a matching entry: re-descend.
+        if c.obsolete.load(Ordering::Acquire) {
             return Append::Retry;
         }
-        let count = c.published();
         // Published lanes are immutable, so a dead (removed) slot is only reusable
-        // when its lanes already equal the entry being inserted.
-        let reuse = (0..count).find(|&i| {
-            c.child(i).load(Ordering::Acquire) == 0
-                && c.pkey_at(i) == ext
-                && c.mask_at(i) == FULL_MASK
-        });
+        // when its lanes already equal the entry being inserted; the same search
+        // that rules out a live match finds it.
+        let Err(reuse) = c.search(ext) else {
+            // A concurrent writer published a matching entry: re-descend.
+            return Append::Retry;
+        };
+        let count = c.published();
         match reuse {
             Some(slot) => {
                 let (new, leaf) = alloc_leaf::<P>(key, value);
@@ -704,12 +703,12 @@ impl<P: PersistMode> Hot<P> {
     ///
     /// A husk's position still implies a key prefix (Patricia skipping stores the
     /// bits between its parent's window and its own nowhere else), but with every
-    /// key removed nothing witnesses it. Planting `key` inside would make it the
-    /// subtree's [`Hot::min_key`] — and a later branch insertion taking that alien
-    /// key as an enclosing subtree's representative computes a placement index
-    /// that misroutes every surviving sibling. So instead the husk is frozen
-    /// (every node marked obsolete, which blocks all slot commits — they
-    /// revalidate the flag under the node lock) and its topmost all-empty
+    /// key removed nothing witnesses it. Planting `key` inside could make it the
+    /// subtree's representative ([`Hot::any_key`]) — and a later branch insertion
+    /// taking that alien key as an enclosing subtree's representative computes a
+    /// placement index that misroutes every surviving sibling. So instead the
+    /// husk is frozen (every node marked obsolete, which blocks all slot commits —
+    /// they revalidate the flag under the node lock) and its topmost all-empty
     /// ancestor is atomically replaced by the new leaf: the subtree's key set
     /// becomes exactly `{key}`, and every representative drawn from it is the
     /// key itself.
@@ -724,7 +723,7 @@ impl<P: PersistMode> Hot<P> {
                 Step::Node(n, _) => n as usize,
                 Step::Cpd(c, _, _) => compound_word(c),
             };
-            if self.min_key(above).is_some() {
+            if self.any_key(above).is_some() {
                 break;
             }
             top = above;
@@ -743,7 +742,7 @@ impl<P: PersistMode> Hot<P> {
                 Step::Node(n, _) => n as usize,
                 Step::Cpd(c, _, _) => compound_word(c),
             };
-            if let Some(rep) = self.min_key(parent_word) {
+            if let Some(rep) = self.any_key(parent_word) {
                 if let Some(diff) = first_diff_bit(key, rep) {
                     if diff < path[boundary - 1].window_start() {
                         return self.insert_branch_above(path, rep, diff, key, value);
@@ -1066,7 +1065,7 @@ impl<P: PersistMode> Hot<P> {
         // the subtree's window commit into that slot, so the prefix is stable).
         let depth = (subtree_start(child) - base).min(COMPOUND_BITS);
         debug_assert!(depth >= 1);
-        let rep = match self.min_key(child) {
+        let rep = match self.any_key(child) {
             Some(rep) => rep,
             None => {
                 // Removals emptied the subtree. Freeze it so a concurrent insert
@@ -1078,7 +1077,7 @@ impl<P: PersistMode> Hot<P> {
                     if c.obsolete.load(Ordering::Acquire) {
                         return Err(WidenOutcome::Busy);
                     }
-                    match self.min_key(child) {
+                    match self.any_key(child) {
                         Some(rep) => {
                             ctx.guards.push(g);
                             rep
@@ -1096,7 +1095,7 @@ impl<P: PersistMode> Hot<P> {
                     if n.obsolete.load(Ordering::Acquire) {
                         return Err(WidenOutcome::Busy);
                     }
-                    match self.min_key(child) {
+                    match self.any_key(child) {
                         Some(rep) => {
                             ctx.guards.push(g);
                             rep
@@ -1208,7 +1207,7 @@ impl<P: PersistMode> Hot<P> {
     /// (built aside, flushed, installed with one parent-slot store — the same
     /// protocol and crash sites as widening) and retire it. Caller holds `c.lock`.
     fn regrow(&self, c: &Compound, parent: Option<Step>) {
-        let entries = c.live_entries();
+        let entries = live_entries(c);
         if entries.is_empty() {
             return;
         }
@@ -1234,7 +1233,7 @@ impl<P: PersistMode> Hot<P> {
     /// Rebuild an overflowed compound as plain nodes (built aside, flushed,
     /// installed with one parent-slot store) and retire it. Caller holds `c.lock`.
     fn unwiden(&self, c: &Compound, parent: Option<Step>) {
-        let entries = c.live_entries();
+        let entries = live_entries(c);
         if entries.is_empty() {
             return;
         }
@@ -1362,10 +1361,12 @@ impl<P: PersistMode> Hot<P> {
         self.scan_rec(self.root.load(Ordering::Acquire), start, true, target, out);
     }
 
-    /// Minimum (leftmost) key under `word`, used to learn the bit prefix every key in
-    /// a subtree shares. Borrowed from its leaf: leaves are never freed while the
-    /// trie is alive.
-    fn min_key(&self, word: usize) -> Option<&[u8]> {
+    /// Any key under `word` (`None` exactly when the subtree holds none), used to
+    /// learn the bit prefix every key in it shares: callers read only the bits
+    /// before the subtree's window start, on which all its keys agree, so the
+    /// first live child in slot order will do. Borrowed from its leaf: leaves are
+    /// never freed while the trie is alive.
+    fn any_key(&self, word: usize) -> Option<&[u8]> {
         if word == 0 {
             return None;
         }
@@ -1375,26 +1376,17 @@ impl<P: PersistMode> Hot<P> {
         }
         // Skip empty branches (a compound or node whose entries were all removed)
         // instead of terminating on them: a first-child-only descent would report
-        // a populated subtree as empty when its leftmost branch happens to be a
+        // a populated subtree as empty when its first branch happens to be a
         // removed-out husk, and a widening gather acting on that answer would
         // silently drop every live key under the subtree.
         if is_compound(word) {
             // SAFETY: freed only when the trie drops.
             let c = unsafe { compound_of(word) };
-            let mut found = None;
-            c.walk_from(0, |_, child| {
-                found = self.min_key(child);
-                found.is_some()
-            });
-            return found;
+            return c.children().find_map(|s| self.any_key(s.load(Ordering::Acquire)));
         }
         // SAFETY: freed only when the trie drops.
         let node = unsafe { &*(word as *const Node) };
-        node.children
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .filter(|&w| w != 0)
-            .find_map(|w| self.min_key(w))
+        node.children.iter().find_map(|s| self.any_key(s.load(Ordering::Acquire)))
     }
 
     fn scan_rec(
@@ -1422,7 +1414,7 @@ impl<P: PersistMode> Hot<P> {
             let c = unsafe { compound_of(word) };
             let mut bounded = bounded;
             if bounded {
-                if let Some(rep) = self.min_key(word) {
+                if let Some(rep) = self.any_key(word) {
                     match cmp_bit_prefix(rep, start, c.bit_pos) {
                         std::cmp::Ordering::Less => return false,
                         std::cmp::Ordering::Greater => bounded = false,
@@ -1433,7 +1425,7 @@ impl<P: PersistMode> Hot<P> {
             // Entries whose whole window range precedes the start are skipped;
             // the ones at or below its window value are still bounded by it.
             let ext_start = if bounded { extract_wide(start, c.bit_pos, COMPOUND_BITS) } else { 0 };
-            return c.walk_from(ext_start, |pkey, child| {
+            return c.walk_from(ext_start, |(pkey, _, child)| {
                 self.scan_rec(child, start, bounded && pkey <= ext_start, count, out)
             });
         }
@@ -1443,7 +1435,7 @@ impl<P: PersistMode> Hot<P> {
         if bounded {
             // Every key below shares its first `bit_pos` bits; compare them (via any
             // representative leaf) with the scan start to decide pruning.
-            if let Some(rep) = self.min_key(word) {
+            if let Some(rep) = self.any_key(word) {
                 match cmp_bit_prefix(rep, start, node.bit_pos) {
                     std::cmp::Ordering::Less => return false,
                     std::cmp::Ordering::Greater => bounded = false,
@@ -1598,6 +1590,16 @@ impl<P: PersistMode> Drop for Hot<P> {
         // SAFETY: exclusive access; the live trie and the retired objects are disjoint.
         unsafe { free_subtree(*self.root.get_mut()) };
     }
+}
+
+/// The live entries of `c` in partial-key order: what a rebuild copies.
+fn live_entries(c: &Compound) -> Vec<Entry> {
+    let mut entries = Vec::with_capacity(c.published());
+    c.walk_from(0, |entry| {
+        entries.push(entry);
+        false
+    });
+    entries
 }
 
 /// Rebuild compound `entries` (prefix-free, pkey-sorted) as a Patricia chain of
@@ -1871,10 +1873,10 @@ mod tests {
     fn widening_survives_emptied_compound_husks() {
         // Removing every key under a compound leaves the (never-freed) compound in
         // place as an empty husk. A later widening that turns an enclosing subtree
-        // into a pointer entry learns the subtree's shared prefix from its minimum
-        // key -- and a first-child-only descent that terminates on the husk would
-        // report the whole populated subtree as empty, silently dropping it while
-        // the sibling groups inline and the compound installs.
+        // into a pointer entry learns the subtree's shared prefix from a
+        // representative key -- and a first-child-only descent that terminates on
+        // the husk would report the whole populated subtree as empty, silently
+        // dropping it while the sibling groups inline and the compound installs.
         let t: Hot<Pmem> = Hot::new();
         // Sibling groups that diverge again *inside* the root compound window, so
         // their plain nodes inline and the widening is worth installing.
@@ -1920,6 +1922,139 @@ mod tests {
         assert_eq!(scanned.len(), 31 * 32 + 31 * 32, "scan sees every surviving key");
     }
 
+    /// The child words of the plain node or compound `word`.
+    fn child_words(word: usize) -> Vec<usize> {
+        let slots: Vec<&AtomicUsize> = if is_compound(word) {
+            // SAFETY: freed only when the trie drops.
+            unsafe { compound_of(word) }.children().collect()
+        } else {
+            // SAFETY: as above.
+            unsafe { &*(word as *const Node) }.children.iter().collect()
+        };
+        slots.into_iter().map(|s| s.load(Ordering::Acquire)).filter(|&w| w != 0).collect()
+    }
+
+    /// Every plain node and compound reachable from `word`.
+    fn inner_words(word: usize, out: &mut Vec<usize>) {
+        if word != 0 && !is_leaf(word) {
+            out.push(word);
+            for child in child_words(word) {
+                inner_words(child, out);
+            }
+        }
+    }
+
+    /// Every key stored under `word`.
+    fn keys_under(word: usize, out: &mut Vec<Vec<u8>>) {
+        if is_leaf(word) {
+            // SAFETY: freed only when the trie drops.
+            out.push(unsafe { &*leaf_of(word) }.key.to_vec());
+        } else if word != 0 {
+            for child in child_words(word) {
+                keys_under(child, out);
+            }
+        }
+    }
+
+    /// Clustered inserts and removes (with whole clusters swept out), settled
+    /// half-way, so the trie holds compounds with appended tails, plain nodes
+    /// and husks of both. The second round's keys fill in the first's gaps.
+    fn churned_trie() -> Hot<Pmem> {
+        use rand::{Rng, SeedableRng};
+        let t: Hot<Pmem> = Hot::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x41);
+        let key = |g: u64, k: u64| u64_key((g << 20) | k);
+        for round in 0..2 {
+            for step in 0..12_000u64 {
+                let g = rng.gen_range(0..48u64);
+                let k =
+                    if round == 0 { rng.gen_range(0..64u64) << 2 } else { rng.gen_range(0..256) };
+                if step % 3 == 2 {
+                    t.remove(&key(g, k));
+                } else {
+                    t.insert(&key(g, k), step);
+                }
+            }
+            if round == 0 {
+                t.widen_all();
+            }
+            for g in [3, 17 + round, 40] {
+                for k in 0..256 {
+                    t.remove(&key(g, k));
+                }
+            }
+        }
+        t
+    }
+
+    /// The representative a subtree reports agrees with every key below it on
+    /// the bits before the subtree's window — all any caller reads — and is
+    /// `None` exactly when the subtree holds no key (a husk).
+    #[test]
+    fn any_key_witnesses_every_subtree_prefix() {
+        let t = churned_trie();
+        let mut words = Vec::new();
+        inner_words(t.root.load(Ordering::Acquire), &mut words);
+        // Husks counted as [plain node, compound].
+        let (mut husks, mut compounds) = ([0, 0], 0);
+        for &word in &words {
+            let mut keys = Vec::new();
+            keys_under(word, &mut keys);
+            compounds += usize::from(is_compound(word));
+            let Some(rep) = t.any_key(word) else {
+                assert!(keys.is_empty(), "a subtree of {} keys reports none", keys.len());
+                husks[usize::from(is_compound(word))] += 1;
+                continue;
+            };
+            assert!(!keys.is_empty());
+            let start = subtree_start(word);
+            for k in &keys {
+                assert_eq!(cmp_bit_prefix(rep, k, start), std::cmp::Ordering::Equal);
+            }
+        }
+        assert!(compounds > 0 && husks[0] > 0 && husks[1] > 0, "{compounds}, {husks:?}");
+    }
+
+    /// A removed key inserted again takes its dead compound slot back: the same
+    /// slot holds it, and the compound's `count` does not move.
+    #[test]
+    fn reinserted_keys_take_their_dead_slots_back() {
+        let t = churned_trie();
+        let mut words = Vec::new();
+        inner_words(t.root.load(Ordering::Acquire), &mut words);
+        let (mut sorted_hits, mut tail_hits) = (0, 0);
+        for word in words.into_iter().filter(|&w| is_compound(w)) {
+            // SAFETY: freed only when the trie drops.
+            let c = unsafe { compound_of(word) };
+            let leaves: Vec<(usize, Vec<u8>)> = (0..c.published())
+                .map(|slot| (slot, c.child(slot).load(Ordering::Acquire)))
+                .filter(|&(_, w)| is_leaf(w))
+                // SAFETY: freed only when the trie drops.
+                .map(|(slot, w)| (slot, unsafe { &*leaf_of(w) }.key.to_vec()))
+                .collect();
+            // Keep one key live, so the compound is not a husk the insert retires.
+            let gone = &leaves[..leaves.len().saturating_sub(1) / 2];
+            let count = c.published();
+            for (_, key) in gone {
+                assert!(t.remove(key));
+            }
+            for (slot, key) in gone {
+                assert!(t.insert(key, 7));
+                let w = c.child(*slot).load(Ordering::Acquire);
+                // SAFETY: freed only when the trie drops.
+                assert!(is_leaf(w) && &*unsafe { &*leaf_of(w) }.key == key.as_slice());
+                assert_eq!(c.published(), count, "the key was appended, not reused");
+                if *slot < c.sorted as usize {
+                    sorted_hits += 1;
+                } else {
+                    tail_hits += 1;
+                }
+            }
+            assert!(!c.obsolete.load(Ordering::Acquire));
+        }
+        assert!(sorted_hits > 0 && tail_hits > 0, "{sorted_hits} / {tail_hits}");
+    }
+
     #[test]
     fn recover_after_widening_keeps_everything_reachable() {
         let t: Hot<Pmem> = Hot::new();
@@ -1938,7 +2073,7 @@ mod tests {
     /// whose position implies a key prefix nothing witnesses any more. An
     /// insert of a far-away key used to *fill* a slot inside the husk (its
     /// window bits matched — Patricia skipping never compared the diverging
-    /// bits), planting an alien key that later `min_key` representatives and
+    /// bits), planting an alien key that later `any_key` representatives and
     /// branch placements trusted; a subsequent nearby insert then committed a
     /// branch whose placement index misrouted surviving siblings, losing
     /// acknowledged keys. Surfaced by the crash sweep's clustered-remove mixed
@@ -1956,7 +2091,7 @@ mod tests {
         }
         // Far-away keys diverging at bit 44: the first routes straight into
         // the husk's empty slot (low byte 0x46 matches its window), the rest
-        // trigger min_key-guided branch builds around it.
+        // trigger any_key-guided branch builds around it.
         let mut alien = vec![0xf4246u64];
         let mut k = 0xf4249u64;
         while k <= 0xf4282 {
