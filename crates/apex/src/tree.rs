@@ -38,7 +38,6 @@ use pm::stats;
 use recipe::persist::PersistMode;
 use recipe::session::ScanBuf;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A directory entry: the lowest key the node can hold, and the node.
@@ -77,6 +76,15 @@ impl TreeInner {
         P::persist_store(&*self.nodes, || ());
     }
 
+    /// Visit every data node the directory holds once, with its lower bound, under
+    /// the node's read lock. This is the tree's one full-structure traversal:
+    /// recovery, `len` and `node_count` call it.
+    fn for_each_object(&self, mut f: impl FnMut(&[u8], &NodeInner)) {
+        for (lo, node) in &self.nodes {
+            f(lo, &node.read());
+        }
+    }
+
     /// Persist the SMO redo record.
     fn persist_pending<P: PersistMode>(&self) {
         if let Some(p) = &self.pending {
@@ -92,7 +100,6 @@ impl TreeInner {
 #[derive(Debug)]
 pub struct Apex<P: PersistMode> {
     inner: RwLock<TreeInner>,
-    len: AtomicUsize,
     _policy: PhantomData<P>,
 }
 
@@ -111,7 +118,7 @@ impl<P: PersistMode> Apex<P> {
             nodes: vec![(Box::from(&[][..]), Arc::new(RwLock::new(root)))],
             pending: None,
         };
-        let t = Apex { inner: RwLock::new(inner), len: AtomicUsize::new(0), _policy: PhantomData };
+        let t = Apex { inner: RwLock::new(inner), _policy: PhantomData };
         {
             let tree = t.inner.read();
             tree.nodes[0].1.read().stage::<P>();
@@ -120,10 +127,12 @@ impl<P: PersistMode> Apex<P> {
         t
     }
 
-    /// Number of live keys.
+    /// Number of live keys (walks every data node; tests and diagnostics).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        let mut keys = 0;
+        self.inner.read().for_each_object(|_, node| keys += node.live_total());
+        keys
     }
 
     /// Whether the index holds no keys.
@@ -135,7 +144,9 @@ impl<P: PersistMode> Apex<P> {
     /// Number of data nodes (directory width); structural evidence for tests.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.inner.read().nodes.len()
+        let mut nodes = 0;
+        self.inner.read().for_each_object(|_, _| nodes += 1);
+        nodes
     }
 
     /// Upsert. Returns `true` if the key was new, `false` if its value was
@@ -153,7 +164,6 @@ impl<P: PersistMode> Apex<P> {
                     crate::node::Found::Absent => {
                         if n.buf_has_space() {
                             n.buf_insert::<P>(key, value);
-                            self.len.fetch_add(1, Ordering::Relaxed);
                             return true;
                         }
                     }
@@ -210,7 +220,6 @@ impl<P: PersistMode> Apex<P> {
             crate::node::Found::Absent => false,
             hit => {
                 n.remove_at::<P>(hit);
-                self.len.fetch_sub(1, Ordering::Relaxed);
                 true
             }
         }
@@ -291,9 +300,10 @@ impl<P: PersistMode> Apex<P> {
         P::crash_site("apex.smo.cleared");
     }
 
-    /// Post-crash recovery: replay a logged-but-uncleared SMO (idempotently)
-    /// and recount the live keys. Uncommitted buffer slots need no repair —
-    /// their commit bits never became durable, so they are free space.
+    /// Post-crash recovery: replay a logged-but-uncleared SMO (idempotently) and
+    /// finish the merge of every node a crash left with a full buffer. Uncommitted
+    /// buffer slots need no repair — their commit bits never became durable, so
+    /// they are free space.
     pub fn recover(&self) {
         let mut tree = self.inner.write();
         if let Some(p) = tree.pending.take() {
@@ -307,19 +317,54 @@ impl<P: PersistMode> Apex<P> {
             tree.persist_pending::<P>();
             P::crash_site("apex.recover.redone");
         }
-        let count: usize = tree.nodes.iter().map(|(_, n)| n.read().live_total()).sum();
-        self.len.store(count, Ordering::Relaxed);
         // Keep the buffer headroom invariant: a crash can strand a node with a
         // full buffer and no in-flight SMO; finish its merge now.
-        let full: Vec<Box<[u8]>> = tree
-            .nodes
-            .iter()
-            .filter(|(_, n)| !n.read().buf_has_space())
-            .map(|(b, _)| b.clone())
-            .collect();
+        let mut full: Vec<Box<[u8]>> = Vec::new();
+        tree.for_each_object(|lo, node| {
+            if !node.buf_has_space() {
+                full.push(lo.into());
+            }
+        });
         drop(tree);
         for lo in full {
             self.merge_at(&lo);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use recipe::key::u64_key;
+    use recipe::persist::Pmem;
+
+    #[test]
+    fn walk_visits_each_node_once() {
+        // A seeded mix of inserts and removes fills buffers, so merges and splits
+        // replace nodes.
+        let t: Apex<Pmem> = Apex::new();
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..20_000u64 {
+            let r = pm::mix64(0xA9E ^ i);
+            let k = u64_key(r % 8_000);
+            if r >> 62 == 0 {
+                assert_eq!(t.remove(&k), model.remove(&k).is_some());
+            } else {
+                t.insert(&k, i);
+                model.insert(k, i);
+            }
+        }
+        let (mut nodes, mut bounds) = (Vec::new(), Vec::new());
+        t.inner.read().for_each_object(|lo, node| {
+            nodes.push(node as *const NodeInner as usize);
+            bounds.push(lo.to_vec());
+        });
+        assert!(nodes.len() > 1, "splits happened");
+        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "a bound was visited twice");
+        let visited = nodes.len();
+        nodes.sort_unstable();
+        nodes.dedup();
+        assert_eq!(nodes.len(), visited, "a node was visited twice");
+        assert_eq!(t.len(), model.len());
     }
 }

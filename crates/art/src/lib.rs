@@ -99,8 +99,9 @@ impl<P: PersistMode> Index for Art<P> {
         }
     }
 
+    /// Re-initialises every node lock through the tree's one walk; nothing more.
     fn recover(&self) {
-        self.recover_locks();
+        Art::recover(self);
     }
 }
 

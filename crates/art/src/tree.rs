@@ -535,44 +535,50 @@ impl<P: PersistMode> Art<P> {
         })
     }
 
-    /// Walk every reachable node and re-initialise its lock: RECIPE's post-crash lock
-    /// re-initialisation (embedded locks are meaningless across restarts).
-    pub fn recover_locks(&self) {
-        fn walk(word: usize) {
-            if word == 0 || is_leaf(word) {
-                return;
+    /// Visit every node and leaf reachable from the root once, as its tagged word:
+    /// inner nodes in ascending address order, then leaves in descending address
+    /// order, the order a drop frees them in (`pm::alloc::pm_line_drop_all`). A node
+    /// two slots reach, as a crash or an alias can leave it, is visited once. Every
+    /// word is collected before the first visit, so `f` may free what it is given.
+    /// This is the tree's one full-structure traversal: recovery, `len` and the drop
+    /// call it.
+    fn for_each_object(&self, mut f: impl FnMut(usize)) {
+        fn collect(word: usize, words: &mut Vec<usize>) {
+            words.push(word);
+            if !is_leaf(word) {
+                // SAFETY: a reachable inner node; nothing is freed until the walk ends.
+                unsafe { NodeRef::from_word(word) }.walk_children_from(0, |_, c| {
+                    collect(c, words);
+                    false
+                });
             }
-            // SAFETY: reachable inner nodes are never freed while the tree is alive.
-            let node = unsafe { NodeRef::from_word(word) };
-            node.hdr().lock.force_unlock();
-            node.walk_children_from(0, |_, c| {
-                walk(c);
-                false
-            });
         }
-        walk(self.root.load(Ordering::Acquire));
+        let mut words = Vec::new();
+        collect(self.root.load(Ordering::Acquire), &mut words);
+        words.sort_unstable_by_key(|&w| if is_leaf(w) { (true, !w) } else { (false, w) });
+        words.dedup();
+        for word in words {
+            f(word);
+        }
+    }
+
+    /// Re-initialise every node lock: RECIPE's post-crash lock re-initialisation
+    /// (embedded locks are meaningless across restarts).
+    pub(crate) fn recover(&self) {
+        self.for_each_object(|word| {
+            if !is_leaf(word) {
+                // SAFETY: a reachable inner node, alive while the tree is.
+                unsafe { NodeRef::from_word(word) }.hdr().lock.force_unlock();
+            }
+        });
     }
 
     /// Number of keys currently stored (slow full traversal; diagnostics and tests).
     #[must_use]
     pub fn len(&self) -> usize {
-        fn walk(word: usize) -> usize {
-            if word == 0 {
-                return 0;
-            }
-            if is_leaf(word) {
-                return 1;
-            }
-            // SAFETY: reachable inner nodes are never freed while the tree is alive.
-            let node = unsafe { NodeRef::from_word(word) };
-            let mut keys = 0;
-            node.walk_children_from(0, |_, c| {
-                keys += walk(c);
-                false
-            });
-            keys
-        }
-        walk(self.root.load(Ordering::Acquire))
+        let mut keys = 0;
+        self.for_each_object(|word| keys += usize::from(is_leaf(word)));
+        keys
     }
 
     /// Whether the tree is empty.
@@ -607,30 +613,15 @@ impl<P: PersistMode> Drop for Art<P> {
     /// Free every node and leaf reachable from the root, each once; `retired` frees
     /// the unlinked ones as it drops after this.
     fn drop(&mut self) {
-        fn collect(word: usize, nodes: &mut Vec<usize>, leaves: &mut Vec<*mut Leaf>) {
+        // SAFETY: exclusive access; every object is reachable only from this tree,
+        // and the walk visits it once.
+        self.for_each_object(|word| unsafe {
             if is_leaf(word) {
-                leaves.push((word & !1) as *mut Leaf);
-                return;
-            }
-            nodes.push(word);
-            // SAFETY: a reachable inner node; nothing is freed until the walk ends.
-            unsafe { NodeRef::from_word(word) }.walk_children_from(0, |_, c| {
-                collect(c, nodes, leaves);
-                false
-            });
-        }
-        let (mut nodes, mut leaves) = (Vec::new(), Vec::new());
-        collect(*self.root.get_mut(), &mut nodes, &mut leaves);
-        nodes.sort_unstable();
-        nodes.dedup();
-        // SAFETY: exclusive access; every collected object is reachable only from
-        // this tree, and duplicates were removed.
-        unsafe {
-            for word in nodes {
+                Leaf::free((word & !1) as *mut Leaf);
+            } else {
                 free_node(word);
             }
-            Leaf::free_all(leaves);
-        }
+        });
     }
 }
 
@@ -904,6 +895,31 @@ mod tests {
         for (k, v) in &model {
             assert_eq!(t.get(k), Some(*v));
         }
+        assert_eq!(t.len(), model.len());
+    }
+
+    #[test]
+    fn walk_visits_each_object_once() {
+        // A seeded mix of inserts and removes grows nodes and retires leaves.
+        let t: Art<Pmem> = Art::new();
+        let mut model = BTreeMap::new();
+        for i in 0..20_000u64 {
+            let r = pm::mix64(0xA27 ^ i);
+            let k = u64_key(r % 4_000);
+            if r >> 62 == 0 {
+                assert_eq!(t.remove(&k), model.remove(&k).is_some());
+            } else {
+                t.insert(&k, i);
+                model.insert(k, i);
+            }
+        }
+        let mut words = Vec::new();
+        t.for_each_object(|w| words.push(w));
+        let visited = words.len();
+        words.sort_unstable();
+        words.dedup();
+        assert_eq!(words.len(), visited, "an object was visited twice");
+        assert_eq!(words.iter().filter(|&&w| is_leaf(w)).count(), model.len());
         assert_eq!(t.len(), model.len());
     }
 }

@@ -117,6 +117,8 @@ impl<P: PersistMode> Index for BwTree<P> {
         BwTree::merge_empty_pages(self);
     }
 
+    /// Has no locks to re-initialise: replays the helper over every page the
+    /// walk reaches, completing each torn split or merge.
     fn recover(&self) {
         BwTree::recover(self);
     }

@@ -85,13 +85,13 @@ std::thread_local! {
 
 const MAX_HELP_DEPTH: u32 = 4;
 
-/// Free every node of a detached delta chain.
+/// Free every node of a delta chain.
 ///
 /// # Safety
 ///
-/// The chain must be unreachable (its head swapped out of the mapping table)
-/// and the caller must guarantee no thread can still be traversing it — either
-/// exclusive tree access (`Drop`) or epoch quiescence (the deferred-free path).
+/// No thread may still traverse or later reach the chain: either the tree is
+/// dropping (`Drop`, exclusive access), or the chain's head was swapped out of
+/// the mapping table and the epoch has quiesced (the deferred-free path).
 unsafe fn free_chain(mut p: *mut Delta) {
     while !p.is_null() {
         let next = delta_ref(p).next.load(Ordering::Acquire);
@@ -904,6 +904,19 @@ impl<P: PersistMode> BwTree<P> {
         }
     }
 
+    /// Visit every page the mapping table holds once, as `(pid, head)`, in pid
+    /// order, skipping the slots no page fills. `f` may free the chain it is given:
+    /// the walk does not read it again. This is the tree's one full-structure
+    /// traversal: recovery, the diagnostics, the merge sweep and the drop call it.
+    fn for_each_object(&self, mut f: impl FnMut(Pid, *mut Delta)) {
+        for pid in 1..self.next_pid.load(Ordering::Acquire) {
+            let head = self.head(pid);
+            if !head.is_null() {
+                f(pid, head);
+            }
+        }
+    }
+
     /// Post-crash recovery: replay every incomplete split-delta installation.
     ///
     /// The Bw-tree has no locks to re-initialise; restart only needs the helping
@@ -914,14 +927,7 @@ impl<P: PersistMode> BwTree<P> {
     /// restart would.
     pub fn recover(&self) {
         let _epoch = self.epoch.enter();
-        let max = self.next_pid.load(Ordering::Acquire);
-        for pid in 1..max {
-            let head = self.head(pid);
-            if head.is_null() {
-                continue;
-            }
-            self.help_page(pid, head);
-        }
+        self.for_each_object(|pid, head| self.help_page(pid, head));
     }
 
     /// Diagnostic: in-progress (or crash-torn) SMOs — split deltas whose
@@ -931,13 +937,8 @@ impl<P: PersistMode> BwTree<P> {
     #[must_use]
     pub fn incomplete_smos(&self) -> usize {
         let _epoch = self.epoch.enter();
-        let max = self.next_pid.load(Ordering::Acquire);
         let mut n = 0;
-        for pid in 1..max {
-            let head = self.head(pid);
-            if head.is_null() {
-                continue;
-            }
+        self.for_each_object(|pid, head| {
             match first_smo(head) {
                 Some(SmoMarker::Split(_, sep, right)) => {
                     // A split whose right page was merged away is moot (its
@@ -960,7 +961,7 @@ impl<P: PersistMode> BwTree<P> {
                 }
                 Some(SmoMarker::Merged(..)) | None => {}
             }
-        }
+        });
         n
     }
 
@@ -1036,20 +1037,11 @@ impl<P: PersistMode> BwTree<P> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         let _epoch = self.epoch.enter();
-        let max = self.next_pid.load(Ordering::Acquire);
-        for pid in 1..max {
-            let head = self.head(pid);
-            if head.is_null() {
-                continue;
-            }
-            if !delta_ref(head).leaf || chain_removed(head) {
-                continue;
-            }
-            if page_live(head) {
-                return false;
-            }
-        }
-        true
+        let mut live = false;
+        self.for_each_object(|_, head| {
+            live |= delta_ref(head).leaf && !chain_removed(head) && page_live(head);
+        });
+        !live
     }
 
     /// Live (non-removed) leaf pages currently holding zero records — the
@@ -1058,22 +1050,14 @@ impl<P: PersistMode> BwTree<P> {
     #[must_use]
     pub fn empty_leaf_pages(&self) -> u64 {
         let _epoch = self.epoch.enter();
-        let max = self.next_pid.load(Ordering::Acquire);
         let mut n = 0;
-        for pid in 1..max {
-            let head = self.head(pid);
-            if head.is_null() {
-                continue;
-            }
-            if !delta_ref(head).leaf || chain_removed(head) {
-                continue;
-            }
+        self.for_each_object(|_, head| {
             // The leftmost leaf is never merged; it still counts here only if
             // it is not the sole leaf left (an empty tree is one empty page).
-            if !page_live(head) {
+            if delta_ref(head).leaf && !chain_removed(head) && !page_live(head) {
                 n += 1;
             }
-        }
+        });
         n
     }
 
@@ -1090,17 +1074,12 @@ impl<P: PersistMode> BwTree<P> {
     pub fn merge_empty_pages(&self) -> u64 {
         let _epoch = self.epoch.enter();
         let before = self.merged_pages.load(Ordering::Acquire);
-        let max = self.next_pid.load(Ordering::Acquire);
-        for pid in 1..max {
-            let head = self.head(pid);
-            if head.is_null() {
-                continue;
-            }
+        self.for_each_object(|pid, head| {
             self.help_page(pid, head);
             if delta_ref(head).leaf {
                 self.maybe_merge(pid);
             }
-        }
+        });
         self.merged_pages.load(Ordering::Acquire) - before
     }
 
@@ -1120,13 +1099,50 @@ impl<P: PersistMode> Drop for BwTree<P> {
         // Retired chains are disjoint from the mapping table's; with `&mut
         // self` no session can be pinned, so the flush drains all of them.
         self.epoch.flush();
-        let max = *self.next_pid.get_mut();
-        for pid in 1..max {
-            let head = self.map.slot(pid).swap(std::ptr::null_mut(), Ordering::AcqRel);
-            // SAFETY: exclusive access (`&mut self` in drop); chains were
-            // detached just above.
-            unsafe { free_chain(head) };
-        }
+        // SAFETY: exclusive access (`&mut self` in drop); the walk reads no page
+        // after visiting it.
+        self.for_each_object(|_, head| unsafe { free_chain(head) });
         self.map.free_segments();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use recipe::key::u64_key;
+    use recipe::persist::Pmem;
+
+    #[test]
+    fn walk_visits_each_page_once() {
+        // A seeded mix of inserts and removes splits pages, and the merge sweep
+        // retires the ones the removes emptied.
+        let t: BwTree<Pmem> = BwTree::with_config(4, 16, "");
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..20_000u64 {
+            let r = pm::mix64(0xB3 ^ i);
+            let k = u64_key(r % 4_000);
+            if r >> 62 == 0 {
+                assert_eq!(t.remove(&k), model.remove(&k).is_some());
+            } else {
+                t.insert(&k, i);
+                model.insert(k, i);
+            }
+        }
+        for k in 0..2_000 {
+            assert_eq!(t.remove(&u64_key(k)), model.remove(&u64_key(k)).is_some());
+        }
+        t.merge_empty_pages();
+        assert!(t.merged_pages() > 0, "merges retired pages");
+        let (mut pids, mut heads) = (Vec::new(), Vec::new());
+        t.for_each_object(|pid, head| {
+            pids.push(pid);
+            heads.push(head as usize);
+        });
+        assert!(pids.windows(2).all(|w| w[0] < w[1]), "a page was visited twice");
+        heads.sort_unstable();
+        heads.dedup();
+        assert_eq!(heads.len(), pids.len(), "two pages share a chain");
+        assert_eq!(t.incomplete_smos(), 0);
+        assert_eq!(t.len(), model.len());
     }
 }

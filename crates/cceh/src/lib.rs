@@ -349,21 +349,28 @@ impl<P: PersistMode> Cceh<P> {
         self.with_locked_segment(h, |_, seg| seg.remove::<P>(h, k))
     }
 
-    /// Number of entries (slow; walks every segment once, de-duplicating shared
-    /// directory entries).
+    /// Visit every segment the current directory routes to once, in ascending
+    /// address order: after a split several directory entries share one segment,
+    /// and the walk collects the entries, sorts them and drops the repeats. `f`
+    /// may free what it is given. This is the table's one full-structure
+    /// traversal: recovery, `len` and the drop call it.
+    fn for_each_object(&self, mut f: impl FnMut(*mut Segment)) {
+        let dir = self.directory();
+        let mut segments: Vec<_> =
+            dir.segments.iter().map(|s| s.load(Ordering::Acquire) as *mut Segment).collect();
+        segments.sort_unstable();
+        segments.dedup();
+        for seg in segments {
+            f(seg);
+        }
+    }
+
+    /// Number of entries (slow; walks every segment once).
     #[must_use]
     pub fn len(&self) -> usize {
-        let dir = self.directory();
-        let mut seen = std::collections::HashSet::new();
         let mut count = 0usize;
-        for s in &dir.segments {
-            let p = s.load(Ordering::Acquire);
-            if seen.insert(p) {
-                // SAFETY: freed only when the table drops.
-                let seg = unsafe { &*(p as *const Segment) };
-                seg.for_each(|_, _| count += 1);
-            }
-        }
+        // SAFETY: segments are freed only when the table drops.
+        self.for_each_object(|seg| unsafe { &*seg }.for_each(|_, _| count += 1));
         count
     }
 
@@ -456,17 +463,11 @@ impl<P: PersistMode> Index for Cceh<P> {
         }
     }
 
+    /// Re-initialises every segment lock through the table's one walk; nothing
+    /// more.
     fn recover(&self) {
-        let dir = self.directory();
-        let mut seen = std::collections::HashSet::new();
-        for s in &dir.segments {
-            let p = s.load(Ordering::Acquire);
-            if seen.insert(p) {
-                // SAFETY: freed only when the table drops.
-                let seg = unsafe { &*(p as *const Segment) };
-                seg.lock.force_unlock();
-            }
-        }
+        // SAFETY: segments are freed only when the table drops.
+        self.for_each_object(|seg| unsafe { &*seg }.lock.force_unlock());
     }
 }
 
@@ -474,15 +475,12 @@ impl<P: PersistMode> Drop for Cceh<P> {
     /// Free the directory and every segment it routes to, each once: after a split
     /// several directory entries share one segment.
     fn drop(&mut self) {
-        let dir = *self.dir.get_mut();
-        // SAFETY: exclusive access; the directory and its segments were allocated
-        // with `pm_box` by this table, and the ones splits replaced are in `retired`.
-        unsafe {
-            let segments =
-                (*dir).segments.iter().map(|s| s.load(Ordering::Acquire) as *mut Segment);
-            pm::alloc::pm_drop_all(segments.collect());
-            pm::alloc::pm_drop(dir);
-        }
+        // SAFETY: exclusive access; the segments were allocated with `pm_box` by
+        // this table, the walk visits each once, and the ones splits replaced are
+        // in `retired`.
+        self.for_each_object(|seg| unsafe { pm::alloc::pm_drop(seg) });
+        // SAFETY: as above; a replaced directory is in `retired` too.
+        unsafe { pm::alloc::pm_drop(*self.dir.get_mut()) };
     }
 }
 
@@ -632,5 +630,31 @@ mod tests {
         t.handle().insert(&k(3), 3).unwrap();
         t.recover();
         assert_eq!(t.handle().get(&k(3)), Some(3));
+    }
+
+    #[test]
+    fn walk_visits_each_segment_once() {
+        // A seeded mix of inserts and removes splits segments and doubles the
+        // directory, so several directory entries share one segment.
+        let t: PCceh = Cceh::with_depth(1);
+        let mut model = std::collections::HashMap::new();
+        for i in 0..20_000u64 {
+            let r = pm::mix64(0xCE ^ i);
+            let key = r % 8_000 + 1;
+            if r >> 62 == 0 {
+                assert_eq!(t.remove_internal(key), model.remove(&key).is_some());
+            } else {
+                t.put_internal(key, i);
+                model.insert(key, i);
+            }
+        }
+        let mut segments = Vec::new();
+        t.for_each_object(|seg| segments.push(seg as usize));
+        let visited = segments.len();
+        assert!(visited < t.directory().segments.len(), "directory entries share segments");
+        segments.sort_unstable();
+        segments.dedup();
+        assert_eq!(segments.len(), visited, "a segment was visited twice");
+        assert_eq!(t.len(), model.len());
     }
 }

@@ -428,21 +428,11 @@ impl<P: PersistMode> Index for Clht<P> {
         }
     }
 
+    /// Re-initialises every bucket lock of the installed table through its one
+    /// walk; nothing more: a torn insert left no visible key or a whole entry.
     fn recover(&self) {
-        // RECIPE lock re-initialisation: clear every bucket lock of the installed
-        // table. Values/keys need no repair — partially completed inserts left either
-        // no visible key (value written, key not yet published) or a fully visible
-        // entry, both of which the read/write paths handle.
-        let t = self.current();
-        for b in t.buckets() {
-            let mut cur: *const Bucket = b;
-            while !cur.is_null() {
-                // SAFETY: buckets reachable from the installed table are never freed.
-                let r = unsafe { &*cur };
-                r.lock.force_unlock();
-                cur = r.next_ptr();
-            }
-        }
+        // SAFETY: buckets reachable from the installed table are never freed.
+        self.current().for_each_object(|b, _| unsafe { &*b }.lock.force_unlock());
     }
 }
 
@@ -610,5 +600,35 @@ mod tests {
     fn name_reflects_policy() {
         assert_eq!(Clht::<Dram>::with_capacity(4).index_name(), "CLHT");
         assert_eq!(Clht::<Pmem>::with_capacity(4).index_name(), "P-CLHT");
+    }
+
+    #[test]
+    fn walk_visits_each_bucket_once() {
+        // A seeded mix of inserts and removes chains overflow buckets and
+        // rehashes, retiring the tables it replaces.
+        let t: Clht<Pmem> = Clht::with_capacity(64);
+        let mut model = std::collections::HashMap::new();
+        for i in 0..20_000u64 {
+            let r = pm::mix64(0xC1 ^ i);
+            let key = r % 4_000 + 1;
+            if r >> 62 == 0 {
+                assert_eq!(t.remove_internal(key), model.remove(&key).is_some());
+            } else {
+                t.put_internal(key, i);
+                model.insert(key, i);
+            }
+        }
+        assert!(t.num_buckets() > 64, "the table rehashed");
+        let (mut buckets, mut chained) = (Vec::new(), 0);
+        t.current().for_each_object(|b, c| {
+            buckets.push(b as usize);
+            chained += usize::from(c);
+        });
+        let visited = buckets.len();
+        buckets.sort_unstable();
+        buckets.dedup();
+        assert_eq!(buckets.len(), visited, "a bucket was visited twice");
+        assert_eq!(visited - chained, t.num_buckets());
+        assert_eq!(t.len(), model.len());
     }
 }

@@ -82,36 +82,41 @@ impl Table {
         }
     }
 
+    /// Visit every bucket of this table once, each first-level bucket before its
+    /// overflow chain, as `(bucket, chained)`: `chained` marks an overflow bucket,
+    /// a `pm_box` of its own. A bucket's successor is read before its visit, so
+    /// `f` may free a chained bucket. This is the table's one full-structure
+    /// traversal: `len_slow`, `for_each`, recovery and the drop call it.
+    pub(crate) fn for_each_object(&self, mut f: impl FnMut(*mut Bucket, bool)) {
+        for b in self.buckets.iter() {
+            let (mut cur, mut chained) = (b as *const Bucket as *mut Bucket, false);
+            while !cur.is_null() {
+                // SAFETY: chain buckets are freed only when their table is dropped.
+                let next = unsafe { &*cur }.next_ptr();
+                f(cur, chained);
+                (cur, chained) = (next, true);
+            }
+        }
+    }
+
     /// Total number of occupied entries, walking every chain. O(n); test/diagnostic
     /// use only.
     #[must_use]
     pub fn len_slow(&self) -> usize {
         let mut count = 0;
-        for b in self.buckets.iter() {
-            let mut cur: *const Bucket = b;
-            while !cur.is_null() {
-                // SAFETY: chain buckets are freed only when their table is dropped.
-                let r = unsafe { &*cur };
-                count += r.entries().len();
-                cur = r.next_ptr();
-            }
-        }
+        // SAFETY: the walk's buckets live as long as the table.
+        self.for_each_object(|b, _| count += unsafe { &*b }.entries().len());
         count
     }
 
     /// Iterate over every `(key, value)` in the table, chains included.
     pub fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        for b in self.buckets.iter() {
-            let mut cur: *const Bucket = b;
-            while !cur.is_null() {
-                // SAFETY: see `len_slow`.
-                let r = unsafe { &*cur };
-                for (k, v) in r.entries() {
-                    f(k, v);
-                }
-                cur = r.next_ptr();
+        self.for_each_object(|b, _| {
+            // SAFETY: the walk's buckets live as long as the table.
+            for (k, v) in unsafe { &*b }.entries() {
+                f(k, v);
             }
-        }
+        });
     }
 }
 
@@ -119,17 +124,13 @@ impl Drop for Table {
     fn drop(&mut self) {
         // Free the overflow chains this table owns. First-level buckets are dropped
         // with the boxed slice.
-        for b in self.buckets.iter() {
-            let mut cur = b.next_ptr();
-            while !cur.is_null() {
+        self.for_each_object(|b, chained| {
+            if chained {
                 // SAFETY: overflow buckets were allocated with `pm_box` by this table
                 // and are unreachable once the table is dropped.
-                let next = unsafe { (*cur).next_ptr() };
-                // SAFETY: as above — `cur` is a live pm_box allocation owned by this table.
-                unsafe { pm::alloc::pm_drop(cur) };
-                cur = next;
+                unsafe { pm::alloc::pm_drop(b) };
             }
-        }
+        });
     }
 }
 

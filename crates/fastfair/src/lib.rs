@@ -90,8 +90,9 @@ impl<P: PersistMode> Index for FastFair<P> {
         }
     }
 
+    /// Re-initialises every node lock through the tree's one walk; nothing more.
     fn recover(&self) {
-        self.recover_locks();
+        FastFair::recover(self);
     }
 }
 

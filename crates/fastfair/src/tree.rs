@@ -469,28 +469,35 @@ impl<P: PersistMode> FastFair<P> {
         }
     }
 
-    /// Re-initialise every node lock after a (simulated) crash.
-    pub fn recover_locks(&self) {
-        fn walk(ptr: *mut Node) {
-            if ptr.is_null() {
-                return;
+    /// Visit every node once, level by level along the sibling chains that start at
+    /// the leftmost spine: a node a torn split linked only as a sibling is reached
+    /// too, and a child that a parent slot and a sibling pointer both reach is
+    /// visited once, so the walk is linear in the nodes. `f` must not free the
+    /// node, whose links the walk reads after the visit. This is the tree's one
+    /// full-structure traversal: recovery, `len` and the drop call it.
+    fn for_each_object(&self, mut f: impl FnMut(*mut Node)) {
+        let mut level_head = self.root.load(Ordering::Acquire);
+        while !level_head.is_null() {
+            let mut cur = level_head;
+            while !cur.is_null() {
+                f(cur);
+                cur = self.node_ref(cur).sibling.load(Ordering::Acquire);
             }
-            // SAFETY: nodes reachable from the root are never freed.
-            let node = unsafe { &*ptr };
-            node.lock.force_unlock();
-            if !node.is_leaf() {
-                walk(node.leftmost.load(Ordering::Acquire) as *mut Node);
-                for i in 0..node.count() {
-                    walk(node.entries[i].val.load(Ordering::Acquire) as *mut Node);
-                }
-            }
-            // Sibling chains cover nodes whose parent update never completed.
-            walk(node.sibling.load(Ordering::Acquire));
+            let head = self.node_ref(level_head);
+            level_head = if head.is_leaf() {
+                std::ptr::null_mut()
+            } else {
+                head.leftmost.load(Ordering::Acquire) as *mut Node
+            };
         }
-        walk(self.root.load(Ordering::Acquire));
     }
 
-    /// Number of stored keys (walks the leaf chain; tests and diagnostics only).
+    /// Re-initialise every node lock after a (simulated) crash.
+    pub(crate) fn recover(&self) {
+        self.for_each_object(|p| self.node_ref(p).lock.force_unlock());
+    }
+
+    /// Number of stored keys (walks the leaf level; tests and diagnostics only).
     #[must_use]
     pub fn len(&self) -> usize {
         let mode = if self.mode.load(Ordering::Acquire) == 2 {
@@ -498,30 +505,18 @@ impl<P: PersistMode> FastFair<P> {
         } else {
             KeyMode::Inline
         };
-        let mut cur = self.root.load(Ordering::Acquire);
-        // Descend to the leftmost leaf.
-        loop {
-            let node = self.node_ref(cur);
-            if node.is_leaf() {
-                break;
-            }
-            let lm = node.leftmost.load(Ordering::Acquire);
-            if lm == 0 {
-                break;
-            }
-            cur = lm as *mut Node;
-        }
         let mut seen = std::collections::BTreeSet::new();
-        while !cur.is_null() {
-            let node = self.node_ref(cur);
-            for i in 0..node.count() {
-                let kw = node.entries[i].key.load(Ordering::Acquire);
-                if kw != EMPTY {
-                    seen.insert(word_to_bytes(mode, kw));
+        self.for_each_object(|p| {
+            let node = self.node_ref(p);
+            if node.is_leaf() {
+                for i in 0..node.count() {
+                    let kw = node.entries[i].key.load(Ordering::Acquire);
+                    if kw != EMPTY {
+                        seen.insert(word_to_bytes(mode, kw));
+                    }
                 }
             }
-            cur = node.sibling.load(Ordering::Acquire);
-        }
+        });
         seen.len()
     }
 
@@ -542,31 +537,70 @@ impl<P: PersistMode> Drop for FastFair<P> {
         let indirect = *self.mode.get_mut() == 2;
         let mut keys = std::mem::take(self.removed_keys.get_mut());
         let mut nodes = Vec::new();
-        let mut level_head = *self.root.get_mut();
-        while !level_head.is_null() {
-            let mut cur = level_head;
-            while !cur.is_null() {
-                nodes.push(cur);
-                let node = self.node_ref(cur);
-                if indirect && node.is_leaf() {
-                    keys.extend(
-                        (0..node.count()).map(|i| node.entries[i].key.load(Ordering::Acquire)),
-                    );
-                }
-                cur = node.sibling.load(Ordering::Acquire);
+        self.for_each_object(|p| {
+            let node = self.node_ref(p);
+            if indirect && node.is_leaf() {
+                keys.extend((0..node.count()).map(|i| node.entries[i].key.load(Ordering::Acquire)));
             }
-            let head = self.node_ref(level_head);
-            level_head = if head.is_leaf() {
-                std::ptr::null_mut()
-            } else {
-                head.leftmost.load(Ordering::Acquire) as *mut Node
-            };
-        }
+            nodes.push(p);
+        });
         // SAFETY: exclusive access; every node and key buffer was allocated with
         // `pm_box` by this tree, and duplicates are freed once.
         unsafe {
             pm::alloc::pm_drop_all(nodes);
             pm::alloc::pm_drop_all(keys.into_iter().map(|w| w as *mut KeyBuf).collect());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use recipe::key::u64_key;
+    use recipe::persist::Pmem;
+
+    #[test]
+    fn walk_visits_each_node_once() {
+        // A seeded mix of inserts and removes splits leaves and internal nodes.
+        let t: FastFair<Pmem> = FastFair::new();
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..20_000u64 {
+            let r = pm::mix64(0xFF ^ i);
+            let k = u64_key(r % 8_000);
+            if r >> 62 == 0 {
+                assert_eq!(t.remove(&k), model.remove(&k).is_some());
+            } else {
+                t.insert(&k, i);
+                model.insert(k, i);
+            }
+        }
+        // Every child but the leftmost is linked twice: from its parent's slot and
+        // as its left neighbour's sibling.
+        let root = t.node_ref(t.root.load(Ordering::Acquire));
+        assert!(!root.is_leaf());
+        let first = t.node_ref(root.leftmost.load(Ordering::Acquire) as *mut Node);
+        assert_eq!(
+            first.sibling.load(Ordering::Acquire) as u64,
+            root.entries[0].val.load(Ordering::Acquire)
+        );
+        // A torn split: a leaf linked only as the last leaf's sibling, its parent
+        // entry never written. The walk reaches it, and the drop frees it.
+        let mut last = first as *const Node as *mut Node;
+        while !t.node_ref(last).is_leaf() {
+            last = t.node_ref(last).leftmost.load(Ordering::Acquire) as *mut Node;
+        }
+        while !t.node_ref(last).sibling.load(Ordering::Acquire).is_null() {
+            last = t.node_ref(last).sibling.load(Ordering::Acquire);
+        }
+        let orphan = Node::alloc(true);
+        t.node_ref(last).sibling.store(orphan, Ordering::Release);
+        let mut nodes = Vec::new();
+        t.for_each_object(|p| nodes.push(p));
+        let visited = nodes.len();
+        nodes.sort_unstable();
+        nodes.dedup();
+        assert_eq!(nodes.len(), visited, "a node was visited twice");
+        assert!(nodes.contains(&orphan));
+        assert_eq!(t.len(), model.len());
     }
 }

@@ -105,8 +105,10 @@ impl<P: PersistMode> Index for Hot<P> {
         }
     }
 
+    /// Re-initialises the root lock and every node lock, and clears the volatile
+    /// obsolete hints, through the trie's one walk; nothing more.
     fn recover(&self) {
-        self.recover_locks();
+        Hot::recover(self);
     }
 }
 

@@ -143,6 +143,43 @@ unsafe fn free_one(word: usize) {
     }
 }
 
+/// Visit every object of the subtree at `word` (0 for none) once, as its tagged
+/// word: plain nodes and compounds in ascending address order, then leaves in
+/// descending address order, the order a drop frees them in
+/// (`pm::alloc::pm_line_drop_all`). An object two slots reach is visited once.
+/// Every word is collected before the first visit, so `f` may free what it is
+/// given. This is the trie's one full-structure traversal: recovery, the
+/// diagnostics, retiring a subtree and the drop call it.
+fn for_each_object(word: usize, mut f: impl FnMut(usize)) {
+    fn collect(word: usize, words: &mut Vec<usize>) {
+        if word == 0 {
+            return;
+        }
+        words.push(word);
+        if is_leaf(word) {
+            return;
+        }
+        if is_compound(word) {
+            // SAFETY: nothing is freed until the walk ends.
+            for slot in unsafe { compound_of(word) }.children() {
+                collect(slot.load(Ordering::Acquire), words);
+            }
+        } else {
+            // SAFETY: as above.
+            for slot in &unsafe { &*(word as *const Node) }.children {
+                collect(slot.load(Ordering::Acquire), words);
+            }
+        }
+    }
+    let mut words = Vec::new();
+    collect(word, &mut words);
+    words.sort_unstable_by_key(|&w| if is_leaf(w) { (true, !w) } else { (false, w) });
+    words.dedup();
+    for w in words {
+        f(w);
+    }
+}
+
 /// Free every object of the subtree at `word` (0 for none), each once even if two
 /// slots reach it.
 ///
@@ -150,38 +187,8 @@ unsafe fn free_one(word: usize) {
 /// The subtree is this trie's, no thread can reach it, and nothing else frees any
 /// object in it.
 unsafe fn free_subtree(word: usize) {
-    fn collect(word: usize, inner: &mut Vec<usize>, leaves: &mut Vec<*mut Leaf>) {
-        if word == 0 {
-            return;
-        }
-        if is_leaf(word) {
-            leaves.push(leaf_of(word) as *mut Leaf);
-            return;
-        }
-        inner.push(word);
-        if is_compound(word) {
-            // SAFETY: nothing is freed until the walk ends.
-            for slot in unsafe { compound_of(word) }.children() {
-                collect(slot.load(Ordering::Acquire), inner, leaves);
-            }
-        } else {
-            // SAFETY: as above.
-            for slot in &unsafe { &*(word as *const Node) }.children {
-                collect(slot.load(Ordering::Acquire), inner, leaves);
-            }
-        }
-    }
-    let (mut inner, mut leaves) = (Vec::new(), Vec::new());
-    collect(word, &mut inner, &mut leaves);
-    inner.sort_unstable();
-    inner.dedup();
-    // SAFETY: caller contract; duplicates were removed.
-    unsafe {
-        for w in inner {
-            free_one(w);
-        }
-        Leaf::free_all(leaves);
-    }
+    // SAFETY: caller contract; the walk visits each object once.
+    for_each_object(word, |w| unsafe { free_one(w) });
 }
 
 fn alloc_node(bit_pos: u32, width: u32) -> *mut Node {
@@ -1457,55 +1464,37 @@ impl<P: PersistMode> Hot<P> {
         out.len() >= count
     }
 
-    /// Re-initialise every node lock (RECIPE's post-crash lock re-initialisation).
-    /// Also clears the volatile obsolete hints: anything reachable is live.
-    pub fn recover_locks(&self) {
+    /// Re-initialise the root lock and every node lock (RECIPE's post-crash lock
+    /// re-initialisation), and clear the volatile obsolete hints: anything
+    /// reachable is live.
+    pub(crate) fn recover(&self) {
         self.root_lock.force_unlock();
-        fn walk(word: usize) {
-            if word == 0 || is_leaf(word) {
+        for_each_object(self.root.load(Ordering::Acquire), |word| {
+            if is_leaf(word) {
                 return;
             }
-            if is_compound(word) {
+            let (lock, obsolete) = if is_compound(word) {
                 // SAFETY: freed only when the trie drops.
                 let c = unsafe { compound_of(word) };
-                c.lock.force_unlock();
-                c.obsolete.store(false, Ordering::Relaxed);
-                for slot in c.children() {
-                    walk(slot.load(Ordering::Acquire));
-                }
-                return;
-            }
-            // SAFETY: freed only when the trie drops.
-            let node = unsafe { &*(word as *const Node) };
-            node.lock.force_unlock();
-            node.obsolete.store(false, Ordering::Relaxed);
-            for c in &node.children {
-                walk(c.load(Ordering::Acquire));
-            }
-        }
-        walk(self.root.load(Ordering::Acquire));
+                (&c.lock, &c.obsolete)
+            } else {
+                // SAFETY: as above.
+                let node = unsafe { &*(word as *const Node) };
+                (&node.lock, &node.obsolete)
+            };
+            lock.force_unlock();
+            obsolete.store(false, Ordering::Relaxed);
+        });
     }
 
     /// Number of keys (slow full traversal).
     #[must_use]
     pub fn len(&self) -> usize {
-        fn walk(word: usize) -> usize {
-            if word == 0 {
-                return 0;
-            }
-            if is_leaf(word) {
-                return 1;
-            }
-            if is_compound(word) {
-                // SAFETY: freed only when the trie drops.
-                let c = unsafe { compound_of(word) };
-                return c.children().map(|s| walk(s.load(Ordering::Acquire))).sum();
-            }
-            // SAFETY: freed only when the trie drops.
-            let node = unsafe { &*(word as *const Node) };
-            node.children.iter().map(|c| walk(c.load(Ordering::Acquire))).sum()
-        }
-        walk(self.root.load(Ordering::Acquire))
+        let mut keys = 0;
+        for_each_object(self.root.load(Ordering::Acquire), |word| {
+            keys += usize::from(is_leaf(word))
+        });
+        keys
     }
 
     /// Whether the trie is empty.
@@ -1514,47 +1503,15 @@ impl<P: PersistMode> Hot<P> {
         self.root.load(Ordering::Acquire) == 0
     }
 
-    /// Maximum depth in nodes (diagnostic for the "height-optimized" property).
-    #[must_use]
-    pub fn height(&self) -> usize {
-        fn walk(word: usize) -> usize {
-            if word == 0 || is_leaf(word) {
-                return 0;
-            }
-            if is_compound(word) {
-                // SAFETY: freed only when the trie drops.
-                let c = unsafe { compound_of(word) };
-                return 1 + c
-                    .children()
-                    .map(|s| walk(s.load(Ordering::Acquire)))
-                    .max()
-                    .unwrap_or(0);
-            }
-            // SAFETY: freed only when the trie drops.
-            let node = unsafe { &*(word as *const Node) };
-            1 + node.children.iter().map(|c| walk(c.load(Ordering::Acquire))).max().unwrap_or(0)
-        }
-        walk(self.root.load(Ordering::Acquire))
-    }
-
     /// Number of compound nodes currently reachable (diagnostic for tests and the
     /// calibration harness).
     #[must_use]
     pub fn compound_nodes(&self) -> usize {
-        fn walk(word: usize) -> usize {
-            if word == 0 || is_leaf(word) {
-                return 0;
-            }
-            if is_compound(word) {
-                // SAFETY: freed only when the trie drops.
-                let c = unsafe { compound_of(word) };
-                return 1 + c.children().map(|s| walk(s.load(Ordering::Acquire))).sum::<usize>();
-            }
-            // SAFETY: freed only when the trie drops.
-            let node = unsafe { &*(word as *const Node) };
-            node.children.iter().map(|c| walk(c.load(Ordering::Acquire))).sum()
-        }
-        walk(self.root.load(Ordering::Acquire))
+        let mut compounds = 0;
+        for_each_object(self.root.load(Ordering::Acquire), |word| {
+            compounds += usize::from(is_compound(word));
+        });
+        compounds
     }
 }
 
@@ -1679,9 +1636,19 @@ mod tests {
             let k: u64 = rng.gen();
             t.insert(&u64_key(k), k);
         }
-        // 50k random 64-bit keys over 5-bit windows: height must stay far below the
-        // 64-bit critbit worst case.
-        assert!(t.height() <= 16, "height {} too large", t.height());
+        // 50k random 64-bit keys over 5-bit windows: the deepest lookup must stay far
+        // below the 64-bit critbit worst case. A lookup counts one visit per node
+        // on its path, so its visits are its leaf's depth.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let height = (0..50_000)
+            .map(|_| {
+                let before = pm::stats::snapshot_local().node_visits;
+                assert!(t.get(&u64_key(rng.gen())).is_some());
+                pm::stats::snapshot_local().node_visits - before
+            })
+            .max()
+            .unwrap();
+        assert!(height <= 16, "height {height} too large");
     }
 
     #[test]
@@ -2062,7 +2029,7 @@ mod tests {
             t.insert(&u64_key(i), i);
         }
         assert!(t.compound_nodes() > 0);
-        t.recover_locks();
+        t.recover();
         for i in 0..20_000u64 {
             assert_eq!(t.get(&u64_key(i)), Some(i), "get {i} after recover");
         }
@@ -2112,5 +2079,32 @@ mod tests {
         let scanned = t.scan(&[], 4_096);
         assert_eq!(scanned.len(), 12 + alien.len(), "scan count");
         assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0), "scan order");
+    }
+
+    #[test]
+    fn walk_visits_each_object_once() {
+        // A seeded mix of inserts and removes widens nodes into compounds and
+        // retires leaves and nodes.
+        let t: Hot<Pmem> = Hot::new();
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..20_000u64 {
+            let r = pm::mix64(0x407 ^ i);
+            let k = u64_key(r % 4_000);
+            if r >> 62 == 0 {
+                assert_eq!(t.remove(&k), model.remove(&k).is_some());
+            } else {
+                t.insert(&k, i);
+                model.insert(k, i);
+            }
+        }
+        assert!(t.compound_nodes() > 0);
+        let mut words = Vec::new();
+        for_each_object(t.root.load(Ordering::Acquire), |w| words.push(w));
+        let visited = words.len();
+        words.sort_unstable();
+        words.dedup();
+        assert_eq!(words.len(), visited, "an object was visited twice");
+        assert_eq!(words.iter().filter(|&&w| is_leaf(w)).count(), model.len());
+        assert_eq!(t.len(), model.len());
     }
 }

@@ -96,15 +96,6 @@ impl Bucket {
         }
         false
     }
-
-    fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        for i in 0..SLOTS_PER_BUCKET {
-            let k = self.keys[i].load(Ordering::Acquire);
-            if k != EMPTY_KEY {
-                f(k, self.vals[i].load(Ordering::Acquire));
-            }
-        }
-    }
 }
 
 /// One generation of the two-level structure.
@@ -160,10 +151,23 @@ impl Levels {
         None
     }
 
+    /// Visit every bucket of this generation once, the top level then the bottom.
+    /// This is the table's one full-structure traversal: `for_each` (and `len`
+    /// through it) and recovery call it.
+    fn for_each_object(&self, f: impl FnMut(&Bucket)) {
+        self.top.iter().chain(self.bottom.iter()).for_each(f);
+    }
+
+    /// Visit every occupied `(key, value)` of this generation.
     fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        for b in self.top.iter().chain(self.bottom.iter()) {
-            b.for_each(&mut f);
-        }
+        self.for_each_object(|b| {
+            for i in 0..SLOTS_PER_BUCKET {
+                let k = b.keys[i].load(Ordering::Acquire);
+                if k != EMPTY_KEY {
+                    f(k, b.vals[i].load(Ordering::Acquire));
+                }
+            }
+        });
     }
 }
 
@@ -505,11 +509,10 @@ impl<P: PersistMode> Index for LevelHash<P> {
         }
     }
 
+    /// Re-initialises every bucket lock of the current generation through its one
+    /// walk; nothing more.
     fn recover(&self) {
-        let l = self.current();
-        for b in l.top.iter().chain(l.bottom.iter()) {
-            b.lock.force_unlock();
-        }
+        self.current().for_each_object(|b| b.lock.force_unlock());
     }
 }
 
@@ -617,5 +620,33 @@ mod tests {
         drop(h);
         t.recover();
         assert_eq!(t.handle().get(&k(9)), Some(2));
+    }
+
+    #[test]
+    fn walk_visits_each_bucket_once() {
+        // A seeded mix of inserts and removes resizes the table, retiring the
+        // generations it replaces.
+        let t: PLevelHash = LevelHash::with_capacity(64);
+        let first = t.top_buckets();
+        let mut model = std::collections::HashMap::new();
+        for i in 0..20_000u64 {
+            let r = pm::mix64(0x1E ^ i);
+            let key = r % 8_000 + 1;
+            if r >> 62 == 0 {
+                assert_eq!(t.remove_internal(key), model.remove(&key).is_some());
+            } else {
+                t.put_internal(key, i);
+                model.insert(key, i);
+            }
+        }
+        assert!(t.top_buckets() > first, "the table resized");
+        let mut buckets = Vec::new();
+        t.current().for_each_object(|b| buckets.push(b as *const Bucket as usize));
+        let visited = buckets.len();
+        assert_eq!(visited, t.top_buckets() * 3 / 2, "every bucket of both levels");
+        buckets.sort_unstable();
+        buckets.dedup();
+        assert_eq!(buckets.len(), visited, "a bucket was visited twice");
+        assert_eq!(t.len(), model.len());
     }
 }

@@ -103,6 +103,8 @@ impl<P: PersistMode> Index for Masstree<P> {
         }
     }
 
+    /// Beyond re-initialising the locks in its one walk, completes torn splits,
+    /// re-roots layers and re-routes orphaned siblings.
     fn recover(&self) {
         Masstree::recover(self);
     }

@@ -58,42 +58,33 @@ pub struct Masstree<P: PersistMode> {
 }
 
 impl<P: PersistMode> Drop for Masstree<P> {
-    /// Free every node and sublayer, each once. A layer's nodes are collected level
-    /// by level along the sibling chains, so a node a crash left linked only as a
-    /// sibling (its parent entry never written) is freed too; a sublayer linked from
-    /// two leaves (a torn split's copied half) is freed once.
+    /// Free every node and sublayer the walk reaches, each once: a node a crash left
+    /// linked only as a sibling (its parent entry never written) is freed too, and a
+    /// sublayer linked from two leaves (a torn split's copied half) once.
     fn drop(&mut self) {
-        let mut nodes = Vec::new();
-        let mut sublayers = std::collections::HashSet::new();
-        let mut work = vec![&self.layer0 as *const Layer];
-        while let Some(layer) = work.pop() {
-            let mut level_head = layer_ref(layer).root.load(Ordering::Acquire);
-            loop {
-                let mut cur = level_head;
-                while !cur.is_null() {
-                    nodes.push(cur);
-                    cur = node_ref(cur).next.load(Ordering::Acquire);
-                }
-                let head = node_ref(level_head);
-                if head.is_leaf() {
-                    break;
-                }
-                level_head = head.leftmost.load(Ordering::Acquire) as *mut Node;
-            }
-            for_each_sublayer(level_head, |sub| {
-                if sublayers.insert(sub as *const Layer as *mut Layer) {
-                    work.push(sub);
-                }
-            });
-        }
+        let (mut nodes, mut sublayers) = (Vec::new(), Vec::new());
+        let layer0 = &self.layer0 as *const Layer;
+        self.for_each_object(|obj| match obj {
+            Object::Node(node) => nodes.push(node),
+            Object::Layer(layer) if layer != layer0 => sublayers.push(layer as *mut Layer),
+            Object::Layer(_) => {}
+        });
         // SAFETY: exclusive access; the nodes are slab blocks and the sublayers boxes
-        // of this tree only (`layer0` is a field, not in the list), and nothing is
-        // read after this.
+        // of this tree only (`layer0` is a field, not in the list), each listed once,
+        // and nothing is read after this.
         unsafe {
             pm::alloc::pm_line_drop_all(nodes);
-            pm::alloc::pm_drop_all(sublayers.into_iter().collect());
+            pm::alloc::pm_drop_all(sublayers);
         }
     }
+}
+
+/// An object `Masstree::for_each_object` reaches: a layer (`layer0` included) or
+/// one of its nodes.
+#[derive(Clone, Copy)]
+enum Object {
+    Layer(*const Layer),
+    Node(*mut Node),
 }
 
 impl<P: PersistMode> Default for Masstree<P> {
@@ -162,18 +153,6 @@ fn insert_entry<P: PersistMode>(
     P::publish(&node.perm, commit, [span(pair), layer, root], sites.1);
 }
 
-/// Leftmost leaf of the subtree rooted at `root` (descends the leftmost spine).
-fn leftmost_leaf(root: *mut Node) -> *mut Node {
-    let mut cur = root;
-    loop {
-        let node = node_ref(cur);
-        if node.is_leaf() {
-            return cur;
-        }
-        cur = node.leftmost.load(Ordering::Acquire) as *mut Node;
-    }
-}
-
 /// The children (and separator slices) routed by the internal level whose chain
 /// starts at `parent_head`. Shared by the recovery walkers; single-threaded use.
 fn routed_by_level(
@@ -196,23 +175,6 @@ fn routed_by_level(
     (routed, seps)
 }
 
-/// Visit every sublayer linked from the leaf chain starting at `leaf_head`.
-fn for_each_sublayer(leaf_head: *mut Node, mut f: impl FnMut(&Layer)) {
-    let mut cur = leaf_head;
-    while !cur.is_null() {
-        let node = node_ref(cur);
-        let perm = node.perm_snapshot();
-        for rank in 0..perm.count() {
-            let slot = perm.slot(rank);
-            if node.lens[slot].load(Ordering::Acquire) == LAYER {
-                let sub = node.val(slot).load(Ordering::Acquire);
-                f(layer_ref(sub as *const Layer));
-            }
-        }
-        cur = node.next.load(Ordering::Acquire);
-    }
-}
-
 impl<P: PersistMode> Masstree<P> {
     /// Create an empty tree: a single layer whose root is an empty leaf.
     #[must_use]
@@ -227,6 +189,51 @@ impl<P: PersistMode> Masstree<P> {
         let slot = &t.layer0.root;
         P::publish(slot, || slot.store(root, Ordering::Release), [span(root)], None);
         t
+    }
+
+    /// Visit every layer and node reachable from `layer0` once. A layer comes
+    /// before its nodes, and they come level by level along the sibling chains that
+    /// start at the leftmost spine, so a node a crash left linked only as a sibling
+    /// is reached too. The sublayers are read off the leaf level after its nodes
+    /// were visited, and one that two leaves link (a torn split's copied half) is
+    /// visited once. `f` may repair the node it is given but must not free
+    /// anything: the walk reads each node's links after the visit. This is the
+    /// tree's one full-structure traversal: recovery, `unrouted_siblings` and the
+    /// drop call it.
+    fn for_each_object(&self, mut f: impl FnMut(Object)) {
+        let mut seen = std::collections::HashSet::new();
+        let mut work = vec![&self.layer0 as *const Layer];
+        while let Some(layer) = work.pop() {
+            f(Object::Layer(layer));
+            let mut level_head = layer_ref(layer).root.load(Ordering::Acquire);
+            loop {
+                let mut cur = level_head;
+                while !cur.is_null() {
+                    f(Object::Node(cur));
+                    cur = node_ref(cur).next.load(Ordering::Acquire);
+                }
+                let head = node_ref(level_head);
+                if head.is_leaf() {
+                    break;
+                }
+                level_head = head.leftmost.load(Ordering::Acquire) as *mut Node;
+            }
+            let mut cur = level_head;
+            while !cur.is_null() {
+                let node = node_ref(cur);
+                let perm = node.perm_snapshot();
+                for rank in 0..perm.count() {
+                    let slot = perm.slot(rank);
+                    if node.lens[slot].load(Ordering::Acquire) == LAYER {
+                        let sub = node.val(slot).load(Ordering::Acquire) as *const Layer;
+                        if seen.insert(sub) {
+                            work.push(sub);
+                        }
+                    }
+                }
+                cur = node.next.load(Ordering::Acquire);
+            }
+        }
     }
 
     /// Descent within `layer` to a leaf covering (or left of) `slice`, following
@@ -864,18 +871,29 @@ impl<P: PersistMode> Masstree<P> {
     ///
     /// Re-initialises every node lock, completes crash-torn splits (derives a missing
     /// high key from the linked sibling's minimum slice, truncates entries the split
-    /// had already copied right), re-roots layers whose root split never committed,
-    /// and recurses into every sublayer. Must run while no other threads operate on
-    /// the tree, as a restart would.
+    /// had already copied right) in the walk that reaches every layer and node, then
+    /// re-roots each layer whose root split never committed and re-routes its
+    /// orphaned siblings. Must run while no other threads operate on the tree, as a
+    /// restart would.
     pub fn recover(&self) {
-        self.recover_layer(&self.layer0);
+        let mut layers = Vec::new();
+        self.for_each_object(|obj| match obj {
+            Object::Layer(layer) => layers.push(layer),
+            Object::Node(node) => self.fix_node(node),
+        });
+        for layer in layers {
+            self.reroot(layer_ref(layer));
+            // Finish any split whose parent link a crash cut off: re-insert the
+            // missing separators so siblings are routed from their parents again
+            // (until then they are reachable only via B-link move-right).
+            while self.reattach_orphan(layer_ref(layer)) {}
+        }
     }
 
-    fn recover_layer(&self, layer: &Layer) {
-        self.fix_levels(layer.root.load(Ordering::Acquire));
-        // If the layer root has siblings, a root split never committed (or the new
-        // root itself was lost): rebuild a root over the chain. Highs are all set by
-        // the fix pass, so the chain yields the separators directly.
+    /// If the layer root has siblings, a root split never committed (or the new
+    /// root itself was lost): rebuild a root over the chain. Highs are all set by
+    /// the fix pass, so the chain yields the separators directly.
+    fn reroot(&self, layer: &Layer) {
         loop {
             let root_ptr = layer.root.load(Ordering::Acquire);
             let root = node_ref(root_ptr);
@@ -906,19 +924,12 @@ impl<P: PersistMode> Masstree<P> {
             // child's sibling pointers; the loop then runs again only if the new
             // root itself has siblings (it never does).
         }
-        // Finish any split whose parent link a crash cut off: re-insert the missing
-        // separators so siblings are routed from their parents again (until then
-        // they are reachable only via B-link move-right).
-        while self.reattach_orphan(layer) {}
-        // Recurse into sublayers from the leaf level.
-        let leaf_head = leftmost_leaf(layer.root.load(Ordering::Acquire));
-        for_each_sublayer(leaf_head, |sub| self.recover_layer(sub));
     }
 
     /// Find one node that no parent routes to — a split whose `insert_into_parent`
     /// never completed before a crash — and re-insert its separator through the
     /// ordinary write-path helper. Returns `true` if a reattachment happened (the
-    /// caller loops until none remain). Runs single-threaded, after `fix_levels` has
+    /// caller loops until none remain). Runs single-threaded, after `fix_node` has
     /// set every high key and the layer root has been re-rooted.
     fn reattach_orphan(&self, layer: &Layer) -> bool {
         let mut parent_head = layer.root.load(Ordering::Acquire);
@@ -937,7 +948,7 @@ impl<P: PersistMode> Masstree<P> {
                 }
                 if !routed.contains(&(c as u64)) {
                     // `prev`'s high key is exactly the separator the torn split never
-                    // published (fix_levels guarantees it is set).
+                    // published (`fix_node` guarantees it is set).
                     let sep = node_ref(prev).high.load(Ordering::Acquire);
                     if sep != 0 && !seps.contains(&sep) {
                         self.insert_into_parent(layer, prev, sep, c);
@@ -950,49 +961,35 @@ impl<P: PersistMode> Masstree<P> {
         }
     }
 
-    /// Recovery fix pass, visiting every node exactly once: each tree level is a
-    /// sibling chain starting at the leftmost spine, so walking level by level covers
-    /// the whole layer — including nodes whose parent link a crash cut off — in
-    /// linear time. Each node is force-unlocked and any torn split is completed.
-    fn fix_levels(&self, root: *mut Node) {
-        let mut level_head = root;
-        loop {
-            let mut cur = level_head;
-            while !cur.is_null() {
-                let node = node_ref(cur);
-                node.lock.force_unlock();
-                let next = node.next.load(Ordering::Acquire);
-                if !next.is_null() && node.high.load(Ordering::Acquire) == 0 {
-                    // Crash between "sibling linked" and "high key set": the
-                    // sibling's minimum slice is exactly the split boundary. This is
-                    // the helper built from the write path's own split code.
-                    let sep = node_ref(next).min_slice();
-                    P::persist_store(&node.high, || node.high.store(sep, Ordering::Release));
+    /// Recovery fix of one node, which the walk visits once, level by level: the
+    /// node is force-unlocked and any torn split it took part in is completed.
+    fn fix_node(&self, ptr: *mut Node) {
+        let node = node_ref(ptr);
+        node.lock.force_unlock();
+        let next = node.next.load(Ordering::Acquire);
+        if !next.is_null() && node.high.load(Ordering::Acquire) == 0 {
+            // Crash between "sibling linked" and "high key set": the
+            // sibling's minimum slice is exactly the split boundary. This is
+            // the helper built from the write path's own split code.
+            let sep = node_ref(next).min_slice();
+            P::persist_store(&node.high, || node.high.store(sep, Ordering::Release));
+        }
+        let high = node.high.load(Ordering::Acquire);
+        if high != 0 {
+            // Crash before "left truncated": retire every entry the split
+            // had already copied to the sibling with one permutation store.
+            let perm = node.perm_snapshot();
+            let mut keep = perm.count();
+            for rank in 0..perm.count() {
+                if node.key(perm.slot(rank)).load(Ordering::Acquire) >= high {
+                    keep = rank;
+                    break;
                 }
-                let high = node.high.load(Ordering::Acquire);
-                if high != 0 {
-                    // Crash before "left truncated": retire every entry the split
-                    // had already copied to the sibling with one permutation store.
-                    let perm = node.perm_snapshot();
-                    let mut keep = perm.count();
-                    for rank in 0..perm.count() {
-                        if node.key(perm.slot(rank)).load(Ordering::Acquire) >= high {
-                            keep = rank;
-                            break;
-                        }
-                    }
-                    if keep != perm.count() {
-                        let truncate = || node.perm.store(perm.truncate(keep).0, Ordering::Release);
-                        P::persist_store(&node.perm, truncate);
-                    }
-                }
-                cur = next;
             }
-            let head = node_ref(level_head);
-            if head.is_leaf() {
-                return;
+            if keep != perm.count() {
+                let truncate = || node.perm.store(perm.truncate(keep).0, Ordering::Release);
+                P::persist_store(&node.perm, truncate);
             }
-            level_head = head.leftmost.load(Ordering::Acquire) as *mut Node;
         }
     }
 
@@ -1002,7 +999,13 @@ impl<P: PersistMode> Masstree<P> {
     /// use only, like `recover` (crash-recovery tests and diagnostics).
     #[must_use]
     pub fn unrouted_siblings(&self) -> usize {
-        self.unrouted_in_layer(&self.layer0)
+        let mut orphans = 0;
+        self.for_each_object(|obj| {
+            if let Object::Layer(layer) = obj {
+                orphans += self.unrouted_in_layer(layer_ref(layer));
+            }
+        });
+        orphans
     }
 
     fn unrouted_in_layer(&self, layer: &Layer) -> usize {
@@ -1027,9 +1030,6 @@ impl<P: PersistMode> Masstree<P> {
             }
             parent_head = child_head;
         }
-        // Recurse into sublayers from the leaf chain (`parent_head` is now the
-        // leftmost leaf).
-        for_each_sublayer(parent_head, |sub| orphans += self.unrouted_in_layer(sub));
         orphans
     }
 
@@ -1045,5 +1045,76 @@ impl<P: PersistMode> Masstree<P> {
         let mut out = ScanBuf::new();
         self.scan_layer(&self.layer0, &mut Vec::new(), None, 1, &mut out);
         out.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use recipe::persist::Pmem;
+
+    #[test]
+    fn walk_visits_each_object_once() {
+        // A seeded mix of inserts and removes of 16-byte keys over 64 first slices
+        // splits nodes and grows a sublayer under every slice.
+        let t: Masstree<Pmem> = Masstree::new();
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..20_000u64 {
+            let r = pm::mix64(0x3A55 ^ i);
+            let mut k = (r % 64).to_be_bytes().to_vec();
+            k.extend_from_slice(&((r >> 8) % 200).to_be_bytes());
+            if r >> 62 == 0 {
+                assert_eq!(t.remove(&k), model.remove(&k).is_some());
+            } else {
+                t.insert(&k, i);
+                model.insert(k, i);
+            }
+        }
+        assert_eq!(t.len(), model.len());
+        // A torn split's copied half: a leaf linked only as the last leaf's sibling,
+        // holding a copy of an entry that links a sublayer, which two leaves now link.
+        let mut last = leftmost_leaf_of(&t.layer0);
+        let (slot, layer_leaf) = loop {
+            let node = node_ref(last);
+            let perm = node.perm_snapshot();
+            let found = (0..perm.count())
+                .map(|rank| perm.slot(rank))
+                .find(|&s| node.lens[s].load(Ordering::Acquire) == LAYER);
+            if let Some(s) = found {
+                break (s, node);
+            }
+            last = node.next.load(Ordering::Acquire);
+        };
+        while !node_ref(last).next.load(Ordering::Acquire).is_null() {
+            last = node_ref(last).next.load(Ordering::Acquire);
+        }
+        let copy = Node::alloc(true);
+        let half = node_ref(copy);
+        half.key(0).store(layer_leaf.key(slot).load(Ordering::Acquire), Ordering::Relaxed);
+        half.val(0).store(layer_leaf.val(slot).load(Ordering::Acquire), Ordering::Relaxed);
+        half.lens[0].store(LAYER, Ordering::Relaxed);
+        half.perm.store(Perm::identity(1).0, Ordering::Relaxed);
+        node_ref(last).next.store(copy, Ordering::Release);
+        let (mut nodes, mut layers) = (Vec::new(), Vec::new());
+        t.for_each_object(|obj| match obj {
+            Object::Node(node) => nodes.push(node as usize),
+            Object::Layer(layer) => layers.push(layer as usize),
+        });
+        assert!(nodes.contains(&(copy as usize)));
+        assert!(layers.len() > 1, "sublayers were reached");
+        for objects in [&mut nodes, &mut layers] {
+            let visited = objects.len();
+            objects.sort_unstable();
+            objects.dedup();
+            assert_eq!(objects.len(), visited, "an object was visited twice");
+        }
+    }
+
+    fn leftmost_leaf_of(layer: &Layer) -> *mut Node {
+        let mut cur = layer.root.load(Ordering::Acquire);
+        while !node_ref(cur).is_leaf() {
+            cur = node_ref(cur).leftmost.load(Ordering::Acquire) as *mut Node;
+        }
+        cur
     }
 }

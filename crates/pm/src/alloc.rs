@@ -38,10 +38,12 @@
 //!
 //! # Reclamation model
 //!
-//! * An index frees everything it owns in its `Drop`: a walk from the root collects
-//!   each reachable object once (a node reachable twice, as a crash or an alias can
-//!   leave it, is still freed once) and hands the lot to [`pm_drop_all`] or
-//!   [`pm_line_drop_all`].
+//! * Each index crate has one private walk, `for_each_object`, that visits every
+//!   object reachable from its root once (a node reachable twice, as a crash or an
+//!   alias can leave it, is still visited once). The index's `Drop` frees what the
+//!   walk visits, directly or through [`pm_drop_all`] and [`pm_line_drop_all`];
+//!   `Index::recover` re-initialises locks through the same walk, and it is the
+//!   visitor a recovery-time mark pass would call.
 //! * An object a structure-modification operation unlinks during the run (a grown
 //!   trie node, a split segment, a replaced directory, a removed leaf) is *retired*:
 //!   non-blocking readers may still be reading it, so it is not freed then. The

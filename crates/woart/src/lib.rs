@@ -346,9 +346,9 @@ impl<P: PersistMode> Index for Woart<P> {
         }
     }
 
-    fn recover(&self) {
-        // The global lock is a process-local parking_lot lock: nothing to do.
-    }
+    /// Does nothing: the one global lock is a process-local `parking_lot` lock,
+    /// and the tree has no other state to re-initialise.
+    fn recover(&self) {}
 }
 
 #[cfg(test)]
