@@ -103,8 +103,8 @@ impl<P: PersistMode> Index for Apex<P> {
         }
     }
 
-    /// Has no locks to re-initialise: replays a logged SMO, then finishes the
-    /// merge of every node its walk finds with a full buffer.
+    /// Has no locks to re-initialise: replays a logged SMO, then recounts the keys
+    /// and finishes the merge of every full-buffer node that its walk finds.
     fn recover(&self) {
         Apex::recover(self);
     }

@@ -38,6 +38,7 @@ use pm::stats;
 use recipe::persist::PersistMode;
 use recipe::session::ScanBuf;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A directory entry: the lowest key the node can hold, and the node.
@@ -78,7 +79,7 @@ impl TreeInner {
 
     /// Visit every data node the directory holds once, with its lower bound, under
     /// the node's read lock. This is the tree's one full-structure traversal:
-    /// recovery, `len` and `node_count` call it.
+    /// recovery calls it.
     fn for_each_object(&self, mut f: impl FnMut(&[u8], &NodeInner)) {
         for (lo, node) in &self.nodes {
             f(lo, &node.read());
@@ -100,6 +101,7 @@ impl TreeInner {
 #[derive(Debug)]
 pub struct Apex<P: PersistMode> {
     inner: RwLock<TreeInner>,
+    len: AtomicUsize,
     _policy: PhantomData<P>,
 }
 
@@ -118,7 +120,7 @@ impl<P: PersistMode> Apex<P> {
             nodes: vec![(Box::from(&[][..]), Arc::new(RwLock::new(root)))],
             pending: None,
         };
-        let t = Apex { inner: RwLock::new(inner), _policy: PhantomData };
+        let t = Apex { inner: RwLock::new(inner), len: AtomicUsize::new(0), _policy: PhantomData };
         {
             let tree = t.inner.read();
             tree.nodes[0].1.read().stage::<P>();
@@ -127,12 +129,10 @@ impl<P: PersistMode> Apex<P> {
         t
     }
 
-    /// Number of live keys (walks every data node; tests and diagnostics).
+    /// Number of live keys.
     #[must_use]
     pub fn len(&self) -> usize {
-        let mut keys = 0;
-        self.inner.read().for_each_object(|_, node| keys += node.live_total());
-        keys
+        self.len.load(Ordering::Relaxed)
     }
 
     /// Whether the index holds no keys.
@@ -144,9 +144,7 @@ impl<P: PersistMode> Apex<P> {
     /// Number of data nodes (directory width); structural evidence for tests.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        let mut nodes = 0;
-        self.inner.read().for_each_object(|_, _| nodes += 1);
-        nodes
+        self.inner.read().nodes.len()
     }
 
     /// Upsert. Returns `true` if the key was new, `false` if its value was
@@ -164,6 +162,7 @@ impl<P: PersistMode> Apex<P> {
                     crate::node::Found::Absent => {
                         if n.buf_has_space() {
                             n.buf_insert::<P>(key, value);
+                            self.len.fetch_add(1, Ordering::Relaxed);
                             return true;
                         }
                     }
@@ -220,6 +219,7 @@ impl<P: PersistMode> Apex<P> {
             crate::node::Found::Absent => false,
             hit => {
                 n.remove_at::<P>(hit);
+                self.len.fetch_sub(1, Ordering::Relaxed);
                 true
             }
         }
@@ -300,10 +300,10 @@ impl<P: PersistMode> Apex<P> {
         P::crash_site("apex.smo.cleared");
     }
 
-    /// Post-crash recovery: replay a logged-but-uncleared SMO (idempotently) and
-    /// finish the merge of every node a crash left with a full buffer. Uncommitted
-    /// buffer slots need no repair — their commit bits never became durable, so
-    /// they are free space.
+    /// Post-crash recovery: replay a logged-but-uncleared SMO (idempotently),
+    /// recount the live keys and finish the merge of every node a crash left with
+    /// a full buffer. Uncommitted buffer slots need no repair — their commit bits
+    /// never became durable, so they are free space.
     pub fn recover(&self) {
         let mut tree = self.inner.write();
         if let Some(p) = tree.pending.take() {
@@ -319,12 +319,14 @@ impl<P: PersistMode> Apex<P> {
         }
         // Keep the buffer headroom invariant: a crash can strand a node with a
         // full buffer and no in-flight SMO; finish its merge now.
-        let mut full: Vec<Box<[u8]>> = Vec::new();
+        let (mut count, mut full) = (0, Vec::<Box<[u8]>>::new());
         tree.for_each_object(|lo, node| {
+            count += node.live_total();
             if !node.buf_has_space() {
                 full.push(lo.into());
             }
         });
+        self.len.store(count, Ordering::Relaxed);
         drop(tree);
         for lo in full {
             self.merge_at(&lo);
@@ -365,6 +367,8 @@ mod tests {
         nodes.sort_unstable();
         nodes.dedup();
         assert_eq!(nodes.len(), visited, "a node was visited twice");
-        assert_eq!(t.len(), model.len());
+        t.len.store(0, Ordering::Relaxed);
+        t.recover();
+        assert_eq!(t.len(), model.len(), "recover recounts through the walk");
     }
 }

@@ -535,14 +535,12 @@ impl<P: PersistMode> Art<P> {
         })
     }
 
-    /// Visit every node and leaf reachable from the root once, as its tagged word:
-    /// inner nodes in ascending address order, then leaves in descending address
-    /// order, the order a drop frees them in (`pm::alloc::pm_line_drop_all`). A node
-    /// two slots reach, as a crash or an alias can leave it, is visited once. Every
-    /// word is collected before the first visit, so `f` may free what it is given.
-    /// This is the tree's one full-structure traversal: recovery, `len` and the drop
-    /// call it.
-    fn for_each_object(&self, mut f: impl FnMut(usize)) {
+    /// Every node and leaf reachable from the root, once each, as tagged words in
+    /// ascending order: a node two slots reach, as a crash or an alias can leave it,
+    /// is listed once. The list is built before the caller reads it, so the caller
+    /// may free what it lists. This is the tree's one full-structure traversal:
+    /// recovery, `len` and the drop call it.
+    fn objects(&self) -> Vec<usize> {
         fn collect(word: usize, words: &mut Vec<usize>) {
             words.push(word);
             if !is_leaf(word) {
@@ -555,30 +553,24 @@ impl<P: PersistMode> Art<P> {
         }
         let mut words = Vec::new();
         collect(self.root.load(Ordering::Acquire), &mut words);
-        words.sort_unstable_by_key(|&w| if is_leaf(w) { (true, !w) } else { (false, w) });
+        words.sort_unstable();
         words.dedup();
-        for word in words {
-            f(word);
-        }
+        words
     }
 
     /// Re-initialise every node lock: RECIPE's post-crash lock re-initialisation
     /// (embedded locks are meaningless across restarts).
     pub(crate) fn recover(&self) {
-        self.for_each_object(|word| {
-            if !is_leaf(word) {
-                // SAFETY: a reachable inner node, alive while the tree is.
-                unsafe { NodeRef::from_word(word) }.hdr().lock.force_unlock();
-            }
-        });
+        for word in self.objects().into_iter().filter(|&w| !is_leaf(w)) {
+            // SAFETY: a reachable inner node, alive while the tree is.
+            unsafe { NodeRef::from_word(word) }.hdr().lock.force_unlock();
+        }
     }
 
     /// Number of keys currently stored (slow full traversal; diagnostics and tests).
     #[must_use]
     pub fn len(&self) -> usize {
-        let mut keys = 0;
-        self.for_each_object(|word| keys += usize::from(is_leaf(word)));
-        keys
+        self.objects().into_iter().filter(|&w| is_leaf(w)).count()
     }
 
     /// Whether the tree is empty.
@@ -613,15 +605,19 @@ impl<P: PersistMode> Drop for Art<P> {
     /// Free every node and leaf reachable from the root, each once; `retired` frees
     /// the unlinked ones as it drops after this.
     fn drop(&mut self) {
-        // SAFETY: exclusive access; every object is reachable only from this tree,
-        // and the walk visits it once.
-        self.for_each_object(|word| unsafe {
-            if is_leaf(word) {
-                Leaf::free((word & !1) as *mut Leaf);
-            } else {
-                free_node(word);
+        // Free the inner nodes and keep the leaves in the walk's own buffer: mapping
+        // a word to a leaf pointer of the same size collects in place.
+        let mut leaves = self.objects();
+        leaves.retain(|&word| {
+            if !is_leaf(word) {
+                // SAFETY: exclusive access; every object is reachable only from this
+                // tree, and the walk lists it once.
+                unsafe { free_node(word) };
             }
+            is_leaf(word)
         });
+        // SAFETY: as above.
+        unsafe { Leaf::free_all(leaves.into_iter().map(|w| (w & !1) as *mut Leaf).collect()) };
     }
 }
 
@@ -913,8 +909,7 @@ mod tests {
                 model.insert(k, i);
             }
         }
-        let mut words = Vec::new();
-        t.for_each_object(|w| words.push(w));
+        let mut words = t.objects();
         let visited = words.len();
         words.sort_unstable();
         words.dedup();

@@ -143,14 +143,12 @@ unsafe fn free_one(word: usize) {
     }
 }
 
-/// Visit every object of the subtree at `word` (0 for none) once, as its tagged
-/// word: plain nodes and compounds in ascending address order, then leaves in
-/// descending address order, the order a drop frees them in
-/// (`pm::alloc::pm_line_drop_all`). An object two slots reach is visited once.
-/// Every word is collected before the first visit, so `f` may free what it is
-/// given. This is the trie's one full-structure traversal: recovery, the
-/// diagnostics, retiring a subtree and the drop call it.
-fn for_each_object(word: usize, mut f: impl FnMut(usize)) {
+/// Every object of the subtree at `word` (0 for none), once each, as tagged words
+/// in ascending order: an object two slots reach is listed once. The list is built
+/// before the caller reads it, so the caller may free what it lists. This is the
+/// trie's one full-structure traversal: recovery, the diagnostics, retiring a
+/// subtree and the drop call it.
+fn objects(word: usize) -> Vec<usize> {
     fn collect(word: usize, words: &mut Vec<usize>) {
         if word == 0 {
             return;
@@ -173,11 +171,9 @@ fn for_each_object(word: usize, mut f: impl FnMut(usize)) {
     }
     let mut words = Vec::new();
     collect(word, &mut words);
-    words.sort_unstable_by_key(|&w| if is_leaf(w) { (true, !w) } else { (false, w) });
+    words.sort_unstable();
     words.dedup();
-    for w in words {
-        f(w);
-    }
+    words
 }
 
 /// Free every object of the subtree at `word` (0 for none), each once even if two
@@ -187,8 +183,18 @@ fn for_each_object(word: usize, mut f: impl FnMut(usize)) {
 /// The subtree is this trie's, no thread can reach it, and nothing else frees any
 /// object in it.
 unsafe fn free_subtree(word: usize) {
-    // SAFETY: caller contract; the walk visits each object once.
-    for_each_object(word, |w| unsafe { free_one(w) });
+    // Free the nodes and compounds and keep the leaves in the walk's own buffer:
+    // mapping a word to a leaf pointer of the same size collects in place.
+    let mut leaves = objects(word);
+    leaves.retain(|&w| {
+        if !is_leaf(w) {
+            // SAFETY: caller contract; the walk lists each object once.
+            unsafe { free_one(w) };
+        }
+        is_leaf(w)
+    });
+    // SAFETY: as above.
+    unsafe { Leaf::free_all(leaves.into_iter().map(|w| leaf_of(w) as *mut Leaf).collect()) };
 }
 
 fn alloc_node(bit_pos: u32, width: u32) -> *mut Node {
@@ -1469,9 +1475,9 @@ impl<P: PersistMode> Hot<P> {
     /// reachable is live.
     pub(crate) fn recover(&self) {
         self.root_lock.force_unlock();
-        for_each_object(self.root.load(Ordering::Acquire), |word| {
+        for word in objects(self.root.load(Ordering::Acquire)) {
             if is_leaf(word) {
-                return;
+                continue;
             }
             let (lock, obsolete) = if is_compound(word) {
                 // SAFETY: freed only when the trie drops.
@@ -1484,17 +1490,13 @@ impl<P: PersistMode> Hot<P> {
             };
             lock.force_unlock();
             obsolete.store(false, Ordering::Relaxed);
-        });
+        }
     }
 
     /// Number of keys (slow full traversal).
     #[must_use]
     pub fn len(&self) -> usize {
-        let mut keys = 0;
-        for_each_object(self.root.load(Ordering::Acquire), |word| {
-            keys += usize::from(is_leaf(word))
-        });
-        keys
+        objects(self.root.load(Ordering::Acquire)).into_iter().filter(|&w| is_leaf(w)).count()
     }
 
     /// Whether the trie is empty.
@@ -1507,11 +1509,7 @@ impl<P: PersistMode> Hot<P> {
     /// calibration harness).
     #[must_use]
     pub fn compound_nodes(&self) -> usize {
-        let mut compounds = 0;
-        for_each_object(self.root.load(Ordering::Acquire), |word| {
-            compounds += usize::from(is_compound(word));
-        });
-        compounds
+        objects(self.root.load(Ordering::Acquire)).into_iter().filter(|&w| is_compound(w)).count()
     }
 }
 
@@ -2098,8 +2096,7 @@ mod tests {
             }
         }
         assert!(t.compound_nodes() > 0);
-        let mut words = Vec::new();
-        for_each_object(t.root.load(Ordering::Acquire), |w| words.push(w));
+        let mut words = objects(t.root.load(Ordering::Acquire));
         let visited = words.len();
         words.sort_unstable();
         words.dedup();

@@ -38,10 +38,11 @@
 //!
 //! # Reclamation model
 //!
-//! * Each index crate has one private walk, `for_each_object`, that visits every
-//!   object reachable from its root once (a node reachable twice, as a crash or an
-//!   alias can leave it, is still visited once). The index's `Drop` frees what the
-//!   walk visits, directly or through [`pm_drop_all`] and [`pm_line_drop_all`];
+//! * Each index crate has one private walk (`for_each_object`, or `objects` in the
+//!   tries, which returns the sorted word list) that reaches every object reachable
+//!   from its root once (a node reachable twice, as a crash or an alias can leave
+//!   it, is still reached once). The index's `Drop` frees what the walk reaches,
+//!   directly or through [`pm_drop_all`] and [`pm_line_drop_all`];
 //!   `Index::recover` re-initialises locks through the same walk, and it is the
 //!   visitor a recovery-time mark pass would call.
 //! * An object a structure-modification operation unlinks during the run (a grown

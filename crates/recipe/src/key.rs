@@ -166,7 +166,7 @@ const _: () = {
 impl Leaf {
     /// Allocate a leaf in a one-line slab block of the PM pool. The index that links
     /// it owns it: it frees it with [`Leaf::free`] once it unlinks it and no reader
-    /// can still hold it, or when the index drops. The caller
+    /// can still hold it, or with [`Leaf::free_all`] when the index drops. The caller
     /// must [`Leaf::stage`] it before the fence that precedes the store publishing it.
     #[must_use]
     pub fn alloc(key: &[u8], value: u64) -> NonNull<Leaf> {
@@ -184,6 +184,17 @@ impl Leaf {
     pub unsafe fn free(leaf: *mut Leaf) {
         // SAFETY: contract delegated to the caller; leaves are slab blocks.
         unsafe { pm::alloc::pm_line_drop(leaf) };
+    }
+
+    /// Free every distinct leaf of `leaves`, highest address first, so the next index
+    /// carves the blocks in ascending order (`pm::alloc::pm_line_drop_all`).
+    ///
+    /// # Safety
+    ///
+    /// Every leaf satisfies [`Leaf::free`]'s contract; one listed twice is freed once.
+    pub unsafe fn free_all(leaves: Vec<*mut Leaf>) {
+        // SAFETY: contract delegated to the caller.
+        unsafe { pm::alloc::pm_line_drop_all(leaves) };
     }
 
     /// Stage the leaf: flush its spilled key, if any, and its line, without a fence.
@@ -298,9 +309,6 @@ mod tests {
         let value = long.value.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!((&*long.key, value), (&[4u8; 24][..], 2));
         // SAFETY: allocated above, no reference is used past this point.
-        unsafe {
-            Leaf::free(long_ptr.as_ptr());
-            Leaf::free(short_ptr.as_ptr());
-        }
+        unsafe { Leaf::free_all(vec![long_ptr.as_ptr(), short_ptr.as_ptr()]) };
     }
 }
