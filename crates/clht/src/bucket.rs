@@ -82,16 +82,13 @@ impl Bucket {
         (0..ENTRIES_PER_BUCKET).find(|&i| self.keys[i].load(Ordering::Acquire) == key)
     }
 
-    /// Iterate over the occupied `(key, value)` pairs of this bucket.
-    pub fn entries(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(ENTRIES_PER_BUCKET);
-        for i in 0..ENTRIES_PER_BUCKET {
+    /// Iterate over the occupied `(key, value)` pairs of this bucket, in slot
+    /// order, allocating nothing.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0..ENTRIES_PER_BUCKET).filter_map(move |i| {
             let k = self.keys[i].load(Ordering::Acquire);
-            if k != EMPTY_KEY {
-                out.push((k, self.vals[i].load(Ordering::Acquire)));
-            }
-        }
-        out
+            (k != EMPTY_KEY).then(|| (k, self.vals[i].load(Ordering::Acquire)))
+        })
     }
 
     /// Pointer to the next overflow bucket in the chain, if any.
@@ -135,6 +132,6 @@ mod tests {
     fn with_entry_prepopulates_slot_zero() {
         let b = Bucket::with_entry(9, 90);
         assert_eq!(b.get_in_bucket(9), Some(90));
-        assert_eq!(b.entries(), vec![(9, 90)]);
+        assert_eq!(b.entries().collect::<Vec<_>>(), vec![(9, 90)]);
     }
 }

@@ -105,7 +105,7 @@ impl Table {
     pub fn len_slow(&self) -> usize {
         let mut count = 0;
         // SAFETY: the walk's buckets live as long as the table.
-        self.for_each_object(|b, _| count += unsafe { &*b }.entries().len());
+        self.for_each_object(|b, _| count += unsafe { &*b }.entries().count());
         count
     }
 

@@ -77,6 +77,14 @@ impl Histogram {
         self.0.lock().record(v);
     }
 
+    /// Record a run of observations under one lock.
+    pub fn record_all(&self, vs: &[u64]) {
+        let mut h = self.0.lock();
+        for &v in vs {
+            h.record(v);
+        }
+    }
+
     /// Merge a locally-accumulated histogram into the shared one.
     pub fn merge_from(&self, h: &Hist) {
         self.0.lock().merge(h);

@@ -73,6 +73,20 @@
 //! traffic — forwards, copy batches, sync barriers — is cap-exempt and
 //! bounded by the migration's chunk size).
 //!
+//! A queued job owns no heap object of its caller's. `call` and `cast`
+//! convert the routed [`Op`] into a `QueuedOp` before they take the queue
+//! lock: the op kind, the value, and the key bytes inline, up to 24 bytes
+//! (ycsb's `OP_KEY_MAX`, the paper's string-key length); only a longer key
+//! moves its buffer in. So the caller's key `Vec` is freed on the thread that
+//! allocated it, and the combiner frees nothing per request. When the worker
+//! freed each key instead, both that free and the client's next allocation
+//! left glibc's per-thread cache for the shared arena: a SIGPROF sampling
+//! probe of `svc_window` (one client casting into one shard) put 23% of its
+//! samples in glibc's malloc, and 1% with the copy, and `svc_window` rose
+//! from 1.88M to 2.36M op/s (medians of 10 alternating pairs, 2 vCPUs). The
+//! copy costs a few tens of bytes per queued job, and at most `queue_cap`
+//! jobs are queued.
+//!
 //! # When an operation panics
 //!
 //! The token is held through an RAII guard, so a combiner that unwinds out of
@@ -209,10 +223,73 @@ impl Drop for Completer {
     }
 }
 
+/// Key bytes a queued job holds inline: ycsb's `OP_KEY_MAX`, the paper's
+/// string-key length, so every benchmark key fits.
+const INLINE_KEY: usize = 24;
+
+/// A queued job's key: its bytes, inline, up to [`INLINE_KEY`]; a longer key
+/// keeps the caller's buffer.
+pub(crate) enum JobKey {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Spilled(Vec<u8>),
+}
+
+impl JobKey {
+    fn new(key: Vec<u8>) -> JobKey {
+        if key.len() > INLINE_KEY {
+            return JobKey::Spilled(key);
+        }
+        let mut bytes = [0; INLINE_KEY];
+        bytes[..key.len()].copy_from_slice(&key);
+        JobKey::Inline { len: key.len() as u8, bytes }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        match self {
+            JobKey::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            JobKey::Spilled(key) => key,
+        }
+    }
+}
+
+/// A caller's [`Op`] as it crosses the queue. The conversion happens on the
+/// caller's thread, before the queue lock: a short key's buffer is freed
+/// there, by the thread that allocated it, so no combiner frees a request's
+/// heap block on another thread — which would send both that free and the
+/// caller's next allocation out of the allocator's per-thread cache.
+pub(crate) enum QueuedOp {
+    Insert(JobKey, u64),
+    Update(JobKey, u64),
+    Get(JobKey),
+    Remove(JobKey),
+}
+
+impl QueuedOp {
+    fn key(&self) -> &[u8] {
+        match self {
+            QueuedOp::Insert(k, _)
+            | QueuedOp::Update(k, _)
+            | QueuedOp::Get(k)
+            | QueuedOp::Remove(k) => k.bytes(),
+        }
+    }
+}
+
+impl From<Op> for QueuedOp {
+    fn from(op: Op) -> QueuedOp {
+        match op {
+            Op::Insert(k, v) => QueuedOp::Insert(JobKey::new(k), v),
+            Op::Update(k, v) => QueuedOp::Update(JobKey::new(k), v),
+            Op::Get(k) => QueuedOp::Get(JobKey::new(k)),
+            Op::Remove(k) => QueuedOp::Remove(JobKey::new(k)),
+        }
+    }
+}
+
 /// What a queued job asks its combiner to do.
 pub(crate) enum Payload {
     /// A caller's operation.
-    Op(Op),
+    Op(QueuedOp),
     /// A migration copy batch: upsert these moved entries into this
     /// (destination) shard's index, inside the normal group commit.
     Copy(Vec<(Vec<u8>, u64)>),
@@ -288,6 +365,8 @@ struct Scratch {
     bodies: Vec<Option<ReplyBody>>,
     /// Jobs the batch bounced, re-queued when the batch is over.
     bounced: Vec<Job>,
+    /// The batch's queue ages, for the one histogram record of each batch.
+    ages: Vec<u64>,
     /// The migration record as of the latest pickup.
     migration: Option<Arc<ShardMigration>>,
     /// Where the combining caller's own request ended up.
@@ -506,17 +585,17 @@ fn age_ns(now: Instant, enqueued: Instant) -> u64 {
 }
 
 /// Execute one op on the shard's (batched) handle and map the outcome.
-fn exec<I: Index + ?Sized>(h: &mut Handle<'_, I>, op: &Op) -> ReplyBody {
+fn exec<I: Index + ?Sized>(h: &mut Handle<'_, I>, op: &QueuedOp) -> ReplyBody {
     let mapped = |r: Result<recipe::session::OpResult, OpError>| match r {
         Ok(res) => ReplyBody::Done(res),
         Err(OpError::CapacityExceeded) => ReplyBody::Shed(ShedReason::IndexCapacity),
         Err(e) => ReplyBody::Error(e),
     };
     match op {
-        Op::Insert(k, v) => mapped(h.insert(k, *v)),
-        Op::Update(k, v) => mapped(h.update(k, *v)),
-        Op::Get(k) => ReplyBody::Value(h.get(k)),
-        Op::Remove(k) => mapped(h.remove(k)),
+        QueuedOp::Insert(k, v) => mapped(h.insert(k.bytes(), *v)),
+        QueuedOp::Update(k, v) => mapped(h.update(k.bytes(), *v)),
+        QueuedOp::Get(k) => ReplyBody::Value(h.get(k.bytes())),
+        QueuedOp::Remove(k) => mapped(h.remove(k.bytes())),
     }
 }
 
@@ -617,7 +696,18 @@ impl Core {
         // bounce, and account.
         let total = s.jobs.len();
         let now = Instant::now();
-        let mut n_exec = 0u64; // executed caller ops (incl. capacity sheds)
+        // The executed caller ops' queue ages, under one histogram lock and
+        // before any of them is acknowledged.
+        for (job, disp) in s.jobs.iter().zip(&s.disps) {
+            if let (Disp::Exec, Payload::Op(_)) = (disp, &job.payload) {
+                s.ages.push(age_ns(now, job.enqueued));
+            }
+        }
+        let n_exec = s.ages.len() as u64; // executed caller ops (incl. capacity sheds)
+        if n_exec > 0 {
+            self.m_lat.record_all(&s.ages);
+            s.ages.clear();
+        }
         let mut n_shed_cap = 0u64;
         let mut n_deadline = 0u64;
         let mut n_forward = 0u64;
@@ -630,12 +720,9 @@ impl Core {
                     let body = body.expect("executed job has a body");
                     let queue_age_ns = match &job.payload {
                         Payload::Op(_) => {
-                            let age = age_ns(now, job.enqueued);
-                            self.m_lat.record(age);
                             n_shed_cap +=
                                 u64::from(body == ReplyBody::Shed(ShedReason::IndexCapacity));
-                            n_exec += 1;
-                            age
+                            age_ns(now, job.enqueued)
                         }
                         Payload::Copy(entries) => {
                             migrated += entries.len() as u64;
@@ -867,7 +954,7 @@ impl Shard {
     /// at capacity.
     pub(crate) fn cast(&self, op: Op, budget_ns: Option<u64>) -> Result<(), ShedReason> {
         let job = Job {
-            payload: Payload::Op(op),
+            payload: Payload::Op(op.into()),
             enqueued: Instant::now(),
             budget_ns,
             reply_to: ReplyTo::Nobody,
@@ -881,7 +968,7 @@ impl Shard {
     pub(crate) fn call(&self, op: Op, budget_ns: Option<u64>) -> Called {
         let core = &*self.core;
         let mut job = Job {
-            payload: Payload::Op(op),
+            payload: Payload::Op(op.into()),
             enqueued: Instant::now(),
             budget_ns,
             reply_to: ReplyTo::Combiner,
